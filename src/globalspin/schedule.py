@@ -17,11 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .circuits import Circuit, Exchange, GlobalField, XYExchange
+from .circuits import Circuit, Exchange, GlobalField, XYExchange, evaluate
 from .device import ACTIVE_AXIS, ANTIPARALLEL, PARALLEL, DeviceGeometry, field_profile
-from .spins import (HBAR, MU_BOHR, RegisterSpec, ZeemanConvention,
-                    ZeemanPulseParams, exchange_unitary, global_field_unitary,
-                    zeeman_angles)
+from .spins import HBAR, MU_BOHR, RegisterSpec, ZeemanConvention, zeeman_angles
 
 DEFAULT_EXCHANGE_DURATION = 10e-9  # seconds
 DEFAULT_FIELD_DURATION_CAP = 1e-5  # seconds
@@ -170,25 +168,30 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
 
 
 def simulate_schedule(s: Schedule) -> np.ndarray:
-    """Replay the schedule into a unitary, first event applied first."""
+    """Replay the schedule into a unitary, first event applied first.
+
+    The events become the ops of a Circuit, so a pair outside the register
+    or a non-finite duration is a ValueError. Each configuration's field
+    profile is computed once.
+    """
     n = s.register.n_spins
-    u = np.eye(s.register.dim, dtype=complex)
     gf = [site.g_factor for site in s.geometry.sites[:n]]
+    comps = {}
+    ops = []
     for ev in s.events:
         if isinstance(ev, FieldEvent):
             axis = ACTIVE_AXIS[ev.config]
-            comp = field_profile(s.geometry, ev.config).component(axis)[:n]
-            signed = [ev.sign * b for b in comp]
-            angles = zeeman_angles(gf, signed, ev.duration, s.convention)
-            pulse = global_field_unitary(
-                s.register, ZeemanPulseParams(axis, angles))
-            u = pulse @ u
+            if ev.config not in comps:
+                comps[ev.config] = field_profile(
+                    s.geometry, ev.config).component(axis)[:n]
+            signed = [ev.sign * b for b in comps[ev.config]]
+            ops.append(GlobalField(axis, zeeman_angles(
+                gf, signed, ev.duration, s.convention)))
         elif isinstance(ev, ExchangeEvent):
-            for (i, j, xi) in ev.pairs:
-                u = exchange_unitary(s.register, i, j, xi) @ u
+            ops.extend(Exchange(i, j, xi) for (i, j, xi) in ev.pairs)
         else:
             raise TypeError(f"not an event: {ev!r}")
-    return u
+    return evaluate(Circuit(s.register, tuple(ops)))
 
 
 @dataclass(frozen=True)
@@ -216,9 +219,9 @@ def validate_schedule(s: Schedule, g: Optional[DeviceGeometry] = None) -> Schedu
     detail = "events strictly sequential"
     prev_end = -math.inf
     for ev in s.events:
-        if ev.duration <= 0:
+        if not (math.isfinite(ev.duration) and ev.duration > 0):
             overlap_ok = False
-            detail = f"nonpositive duration at t={ev.t_start}"
+            detail = f"nonpositive or non-finite duration at t={ev.t_start}"
             break
         if ev.t_start < prev_end - 1e-12:
             overlap_ok = False

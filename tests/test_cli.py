@@ -195,3 +195,33 @@ def test_schedule_unrealizable_exit_code(capsys, tmp_path):
 def test_schedule_missing_input(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "schedule", str(tmp_path / "absent.txt"))
     assert code == 2
+
+
+SCHEDULE_HEADER = ("SCHEDULE register=2 geometry=twin_wire_zigzag "
+                   "convention=full_gyromagnetic active_row=0\n")
+
+
+@pytest.mark.parametrize("text, simulate_only", [
+    ("REG 4\nEX 0 9 3.141592653589793\n", False),
+    ("REG 2\nEX 1 1 0.5\n", False),
+    ("REG 2\nXY 0 2 0.5\n", False),
+    ("REG 2\nEX 0 1 nan\n", False),
+    ("REG 2\nGF w 0.1 0.2\n", False),
+    ("REG 3\nGF z 0.1 0.2\n", False),
+    ("REG 4\nGF z nan nan nan nan\n", False),
+    ("REG 2\nGF x inf 0.5\n", False),
+    (SCHEDULE_HEADER + "F 0.000000 nan parallel -1 0.7\n", True),
+    (SCHEDULE_HEADER + "E 0.000000 10.000000 (0,5,3.14)\n", True),
+])
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, text,
+                                               simulate_only):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = ["schedule", str(path)] + (["--simulate-only"] if simulate_only
+                                      else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -1,0 +1,152 @@
+"""The in-place pulse kernel against the generator oracle.
+
+spins.apply_op never forms an op matrix; these tests rebuild every op as
+hermitian_expm of its generator, built from spin_operator, and compare.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from globalspin import circuits as cir
+from globalspin.circuits import (Circuit, Equivalence, Exchange, GateTarget,
+                                 GlobalField, XYExchange, evaluate,
+                                 verify_target)
+from globalspin.linalg import hermitian_expm, max_abs
+from globalspin.spins import (AXES, IndexOutOfRange, RegisterSpec, apply_op,
+                              site_bits, spin_operator)
+
+
+def generator(reg, op):
+    """Hermitian h with op's unitary = exp(-i h)."""
+    if isinstance(op, GlobalField):
+        return sum(a * spin_operator(reg, k, op.axis)
+                   for k, a in enumerate(op.angles))
+    if isinstance(op, Exchange):
+        return op.xi * sum(spin_operator(reg, op.i, a)
+                           @ spin_operator(reg, op.j, a) for a in AXES)
+    return op.phi * (spin_operator(reg, op.i, "x") @ spin_operator(reg, op.j, "x")
+                     + spin_operator(reg, op.i, "y") @ spin_operator(reg, op.j, "y"))
+
+
+def random_op(rng, n):
+    kinds = ("field", "exchange", "planar") if n >= 2 else ("field",)
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "field":
+        axis = AXES[int(rng.integers(3))]
+        angles = rng.uniform(-4, 4, size=n)
+        angles[rng.random(n) < 0.2] = 0.0  # zero angles take a short path
+        return GlobalField(axis, tuple(angles))
+    i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+    angle = float(rng.uniform(-7, 7))
+    return Exchange(i, j, angle) if kind == "exchange" else XYExchange(i, j, angle)
+
+
+def random_circuit(rng, n, n_ops):
+    return Circuit(RegisterSpec(n), tuple(random_op(rng, n) for _ in range(n_ops)))
+
+
+def oracle(c):
+    u = np.eye(c.register.dim, dtype=complex)
+    for op in c.ops:
+        u = hermitian_expm(generator(c.register, op)) @ u
+    return u
+
+
+def test_evaluate_matches_generator_oracle():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 9):
+        for _ in range(6 if n <= 6 else 2):
+            c = random_circuit(rng, n, int(rng.integers(1, 9)))
+            d = max_abs(evaluate(c) - oracle(c))
+            assert d <= 1e-12, (n, c.ops, d)
+
+
+def test_apply_op_on_state_columns():
+    # Fewer columns than rows: a set of states evolves like the unitary.
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 5):
+        c = random_circuit(rng, n, 7)
+        states = (rng.normal(size=(2 ** n, 3))
+                  + 1j * rng.normal(size=(2 ** n, 3)))
+        psi = states.copy()
+        for op in c.ops:
+            apply_op(psi, c.register, op)
+        assert max_abs(psi - evaluate(c) @ states) <= 1e-12
+
+
+def test_apply_op_rejects_arrays_it_cannot_update_in_place():
+    reg = RegisterSpec(2)
+    op = GlobalField("x", (0.3, 0.4))
+    with pytest.raises(ValueError):
+        apply_op(np.eye(4, dtype=complex).T[:, :2], reg, op)
+    with pytest.raises(ValueError):
+        apply_op(np.eye(4), reg, op)
+    with pytest.raises(ValueError):
+        apply_op(np.eye(8, dtype=complex), reg, op)
+
+
+def test_site_bits_follow_spin_zero_major_order():
+    reg = RegisterSpec(3)
+    assert site_bits(reg, 0).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert site_bits(reg, 2).tolist() == [0, 1, 0, 1, 0, 1, 0, 1]
+    sz = np.diag(0.5 - site_bits(reg, 1))
+    assert max_abs(sz - spin_operator(reg, 1, "z")) == 0.0
+
+
+def dense_bystander_deviation(u, reg, acted):
+    worst = 0.0
+    for k in range(reg.n_spins):
+        if k in acted:
+            continue
+        for axis in ("z", "x"):
+            s = spin_operator(reg, k, axis)
+            worst = max(worst, max_abs(u @ s - s @ u))
+    return worst
+
+
+def test_bystander_deviation_equals_dense_commutators():
+    rng = np.random.default_rng(77)
+    for trial in range(40):
+        n = int(rng.integers(2, 7))
+        c = random_circuit(rng, n, int(rng.integers(1, 6)))
+        acted = frozenset(int(k) for k in
+                          rng.choice(n, size=int(rng.integers(0, n)),
+                                     replace=False))
+        t = GateTarget(np.eye(2 ** n), acted, Equivalence.GLOBAL_PHASE)
+        rep = verify_target(c, t, 1e-10)
+        want = dense_bystander_deviation(evaluate(c), c.register, acted)
+        assert rep.bystander_deviation == want, (trial, c.ops, acted)
+
+
+def test_builder_targets_match_generator_oracle():
+    rng = np.random.default_rng(11)
+    reg = RegisterSpec(4)
+    profiles = {"z": (1.0, 0.75, 1.0, 0.75), "x": (1.0, 0.5, 1.0, 0.5)}
+    for _ in range(10):
+        i = int(rng.integers(3))
+        angle = float(rng.uniform(-3, 3))
+        axis = ("z", "x")[int(rng.integers(2))]
+        _, t = cir.refocused_rotation_circuit(reg, axis, i, i + 1, angle,
+                                              profiles)
+        want = hermitian_expm(spin_operator(reg, i, axis), angle)
+        assert max_abs(t.unitary - want) <= 1e-12
+        _, t = cir.xy_x_rotation_circuit(reg, i, i + 1, angle, 0.4)
+        want = hermitian_expm(spin_operator(reg, i, "x"), -2.0 * angle)
+        assert max_abs(t.unitary - want) <= 1e-12
+
+
+@pytest.mark.parametrize("op, error", [
+    (Exchange(0, 3, math.pi), IndexOutOfRange),
+    (Exchange(-1, 1, math.pi), IndexOutOfRange),
+    (XYExchange(1, 1, 0.5), ValueError),
+    (GlobalField("w", (0.1, 0.2, 0.3)), ValueError),
+    (GlobalField("z", (0.1, 0.2)), ValueError),
+    (GlobalField("x", (0.1, math.nan, 0.3)), ValueError),
+    (Exchange(0, 1, math.inf), ValueError),
+    ("EX 0 1", TypeError),
+])
+def test_circuit_checks_each_op_once_when_built(op, error):
+    with pytest.raises(error):
+        Circuit(RegisterSpec(3), (op,))

@@ -263,3 +263,13 @@ def test_unitary_digest_phase_invariant():
     assert unitary_digest(q) == unitary_digest(np.exp(1j * 0.83) * q)
     assert unitary_digest(q) != unitary_digest(q.conj())
     assert len(unitary_digest(q)) == 64
+
+
+def test_validate_schedule_fails_non_finite_duration():
+    text = ("SCHEDULE register=2 convention=full_gyromagnetic\n"
+            "F 0.000000 nan parallel -1 0.7\n")
+    s = schedule_from_text(text, GEOM2)
+    checks = {c.name: c for c in validate_schedule(s).checks}
+    assert not checks["non_overlap"].ok
+    assert "non-finite" in checks["non_overlap"].detail
+    assert not validate_schedule(s).ok
