@@ -231,10 +231,10 @@ def cmd_synthesize(args) -> RunReport:
         from dataclasses import replace
         problem = replace(
             problem,
-            search_samples=args.samples or problem.search_samples,
-            tolerance=args.tol or problem.tolerance)
+            search_samples=(problem.search_samples if args.samples is None
+                            else args.samples),
+            tolerance=problem.tolerance if args.tol is None else args.tol)
     result = synth.enumerate_sequences(problem, budget=args.budget,
-                                       workers=args.workers,
                                        prune=not args.no_prune,
                                        seed=args.seed)
     out = args.out or (problem.name + ".result.txt")
@@ -384,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True,
                    help="problem file path or preset name")
     p.add_argument("--budget", type=int, default=synth.DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--no-prune", action="store_true")

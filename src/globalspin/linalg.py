@@ -72,12 +72,24 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape or u.ndim != 2:
         raise DimensionMismatch(f"{u.shape} vs {v.shape}")
-    t = np.trace(u.conj().T @ v)
+    t = np.vdot(u, v)  # tr(u†v) without forming the product
     if abs(t) == 0.0:
         return float(np.sqrt(2.0))
     phi = np.conj(t) / abs(t)
     d = u.shape[0]
     return float(np.linalg.norm(u - phi * v) / np.sqrt(d))
+
+
+def update_phase_normalized(h, m: np.ndarray) -> None:
+    """Feed hash h the real and then the imaginary parts of m, with the
+    phase of its largest entry removed and rounded to 9 decimals: a
+    phase-invariant fingerprint. The arrays are hashed in place, not copied
+    to bytes."""
+    anchor = m.flat[int(np.argmax(np.abs(m)))]
+    normalized = m / (anchor / abs(anchor))
+    # +0.0 collapses -0.0 so the byte image is sign-of-zero stable.
+    h.update(np.round(normalized.real, 9) + 0.0)
+    h.update(np.round(normalized.imag, 9) + 0.0)
 
 
 def is_unitary(u: np.ndarray, tol: float = TOL_STRUCTURE) -> bool:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .circuits import Circuit, Exchange, GlobalField, XYExchange, evaluate
 from .device import ACTIVE_AXIS, ANTIPARALLEL, PARALLEL, DeviceGeometry, field_profile
+from .linalg import update_phase_normalized
 from .spins import HBAR, MU_BOHR, RegisterSpec, ZeemanConvention, zeeman_angles
 
 DEFAULT_EXCHANGE_DURATION = 10e-9  # seconds
@@ -335,14 +336,7 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
 def unitary_digest(u: np.ndarray) -> str:
     """Phase-normalized sha256 fingerprint of a unitary, for golden checks."""
     u = np.asarray(u, dtype=complex)
-    flat_index = int(np.argmax(np.abs(u)))
-    anchor = u.flat[flat_index]
-    normalized = u / (anchor / abs(anchor))
-    # +0.0 collapses -0.0 so the byte image is sign-of-zero stable.
-    re = np.round(normalized.real, 9) + 0.0
-    im = np.round(normalized.imag, 9) + 0.0
     h = hashlib.sha256()
     h.update(str(u.shape).encode())
-    h.update(re.tobytes())
-    h.update(im.tobytes())
+    update_phase_normalized(h, u)
     return h.hexdigest()

@@ -8,6 +8,14 @@ filtered on a single-bystander register, then surviving words are scored on
 the acted pair for every exchange placement, and finally the few candidates
 are re-verified as full circuits on a wider register with fresh draws.
 
+Both filters meet in the middle (after Amy, Maslov, Mosca and Roetteler,
+IEEE TCAD 32, 818 (2013)): a sequence's product is S·P, a suffix times a
+prefix, so its overlap with the target, tr(T†·S·P) = Σ_ab (T†S)_ab P_ba, is
+a dot product of two precomputed halves. The bystander filter pairs every
+prefix word with every T†-folded suffix word; the pair filter builds both
+halves per batch of words as tries over exchange positions, one batched
+matmul per node, and rescores only what is still alive on later samples.
+
 Filters use loose thresholds and exist only to cut the space; membership in
 the result is decided solely by the final verification at the problem
 tolerance.
@@ -15,11 +23,11 @@ tolerance.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -27,8 +35,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .circuits import Circuit, Exchange, GlobalField, _diag_zz_phase, evaluate
-from .linalg import phase_distance
-from .spins import (RegisterSpec, ZeemanPulseParams, exchange_unitary,
+from .linalg import phase_distance, update_phase_normalized
+from .spins import (AXES, RegisterSpec, ZeemanPulseParams, exchange_unitary,
                     global_field_unitary, rotation_2x2)
 
 DEFAULT_BUDGET = 10 ** 9
@@ -39,7 +47,9 @@ STAGE2_DIST_SQ = 1e-13
 # Bystander draws held per sample; registers up to this many spins beyond the
 # acted pair can be bound from one sample.
 MAX_BYSTANDER_DRAWS = 10
+# Words per stage-1 block and per stage-2 batch; both bound the working set.
 _CHUNK = 1 << 15
+_PAIR_CHUNK = 128
 
 
 class EmptyAlphabet(ValueError):
@@ -92,6 +102,28 @@ class SynthesisProblem:
     def n_field(self) -> int:
         return self.length - self.n_exchange
 
+    def __post_init__(self) -> None:
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; expected one "
+                             f"of {', '.join(FAMILIES)}")
+        for tpl in self.alphabet:
+            if (tpl.symbol not in FAMILIES[self.family].symbols
+                    or tpl.axis not in AXES or tpl.sign not in (1, -1)):
+                raise ValueError(f"family {self.family} has no letter "
+                                 f"{tpl.symbol} {tpl.axis} {tpl.sign:+d}")
+        for ok, message in (
+                (math.isfinite(self.exchange.xi), "xi must be finite"),
+                (0 < self.tolerance < math.inf,
+                 "tolerance must be finite and positive"),
+                (0 <= self.n_exchange <= self.length,
+                 f"exchange must be in 0..{self.length}"),
+                (min(self.search_samples, self.verify_samples) >= 1,
+                 "search_samples and verify_samples must be at least 1"),
+                (2 <= self.verify_spins <= 2 + MAX_BYSTANDER_DRAWS,
+                 f"verify_spins must be in 2..{2 + MAX_BYSTANDER_DRAWS}")):
+            if not ok:
+                raise ValueError(message)
+
 
 @dataclass(frozen=True)
 class SequenceSolution:
@@ -110,7 +142,6 @@ class SearchStats:
     verified: int
     elapsed_s: float
     prune: bool
-    workers: int
 
 
 @dataclass(frozen=True)
@@ -143,6 +174,7 @@ class _RotationFamily:
     """
 
     name = "z_difference_rotation"
+    symbols = ("primary", "companion", "merged", "pi_step", "x_dark", "z_dark")
 
     def sample(self, rng: np.random.Generator) -> _RotationSample:
         while True:
@@ -195,6 +227,7 @@ class _SwapFamily:
     """Exchange conjugation of one z pulse: the pair angles trade places."""
 
     name = "swap_pair_exchange"
+    symbols = ("primary",)
 
     def sample(self, rng: np.random.Generator) -> _SwapSample:
         while True:
@@ -205,9 +238,7 @@ class _SwapFamily:
                            b=rng.uniform(0.1, 3.0, size=MAX_BYSTANDER_DRAWS))
 
     def letter_angles(self, s: _SwapSample, symbol: str):
-        if symbol == "primary":
-            return s.v_i, s.v_j, s.b
-        raise KeyError(f"unknown symbol {symbol!r}")
+        return s.v_i, s.v_j, s.b  # "primary", the only symbol
 
     def pair_target(self, s: _SwapSample) -> np.ndarray:
         return np.kron(rotation_2x2("z", s.v_j), rotation_2x2("z", s.v_i))
@@ -230,6 +261,7 @@ class _ControlledPhaseFamily:
     """Ising-type pair phase from two half exchanges around a flipped pulse."""
 
     name = "controlled_phase"
+    symbols = ("primary",)
 
     def sample(self, rng: np.random.Generator) -> _ControlledPhaseSample:
         return _ControlledPhaseSample(theta=float(rng.uniform(0.1, 3.0)),
@@ -237,9 +269,7 @@ class _ControlledPhaseFamily:
                                                     size=MAX_BYSTANDER_DRAWS))
 
     def letter_angles(self, s: _ControlledPhaseSample, symbol: str):
-        if symbol == "primary":
-            return s.theta, s.theta + math.pi, s.b
-        raise KeyError(f"unknown symbol {symbol!r}")
+        return s.theta, s.theta + math.pi, s.b  # "primary", the only symbol
 
     def pair_target(self, s: _ControlledPhaseSample) -> np.ndarray:
         return _diag_zz_phase(RegisterSpec(2), 0, 1, math.pi)
@@ -313,87 +343,173 @@ def _word_digits(idx: np.ndarray, n_field: int, n_letters: int) -> np.ndarray:
     return digits
 
 
-def _chunk_survivors(start: int, stop: int, n_field: int, n_letters: int,
-                     bys_mats: Sequence[np.ndarray],
-                     bys_targets: Sequence[np.ndarray]) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
+def _slot_letters(word: Sequence[int], slots: tuple, length: int) -> list:
+    """The letter index at each slot in time order, None at exchange slots."""
+    letters = iter(word)
+    return [None if s in slots else int(next(letters)) for s in range(length)]
+
+
+def _sample_matrices(problem: SynthesisProblem, family, s) -> tuple:
+    """Per-letter bystander (2x2) and acted-pair (4x4) matrices of one draw,
+    with the family's targets for both registers."""
+    n_letters = len(problem.alphabet)
+    bm = np.empty((n_letters, 2, 2), dtype=complex)
+    pm = np.empty((n_letters, 4, 4), dtype=complex)
+    for li, tpl in enumerate(problem.alphabet):
+        a_i, a_j, bys = family.letter_angles(s, tpl.symbol)
+        bm[li] = rotation_2x2(tpl.axis, tpl.sign * float(bys[0]))
+        pm[li] = np.kron(rotation_2x2(tpl.axis, tpl.sign * a_i),
+                         rotation_2x2(tpl.axis, tpl.sign * a_j))
+    return bm, pm, family.bystander_target(s), family.pair_target(s)
+
+
+def _word_products(mats: np.ndarray, length: int) -> np.ndarray:
+    """Products of every word of `length` letters in ascending word index;
+    the first letter acts first."""
+    d = mats.shape[-1]
+    prods = np.eye(d, dtype=complex)[None]
+    for _ in range(length):
+        prods = np.matmul(mats[None], prods[:, None]).reshape(-1, d, d)
+    return prods
+
+
+def _half_word_factors(mats: np.ndarray, target: np.ndarray,
+                       n_field: int) -> tuple:
+    """Prefix rows P and transposed T†-folded suffix rows (T†S)^T of every
+    n_field-letter word, flattened. Word idx = prefix * n_suffix + suffix,
+    and tr(T†·S·P) is the dot product of their two rows."""
+    k = n_field // 2
+    d = mats.shape[-1]
+    pre = _word_products(mats, k).reshape(-1, d * d)
+    suf = target.conj().T @ _word_products(mats, n_field - k)
+    return pre, suf.transpose(0, 2, 1).reshape(-1, d * d)
+
+
+def _bystander_scan(n_field: int, bys_mats: Sequence[np.ndarray],
+                    bys_targets: Sequence[np.ndarray]) -> np.ndarray:
+    """Ascending indices of the words that hit the bystander target on every
+    search sample. Each sample's half-word factors score the words still
+    alive block by block, so one sample's factors are held at a time."""
+    total = bys_mats[0].shape[0] ** n_field
+    blocks = (np.arange(s, min(s + _CHUNK, total), dtype=np.int64)
+              for s in range(0, total, _CHUNK))
     for mats, tgt in zip(bys_mats, bys_targets):
-        digits = _word_digits(idx, n_field, n_letters)
-        prod = mats[digits[:, 0]]
-        for pos in range(1, n_field):
-            prod = np.matmul(mats[digits[:, pos]], prod)
-        tr = np.einsum("ij,nij->n", tgt.conj(), prod)
-        # squared phase distance on 2x2: 2 - |tr|
-        idx = idx[2.0 - np.abs(tr) <= STAGE1_DIST_SQ]
-        if idx.size == 0:
-            break
-    return idx
-
-
-def _bystander_scan(n_field: int, n_letters: int,
-                    bys_mats: Sequence[np.ndarray],
-                    bys_targets: Sequence[np.ndarray],
-                    workers: int) -> np.ndarray:
-    total = n_letters ** n_field
-    starts = list(range(0, total, _CHUNK))
-
-    def scan(s: int) -> np.ndarray:
-        return _chunk_survivors(s, min(s + _CHUNK, total), n_field, n_letters,
-                                bys_mats, bys_targets)
-
-    if workers <= 1:
-        parts = [scan(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, starts))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
-
-
-def _placement_letter_table(length: int, placements: Sequence[tuple]) -> np.ndarray:
-    """Per placement, the stack index each slot reads: 0 for the exchange
-    matrix, 1 + field position otherwise. Word-independent."""
-    table = np.zeros((len(placements), length), dtype=np.int64)
-    for p, slots in enumerate(placements):
-        taken = set(slots)
-        fpos = 0
-        for s in range(length):
-            if s in taken:
-                table[p, s] = 0
-            else:
-                table[p, s] = 1 + fpos
-                fpos += 1
-    return table
-
-
-def _pair_scan(word: np.ndarray, table: np.ndarray,
-               pair_mats: Sequence[np.ndarray],
-               pair_targets: Sequence[np.ndarray],
-               ex4: np.ndarray) -> np.ndarray:
-    """Placements (row indices of table) where the word hits the pair target
-    on every search sample."""
-    alive = np.arange(table.shape[0])
-    for mats, tgt in zip(pair_mats, pair_targets):
-        stack = np.concatenate([ex4[None], mats[word]], axis=0)
-        sub = table[alive]
-        prod = stack[sub[:, 0]]
-        for s in range(1, table.shape[1]):
-            prod = np.matmul(stack[sub[:, s]], prod)
-        tr = np.einsum("ij,nij->n", tgt.conj(), prod)
-        # squared phase distance on 4x4: 2 - |tr|/2
-        alive = alive[2.0 - np.abs(tr) / 2.0 <= STAGE2_DIST_SQ]
+        pre, suf = _half_word_factors(mats, tgt, n_field)
+        kept = []
+        for idx in blocks:
+            tr = np.einsum("nk,nk->n", pre[idx // suf.shape[0]],
+                           suf[idx % suf.shape[0]])
+            # squared phase distance on 2x2: 2 - |tr|
+            kept.append(idx[2.0 - np.abs(tr) <= STAGE1_DIST_SQ])
+        alive = np.concatenate(kept)
         if alive.size == 0:
             break
+        blocks = [alive[s:s + _CHUNK] for s in range(0, alive.size, _CHUNK)]
     return alive
 
 
-def _normalized_bytes(m: np.ndarray) -> bytes:
-    anchor = m.flat[int(np.argmax(np.abs(m)))]
-    mn = m / (anchor / abs(anchor))
-    re = np.round(mn.real, 9) + 0.0
-    im = np.round(mn.imag, 9) + 0.0
-    return re.tobytes() + im.tobytes()
+@functools.lru_cache(maxsize=None)
+def _placement_groups(length: int, n_exchange: int) -> tuple:
+    """Exchange placements cut at slot split = ceil(length/2) into a prefix
+    part (slots before it) and a suffix part. Per prefix exchange count, one
+    group (prefixes, suffixes, index): each prefix set pairs with each
+    suffix set of the complementary size, and index[r, c] is the position of
+    prefixes[r] + suffixes[c] in the lexicographic placement order."""
+    split = (length + 1) // 2
+    where = {p: i for i, p in enumerate(
+        itertools.combinations(range(length), n_exchange))}
+    groups = []
+    for a in range(max(0, n_exchange - (length - split)),
+                   min(n_exchange, split) + 1):
+        prefixes = tuple(itertools.combinations(range(split), a))
+        suffixes = tuple(itertools.combinations(range(split, length),
+                                                n_exchange - a))
+        index = np.array([[where[p + q] for q in suffixes] for p in prefixes],
+                         dtype=np.int64)
+        index.setflags(write=False)  # cached and shared by every caller
+        groups.append((prefixes, suffixes, index))
+    return split, tuple(groups)
+
+
+def _half_products(first: np.ndarray, slots: Sequence[int],
+                   letters: np.ndarray, ex: np.ndarray,
+                   n_exchange: int) -> dict:
+    """Products over `slots`, walked in the given order from `first` with
+    each slot multiplied on the left, for every exchange placement among
+    them, keyed by the ascending exchange slots. The walk is a trie: each
+    node is one batched matmul on its parent's product. letters[w, f] is
+    word w's f-th field letter met on the walk."""
+    n_field = letters.shape[1]
+    level = {(): first}
+    for step, slot in enumerate(slots):
+        nxt = {}
+        for exch, prod in level.items():
+            if step - len(exch) < n_field:
+                nxt[exch] = letters[:, step - len(exch)] @ prod
+            if len(exch) < n_exchange:
+                nxt[tuple(sorted(exch + (slot,)))] = ex @ prod
+        level = nxt
+    return level
+
+
+def _pair_traces(letters: np.ndarray, ex: np.ndarray, target: np.ndarray,
+                 length: int, n_exchange: int,
+                 alive: np.ndarray) -> np.ndarray:
+    """tr(T†·U) on the acted pair for each word (row of letters) and
+    placement, 0 where no alive entry of the batch needs it.
+
+    U = S·P with P the product of the slots before the split. The suffix is
+    built transposed, (T†·S)^T, by walking the slots backwards over
+    transposed letters, so the trace is the elementwise dot product of the
+    two halves. Each group of placements is one batched
+    (prefix x d²) @ (d² x suffix) matmul per word, restricted to the halves
+    that alive placements use.
+    """
+    n_words, d = letters.shape[0], ex.shape[0]
+    split, groups = _placement_groups(length, n_exchange)
+    pre = _half_products(np.broadcast_to(np.eye(d, dtype=complex),
+                                         (n_words, d, d)),
+                         range(split), letters, ex, n_exchange)
+    suf = _half_products(np.broadcast_to(target.conj(), (n_words, d, d)),
+                         range(length - 1, split - 1, -1),
+                         letters[:, ::-1].swapaxes(2, 3), ex.T, n_exchange)
+    traces = np.zeros(alive.shape, dtype=complex)
+    for prefixes, suffixes, index in groups:
+        need = alive[:, index].any(axis=0)
+        rows = np.flatnonzero(need.any(axis=1))
+        cols = np.flatnonzero(need.any(axis=0))
+        if rows.size == 0:
+            continue
+        p = np.stack([pre[prefixes[r]] for r in rows], axis=1)
+        s = np.stack([suf[suffixes[c]] for c in cols], axis=1)
+        traces[:, index[np.ix_(rows, cols)]] = np.matmul(
+            p.reshape(n_words, rows.size, d * d),
+            s.reshape(n_words, cols.size, d * d).swapaxes(1, 2))
+    return traces
+
+
+def _pair_scan(words: np.ndarray, pair_mats: Sequence[np.ndarray],
+               pair_targets: Sequence[np.ndarray], ex4: np.ndarray,
+               length: int, n_exchange: int) -> list:
+    """(word row, placement index) pairs, ascending, where the word hits the
+    pair target on every search sample. Words go in batches; each sample
+    rescores only the words and placements still alive."""
+    n_placements = math.comb(length, n_exchange)
+    hits = []
+    for start in range(0, words.shape[0], _PAIR_CHUNK):
+        batch = words[start:start + _PAIR_CHUNK]
+        alive = np.ones((batch.shape[0], n_placements), dtype=bool)
+        for mats, tgt in zip(pair_mats, pair_targets):
+            live = np.flatnonzero(alive.any(axis=1))
+            if live.size == 0:
+                break
+            tr = _pair_traces(mats[batch[live]], ex4, tgt, length, n_exchange,
+                              alive[live])
+            # squared phase distance on 4x4: 2 - |tr|/2
+            alive[live] &= 2.0 - np.abs(tr) / 2.0 <= STAGE2_DIST_SQ
+        rows, cols = np.nonzero(alive)
+        hits.extend(zip((start + rows).tolist(), cols.tolist()))
+    return hits
 
 
 def _sequence_fingerprint(word: Sequence[int], slots: tuple, length: int,
@@ -401,16 +517,10 @@ def _sequence_fingerprint(word: Sequence[int], slots: tuple, length: int,
     """Slot-by-slot fingerprint of the realized matrices on one fixed sample;
     sequences built from distinct letters that realize identical unitaries
     collapse to one entry, genuinely different orderings do not."""
-    taken = set(slots)
     h = hashlib.sha256()
-    fpos = 0
-    for s in range(length):
-        if s in taken:
-            m = ex4
-        else:
-            m = pair_mats0[word[fpos]]
-            fpos += 1
-        h.update(_normalized_bytes(m))
+    for letter in _slot_letters(word, slots, length):
+        update_phase_normalized(h, ex4 if letter is None
+                                else pair_mats0[letter])
         h.update(b"|")
     return h.hexdigest()
 
@@ -418,16 +528,13 @@ def _sequence_fingerprint(word: Sequence[int], slots: tuple, length: int,
 def _bind_ops(problem: SynthesisProblem, family, word: Sequence[int],
               slots: tuple, s, n_spins: int) -> Circuit:
     """Realize a sequence as a circuit on spins (0, 1) of an n-spin register."""
-    taken = set(slots)
     nb = n_spins - 2
     ops = []
-    fpos = 0
-    for slot in range(problem.length):
-        if slot in taken:
+    for letter in _slot_letters(word, slots, problem.length):
+        if letter is None:
             ops.append(Exchange(0, 1, problem.exchange.xi))
             continue
-        tpl = problem.alphabet[word[fpos]]
-        fpos += 1
+        tpl = problem.alphabet[letter]
         a_i, a_j, bys = family.letter_angles(s, tpl.symbol)
         vec = (tpl.sign * a_i, tpl.sign * a_j) + tuple(
             tpl.sign * float(v) for v in bys[:nb])
@@ -452,48 +559,18 @@ def _verify_word(problem: SynthesisProblem, family, word: Sequence[int],
     return worst
 
 
-def _solution_letters(problem: SynthesisProblem, word: Sequence[int],
-                      slots: tuple) -> tuple:
-    taken = set(slots)
-    labels = []
-    fpos = 0
-    for s in range(problem.length):
-        if s in taken:
-            labels.append("EX")
-        else:
-            labels.append(problem.alphabet[word[fpos]].label)
-            fpos += 1
-    return tuple(labels)
-
-
-def _slot_codes(problem: SynthesisProblem, word: Sequence[int],
-                slots: tuple) -> tuple:
-    """Order key over full sequences: exchange sorts before any letter."""
-    taken = set(slots)
-    codes = []
-    fpos = 0
-    for s in range(problem.length):
-        if s in taken:
-            codes.append(0)
-        else:
-            codes.append(1 + int(word[fpos]))
-            fpos += 1
-    return tuple(codes)
-
-
 def enumerate_sequences(problem: SynthesisProblem,
                         budget: int = DEFAULT_BUDGET,
-                        workers: int = 1,
                         prune: bool = True,
                         seed: int = 0) -> SynthesisResult:
     """Exhaustively search sequence space and return every verified ordering.
 
     The search is deterministic for a given seed: words and exchange
-    placements are enumerated lexicographically, worker partitioning never
-    reorders results, and duplicate sequences (identical realized matrices
-    slot by slot) are removed keeping the first. prune=False skips the
-    bystander pre-filter and scores every word, which is only sensible for
-    small planted problems; both paths return identical results.
+    placements are enumerated lexicographically, batching never reorders
+    results, and duplicate sequences (identical realized matrices slot by
+    slot) are removed keeping the first. prune=False skips the bystander
+    pre-filter and scores every word, which is only sensible for small
+    planted problems; both paths return identical results.
     """
     t0 = time.perf_counter()
     if not problem.alphabet:
@@ -501,8 +578,6 @@ def enumerate_sequences(problem: SynthesisProblem,
     family = FAMILIES[problem.family]
     n_letters = len(problem.alphabet)
     n_field = problem.n_field
-    if n_field < 0:
-        raise ValueError("more exchange steps than slots")
     placements = list(itertools.combinations(range(problem.length),
                                              problem.n_exchange))
     words_total = n_letters ** n_field
@@ -512,45 +587,26 @@ def enumerate_sequences(problem: SynthesisProblem,
 
     rng = np.random.default_rng(seed)
     samples = [family.sample(rng) for _ in range(problem.search_samples)]
-    bys_mats, pair_mats, bys_targets, pair_targets = [], [], [], []
-    for s in samples:
-        bm = np.empty((n_letters, 2, 2), dtype=complex)
-        pm = np.empty((n_letters, 4, 4), dtype=complex)
-        for li, tpl in enumerate(problem.alphabet):
-            a_i, a_j, bys = family.letter_angles(s, tpl.symbol)
-            bm[li] = rotation_2x2(tpl.axis, tpl.sign * float(bys[0]))
-            pm[li] = np.kron(rotation_2x2(tpl.axis, tpl.sign * a_i),
-                             rotation_2x2(tpl.axis, tpl.sign * a_j))
-        bys_mats.append(bm)
-        pair_mats.append(pm)
-        bys_targets.append(family.bystander_target(s))
-        pair_targets.append(family.pair_target(s))
+    bys_mats, pair_mats, bys_targets, pair_targets = zip(
+        *(_sample_matrices(problem, family, s) for s in samples))
     ex4 = exchange_unitary(RegisterSpec(2), 0, 1, problem.exchange.xi)
 
     if prune and n_field > 0:
-        survivors = _bystander_scan(n_field, n_letters, bys_mats, bys_targets,
-                                    workers)
+        survivors = _bystander_scan(n_field, bys_mats, bys_targets)
     else:
         survivors = np.arange(words_total, dtype=np.int64)
 
-    table = _placement_letter_table(problem.length, placements)
-    candidates = []
-    if survivors.size:
-        words = _word_digits(survivors, n_field, n_letters)
-        for row in range(words.shape[0]):
-            word = words[row]
-            for p in _pair_scan(word, table, pair_mats, pair_targets, ex4):
-                candidates.append((word, placements[int(p)]))
+    words = _word_digits(survivors, n_field, n_letters)
+    candidates = [(words[row], placements[p])
+                  for row, p in _pair_scan(words, pair_mats, pair_targets, ex4,
+                                           problem.length, problem.n_exchange)]
 
-    seen = set()
-    kept = []
+    unique = {}
     for word, slots in candidates:
-        fp = _sequence_fingerprint(word, slots, problem.length, pair_mats[0],
-                                   ex4)
-        if fp in seen:
-            continue
-        seen.add(fp)
-        kept.append((word, slots))
+        unique.setdefault(_sequence_fingerprint(word, slots, problem.length,
+                                                pair_mats[0], ex4),
+                          (word, slots))
+    kept = list(unique.values())
 
     solutions = []
     for word, slots in kept:
@@ -558,18 +614,19 @@ def enumerate_sequences(problem: SynthesisProblem,
                             problem.verify_samples, seed + 1_000_003,
                             problem.verify_spins)
         if dist <= problem.tolerance:
-            solutions.append((_slot_codes(problem, word, slots),
-                              SequenceSolution(
-                                  letters=_solution_letters(problem, word, slots),
-                                  exchange_slots=tuple(slots),
-                                  max_distance=dist)))
+            letters = _slot_letters(word, slots, problem.length)
+            # Order key over full sequences: exchange sorts before any letter.
+            key = tuple(0 if x is None else 1 + x for x in letters)
+            solutions.append((key, SequenceSolution(
+                letters=tuple("EX" if x is None else problem.alphabet[x].label
+                              for x in letters),
+                exchange_slots=tuple(slots), max_distance=dist)))
     solutions.sort(key=lambda pair: pair[0])
     stats = SearchStats(words_total=words_total, placements=len(placements),
                         bystander_survivors=int(survivors.size),
                         pair_candidates=len(candidates),
                         deduplicated=len(kept), verified=len(solutions),
-                        elapsed_s=time.perf_counter() - t0,
-                        prune=prune, workers=workers)
+                        elapsed_s=time.perf_counter() - t0, prune=prune)
     return SynthesisResult(problem_name=problem.name,
                            solutions=tuple(sol for _, sol in solutions),
                            stats=stats)
@@ -621,6 +678,8 @@ def problem_from_text(text: str) -> SynthesisProblem:
                 header = dict(kv.split("=", 1) for kv in parts[1:])
             elif parts[0] == "LETTER":
                 symbol, axis, sign = parts[1], parts[2], parts[3]
+                if sign not in ("+", "-"):
+                    raise ValueError(f"sign must be + or -, got {sign!r}")
                 letters.append(PulseTemplate("field", axis, symbol,
                                              1 if sign == "+" else -1))
             else:
@@ -629,15 +688,18 @@ def problem_from_text(text: str) -> SynthesisProblem:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if header is None:
         raise ValueError("missing PROBLEM header")
-    return SynthesisProblem(
-        name=header["name"], family=header["family"],
-        length=int(header["length"]), n_exchange=int(header["exchange"]),
-        alphabet=tuple(letters),
-        exchange=PulseTemplate("exchange", "", "EX", 1, float(header["xi"])),
-        tolerance=float(header.get("tolerance", 1e-10)),
-        search_samples=int(header.get("search_samples", 20)),
-        verify_samples=int(header.get("verify_samples", 100)),
-        verify_spins=int(header.get("verify_spins", 4)))
+    try:
+        return SynthesisProblem(
+            name=header["name"], family=header["family"],
+            length=int(header["length"]), n_exchange=int(header["exchange"]),
+            alphabet=tuple(letters),
+            exchange=PulseTemplate("exchange", "", "EX", 1, float(header["xi"])),
+            tolerance=float(header.get("tolerance", 1e-10)),
+            search_samples=int(header.get("search_samples", 20)),
+            verify_samples=int(header.get("verify_samples", 100)),
+            verify_spins=int(header.get("verify_spins", 4)))
+    except KeyError as exc:
+        raise ValueError(f"PROBLEM header lacks {exc.args[0]}") from exc
 
 
 def result_to_text(r: SynthesisResult) -> str:

@@ -225,3 +225,53 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, text,
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+PROBLEM_HEADER = ("PROBLEM name=p family=swap_pair_exchange length=3 "
+                  "exchange=2 xi=3.1415926535897931 tolerance=1e-10 "
+                  "search_samples=8 verify_samples=25 verify_spins=3\n")
+GOOD_LETTER = "LETTER primary z +\n"
+
+
+@pytest.mark.parametrize("text, extra", [
+    (PROBLEM_HEADER.replace("swap_pair_exchange", "no_such_family")
+     + GOOD_LETTER, ()),
+    (PROBLEM_HEADER + "LETTER nosuch z +\n", ()),
+    (PROBLEM_HEADER + "LETTER primary z x\n", ()),
+    (PROBLEM_HEADER + "LETTER primary z 1\n", ()),
+    (PROBLEM_HEADER + "LETTER primary w +\n", ()),
+    (PROBLEM_HEADER.replace("xi=3.1415926535897931", "xi=nan")
+     + GOOD_LETTER, ()),
+    (PROBLEM_HEADER.replace("tolerance=1e-10", "tolerance=nan")
+     + GOOD_LETTER, ()),
+    (PROBLEM_HEADER.replace("tolerance=1e-10", "tolerance=inf")
+     + GOOD_LETTER, ()),
+    (PROBLEM_HEADER.replace("exchange=2", "exchange=4") + GOOD_LETTER, ()),
+    (PROBLEM_HEADER.replace("exchange=2", "exchange=-1") + GOOD_LETTER, ()),
+    (PROBLEM_HEADER.replace("search_samples=8", "search_samples=0")
+     + GOOD_LETTER, ()),
+    (PROBLEM_HEADER.replace("verify_samples=25", "verify_samples=0")
+     + GOOD_LETTER, ()),
+    (PROBLEM_HEADER.replace("verify_spins=3", "verify_spins=1")
+     + GOOD_LETTER, ()),
+    (PROBLEM_HEADER.replace("verify_spins=3", "verify_spins=13")
+     + GOOD_LETTER, ()),
+    (PROBLEM_HEADER.replace("xi=3.1415926535897931 ", "") + GOOD_LETTER, ()),
+    (PROBLEM_HEADER + GOOD_LETTER, ("--tol", "nan")),
+    (PROBLEM_HEADER + GOOD_LETTER, ("--samples", "-1")),
+    (PROBLEM_HEADER + GOOD_LETTER, ("--samples", "0")),
+    (PROBLEM_HEADER + GOOD_LETTER, ("--tol", "0")),
+])
+def test_malformed_problem_exits_2_with_one_line(capsys, tmp_path, text,
+                                                 extra):
+    path = tmp_path / "input.problem.txt"
+    path.write_text(text)
+    out_file = tmp_path / "out.result.txt"
+    code, out, err = run_cli(capsys, "synthesize", "--problem", str(path),
+                             "--out", str(out_file), *extra)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out_file.exists()

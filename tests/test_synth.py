@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +15,12 @@ from globalspin.synth import (BudgetExceeded, EmptyAlphabet, PulseTemplate,
                               rotation_problem)
 
 PROFILES = {"z": (1.0, 0.75), "x": (1.0, 0.5)}
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+EX_PI = PulseTemplate("exchange", "", "EX", 1, math.pi)
+# Planted cores: the swap plant and the controlled-phase plant.
+PLANTS = {"swap_pair_exchange": (math.pi, ("EX", ("z", 1), "EX")),
+          "controlled_phase": (math.pi / 2.0,
+                               ("EX", ("z", 1), "EX", ("z", -1)))}
 
 
 def test_rotation_problem_shape():
@@ -63,15 +71,6 @@ def test_prune_equals_exhaustive():
         assert pruned.stats.words_total == full.stats.words_total
         # The filter may only discard words, never solutions.
         assert pruned.stats.bystander_survivors <= full.stats.bystander_survivors
-
-
-def test_workers_do_not_change_results():
-    p = planted_swap_problem()
-    one = enumerate_sequences(p, workers=1, seed=0)
-    four = enumerate_sequences(p, workers=4, seed=0)
-    assert one.solutions == four.solutions
-    assert one.stats.bystander_survivors == four.stats.bystander_survivors
-    assert one.stats.pair_candidates == four.stats.pair_candidates
 
 
 def test_same_seed_reproduces():
@@ -152,3 +151,112 @@ def test_hadamard_search_smoke_depth_two():
     assert a.best_distance == b.best_distance
     assert a.parameters == b.parameters
     assert a.n_structures == b.n_structures
+
+
+def _random_problem(rng, planted):
+    """A small random problem over one of the three families. A planted one
+    holds a known solution: a planted core with, at random, one cancelling
+    pair of opposite pulses spliced in, over the plant's letters plus
+    possibly one more. Returns (problem, plant labels or None)."""
+    if planted:
+        family = str(rng.choice(sorted(PLANTS)))
+        xi, seq = PLANTS[family]
+        seq = list(seq)
+        if rng.random() < 0.7:
+            axis, sign = str(rng.choice(["x", "z"])), int(rng.choice([1, -1]))
+            at = int(rng.integers(0, len(seq) + 1))
+            seq[at:at] = [(axis, sign), (axis, -sign)]
+        letters = {slot for slot in seq if slot != "EX"}
+        if rng.random() < 0.5:
+            letters.add((str(rng.choice(["x", "z"])),
+                         int(rng.choice([1, -1]))))
+        alphabet = tuple(PulseTemplate("field", axis, "primary", sign)
+                         for axis, sign in sorted(letters))
+        plant = tuple("EX" if slot == "EX" else
+                      PulseTemplate("field", slot[0], "primary", slot[1]).label
+                      for slot in seq)
+        length, n_exchange = len(seq), 2
+    else:
+        family = str(rng.choice(sorted(synth.FAMILIES)))
+        symbols = synth.FAMILIES[family].symbols
+        length, n_exchange = int(rng.integers(3, 7)), int(rng.integers(1, 4))
+        alphabet = tuple(PulseTemplate("field", str(rng.choice(["x", "z"])),
+                                       str(rng.choice(symbols)),
+                                       int(rng.choice([1, -1])))
+                         for _ in range(int(rng.integers(1, 4))))
+        xi, plant = float(rng.choice([math.pi, math.pi / 2.0])), None
+    problem = SynthesisProblem(
+        name="random", family=family, length=length, n_exchange=n_exchange,
+        alphabet=alphabet, exchange=dataclasses.replace(EX_PI, xi=xi),
+        search_samples=4, verify_samples=10, verify_spins=3)
+    return problem, plant
+
+
+def test_half_word_traces_equal_slot_products():
+    # Both filters score tr(T†·U) from a prefix and a T†-folded suffix half;
+    # the value must be the slot-by-slot product's for every word and
+    # placement, on any family, length and exchange count.
+    rng = np.random.default_rng(20240)
+    for k in range(24):
+        p, _ = _random_problem(rng, planted=k % 2 == 0)
+        family = synth.FAMILIES[p.family]
+        s = family.sample(np.random.default_rng(int(rng.integers(1 << 30))))
+        bm, pm, bt, pt = synth._sample_matrices(p, family, s)
+        n_letters = len(p.alphabet)
+        idx = np.arange(n_letters ** p.n_field, dtype=np.int64)
+        words = synth._word_digits(idx, p.n_field, n_letters)
+
+        pre, suf = synth._half_word_factors(bm, bt, p.n_field)
+        n_suf = suf.shape[0]
+        half = (pre[idx // n_suf] * suf[idx % n_suf]).sum(axis=1)
+        for w, word in enumerate(words):
+            prod = np.eye(2, dtype=complex)
+            for letter in word:
+                prod = bm[letter] @ prod
+            assert abs(half[w] - np.trace(bt.conj().T @ prod)) <= 1e-12
+
+        placements = list(itertools.combinations(range(p.length),
+                                                 p.n_exchange))
+        ex4 = synth.exchange_unitary(synth.RegisterSpec(2), 0, 1,
+                                     p.exchange.xi)
+        alive = np.ones((len(words), len(placements)), dtype=bool)
+        traces = synth._pair_traces(pm[words], ex4, pt, p.length,
+                                    p.n_exchange, alive)
+        for w, word in enumerate(words):
+            for c, slots in enumerate(placements):
+                prod = np.eye(4, dtype=complex)
+                for letter in synth._slot_letters(word, slots, p.length):
+                    prod = (ex4 if letter is None else pm[letter]) @ prod
+                want = np.trace(pt.conj().T @ prod)
+                assert abs(traces[w, c] - want) <= 1e-12
+
+
+def test_prune_equals_exhaustive_on_random_problems():
+    # The staged thresholds may only discard what verification would reject:
+    # over random and planted problems, pruned results equal exhaustive ones,
+    # and every plant is found.
+    rng = np.random.default_rng(77)
+    found = 0
+    for k in range(30):
+        p, plant = _random_problem(rng, planted=k % 2 == 0)
+        seed = int(rng.integers(1 << 20))
+        pruned = enumerate_sequences(p, prune=True, seed=seed)
+        full = enumerate_sequences(p, prune=False, seed=seed)
+        assert pruned.solutions == full.solutions, p
+        if plant is not None:
+            assert plant in [sol.letters for sol in pruned.solutions], p
+            found += 1
+    assert found == 15
+
+
+def test_rotation_search_seed0_is_pinned():
+    r = enumerate_sequences(rotation_problem(), seed=0)
+    st = r.stats
+    assert (st.words_total, st.bystander_survivors, st.pair_candidates,
+            st.deduplicated, st.verified) == (2_097_152, 16_968, 48, 48, 48)
+    with open(os.path.join(FIXTURES, "rotation_seed0.solutions.txt")) as fh:
+        expected = [ln.strip() for ln in fh
+                    if ln.strip() and not ln.startswith("#")]
+    got = [f"slots={','.join(str(v) for v in sol.exchange_slots)} "
+           f"letters={','.join(sol.letters)}" for sol in r.solutions]
+    assert got == expected
