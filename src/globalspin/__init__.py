@@ -18,10 +18,9 @@ from .linalg import hermitian_expm, max_abs, phase_distance
 from .schedule import (ExchangeEvent, FieldEvent, Schedule, compile_schedule,
                        schedule_from_text, schedule_to_text, simulate_schedule,
                        unitary_digest, validate_schedule)
-from .spins import (RegisterSpec, ZeemanConvention, ZeemanPulseParams,
-                    apply_op, exchange_unitary, global_field_unitary,
-                    rotation_2x2, spin_operator, swap_matrix,
-                    xy_exchange_unitary, zeeman_angles)
+from .spins import (RegisterSpec, apply_op, exchange_unitary,
+                    global_field_unitary, rotation_2x2, spin_operator,
+                    swap_matrix, xy_exchange_unitary, zeeman_angles)
 from .synth import (PulseTemplate, SequenceSolution, SynthesisProblem,
                     SynthesisResult, enumerate_sequences, global_hadamard_search,
                     planted_cp_problem, planted_swap_problem, problem_from_text,

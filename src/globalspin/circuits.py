@@ -20,12 +20,10 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .linalg import (TOL_ALGEBRAIC, TOL_STRUCTURE, DimensionMismatch,
-                     max_abs, phase_distance)
-from .spins import (EqualIndices, Exchange, GlobalField, PulseOp,
-                    RegisterSpec, XYExchange, ZeemanPulseParams, apply_op,
-                    check_op, exchange_unitary, global_field_unitary,
-                    rotation_2x2, site_bits, xy_exchange_unitary)
+from .linalg import TOL_STRUCTURE, DimensionMismatch, max_abs, phase_distance
+from .spins import (EqualIndices, Exchange, GlobalField, RegisterSpec,
+                    XYExchange, apply_op, check_op, global_field_unitary,
+                    rotation_2x2, site_bits)
 
 
 class NotUnitary2x2(ValueError):
@@ -81,16 +79,6 @@ class VerificationReport:
     equivalence: Equivalence
     tolerance: float
     passed: bool
-
-
-def op_unitary(reg: RegisterSpec, op: PulseOp) -> np.ndarray:
-    if isinstance(op, Exchange):
-        return exchange_unitary(reg, op.i, op.j, op.xi)
-    if isinstance(op, XYExchange):
-        return xy_exchange_unitary(reg, op.i, op.j, op.phi)
-    if isinstance(op, GlobalField):
-        return global_field_unitary(reg, ZeemanPulseParams(op.axis, op.angles))
-    raise TypeError(f"not a pulse op: {op!r}")
 
 
 def evaluate(c: Circuit) -> np.ndarray:
@@ -237,7 +225,7 @@ def swap_conjugation(reg: RegisterSpec, i: int, j: int, angle_i: float,
     ops = (Exchange(i, j, -math.pi),
            GlobalField("z", vec),
            Exchange(i, j, math.pi))
-    target = global_field_unitary(reg, ZeemanPulseParams("z", swapped))
+    target = global_field_unitary(reg, GlobalField("z", swapped))
     return (Circuit(reg, ops),
             GateTarget(target, frozenset(range(reg.n_spins)), Equivalence.EXACT))
 
@@ -272,8 +260,7 @@ def dressed_swap_phase_conjugation(reg: RegisterSpec, i: int, j: int,
     dressed = dressed_swap(reg, i, j, angle).ops
     middle = GlobalField("z", _angle_vector(reg, i, j, z_i, z_j))
     circuit = Circuit(reg, dressed + (middle,) + dressed)
-    swapped = ZeemanPulseParams(
-        "z", _angle_vector(reg, i, j, -z_j, -z_i))
+    swapped = GlobalField("z", _angle_vector(reg, i, j, -z_j, -z_i))
     expected = 1j * global_field_unitary(reg, swapped)
     return circuit, expected
 
@@ -311,7 +298,7 @@ def _single_spin_rotation(reg: RegisterSpec, axis: str, i: int,
     """exp(-i angle S_i^axis): a global field with one nonzero angle."""
     vec = [0.0] * reg.n_spins
     vec[i] = angle
-    return global_field_unitary(reg, ZeemanPulseParams(axis, vec))
+    return global_field_unitary(reg, GlobalField(axis, vec))
 
 
 def xy_x_rotation_circuit(reg: RegisterSpec, i: int, j: int, angle_i: float,

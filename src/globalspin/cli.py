@@ -23,9 +23,8 @@ import numpy as np
 
 from . import circuits, device, schedule as sched, synth
 from .linalg import max_abs, phase_distance
-from .spins import RegisterSpec, ZeemanConvention
+from .spins import RegisterSpec
 
-VERIFY_SUITES = ("swap", "dressed", "cp", "xy", "xycp", "parallel")
 DRAWS_PER_SUITE = 60
 
 
@@ -124,71 +123,46 @@ def _bystanders(rng: np.random.Generator, n: int, i: int, j: int) -> dict:
             for k in range(n) if k not in (i, j)}
 
 
-def _suite_swap(rng, tol):
+def _angle(rng: np.random.Generator) -> float:
+    return float(rng.uniform(-3, 3))
+
+
+# Pair suites: check name and builder(rng, reg, i, j) -> (circuit, target).
+# A GateTarget is checked with verify_target, a bare matrix entrywise. Each
+# builder draws its angles in argument order.
+_PAIR_SUITES = {
+    "swap": ("swap_conjugation_exact",
+             lambda rng, reg, i, j: circuits.swap_conjugation(
+                 reg, i, j, _angle(rng), _angle(rng),
+                 _bystanders(rng, reg.n_spins, i, j))),
+    "dressed": ("dressed_swap_phase_factor",
+                lambda rng, reg, i, j: circuits.dressed_swap_phase_conjugation(
+                    reg, i, j, _angle(rng), _angle(rng), _angle(rng))),
+    "cp": ("controlled_phase_exact",
+           lambda rng, reg, i, j: circuits.controlled_phase_circuit(
+               reg, i, j, _angle(rng), _bystanders(rng, reg.n_spins, i, j))),
+    "xy": ("xy_x_rotation_phase",
+           lambda rng, reg, i, j: circuits.xy_x_rotation_circuit(
+               reg, i, j, _angle(rng), _angle(rng),
+               _bystanders(rng, reg.n_spins, i, j))),
+    "xycp": ("xy_controlled_phase",
+             lambda rng, reg, i, j: circuits.xy_controlled_phase_circuit(
+                 reg, i, j, _angle(rng))),
+}
+
+
+def _pair_suite(rng, tol, check, build) -> CheckResult:
     worst = 0.0
     for _ in range(DRAWS_PER_SUITE):
         n = int(rng.integers(2, 5))
-        reg = RegisterSpec(n)
         i, j = _random_pair(rng, n)
-        c, t = circuits.swap_conjugation(
-            reg, i, j, float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)),
-            _bystanders(rng, n, i, j))
-        rep = circuits.verify_target(c, t, tol)
-        worst = max(worst, rep.distance, rep.bystander_deviation)
-    return [_bounded_check("swap_conjugation_exact", worst, tol)]
-
-
-def _suite_dressed(rng, tol):
-    worst = 0.0
-    for _ in range(DRAWS_PER_SUITE):
-        n = int(rng.integers(2, 5))
-        reg = RegisterSpec(n)
-        i, j = _random_pair(rng, n)
-        c, expected = circuits.dressed_swap_phase_conjugation(
-            reg, i, j, float(rng.uniform(-3, 3)),
-            float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-        worst = max(worst, max_abs(circuits.evaluate(c) - expected))
-    return [_bounded_check("dressed_swap_phase_factor", worst, tol)]
-
-
-def _suite_cp(rng, tol):
-    worst = 0.0
-    for _ in range(DRAWS_PER_SUITE):
-        n = int(rng.integers(2, 5))
-        reg = RegisterSpec(n)
-        i, j = _random_pair(rng, n)
-        c, t = circuits.controlled_phase_circuit(
-            reg, i, j, float(rng.uniform(-3, 3)), _bystanders(rng, n, i, j))
-        rep = circuits.verify_target(c, t, tol)
-        worst = max(worst, rep.distance, rep.bystander_deviation)
-    return [_bounded_check("controlled_phase_exact", worst, tol)]
-
-
-def _suite_xy(rng, tol):
-    worst = 0.0
-    for _ in range(DRAWS_PER_SUITE):
-        n = int(rng.integers(2, 5))
-        reg = RegisterSpec(n)
-        i, j = _random_pair(rng, n)
-        c, t = circuits.xy_x_rotation_circuit(
-            reg, i, j, float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)),
-            _bystanders(rng, n, i, j))
-        rep = circuits.verify_target(c, t, tol)
-        worst = max(worst, rep.distance, rep.bystander_deviation)
-    return [_bounded_check("xy_x_rotation_phase", worst, tol)]
-
-
-def _suite_xycp(rng, tol):
-    worst = 0.0
-    for _ in range(DRAWS_PER_SUITE):
-        n = int(rng.integers(2, 5))
-        reg = RegisterSpec(n)
-        i, j = _random_pair(rng, n)
-        c, t = circuits.xy_controlled_phase_circuit(
-            reg, i, j, float(rng.uniform(-3, 3)))
-        rep = circuits.verify_target(c, t, tol)
-        worst = max(worst, rep.distance, rep.bystander_deviation)
-    return [_bounded_check("xy_controlled_phase", worst, tol)]
+        c, target = build(rng, RegisterSpec(n), i, j)
+        if isinstance(target, circuits.GateTarget):
+            rep = circuits.verify_target(c, target, tol)
+            worst = max(worst, rep.distance, rep.bystander_deviation)
+        else:
+            worst = max(worst, max_abs(circuits.evaluate(c) - target))
+    return _bounded_check(check, worst, tol)
 
 
 def _suite_parallel(rng, tol):
@@ -204,12 +178,10 @@ def _suite_parallel(rng, tol):
             for p, q in pairs:
                 target = circuits._diag_zz_phase(reg, p, q, math.pi) @ target
             worst = max(worst, max_abs(circuits.evaluate(c) - target))
-    return [_bounded_check("parallel_pair_replication", worst, tol)]
+    return _bounded_check("parallel_pair_replication", worst, tol)
 
 
-_SUITE_RUNNERS = {"swap": _suite_swap, "dressed": _suite_dressed,
-                  "cp": _suite_cp, "xy": _suite_xy, "xycp": _suite_xycp,
-                  "parallel": _suite_parallel}
+VERIFY_SUITES = tuple(_PAIR_SUITES) + ("parallel",)
 
 
 def cmd_verify(args) -> RunReport:
@@ -217,7 +189,10 @@ def cmd_verify(args) -> RunReport:
     names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     checks = []
     for name in names:
-        checks.extend(_SUITE_RUNNERS[name](rng, args.tol))
+        if name == "parallel":
+            checks.append(_suite_parallel(rng, args.tol))
+        else:
+            checks.append(_pair_suite(rng, args.tol, *_PAIR_SUITES[name]))
     return RunReport(command="verify", seed=args.seed, inputs=(),
                      checks=tuple(checks), wall_time_s=0.0)
 
@@ -295,14 +270,10 @@ def cmd_device(args) -> RunReport:
         checks.append(_value("ratio_sites", "undefined (zero-field site)"))
     if len(comp) >= 2 and abs(comp[0] - comp[1]) > 0:
         db = abs(comp[0] - comp[1])
-        g0 = geom.sites[0].g_factor
-        for conv in ZeemanConvention:
-            dur = device.pulse_duration(math.pi, db, g0, conv)
-            checks.append(_value(f"duration_pi_{conv.value}_ns", dur * 1e9))
-        dur_full = device.pulse_duration(math.pi, db, g0,
-                                         ZeemanConvention.FULL_GYRO)
+        dur = device.pulse_duration(math.pi, db, geom.sites[0].g_factor)
+        checks.append(_value("duration_pi_full_gyromagnetic_ns", dur * 1e9))
         checks.append(_value("gate_time_21_us",
-                             device.gate_time_estimate(21, dur_full) * 1e6))
+                             device.gate_time_estimate(21, dur) * 1e6))
     budget = device.error_budget(21, 1e-4)
     checks.append(_value("per_pulse_budget_21", budget))
     if geom.is_twin_wire:
@@ -329,7 +300,6 @@ def cmd_device(args) -> RunReport:
 
 def cmd_schedule(args) -> RunReport:
     geom, name, gpath = _load_geometry(args)
-    convention = ZeemanConvention(args.convention)
     inputs = [(gpath, _sha256_file(gpath))]
     checks = []
     if args.simulate_only:
@@ -340,7 +310,7 @@ def cmd_schedule(args) -> RunReport:
         with open(args.input) as fh:
             c = circuits.circuit_from_text(fh.read())
         inputs.append((args.input, _sha256_file(args.input)))
-        s = sched.compile_schedule(c, geom, convention,
+        s = sched.compile_schedule(c, geom,
                                    exchange_duration=args.exchange_ns * 1e-9,
                                    geometry_name=name)
         d = phase_distance(sched.simulate_schedule(s), circuits.evaluate(c))
@@ -404,9 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "--simulate-only")
     p.add_argument("--preset", default="twin_wire_zigzag")
     p.add_argument("--geometry", default=None)
-    p.add_argument("--convention",
-                   choices=tuple(c.value for c in ZeemanConvention),
-                   default=ZeemanConvention.FULL_GYRO.value)
     p.add_argument("--exchange-ns", type=float, default=10.0)
     p.add_argument("--simulate-only", action="store_true")
     p.add_argument("--out", default=None)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 from scipy import integrate
 
-from .spins import HBAR, MU_BOHR, ZeemanConvention
+from .spins import zeeman_angles
 
 MU_0 = 4e-7 * math.pi  # T*m/A
 
@@ -207,13 +207,11 @@ def device_constants(fp: FieldProfile, axis: Optional[str] = None) -> DeviceCons
                            degenerate_neighbor_pairs=degenerate)
 
 
-def pulse_duration(delta_theta: float, delta_b: float, g: float,
-                   convention: ZeemanConvention) -> float:
+def pulse_duration(delta_theta: float, delta_b: float, g: float) -> float:
     """Duration for a relative rotation delta_theta across increment delta_b."""
     if delta_b <= 0.0:
         raise NonpositiveGradient(f"delta_b = {delta_b}")
-    factor = 2.0 if convention is ZeemanConvention.HALF_GYRO else 1.0
-    return delta_theta * factor * HBAR / (g * MU_BOHR * delta_b)
+    return delta_theta / zeeman_angles((g,), (delta_b,), 1.0)[0]
 
 
 @dataclass(frozen=True)

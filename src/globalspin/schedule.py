@@ -20,7 +20,7 @@ import numpy as np
 from .circuits import Circuit, Exchange, GlobalField, XYExchange, evaluate
 from .device import ACTIVE_AXIS, ANTIPARALLEL, PARALLEL, DeviceGeometry, field_profile
 from .linalg import update_phase_normalized
-from .spins import HBAR, MU_BOHR, RegisterSpec, ZeemanConvention, zeeman_angles
+from .spins import RegisterSpec, zeeman_angles
 
 DEFAULT_EXCHANGE_DURATION = 10e-9  # seconds
 DEFAULT_FIELD_DURATION_CAP = 1e-5  # seconds
@@ -28,6 +28,9 @@ DEFAULT_FIELD_DURATION_CAP = 1e-5  # seconds
 REALIZABLE_RTOL = 1e-9
 
 CONFIG_FOR_AXIS = {"z": PARALLEL, "x": ANTIPARALLEL}
+# The header key records the Zeeman convention of spins.zeeman_angles, the
+# only one there is; files carrying any other value are rejected.
+CONVENTION = "full_gyromagnetic"
 
 
 class UnrealizableAngles(ValueError):
@@ -66,7 +69,6 @@ class Schedule:
     events: tuple
     geometry: DeviceGeometry
     geometry_name: str
-    convention: ZeemanConvention
     active_row: int
 
     @property
@@ -77,18 +79,7 @@ class Schedule:
         return last.t_start + last.duration
 
 
-def _site_rates(g: DeviceGeometry, n: int, config: str,
-                convention: ZeemanConvention):
-    """Per-site angle accumulation rates (rad/s) on the active axis."""
-    axis = ACTIVE_AXIS[config]
-    comp = field_profile(g, config).component(axis)[:n]
-    divisor = 2.0 if convention is ZeemanConvention.HALF_GYRO else 1.0
-    return [g.sites[k].g_factor * MU_BOHR / (divisor * HBAR) * comp[k]
-            for k in range(n)]
-
-
 def compile_schedule(c: Circuit, g: DeviceGeometry,
-                     convention: ZeemanConvention = ZeemanConvention.FULL_GYRO,
                      exchange_duration: float = DEFAULT_EXCHANGE_DURATION,
                      field_duration_cap: float = DEFAULT_FIELD_DURATION_CAP,
                      geometry_name: str = "custom") -> Schedule:
@@ -103,8 +94,12 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
     n = c.register.n_spins
     if len(g.sites) < n:
         raise ValueError(f"geometry has {len(g.sites)} sites, register needs {n}")
-    rates = {cfg: _site_rates(g, n, cfg, convention)
-             for cfg in (PARALLEL, ANTIPARALLEL)}
+    # Per-site angle accumulation rates (rad/s) on each configuration's axis.
+    gf = [site.g_factor for site in g.sites[:n]]
+    rates = {}
+    for cfg in (PARALLEL, ANTIPARALLEL):
+        comp = field_profile(g, cfg).component(ACTIVE_AXIS[cfg])[:n]
+        rates[cfg] = zeeman_angles(gf, comp, 1.0)
     current_ma = abs(g.wires[0].current) * 1e3
     events = []
     t = 0.0
@@ -164,7 +159,7 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
     if len(rows) > 1:
         raise ValueError(f"exchange pairs span rows {sorted(rows)}; one row only")
     return Schedule(register=c.register, events=tuple(events), geometry=g,
-                    geometry_name=geometry_name, convention=convention,
+                    geometry_name=geometry_name,
                     active_row=rows.pop() if rows else 0)
 
 
@@ -186,8 +181,7 @@ def simulate_schedule(s: Schedule) -> np.ndarray:
                 comps[ev.config] = field_profile(
                     s.geometry, ev.config).component(axis)[:n]
             signed = [ev.sign * b for b in comps[ev.config]]
-            ops.append(GlobalField(axis, zeeman_angles(
-                gf, signed, ev.duration, s.convention)))
+            ops.append(GlobalField(axis, zeeman_angles(gf, signed, ev.duration)))
         elif isinstance(ev, ExchangeEvent):
             ops.extend(Exchange(i, j, xi) for (i, j, xi) in ev.pairs)
         else:
@@ -275,7 +269,7 @@ def validate_schedule(s: Schedule, g: Optional[DeviceGeometry] = None) -> Schedu
 def schedule_to_text(s: Schedule) -> str:
     """Header plus one event per line; times in ns with 6 decimals."""
     lines = [f"SCHEDULE register={s.register.n_spins} "
-             f"geometry={s.geometry_name} convention={s.convention.value} "
+             f"geometry={s.geometry_name} convention={CONVENTION} "
              f"active_row={s.active_row}"]
     for ev in s.events:
         t_ns = ev.t_start * 1e9
@@ -291,7 +285,6 @@ def schedule_to_text(s: Schedule) -> str:
 
 def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
     register = None
-    convention = None
     geometry_name = "custom"
     active_row = 0
     events = []
@@ -304,15 +297,26 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
             if parts[0] == "SCHEDULE":
                 kv = dict(p.split("=", 1) for p in parts[1:])
                 register = RegisterSpec(int(kv["register"]))
-                convention = ZeemanConvention(kv["convention"])
+                if kv["convention"] != CONVENTION:
+                    raise ValueError(f"convention must be {CONVENTION}, "
+                                     f"got {kv['convention']!r}")
                 geometry_name = kv.get("geometry", "custom")
                 active_row = int(kv.get("active_row", 0))
             elif parts[0] == "F":
-                events.append(FieldEvent(
-                    t_start=float(parts[1]) * 1e-9,
-                    duration=float(parts[2]) * 1e-9,
-                    config=parts[3], sign=int(parts[4]),
-                    current_ma=float(parts[5])))
+                ev = FieldEvent(t_start=float(parts[1]) * 1e-9,
+                                duration=float(parts[2]) * 1e-9,
+                                config=parts[3], sign=int(parts[4]),
+                                current_ma=float(parts[5]))
+                if ev.config not in ACTIVE_AXIS:
+                    raise ValueError(f"config must be one of "
+                                     f"{tuple(ACTIVE_AXIS)}, got {ev.config!r}")
+                if ev.sign not in (1, -1):
+                    raise ValueError(f"sign must be +1 or -1, got {parts[4]!r}")
+                # validate_schedule compares the current annotation with the
+                # geometry's drive; a NaN would pass that comparison.
+                if not math.isfinite(ev.current_ma):
+                    raise ValueError(f"non-finite current {parts[5]!r}")
+                events.append(ev)
             elif parts[0] == "E":
                 pairs = []
                 for chunk in parts[3].split("),"):
@@ -326,11 +330,10 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except (IndexError, KeyError, ValueError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-    if register is None or convention is None:
+    if register is None:
         raise ValueError("missing SCHEDULE header")
     return Schedule(register=register, events=tuple(events), geometry=geometry,
-                    geometry_name=geometry_name, convention=convention,
-                    active_row=active_row)
+                    geometry_name=geometry_name, active_row=active_row)
 
 
 def unitary_digest(u: np.ndarray) -> str:

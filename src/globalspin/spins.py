@@ -15,7 +15,6 @@ build the same unitaries from generators to cross-check it.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -55,20 +54,6 @@ class LengthMismatch(ValueError):
 
 class NegativeDuration(ValueError):
     """A time or time integral is negative."""
-
-
-class ZeemanConvention(enum.Enum):
-    """Mapping from field-time product to rotation angle.
-
-    HALF_GYRO: theta = g*mu_B/(2*hbar) * B * integral(f), the spin-1/2
-    operator convention. FULL_GYRO drops the 1/2; it is the convention
-    under which a pi rotation across a 1.8 mT increment takes 10 ns.
-    Both are kept explicit because device estimates and the operator
-    definition do not agree on the factor; callers choose.
-    """
-
-    HALF_GYRO = "half_gyromagnetic"
-    FULL_GYRO = "full_gyromagnetic"
 
 
 @dataclass(frozen=True)
@@ -289,64 +274,23 @@ def xy_exchange_unitary(reg: RegisterSpec, i: int, j: int, phi: float) -> np.nda
     return apply_op(np.eye(reg.dim, dtype=complex), reg, XYExchange(i, j, phi))
 
 
-@dataclass(frozen=True)
-class ZeemanPulseParams:
-    """One global field pulse: per-spin rotation angles about one axis.
-
-    Optional provenance records the physical origin (g-factors, fields in
-    tesla, integrated profile in seconds); when present it must reproduce
-    the angles under the HALF_GYRO convention to relative 1e-10.
-    """
-
-    axis: str
-    angles: tuple
-    g_factors: Optional[tuple] = None
-    fields_tesla: Optional[tuple] = None
-    profile_integral_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.axis not in PAULI:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-        if not all(math.isfinite(a) for a in self.angles):
-            raise ValueError("non-finite angle")
-        prov = (self.g_factors, self.fields_tesla, self.profile_integral_s)
-        if any(p is not None for p in prov):
-            if any(p is None for p in prov):
-                raise ValueError("provenance requires g_factors, fields_tesla "
-                                 "and profile_integral_s together")
-            expected = zeeman_angles(self.g_factors, self.fields_tesla,
-                                     self.profile_integral_s,
-                                     ZeemanConvention.HALF_GYRO)
-            for got, want in zip(self.angles, expected, strict=True):
-                ref = max(abs(want), 1e-30)
-                if abs(got - want) > 1e-10 * ref:
-                    raise ValueError(
-                        f"angle {got!r} inconsistent with provenance {want!r}")
-
-    def is_inhomogeneous(self, i: int, j: int) -> bool:
-        """True when the pair angles are neither equal nor opposite."""
-        ti, tj = self.angles[i], self.angles[j]
-        return abs(ti - tj) > 1e-12 and abs(ti + tj) > 1e-12
-
-
-def global_field_unitary(reg: RegisterSpec, p: ZeemanPulseParams) -> np.ndarray:
+def global_field_unitary(reg: RegisterSpec, p: GlobalField) -> np.ndarray:
     """prod_k exp(-i angles[k] S_k^axis): the field kernel on the identity."""
-    if len(p.angles) != reg.n_spins:
-        raise LengthMismatch(
-            f"{len(p.angles)} angles for register of {reg.n_spins}")
-    return apply_op(np.eye(reg.dim, dtype=complex), reg,
-                    GlobalField(p.axis, p.angles))
+    check_op(reg, p)
+    return apply_op(np.eye(reg.dim, dtype=complex), reg, p)
 
 
 def zeeman_angles(g: Sequence[float], b_tesla: Sequence[float],
-                  profile_integral_s: float,
-                  convention: ZeemanConvention) -> tuple:
-    """Rotation angles accumulated by each spin over one field pulse."""
+                  profile_integral_s: float) -> tuple:
+    """Rotation angles accumulated by each spin over one field pulse.
+
+    The Zeeman term H = g mu_B B S^a drives exp(-i theta S^a) with
+    theta = g mu_B B integral(f) / hbar; this is the one place the
+    gyromagnetic rate is written.
+    """
     if len(g) != len(b_tesla):
         raise LengthMismatch(f"{len(g)} g-factors vs {len(b_tesla)} fields")
     if profile_integral_s < 0:
         raise NegativeDuration(f"profile integral {profile_integral_s}")
-    divisor = 2.0 if convention is ZeemanConvention.HALF_GYRO else 1.0
-    return tuple(gk * MU_BOHR / (divisor * HBAR) * bk * profile_integral_s
+    return tuple(gk * MU_BOHR / HBAR * bk * profile_integral_s
                  for gk, bk in zip(g, b_tesla))

@@ -29,15 +29,15 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .circuits import Circuit, Exchange, GlobalField, _diag_zz_phase, evaluate
 from .linalg import phase_distance, update_phase_normalized
-from .spins import (AXES, RegisterSpec, ZeemanPulseParams, exchange_unitary,
-                    global_field_unitary, rotation_2x2)
+from .spins import (AXES, RegisterSpec, exchange_unitary, global_field_unitary,
+                    rotation_2x2)
 
 DEFAULT_BUDGET = 10 ** 9
 # Squared-distance cutoffs for the staged filters; generous against rounding,
@@ -213,7 +213,7 @@ class _RotationFamily:
     def full_target(self, s: _RotationSample, reg: RegisterSpec) -> np.ndarray:
         vec = [0.0] * reg.n_spins
         vec[0] = 2.0 * (s.t_i - s.t_j)
-        return global_field_unitary(reg, ZeemanPulseParams("z", tuple(vec)))
+        return global_field_unitary(reg, GlobalField("z", tuple(vec)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +248,7 @@ class _SwapFamily:
 
     def full_target(self, s: _SwapSample, reg: RegisterSpec) -> np.ndarray:
         vec = [s.v_j, s.v_i] + [float(v) for v in s.b[:reg.n_spins - 2]]
-        return global_field_unitary(reg, ZeemanPulseParams("z", tuple(vec)))
+        return global_field_unitary(reg, GlobalField("z", tuple(vec)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -657,7 +657,7 @@ def reverify(result: SynthesisResult, problem: SynthesisProblem,
 def problem_to_text(p: SynthesisProblem) -> str:
     lines = [f"PROBLEM name={p.name} family={p.family} length={p.length} "
              f"exchange={p.n_exchange} xi={p.exchange.xi:.17g} "
-             f"tolerance={p.tolerance:g} search_samples={p.search_samples} "
+             f"tolerance={p.tolerance:.17g} search_samples={p.search_samples} "
              f"verify_samples={p.verify_samples} verify_spins={p.verify_spins}"]
     for tpl in p.alphabet:
         lines.append(f"LETTER {tpl.symbol} {tpl.axis} "

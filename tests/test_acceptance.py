@@ -22,10 +22,9 @@ from globalspin.linalg import hermitian_expm, kron, max_abs, phase_distance
 from globalspin.schedule import (compile_schedule, schedule_from_text,
                                  schedule_to_text, simulate_schedule,
                                  unitary_digest)
-from globalspin.spins import (AXES, RegisterSpec, ZeemanConvention,
-                              ZeemanPulseParams, exchange_unitary,
-                              global_field_unitary, spin_operator,
-                              xy_exchange_unitary)
+from globalspin.spins import (AXES, GlobalField, RegisterSpec,
+                              exchange_unitary, global_field_unitary,
+                              spin_operator, xy_exchange_unitary)
 from globalspin.synth import (enumerate_sequences, global_hadamard_search,
                               planted_cp_problem, planted_swap_problem,
                               rotation_problem)
@@ -129,11 +128,10 @@ def test_criterion_3_device_numbers():
         db = c.amplitude_tesla * abs(c.ratios[0] - c.ratios[1])
         assert abs(db - 0.28e-3) <= 0.05 * 0.28e-3
 
-    full = ZeemanConvention.FULL_GYRO
-    t_amp = pulse_duration(math.pi, 1.8e-3, 2.0, full)
+    t_amp = pulse_duration(math.pi, 1.8e-3, 2.0)
     assert abs(t_amp - 10e-9) <= 0.02 * 10e-9
     dbz = device_constants(par).amplitude_tesla * (1.0 - device_constants(par).ratios[1])
-    t_inc = pulse_duration(math.pi, dbz, 2.0, full)
+    t_inc = pulse_duration(math.pi, dbz, 2.0)
     assert abs(t_inc - 64e-9) <= 0.02 * 64e-9
     # The field-duration product for a pi flip is convention-fixed.
     product_amp = round(1.8 * (t_amp * 1e9), 1)
@@ -241,7 +239,7 @@ def test_criterion_6_closed_forms_match_oracle():
             angles = tuple(float(a) for a in rng.uniform(-4, 4, size=n))
             h = sum(a * spin_operator(reg, m, axis)
                     for m, a in enumerate(angles))
-            d = max_abs(global_field_unitary(reg, ZeemanPulseParams(axis, angles))
+            d = max_abs(global_field_unitary(reg, GlobalField(axis, angles))
                         - hermitian_expm(h))
         assert d <= 1e-12, (kind, n, i, j, d)
     for problem in (planted_swap_problem(), planted_cp_problem()):

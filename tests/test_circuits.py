@@ -39,11 +39,6 @@ def test_evaluate_applies_first_op_first():
     assert max_abs(evaluate(c) - want) < 1e-15
 
 
-def test_op_unitary_rejects_unknown_op():
-    with pytest.raises(TypeError):
-        cir.op_unitary(REG2, "EX 0 1")
-
-
 def test_circuit_counts():
     c = Circuit(REG2, (Exchange(0, 1, math.pi), GlobalField("z", (0.1, 0.2)),
                        XYExchange(0, 1, 0.3)))

@@ -212,6 +212,11 @@ SCHEDULE_HEADER = ("SCHEDULE register=2 geometry=twin_wire_zigzag "
     ("REG 2\nGF x inf 0.5\n", False),
     (SCHEDULE_HEADER + "F 0.000000 nan parallel -1 0.7\n", True),
     (SCHEDULE_HEADER + "E 0.000000 10.000000 (0,5,3.14)\n", True),
+    (SCHEDULE_HEADER + "F 0.000000 10.000000 bogus +1 0.7\n", True),
+    (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +3 0.7\n", True),
+    (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +1 nan\n", True),
+    (SCHEDULE_HEADER.replace("full_gyromagnetic", "half_gyromagnetic")
+     + "F 0.000000 10.000000 parallel +1 0.7\n", True),
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, text,
                                                simulate_only):

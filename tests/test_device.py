@@ -13,7 +13,7 @@ from globalspin.device import (ANTIPARALLEL, CUSTOM, PARALLEL,
                                line_field, position_sensitivity,
                                pulse_duration, ribbon_field, twin_wire_preset,
                                validate_currents)
-from globalspin.spins import ZeemanConvention
+from globalspin.spins import zeeman_angles
 
 MU_0 = 4e-7 * math.pi
 
@@ -120,17 +120,17 @@ def test_device_constants_custom_needs_axis():
 
 def test_pulse_duration_values():
     # pi at the full site field and at the neighbor increment.
-    t_full = pulse_duration(math.pi, 1.8e-3, 2.0, ZeemanConvention.FULL_GYRO)
+    t_full = pulse_duration(math.pi, 1.8e-3, 2.0)
     assert abs(t_full - 10e-9) < 0.02 * 10e-9
-    t_inc = pulse_duration(math.pi, 0.28e-3, 2.0, ZeemanConvention.FULL_GYRO)
+    t_inc = pulse_duration(math.pi, 0.28e-3, 2.0)
     assert abs(t_inc - 64e-9) < 0.02 * 64e-9
-    t_half = pulse_duration(math.pi, 1.8e-3, 2.0, ZeemanConvention.HALF_GYRO)
-    assert abs(t_half - 2.0 * t_full) < 1e-15
+    # The duration inverts the Zeeman angle.
+    assert abs(zeeman_angles((2.0,), (1.8e-3,), t_full)[0] - math.pi) < 1e-15
 
 
 def test_pulse_duration_rejects_nonpositive_increment():
     with pytest.raises(NonpositiveGradient):
-        pulse_duration(math.pi, 0.0, 2.0, ZeemanConvention.FULL_GYRO)
+        pulse_duration(math.pi, 0.0, 2.0)
 
 
 def test_validate_currents_margin():
@@ -156,7 +156,7 @@ def test_error_budget():
 
 
 def test_gate_time_estimate():
-    t = pulse_duration(math.pi, 0.28e-3, 2.0, ZeemanConvention.FULL_GYRO)
+    t = pulse_duration(math.pi, 0.28e-3, 2.0)
     total = gate_time_estimate(21, t)
     assert abs(total - 1.34e-6) < 0.01e-6
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from globalspin.schedule import (DurationCapExceeded, ExchangeEvent,
                                  compile_schedule, schedule_from_text,
                                  schedule_to_text, simulate_schedule,
                                  unitary_digest, validate_schedule)
-from globalspin.spins import RegisterSpec, ZeemanConvention
+from globalspin.spins import RegisterSpec
 
 GEOM2 = twin_wire_preset(2)
 GEOM4 = twin_wire_preset(4)
@@ -69,16 +69,6 @@ def test_compile_refocused_rotation():
     configs = {e.config for e in s.events if isinstance(e, FieldEvent)}
     assert configs == {PARALLEL, ANTIPARALLEL}
     assert sum(isinstance(e, ExchangeEvent) for e in s.events) == 4
-
-
-def test_compile_convention_changes_duration():
-    c, _ = tied_cp_circuit()
-    s_full = compile_schedule(c, GEOM2, convention=ZeemanConvention.FULL_GYRO)
-    s_half = compile_schedule(c, GEOM2, convention=ZeemanConvention.HALF_GYRO)
-    d_full = s_full.events[0].duration
-    d_half = s_half.events[0].duration
-    assert abs(d_half - 2.0 * d_full) < 1e-12 * d_half
-    assert phase_distance(simulate_schedule(s_half), evaluate(c)) < 1e-10
 
 
 def test_compile_skips_identity_pulses():
@@ -164,7 +154,7 @@ def test_validate_schedule_catches_overlap():
     shifted[1] = ExchangeEvent(t_start=ev.t_start - 0.9 * s.events[0].duration,
                                duration=ev.duration, pairs=ev.pairs)
     bad = Schedule(s.register, tuple(shifted), s.geometry, s.geometry_name,
-                   s.convention, s.active_row)
+                   s.active_row)
     report = validate_schedule(bad)
     assert not report.ok
     assert {c.name for c in report.checks if not c.ok} == {"non_overlap"}
@@ -173,8 +163,7 @@ def test_validate_schedule_catches_overlap():
 def test_validate_schedule_catches_shared_spin():
     bad = Schedule(RegisterSpec(3), (ExchangeEvent(0.0, 1e-8,
                                                    ((0, 1, 1.0), (1, 2, 1.0))),),
-                   twin_wire_preset(3), "custom",
-                   ZeemanConvention.FULL_GYRO, 0)
+                   twin_wire_preset(3), "custom", 0)
     report = validate_schedule(bad)
     assert not report.ok
     assert {c.name for c in report.checks if not c.ok} == {"pair_disjointness"}
@@ -185,7 +174,7 @@ def test_validate_schedule_catches_row_violation():
                   for s in GEOM2.sites)
     other_row = DeviceGeometry(GEOM2.wires, sites)
     bad = Schedule(RegisterSpec(2), (ExchangeEvent(0.0, 1e-8, ((0, 1, 1.0),)),),
-                   other_row, "custom", ZeemanConvention.FULL_GYRO, 0)
+                   other_row, "custom", 0)
     report = validate_schedule(bad)
     assert not report.ok
     assert {c.name for c in report.checks if not c.ok} == {"row_addressing"}
@@ -224,7 +213,7 @@ def test_schedule_text_round_trip():
     text = schedule_to_text(s)
     back = schedule_from_text(text, GEOM2)
     assert back.register == s.register
-    assert back.convention == s.convention
+    assert "convention=full_gyromagnetic" in text.splitlines()[0]
     assert back.geometry_name == "twin_wire_zigzag"
     assert len(back.events) == len(s.events)
     # Times are quantized to 1 fs by the text format.

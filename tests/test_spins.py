@@ -6,8 +6,7 @@ import pytest
 from globalspin.linalg import hermitian_expm, is_unitary, max_abs
 from globalspin.spins import (AXES, EqualIndices, HBAR, IndexOutOfRange,
                               LengthMismatch, MU_BOHR, NegativeDuration,
-                              RegisterSpec, ZeemanConvention,
-                              ZeemanPulseParams, exchange_unitary,
+                              GlobalField, RegisterSpec, exchange_unitary,
                               global_field_unitary, rotation_2x2,
                               spin_operator, swap_matrix,
                               xy_exchange_unitary, zeeman_angles)
@@ -136,57 +135,47 @@ def test_global_field_unitary_matches_sum_exponential():
     for axis in AXES:
         angles = tuple(float(a) for a in rng.uniform(-3, 3, size=3))
         h = sum(a * spin_operator(REG3, k, axis) for k, a in enumerate(angles))
-        p = ZeemanPulseParams(axis, angles)
+        p = GlobalField(axis, angles)
         assert max_abs(global_field_unitary(REG3, p) - hermitian_expm(h)) < 1e-13
 
 
 def test_global_field_length_mismatch():
     with pytest.raises(LengthMismatch):
-        global_field_unitary(REG3, ZeemanPulseParams("z", (0.1, 0.2)))
+        global_field_unitary(REG3, GlobalField("z", (0.1, 0.2)))
 
 
 def test_pulse_params_validation():
+    reg1 = RegisterSpec(1)
     with pytest.raises(ValueError):
-        ZeemanPulseParams("q", (0.0,))
+        global_field_unitary(reg1, GlobalField("q", (0.0,)))
     with pytest.raises(ValueError):
-        ZeemanPulseParams("z", (float("nan"),))
+        global_field_unitary(reg1, GlobalField("z", (float("nan"),)))
 
 
-def test_pulse_params_inhomogeneous():
-    p = ZeemanPulseParams("z", (0.4, 0.9))
-    assert p.is_inhomogeneous(0, 1)
-    assert not ZeemanPulseParams("z", (0.4, 0.4)).is_inhomogeneous(0, 1)
-    assert not ZeemanPulseParams("z", (0.4, -0.4)).is_inhomogeneous(0, 1)
-
-
-def test_pulse_params_provenance_consistency():
-    g = (2.0, 2.0)
-    b = (1.8e-3, 1.35e-3)
-    t = 5e-9
-    angles = zeeman_angles(g, b, t, ZeemanConvention.HALF_GYRO)
-    p = ZeemanPulseParams("z", angles, g_factors=g, fields_tesla=b,
-                          profile_integral_s=t)
-    assert p.angles == angles
-    wrong = tuple(a * 1.01 for a in angles)
-    with pytest.raises(ValueError):
-        ZeemanPulseParams("z", wrong, g_factors=g, fields_tesla=b,
-                          profile_integral_s=t)
-    with pytest.raises(ValueError):
-        ZeemanPulseParams("z", angles, g_factors=g)
+def test_zeeman_angles_match_zeeman_hamiltonian():
+    # H = sum_k g_k mu_B B_k S_k^z held for t: exp(-i H t / hbar) is the
+    # field pulse with theta_k = g_k mu_B B_k t / hbar.
+    rng = np.random.default_rng(11)
+    for n in range(1, 5):
+        reg = RegisterSpec(n)
+        for _ in range(5):
+            g = tuple(float(v) for v in rng.uniform(1.5, 2.5, size=n))
+            b = tuple(float(v) for v in rng.uniform(-3e-3, 3e-3, size=n))
+            t = float(rng.uniform(0.0, 3e-8))
+            h = sum(gk * MU_BOHR * bk * t / HBAR * spin_operator(reg, k, "z")
+                    for k, (gk, bk) in enumerate(zip(g, b)))
+            u = global_field_unitary(reg, GlobalField("z", zeeman_angles(g, b, t)))
+            assert max_abs(u - hermitian_expm(h)) <= 1e-12
 
 
 def test_zeeman_angles_value_and_conventions():
-    theta_half = zeeman_angles((2.0,), (1.8e-3,), 1e-8,
-                               ZeemanConvention.HALF_GYRO)[0]
-    want = 2.0 * MU_BOHR / (2.0 * HBAR) * 1.8e-3 * 1e-8
-    assert abs(theta_half - want) < 1e-15 * abs(want)
-    theta_full = zeeman_angles((2.0,), (1.8e-3,), 1e-8,
-                               ZeemanConvention.FULL_GYRO)[0]
-    assert abs(theta_full - 2.0 * theta_half) < 1e-15 * abs(theta_full)
+    theta = zeeman_angles((2.0,), (1.8e-3,), 1e-8)[0]
+    want = 2.0 * MU_BOHR / HBAR * 1.8e-3 * 1e-8
+    assert abs(theta - want) < 1e-15 * abs(want)
 
 
 def test_zeeman_angles_input_checks():
     with pytest.raises(LengthMismatch):
-        zeeman_angles((2.0,), (1.0, 2.0), 1.0, ZeemanConvention.HALF_GYRO)
+        zeeman_angles((2.0,), (1.0, 2.0), 1.0)
     with pytest.raises(NegativeDuration):
-        zeeman_angles((2.0,), (1.0,), -1.0, ZeemanConvention.HALF_GYRO)
+        zeeman_angles((2.0,), (1.0,), -1.0)

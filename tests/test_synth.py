@@ -110,7 +110,9 @@ def test_reverify_passes_genuine_and_rejects_corrupt():
 
 def test_problem_text_round_trip():
     for p in (rotation_problem(), rotation_problem(literal=True),
-              planted_swap_problem(), planted_cp_problem()):
+              planted_swap_problem(), planted_cp_problem(),
+              dataclasses.replace(planted_swap_problem(),
+                                  tolerance=1.23456789e-10)):
         assert problem_from_text(problem_to_text(p)) == p
 
 
