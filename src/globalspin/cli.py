@@ -185,6 +185,8 @@ VERIFY_SUITES = tuple(_PAIR_SUITES) + ("parallel",)
 
 
 def cmd_verify(args) -> RunReport:
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     checks = []

@@ -25,6 +25,8 @@ ANTIPARALLEL = "antiparallel"
 CUSTOM = "custom"
 # Field axis that survives the symmetry cancellation in each configuration.
 ACTIVE_AXIS = {PARALLEL: "z", ANTIPARALLEL: "x"}
+# Central-difference step of position_sensitivity: 0.01 nm, in meters.
+POSITION_STEP = 1e-11
 
 
 class PointInsideWire(ValueError):
@@ -253,13 +255,12 @@ def _neighbor_gradient(g: DeviceGeometry, config: str) -> float:
 
 
 def position_sensitivity(g: DeviceGeometry, per_pulse_error: float,
-                         config: str = PARALLEL,
-                         step: float = 1e-11) -> float:
+                         config: str = PARALLEL) -> float:
     """Wire placement tolerance keeping the relative gradient error within
     per_pulse_error.
 
     Differentiates the neighbor field increment with respect to each wire
-    center coordinate by central differences (step 0.01 nm) and divides the
+    center coordinate by central differences (POSITION_STEP) and divides the
     allowed increment error by the worst sensitivity.
     """
     if per_pulse_error <= 0.0:
@@ -273,12 +274,12 @@ def position_sensitivity(g: DeviceGeometry, per_pulse_error: float,
                 wires = list(g.wires)
                 w = wires[wk]
                 center = list(w.center)
-                center[coord] += sgn * step
+                center[coord] += sgn * POSITION_STEP
                 wires[wk] = WireSpec(tuple(center), w.cross_section, w.current,
                                      w.critical_current_density)
                 shifted.append(_neighbor_gradient(
                     DeviceGeometry(tuple(wires), g.sites), config))
-            deriv = abs(shifted[0] - shifted[1]) / (2.0 * step)
+            deriv = abs(shifted[0] - shifted[1]) / (2.0 * POSITION_STEP)
             worst = max(worst, deriv)
     if worst == 0.0:
         raise ValueError("gradient insensitive to wire position; check geometry")
@@ -375,7 +376,10 @@ def geometry_from_text(text: str) -> DeviceGeometry:
             if block is None or "=" not in line:
                 raise ValueError(f"line {lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            fields[key.strip()] = float(val.strip())
+            value = float(val.strip())
+            if not math.isfinite(value):
+                raise ValueError(f"line {lineno}: non-finite {key.strip()}")
+            fields[key.strip()] = value
     flush()
     if not wires or not sites:
         raise ValueError("geometry needs at least one wire and one site")

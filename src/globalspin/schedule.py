@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -92,6 +91,9 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
     exchanges on disjoint pairs merge into one simultaneous event.
     """
     n = c.register.n_spins
+    if not 0 < exchange_duration < math.inf:
+        raise ValueError(f"exchange duration must be finite and positive, "
+                         f"got {exchange_duration}")
     if len(g.sites) < n:
         raise ValueError(f"geometry has {len(g.sites)} sites, register needs {n}")
     # Per-site angle accumulation rates (rad/s) on each configuration's axis.
@@ -205,10 +207,10 @@ class ScheduleReport:
         return all(c.ok for c in self.checks)
 
 
-def validate_schedule(s: Schedule, g: Optional[DeviceGeometry] = None) -> ScheduleReport:
+def validate_schedule(s: Schedule) -> ScheduleReport:
     """Itemized constraint report: timing, currents, pair and row addressing."""
     from .device import validate_currents
-    geom = g if g is not None else s.geometry
+    geom = s.geometry
     checks = []
     overlap_ok = True
     detail = "events strictly sequential"
@@ -294,6 +296,12 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
             continue
         parts = line.split()
         try:
+            if parts[0] in ("F", "E"):
+                t_start, duration = float(parts[1]) * 1e-9, float(parts[2]) * 1e-9
+                if not (math.isfinite(t_start) and 0 <= duration < math.inf):
+                    raise ValueError(f"time {parts[1]} and duration {parts[2]} "
+                                     f"must be finite, the duration "
+                                     f"nonnegative")
             if parts[0] == "SCHEDULE":
                 kv = dict(p.split("=", 1) for p in parts[1:])
                 register = RegisterSpec(int(kv["register"]))
@@ -303,8 +311,7 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
                 geometry_name = kv.get("geometry", "custom")
                 active_row = int(kv.get("active_row", 0))
             elif parts[0] == "F":
-                ev = FieldEvent(t_start=float(parts[1]) * 1e-9,
-                                duration=float(parts[2]) * 1e-9,
+                ev = FieldEvent(t_start=t_start, duration=duration,
                                 config=parts[3], sign=int(parts[4]),
                                 current_ma=float(parts[5]))
                 if ev.config not in ACTIVE_AXIS:
@@ -322,10 +329,8 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
                 for chunk in parts[3].split("),"):
                     i, j, xi = chunk.strip("()").split(",")
                     pairs.append((int(i), int(j), float(xi)))
-                events.append(ExchangeEvent(
-                    t_start=float(parts[1]) * 1e-9,
-                    duration=float(parts[2]) * 1e-9,
-                    pairs=tuple(pairs)))
+                events.append(ExchangeEvent(t_start=t_start, duration=duration,
+                                            pairs=tuple(pairs)))
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except (IndexError, KeyError, ValueError) as exc:

@@ -8,6 +8,14 @@ filtered on a single-bystander register, then surviving words are scored on
 the acted pair for every exchange placement, and finally the few candidates
 are re-verified as full circuits on a wider register with fresh draws.
 
+Every stage reads one draw table. A family's sample(rng) returns, per
+symbol, one angle vector over the acted pair and MAX_BYSTANDER_DRAWS
+bystanders, together with the target on any register the pair heads and
+the gate every bystander must see. The bystander filter plays a letter's
+first bystander angle, the pair filter its two pair angles, and final
+verification as many as its register has, so the stages cannot disagree
+about what a letter is.
+
 Both filters meet in the middle (after Amy, Maslov, Mosca and Roetteler,
 IEEE TCAD 32, 818 (2013)): a sequence's product is S·P, a suffix times a
 prefix, so its overlap with the target, tr(T†·S·P) = Σ_ab (T†S)_ab P_ba, is
@@ -28,8 +36,9 @@ import hashlib
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -65,24 +74,14 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class PulseTemplate:
-    """One alphabet letter: a signed field symbol or an exchange step.
+    """One field letter: a signed symbol about one axis.
 
-    Field letters are realized per sample by the target family; the symbol
-    names which device-tied angle set the letter carries and the sign
-    selects the pulse or its inverse. Exchange letters carry their angle
-    directly.
+    The symbol names which device-tied angle set of a family draw the letter
+    plays, and the sign selects the pulse or its inverse.
     """
-    kind: str  # "field" or "exchange"
-    axis: str  # "x" or "z" for field letters, "" for exchange
+    axis: str  # "x" or "z"
     symbol: str
     sign: int = 1
-    xi: float = math.pi
-
-    @property
-    def label(self) -> str:
-        if self.kind == "exchange":
-            return "EX"
-        return f"{self.symbol}{'+' if self.sign > 0 else '-'}"
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ class SynthesisProblem:
     length: int
     n_exchange: int
     alphabet: tuple  # field PulseTemplates, in enumeration order
-    exchange: PulseTemplate
+    xi: float  # angle of every exchange step
     tolerance: float = 1e-10
     search_samples: int = 20
     verify_samples: int = 100
@@ -101,6 +100,15 @@ class SynthesisProblem:
     @property
     def n_field(self) -> int:
         return self.length - self.n_exchange
+
+    @property
+    def labels(self) -> tuple:
+        """One result label per letter: symbol and sign, plus the axis when
+        another letter shares both."""
+        shared = Counter((tpl.symbol, tpl.sign) for tpl in self.alphabet)
+        return tuple(f"{tpl.symbol}{'+' if tpl.sign > 0 else '-'}"
+                     + (tpl.axis if shared[tpl.symbol, tpl.sign] > 1 else "")
+                     for tpl in self.alphabet)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -112,7 +120,7 @@ class SynthesisProblem:
                 raise ValueError(f"family {self.family} has no letter "
                                  f"{tpl.symbol} {tpl.axis} {tpl.sign:+d}")
         for ok, message in (
-                (math.isfinite(self.exchange.xi), "xi must be finite"),
+                (math.isfinite(self.xi), "xi must be finite"),
                 (0 < self.tolerance < math.inf,
                  "tolerance must be finite and positive"),
                 (0 <= self.n_exchange <= self.length,
@@ -152,18 +160,36 @@ class SynthesisResult:
 
 
 @dataclass(frozen=True, eq=False)
-class _RotationSample:
-    t_i: float
-    t_j: float
-    ratio: float
-    b: np.ndarray  # bystander angles of the primary symbol
-    c: np.ndarray  # bystander angles of the conjugate-axis dark symbol
-    d: float
-    e: float
-    f: np.ndarray  # bystander angles of the same-axis dark symbol
+class Draw:
+    """One parameter draw of a family, the table every search stage reads.
+
+    angles[symbol] holds the symbol's angles on the pair (spins 0 and 1)
+    and then on MAX_BYSTANDER_DRAWS bystanders; a letter plays sign * angles
+    about its axis. target(reg) is the gate on a register of the pair and
+    its first bystanders, and bystander is the gate each bystander must see.
+    """
+    angles: dict
+    target: Callable[[RegisterSpec], np.ndarray]
+    bystander: np.ndarray
 
 
-class _RotationFamily:
+@dataclass(frozen=True)
+class Family:
+    name: str
+    symbols: tuple
+    sample: Callable[[np.random.Generator], Draw]
+
+
+def _bystanders(rng: np.random.Generator) -> np.ndarray:
+    return rng.uniform(0.1, 3.0, size=MAX_BYSTANDER_DRAWS)
+
+
+def _z_target(angles: np.ndarray) -> Callable[[RegisterSpec], np.ndarray]:
+    return lambda reg: global_field_unitary(
+        reg, GlobalField("z", angles[:reg.n_spins]))
+
+
+def _rotation_sample(rng: np.random.Generator) -> Draw:
     """Single-spin z rotation on spin 0 of the pair, spin 1 untouched.
 
     The primary symbol carries independent pair angles (t_i, t_j); the
@@ -172,122 +198,57 @@ class _RotationFamily:
     sum realized as one pulse. Dark symbols put a pi between the pair
     entries and draw their own bystander angles.
     """
-
-    name = "z_difference_rotation"
-    symbols = ("primary", "companion", "merged", "pi_step", "x_dark", "z_dark")
-
-    def sample(self, rng: np.random.Generator) -> _RotationSample:
-        while True:
-            t_i, t_j = rng.uniform(0.1, math.pi - 0.1, size=2)
-            if abs(t_i - t_j) > 0.05:
-                break
-        b = rng.uniform(0.1, 3.0, size=MAX_BYSTANDER_DRAWS)
-        c = rng.uniform(0.1, 3.0, size=MAX_BYSTANDER_DRAWS)
-        d = float(rng.uniform(0.1, 3.0))
-        e = float(rng.uniform(0.1, 3.0))
-        f = rng.uniform(0.1, 3.0, size=MAX_BYSTANDER_DRAWS)
-        return _RotationSample(t_i=float(t_i), t_j=float(t_j),
-                               ratio=(t_i - t_j) / (t_i + t_j),
-                               b=b, c=c, d=d, e=e, f=f)
-
-    def letter_angles(self, s: _RotationSample, symbol: str):
-        if symbol == "primary":
-            return s.t_i, s.t_j, s.b
-        if symbol == "companion":
-            return s.ratio * s.t_i, s.ratio * s.t_j, s.ratio * s.b
-        if symbol == "merged":
-            k = 1.0 + s.ratio
-            return k * s.t_i, k * s.t_j, k * s.b
-        if symbol in ("pi_step", "x_dark"):
-            return s.d, s.d + math.pi, s.c
-        if symbol == "z_dark":
-            return s.e, s.e + math.pi, s.f
-        raise KeyError(f"unknown symbol {symbol!r}")
-
-    def pair_target(self, s: _RotationSample) -> np.ndarray:
-        return np.kron(rotation_2x2("z", 2.0 * (s.t_i - s.t_j)), np.eye(2))
-
-    def bystander_target(self, s: _RotationSample) -> np.ndarray:
-        return np.eye(2, dtype=complex)
-
-    def full_target(self, s: _RotationSample, reg: RegisterSpec) -> np.ndarray:
-        vec = [0.0] * reg.n_spins
-        vec[0] = 2.0 * (s.t_i - s.t_j)
-        return global_field_unitary(reg, GlobalField("z", tuple(vec)))
+    while True:
+        t_i, t_j = rng.uniform(0.1, math.pi - 0.1, size=2)
+        if abs(t_i - t_j) > 0.05:
+            break
+    primary = np.concatenate(([t_i, t_j], _bystanders(rng)))
+    c = _bystanders(rng)
+    d = rng.uniform(0.1, 3.0)
+    e = rng.uniform(0.1, 3.0)
+    f = _bystanders(rng)
+    ratio = (t_i - t_j) / (t_i + t_j)
+    x_dark = np.concatenate(([d, d + math.pi], c))
+    rotation = np.zeros(2 + MAX_BYSTANDER_DRAWS)
+    rotation[0] = 2.0 * (t_i - t_j)
+    return Draw({"primary": primary, "companion": ratio * primary,
+                 "merged": (1.0 + ratio) * primary, "pi_step": x_dark,
+                 "x_dark": x_dark,
+                 "z_dark": np.concatenate(([e, e + math.pi], f))},
+                _z_target(rotation), np.eye(2, dtype=complex))
 
 
-@dataclass(frozen=True, eq=False)
-class _SwapSample:
-    v_i: float
-    v_j: float
-    b: np.ndarray
-
-
-class _SwapFamily:
+def _swap_sample(rng: np.random.Generator) -> Draw:
     """Exchange conjugation of one z pulse: the pair angles trade places."""
-
-    name = "swap_pair_exchange"
-    symbols = ("primary",)
-
-    def sample(self, rng: np.random.Generator) -> _SwapSample:
-        while True:
-            v_i, v_j = rng.uniform(0.1, 3.0, size=2)
-            if abs(v_i - v_j) > 0.05:
-                break
-        return _SwapSample(v_i=float(v_i), v_j=float(v_j),
-                           b=rng.uniform(0.1, 3.0, size=MAX_BYSTANDER_DRAWS))
-
-    def letter_angles(self, s: _SwapSample, symbol: str):
-        return s.v_i, s.v_j, s.b  # "primary", the only symbol
-
-    def pair_target(self, s: _SwapSample) -> np.ndarray:
-        return np.kron(rotation_2x2("z", s.v_j), rotation_2x2("z", s.v_i))
-
-    def bystander_target(self, s: _SwapSample) -> np.ndarray:
-        return rotation_2x2("z", float(s.b[0]))
-
-    def full_target(self, s: _SwapSample, reg: RegisterSpec) -> np.ndarray:
-        vec = [s.v_j, s.v_i] + [float(v) for v in s.b[:reg.n_spins - 2]]
-        return global_field_unitary(reg, GlobalField("z", tuple(vec)))
+    while True:
+        v_i, v_j = rng.uniform(0.1, 3.0, size=2)
+        if abs(v_i - v_j) > 0.05:
+            break
+    b = _bystanders(rng)
+    return Draw({"primary": np.concatenate(([v_i, v_j], b))},
+                _z_target(np.concatenate(([v_j, v_i], b))),
+                rotation_2x2("z", b[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class _ControlledPhaseSample:
-    theta: float
-    b: np.ndarray
-
-
-class _ControlledPhaseFamily:
+def _controlled_phase_sample(rng: np.random.Generator) -> Draw:
     """Ising-type pair phase from two half exchanges around a flipped pulse."""
-
-    name = "controlled_phase"
-    symbols = ("primary",)
-
-    def sample(self, rng: np.random.Generator) -> _ControlledPhaseSample:
-        return _ControlledPhaseSample(theta=float(rng.uniform(0.1, 3.0)),
-                                      b=rng.uniform(0.1, 3.0,
-                                                    size=MAX_BYSTANDER_DRAWS))
-
-    def letter_angles(self, s: _ControlledPhaseSample, symbol: str):
-        return s.theta, s.theta + math.pi, s.b  # "primary", the only symbol
-
-    def pair_target(self, s: _ControlledPhaseSample) -> np.ndarray:
-        return _diag_zz_phase(RegisterSpec(2), 0, 1, math.pi)
-
-    def bystander_target(self, s: _ControlledPhaseSample) -> np.ndarray:
-        return np.eye(2, dtype=complex)
-
-    def full_target(self, s: _ControlledPhaseSample, reg: RegisterSpec) -> np.ndarray:
-        return _diag_zz_phase(reg, 0, 1, math.pi)
+    theta = rng.uniform(0.1, 3.0)
+    return Draw({"primary": np.concatenate(([theta, theta + math.pi],
+                                            _bystanders(rng)))},
+                lambda reg: _diag_zz_phase(reg, 0, 1, math.pi),
+                np.eye(2, dtype=complex))
 
 
-FAMILIES = {f.name: f for f in (_RotationFamily(), _SwapFamily(),
-                                _ControlledPhaseFamily())}
+FAMILIES = {f.name: f for f in (
+    Family("z_difference_rotation", ("primary", "companion", "merged",
+                                     "pi_step", "x_dark", "z_dark"),
+           _rotation_sample),
+    Family("swap_pair_exchange", ("primary",), _swap_sample),
+    Family("controlled_phase", ("primary",), _controlled_phase_sample))}
 
 
 def _signed_pair(symbol: str, axis: str) -> tuple:
-    return (PulseTemplate("field", axis, symbol, 1),
-            PulseTemplate("field", axis, symbol, -1))
+    return PulseTemplate(axis, symbol, 1), PulseTemplate(axis, symbol, -1)
 
 
 def rotation_problem(literal: bool = False) -> SynthesisProblem:
@@ -310,15 +271,14 @@ def rotation_problem(literal: bool = False) -> SynthesisProblem:
         name = "z_difference_rotation"
     return SynthesisProblem(name=name, family="z_difference_rotation",
                             length=11, n_exchange=4, alphabet=letters,
-                            exchange=PulseTemplate("exchange", "", "EX", 1, math.pi))
+                            xi=math.pi)
 
 
 def planted_swap_problem() -> SynthesisProblem:
     """Three-slot self-test with one known solution: pulse between exchanges."""
     return SynthesisProblem(name="planted_swap", family="swap_pair_exchange",
                             length=3, n_exchange=2,
-                            alphabet=_signed_pair("primary", "z"),
-                            exchange=PulseTemplate("exchange", "", "EX", 1, math.pi),
+                            alphabet=_signed_pair("primary", "z"), xi=math.pi,
                             search_samples=8, verify_samples=25, verify_spins=3)
 
 
@@ -327,8 +287,7 @@ def planted_cp_problem() -> SynthesisProblem:
     return SynthesisProblem(name="planted_cp", family="controlled_phase",
                             length=4, n_exchange=2,
                             alphabet=_signed_pair("primary", "z"),
-                            exchange=PulseTemplate("exchange", "", "EX", 1,
-                                                   math.pi / 2.0),
+                            xi=math.pi / 2.0,
                             search_samples=8, verify_samples=25, verify_spins=3)
 
 
@@ -349,18 +308,18 @@ def _slot_letters(word: Sequence[int], slots: tuple, length: int) -> list:
     return [None if s in slots else int(next(letters)) for s in range(length)]
 
 
-def _sample_matrices(problem: SynthesisProblem, family, s) -> tuple:
+def _sample_matrices(problem: SynthesisProblem, draw: Draw) -> tuple:
     """Per-letter bystander (2x2) and acted-pair (4x4) matrices of one draw,
-    with the family's targets for both registers."""
+    with the draw's targets for both registers."""
+    pair = RegisterSpec(2)
     n_letters = len(problem.alphabet)
     bm = np.empty((n_letters, 2, 2), dtype=complex)
     pm = np.empty((n_letters, 4, 4), dtype=complex)
     for li, tpl in enumerate(problem.alphabet):
-        a_i, a_j, bys = family.letter_angles(s, tpl.symbol)
-        bm[li] = rotation_2x2(tpl.axis, tpl.sign * float(bys[0]))
-        pm[li] = np.kron(rotation_2x2(tpl.axis, tpl.sign * a_i),
-                         rotation_2x2(tpl.axis, tpl.sign * a_j))
-    return bm, pm, family.bystander_target(s), family.pair_target(s)
+        angles = tpl.sign * draw.angles[tpl.symbol]
+        bm[li] = rotation_2x2(tpl.axis, angles[2])
+        pm[li] = global_field_unitary(pair, GlobalField(tpl.axis, angles[:2]))
+    return bm, pm, draw.bystander, draw.target(pair)
 
 
 def _word_products(mats: np.ndarray, length: int) -> np.ndarray:
@@ -525,35 +484,32 @@ def _sequence_fingerprint(word: Sequence[int], slots: tuple, length: int,
     return h.hexdigest()
 
 
-def _bind_ops(problem: SynthesisProblem, family, word: Sequence[int],
-              slots: tuple, s, n_spins: int) -> Circuit:
+def _bind_ops(problem: SynthesisProblem, word: Sequence[int], slots: tuple,
+              draw: Draw, n_spins: int) -> Circuit:
     """Realize a sequence as a circuit on spins (0, 1) of an n-spin register."""
-    nb = n_spins - 2
     ops = []
     for letter in _slot_letters(word, slots, problem.length):
         if letter is None:
-            ops.append(Exchange(0, 1, problem.exchange.xi))
-            continue
-        tpl = problem.alphabet[letter]
-        a_i, a_j, bys = family.letter_angles(s, tpl.symbol)
-        vec = (tpl.sign * a_i, tpl.sign * a_j) + tuple(
-            tpl.sign * float(v) for v in bys[:nb])
-        ops.append(GlobalField(tpl.axis, vec))
+            ops.append(Exchange(0, 1, problem.xi))
+        else:
+            tpl = problem.alphabet[letter]
+            ops.append(GlobalField(tpl.axis, (
+                tpl.sign * draw.angles[tpl.symbol][:n_spins]).tolist()))
     return Circuit(RegisterSpec(n_spins), tuple(ops))
 
 
-def _verify_word(problem: SynthesisProblem, family, word: Sequence[int],
-                 slots: tuple, n_samples: int, seed: int,
-                 n_spins: int) -> float:
-    """Worst full-register phase distance over fresh draws; stops early once
-    the problem tolerance is exceeded."""
+def _verify_word(problem: SynthesisProblem, word: Sequence[int], slots: tuple,
+                 n_samples: int, seed: int) -> float:
+    """Worst phase distance on problem.verify_spins spins over fresh draws;
+    stops early once the problem tolerance is exceeded."""
+    sample = FAMILIES[problem.family].sample
     rng = np.random.default_rng(seed)
-    reg = RegisterSpec(n_spins)
+    reg = RegisterSpec(problem.verify_spins)
     worst = 0.0
     for _ in range(n_samples):
-        s = family.sample(rng)
-        u = evaluate(_bind_ops(problem, family, word, slots, s, n_spins))
-        worst = max(worst, phase_distance(u, family.full_target(s, reg)))
+        draw = sample(rng)
+        u = evaluate(_bind_ops(problem, word, slots, draw, reg.n_spins))
+        worst = max(worst, phase_distance(u, draw.target(reg)))
         if worst > problem.tolerance:
             break
     return worst
@@ -586,10 +542,10 @@ def enumerate_sequences(problem: SynthesisProblem,
         raise BudgetExceeded(needed, budget)
 
     rng = np.random.default_rng(seed)
-    samples = [family.sample(rng) for _ in range(problem.search_samples)]
     bys_mats, pair_mats, bys_targets, pair_targets = zip(
-        *(_sample_matrices(problem, family, s) for s in samples))
-    ex4 = exchange_unitary(RegisterSpec(2), 0, 1, problem.exchange.xi)
+        *(_sample_matrices(problem, family.sample(rng))
+          for _ in range(problem.search_samples)))
+    ex4 = exchange_unitary(RegisterSpec(2), 0, 1, problem.xi)
 
     if prune and n_field > 0:
         survivors = _bystander_scan(n_field, bys_mats, bys_targets)
@@ -608,17 +564,17 @@ def enumerate_sequences(problem: SynthesisProblem,
                           (word, slots))
     kept = list(unique.values())
 
+    labels = problem.labels
     solutions = []
     for word, slots in kept:
-        dist = _verify_word(problem, family, word, slots,
-                            problem.verify_samples, seed + 1_000_003,
-                            problem.verify_spins)
+        dist = _verify_word(problem, word, slots, problem.verify_samples,
+                            seed + 1_000_003)
         if dist <= problem.tolerance:
             letters = _slot_letters(word, slots, problem.length)
             # Order key over full sequences: exchange sorts before any letter.
             key = tuple(0 if x is None else 1 + x for x in letters)
             solutions.append((key, SequenceSolution(
-                letters=tuple("EX" if x is None else problem.alphabet[x].label
+                letters=tuple("EX" if x is None else labels[x]
                               for x in letters),
                 exchange_slots=tuple(slots), max_distance=dist)))
     solutions.sort(key=lambda pair: pair[0])
@@ -642,13 +598,12 @@ class ReverifyCheck:
 def reverify(result: SynthesisResult, problem: SynthesisProblem,
              n_samples: int = 100, seed: int = 1) -> tuple:
     """Re-test each reported solution on fresh draws, from its letters alone."""
-    family = FAMILIES[problem.family]
-    label_to_index = {tpl.label: i for i, tpl in enumerate(problem.alphabet)}
+    label_to_index = {lab: i for i, lab in enumerate(problem.labels)}
     checks = []
     for sol in result.solutions:
         word = [label_to_index[lab] for lab in sol.letters if lab != "EX"]
-        dist = _verify_word(problem, family, word, tuple(sol.exchange_slots),
-                            n_samples, seed, problem.verify_spins)
+        dist = _verify_word(problem, word, tuple(sol.exchange_slots),
+                            n_samples, seed)
         checks.append(ReverifyCheck(letters=sol.letters, max_distance=dist,
                                     passed=dist <= problem.tolerance))
     return tuple(checks)
@@ -656,7 +611,7 @@ def reverify(result: SynthesisResult, problem: SynthesisProblem,
 
 def problem_to_text(p: SynthesisProblem) -> str:
     lines = [f"PROBLEM name={p.name} family={p.family} length={p.length} "
-             f"exchange={p.n_exchange} xi={p.exchange.xi:.17g} "
+             f"exchange={p.n_exchange} xi={p.xi:.17g} "
              f"tolerance={p.tolerance:.17g} search_samples={p.search_samples} "
              f"verify_samples={p.verify_samples} verify_spins={p.verify_spins}"]
     for tpl in p.alphabet:
@@ -680,7 +635,7 @@ def problem_from_text(text: str) -> SynthesisProblem:
                 symbol, axis, sign = parts[1], parts[2], parts[3]
                 if sign not in ("+", "-"):
                     raise ValueError(f"sign must be + or -, got {sign!r}")
-                letters.append(PulseTemplate("field", axis, symbol,
+                letters.append(PulseTemplate(axis, symbol,
                                              1 if sign == "+" else -1))
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
@@ -692,8 +647,7 @@ def problem_from_text(text: str) -> SynthesisProblem:
         return SynthesisProblem(
             name=header["name"], family=header["family"],
             length=int(header["length"]), n_exchange=int(header["exchange"]),
-            alphabet=tuple(letters),
-            exchange=PulseTemplate("exchange", "", "EX", 1, float(header["xi"])),
+            alphabet=tuple(letters), xi=float(header["xi"]),
             tolerance=float(header.get("tolerance", 1e-10)),
             search_samples=int(header.get("search_samples", 20)),
             verify_samples=int(header.get("verify_samples", 100)),
@@ -752,7 +706,6 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
     az = tuple(float(v) for v in profiles["z"])[:2]
     ax = tuple(float(v) for v in profiles["x"])[:2]
     target = _hadamard_target()
-    reg2 = RegisterSpec(2)
     eye4 = np.eye(4, dtype=complex)
     swap4 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                      dtype=complex)
@@ -773,8 +726,7 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
         u = block(structure[0], params[0])
         for k in range(1, len(structure)):
             u = block(structure[k], params[k]) @ u
-        tr = np.einsum("ij,ij->", target.conj(), u)
-        return max(0.0, 2.0 - abs(tr) / 2.0)
+        return phase_distance(u, target) ** 2
 
     structures = []
     for length in range(1, depth + 1):
@@ -785,33 +737,20 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
     structures.sort(key=lambda s: (len(s), s))
 
     best = (math.inf, "", ())
-    for s_index, structure in enumerate(structures):
-        for start in range(starts):
-            srng = np.random.default_rng(seed * 1_000_003 + s_index * 1009 + start)
-            x0 = srng.uniform(-math.pi, math.pi, size=len(structure))
-            res = minimize(objective, x0, args=(structure,),
-                           method="L-BFGS-B",
-                           options={"maxiter": maxiter, "ftol": 1e-18,
-                                    "gtol": 1e-14})
-            # Promising basins get a derivative-free polish; the gradient
-            # method stalls around 1e-7 where finite differences go blind.
-            if res.fun < 1e-6:
-                res = minimize(objective, res.x, args=(structure,),
-                               method="Nelder-Mead",
-                               options={"maxiter": 4000, "xatol": 1e-14,
-                                        "fatol": 1e-18})
-            dist = math.sqrt(max(0.0, float(res.fun)))
-            if dist < best[0]:
-                best = (dist, structure, tuple(float(v) for v in res.x))
-            if dist <= tolerance:
-                return HadamardSearchReport(
-                    found=True, best_distance=dist, structure=structure,
-                    parameters=best[2], depth=depth, starts=starts,
-                    n_structures=len(structures), tolerance=tolerance,
-                    profiles=(("z", az), ("x", ax)),
-                    elapsed_s=time.perf_counter() - t0)
+    for (s_index, structure), start in itertools.product(
+            enumerate(structures), range(starts)):
+        srng = np.random.default_rng(seed * 1_000_003 + s_index * 1009 + start)
+        x0 = srng.uniform(-math.pi, math.pi, size=len(structure))
+        res = minimize(objective, x0, args=(structure,), method="L-BFGS-B",
+                       options={"maxiter": maxiter, "ftol": 1e-18,
+                                "gtol": 1e-14})
+        dist = math.sqrt(res.fun)
+        if dist < best[0]:
+            best = (dist, structure, tuple(float(v) for v in res.x))
+        if dist <= tolerance:
+            break
     return HadamardSearchReport(
-        found=False, best_distance=best[0], structure=best[1],
+        found=best[0] <= tolerance, best_distance=best[0], structure=best[1],
         parameters=best[2], depth=depth, starts=starts,
         n_structures=len(structures), tolerance=tolerance,
         profiles=(("z", az), ("x", ax)), elapsed_s=time.perf_counter() - t0)

@@ -211,6 +211,9 @@ SCHEDULE_HEADER = ("SCHEDULE register=2 geometry=twin_wire_zigzag "
     ("REG 4\nGF z nan nan nan nan\n", False),
     ("REG 2\nGF x inf 0.5\n", False),
     (SCHEDULE_HEADER + "F 0.000000 nan parallel -1 0.7\n", True),
+    (SCHEDULE_HEADER + "F nan 10 parallel +1 0.7\n", True),
+    (SCHEDULE_HEADER + "E 0 -5 (0,1,3.14)\n", True),
+    (SCHEDULE_HEADER + "E 0 nan (0,1,3.14)\n", True),
     (SCHEDULE_HEADER + "E 0.000000 10.000000 (0,5,3.14)\n", True),
     (SCHEDULE_HEADER + "F 0.000000 10.000000 bogus +1 0.7\n", True),
     (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +3 0.7\n", True),
@@ -225,6 +228,28 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, text,
     argv = ["schedule", str(path)] + (["--simulate-only"] if simulate_only
                                       else [])
     code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("device", "--geometry", "{nan_g}"),
+    ("verify", "--tol", "nan"),
+    ("verify", "--tol", "-1"),
+    ("schedule", "{circuit}", "--exchange-ns", "nan"),
+    ("schedule", "{circuit}", "--exchange-ns", "0"),
+    ("schedule", "{circuit}", "--exchange-ns", "-5"),
+])
+def test_bad_number_exits_2_with_one_line(capsys, tmp_path, argv):
+    nan_g = tmp_path / "geom.txt"
+    nan_g.write_text(geometry_to_text(twin_wire_preset(2))
+                     .replace("g = 2.0", "g = nan", 1))
+    circuit = write_tied_cp_circuit(tmp_path / "cp.circuit.txt")
+    code, out, err = run_cli(capsys, *(a.format(nan_g=nan_g, circuit=circuit)
+                                       for a in argv))
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1

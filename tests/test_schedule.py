@@ -255,9 +255,13 @@ def test_unitary_digest_phase_invariant():
 
 
 def test_validate_schedule_fails_non_finite_duration():
+    # schedule_from_text rejects this event, so it is built directly.
     text = ("SCHEDULE register=2 convention=full_gyromagnetic\n"
             "F 0.000000 nan parallel -1 0.7\n")
-    s = schedule_from_text(text, GEOM2)
+    with pytest.raises(ValueError, match="must be finite"):
+        schedule_from_text(text, GEOM2)
+    s = Schedule(RegisterSpec(2), (FieldEvent(0.0, math.nan, PARALLEL, -1, 0.7),),
+                 GEOM2, "custom", 0)
     checks = {c.name: c for c in validate_schedule(s).checks}
     assert not checks["non_overlap"].ok
     assert "non-finite" in checks["non_overlap"].detail

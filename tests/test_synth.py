@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from globalspin import synth
+from globalspin.circuits import evaluate
+from globalspin.linalg import max_abs
 from globalspin.synth import (BudgetExceeded, EmptyAlphabet, PulseTemplate,
                               SynthesisProblem, enumerate_sequences,
                               global_hadamard_search, planted_cp_problem,
@@ -16,7 +18,6 @@ from globalspin.synth import (BudgetExceeded, EmptyAlphabet, PulseTemplate,
 
 PROFILES = {"z": (1.0, 0.75), "x": (1.0, 0.5)}
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-EX_PI = PulseTemplate("exchange", "", "EX", 1, math.pi)
 # Planted cores: the swap plant and the controlled-phase plant.
 PLANTS = {"swap_pair_exchange": (math.pi, ("EX", ("z", 1), "EX")),
           "controlled_phase": (math.pi / 2.0,
@@ -29,15 +30,15 @@ def test_rotation_problem_shape():
     assert p.n_exchange == 4
     assert p.n_field == 7
     assert len(p.alphabet) == 8
-    assert p.exchange.xi == math.pi
-    labels = {t.label for t in p.alphabet}
+    assert p.xi == math.pi
+    labels = set(p.labels)
     assert labels == {"merged+", "merged-", "primary+", "primary-",
                       "companion+", "companion-", "pi_step+", "pi_step-"}
 
 
 def test_rotation_problem_literal_alphabet():
     p = rotation_problem(literal=True)
-    labels = {t.label for t in p.alphabet}
+    labels = set(p.labels)
     assert labels == {"primary+", "primary-", "companion+", "companion-",
                       "x_dark+", "x_dark-", "z_dark+", "z_dark-"}
 
@@ -108,6 +109,42 @@ def test_reverify_passes_genuine_and_rejects_corrupt():
     assert checks[0].max_distance > 1e-3
 
 
+def test_labels_name_the_axis_when_symbol_and_sign_repeat():
+    # z and x letters of one symbol and sign need the axis in their labels,
+    # or the result cannot say which letter it used and reverify plays the
+    # wrong one.
+    p = dataclasses.replace(planted_swap_problem(),
+                            alphabet=(PulseTemplate("z", "primary", 1),
+                                      PulseTemplate("x", "primary", 1)))
+    assert p.labels == ("primary+z", "primary+x")
+    r = enumerate_sequences(p, seed=0)
+    assert [sol.letters for sol in r.solutions] == [("EX", "primary+z", "EX")]
+    checks = reverify(r, p, n_samples=30, seed=11)
+    assert all(c.passed for c in checks)
+
+
+def test_family_draw_tables_agree_across_registers():
+    # Every stage reads one draw: the 3-spin field a letter plays is its pair
+    # letter times its bystander letter, and the 3-spin target is the pair
+    # target times the bystander gate.
+    reg2, reg3 = synth.RegisterSpec(2), synth.RegisterSpec(3)
+    rng = np.random.default_rng(31)
+    for name, family in synth.FAMILIES.items():
+        alphabet = tuple(PulseTemplate(axis, symbol, sign)
+                         for symbol in family.symbols for axis in "xz"
+                         for sign in (1, -1))
+        p = SynthesisProblem(name="tables", family=name, length=1,
+                             n_exchange=0, alphabet=alphabet, xi=math.pi)
+        for _ in range(3):
+            draw = family.sample(rng)
+            bm, pm, _, _ = synth._sample_matrices(p, draw)
+            for li in range(len(alphabet)):
+                played = evaluate(synth._bind_ops(p, [li], (), draw, 3))
+                assert max_abs(played - np.kron(pm[li], bm[li])) <= 1e-14
+            assert max_abs(draw.target(reg3)
+                           - np.kron(draw.target(reg2), draw.bystander)) <= 1e-14
+
+
 def test_problem_text_round_trip():
     for p in (rotation_problem(), rotation_problem(literal=True),
               planted_swap_problem(), planted_cp_problem(),
@@ -172,25 +209,27 @@ def _random_problem(rng, planted):
         if rng.random() < 0.5:
             letters.add((str(rng.choice(["x", "z"])),
                          int(rng.choice([1, -1]))))
-        alphabet = tuple(PulseTemplate("field", axis, "primary", sign)
+        alphabet = tuple(PulseTemplate(axis, "primary", sign)
                          for axis, sign in sorted(letters))
-        plant = tuple("EX" if slot == "EX" else
-                      PulseTemplate("field", slot[0], "primary", slot[1]).label
-                      for slot in seq)
         length, n_exchange = len(seq), 2
     else:
         family = str(rng.choice(sorted(synth.FAMILIES)))
         symbols = synth.FAMILIES[family].symbols
         length, n_exchange = int(rng.integers(3, 7)), int(rng.integers(1, 4))
-        alphabet = tuple(PulseTemplate("field", str(rng.choice(["x", "z"])),
+        alphabet = tuple(PulseTemplate(str(rng.choice(["x", "z"])),
                                        str(rng.choice(symbols)),
                                        int(rng.choice([1, -1])))
                          for _ in range(int(rng.integers(1, 4))))
-        xi, plant = float(rng.choice([math.pi, math.pi / 2.0])), None
+        xi = float(rng.choice([math.pi, math.pi / 2.0]))
     problem = SynthesisProblem(
         name="random", family=family, length=length, n_exchange=n_exchange,
-        alphabet=alphabet, exchange=dataclasses.replace(EX_PI, xi=xi),
+        alphabet=alphabet, xi=xi,
         search_samples=4, verify_samples=10, verify_spins=3)
+    plant = None if not planted else tuple(
+        "EX" if slot == "EX" else
+        problem.labels[alphabet.index(PulseTemplate(slot[0], "primary",
+                                                    slot[1]))]
+        for slot in seq)
     return problem, plant
 
 
@@ -203,7 +242,7 @@ def test_half_word_traces_equal_slot_products():
         p, _ = _random_problem(rng, planted=k % 2 == 0)
         family = synth.FAMILIES[p.family]
         s = family.sample(np.random.default_rng(int(rng.integers(1 << 30))))
-        bm, pm, bt, pt = synth._sample_matrices(p, family, s)
+        bm, pm, bt, pt = synth._sample_matrices(p, s)
         n_letters = len(p.alphabet)
         idx = np.arange(n_letters ** p.n_field, dtype=np.int64)
         words = synth._word_digits(idx, p.n_field, n_letters)
@@ -219,8 +258,7 @@ def test_half_word_traces_equal_slot_products():
 
         placements = list(itertools.combinations(range(p.length),
                                                  p.n_exchange))
-        ex4 = synth.exchange_unitary(synth.RegisterSpec(2), 0, 1,
-                                     p.exchange.xi)
+        ex4 = synth.exchange_unitary(synth.RegisterSpec(2), 0, 1, p.xi)
         alive = np.ones((len(words), len(placements)), dtype=bool)
         traces = synth._pair_traces(pm[words], ex4, pt, p.length,
                                     p.n_exchange, alive)
