@@ -377,9 +377,13 @@ def geometry_from_text(text: str) -> DeviceGeometry:
                 raise ValueError(f"line {lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             value = float(val.strip())
+            key = key.strip()
             if not math.isfinite(value):
-                raise ValueError(f"line {lineno}: non-finite {key.strip()}")
-            fields[key.strip()] = value
+                raise ValueError(f"line {lineno}: non-finite {key}")
+            if key == "g" and value <= 0:
+                raise ValueError(f"line {lineno}: g must be positive, "
+                                 f"got {value}")
+            fields[key] = value
     flush()
     if not wires or not sites:
         raise ValueError("geometry needs at least one wire and one site")

@@ -237,6 +237,8 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, text,
 
 @pytest.mark.parametrize("argv", [
     ("device", "--geometry", "{nan_g}"),
+    pytest.param(("device", "--geometry", "{zero_g}"), id="zero_g"),
+    pytest.param(("device", "--geometry", "{negative_g}"), id="negative_g"),
     ("verify", "--tol", "nan"),
     ("verify", "--tol", "-1"),
     ("schedule", "{circuit}", "--exchange-ns", "nan"),
@@ -244,11 +246,14 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, text,
     ("schedule", "{circuit}", "--exchange-ns", "-5"),
 ])
 def test_bad_number_exits_2_with_one_line(capsys, tmp_path, argv):
-    nan_g = tmp_path / "geom.txt"
-    nan_g.write_text(geometry_to_text(twin_wire_preset(2))
-                     .replace("g = 2.0", "g = nan", 1))
+    geometries = {}
+    for name, g in (("nan_g", "nan"), ("zero_g", "0.0"),
+                    ("negative_g", "-2.0")):
+        geometries[name] = tmp_path / f"{name}.txt"
+        geometries[name].write_text(geometry_to_text(twin_wire_preset(2))
+                                    .replace("g = 2.0", f"g = {g}", 1))
     circuit = write_tied_cp_circuit(tmp_path / "cp.circuit.txt")
-    code, out, err = run_cli(capsys, *(a.format(nan_g=nan_g, circuit=circuit)
+    code, out, err = run_cli(capsys, *(a.format(circuit=circuit, **geometries)
                                        for a in argv))
     assert code == 2
     assert out == ""
