@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -418,17 +418,11 @@ def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Cir
             for p, q in pairs:
                 vec[p] = op.angles[0]
                 vec[q] = op.angles[1]
-            ops.append(GlobalField(op.axis, tuple(vec), op.duration_hint))
-        elif isinstance(op, Exchange):
-            spin_map = lambda s, p=None, q=None: p if s == 0 else q
+            ops.append(GlobalField(op.axis, tuple(vec)))
+        elif isinstance(op, (Exchange, XYExchange)):
             for p, q in pairs:
-                ops.append(Exchange(spin_map(op.i, p, q), spin_map(op.j, p, q),
-                                    op.xi, op.duration_hint))
-        elif isinstance(op, XYExchange):
-            for p, q in pairs:
-                ops.append(XYExchange(p if op.i == 0 else q,
-                                      p if op.j == 0 else q,
-                                      op.phi, op.duration_hint))
+                ops.append(replace(op, i=p if op.i == 0 else q,
+                                   j=p if op.j == 0 else q))
         else:
             raise TypeError(f"not a pulse op: {op!r}")
     return Circuit(reg, tuple(ops))

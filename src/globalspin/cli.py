@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import circuits, device, schedule as sched, synth
-from .linalg import max_abs, phase_distance
+from .linalg import TOL_COMPILED, max_abs, phase_distance
 from .spins import RegisterSpec
 
 DRAWS_PER_SUITE = 60
@@ -316,7 +316,7 @@ def cmd_schedule(args) -> RunReport:
                                    exchange_duration=args.exchange_ns * 1e-9,
                                    geometry_name=name)
         d = phase_distance(sched.simulate_schedule(s), circuits.evaluate(c))
-        checks.append(_bounded_check("round_trip_distance", d, 1e-8))
+        checks.append(_bounded_check("round_trip_distance", d, TOL_COMPILED))
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(sched.schedule_to_text(s))

@@ -2,19 +2,17 @@
 amplitude ratios, pulse durations, current limits, and error budgets.
 
 Geometry lives in the x-z plane; wires run along y, so an infinite-line
-Biot-Savart field is the default model and the finite cross-section only
-enters as a quadrature refinement. Sites sit on the z = 0 plane midway
-between the wires; that choice is what makes one field component cancel
-exactly in each current configuration.
+Biot-Savart field is the default model. The field of the finite
+rectangular cross-section is available in closed form (ribbon_field).
+Sites sit on the z = 0 plane midway between the wires; that choice is what
+makes one field component cancel exactly in each current configuration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
-
-from scipy import integrate
+from dataclasses import dataclass, replace
+from typing import Tuple
 
 from .spins import zeeman_angles
 
@@ -22,7 +20,6 @@ MU_0 = 4e-7 * math.pi  # T*m/A
 
 PARALLEL = "parallel"
 ANTIPARALLEL = "antiparallel"
-CUSTOM = "custom"
 # Field axis that survives the symmetry cancellation in each configuration.
 ACTIVE_AXIS = {PARALLEL: "z", ANTIPARALLEL: "x"}
 # Central-difference step of position_sensitivity: 0.01 nm, in meters.
@@ -31,10 +28,6 @@ POSITION_STEP = 1e-11
 
 class PointInsideWire(ValueError):
     """Field requested inside a wire cross-section."""
-
-
-class QuadratureFailure(RuntimeError):
-    """Cross-section integration did not reach the requested accuracy."""
 
 
 class ZeroFieldSite(ValueError):
@@ -118,84 +111,64 @@ def line_field(w: WireSpec, point: Tuple[float, float]) -> Tuple[float, float]:
     return (coef * dz, -coef * dx)
 
 
-def ribbon_field(w: WireSpec, point: Tuple[float, float],
-                 rel_tol: float = 1e-6) -> Tuple[float, float]:
+def _corner(a: float, b: float) -> float:
+    """b*ln|(a, b)| + a*atan(b/a), whose mixed derivative d^2/(da db) is
+    a/(a^2 + b^2). Its limit at a = 0 is b*ln|b|."""
+    return b * math.log(math.hypot(a, b)) + (a * math.atan(b / a) if a else 0.0)
+
+
+def ribbon_field(w: WireSpec, point: Tuple[float, float]) -> Tuple[float, float]:
     """Field of a uniform current density over the rectangular cross-section.
 
-    Integrates the line kernel over the section with adaptive quadrature.
-    Raises QuadratureFailure when the reported error estimate exceeds the
-    requested relative tolerance against the field magnitude.
+    The line kernel integrated over the section in closed form: each
+    component is a four-corner sum of _corner over the displacements from
+    the section's edges to the point, with the arguments swapped for B^x.
+    Differencing along z before x makes two wires mirrored in z = 0 give
+    exactly opposite B^x and equal B^z at points on that plane.
     """
     if w.contains(point):
         raise PointInsideWire(f"point {point} inside wire at {w.center}")
     half_w = w.cross_section[0] / 2
     half_h = w.cross_section[1] / 2
-    density = w.current / w.area
-    coef = MU_0 * density / (2.0 * math.pi)
+    coef = MU_0 * (w.current / w.area) / (2.0 * math.pi)
+    xs = (point[0] - w.center[0] + half_w, point[0] - w.center[0] - half_w)
+    zs = (point[1] - w.center[1] + half_h, point[1] - w.center[1] - half_h)
 
-    def kernel_x(zp: float, xp: float) -> float:
-        dx = point[0] - (w.center[0] + xp)
-        dz = point[1] - (w.center[1] + zp)
-        return coef * dz / (dx * dx + dz * dz)
+    def corner_sum(f) -> float:
+        return ((f(xs[0], zs[0]) - f(xs[0], zs[1]))
+                - (f(xs[1], zs[0]) - f(xs[1], zs[1])))
 
-    def kernel_z(zp: float, xp: float) -> float:
-        dx = point[0] - (w.center[0] + xp)
-        dz = point[1] - (w.center[1] + zp)
-        return coef * -dx / (dx * dx + dz * dz)
-
-    results = []
-    errors = []
-    for kernel in (kernel_x, kernel_z):
-        val, err = integrate.dblquad(kernel, -half_w, half_w,
-                                     -half_h, half_h,
-                                     epsabs=0.0, epsrel=rel_tol)
-        results.append(val)
-        errors.append(err)
-    scale = max(math.hypot(*results), 1e-30)
-    for err in errors:
-        if err > 10.0 * rel_tol * scale:
-            raise QuadratureFailure(f"error estimate {err:.3e} vs scale {scale:.3e}")
-    return (results[0], results[1])
+    return (coef * corner_sum(lambda dx, dz: _corner(dz, dx)),
+            -coef * corner_sum(_corner))
 
 
-def field_profile(g: DeviceGeometry, config: str,
-                  currents: Optional[Sequence[float]] = None) -> FieldProfile:
+def field_profile(g: DeviceGeometry, config: str) -> FieldProfile:
     """Superposed line fields at every site under a current configuration.
 
     parallel keeps the stored currents; antiparallel negates every wire
-    after the first; custom uses the currents argument as given.
+    after the first.
     """
-    if config == PARALLEL:
-        eff = [w.current for w in g.wires]
-    elif config == ANTIPARALLEL:
-        eff = [w.current if k == 0 else -w.current
-               for k, w in enumerate(g.wires)]
-    elif config == CUSTOM:
-        if currents is None or len(currents) != len(g.wires):
-            raise ValueError("custom config needs one current per wire")
-        eff = list(currents)
-    else:
+    if config not in ACTIVE_AXIS:
         raise ValueError(f"unknown config {config!r}")
+    signs = [1.0 if config == PARALLEL or k == 0 else -1.0
+             for k in range(len(g.wires))]
     fields = []
     for site in g.sites:
         bx = 0.0
         bz = 0.0
-        for w, cur in zip(g.wires, eff):
-            fx, fz = line_field(WireSpec(w.center, w.cross_section, cur,
-                                         w.critical_current_density),
-                                site.position)
-            bx += fx
-            bz += fz
+        for w, sign in zip(g.wires, signs):
+            fx, fz = line_field(w, site.position)
+            bx += sign * fx
+            bz += sign * fz
         fields.append((bx, bz))
     return FieldProfile(config=config, site_fields=tuple(fields))
 
 
-def device_constants(fp: FieldProfile, axis: Optional[str] = None) -> DeviceConstants:
+def device_constants(fp: FieldProfile) -> DeviceConstants:
     """Normalize the active-axis site fields to ratios with max 1."""
+    axis = ACTIVE_AXIS.get(fp.config)
     if axis is None:
-        axis = ACTIVE_AXIS.get(fp.config)
-        if axis is None:
-            raise ValueError("custom profile needs an explicit axis")
+        raise ValueError(f"unknown config {fp.config!r}")
     comp = fp.component(axis)
     mags = [abs(b) for b in comp]
     amp = max(mags) if mags else 0.0
@@ -211,6 +184,8 @@ def device_constants(fp: FieldProfile, axis: Optional[str] = None) -> DeviceCons
 
 def pulse_duration(delta_theta: float, delta_b: float, g: float) -> float:
     """Duration for a relative rotation delta_theta across increment delta_b."""
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"g must be finite and positive, got {g}")
     if delta_b <= 0.0:
         raise NonpositiveGradient(f"delta_b = {delta_b}")
     return delta_theta / zeeman_angles((g,), (delta_b,), 1.0)[0]
@@ -272,11 +247,9 @@ def position_sensitivity(g: DeviceGeometry, per_pulse_error: float,
             shifted = []
             for sgn in (+1.0, -1.0):
                 wires = list(g.wires)
-                w = wires[wk]
-                center = list(w.center)
+                center = list(wires[wk].center)
                 center[coord] += sgn * POSITION_STEP
-                wires[wk] = WireSpec(tuple(center), w.cross_section, w.current,
-                                     w.critical_current_density)
+                wires[wk] = replace(wires[wk], center=tuple(center))
                 shifted.append(_neighbor_gradient(
                     DeviceGeometry(tuple(wires), g.sites), config))
             deriv = abs(shifted[0] - shifted[1]) / (2.0 * POSITION_STEP)

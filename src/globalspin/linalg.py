@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Algebraic identities (closed forms, single products).
-TOL_ALGEBRAIC = 1e-12
-# Long composed sequences and bystander cancellation checks.
-TOL_COMPOSED = 1e-10
-# Compiled artifacts: Euler-compiled circuits, schedule round-trips.
+# Schedule round trips: a compiled schedule replayed against its circuit.
 TOL_COMPILED = 1e-8
 # Hermiticity / unitarity admission checks.
 TOL_STRUCTURE = 1e-12

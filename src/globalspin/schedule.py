@@ -22,7 +22,7 @@ from .linalg import update_phase_normalized
 from .spins import RegisterSpec, zeeman_angles
 
 DEFAULT_EXCHANGE_DURATION = 10e-9  # seconds
-DEFAULT_FIELD_DURATION_CAP = 1e-5  # seconds
+FIELD_DURATION_CAP = 1e-5  # seconds
 # Relative residual allowed when fitting angles to the site-field profile.
 REALIZABLE_RTOL = 1e-9
 
@@ -80,15 +80,14 @@ class Schedule:
 
 def compile_schedule(c: Circuit, g: DeviceGeometry,
                      exchange_duration: float = DEFAULT_EXCHANGE_DURATION,
-                     field_duration_cap: float = DEFAULT_FIELD_DURATION_CAP,
                      geometry_name: str = "custom") -> Schedule:
     """Lower a circuit to a timed schedule on the given geometry.
 
     Field ops map to the configuration serving their axis (z -> parallel,
     x -> antiparallel); the signed proportionality scalar between the angle
     list and the site rates fixes duration and current direction. Exchange
-    ops become windows of the default duration unless hinted; consecutive
-    exchanges on disjoint pairs merge into one simultaneous event.
+    ops become windows of exchange_duration; consecutive exchanges on
+    disjoint pairs merge into one simultaneous event.
     """
     n = c.register.n_spins
     if not 0 < exchange_duration < math.inf:
@@ -105,18 +104,16 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
     current_ma = abs(g.wires[0].current) * 1e3
     events = []
     t = 0.0
-    run: list = []  # accumulating (i, j, xi, duration) for one exchange event
+    run: list = []  # accumulating (i, j, xi) for one exchange event
     run_spins: set = set()
 
     def flush_run() -> None:
         nonlocal t, run, run_spins
         if not run:
             return
-        duration = max(d for (_, _, _, d) in run)
-        events.append(ExchangeEvent(
-            t_start=t, duration=duration,
-            pairs=tuple((i, j, xi) for (i, j, xi, _) in run)))
-        t += duration
+        events.append(ExchangeEvent(t_start=t, duration=exchange_duration,
+                                    pairs=tuple(run)))
+        t += exchange_duration
         run = []
         run_spins = set()
 
@@ -124,8 +121,7 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
         if isinstance(op, Exchange):
             if {op.i, op.j} & run_spins:
                 flush_run()
-            run.append((op.i, op.j, op.xi,
-                        op.duration_hint if op.duration_hint else exchange_duration))
+            run.append((op.i, op.j, op.xi))
             run_spins |= {op.i, op.j}
             continue
         flush_run()
@@ -148,8 +144,8 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
                 idx, f"angles not proportional to the {config} profile "
                      f"(residual {worst:.3e})")
         duration = abs(scale)
-        if duration > field_duration_cap:
-            raise DurationCapExceeded(idx, duration, field_duration_cap)
+        if duration > FIELD_DURATION_CAP:
+            raise DurationCapExceeded(idx, duration, FIELD_DURATION_CAP)
         events.append(FieldEvent(t_start=t, duration=duration, config=config,
                                  sign=1 if scale >= 0 else -1,
                                  current_ma=current_ma))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -131,7 +131,6 @@ class Exchange:
     i: int
     j: int
     xi: float
-    duration_hint: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,6 @@ class XYExchange:
     i: int
     j: int
     phi: float
-    duration_hint: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,6 @@ class GlobalField:
 
     axis: str
     angles: tuple
-    duration_hint: Optional[float] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))

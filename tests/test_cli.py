@@ -1,14 +1,17 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from globalspin import circuits, cli
 from globalspin.circuits import circuit_to_text, controlled_phase_circuit
-from globalspin.device import geometry_to_text, twin_wire_preset
-from globalspin.spins import RegisterSpec
+from globalspin.device import (PARALLEL, field_profile, geometry_to_text,
+                               twin_wire_preset)
+from globalspin.spins import RegisterSpec, zeeman_angles
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +193,30 @@ def test_schedule_unrealizable_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "schedule", str(path))
     assert code == 4
     assert "op 0" in err
+
+
+def test_schedule_duration_cap_exit_code(capsys, tmp_path):
+    # A 2e-5 s z pulse on the 2-site preset: twice the 1e-5 s field cap.
+    geom = twin_wire_preset(2)
+    angles = zeeman_angles([s.g_factor for s in geom.sites],
+                           field_profile(geom, PARALLEL).component("z"), 2e-5)
+    path = tmp_path / "long.circuit.txt"
+    path.write_text(circuit_to_text(
+        circuits.Circuit(RegisterSpec(2), (circuits.GlobalField("z", angles),))))
+    code, out, err = run_cli(capsys, "schedule", str(path))
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "op 0" in err and "over cap" in err
+
+
+def test_cli_import_does_not_load_quadrature():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, globalspin.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0
 
 
 def test_schedule_missing_input(capsys, tmp_path):

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
 from globalspin import device as dev
-from globalspin.device import (ANTIPARALLEL, CUSTOM, PARALLEL,
+from globalspin.device import (ANTIPARALLEL, PARALLEL,
                                DeviceGeometry, NonpositiveGradient,
                                PointInsideWire, SpinSite, WireSpec,
                                ZeroFieldSite, device_constants, error_budget,
@@ -58,6 +59,53 @@ def test_ribbon_field_differs_from_line_nearby():
     assert 1e-5 < rel < 0.05
 
 
+def quadrature_field(w, point):
+    # The line kernel integrated over the section numerically: an oracle for
+    # the closed form that shares none of its algebra.
+    coef = MU_0 * (w.current / w.area) / (2.0 * math.pi)
+    half_w, half_h = w.cross_section[0] / 2, w.cross_section[1] / 2
+
+    def kernel(component):
+        def f(zp, xp):
+            dx = point[0] - (w.center[0] + xp)
+            dz = point[1] - (w.center[1] + zp)
+            return coef * (dz if component == 0 else -dx) / (dx * dx + dz * dz)
+        return f
+
+    return tuple(dblquad(kernel(k), -half_w, half_w, -half_h, half_h,
+                         epsabs=1e-16, epsrel=1e-12)[0] for k in (0, 1))
+
+
+# All 8 site-wire pairs of the preset. The comparison below fails on a
+# non-finite field, so it also checks that every pair has one.
+PRESET_PAIRS = [(w, s.position) for w in twin_wire_preset(4).wires
+                for s in twin_wire_preset(4).sites]
+
+
+@pytest.mark.parametrize("wire, point", [
+    *(pytest.param(w, p, id=f"preset{k}") for k, (w, p) in enumerate(PRESET_PAIRS)),
+    pytest.param(WireSpec((0.0, 0.0), (2e-7, 2e-7), 7e-4, 2.2e10),
+                 (-2.5e-7, 1.9e-7), id="off_axis"),
+])
+def test_ribbon_field_matches_quadrature(wire, point):
+    got = ribbon_field(wire, point)
+    want = quadrature_field(wire, point)
+    scale = math.hypot(*want)
+    assert abs(got[0] - want[0]) <= 1e-12 * scale
+    assert abs(got[1] - want[1]) <= 1e-12 * scale
+
+
+def test_ribbon_field_mirror_wires_on_midplane():
+    upper, lower = twin_wire_preset(4).wires
+    assert upper.center == (lower.center[0], -lower.center[1])
+    for site in twin_wire_preset(4).sites:
+        assert site.position[1] == 0.0
+        ux, uz = ribbon_field(upper, site.position)
+        lx, lz = ribbon_field(lower, site.position)
+        assert ux == -lx and ux != 0.0
+        assert uz == lz
+
+
 def test_preset_transverse_components_cancel():
     g = twin_wire_preset(4)
     par = field_profile(g, PARALLEL)
@@ -93,29 +141,18 @@ def test_preset_ratios():
     assert par.degenerate_neighbor_pairs == ()
 
 
-def test_field_profile_custom_currents():
+def test_field_profile_rejects_unknown_config():
     g = twin_wire_preset(2)
-    fp = field_profile(g, CUSTOM, currents=(7e-4, 7e-4))
-    par = field_profile(g, PARALLEL)
-    assert fp.site_fields == par.site_fields
-    with pytest.raises(ValueError):
-        field_profile(g, CUSTOM)
     with pytest.raises(ValueError):
         field_profile(g, "sideways")
+    with pytest.raises(ValueError):
+        device_constants(dev.FieldProfile("sideways", ((1e-3, 1e-3),)))
 
 
 def test_device_constants_zero_field_site():
     fp = dev.FieldProfile(PARALLEL, ((0.0, 0.0), (0.0, 1e-3)))
     with pytest.raises(ZeroFieldSite):
         device_constants(fp)
-
-
-def test_device_constants_custom_needs_axis():
-    fp = dev.FieldProfile(CUSTOM, ((1e-3, 1e-3), (5e-4, 5e-4)))
-    with pytest.raises(ValueError):
-        device_constants(fp)
-    c = device_constants(fp, axis="x")
-    assert c.ratios == (1.0, 0.5)
 
 
 def test_pulse_duration_values():
@@ -131,6 +168,12 @@ def test_pulse_duration_values():
 def test_pulse_duration_rejects_nonpositive_increment():
     with pytest.raises(NonpositiveGradient):
         pulse_duration(math.pi, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("g", [0.0, -2.0, math.nan])
+def test_pulse_duration_rejects_bad_g(g):
+    with pytest.raises(ValueError, match="g must be finite and positive"):
+        pulse_duration(1.0, 1e-3, g)
 
 
 def test_validate_currents_margin():

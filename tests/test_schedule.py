@@ -16,7 +16,7 @@ from globalspin.schedule import (DurationCapExceeded, ExchangeEvent,
                                  compile_schedule, schedule_from_text,
                                  schedule_to_text, simulate_schedule,
                                  unitary_digest, validate_schedule)
-from globalspin.spins import RegisterSpec
+from globalspin.spins import RegisterSpec, zeeman_angles
 
 GEOM2 = twin_wire_preset(2)
 GEOM4 = twin_wire_preset(4)
@@ -97,10 +97,7 @@ def test_compile_splits_overlapping_exchanges():
     assert len(s.events) == 2
 
 
-def test_compile_honors_duration_hints():
-    c = Circuit(RegisterSpec(2), (Exchange(0, 1, math.pi, 25e-9),))
-    s = compile_schedule(c, GEOM2)
-    assert s.events[0].duration == 25e-9
+def test_compile_honors_exchange_duration():
     s = compile_schedule(Circuit(RegisterSpec(2), (Exchange(0, 1, 1.0),)),
                          GEOM2, exchange_duration=4e-9)
     assert s.events[0].duration == 4e-9
@@ -125,9 +122,13 @@ def test_compile_rejects_y_axis_and_planar_exchange():
 
 
 def test_compile_duration_cap():
-    c, _ = tied_cp_circuit()
+    # A 2e-5 s z pulse on the 2-site preset, twice the field-duration cap.
+    assert sched.FIELD_DURATION_CAP == 1e-5
+    angles = zeeman_angles([s.g_factor for s in GEOM2.sites],
+                           field_profile(GEOM2, PARALLEL).component("z"), 2e-5)
+    c = Circuit(RegisterSpec(2), (GlobalField("z", angles),))
     with pytest.raises(DurationCapExceeded):
-        compile_schedule(c, GEOM2, field_duration_cap=1e-12)
+        compile_schedule(c, GEOM2)
 
 
 def test_compile_rejects_multi_row_exchange():
