@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -43,6 +43,7 @@ class RunReport:
     inputs: tuple  # (path, sha256) pairs
     checks: tuple
     wall_time_s: float
+    stages: tuple = ()  # synth.StageRecord per search stage
 
     @property
     def ok(self) -> bool:
@@ -85,6 +86,9 @@ def _emit(report: RunReport, fmt: str, stream=None) -> None:
                               "measured": c.measured,
                               "threshold": c.threshold,
                               "pass": c.passed}), file=stream)
+        for st in report.stages:
+            print(json.dumps({"kind": "stage", "name": st.name, "in": st.n_in,
+                              "out": st.n_out, "s": st.seconds}), file=stream)
         print(json.dumps({"kind": "summary", "ok": report.ok,
                           "wall_time_s": report.wall_time_s}), file=stream)
         return
@@ -101,6 +105,9 @@ def _emit(report: RunReport, fmt: str, stream=None) -> None:
             verdict = "PASS" if c.passed else "FAIL"
             print(f"  {c.name:42s} {measured:>26s}  threshold={c.threshold:g}"
                   f"  {verdict}", file=stream)
+    for st in report.stages:
+        print(f"  stage {st.name:36s} {st.n_in:>12d} -> {st.n_out:<12d}"
+              f"{st.seconds:.3f} s", file=stream)
     print(f"wall_time_s = {report.wall_time_s:.3f}", file=stream)
     print(f"overall: {'PASS' if report.ok else 'FAIL'}", file=stream)
 
@@ -205,7 +212,6 @@ def cmd_synthesize(args) -> RunReport:
     with open(pr_path) as fh:
         problem = synth.problem_from_text(fh.read())
     if args.samples is not None or args.tol is not None:
-        from dataclasses import replace
         problem = replace(
             problem,
             search_samples=(problem.search_samples if args.samples is None
@@ -235,9 +241,10 @@ def cmd_synthesize(args) -> RunReport:
     for k, sol in enumerate(result.solutions):
         checks.append(_bounded_check(f"solution_{k}_distance",
                                      sol.max_distance, problem.tolerance))
+        checks.append(_value(f"solution_{k}_worst_draw", sol.worst_draw))
     return RunReport(command="synthesize", seed=args.seed,
                      inputs=((pr_path, _sha256_file(pr_path)),),
-                     checks=tuple(checks), wall_time_s=0.0)
+                     checks=tuple(checks), wall_time_s=0.0, stages=st.stages)
 
 
 def _load_geometry(args):
@@ -402,9 +409,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = RunReport(command=report.command, seed=report.seed,
-                       inputs=report.inputs, checks=report.checks,
-                       wall_time_s=time.perf_counter() - t0)
+    report = replace(report, wall_time_s=time.perf_counter() - t0)
     _emit(report, args.format)
     return 0 if report.ok else 1
 

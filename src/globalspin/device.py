@@ -111,35 +111,58 @@ def line_field(w: WireSpec, point: Tuple[float, float]) -> Tuple[float, float]:
     return (coef * dz, -coef * dx)
 
 
-def _corner(a: float, b: float) -> float:
-    """b*ln|(a, b)| + a*atan(b/a), whose mixed derivative d^2/(da db) is
-    a/(a^2 + b^2). Its limit at a = 0 is b*ln|b|."""
-    return b * math.log(math.hypot(a, b)) + (a * math.atan(b / a) if a else 0.0)
+def _section_sum(d_a: float, half_a: float, d_b: float, half_b: float) -> float:
+    """The four-corner sum F(a0, b0) - F(a0, b1) - F(a1, b0) + F(a1, b1) of
+    F(a, b) = b ln|(a, b)| + a atan(b/a), whose mixed derivative is
+    a/(a^2 + b^2), for a0, a1 = d_a +- half_a and b0, b1 = d_b +- half_b.
+
+    Far away the corner terms nearly cancel, so no such difference is
+    formed. With w = a0 - a1 and s = a0 + a1 (likewise for b) taken from
+    the inputs, the log part b0 lam(b0) - b1 lam(b1), lam(b) =
+    ln(r(a0, b)/r(a1, b)), is (w_b (lam0 + lam1) + s_b (lam0 - lam1))/2 and
+    the atan part a0 th(a0) - a1 th(a1), th(a) = atan(b0/a) - atan(b1/a),
+    is (w_a (th0 + th1) + s_a (th0 - th1))/2; each lam and their difference
+    is one atanh, each th and theirs one atan2. The sum is exactly odd
+    under (a0, a1) -> (-a1, -a0) and exactly even under (b0, b1) ->
+    (-b1, -b0).
+    """
+    a0, a1 = d_a + half_a, d_a - half_a
+    b0, b1 = d_b + half_b, d_b - half_b
+    w_a, w_b = 2.0 * half_a, 2.0 * half_b
+    s_a, s_b = 2.0 * d_a, 2.0 * d_b
+    a0s, a1s, b0s, b1s = a0 * a0, a1 * a1, b0 * b0, b1 * b1
+    lam0 = math.atanh(w_a * s_a / (a0s + a1s + 2.0 * b0s))
+    lam1 = math.atanh(w_a * s_a / (a0s + a1s + 2.0 * b1s))
+    d_lam = math.atanh(-w_a * w_b * s_a * s_b
+                       / ((a0s + b0s) * (a1s + b1s) + (a1s + b0s) * (a0s + b1s)))
+    bb = b0 * b1
+    th0 = math.atan2(a0 * w_b, a0s + bb)
+    th1 = math.atan2(a1 * w_b, a1s + bb)
+    d_th = math.atan2(w_b * w_a * (bb - a0 * a1),
+                      (a0s + bb) * (a1s + bb) + a0 * a1 * w_b * w_b)
+    return 0.5 * ((w_b * (lam0 + lam1) + s_b * d_lam)
+                  + (w_a * (th0 + th1) + s_a * d_th))
 
 
 def ribbon_field(w: WireSpec, point: Tuple[float, float]) -> Tuple[float, float]:
     """Field of a uniform current density over the rectangular cross-section.
 
     The line kernel integrated over the section in closed form: each
-    component is a four-corner sum of _corner over the displacements from
-    the section's edges to the point, with the arguments swapped for B^x.
-    Differencing along z before x makes two wires mirrored in z = 0 give
-    exactly opposite B^x and equal B^z at points on that plane.
+    component is a four-corner sum (_section_sum) over the displacements
+    from the section's edges to the point, with the roles of x and z
+    swapped for B^x. The sum keeps full relative precision far from the
+    wire, and two wires mirrored in z = 0 give exactly opposite B^x and
+    equal B^z at points on that plane.
     """
     if w.contains(point):
         raise PointInsideWire(f"point {point} inside wire at {w.center}")
     half_w = w.cross_section[0] / 2
     half_h = w.cross_section[1] / 2
     coef = MU_0 * (w.current / w.area) / (2.0 * math.pi)
-    xs = (point[0] - w.center[0] + half_w, point[0] - w.center[0] - half_w)
-    zs = (point[1] - w.center[1] + half_h, point[1] - w.center[1] - half_h)
-
-    def corner_sum(f) -> float:
-        return ((f(xs[0], zs[0]) - f(xs[0], zs[1]))
-                - (f(xs[1], zs[0]) - f(xs[1], zs[1])))
-
-    return (coef * corner_sum(lambda dx, dz: _corner(dz, dx)),
-            -coef * corner_sum(_corner))
+    dx = point[0] - w.center[0]
+    dz = point[1] - w.center[1]
+    return (coef * _section_sum(dz, half_h, dx, half_w),
+            -coef * _section_sum(dx, half_w, dz, half_h))
 
 
 def field_profile(g: DeviceGeometry, config: str) -> FieldProfile:

@@ -8,6 +8,8 @@ constants so every module agrees on what "equal" means.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Schedule round trips: a compiled schedule replayed against its circuit.
@@ -56,24 +58,36 @@ def hermitian_expm(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return (v * np.exp(-1j * scale * w)) @ v.conj().T
 
 
-def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
+def phase_distance(u: np.ndarray, v: np.ndarray):
     """Global-phase-invariant distance sqrt(max(0, 2 - 2|tr(u†v)|/dim)).
 
     Computed as the Frobenius distance to the phase-aligned partner,
     norm(u - phi*v)/sqrt(dim) with phi = conj(t)/|t|, t = tr(u†v). This is
     the same quantity but keeps full precision near zero, where the direct
     formula loses half the significant digits to cancellation.
+
+    u and v may carry a leading draw axis, (B, dim, dim): the distance is
+    then taken entry by entry and returned as an array of B. Each entry's
+    distance is bit-identical to the distance of that pair alone.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape or u.ndim != 2:
+    if u.shape != v.shape or u.ndim not in (2, 3):
         raise DimensionMismatch(f"{u.shape} vs {v.shape}")
-    t = np.vdot(u, v)  # tr(u†v) without forming the product
-    if abs(t) == 0.0:
-        return float(np.sqrt(2.0))
-    phi = np.conj(t) / abs(t)
-    d = u.shape[0]
-    return float(np.linalg.norm(u - phi * v) / np.sqrt(d))
+    uf = u.reshape(u.shape[:-2] + (-1,))
+    vf = v.reshape(uf.shape)
+    t = np.vecdot(uf, vf)  # tr(u†v) without forming the product
+    # hypot, not np.abs: on arrays np.abs takes a vectorized path whose last
+    # bit can differ from abs of one scalar.
+    at = np.hypot(t.real, t.imag)
+    zero = at == 0.0  # orthogonal: the distance is sqrt(2), set below
+    w = uf - (np.conj(t) / (at + zero))[..., None] * vf
+    sq = np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag)
+    dist = np.sqrt(sq) / math.sqrt(u.shape[-2])
+    if u.ndim == 2:
+        return math.sqrt(2.0) if zero else float(dist)
+    dist[zero] = math.sqrt(2.0)
+    return dist
 
 
 def update_phase_normalized(h, m: np.ndarray) -> None:

@@ -11,6 +11,13 @@ phase, an x or y field a 2x2 mix per site, and an exchange a mix of the
 pair's anti-aligned rows. The dense builders are this kernel applied to
 the identity; spin_operator and the eigendecomposition oracle in linalg
 build the same unitaries from generators to cross-check it.
+
+The kernel also takes a leading draw axis: u may be a (B, 2^N, m) batch,
+one entry per parameter draw, and a field may then carry a (B, N) array of
+angles. A z field becomes a (B, 2^N) row phase, an x or y field a (B, 2, 2)
+product per site, and an exchange the same mix with the draws folded into
+the leading view. A 2-D u runs the same code as a batch of one, with the
+same arithmetic entry for entry.
 """
 
 from __future__ import annotations
@@ -99,17 +106,29 @@ def spin_operator(reg: RegisterSpec, k: int, axis: str) -> np.ndarray:
     return m
 
 
-def rotation_2x2(axis: str, angle: float) -> np.ndarray:
-    """exp(-i angle sigma^axis / 2). z-axis result is exactly diagonal."""
-    c = math.cos(angle / 2)
-    s = math.sin(angle / 2)
+def rotation_2x2(axis: str, angle) -> np.ndarray:
+    """exp(-i angle sigma^axis / 2). z-axis result is exactly diagonal.
+
+    angle may also be an array of angles, one per draw; the result is then
+    one matrix per angle, stacked as (..., 2, 2). An array takes numpy's cos
+    and sin instead of math's; the kernel tests check that a batch entry
+    equals its draw played alone.
+    """
+    many = isinstance(angle, np.ndarray)
+    c = (np.cos if many else math.cos)(angle / 2)
+    s = (np.sin if many else math.sin)(angle / 2)
     if axis == "z":
-        return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
-    if axis == "x":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if axis == "y":
-        return np.array([[c, -s], [s, c]])
-    raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+        zero = c - c
+        m = [[c - 1j * s, zero], [zero, c + 1j * s]]
+    elif axis == "x":
+        m = [[c, -1j * s], [-1j * s, c]]
+    elif axis == "y":
+        m = [[c, -s], [s, c]]
+    else:
+        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+    if many:
+        return np.ascontiguousarray(np.moveaxis(np.array(m), (0, 1), (-2, -1)))
+    return np.array(m)
 
 
 def swap_matrix(reg: RegisterSpec, i: int, j: int) -> np.ndarray:
@@ -144,32 +163,49 @@ class XYExchange:
 
 @dataclass(frozen=True)
 class GlobalField:
-    """One shared-profile field pulse: per-spin angles about one axis."""
+    """One shared-profile field pulse: per-spin angles about one axis.
+
+    angles may instead be a (B, n) array, one row of per-spin angles per
+    parameter draw. Such a field is played by apply_op on a batch of B
+    unitaries; a Circuit does not hold one, and it is not hashed or compared.
+    """
 
     axis: str
     angles: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        if isinstance(self.angles, np.ndarray) and self.angles.ndim == 2:
+            angles = np.array(self.angles, dtype=float)
+            angles.flags.writeable = False
+        else:
+            angles = tuple(float(a) for a in self.angles)
+        object.__setattr__(self, "angles", angles)
 
 
 PulseOp = Union[Exchange, XYExchange, GlobalField]
 
 
-def check_op(reg: RegisterSpec, op: PulseOp) -> None:
+def check_op(reg: RegisterSpec, op: PulseOp, draws: int | None = None) -> None:
     """Raise unless apply_op can apply op on reg.
 
     Two-spin ops need distinct spins inside the register; a field needs one
-    angle per spin and an axis in x/y/z. Every angle must be finite. All
-    failures are ValueErrors; a non-op is a TypeError.
+    angle per spin and an axis in x/y/z. A field with one row of angles per
+    draw needs exactly `draws` rows of that length. Every angle must be
+    finite. All failures are ValueErrors; a non-op is a TypeError.
     """
     if isinstance(op, GlobalField):
         if op.axis not in PAULI:
             raise ValueError(f"axis must be one of {AXES}, got {op.axis!r}")
-        if len(op.angles) != reg.n_spins:
-            raise LengthMismatch(
-                f"{len(op.angles)} angles for register of {reg.n_spins}")
         angles = op.angles
+        if isinstance(angles, np.ndarray):
+            if angles.shape != (draws, reg.n_spins):
+                raise LengthMismatch(
+                    f"angle rows of shape {angles.shape} for {draws} draws "
+                    f"on a register of {reg.n_spins}")
+            angles = angles.ravel().tolist()
+        elif len(angles) != reg.n_spins:
+            raise LengthMismatch(
+                f"{len(angles)} angles for register of {reg.n_spins}")
     elif isinstance(op, (Exchange, XYExchange)):
         _check_pair(reg, op.i, op.j)
         angles = (op.xi if isinstance(op, Exchange) else op.phi,)
@@ -179,26 +215,30 @@ def check_op(reg: RegisterSpec, op: PulseOp) -> None:
         raise ValueError(f"non-finite angle in {op!r}")
 
 
-def _apply_field(u: np.ndarray, axis: str, angles: tuple) -> None:
+def _apply_field(u: np.ndarray, axis: str, angles) -> None:
+    """u is (B, 2^n, m). angles holds one entry per spin: a float shared by
+    every draw, or a (B, 1) array of per-draw angles, whose (B, 1, 2, 2)
+    factors broadcast against the (B, 2^k, 2, rest) views below."""
     if axis == "z":
         # Row phase: the outer product of the per-site diagonals, spin 0
-        # the slowest index.
-        d = np.ones(1, dtype=complex)
+        # the slowest index; one per draw once a site's angles are.
+        d = np.ones((1, 1), dtype=complex)
         for a in angles:
-            r = rotation_2x2("z", a)
-            d = np.multiply.outer(d, (r[0, 0], r[1, 1])).ravel()
-        u *= d[:, None]
+            d = d[:, :, None] * rotation_2x2("z", a).diagonal(0, -2, -1)
+            d = d.reshape(len(d), -1)
+        u *= d[:, :, None]
         return
-    # Site k is axis 1 of the (2^k, 2, rest) view: one 2x2 product per
-    # site, alternating between u and one scratch array.
+    # Site k is axis 2 of the (B, 2^k, 2, rest) view: one 2x2 product per
+    # site (and draw), alternating between u and one scratch array.
     src, dst = u, None
+    b = len(u)
     for k, a in enumerate(angles):
-        if a == 0.0:
+        if isinstance(a, float) and a == 0.0:
             continue
         if dst is None:
             dst = np.empty_like(u)
-        np.matmul(rotation_2x2(axis, a), src.reshape(1 << k, 2, -1),
-                  out=dst.reshape(1 << k, 2, -1))
+        np.matmul(rotation_2x2(axis, a), src.reshape(b, 1 << k, 2, -1),
+                  out=dst.reshape(b, 1 << k, 2, -1))
         src, dst = dst, src
     if src is not u:
         u[...] = src
@@ -207,9 +247,10 @@ def _apply_field(u: np.ndarray, axis: str, angles: tuple) -> None:
 def _apply_pair(u: np.ndarray, i: int, j: int, diag, off, aligned) -> None:
     """Mix the rows where spins i and j are anti-aligned with [[diag, off],
     [off, diag]] over (01, 10); scale the aligned rows by `aligned`, or
-    leave them alone when it is None."""
+    leave them alone when it is None. u is (B, 2^n, m); the draws fold into
+    the leading axis of the view."""
     i, j = min(i, j), max(i, j)
-    v = u.reshape(1 << i, 2, 1 << (j - i - 1), 2, -1)
+    v = u.reshape(len(u) << i, 2, 1 << (j - i - 1), 2, -1)
     if aligned is not None:
         v[:, 0, :, 0] *= aligned
         v[:, 1, :, 1] *= aligned
@@ -225,25 +266,35 @@ def apply_op(u: np.ndarray, reg: RegisterSpec, op: PulseOp) -> np.ndarray:
     """Left-multiply u by op's unitary, in place, and return u.
 
     u is a C-contiguous complex128 array of 2^n rows: a unitary, or states
-    as columns. op must pass check_op; apply_op does not check it again
-    (Circuit checks its ops once, when it is built).
+    as columns. It may also be a (B, 2^n, m) batch, one entry per parameter
+    draw: exchange and per-spin fields act on every entry alike, and a field
+    with (B, n) angles plays row b on entry b. op must pass check_op;
+    apply_op does not check it again (Circuit checks its ops once, when it
+    is built), but does check that a field's rows match the batch.
     """
     if (u.dtype != np.complex128 or not u.flags.c_contiguous
-            or u.ndim != 2 or u.shape[0] != reg.dim):
+            or u.ndim not in (2, 3) or u.shape[-2] != reg.dim):
         raise ValueError(f"need a C-contiguous complex array with {reg.dim} "
                          f"rows, got {u.dtype} {u.shape}")
+    batch = u if u.ndim == 3 else u[None]
     if isinstance(op, GlobalField):
-        _apply_field(u, op.axis, op.angles)
+        angles = op.angles
+        if isinstance(angles, np.ndarray):
+            if u.ndim != 3 or len(angles) != len(u):
+                raise ValueError(f"{len(angles)} rows of angles for a batch "
+                                 f"of shape {u.shape}")
+            angles = angles.T[:, :, None]  # per spin, a (B, 1) column
+        _apply_field(batch, op.axis, angles)
     elif isinstance(op, Exchange):
         # e^{i xi/4} (c I - i s SWAP): SWAP fixes the aligned rows, so they
         # only pick up e^{i xi/4} (c - i s).
         phase = np.exp(1j * op.xi / 4)
         c = math.cos(op.xi / 2)
         s = math.sin(op.xi / 2)
-        _apply_pair(u, op.i, op.j, phase * c, phase * complex(0.0, -s),
+        _apply_pair(batch, op.i, op.j, phase * c, phase * complex(0.0, -s),
                     phase * complex(c, -s))
     elif isinstance(op, XYExchange):
-        _apply_pair(u, op.i, op.j, math.cos(op.phi / 2),
+        _apply_pair(batch, op.i, op.j, math.cos(op.phi / 2),
                     complex(0.0, -math.sin(op.phi / 2)), None)
     else:
         raise TypeError(f"not a pulse op: {op!r}")

@@ -108,6 +108,28 @@ def test_synthesize_planted_swap(capsys, tmp_path, monkeypatch):
     assert "EX,primary+,EX" in open(result_file).read()
 
 
+def test_synthesize_emits_stage_records(capsys, tmp_path):
+    out_file = tmp_path / "rotation.result.txt"
+    code, out, _ = run_cli(capsys, "synthesize", "--problem",
+                           "z_difference_rotation", "--seed", "0",
+                           "--format", "json-lines", "--out", str(out_file))
+    assert code == 0
+    records = json_lines(out)
+    stages = [r for r in records if r["kind"] == "stage"]
+    assert [r["name"] for r in stages] == [
+        "bystander_scan", "pair_scan", "dedup", "verification"]
+    assert [stages[0]["in"]] + [r["out"] for r in stages] == [
+        2_097_152, 16_968, 48, 48, 48]
+    assert all(a["out"] == b["in"] for a, b in zip(stages, stages[1:]))
+    header = out_file.read_text().splitlines()[0]
+    elapsed = float(dict(kv.split("=") for kv in header.split()[1:])["elapsed_s"])
+    assert abs(sum(r["s"] for r in stages) - elapsed) <= 0.05 * elapsed
+    checks = by_name(records)
+    for k in range(48):
+        assert checks[f"solution_{k}_worst_draw"]["threshold"] is None
+        assert 0 <= checks[f"solution_{k}_worst_draw"]["measured"] < 100
+
+
 def test_synthesize_budget_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, "synthesize", "--problem", "planted_swap",

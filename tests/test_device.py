@@ -86,6 +86,11 @@ PRESET_PAIRS = [(w, s.position) for w in twin_wire_preset(4).wires
     *(pytest.param(w, p, id=f"preset{k}") for k, (w, p) in enumerate(PRESET_PAIRS)),
     pytest.param(WireSpec((0.0, 0.0), (2e-7, 2e-7), 7e-4, 2.2e10),
                  (-2.5e-7, 1.9e-7), id="off_axis"),
+    # Far away the four corner terms nearly cancel; the closed form must
+    # still hold its relative precision.
+    *(pytest.param(WireSpec((0.0, 0.0), (2e-7, 1.5e-7), 7e-4, 2.2e10),
+                   (0.8 * 2e-7 * widths, -0.6 * 2e-7 * widths),
+                   id=f"far{widths}") for widths in (10, 100, 1000)),
 ])
 def test_ribbon_field_matches_quadrature(wire, point):
     got = ribbon_field(wire, point)

@@ -15,7 +15,7 @@ from globalspin.circuits import (Circuit, Equivalence, Exchange, GateTarget,
                                  verify_target)
 from globalspin.linalg import hermitian_expm, max_abs
 from globalspin.spins import (AXES, IndexOutOfRange, RegisterSpec, apply_op,
-                              site_bits, spin_operator)
+                              check_op, site_bits, spin_operator)
 
 
 def generator(reg, op):
@@ -150,3 +150,62 @@ def test_builder_targets_match_generator_oracle():
 def test_circuit_checks_each_op_once_when_built(op, error):
     with pytest.raises(error):
         Circuit(RegisterSpec(3), (op,))
+
+
+def random_batch(rng, b, n, m):
+    return rng.normal(size=(b, 2 ** n, m)) + 1j * rng.normal(size=(b, 2 ** n, m))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("b", [1, 7])
+def test_batched_kernel_equals_stack_of_single_draws(n, b):
+    # One pass over a (B, 2^n, m) batch must equal B separate 2-D passes,
+    # for per-draw field rows, fields shared by every draw and both
+    # exchanges.
+    rng = np.random.default_rng(100 * n + b)
+    reg = RegisterSpec(n)
+    i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+    rows = rng.uniform(-4, 4, size=(b, n))
+    rows[:, 0] = 0.0  # a site at rest in every draw is skipped
+    rows[rng.random((b, n)) < 0.2] = 0.0
+    shared = tuple(rng.uniform(-4, 4, size=n))
+    for op, per_draw in (
+            *((GlobalField(axis, rows), lambda k, axis=axis:
+               GlobalField(axis, tuple(rows[k]))) for axis in AXES),
+            *((GlobalField(axis, shared), None) for axis in AXES),
+            (Exchange(i, j, float(rng.uniform(-7, 7))), None),
+            (XYExchange(i, j, float(rng.uniform(-7, 7))), None)):
+        check_op(reg, op, draws=b)
+        for m in (2 ** n, 3):
+            u = random_batch(rng, b, n, m)
+            want = np.stack([apply_op(u[k].copy(), reg,
+                                      op if per_draw is None else per_draw(k))
+                             for k in range(b)])
+            got = apply_op(u, reg, op)
+            assert got is u
+            assert max_abs(got - want) <= 1e-15, (op, m)
+
+
+@pytest.mark.parametrize("angles", [
+    np.zeros((4, 2)),  # rows one spin short
+    np.zeros((4, 4)),  # rows one spin long
+    np.zeros((3, 3)),  # three rows for four draws
+    np.array([[0.1, 0.2, 0.3]] * 3 + [[0.1, math.nan, 0.3]]),
+    np.array([[0.1, 0.2, 0.3]] * 3 + [[math.inf, 0.2, 0.3]]),
+])
+def test_check_op_rejects_malformed_angle_rows(angles):
+    with pytest.raises(ValueError):
+        check_op(RegisterSpec(3), GlobalField("x", angles), draws=4)
+
+
+def test_angle_rows_need_a_batch_of_their_size():
+    reg = RegisterSpec(2)
+    op = GlobalField("z", np.full((3, 2), 0.4))
+    with pytest.raises(ValueError):
+        Circuit(reg, (op,))  # a circuit holds per-spin angles only
+    with pytest.raises(ValueError):
+        apply_op(np.zeros((4, 4, 4), dtype=complex), reg, op)
+    with pytest.raises(ValueError):
+        apply_op(np.eye(4, dtype=complex), reg, op)
+    with pytest.raises(ValueError):
+        apply_op(np.zeros((3, 8, 8), dtype=complex), reg, op)

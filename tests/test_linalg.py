@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -85,3 +87,22 @@ def test_unitarity_checks():
     assert not is_unitary(2.0 * np.eye(3))
     with pytest.raises(ValueError):
         check_unitary(2.0 * np.eye(3))
+
+
+def test_phase_distance_leading_axis_is_entrywise():
+    # A (B, d, d) stack gives the B distances of its pairs, each equal to
+    # the distance of that pair alone, including the orthogonal case.
+    rng = np.random.default_rng(8)
+    for d in (2, 4, 16):
+        u = np.linalg.qr(rng.normal(size=(6, d, d))
+                         + 1j * rng.normal(size=(6, d, d)))[0]
+        v = u * np.exp(1j * rng.uniform(0, 6, size=(6, 1, 1)))
+        v[:3] += 1e-9 * rng.normal(size=(3, d, d))
+        v[5] = np.roll(np.eye(d), 1, axis=0)
+        u[5] = np.eye(d)
+        got = phase_distance(u, v)
+        assert got.shape == (6,)
+        assert got.tolist() == [phase_distance(a, b) for a, b in zip(u, v)]
+        assert got[5] == math.sqrt(2.0)
+    with pytest.raises(DimensionMismatch):
+        phase_distance(np.zeros((2, 4, 4)), np.zeros((3, 4, 4)))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 
 from globalspin import synth
-from globalspin.circuits import evaluate
+from globalspin.circuits import Circuit, Exchange, evaluate
 from globalspin.device import (ANTIPARALLEL, PARALLEL, device_constants,
                                field_profile, twin_wire_preset)
 from globalspin.linalg import hermitian_expm, max_abs, phase_distance
-from globalspin.spins import (AXES, GlobalField, RegisterSpec,
+from globalspin.spins import (AXES, GlobalField, RegisterSpec, apply_op,
                               exchange_unitary, global_field_unitary,
                               spin_operator)
 from globalspin.synth import (BudgetExceeded, EmptyAlphabet, PulseTemplate,
@@ -129,25 +130,148 @@ def test_labels_name_the_axis_when_symbol_and_sign_repeat():
 
 
 def test_family_draw_tables_agree_across_registers():
-    # Every stage reads one draw: the 3-spin field a letter plays is its pair
-    # letter times its bystander letter, and the 3-spin target is the pair
-    # target times the bystander gate.
-    reg2, reg3 = synth.RegisterSpec(2), synth.RegisterSpec(3)
-    rng = np.random.default_rng(31)
+    # Every stage reads one draw: the 3-spin field a letter plays in final
+    # verification is its pair letter times its bystander letter, and the
+    # 3-spin target is the pair target times the bystander gate.
+    reg2 = RegisterSpec(2)
     for name, family in synth.FAMILIES.items():
         alphabet = tuple(PulseTemplate(axis, symbol, sign)
                          for symbol in family.symbols for axis in "xz"
                          for sign in (1, -1))
         p = SynthesisProblem(name="tables", family=name, length=1,
-                             n_exchange=0, alphabet=alphabet, xi=math.pi)
-        for _ in range(3):
+                             n_exchange=0, alphabet=alphabet, xi=math.pi,
+                             verify_spins=3)
+        reg3, fields, targets = synth._verify_table(p, 3, seed=31)
+        rng = np.random.default_rng(31)
+        for k in range(3):
             draw = family.sample(rng)
             bm, pm, _, _ = synth._sample_matrices(p, draw)
-            for li in range(len(alphabet)):
-                played = evaluate(synth._bind_ops(p, [li], (), draw, 3))
-                assert max_abs(played - np.kron(pm[li], bm[li])) <= 1e-14
-            assert max_abs(draw.target(reg3)
+            for li, field in enumerate(fields):
+                played = np.broadcast_to(np.eye(8, dtype=complex),
+                                         (3, 8, 8)).copy()
+                apply_op(played, reg3, field)
+                assert max_abs(played[k] - np.kron(pm[li], bm[li])) <= 1e-14
+            assert max_abs(targets[k]
                            - np.kron(draw.target(reg2), draw.bystander)) <= 1e-14
+
+
+def draw_circuit(p, word, slots, draw):
+    """One draw of a sequence as a Circuit on p.verify_spins spins: the
+    per-draw oracle of final verification."""
+    n = p.verify_spins
+    ops = []
+    for letter in synth._slot_letters(word, slots, p.length):
+        if letter is None:
+            ops.append(Exchange(0, 1, p.xi))
+        else:
+            tpl = p.alphabet[letter]
+            ops.append(GlobalField(tpl.axis, tuple(
+                tpl.sign * draw.angles[tpl.symbol][:n])))
+    return Circuit(RegisterSpec(n), tuple(ops))
+
+
+def oracle_distances(p, word, slots, n_samples, seed):
+    """Per-draw loop: every draw of the seed built and scored alone."""
+    rng = np.random.default_rng(seed)
+    reg = RegisterSpec(p.verify_spins)
+    out = []
+    for _ in range(n_samples):
+        draw = synth.FAMILIES[p.family].sample(rng)
+        out.append(phase_distance(evaluate(draw_circuit(p, word, slots, draw)),
+                                  draw.target(reg)))
+    return np.array(out)
+
+
+def solution_word(p, sol):
+    index = {lab: i for i, lab in enumerate(p.labels)}
+    return [index[lab] for lab in sol.letters if lab != "EX"]
+
+
+@functools.lru_cache(maxsize=None)
+def rotation_seed0():
+    return enumerate_sequences(rotation_problem(), seed=0)
+
+
+def test_verification_matches_per_draw_oracle_on_seed0():
+    p = rotation_problem()
+    r = rotation_seed0()
+    assert len(r.solutions) == 48
+    table = synth._verify_table(p, p.verify_samples, 1_000_003)
+    for sol in r.solutions:
+        word = solution_word(p, sol)
+        got = synth._draw_distances(p, table, word, sol.exchange_slots)
+        want = oracle_distances(p, word, sol.exchange_slots,
+                                p.verify_samples, 1_000_003)
+        assert max_abs(got - want) <= 1e-15, sol
+        assert sol.max_distance == got.max()
+        assert sol.worst_draw == int(np.argmax(got))
+
+
+def replay_worst_draw(p, sol, seed):
+    """Draw number sol.worst_draw of the seed, rebuilt and scored alone."""
+    rng = np.random.default_rng(seed)
+    for _ in range(sol.worst_draw + 1):
+        draw = synth.FAMILIES[p.family].sample(rng)
+    c = draw_circuit(p, solution_word(p, sol), sol.exchange_slots, draw)
+    return phase_distance(evaluate(c), draw.target(RegisterSpec(p.verify_spins)))
+
+
+def test_worst_draw_replays_alone():
+    cases = [(rotation_problem(), rotation_seed0(), 0)]
+    cases += [(p, enumerate_sequences(p, seed=5), 5)
+              for p in (planted_swap_problem(), planted_cp_problem())]
+    for p, r, seed in cases:
+        assert r.solutions
+        for sol in r.solutions:
+            assert 0 <= sol.worst_draw < p.verify_samples
+            replayed = replay_worst_draw(p, sol, seed + 1_000_003)
+            assert abs(replayed - sol.max_distance) <= 1e-15
+        for check, sol in zip(reverify(r, p, n_samples=40, seed=9),
+                              r.solutions):
+            assert check.passed
+            assert abs(replay_worst_draw(
+                p, dataclasses.replace(sol, worst_draw=check.worst_draw), 9)
+                - check.max_distance) <= 1e-15
+
+
+def test_reverify_reports_the_worst_of_all_draws():
+    # No early stop: a wrong word's distance is its worst over every draw.
+    p = planted_swap_problem()
+    r = enumerate_sequences(p, seed=0)
+    wrong = dataclasses.replace(r.solutions[0],
+                                letters=("EX", "primary-", "EX"))
+    # At seed 12 the worst of the 30 draws is not the first one.
+    (check,) = reverify(dataclasses.replace(r, solutions=(wrong,)), p,
+                        n_samples=30, seed=12)
+    want = oracle_distances(p, [1], wrong.exchange_slots, 30, 12)
+    assert not check.passed
+    assert check.worst_draw > 0
+    assert check.max_distance == want.max()
+    assert check.worst_draw == int(np.argmax(want))
+
+
+def test_reverify_rejects_unknown_label():
+    p = planted_swap_problem()
+    r = enumerate_sequences(p, seed=0)
+    stray = dataclasses.replace(r.solutions[0],
+                                letters=("EX", "merged+", "EX"))
+    with pytest.raises(ValueError, match="merged\\+") as info:
+        reverify(dataclasses.replace(r, solutions=(stray,)), p)
+    assert "\n" not in str(info.value)
+
+
+def test_stage_records_tile_the_search():
+    for p, seed in ((planted_swap_problem(), 0), (planted_cp_problem(), 3)):
+        for prune in (True, False):
+            st = enumerate_sequences(p, prune=prune, seed=seed).stats
+            assert [s.name for s in st.stages] == [
+                "bystander_scan", "pair_scan", "dedup", "verification"]
+            funnel = [st.stages[0].n_in] + [s.n_out for s in st.stages]
+            assert funnel == [st.words_total, st.bystander_survivors,
+                              st.pair_candidates, st.deduplicated, st.verified]
+            assert all(s.seconds >= 0.0 for s in st.stages)
+            assert abs(sum(s.seconds for s in st.stages)
+                       - st.elapsed_s) <= 1e-9
 
 
 def test_problem_text_round_trip():
