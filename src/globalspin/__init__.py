@@ -23,7 +23,7 @@ from .spins import (RegisterSpec, apply_op, exchange_unitary,
                     swap_matrix, xy_exchange_unitary, zeeman_angles)
 from .synth import (PulseTemplate, SequenceSolution, SynthesisProblem,
                     SynthesisResult, enumerate_sequences, global_hadamard_search,
-                    planted_cp_problem, planted_swap_problem, problem_from_text,
-                    problem_to_text, result_to_text, reverify, rotation_problem)
+                    problem_from_text, problem_to_text, result_to_text,
+                    reverify)
 
 __version__ = "0.1.0"

@@ -211,12 +211,6 @@ def cmd_synthesize(args) -> RunReport:
         else _preset_path(args.problem)
     with open(pr_path) as fh:
         problem = synth.problem_from_text(fh.read())
-    if args.samples is not None or args.tol is not None:
-        problem = replace(
-            problem,
-            search_samples=(problem.search_samples if args.samples is None
-                            else args.samples),
-            tolerance=problem.tolerance if args.tol is None else args.tol)
     result = synth.enumerate_sequences(problem, budget=args.budget,
                                        prune=not args.no_prune,
                                        seed=args.seed)
@@ -363,8 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True,
                    help="problem file path or preset name")
     p.add_argument("--budget", type=int, default=synth.DEFAULT_BUDGET)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--require-solution", action="store_true")
     p.add_argument("--out", default=None)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuits import Circuit, Exchange, GlobalField, XYExchange, evaluate
-from .device import ACTIVE_AXIS, ANTIPARALLEL, PARALLEL, DeviceGeometry, field_profile
+from .device import (ACTIVE_AXIS, ANTIPARALLEL, PARALLEL, DeviceGeometry,
+                     field_profile, validate_currents)
 from .linalg import update_phase_normalized
 from .spins import RegisterSpec, zeeman_angles
 
@@ -70,6 +71,11 @@ class Schedule:
     geometry_name: str
     active_row: int
 
+    def __post_init__(self) -> None:
+        n, sites = self.register.n_spins, len(self.geometry.sites)
+        if sites < n:
+            raise ValueError(f"geometry has {sites} sites, register needs {n}")
+
     @property
     def total_time(self) -> float:
         if not self.events:
@@ -93,8 +99,7 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
     if not 0 < exchange_duration < math.inf:
         raise ValueError(f"exchange duration must be finite and positive, "
                          f"got {exchange_duration}")
-    if len(g.sites) < n:
-        raise ValueError(f"geometry has {len(g.sites)} sites, register needs {n}")
+    start = Schedule(c.register, (), g, geometry_name, 0)  # checks g's sites
     # Per-site angle accumulation rates (rad/s) on each configuration's axis.
     gf = [site.g_factor for site in g.sites[:n]]
     rates = {}
@@ -156,9 +161,8 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
             for (i, j, _) in e.pairs for s in (i, j)}
     if len(rows) > 1:
         raise ValueError(f"exchange pairs span rows {sorted(rows)}; one row only")
-    return Schedule(register=c.register, events=tuple(events), geometry=g,
-                    geometry_name=geometry_name,
-                    active_row=rows.pop() if rows else 0)
+    return replace(start, events=tuple(events),
+                   active_row=rows.pop() if rows else 0)
 
 
 def simulate_schedule(s: Schedule) -> np.ndarray:
@@ -205,7 +209,6 @@ class ScheduleReport:
 
 def validate_schedule(s: Schedule) -> ScheduleReport:
     """Itemized constraint report: timing, currents, pair and row addressing."""
-    from .device import validate_currents
     geom = s.geometry
     checks = []
     overlap_ok = True

@@ -140,9 +140,13 @@ class SynthesisProblem:
 @dataclass(frozen=True)
 class SequenceSolution:
     letters: tuple  # one label per slot, exchange slots as "EX"
-    exchange_slots: tuple  # ascending, 0-based
     max_distance: float  # worst full-register distance over fresh draws
     worst_draw: int  # index of that draw among the verification seed's
+
+    @property
+    def exchange_slots(self) -> tuple:
+        """The 0-based slots of "EX", ascending."""
+        return tuple(k for k, lab in enumerate(self.letters) if lab == "EX")
 
 
 @dataclass(frozen=True)
@@ -262,50 +266,6 @@ FAMILIES = {f.name: f for f in (
            _rotation_sample),
     Family("swap_pair_exchange", ("primary",), _swap_sample),
     Family("controlled_phase", ("primary",), _controlled_phase_sample))}
-
-
-def _signed_pair(symbol: str, axis: str) -> tuple:
-    return PulseTemplate(axis, symbol, 1), PulseTemplate(axis, symbol, -1)
-
-
-def rotation_problem(literal: bool = False) -> SynthesisProblem:
-    """Eleven-slot single-spin rotation search, four exchange steps.
-
-    The default alphabet carries the merged symbol (primary plus companion
-    as one pulse) and the conjugate-axis pi-offset symbol. literal=True
-    drops the merged symbol for a same-axis dark instead; over that
-    alphabet no odd-length word can cancel its bystander action for generic
-    draws, so an empty result is the expected outcome and serves as the
-    non-existence certificate.
-    """
-    if literal:
-        letters = (_signed_pair("primary", "z") + _signed_pair("companion", "z")
-                   + _signed_pair("x_dark", "x") + _signed_pair("z_dark", "z"))
-        name = "z_difference_rotation_literal"
-    else:
-        letters = (_signed_pair("primary", "z") + _signed_pair("companion", "z")
-                   + _signed_pair("merged", "z") + _signed_pair("pi_step", "x"))
-        name = "z_difference_rotation"
-    return SynthesisProblem(name=name, family="z_difference_rotation",
-                            length=11, n_exchange=4, alphabet=letters,
-                            xi=math.pi)
-
-
-def planted_swap_problem() -> SynthesisProblem:
-    """Three-slot self-test with one known solution: pulse between exchanges."""
-    return SynthesisProblem(name="planted_swap", family="swap_pair_exchange",
-                            length=3, n_exchange=2,
-                            alphabet=_signed_pair("primary", "z"), xi=math.pi,
-                            search_samples=8, verify_samples=25, verify_spins=3)
-
-
-def planted_cp_problem() -> SynthesisProblem:
-    """Four-slot self-test; half-angle exchanges around an inverted pulse."""
-    return SynthesisProblem(name="planted_cp", family="controlled_phase",
-                            length=4, n_exchange=2,
-                            alphabet=_signed_pair("primary", "z"),
-                            xi=math.pi / 2.0,
-                            search_samples=8, verify_samples=25, verify_spins=3)
 
 
 def _word_digits(idx: np.ndarray, n_field: int, n_letters: int) -> np.ndarray:
@@ -521,13 +481,13 @@ def _verify_table(problem: SynthesisProblem, n_samples: int,
 
 
 def _draw_distances(problem: SynthesisProblem, table: tuple,
-                    word: Sequence[int], slots: tuple) -> np.ndarray:
-    """Phase distance of a sequence on spins (0, 1) of the table's register
-    for every draw at once: one kernel pass per slot over the whole batch."""
+                    letters: Sequence) -> np.ndarray:
+    """Phase distance of a sequence (letter index per slot, None at exchange)
+    on spins (0, 1) for every draw of the table: one batched pass per slot."""
     reg, fields, targets = table
     ex = Exchange(0, 1, problem.xi)
     u = np.broadcast_to(np.eye(reg.dim, dtype=complex), targets.shape).copy()
-    for letter in _slot_letters(word, slots, problem.length):
+    for letter in letters:
         apply_op(u, reg, ex if letter is None else fields[letter])
     return phase_distance(u, targets)
 
@@ -589,17 +549,16 @@ def enumerate_sequences(problem: SynthesisProblem,
     table = (_verify_table(problem, problem.verify_samples, seed + 1_000_003)
              if kept else None)
     for word, slots in kept:
-        dists = _draw_distances(problem, table, word, slots)
+        letters = _slot_letters(word, slots, problem.length)
+        dists = _draw_distances(problem, table, letters)
         worst = int(np.argmax(dists))
         if dists[worst] <= problem.tolerance:
-            letters = _slot_letters(word, slots, problem.length)
             # Order key over full sequences: exchange sorts before any letter.
             key = tuple(0 if x is None else 1 + x for x in letters)
             solutions.append((key, SequenceSolution(
                 letters=tuple("EX" if x is None else labels[x]
                               for x in letters),
-                exchange_slots=tuple(slots), max_distance=float(dists[worst]),
-                worst_draw=worst)))
+                max_distance=float(dists[worst]), worst_draw=worst)))
     solutions.sort(key=lambda pair: pair[0])
     marks.append(time.perf_counter())
     funnel = (words_total, int(survivors.size), len(candidates), len(kept),
@@ -631,21 +590,24 @@ def reverify(result: SynthesisResult, problem: SynthesisProblem,
              n_samples: int = 100, seed: int = 1) -> tuple:
     """Re-test each reported solution on fresh draws, from its letters alone.
 
-    Every solution is scored on one table of n_samples draws from seed. A
-    letter label the problem does not define is a ValueError."""
-    label_to_index = {lab: i for i, lab in enumerate(problem.labels)}
-    words = []
+    Every solution is scored on one table of n_samples draws from seed.
+    Letters that do not fit the problem's slots or labels are a ValueError."""
+    label_to_index = dict(zip(problem.labels, itertools.count()), EX=None)
+    sequences = []
     for sol in result.solutions:
+        if (len(sol.letters), len(sol.exchange_slots)) != (
+                problem.length, problem.n_exchange):
+            raise ValueError(f"problem {problem.name} needs {problem.length} "
+                             f"letters, {problem.n_exchange} of them EX")
         try:
-            words.append([label_to_index[lab] for lab in sol.letters
-                          if lab != "EX"])
+            sequences.append([label_to_index[lab] for lab in sol.letters])
         except KeyError as exc:
             raise ValueError(f"problem {problem.name} has no letter "
                              f"{exc.args[0]!r}") from None
     table = _verify_table(problem, n_samples, seed)
     checks = []
-    for sol, word in zip(result.solutions, words):
-        dists = _draw_distances(problem, table, word, tuple(sol.exchange_slots))
+    for sol, letters in zip(result.solutions, sequences):
+        dists = _draw_distances(problem, table, letters)
         worst = int(np.argmax(dists))
         checks.append(ReverifyCheck(
             letters=sol.letters, max_distance=float(dists[worst]),
@@ -674,6 +636,8 @@ def problem_from_text(text: str) -> SynthesisProblem:
         parts = line.split()
         try:
             if parts[0] == "PROBLEM":
+                if header is not None:
+                    raise ValueError("duplicate PROBLEM line")
                 header = dict(kv.split("=", 1) for kv in parts[1:])
             elif parts[0] == "LETTER":
                 symbol, axis, sign = parts[1], parts[2], parts[3]
@@ -687,15 +651,15 @@ def problem_from_text(text: str) -> SynthesisProblem:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if header is None:
         raise ValueError("missing PROBLEM header")
+    # Keys left out take SynthesisProblem's defaults.
+    optional = {key: kind(header[key]) for key, kind in (
+        ("tolerance", float), ("search_samples", int),
+        ("verify_samples", int), ("verify_spins", int)) if key in header}
     try:
         return SynthesisProblem(
             name=header["name"], family=header["family"],
             length=int(header["length"]), n_exchange=int(header["exchange"]),
-            alphabet=tuple(letters), xi=float(header["xi"]),
-            tolerance=float(header.get("tolerance", 1e-10)),
-            search_samples=int(header.get("search_samples", 20)),
-            verify_samples=int(header.get("verify_samples", 100)),
-            verify_spins=int(header.get("verify_spins", 4)))
+            alphabet=tuple(letters), xi=float(header["xi"]), **optional)
     except KeyError as exc:
         raise ValueError(f"PROBLEM header lacks {exc.args[0]}") from exc
 

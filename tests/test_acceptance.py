@@ -25,9 +25,7 @@ from globalspin.schedule import (compile_schedule, schedule_from_text,
 from globalspin.spins import (AXES, GlobalField, RegisterSpec,
                               exchange_unitary, global_field_unitary,
                               spin_operator, xy_exchange_unitary)
-from globalspin.synth import (enumerate_sequences, global_hadamard_search,
-                              planted_cp_problem, planted_swap_problem,
-                              rotation_problem)
+from globalspin.synth import enumerate_sequences, global_hadamard_search
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -88,9 +86,9 @@ def test_criterion_1_pulse_identity_suites():
     assert time.perf_counter() - t0 < 60.0
 
 
-def test_criterion_2_eleven_step_rotation_search():
+def test_criterion_2_eleven_step_rotation_search(bundled):
     t0 = time.perf_counter()
-    problem = rotation_problem()
+    problem = bundled("z_difference_rotation")
     assert problem.verify_samples == 100
     assert problem.verify_spins == 4
     assert problem.tolerance == 1e-10
@@ -107,7 +105,8 @@ def test_criterion_2_eleven_step_rotation_search():
     # Over the literal four-symbol alphabet no word of seven same-sign-free
     # pulses can cancel its bystander action; the empty outcome doubles as
     # the non-existence certificate for that alphabet.
-    literal = enumerate_sequences(rotation_problem(literal=True), seed=0)
+    literal = enumerate_sequences(bundled("z_difference_rotation_literal"),
+                                  seed=0)
     assert literal.solutions == ()
     assert literal.stats.bystander_survivors == 0
     assert time.perf_counter() - t0 < 1800.0
@@ -215,7 +214,7 @@ def test_criterion_5_schedule_round_trip_and_goldens():
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_criterion_6_closed_forms_match_oracle():
+def test_criterion_6_closed_forms_match_oracle(bundled):
     t0 = time.perf_counter()
     rng = np.random.default_rng(123)
     for k in range(500):
@@ -242,7 +241,7 @@ def test_criterion_6_closed_forms_match_oracle():
             d = max_abs(global_field_unitary(reg, GlobalField(axis, angles))
                         - hermitian_expm(h))
         assert d <= 1e-12, (kind, n, i, j, d)
-    for problem in (planted_swap_problem(), planted_cp_problem()):
+    for problem in (bundled("planted_swap"), bundled("planted_cp")):
         pruned = enumerate_sequences(problem, prune=True, seed=0)
         full = enumerate_sequences(problem, prune=False, seed=0)
         assert pruned.solutions == full.solutions

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -12,6 +14,7 @@ from globalspin.circuits import circuit_to_text, controlled_phase_circuit
 from globalspin.device import (PARALLEL, field_profile, geometry_to_text,
                                twin_wire_preset)
 from globalspin.spins import RegisterSpec, zeeman_angles
+from globalspin.synth import problem_to_text
 
 
 def run_cli(capsys, *argv):
@@ -144,16 +147,32 @@ def test_synthesize_missing_problem(capsys):
     assert "no_such_thing" in err
 
 
-def test_synthesize_preset_dir_override(capsys, tmp_path, monkeypatch):
+def test_synthesize_preset_dir_override(bundled, capsys, tmp_path,
+                                        monkeypatch):
     monkeypatch.chdir(tmp_path)
-    from globalspin.synth import planted_swap_problem, problem_to_text
-    import dataclasses
-    renamed = dataclasses.replace(planted_swap_problem(), name="local_probe")
+    renamed = dataclasses.replace(bundled("planted_swap"),
+                                  name="local_probe")
     (tmp_path / "local_probe.txt").write_text(problem_to_text(renamed))
     monkeypatch.setenv("GLOBALSPIN_PRESET_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "synthesize", "--problem", "local_probe",
                            "--require-solution")
     assert code == 0
+
+
+def test_readme_command_lines_parse():
+    # The README's command-line block may name only commands and options
+    # the parser has.
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [shlex.split(line, comments=True)
+             for line in block.split("```", 1)[0].splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["globalspin"]]
+    assert len(commands) == 10
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_device_preset_report(capsys):
@@ -264,6 +283,8 @@ SCHEDULE_HEADER = ("SCHEDULE register=2 geometry=twin_wire_zigzag "
     (SCHEDULE_HEADER + "E 0 -5 (0,1,3.14)\n", True),
     (SCHEDULE_HEADER + "E 0 nan (0,1,3.14)\n", True),
     (SCHEDULE_HEADER + "E 0.000000 10.000000 (0,5,3.14)\n", True),
+    (SCHEDULE_HEADER.replace("register=2", "register=8")
+     + "E 0.000000 10.000000 (0,5,3.14)\n", True),
     (SCHEDULE_HEADER + "F 0.000000 10.000000 bogus +1 0.7\n", True),
     (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +3 0.7\n", True),
     (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +1 nan\n", True),
@@ -317,42 +338,36 @@ PROBLEM_HEADER = ("PROBLEM name=p family=swap_pair_exchange length=3 "
 GOOD_LETTER = "LETTER primary z +\n"
 
 
-@pytest.mark.parametrize("text, extra", [
-    (PROBLEM_HEADER.replace("swap_pair_exchange", "no_such_family")
-     + GOOD_LETTER, ()),
-    (PROBLEM_HEADER + "LETTER nosuch z +\n", ()),
-    (PROBLEM_HEADER + "LETTER primary z x\n", ()),
-    (PROBLEM_HEADER + "LETTER primary z 1\n", ()),
-    (PROBLEM_HEADER + "LETTER primary w +\n", ()),
-    (PROBLEM_HEADER.replace("xi=3.1415926535897931", "xi=nan")
-     + GOOD_LETTER, ()),
-    (PROBLEM_HEADER.replace("tolerance=1e-10", "tolerance=nan")
-     + GOOD_LETTER, ()),
-    (PROBLEM_HEADER.replace("tolerance=1e-10", "tolerance=inf")
-     + GOOD_LETTER, ()),
-    (PROBLEM_HEADER.replace("exchange=2", "exchange=4") + GOOD_LETTER, ()),
-    (PROBLEM_HEADER.replace("exchange=2", "exchange=-1") + GOOD_LETTER, ()),
-    (PROBLEM_HEADER.replace("search_samples=8", "search_samples=0")
-     + GOOD_LETTER, ()),
-    (PROBLEM_HEADER.replace("verify_samples=25", "verify_samples=0")
-     + GOOD_LETTER, ()),
-    (PROBLEM_HEADER.replace("verify_spins=3", "verify_spins=1")
-     + GOOD_LETTER, ()),
-    (PROBLEM_HEADER.replace("verify_spins=3", "verify_spins=13")
-     + GOOD_LETTER, ()),
-    (PROBLEM_HEADER.replace("xi=3.1415926535897931 ", "") + GOOD_LETTER, ()),
-    (PROBLEM_HEADER + GOOD_LETTER, ("--tol", "nan")),
-    (PROBLEM_HEADER + GOOD_LETTER, ("--samples", "-1")),
-    (PROBLEM_HEADER + GOOD_LETTER, ("--samples", "0")),
-    (PROBLEM_HEADER + GOOD_LETTER, ("--tol", "0")),
+@pytest.mark.parametrize("text", [
+    PROBLEM_HEADER.replace("swap_pair_exchange", "no_such_family")
+    + GOOD_LETTER,
+    PROBLEM_HEADER + "LETTER nosuch z +\n",
+    PROBLEM_HEADER + "LETTER primary z x\n",
+    PROBLEM_HEADER + "LETTER primary z 1\n",
+    PROBLEM_HEADER + "LETTER primary w +\n",
+    PROBLEM_HEADER.replace("xi=3.1415926535897931", "xi=nan") + GOOD_LETTER,
+    PROBLEM_HEADER.replace("tolerance=1e-10", "tolerance=nan") + GOOD_LETTER,
+    PROBLEM_HEADER.replace("tolerance=1e-10", "tolerance=inf") + GOOD_LETTER,
+    PROBLEM_HEADER.replace("exchange=2", "exchange=4") + GOOD_LETTER,
+    PROBLEM_HEADER.replace("exchange=2", "exchange=-1") + GOOD_LETTER,
+    PROBLEM_HEADER.replace("search_samples=8", "search_samples=0")
+    + GOOD_LETTER,
+    PROBLEM_HEADER.replace("verify_samples=25", "verify_samples=0")
+    + GOOD_LETTER,
+    PROBLEM_HEADER.replace("verify_spins=3", "verify_spins=1") + GOOD_LETTER,
+    PROBLEM_HEADER.replace("verify_spins=3", "verify_spins=13") + GOOD_LETTER,
+    PROBLEM_HEADER.replace("xi=3.1415926535897931 ", "") + GOOD_LETTER,
+    PROBLEM_HEADER.replace("tolerance=1e-10", "tolerance=0") + GOOD_LETTER,
+    PROBLEM_HEADER.replace("search_samples=8", "search_samples=-1")
+    + GOOD_LETTER,
+    PROBLEM_HEADER + PROBLEM_HEADER + GOOD_LETTER,
 ])
-def test_malformed_problem_exits_2_with_one_line(capsys, tmp_path, text,
-                                                 extra):
+def test_malformed_problem_exits_2_with_one_line(capsys, tmp_path, text):
     path = tmp_path / "input.problem.txt"
     path.write_text(text)
     out_file = tmp_path / "out.result.txt"
     code, out, err = run_cli(capsys, "synthesize", "--problem", str(path),
-                             "--out", str(out_file), *extra)
+                             "--out", str(out_file))
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import itertools
 import math
 import os
@@ -17,10 +16,8 @@ from globalspin.spins import (AXES, GlobalField, RegisterSpec, apply_op,
                               spin_operator)
 from globalspin.synth import (BudgetExceeded, EmptyAlphabet, PulseTemplate,
                               SynthesisProblem, enumerate_sequences,
-                              global_hadamard_search, planted_cp_problem,
-                              planted_swap_problem, problem_from_text,
-                              problem_to_text, result_to_text, reverify,
-                              rotation_problem)
+                              global_hadamard_search, problem_from_text,
+                              problem_to_text, result_to_text, reverify)
 
 PROFILES = {"z": (1.0, 0.75), "x": (1.0, 0.5)}
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -30,8 +27,8 @@ PLANTS = {"swap_pair_exchange": (math.pi, ("EX", ("z", 1), "EX")),
                                ("EX", ("z", 1), "EX", ("z", -1)))}
 
 
-def test_rotation_problem_shape():
-    p = rotation_problem()
+def test_rotation_problem_shape(bundled):
+    p = bundled("z_difference_rotation")
     assert p.length == 11
     assert p.n_exchange == 4
     assert p.n_field == 7
@@ -42,15 +39,15 @@ def test_rotation_problem_shape():
                       "companion+", "companion-", "pi_step+", "pi_step-"}
 
 
-def test_rotation_problem_literal_alphabet():
-    p = rotation_problem(literal=True)
+def test_rotation_problem_literal_alphabet(bundled):
+    p = bundled("z_difference_rotation_literal")
     labels = set(p.labels)
     assert labels == {"primary+", "primary-", "companion+", "companion-",
                       "x_dark+", "x_dark-", "z_dark+", "z_dark-"}
 
 
-def test_planted_swap_finds_exactly_the_plant():
-    p = planted_swap_problem()
+def test_planted_swap_finds_exactly_the_plant(bundled):
+    p = bundled("planted_swap")
     r = enumerate_sequences(p, seed=3)
     assert len(r.solutions) == 1
     sol = r.solutions[0]
@@ -59,8 +56,8 @@ def test_planted_swap_finds_exactly_the_plant():
     assert sol.max_distance <= p.tolerance
 
 
-def test_planted_cp_solutions():
-    p = planted_cp_problem()
+def test_planted_cp_solutions(bundled):
+    p = bundled("planted_cp")
     r = enumerate_sequences(p, seed=3)
     # Diagonal target and z pulses commute, so every cyclic variant of the
     # planted word also lands on it; the plant itself must be among them.
@@ -70,8 +67,8 @@ def test_planted_cp_solutions():
     assert planted
 
 
-def test_prune_equals_exhaustive():
-    for p in (planted_swap_problem(), planted_cp_problem()):
+def test_prune_equals_exhaustive(bundled):
+    for p in (bundled("planted_swap"), bundled("planted_cp")):
         pruned = enumerate_sequences(p, prune=True, seed=0)
         full = enumerate_sequences(p, prune=False, seed=0)
         assert pruned.solutions == full.solutions
@@ -80,28 +77,28 @@ def test_prune_equals_exhaustive():
         assert pruned.stats.bystander_survivors <= full.stats.bystander_survivors
 
 
-def test_same_seed_reproduces():
-    p = planted_swap_problem()
+def test_same_seed_reproduces(bundled):
+    p = bundled("planted_swap")
     a = enumerate_sequences(p, seed=7)
     b = enumerate_sequences(p, seed=7)
     assert a.solutions == b.solutions
 
 
-def test_budget_enforced_before_search():
-    p = planted_swap_problem()
+def test_budget_enforced_before_search(bundled):
+    p = bundled("planted_swap")
     with pytest.raises(BudgetExceeded) as info:
         enumerate_sequences(p, budget=3)
     assert info.value.needed > info.value.budget == 3
 
 
-def test_empty_alphabet():
-    p = dataclasses.replace(planted_swap_problem(), alphabet=())
+def test_empty_alphabet(bundled):
+    p = dataclasses.replace(bundled("planted_swap"), alphabet=())
     with pytest.raises(EmptyAlphabet):
         enumerate_sequences(p)
 
 
-def test_reverify_passes_genuine_and_rejects_corrupt():
-    p = planted_swap_problem()
+def test_reverify_passes_genuine_and_rejects_corrupt(bundled):
+    p = bundled("planted_swap")
     r = enumerate_sequences(p, seed=0)
     checks = reverify(r, p, n_samples=30, seed=11)
     assert all(c.passed for c in checks)
@@ -115,11 +112,32 @@ def test_reverify_passes_genuine_and_rejects_corrupt():
     assert checks[0].max_distance > 1e-3
 
 
-def test_labels_name_the_axis_when_symbol_and_sign_repeat():
+def test_reverify_plays_where_the_letters_put_ex(bundled):
+    # A solution is its letters: the exchange slots are where "EX" stands,
+    # so moving an EX changes what is played, and letters that do not fit
+    # the problem are refused.
+    p = bundled("planted_swap")
+    r = enumerate_sequences(p, seed=0)
+    moved = dataclasses.replace(r.solutions[0],
+                                letters=("EX", "EX", "primary+"))
+    assert moved.exchange_slots == (0, 1)
+    (check,) = reverify(dataclasses.replace(r, solutions=(moved,)), p,
+                        n_samples=30, seed=11)
+    assert not check.passed
+    assert check.max_distance > 1e-3
+    for letters in (("EX", "primary+"), ("EX", "primary+", "EX", "primary+"),
+                    ("EX", "primary+", "primary-")):
+        bad = dataclasses.replace(r.solutions[0], letters=letters)
+        with pytest.raises(ValueError, match="needs 3 letters") as info:
+            reverify(dataclasses.replace(r, solutions=(bad,)), p)
+        assert "\n" not in str(info.value)
+
+
+def test_labels_name_the_axis_when_symbol_and_sign_repeat(bundled):
     # z and x letters of one symbol and sign need the axis in their labels,
     # or the result cannot say which letter it used and reverify plays the
     # wrong one.
-    p = dataclasses.replace(planted_swap_problem(),
+    p = dataclasses.replace(bundled("planted_swap"),
                             alphabet=(PulseTemplate("z", "primary", 1),
                                       PulseTemplate("x", "primary", 1)))
     assert p.labels == ("primary+z", "primary+x")
@@ -187,19 +205,21 @@ def solution_word(p, sol):
     return [index[lab] for lab in sol.letters if lab != "EX"]
 
 
-@functools.lru_cache(maxsize=None)
-def rotation_seed0():
-    return enumerate_sequences(rotation_problem(), seed=0)
+@pytest.fixture(scope="module")
+def rotation_seed0(bundled):
+    return enumerate_sequences(bundled("z_difference_rotation"), seed=0)
 
 
-def test_verification_matches_per_draw_oracle_on_seed0():
-    p = rotation_problem()
-    r = rotation_seed0()
+def test_verification_matches_per_draw_oracle_on_seed0(bundled,
+                                                       rotation_seed0):
+    p = bundled("z_difference_rotation")
+    r = rotation_seed0
     assert len(r.solutions) == 48
     table = synth._verify_table(p, p.verify_samples, 1_000_003)
     for sol in r.solutions:
         word = solution_word(p, sol)
-        got = synth._draw_distances(p, table, word, sol.exchange_slots)
+        got = synth._draw_distances(p, table, synth._slot_letters(
+            word, sol.exchange_slots, p.length))
         want = oracle_distances(p, word, sol.exchange_slots,
                                 p.verify_samples, 1_000_003)
         assert max_abs(got - want) <= 1e-15, sol
@@ -216,10 +236,10 @@ def replay_worst_draw(p, sol, seed):
     return phase_distance(evaluate(c), draw.target(RegisterSpec(p.verify_spins)))
 
 
-def test_worst_draw_replays_alone():
-    cases = [(rotation_problem(), rotation_seed0(), 0)]
+def test_worst_draw_replays_alone(bundled, rotation_seed0):
+    cases = [(bundled("z_difference_rotation"), rotation_seed0, 0)]
     cases += [(p, enumerate_sequences(p, seed=5), 5)
-              for p in (planted_swap_problem(), planted_cp_problem())]
+              for p in (bundled("planted_swap"), bundled("planted_cp"))]
     for p, r, seed in cases:
         assert r.solutions
         for sol in r.solutions:
@@ -234,9 +254,9 @@ def test_worst_draw_replays_alone():
                 - check.max_distance) <= 1e-15
 
 
-def test_reverify_reports_the_worst_of_all_draws():
+def test_reverify_reports_the_worst_of_all_draws(bundled):
     # No early stop: a wrong word's distance is its worst over every draw.
-    p = planted_swap_problem()
+    p = bundled("planted_swap")
     r = enumerate_sequences(p, seed=0)
     wrong = dataclasses.replace(r.solutions[0],
                                 letters=("EX", "primary-", "EX"))
@@ -250,8 +270,8 @@ def test_reverify_reports_the_worst_of_all_draws():
     assert check.worst_draw == int(np.argmax(want))
 
 
-def test_reverify_rejects_unknown_label():
-    p = planted_swap_problem()
+def test_reverify_rejects_unknown_label(bundled):
+    p = bundled("planted_swap")
     r = enumerate_sequences(p, seed=0)
     stray = dataclasses.replace(r.solutions[0],
                                 letters=("EX", "merged+", "EX"))
@@ -260,8 +280,8 @@ def test_reverify_rejects_unknown_label():
     assert "\n" not in str(info.value)
 
 
-def test_stage_records_tile_the_search():
-    for p, seed in ((planted_swap_problem(), 0), (planted_cp_problem(), 3)):
+def test_stage_records_tile_the_search(bundled):
+    for p, seed in ((bundled("planted_swap"), 0), (bundled("planted_cp"), 3)):
         for prune in (True, False):
             st = enumerate_sequences(p, prune=prune, seed=seed).stats
             assert [s.name for s in st.stages] == [
@@ -274,24 +294,45 @@ def test_stage_records_tile_the_search():
                        - st.elapsed_s) <= 1e-9
 
 
-def test_problem_text_round_trip():
-    for p in (rotation_problem(), rotation_problem(literal=True),
-              planted_swap_problem(), planted_cp_problem(),
-              dataclasses.replace(planted_swap_problem(),
-                                  tolerance=1.23456789e-10)):
-        assert problem_from_text(problem_to_text(p)) == p
+@pytest.mark.parametrize("name", ["z_difference_rotation",
+                                  "z_difference_rotation_literal",
+                                  "planted_swap", "planted_cp"])
+def test_bundled_problem_file_round_trips(name):
+    # The preset files are the only definition of the bundled problems, and
+    # their sha256 is in every synthesize report: writing back what was
+    # read must give the same bytes.
+    with open(os.path.join(os.path.dirname(synth.__file__), "presets",
+                           name + ".txt")) as fh:
+        text = fh.read()
+    assert problem_to_text(problem_from_text(text)) == text
 
 
-def test_problem_text_errors():
+def test_problem_text_round_trip(bundled):
+    p = dataclasses.replace(bundled("planted_swap"), tolerance=1.23456789e-10)
+    assert problem_from_text(problem_to_text(p)) == p
+
+
+def test_problem_header_defaults_are_the_dataclass_defaults():
+    p = problem_from_text("PROBLEM name=p family=swap_pair_exchange "
+                          "length=3 exchange=2 xi=1.5\nLETTER primary z +\n")
+    assert p == SynthesisProblem(name="p", family="swap_pair_exchange",
+                                 length=3, n_exchange=2,
+                                 alphabet=(PulseTemplate("z", "primary"),),
+                                 xi=1.5)
+
+
+def test_problem_text_errors(bundled):
     with pytest.raises(ValueError):
         problem_from_text("LETTER p z +\n")
-    text = problem_to_text(planted_swap_problem())
+    text = problem_to_text(bundled("planted_swap"))
     with pytest.raises(ValueError):
         problem_from_text(text + "WHAT 1\n")
+    with pytest.raises(ValueError, match="line 4: duplicate PROBLEM line"):
+        problem_from_text(text + text)
 
 
-def test_result_text_lists_solutions():
-    p = planted_swap_problem()
+def test_result_text_lists_solutions(bundled):
+    p = bundled("planted_swap")
     r = enumerate_sequences(p, seed=0)
     text = result_to_text(r)
     assert "RESULT" in text.splitlines()[0]
@@ -563,8 +604,8 @@ def test_prune_equals_exhaustive_on_random_problems():
     assert found == 15
 
 
-def test_rotation_search_seed0_is_pinned():
-    r = enumerate_sequences(rotation_problem(), seed=0)
+def test_rotation_search_seed0_is_pinned(bundled):
+    r = enumerate_sequences(bundled("z_difference_rotation"), seed=0)
     st = r.stats
     assert (st.words_total, st.bystander_survivors, st.pair_candidates,
             st.deduplicated, st.verified) == (2_097_152, 16_968, 48, 48, 48)
