@@ -302,6 +302,8 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
                                      f"must be finite, the duration "
                                      f"nonnegative")
             if parts[0] == "SCHEDULE":
+                if register is not None:
+                    raise ValueError("duplicate SCHEDULE line")
                 kv = dict(p.split("=", 1) for p in parts[1:])
                 register = RegisterSpec(int(kv["register"]))
                 if kv["convention"] != CONVENTION:

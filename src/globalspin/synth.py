@@ -20,9 +20,15 @@ Both filters meet in the middle (after Amy, Maslov, Mosca and Roetteler,
 IEEE TCAD 32, 818 (2013)): a sequence's product is S·P, a suffix times a
 prefix, so its overlap with the target, tr(T†·S·P) = Σ_ab (T†S)_ab P_ba, is
 a dot product of two precomputed halves. The bystander filter pairs every
-prefix word with every T†-folded suffix word; the pair filter builds both
-halves per batch of words as tries over exchange positions, one batched
-matmul per node, and rescores only what is still alive on later samples.
+prefix word with every T†-folded suffix word. The pair filter builds both
+halves per batch of words and rescores only what is still alive on later
+samples. When the exchange is c·SWAP (xi ≡ π mod 2π, read from its matrix)
+each field letter is R_0 ⊗ R_1 and the word is c^k·SWAP^k·(A ⊗ B): the 2x2
+strands A and B take each letter's factors in an order set by the parity
+of the exchanges before it, so a half is one 2x2 product per strand and
+parity pattern (the relay of the source paper's swap steps). Any other
+exchange takes 4x4 halves, built as tries over exchange positions with one
+batched matmul per node.
 
 Filters use loose thresholds and exist only to cut the space; membership in
 the result is decided solely by the final verification at the problem
@@ -287,16 +293,19 @@ def _slot_letters(word: Sequence[int], slots: tuple, length: int) -> list:
 
 def _sample_matrices(problem: SynthesisProblem, draw: Draw) -> tuple:
     """Per-letter bystander (2x2) and acted-pair (4x4) matrices of one draw,
-    with the draw's targets for both registers."""
+    the pair matrices' spin-0 and spin-1 factors (n_letters, 2, 2, 2), and
+    the draw's targets for both registers."""
     pair = RegisterSpec(2)
     n_letters = len(problem.alphabet)
     bm = np.empty((n_letters, 2, 2), dtype=complex)
     pm = np.empty((n_letters, 4, 4), dtype=complex)
+    pf = np.empty((n_letters, 2, 2, 2), dtype=complex)
     for li, tpl in enumerate(problem.alphabet):
         angles = tpl.sign * draw.angles[tpl.symbol]
         bm[li] = rotation_2x2(tpl.axis, angles[2])
         pm[li] = global_field_unitary(pair, GlobalField(tpl.axis, angles[:2]))
-    return bm, pm, draw.bystander, draw.target(pair)
+        pf[li] = [rotation_2x2(tpl.axis, a) for a in angles[:2]]
+    return bm, pm, pf, draw.bystander, draw.target(pair)
 
 
 def _word_products(mats: np.ndarray, length: int) -> np.ndarray:
@@ -344,6 +353,13 @@ def _bystander_scan(n_field: int, bys_mats: Sequence[np.ndarray],
     return alive
 
 
+def _frozen(values: list) -> np.ndarray:
+    """A read-only index array, safe to cache and share between callers."""
+    a = np.array(values, dtype=np.int64)
+    a.setflags(write=False)
+    return a
+
+
 @functools.lru_cache(maxsize=None)
 def _placement_groups(length: int, n_exchange: int) -> tuple:
     """Exchange placements cut at slot split = ceil(length/2) into a prefix
@@ -360,9 +376,7 @@ def _placement_groups(length: int, n_exchange: int) -> tuple:
         prefixes = tuple(itertools.combinations(range(split), a))
         suffixes = tuple(itertools.combinations(range(split, length),
                                                 n_exchange - a))
-        index = np.array([[where[p + q] for q in suffixes] for p in prefixes],
-                         dtype=np.int64)
-        index.setflags(write=False)  # cached and shared by every caller
+        index = _frozen([[where[p + q] for q in suffixes] for p in prefixes])
         groups.append((prefixes, suffixes, index))
     return split, tuple(groups)
 
@@ -424,23 +438,116 @@ def _pair_traces(letters: np.ndarray, ex: np.ndarray, target: np.ndarray,
     return traces
 
 
+def _strand_trie(patterns: list) -> tuple:
+    """The trie that builds one strand's product for every parity pattern
+    of a half and for its complement. A path picks, for each field letter,
+    the factor of spin 0 or spin 1: strand A of a pattern walks the pattern
+    and strand B its complement. Returns, per level, each node's parent row
+    and spin bit, then the leaf rows of strand A and of strand B for each
+    pattern."""
+    flip = [tuple(1 - b for b in p) for p in patterns]
+    leaves = sorted(set(patterns) | set(flip))
+    levels, heads = [], [()]
+    for step in range(len(patterns[0])):
+        row = {h: i for i, h in enumerate(heads)}
+        heads = sorted({leaf[:step + 1] for leaf in leaves})
+        levels.append((_frozen([row[h[:-1]] for h in heads]),
+                       _frozen([h[-1] for h in heads])))
+    row = {h: i for i, h in enumerate(heads)}
+    return (tuple(levels), _frozen([row[p] for p in patterns]),
+            _frozen([row[p] for p in flip]))
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_cells(length: int, n_exchange: int) -> tuple:
+    """Exchange placements as parity patterns: bit f of a pattern is the
+    parity of the exchanges before field letter f. Patterns are cut at
+    field letter split = n_field // 2 into sorted distinct prefix and suffix
+    parts, each with its strand trie, and cells[c] = prefix row * n_suffix
+    + suffix row of placement c in lexicographic order. The 330 placements
+    of 4 exchanges in 11 slots have 99 patterns, in 8 x 16 cells."""
+    patterns = [tuple(sum(e < s for e in slots) % 2
+                      for s in range(length) if s not in slots)
+                for slots in itertools.combinations(range(length), n_exchange)]
+    split = (length - n_exchange) // 2
+    prefixes = sorted({p[:split] for p in patterns})
+    suffixes = sorted({p[split:] for p in patterns})
+    cells = _frozen([prefixes.index(p[:split]) * len(suffixes)
+                     + suffixes.index(p[split:]) for p in patterns])
+    return split, (_strand_trie(prefixes), _strand_trie(suffixes)), cells
+
+
+def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a ⊗ b for stacks of 2x2 matrices."""
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        a.shape[:-2] + (4, 4))
+
+
+def _strand_traces(factors: np.ndarray, swap_coeff: complex,
+                   target: np.ndarray, length: int,
+                   n_exchange: int) -> np.ndarray:
+    """tr(T†·U) on the acted pair for each word (row of factors, the spin-0
+    and spin-1 factor of each field letter) and placement, when the
+    exchange is c·SWAP.
+
+    Pushing every exchange to the left gives U = c^k·SWAP^k·(A ⊗ B), where
+    strand A collects each letter's spin-0 factor at even exchange parity
+    and its spin-1 factor at odd parity, and B the other. With A ⊗ B =
+    (A_s ⊗ B_s)(A_p ⊗ B_p) over the suffix and prefix letters, the trace is
+    the dot product of A_p ⊗ B_p with (c^k·T†·SWAP^k·(A_s ⊗ B_s))^T. So
+    each word scores every prefix pattern against every suffix pattern in
+    one batched matmul, and each placement reads its cell.
+    """
+    n_words = factors.shape[0]
+    split, tries, cells = _parity_cells(length, n_exchange)
+    fold = swap_coeff ** n_exchange * target.conj().T
+    if n_exchange % 2:
+        fold = fold[:, [0, 2, 1, 3]]  # T†·SWAP: SWAP swaps columns 1 and 2
+    halves = []
+    for (levels, rows_a, rows_b), half in zip(tries, (factors[:, :split],
+                                                      factors[:, split:])):
+        # The trie's leaf products, one batched 2x2 matmul per level; later
+        # letters multiply on the left.
+        prods = np.broadcast_to(np.eye(2, dtype=complex), (n_words, 1, 2, 2))
+        for step, (parents, spins) in enumerate(levels):
+            prods = half[:, step, spins] @ prods[:, parents]
+        halves.append(_kron_pairs(prods[:, rows_a], prods[:, rows_b]))
+    pre, suf = halves[0], fold @ halves[1]
+    grid = np.matmul(pre.reshape(n_words, -1, 16),
+                     suf.swapaxes(2, 3).reshape(n_words, -1, 16).swapaxes(1, 2))
+    return grid.reshape(n_words, -1)[:, cells]
+
+
+def _swap_coefficient(ex: np.ndarray) -> complex | None:
+    """c when the pair exchange ex = a·I + c·SWAP has a = ex[1, 1] vanish to
+    rounding, as at xi ≡ π (mod 2π); None otherwise."""
+    return complex(ex[1, 2]) if abs(ex[1, 1]) <= 1e-15 else None
+
+
 def _pair_scan(words: np.ndarray, pair_mats: Sequence[np.ndarray],
+               pair_factors: Sequence[np.ndarray],
                pair_targets: Sequence[np.ndarray], ex4: np.ndarray,
                length: int, n_exchange: int) -> list:
     """(word row, placement index) pairs, ascending, where the word hits the
     pair target on every search sample. Words go in batches; each sample
-    rescores only the words and placements still alive."""
+    rescores only the words and placements still alive. A c·SWAP exchange
+    scores words as two 2x2 strands, any other as 4x4 products."""
     n_placements = math.comb(length, n_exchange)
+    swap_coeff = _swap_coefficient(ex4)
     hits = []
     for start in range(0, words.shape[0], _PAIR_CHUNK):
         batch = words[start:start + _PAIR_CHUNK]
         alive = np.ones((batch.shape[0], n_placements), dtype=bool)
-        for mats, tgt in zip(pair_mats, pair_targets):
+        for mats, factors, tgt in zip(pair_mats, pair_factors, pair_targets):
             live = np.flatnonzero(alive.any(axis=1))
             if live.size == 0:
                 break
-            tr = _pair_traces(mats[batch[live]], ex4, tgt, length, n_exchange,
-                              alive[live])
+            if swap_coeff is None:
+                tr = _pair_traces(mats[batch[live]], ex4, tgt, length,
+                                  n_exchange, alive[live])
+            else:
+                tr = _strand_traces(factors[batch[live]], swap_coeff, tgt,
+                                    length, n_exchange)
             # squared phase distance on 4x4: 2 - |tr|/2
             alive[live] &= 2.0 - np.abs(tr) / 2.0 <= STAGE2_DIST_SQ
         rows, cols = np.nonzero(alive)
@@ -519,7 +626,7 @@ def enumerate_sequences(problem: SynthesisProblem,
         raise BudgetExceeded(needed, budget)
 
     rng = np.random.default_rng(seed)
-    bys_mats, pair_mats, bys_targets, pair_targets = zip(
+    bys_mats, pair_mats, pair_factors, bys_targets, pair_targets = zip(
         *(_sample_matrices(problem, family.sample(rng))
           for _ in range(problem.search_samples)))
     ex4 = exchange_unitary(RegisterSpec(2), 0, 1, problem.xi)
@@ -532,8 +639,9 @@ def enumerate_sequences(problem: SynthesisProblem,
 
     words = _word_digits(survivors, n_field, n_letters)
     candidates = [(words[row], placements[p])
-                  for row, p in _pair_scan(words, pair_mats, pair_targets, ex4,
-                                           problem.length, problem.n_exchange)]
+                  for row, p in _pair_scan(words, pair_mats, pair_factors,
+                                           pair_targets, ex4, problem.length,
+                                           problem.n_exchange)]
     marks.append(time.perf_counter())
 
     unique = {}
@@ -626,6 +734,10 @@ def problem_to_text(p: SynthesisProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
+_PROBLEM_KEYS = ("name", "family", "length", "exchange", "xi", "tolerance",
+                 "search_samples", "verify_samples", "verify_spins")
+
+
 def problem_from_text(text: str) -> SynthesisProblem:
     header = None
     letters = []
@@ -638,9 +750,19 @@ def problem_from_text(text: str) -> SynthesisProblem:
             if parts[0] == "PROBLEM":
                 if header is not None:
                     raise ValueError("duplicate PROBLEM line")
-                header = dict(kv.split("=", 1) for kv in parts[1:])
+                header = {}
+                for kv in parts[1:]:
+                    key, eq, value = kv.partition("=")
+                    if not eq or key not in _PROBLEM_KEYS:
+                        raise ValueError(f"unknown PROBLEM field {kv!r}")
+                    if key in header:
+                        raise ValueError(f"repeated PROBLEM key {key!r}")
+                    header[key] = value
             elif parts[0] == "LETTER":
-                symbol, axis, sign = parts[1], parts[2], parts[3]
+                if len(parts) != 4:
+                    raise ValueError("LETTER takes a symbol, an axis and a "
+                                     "sign")
+                _, symbol, axis, sign = parts
                 if sign not in ("+", "-"):
                     raise ValueError(f"sign must be + or -, got {sign!r}")
                 letters.append(PulseTemplate(axis, symbol,

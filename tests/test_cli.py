@@ -290,6 +290,8 @@ SCHEDULE_HEADER = ("SCHEDULE register=2 geometry=twin_wire_zigzag "
     (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +1 nan\n", True),
     (SCHEDULE_HEADER.replace("full_gyromagnetic", "half_gyromagnetic")
      + "F 0.000000 10.000000 parallel +1 0.7\n", True),
+    (SCHEDULE_HEADER + SCHEDULE_HEADER.replace("register=2", "register=3")
+     + "F 0.000000 10.000000 parallel +1 0.7\n", True),
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, text,
                                                simulate_only):
@@ -361,6 +363,11 @@ GOOD_LETTER = "LETTER primary z +\n"
     PROBLEM_HEADER.replace("search_samples=8", "search_samples=-1")
     + GOOD_LETTER,
     PROBLEM_HEADER + PROBLEM_HEADER + GOOD_LETTER,
+    PROBLEM_HEADER.replace("tolerance=", "tolerence=") + GOOD_LETTER,
+    PROBLEM_HEADER.replace("\n", " xi=3.1415926535897931\n") + GOOD_LETTER,
+    PROBLEM_HEADER.replace("\n", " verify_spins\n") + GOOD_LETTER,
+    PROBLEM_HEADER + "LETTER primary z + junk\n",
+    PROBLEM_HEADER + "LETTER primary z\n",
 ])
 def test_malformed_problem_exits_2_with_one_line(capsys, tmp_path, text):
     path = tmp_path / "input.problem.txt"

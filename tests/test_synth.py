@@ -163,7 +163,7 @@ def test_family_draw_tables_agree_across_registers():
         rng = np.random.default_rng(31)
         for k in range(3):
             draw = family.sample(rng)
-            bm, pm, _, _ = synth._sample_matrices(p, draw)
+            bm, pm, _, _, _ = synth._sample_matrices(p, draw)
             for li, field in enumerate(fields):
                 played = np.broadcast_to(np.eye(8, dtype=complex),
                                          (3, 8, 8)).copy()
@@ -557,7 +557,7 @@ def test_half_word_traces_equal_slot_products():
         p, _ = _random_problem(rng, planted=k % 2 == 0)
         family = synth.FAMILIES[p.family]
         s = family.sample(np.random.default_rng(int(rng.integers(1 << 30))))
-        bm, pm, bt, pt = synth._sample_matrices(p, s)
+        bm, pm, _, bt, pt = synth._sample_matrices(p, s)
         n_letters = len(p.alphabet)
         idx = np.arange(n_letters ** p.n_field, dtype=np.int64)
         words = synth._word_digits(idx, p.n_field, n_letters)
@@ -584,6 +584,67 @@ def test_half_word_traces_equal_slot_products():
                     prod = (ex4 if letter is None else pm[letter]) @ prod
                 want = np.trace(pt.conj().T @ prod)
                 assert abs(traces[w, c] - want) <= 1e-12
+
+
+def test_strand_traces_equal_slot_products():
+    # At xi = pi (mod 2 pi) the exchange is c.SWAP and the pair scan scores
+    # words as two 2x2 strands; its traces, phase included, must be the
+    # slot-by-slot 4x4 products' for every word and placement, down to
+    # words of one field letter and of none.
+    rng = np.random.default_rng(8086)
+    shapes = [(3, 3), (4, 4), (4, 3), (5, 4)]
+    for _ in range(14):
+        length = int(rng.integers(3, 12))
+        shapes.append((length, int(rng.integers(1, min(4, length) + 1))))
+    for length, n_exchange in shapes:
+        family = str(rng.choice(sorted(synth.FAMILIES)))
+        symbols = synth.FAMILIES[family].symbols
+        alphabet = tuple(PulseTemplate(str(rng.choice(["x", "z"])),
+                                       str(rng.choice(symbols)),
+                                       int(rng.choice([1, -1])))
+                         for _ in range(int(rng.integers(1, 4))))
+        xi = float(rng.choice([math.pi, 3.0 * math.pi, -math.pi]))
+        p = SynthesisProblem(name="random", family=family, length=length,
+                             n_exchange=n_exchange, alphabet=alphabet, xi=xi)
+        _, pm, pf, _, pt = synth._sample_matrices(
+            p, synth.FAMILIES[family].sample(rng))
+        ex4 = exchange_unitary(RegisterSpec(2), 0, 1, xi)
+        swap_coeff = synth._swap_coefficient(ex4)
+        assert swap_coeff is not None
+        words = rng.integers(len(alphabet), size=(5, p.n_field))
+        traces = synth._strand_traces(pf[words], swap_coeff, pt, length,
+                                      n_exchange)
+        placements = list(itertools.combinations(range(length), n_exchange))
+        assert traces.shape == (len(words), len(placements))
+        for w, word in enumerate(words):
+            for c, slots in enumerate(placements):
+                prod = np.eye(4, dtype=complex)
+                for letter in synth._slot_letters(word, slots, length):
+                    prod = (ex4 if letter is None else pm[letter]) @ prod
+                want = np.trace(pt.conj().T @ prod)
+                assert abs(traces[w, c] - want) <= 1e-12, (p, word, slots)
+    for xi in (math.pi / 2.0, math.pi + 1e-9):
+        ex4 = exchange_unitary(RegisterSpec(2), 0, 1, xi)
+        assert synth._swap_coefficient(ex4) is None
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_strand_and_product_pair_scans_hit_alike(bundled, monkeypatch, seed):
+    # The rotation search's stage-2 hits, (row, placement) in order, are
+    # the same whether words are scored as strands or as 4x4 products.
+    p = bundled("z_difference_rotation")
+    rng = np.random.default_rng(seed)
+    sample = synth.FAMILIES[p.family].sample
+    bm, pm, pf, bt, pt = zip(*(synth._sample_matrices(p, sample(rng))
+                               for _ in range(p.search_samples)))
+    survivors = synth._bystander_scan(p.n_field, bm, bt)
+    words = synth._word_digits(survivors, p.n_field, len(p.alphabet))
+    args = (words, pm, pf, pt, exchange_unitary(RegisterSpec(2), 0, 1, p.xi),
+            p.length, p.n_exchange)
+    strands = synth._pair_scan(*args)
+    monkeypatch.setattr(synth, "_swap_coefficient", lambda ex: None)
+    assert synth._pair_scan(*args) == strands
+    assert len(strands) == 48
 
 
 def test_prune_equals_exhaustive_on_random_problems():
