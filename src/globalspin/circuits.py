@@ -20,6 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .grammar import fields, walk
 from .linalg import TOL_STRUCTURE, DimensionMismatch, max_abs, phase_distance
 from .spins import (EqualIndices, Exchange, GlobalField, RegisterSpec,
                     XYExchange, apply_op, check_op, global_field_unitary,
@@ -500,28 +501,24 @@ def circuit_to_text(c: Circuit) -> str:
 
 
 def circuit_from_text(text: str) -> Circuit:
-    reg = None
-    ops = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "REG":
-                if reg is not None:
-                    raise ValueError("duplicate REG line")
-                reg = RegisterSpec(int(parts[1]))
-            elif parts[0] == "EX":
-                ops.append(Exchange(int(parts[1]), int(parts[2]), float(parts[3])))
-            elif parts[0] == "XY":
-                ops.append(XYExchange(int(parts[1]), int(parts[2]), float(parts[3])))
-            elif parts[0] == "GF":
-                ops.append(GlobalField(parts[1], tuple(float(a) for a in parts[2:])))
-            else:
-                raise ValueError(f"unknown directive {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-    if reg is None:
-        raise ValueError("missing REG line")
-    return Circuit(reg, tuple(ops))
+    """Read what circuit_to_text writes, checking each op at its line."""
+    parts = []  # the header's circuit with no ops, then the ops
+
+    def line(lineno, words):
+        if words[0] == "REG":
+            parts.append(Circuit(RegisterSpec(*fields(words, int)), ()))
+            return
+        reg = parts[0].register
+        if words[0] == "GF":
+            axis, *angles = fields(words, str, *(float,) * reg.n_spins)
+            op = GlobalField(axis, tuple(angles))
+        elif words[0] in ("EX", "XY"):
+            kind = Exchange if words[0] == "EX" else XYExchange
+            op = kind(*fields(words, int, int, float))
+        else:
+            raise ValueError(f"unknown directive {words[0]!r}")
+        check_op(reg, op)
+        parts.append(op)
+
+    walk(text, "REG", line)
+    return replace(parts[0], ops=tuple(parts[1:]))

@@ -50,12 +50,11 @@ class RunReport:
         return all(c.passed for c in self.checks)
 
 
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
+def _read_input(path: str, parse, *args):
+    """parse(text, *args) of the file, and (path, sha256 of the bytes)."""
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            h.update(block)
-    return h.hexdigest()
+        data = fh.read()
+    return parse(data.decode(), *args), (path, hashlib.sha256(data).hexdigest())
 
 
 def _preset_path(name: str) -> str:
@@ -209,8 +208,7 @@ def cmd_verify(args) -> RunReport:
 def cmd_synthesize(args) -> RunReport:
     pr_path = args.problem if os.path.isfile(args.problem) \
         else _preset_path(args.problem)
-    with open(pr_path) as fh:
-        problem = synth.problem_from_text(fh.read())
+    problem, entry = _read_input(pr_path, synth.problem_from_text)
     result = synth.enumerate_sequences(problem, budget=args.budget,
                                        prune=not args.no_prune,
                                        seed=args.seed)
@@ -237,24 +235,18 @@ def cmd_synthesize(args) -> RunReport:
                                      sol.max_distance, problem.tolerance))
         checks.append(_value(f"solution_{k}_worst_draw", sol.worst_draw))
     return RunReport(command="synthesize", seed=args.seed,
-                     inputs=((pr_path, _sha256_file(pr_path)),),
-                     checks=tuple(checks), wall_time_s=0.0, stages=st.stages)
+                     inputs=(entry,), checks=tuple(checks), wall_time_s=0.0,
+                     stages=st.stages)
 
 
 def _load_geometry(args):
-    if args.geometry:
-        path = args.geometry
-        name = "custom"
-    else:
-        path = _preset_path(args.preset)
-        name = args.preset
-    with open(path) as fh:
-        geom = device.geometry_from_text(fh.read())
-    return geom, name, path
+    path = args.geometry or _preset_path(args.preset)
+    geom, entry = _read_input(path, device.geometry_from_text)
+    return geom, "custom" if args.geometry else args.preset, entry
 
 
 def cmd_device(args) -> RunReport:
-    geom, _, path = _load_geometry(args)
+    geom, _, entry = _load_geometry(args)
     fp = device.field_profile(geom, args.config)
     axis = device.ACTIVE_AXIS[args.config]
     comp = fp.component(axis)
@@ -297,22 +289,16 @@ def cmd_device(args) -> RunReport:
             for k, bx, bz in rows:
                 fh.write(f"{k},{bx:.9g},{bz:.9g}\n")
     return RunReport(command="device", seed=args.seed,
-                     inputs=((path, _sha256_file(path)),),
-                     checks=tuple(checks), wall_time_s=0.0)
+                     inputs=(entry,), checks=tuple(checks), wall_time_s=0.0)
 
 
 def cmd_schedule(args) -> RunReport:
-    geom, name, gpath = _load_geometry(args)
-    inputs = [(gpath, _sha256_file(gpath))]
+    geom, name, geom_entry = _load_geometry(args)
     checks = []
     if args.simulate_only:
-        with open(args.input) as fh:
-            s = sched.schedule_from_text(fh.read(), geom)
-        inputs.append((args.input, _sha256_file(args.input)))
+        s, entry = _read_input(args.input, sched.schedule_from_text, geom)
     else:
-        with open(args.input) as fh:
-            c = circuits.circuit_from_text(fh.read())
-        inputs.append((args.input, _sha256_file(args.input)))
+        c, entry = _read_input(args.input, circuits.circuit_from_text)
         s = sched.compile_schedule(c, geom,
                                    exchange_duration=args.exchange_ns * 1e-9,
                                    geometry_name=name)
@@ -333,7 +319,7 @@ def cmd_schedule(args) -> RunReport:
         checks.append(CheckResult(item.name, 1.0 if item.ok else 0.0, 1.0,
                                   item.ok))
     return RunReport(command="schedule", seed=args.seed,
-                     inputs=tuple(inputs), checks=tuple(checks),
+                     inputs=(geom_entry, entry), checks=tuple(checks),
                      wall_time_s=0.0)
 
 

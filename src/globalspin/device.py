@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
+from .grammar import finite, keyed, walk
 from .spins import zeeman_angles
 
 MU_0 = 4e-7 * math.pi  # T*m/A
@@ -307,80 +308,68 @@ def twin_wire_preset(n_sites: int = 4) -> DeviceGeometry:
     return DeviceGeometry(wires=wires, sites=sites)
 
 
+def _positive(word: str) -> float:
+    value = finite(word)
+    if value <= 0:
+        raise ValueError(f"must be positive, got {word}")
+    return value
+
+
+# The keys of each block, in the order geometry_to_text writes them.
+_BLOCK_KEYS = {
+    "wire": dict.fromkeys(("center_x_nm", "center_z_nm", "width_nm",
+                           "height_nm", "current_mA", "jc_A_per_m2"), finite),
+    "site": {"x_nm": finite, "z_nm": finite, "g": _positive, "row": int},
+}
+
+
 def geometry_to_text(g: DeviceGeometry) -> str:
     # repr gives the shortest digits that parse back to the same float, and
     # dividing by the factor the parser multiplies by keeps the round trip
     # exact; scaling by the reciprocal would lose the last ulp.
-    lines = []
-    for w in g.wires:
-        lines.append("[wire]")
-        lines.append(f"center_x_nm = {w.center[0] / 1e-9!r}")
-        lines.append(f"center_z_nm = {w.center[1] / 1e-9!r}")
-        lines.append(f"width_nm = {w.cross_section[0] / 1e-9!r}")
-        lines.append(f"height_nm = {w.cross_section[1] / 1e-9!r}")
-        lines.append(f"current_mA = {w.current / 1e-3!r}")
-        lines.append(f"jc_A_per_m2 = {w.critical_current_density!r}")
-        lines.append("")
-    for s in g.sites:
-        lines.append("[site]")
-        lines.append(f"x_nm = {s.position[0] / 1e-9!r}")
-        lines.append(f"z_nm = {s.position[1] / 1e-9!r}")
-        lines.append(f"g = {s.g_factor!r}")
-        lines.append(f"row = {s.row_id}")
-        lines.append("")
-    return "\n".join(lines)
+    blocks = [("wire", (w.center[0] / 1e-9, w.center[1] / 1e-9,
+                        w.cross_section[0] / 1e-9, w.cross_section[1] / 1e-9,
+                        w.current / 1e-3, w.critical_current_density))
+              for w in g.wires]
+    blocks += [("site", (s.position[0] / 1e-9, s.position[1] / 1e-9,
+                         s.g_factor, s.row_id)) for s in g.sites]
+    return "\n".join(f"[{kind}]\n" + "".join(
+        f"{key} = {value!r}\n" for key, value in zip(_BLOCK_KEYS[kind], values))
+        for kind, values in blocks)
 
 
 def geometry_from_text(text: str) -> DeviceGeometry:
-    """Parse the block format written by geometry_to_text."""
-    wires = []
-    sites = []
-    block = None
-    fields = {}
+    """Read what geometry_to_text writes: `[wire]` and `[site]` blocks."""
+    blocks = []  # (lineno, kind, values)
 
-    def flush() -> None:
-        if block is None:
-            return
-        try:
-            if block == "wire":
+    def line(lineno, words):
+        if len(words) == 1 and words[0] in ("[wire]", "[site]"):
+            blocks.append((lineno, words[0][1:-1], {}))
+        elif not blocks:
+            raise ValueError("expected [wire] or [site]")
+        else:
+            _, kind, values = blocks[-1]
+            keyed([" ".join(words)], _BLOCK_KEYS[kind], values)
+
+    walk(text, None, line)
+    wires, sites = [], []
+    for lineno, kind, v in blocks:
+        try:  # g and row may be left out
+            keyed((), _BLOCK_KEYS[kind], v, [key for key in _BLOCK_KEYS[kind]
+                                             if key not in ("g", "row")])
+            if kind == "wire":
                 wires.append(WireSpec(
-                    center=(fields["center_x_nm"] * 1e-9,
-                            fields["center_z_nm"] * 1e-9),
-                    cross_section=(fields["width_nm"] * 1e-9,
-                                   fields["height_nm"] * 1e-9),
-                    current=fields["current_mA"] * 1e-3,
-                    critical_current_density=fields["jc_A_per_m2"]))
+                    center=(v["center_x_nm"] * 1e-9, v["center_z_nm"] * 1e-9),
+                    cross_section=(v["width_nm"] * 1e-9,
+                                   v["height_nm"] * 1e-9),
+                    current=v["current_mA"] * 1e-3,
+                    critical_current_density=v["jc_A_per_m2"]))
             else:
                 sites.append(SpinSite(
-                    position=(fields["x_nm"] * 1e-9, fields["z_nm"] * 1e-9),
-                    g_factor=fields.get("g", 2.0),
-                    row_id=int(fields.get("row", 0))))
-        except KeyError as exc:
-            raise ValueError(f"[{block}] block missing key {exc}") from exc
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            flush()
-            block = line.strip("[]").strip()
-            if block not in ("wire", "site"):
-                raise ValueError(f"line {lineno}: unknown block {block!r}")
-            fields = {}
-        else:
-            if block is None or "=" not in line:
-                raise ValueError(f"line {lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            value = float(val.strip())
-            key = key.strip()
-            if not math.isfinite(value):
-                raise ValueError(f"line {lineno}: non-finite {key}")
-            if key == "g" and value <= 0:
-                raise ValueError(f"line {lineno}: g must be positive, "
-                                 f"got {value}")
-            fields[key] = value
-    flush()
+                    position=(v["x_nm"] * 1e-9, v["z_nm"] * 1e-9),
+                    g_factor=v.get("g", 2.0), row_id=v.get("row", 0)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: [{kind}] {exc}") from exc
     if not wires or not sites:
         raise ValueError("geometry needs at least one wire and one site")
     return DeviceGeometry(wires=tuple(wires), sites=tuple(sites))

@@ -19,8 +19,9 @@ import numpy as np
 from .circuits import Circuit, Exchange, GlobalField, XYExchange, evaluate
 from .device import (ACTIVE_AXIS, ANTIPARALLEL, PARALLEL, DeviceGeometry,
                      field_profile, validate_currents)
+from .grammar import fields, finite, keyed, walk
 from .linalg import update_phase_normalized
-from .spins import RegisterSpec, zeeman_angles
+from .spins import RegisterSpec, check_op, zeeman_angles
 
 DEFAULT_EXCHANGE_DURATION = 10e-9  # seconds
 FIELD_DURATION_CAP = 1e-5  # seconds
@@ -284,62 +285,52 @@ def schedule_to_text(s: Schedule) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SCHEDULE_KEYS = {"register": lambda w: RegisterSpec(int(w)), "geometry": str,
+                  "convention": str, "active_row": int}
+
+
 def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
-    register = None
-    geometry_name = "custom"
-    active_row = 0
-    events = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] in ("F", "E"):
-                t_start, duration = float(parts[1]) * 1e-9, float(parts[2]) * 1e-9
-                if not (math.isfinite(t_start) and 0 <= duration < math.inf):
-                    raise ValueError(f"time {parts[1]} and duration {parts[2]} "
-                                     f"must be finite, the duration "
-                                     f"nonnegative")
-            if parts[0] == "SCHEDULE":
-                if register is not None:
-                    raise ValueError("duplicate SCHEDULE line")
-                kv = dict(p.split("=", 1) for p in parts[1:])
-                register = RegisterSpec(int(kv["register"]))
-                if kv["convention"] != CONVENTION:
-                    raise ValueError(f"convention must be {CONVENTION}, "
-                                     f"got {kv['convention']!r}")
-                geometry_name = kv.get("geometry", "custom")
-                active_row = int(kv.get("active_row", 0))
-            elif parts[0] == "F":
-                ev = FieldEvent(t_start=t_start, duration=duration,
-                                config=parts[3], sign=int(parts[4]),
-                                current_ma=float(parts[5]))
-                if ev.config not in ACTIVE_AXIS:
-                    raise ValueError(f"config must be one of "
-                                     f"{tuple(ACTIVE_AXIS)}, got {ev.config!r}")
-                if ev.sign not in (1, -1):
-                    raise ValueError(f"sign must be +1 or -1, got {parts[4]!r}")
-                # validate_schedule compares the current annotation with the
-                # geometry's drive; a NaN would pass that comparison.
-                if not math.isfinite(ev.current_ma):
-                    raise ValueError(f"non-finite current {parts[5]!r}")
-                events.append(ev)
-            elif parts[0] == "E":
-                pairs = []
-                for chunk in parts[3].split("),"):
-                    i, j, xi = chunk.strip("()").split(",")
-                    pairs.append((int(i), int(j), float(xi)))
-                events.append(ExchangeEvent(t_start=t_start, duration=duration,
-                                            pairs=tuple(pairs)))
-            else:
-                raise ValueError(f"unknown directive {parts[0]!r}")
-        except (IndexError, KeyError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-    if register is None:
-        raise ValueError("missing SCHEDULE header")
-    return Schedule(register=register, events=tuple(events), geometry=geometry,
-                    geometry_name=geometry_name, active_row=active_row)
+    """Read what schedule_to_text writes, checking each pair at its line."""
+    parts = []  # the header's schedule with no events, then the events
+
+    def line(lineno, words):
+        if words[0] == "SCHEDULE":
+            head = keyed(words[1:], _SCHEDULE_KEYS, {},
+                         ("register", "convention"))
+            if head["convention"] != CONVENTION:
+                raise ValueError(f"convention must be {CONVENTION}, "
+                                 f"got {head['convention']!r}")
+            parts.append(Schedule(head["register"], (), geometry,
+                                  head.get("geometry", "custom"),
+                                  head.get("active_row", 0)))
+            return
+        if words[0] == "F":
+            t_ns, d_ns, config, sign, current_ma = fields(
+                words, finite, finite, str, int, finite)
+            if config not in ACTIVE_AXIS or sign not in (1, -1):
+                raise ValueError(f"config must be {' or '.join(ACTIVE_AXIS)} "
+                                 f"and sign +1 or -1, got {config} {words[4]}")
+            # finite: validate_schedule compares the current annotation with
+            # the geometry's drive, and a NaN would pass that comparison.
+            ev = FieldEvent(t_ns * 1e-9, d_ns * 1e-9, config, sign, current_ma)
+        elif words[0] == "E":
+            t_ns, d_ns, word = fields(words, finite, finite, str)
+            triples = [t.split(",") for t in word[1:-1].split("),(")]
+            if word[0] + word[-1] != "()" or any(len(t) != 3 for t in triples):
+                raise ValueError(f"expected (i,j,xi) triples joined by commas, "
+                                 f"got {word!r}")
+            pairs = tuple((int(i), int(j), float(x)) for i, j, x in triples)
+            for i, j, xi in pairs:
+                check_op(parts[0].register, Exchange(i, j, xi))
+            ev = ExchangeEvent(t_ns * 1e-9, d_ns * 1e-9, pairs)
+        else:
+            raise ValueError(f"unknown directive {words[0]!r}")
+        if d_ns < 0:
+            raise ValueError(f"duration must be nonnegative, got {words[2]}")
+        parts.append(ev)
+
+    walk(text, "SCHEDULE", line)
+    return replace(parts[0], events=tuple(parts[1:]))
 
 
 def unitary_digest(u: np.ndarray) -> str:

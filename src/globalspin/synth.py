@@ -47,13 +47,14 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .circuits import Exchange, GlobalField, _diag_zz_phase
+from .grammar import fields, keyed, walk
 from .linalg import phase_distance, update_phase_normalized
 from .spins import (AXES, RegisterSpec, apply_op, check_op, exchange_unitary,
                     global_field_unitary, rotation_2x2, site_bits)
@@ -734,56 +735,33 @@ def problem_to_text(p: SynthesisProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PROBLEM_KEYS = ("name", "family", "length", "exchange", "xi", "tolerance",
-                 "search_samples", "verify_samples", "verify_spins")
+_PROBLEM_KEYS = {"name": str, "family": str, "length": int, "exchange": int,
+                 "xi": float, "tolerance": float, "search_samples": int,
+                 "verify_samples": int, "verify_spins": int}
 
 
 def problem_from_text(text: str) -> SynthesisProblem:
-    header = None
-    letters = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "PROBLEM":
-                if header is not None:
-                    raise ValueError("duplicate PROBLEM line")
-                header = {}
-                for kv in parts[1:]:
-                    key, eq, value = kv.partition("=")
-                    if not eq or key not in _PROBLEM_KEYS:
-                        raise ValueError(f"unknown PROBLEM field {kv!r}")
-                    if key in header:
-                        raise ValueError(f"repeated PROBLEM key {key!r}")
-                    header[key] = value
-            elif parts[0] == "LETTER":
-                if len(parts) != 4:
-                    raise ValueError("LETTER takes a symbol, an axis and a "
-                                     "sign")
-                _, symbol, axis, sign = parts
-                if sign not in ("+", "-"):
-                    raise ValueError(f"sign must be + or -, got {sign!r}")
-                letters.append(PulseTemplate(axis, symbol,
-                                             1 if sign == "+" else -1))
-            else:
-                raise ValueError(f"unknown directive {parts[0]!r}")
-        except (IndexError, KeyError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-    if header is None:
-        raise ValueError("missing PROBLEM header")
-    # Keys left out take SynthesisProblem's defaults.
-    optional = {key: kind(header[key]) for key, kind in (
-        ("tolerance", float), ("search_samples", int),
-        ("verify_samples", int), ("verify_spins", int)) if key in header}
-    try:
-        return SynthesisProblem(
-            name=header["name"], family=header["family"],
-            length=int(header["length"]), n_exchange=int(header["exchange"]),
-            alphabet=tuple(letters), xi=float(header["xi"]), **optional)
-    except KeyError as exc:
-        raise ValueError(f"PROBLEM header lacks {exc.args[0]}") from exc
+    """Read what problem_to_text writes; keys left out take the defaults."""
+    parts = []  # the header's problem with no letters, then the letters
+
+    def line(lineno, words):
+        if words[0] == "PROBLEM":
+            head = keyed(words[1:], _PROBLEM_KEYS, {},
+                         ("name", "family", "length", "exchange", "xi"))
+            head["n_exchange"] = head.pop("exchange")
+            parts.append(SynthesisProblem(alphabet=(), **head))
+        elif words[0] == "LETTER":
+            symbol, axis, sign = fields(words, str, str, str)
+            if sign not in ("+", "-"):
+                raise ValueError(f"sign must be + or -, got {sign!r}")
+            tpl = PulseTemplate(axis, symbol, 1 if sign == "+" else -1)
+            replace(parts[0], alphabet=(tpl,))  # checks tpl at its line
+            parts.append(tpl)
+        else:
+            raise ValueError(f"unknown directive {words[0]!r}")
+
+    walk(text, "PROBLEM", line)
+    return replace(parts[0], alphabet=tuple(parts[1:]))
 
 
 def result_to_text(r: SynthesisResult) -> str:

@@ -269,32 +269,53 @@ SCHEDULE_HEADER = ("SCHEDULE register=2 geometry=twin_wire_zigzag "
                    "convention=full_gyromagnetic active_row=0\n")
 
 
-@pytest.mark.parametrize("text, simulate_only", [
-    ("REG 4\nEX 0 9 3.141592653589793\n", False),
-    ("REG 2\nEX 1 1 0.5\n", False),
-    ("REG 2\nXY 0 2 0.5\n", False),
-    ("REG 2\nEX 0 1 nan\n", False),
-    ("REG 2\nGF w 0.1 0.2\n", False),
-    ("REG 3\nGF z 0.1 0.2\n", False),
-    ("REG 4\nGF z nan nan nan nan\n", False),
-    ("REG 2\nGF x inf 0.5\n", False),
-    (SCHEDULE_HEADER + "F 0.000000 nan parallel -1 0.7\n", True),
-    (SCHEDULE_HEADER + "F nan 10 parallel +1 0.7\n", True),
-    (SCHEDULE_HEADER + "E 0 -5 (0,1,3.14)\n", True),
-    (SCHEDULE_HEADER + "E 0 nan (0,1,3.14)\n", True),
-    (SCHEDULE_HEADER + "E 0.000000 10.000000 (0,5,3.14)\n", True),
+F_EVENT = "F 0.000000 10.000000 parallel +1 0.7\n"
+
+
+# Each row: the input, whether it is a schedule (--simulate-only) rather
+# than a circuit, and the line its error names.
+@pytest.mark.parametrize("text, simulate_only, line", [
+    ("REG 4\nEX 0 9 3.141592653589793\n", False, 2),
+    ("REG 2\nEX 1 1 0.5\n", False, 2),
+    ("REG 2\nXY 0 2 0.5\n", False, 2),
+    ("REG 2\nEX 0 1 nan\n", False, 2),
+    ("REG 2\nGF w 0.1 0.2\n", False, 2),
+    ("REG 3\nGF z 0.1 0.2\n", False, 2),
+    ("REG 4\nGF z nan nan nan nan\n", False, 2),
+    ("REG 2\nGF x inf 0.5\n", False, 2),
+    ("REG 2\nEX 0 1 3.14 junk\n", False, 2),
+    ("REG 2\nXY 0 1 3.14 junk\n", False, 2),
+    ("REG 2 junk\nEX 0 1 3.14\n", False, 1),
+    ("EX 0 1 3.14\nREG 2\n", False, 1),
+    ("# ops\n\nREG 2\nEX 0 5 3.14\n", False, 4),
+    (SCHEDULE_HEADER + "F 0.000000 nan parallel -1 0.7\n", True, 2),
+    (SCHEDULE_HEADER + "F nan 10 parallel +1 0.7\n", True, 2),
+    (SCHEDULE_HEADER + "E 0 -5 (0,1,3.14)\n", True, 2),
+    (SCHEDULE_HEADER + "E 0 nan (0,1,3.14)\n", True, 2),
+    (SCHEDULE_HEADER + "E 0.000000 10.000000 (0,5,3.14)\n", True, 2),
     (SCHEDULE_HEADER.replace("register=2", "register=8")
-     + "E 0.000000 10.000000 (0,5,3.14)\n", True),
-    (SCHEDULE_HEADER + "F 0.000000 10.000000 bogus +1 0.7\n", True),
-    (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +3 0.7\n", True),
-    (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +1 nan\n", True),
+     + "E 0.000000 10.000000 (0,5,3.14)\n", True, 1),
+    (SCHEDULE_HEADER + "F 0.000000 10.000000 bogus +1 0.7\n", True, 2),
+    (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +3 0.7\n", True, 2),
+    (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +1 nan\n", True, 2),
     (SCHEDULE_HEADER.replace("full_gyromagnetic", "half_gyromagnetic")
-     + "F 0.000000 10.000000 parallel +1 0.7\n", True),
+     + F_EVENT, True, 1),
     (SCHEDULE_HEADER + SCHEDULE_HEADER.replace("register=2", "register=3")
-     + "F 0.000000 10.000000 parallel +1 0.7\n", True),
+     + F_EVENT, True, 2),
+    (SCHEDULE_HEADER.replace("\n", " bogus=1\n") + F_EVENT, True, 1),
+    (SCHEDULE_HEADER.replace("\n", " register=2\n") + F_EVENT, True, 1),
+    (F_EVENT + SCHEDULE_HEADER, True, 1),
+    (SCHEDULE_HEADER + "F 0 10 parallel +1 0.7 junk\n", True, 2),
+    (SCHEDULE_HEADER + "E 0 10 (0,1,3.14) junk\n", True, 2),
+    (SCHEDULE_HEADER + "E 0 10 (0,1,3.14\n", True, 2),
+    (SCHEDULE_HEADER + "E 0 10 0,1,3.14\n", True, 2),
+    (SCHEDULE_HEADER + "E 0 10 ((0,1,3.14))\n", True, 2),
+    (SCHEDULE_HEADER.replace("geometry=twin_wire_zigzag", "geometry")
+     + F_EVENT, True, 1),
+    (SCHEDULE_HEADER.replace("register=2 ", "") + F_EVENT, True, 1),
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, text,
-                                               simulate_only):
+                                               simulate_only, line):
     path = tmp_path / "input.txt"
     path.write_text(text)
     argv = ["schedule", str(path)] + (["--simulate-only"] if simulate_only
@@ -303,7 +324,7 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, text,
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: line {line}: ")
     assert "Traceback" not in err
 
 
@@ -334,42 +355,82 @@ def test_bad_number_exits_2_with_one_line(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+# Each row: an edit of the 2-site preset geometry's text (first match) and
+# the line its error names. The text has [wire] blocks at lines 1 and 9 and
+# [site] blocks at 17 and 23; the first site's keys are at 18-21.
+@pytest.mark.parametrize("old, new, line", [
+    ("g = 2.0", "gg = 2.0", 20),
+    ("g = 2.0", "g = 2.0\ng = 3.0", 21),
+    ("g = 2.0", "g = -2.0", 20),
+    ("row = 0", "row = 0.7", 21),
+    ("[wire]", "[wire", 1),
+    ("[site]", "[site] [wire]", 17),
+    ("x_nm = 0.0", "x_nm = abc", 18),
+    ("x_nm = 0.0", "x_nm = 0.0 1.0", 18),
+    ("x_nm = 0.0", "x_nm 0.0", 18),
+    ("width_nm = 200.0\n", "", 1),
+    ("height_nm = 200.0", "height_nm = -1.0", 1),
+])
+def test_malformed_geometry_exits_2_naming_its_line(capsys, tmp_path, old,
+                                                    new, line):
+    path = tmp_path / "geometry.txt"
+    path.write_text(geometry_to_text(twin_wire_preset(2)).replace(old, new, 1))
+    code, out, err = run_cli(capsys, "device", "--geometry", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: line {line}: ")
+    assert "Traceback" not in err
+
+
 PROBLEM_HEADER = ("PROBLEM name=p family=swap_pair_exchange length=3 "
                   "exchange=2 xi=3.1415926535897931 tolerance=1e-10 "
                   "search_samples=8 verify_samples=25 verify_spins=3\n")
 GOOD_LETTER = "LETTER primary z +\n"
 
 
-@pytest.mark.parametrize("text", [
-    PROBLEM_HEADER.replace("swap_pair_exchange", "no_such_family")
-    + GOOD_LETTER,
-    PROBLEM_HEADER + "LETTER nosuch z +\n",
-    PROBLEM_HEADER + "LETTER primary z x\n",
-    PROBLEM_HEADER + "LETTER primary z 1\n",
-    PROBLEM_HEADER + "LETTER primary w +\n",
-    PROBLEM_HEADER.replace("xi=3.1415926535897931", "xi=nan") + GOOD_LETTER,
-    PROBLEM_HEADER.replace("tolerance=1e-10", "tolerance=nan") + GOOD_LETTER,
-    PROBLEM_HEADER.replace("tolerance=1e-10", "tolerance=inf") + GOOD_LETTER,
-    PROBLEM_HEADER.replace("exchange=2", "exchange=4") + GOOD_LETTER,
-    PROBLEM_HEADER.replace("exchange=2", "exchange=-1") + GOOD_LETTER,
-    PROBLEM_HEADER.replace("search_samples=8", "search_samples=0")
-    + GOOD_LETTER,
-    PROBLEM_HEADER.replace("verify_samples=25", "verify_samples=0")
-    + GOOD_LETTER,
-    PROBLEM_HEADER.replace("verify_spins=3", "verify_spins=1") + GOOD_LETTER,
-    PROBLEM_HEADER.replace("verify_spins=3", "verify_spins=13") + GOOD_LETTER,
-    PROBLEM_HEADER.replace("xi=3.1415926535897931 ", "") + GOOD_LETTER,
-    PROBLEM_HEADER.replace("tolerance=1e-10", "tolerance=0") + GOOD_LETTER,
-    PROBLEM_HEADER.replace("search_samples=8", "search_samples=-1")
-    + GOOD_LETTER,
-    PROBLEM_HEADER + PROBLEM_HEADER + GOOD_LETTER,
-    PROBLEM_HEADER.replace("tolerance=", "tolerence=") + GOOD_LETTER,
-    PROBLEM_HEADER.replace("\n", " xi=3.1415926535897931\n") + GOOD_LETTER,
-    PROBLEM_HEADER.replace("\n", " verify_spins\n") + GOOD_LETTER,
-    PROBLEM_HEADER + "LETTER primary z + junk\n",
-    PROBLEM_HEADER + "LETTER primary z\n",
+# Each row: the input and the line its error names.
+@pytest.mark.parametrize("text, line", [
+    (PROBLEM_HEADER.replace("swap_pair_exchange", "no_such_family")
+     + GOOD_LETTER, 1),
+    (PROBLEM_HEADER + "LETTER nosuch z +\n", 2),
+    (PROBLEM_HEADER + "LETTER primary z x\n", 2),
+    (PROBLEM_HEADER + "LETTER primary z 1\n", 2),
+    (PROBLEM_HEADER + "LETTER primary w +\n", 2),
+    (PROBLEM_HEADER.replace("xi=3.1415926535897931", "xi=nan") + GOOD_LETTER,
+     1),
+    (PROBLEM_HEADER.replace("tolerance=1e-10", "tolerance=nan") + GOOD_LETTER,
+     1),
+    (PROBLEM_HEADER.replace("tolerance=1e-10", "tolerance=inf") + GOOD_LETTER,
+     1),
+    (PROBLEM_HEADER.replace("exchange=2", "exchange=4") + GOOD_LETTER, 1),
+    (PROBLEM_HEADER.replace("exchange=2", "exchange=-1") + GOOD_LETTER, 1),
+    (PROBLEM_HEADER.replace("search_samples=8", "search_samples=0")
+     + GOOD_LETTER, 1),
+    (PROBLEM_HEADER.replace("verify_samples=25", "verify_samples=0")
+     + GOOD_LETTER, 1),
+    (PROBLEM_HEADER.replace("verify_spins=3", "verify_spins=1") + GOOD_LETTER,
+     1),
+    (PROBLEM_HEADER.replace("verify_spins=3", "verify_spins=13")
+     + GOOD_LETTER, 1),
+    (PROBLEM_HEADER.replace("xi=3.1415926535897931 ", "") + GOOD_LETTER, 1),
+    (PROBLEM_HEADER.replace("tolerance=1e-10", "tolerance=0") + GOOD_LETTER,
+     1),
+    (PROBLEM_HEADER.replace("search_samples=8", "search_samples=-1")
+     + GOOD_LETTER, 1),
+    (PROBLEM_HEADER + PROBLEM_HEADER + GOOD_LETTER, 2),
+    (PROBLEM_HEADER.replace("tolerance=", "tolerence=") + GOOD_LETTER, 1),
+    (PROBLEM_HEADER.replace("\n", " xi=3.1415926535897931\n") + GOOD_LETTER,
+     1),
+    (PROBLEM_HEADER.replace("\n", " verify_spins\n") + GOOD_LETTER, 1),
+    (PROBLEM_HEADER + "LETTER primary z + junk\n", 2),
+    (PROBLEM_HEADER + "LETTER primary z\n", 2),
+    (PROBLEM_HEADER.replace("length=3", "length=abc") + GOOD_LETTER, 1),
+    (GOOD_LETTER + PROBLEM_HEADER, 1),
+    ("# a problem\n\n" + PROBLEM_HEADER + GOOD_LETTER + "LETTER primary z\n",
+     5),
 ])
-def test_malformed_problem_exits_2_with_one_line(capsys, tmp_path, text):
+def test_malformed_problem_exits_2_with_one_line(capsys, tmp_path, text, line):
     path = tmp_path / "input.problem.txt"
     path.write_text(text)
     out_file = tmp_path / "out.result.txt"
@@ -378,6 +439,6 @@ def test_malformed_problem_exits_2_with_one_line(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: line {line}: ")
     assert "Traceback" not in err
     assert not out_file.exists()
