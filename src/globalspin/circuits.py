@@ -5,9 +5,14 @@ A circuit is an ordered list of elementary pulses; the leftmost op acts
 first. A Circuit checks its ops against its register once, when it is
 built, so evaluation can fold them into one running unitary with the
 in-place kernel spins.apply_op: each op acts on the row index at
-O(n 4^n), and no op matrix is formed. Builders return the circuit together
-with its intended gate target so the same verification path covers
-hand-built and synthesized sequences.
+O(n 4^n), and no op matrix is formed. Every spin outside an exchange pair
+is a bystander of that op, so the spins split into groups that no exchange
+links. From FACTOR_MIN_SPINS spins up, a circuit with more than one such
+group is evaluated group by group, each on its own 2^|g| register, and the
+groups' unitaries are joined by one broadcast tensor product; below that
+size, and for one group, the ops run on the full register. Builders return
+the circuit together with its intended gate target so the same
+verification path covers hand-built and synthesized sequences.
 """
 
 from __future__ import annotations
@@ -82,12 +87,60 @@ class VerificationReport:
     passed: bool
 
 
+# Registers this wide and up are evaluated group by group when exchange
+# splits them. On the 11-op x rotation (pair 0-1 plus bystanders; best of
+# 9, AMD EPYC, numpy 2.4) the full-register loop against the grouped
+# product takes 0.20 against 0.23 ms at 6 spins, 0.47 against 0.28 ms at
+# 7, 2.0 against 0.37 ms at 8 and 55 against 2.1 ms at 10.
+FACTOR_MIN_SPINS = 7
+
+
 def evaluate(c: Circuit) -> np.ndarray:
-    """Ordered product of the ops' unitaries; first op acts first."""
-    u = np.eye(c.register.dim, dtype=complex)
-    for op in c.ops:
-        apply_op(u, c.register, op)
+    """Ordered product of the ops' unitaries; first op acts first.
+
+    On FACTOR_MIN_SPINS spins and up, each group of exchange-linked spins is
+    played on its own register and the groups are joined at the end.
+    """
+    n = c.register.n_spins
+    groups = _exchange_groups(n, c.ops) if n >= FACTOR_MIN_SPINS else ()
+    if len(groups) < 2:
+        return _play(c.register, c.ops)
+    u = np.ones((1,) * (2 * n), dtype=complex)
+    # Smallest groups first, so every partial product but the last is at
+    # most a quarter of the result.
+    for g in sorted(groups, key=len):
+        ops = []
+        for op in c.ops:
+            if isinstance(op, GlobalField):
+                ops.append(GlobalField(op.axis, [op.angles[s] for s in g]))
+            elif op.i in g:
+                ops.append(replace(op, i=g.index(op.i), j=g.index(op.j)))
+        # The group's rows, then its columns, with a 1 at every other site:
+        # g is ascending, so the group's own index order is kept.
+        shape = [1] * (2 * n)
+        for s in g:
+            shape[s] = shape[n + s] = 2
+        u = u * _play(RegisterSpec(len(g)), ops).reshape(shape)
+    return u.reshape(c.register.dim, c.register.dim)
+
+
+def _play(reg: RegisterSpec, ops) -> np.ndarray:
+    """The ops folded into one running unitary on the whole register."""
+    u = np.eye(reg.dim, dtype=complex)
+    for op in ops:
+        apply_op(u, reg, op)
     return u
+
+
+def _exchange_groups(n: int, ops) -> list:
+    """The spins 0..n-1 split into the groups that exchange ops link,
+    directly or through other spins; each group ascending."""
+    label = list(range(n))
+    for op in ops:
+        if isinstance(op, (Exchange, XYExchange)):
+            a, b = label[op.i], label[op.j]
+            label = [a if x == b else x for x in label]
+    return [[s for s in range(n) if label[s] == x] for x in sorted(set(label))]
 
 
 def _local_z_aligned_distance(u: np.ndarray, target: np.ndarray,

@@ -43,7 +43,7 @@ class RunReport:
     inputs: tuple  # (path, sha256) pairs
     checks: tuple
     wall_time_s: float
-    stages: tuple = ()  # synth.StageRecord per search stage
+    stages: tuple = ()  # synth.StageRecord per search or schedule stage
 
     @property
     def ok(self) -> bool:
@@ -294,33 +294,49 @@ def cmd_device(args) -> RunReport:
 
 def cmd_schedule(args) -> RunReport:
     geom, name, geom_entry = _load_geometry(args)
-    checks = []
+    checks, stages = [], []
+    t = time.perf_counter()
+
+    def stage(label, n_in, n_out):
+        nonlocal t
+        now = time.perf_counter()
+        stages.append(synth.StageRecord(label, n_in, n_out, now - t))
+        t = now
+
     if args.simulate_only:
         s, entry = _read_input(args.input, sched.schedule_from_text, geom)
+        u = sched.simulate_schedule(s)
+        stage("replay", len(s.events), 1)
     else:
         c, entry = _read_input(args.input, circuits.circuit_from_text)
         s = sched.compile_schedule(c, geom,
                                    exchange_duration=args.exchange_ns * 1e-9,
                                    geometry_name=name)
-        d = phase_distance(sched.simulate_schedule(s), circuits.evaluate(c))
+        stage("compile", len(c.ops), len(s.events))
+        # Check and digest the schedule as serialized: the check then sees
+        # what was written, and the digest is the number a later
+        # --simulate-only run on the written file prints.
+        text = sched.schedule_to_text(s)
+        s = sched.schedule_from_text(text, geom)
+        u = sched.simulate_schedule(s)
+        d = phase_distance(u, circuits.evaluate(c))
         checks.append(_bounded_check("round_trip_distance", d, TOL_COMPILED))
+        stage("replay_check", len(s.events), int(d <= TOL_COMPILED))
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(sched.schedule_to_text(s))
+                fh.write(text)
             checks.append(_value("schedule_file", args.out))
-        # Report the digest of the schedule as serialized, so it is the same
-        # number a later --simulate-only run on the written file prints.
-        s = sched.schedule_from_text(sched.schedule_to_text(s), geom)
+        stage("write", len(s.events), len(s.events) if args.out else 0)
     checks.append(_value("events", len(s.events)))
     checks.append(_value("total_time_us", s.total_time * 1e6))
-    checks.append(_value("unitary_digest",
-                         sched.unitary_digest(sched.simulate_schedule(s))))
+    checks.append(_value("unitary_digest", sched.unitary_digest(u)))
+    stage("digest", 1, 1)
     for item in sched.validate_schedule(s).checks:
         checks.append(CheckResult(item.name, 1.0 if item.ok else 0.0, 1.0,
                                   item.ok))
     return RunReport(command="schedule", seed=args.seed,
                      inputs=(geom_entry, entry), checks=tuple(checks),
-                     wall_time_s=0.0)
+                     wall_time_s=0.0, stages=tuple(stages))
 
 
 def _build_parser() -> argparse.ArgumentParser:

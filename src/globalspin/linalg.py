@@ -81,7 +81,9 @@ def phase_distance(u: np.ndarray, v: np.ndarray):
     # bit can differ from abs of one scalar.
     at = np.hypot(t.real, t.imag)
     zero = at == 0.0  # orthogonal: the distance is sqrt(2), set below
-    w = uf - (np.conj(t) / (at + zero))[..., None] * vf
+    # u - phi v, formed in one array: the caller already holds u and v.
+    w = np.multiply((np.conj(t) / (at + zero))[..., None], vf)
+    np.subtract(uf, w, out=w)
     sq = np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag)
     dist = np.sqrt(sq) / math.sqrt(u.shape[-2])
     if u.ndim == 2:
@@ -92,10 +94,16 @@ def phase_distance(u: np.ndarray, v: np.ndarray):
 
 def update_phase_normalized(h, m: np.ndarray) -> None:
     """Feed hash h the real and then the imaginary parts of m, with the
-    phase of its largest entry removed and rounded to 9 decimals: a
+    phase of its anchor entry removed and rounded to 9 decimals: a
     phase-invariant fingerprint. The arrays are hashed in place, not copied
-    to bytes."""
-    anchor = m.flat[int(np.argmax(np.abs(m)))]
+    to bytes.
+
+    The anchor is the first entry in flat order whose modulus is within
+    1e-9 of the largest, so entries tied in modulus up to rounding (a
+    rotation's bystander blocks) pick the same anchor whatever the last
+    bits of each."""
+    mag = np.abs(m)
+    anchor = m.flat[int(np.argmax(mag >= mag.max() - 1e-9))]
     normalized = m / (anchor / abs(anchor))
     # +0.0 collapses -0.0 so the byte image is sign-of-zero stable.
     h.update(np.round(normalized.real, 9) + 0.0)

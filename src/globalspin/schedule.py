@@ -269,19 +269,20 @@ def validate_schedule(s: Schedule) -> ScheduleReport:
 
 
 def schedule_to_text(s: Schedule) -> str:
-    """Header plus one event per line; times in ns with 6 decimals."""
+    """Header plus one event per line; times in ns to 17 significant
+    digits, which schedule_from_text reads back to text that writes the
+    same bytes."""
     lines = [f"SCHEDULE register={s.register.n_spins} "
              f"geometry={s.geometry_name} convention={CONVENTION} "
              f"active_row={s.active_row}"]
     for ev in s.events:
-        t_ns = ev.t_start * 1e9
-        d_ns = ev.duration * 1e9
+        times = f"{ev.t_start * 1e9:.17g} {ev.duration * 1e9:.17g}"
         if isinstance(ev, FieldEvent):
-            lines.append(f"F {t_ns:.6f} {d_ns:.6f} {ev.config} "
+            lines.append(f"F {times} {ev.config} "
                          f"{ev.sign:+d} {ev.current_ma!r}")
         else:
             pairs = ",".join(f"({i},{j},{xi:.17g})" for (i, j, xi) in ev.pairs)
-            lines.append(f"E {t_ns:.6f} {d_ns:.6f} {pairs}")
+            lines.append(f"E {times} {pairs}")
     return "\n".join(lines) + "\n"
 
 
@@ -312,7 +313,7 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
                                  f"and sign +1 or -1, got {config} {words[4]}")
             # finite: validate_schedule compares the current annotation with
             # the geometry's drive, and a NaN would pass that comparison.
-            ev = FieldEvent(t_ns * 1e-9, d_ns * 1e-9, config, sign, current_ma)
+            ev = FieldEvent(t_ns / 1e9, d_ns / 1e9, config, sign, current_ma)
         elif words[0] == "E":
             t_ns, d_ns, word = fields(words, finite, finite, str)
             triples = [t.split(",") for t in word[1:-1].split("),(")]
@@ -322,7 +323,7 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
             pairs = tuple((int(i), int(j), float(x)) for i, j, x in triples)
             for i, j, xi in pairs:
                 check_op(parts[0].register, Exchange(i, j, xi))
-            ev = ExchangeEvent(t_ns * 1e-9, d_ns * 1e-9, pairs)
+            ev = ExchangeEvent(t_ns / 1e9, d_ns / 1e9, pairs)
         else:
             raise ValueError(f"unknown directive {words[0]!r}")
         if d_ns < 0:

@@ -10,7 +10,10 @@ O(N 4^N) rather than the O(8^N) of a dense product: a z field is a row
 phase, an x or y field a 2x2 mix per site, and an exchange a mix of the
 pair's anti-aligned rows. The dense builders are this kernel applied to
 the identity; spin_operator and the eigendecomposition oracle in linalg
-build the same unitaries from generators to cross-check it.
+build the same unitaries from generators to cross-check it. The kernel
+takes a register of any size, so on a wide register circuits.evaluate
+plays each group of exchange-linked spins on a register of that group's
+size and joins the groups afterwards.
 
 The kernel also takes a leading draw axis: u may be a (B, 2^N, m) batch,
 one entry per parameter draw, and a field may then carry a (B, N) array of

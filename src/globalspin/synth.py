@@ -158,7 +158,8 @@ class SequenceSolution:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One search stage: what went in, what came out, and its wall time."""
+    """One search or schedule stage: what went in, what came out, and its
+    wall time."""
     name: str
     n_in: int
     n_out: int

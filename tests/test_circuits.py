@@ -244,6 +244,59 @@ def test_parallel_apply_equals_tensor_product():
         assert max_abs(evaluate(c) - kron(pair_gate, pair_gate)) < 1e-12
 
 
+def random_linked_circuit(rng, n, n_ops, n_links=3):
+    """Fields on every axis (about a third of the angles zero) and
+    exchanges of both kinds over a few fixed pairs, so the register falls
+    into several linked groups."""
+    links = [tuple(int(s) for s in rng.choice(n, 2, replace=False))
+             for _ in range(n_links)]
+    ops = []
+    for _ in range(n_ops):
+        kind = int(rng.integers(4))
+        if kind < 2:
+            angles = rng.uniform(-3, 3, n) * (rng.random(n) < 0.7)
+            ops.append(GlobalField(str(rng.choice(["x", "y", "z"])),
+                                   tuple(angles)))
+        else:
+            i, j = links[int(rng.integers(n_links))]
+            op = Exchange if kind == 2 else XYExchange
+            ops.append(op(i, j, float(rng.uniform(-4, 4))))
+    return Circuit(RegisterSpec(n), ops)
+
+
+def test_grouped_evaluate_matches_full_register_loop():
+    # evaluate plays linked groups on their own registers from
+    # FACTOR_MIN_SPINS up; the full-register loop is the reference.
+    rng = np.random.default_rng(13)
+    cases = [random_linked_circuit(rng, n, 12)
+             for n in (7, 7, 8, 8, 9, 10, 11) for _ in range(2)]
+    # At 12 spins, z fields only: an x or y field needs a scratch unitary.
+    z = GlobalField("z", tuple(rng.uniform(-3, 3, 12)))
+    cases.append(Circuit(RegisterSpec(12), (z, Exchange(3, 7, 0.8),
+                                            XYExchange(7, 10, -1.1), z)))
+    cp, _ = cir.controlled_phase_circuit(REG2, 0, 1, 0.4)
+    xy, _ = cir.xy_controlled_phase_circuit(REG2, 0, 1, 0.9)
+    pairs = ((0, 1), (2, 3), (5, 4), (6, 7))
+    cases += [parallel_apply(t, pairs, RegisterSpec(8)) for t in (cp, xy)]
+    for c in cases:
+        assert len(cir._exchange_groups(c.register.n_spins, c.ops)) > 1
+        u = evaluate(c)
+        u -= cir._play(c.register, c.ops)
+        assert max_abs(u) <= 1e-13
+    # No ops: every spin is its own group, and the product is exact.
+    reg9 = RegisterSpec(9)
+    assert np.array_equal(evaluate(Circuit(reg9, ())),
+                          np.eye(reg9.dim, dtype=complex))
+    # One group spanning the register, and a register below the crossover,
+    # run the loop itself.
+    chain = random_linked_circuit(rng, 7, 12)
+    chain = Circuit(chain.register, chain.ops + tuple(
+        Exchange(k, k + 1, 0.3) for k in range(6)))
+    narrow = random_linked_circuit(rng, cir.FACTOR_MIN_SPINS - 1, 12)
+    for c in (chain, narrow):
+        assert np.array_equal(evaluate(c), cir._play(c.register, c.ops))
+
+
 def test_parallel_apply_rejects_bad_pairs():
     template, _ = cir.controlled_phase_circuit(REG2, 0, 1, 0.0)
     with pytest.raises(OverlappingPairs):

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from globalspin import circuits, cli
-from globalspin.circuits import circuit_to_text, controlled_phase_circuit
-from globalspin.device import (PARALLEL, field_profile, geometry_to_text,
+from globalspin.circuits import (circuit_to_text, controlled_phase_circuit,
+                                 refocused_rotation_circuit)
+from globalspin.device import (ANTIPARALLEL, PARALLEL, device_constants,
+                               field_profile, geometry_to_text,
                                twin_wire_preset)
 from globalspin.spins import RegisterSpec, zeeman_angles
 from globalspin.synth import problem_to_text
@@ -210,22 +212,59 @@ def test_device_custom_geometry_file(capsys, tmp_path):
     assert header["inputs"][0]["path"] == str(path)
 
 
-def test_schedule_compile_and_simulate_digests_agree(capsys, tmp_path):
-    circ = write_tied_cp_circuit(tmp_path / "cp.circuit.txt")
-    out_file = tmp_path / "cp.schedule.txt"
+def write_rotation_circuit(path, n):
+    """The 11-op z rotation on spins 0 and 1 of the n-site preset, with the
+    preset geometry beside it; returns (circuit path, geometry argv)."""
+    geom = twin_wire_preset(n)
+    profiles = {"z": device_constants(field_profile(geom, PARALLEL)).ratios,
+                "x": device_constants(field_profile(geom, ANTIPARALLEL)).ratios}
+    c, _ = refocused_rotation_circuit(RegisterSpec(n), "z", 0, 1, 1.0,
+                                      profiles)
+    path.write_text(circuit_to_text(c))
+    geom_path = path.with_name(f"zigzag{n}.geometry.txt")
+    geom_path.write_text(geometry_to_text(geom))
+    return path, ["--geometry", str(geom_path)]
+
+
+def compile_then_simulate_only(capsys, circ, geom):
+    """Compile circ to a file, replay that file, and check both reports."""
+    out_file = circ.with_name("out.schedule.txt")
     code, out, _ = run_cli(capsys, "schedule", str(circ),
-                           "--out", str(out_file), "--format", "json-lines")
+                           "--out", str(out_file), "--format", "json-lines",
+                           *geom)
     assert code == 0
-    compiled = by_name(json_lines(out))
+    records = json_lines(out)
+    compiled = by_name(records)
     assert compiled["round_trip_distance"]["pass"]
     assert compiled["non_overlap"]["pass"]
+    stages = [r for r in records if r["kind"] == "stage"]
+    assert [r["name"] for r in stages] == ["compile", "replay_check", "write",
+                                           "digest"]
+    events = compiled["events"]["measured"]
+    assert [r["out"] for r in stages] == [events, 1, events, 1]
     code, out, _ = run_cli(capsys, "schedule", str(out_file),
-                           "--simulate-only", "--format", "json-lines")
+                           "--simulate-only", "--format", "json-lines", *geom)
     assert code == 0
-    replayed = by_name(json_lines(out))
+    records = json_lines(out)
+    replayed = by_name(records)
     assert (replayed["unitary_digest"]["measured"]
             == compiled["unitary_digest"]["measured"])
     assert replayed["events"]["measured"] == compiled["events"]["measured"]
+    assert [r["name"] for r in records if r["kind"] == "stage"] == [
+        "replay", "digest"]
+
+
+def test_schedule_compile_and_simulate_digests_agree(capsys, tmp_path):
+    circ = write_tied_cp_circuit(tmp_path / "cp.circuit.txt")
+    compile_then_simulate_only(capsys, circ, [])
+
+
+def test_schedule_compile_and_simulate_digests_agree_at_8_spins(capsys,
+                                                                tmp_path):
+    # The rotation's bystanders are evaluated as groups of their own, and
+    # many entries of its unitary tie in modulus.
+    circ, geom = write_rotation_circuit(tmp_path / "rot.circuit.txt", 8)
+    compile_then_simulate_only(capsys, circ, geom)
 
 
 def test_schedule_unrealizable_exit_code(capsys, tmp_path):

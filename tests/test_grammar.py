@@ -13,7 +13,8 @@ from globalspin.circuits import (Circuit, Exchange, GlobalField, XYExchange,
 from globalspin.device import (DeviceGeometry, SpinSite, WireSpec,
                                geometry_from_text, geometry_to_text)
 from globalspin.grammar import fields, keyed, walk
-from globalspin.schedule import schedule_from_text, schedule_to_text
+from globalspin.schedule import (ExchangeEvent, FieldEvent, Schedule,
+                                 schedule_from_text, schedule_to_text)
 from globalspin.spins import AXES, RegisterSpec
 from globalspin.synth import (FAMILIES, PulseTemplate, SynthesisProblem,
                               problem_from_text, problem_to_text)
@@ -182,3 +183,34 @@ def test_writer_output_reads_back_equal(make, write, read_back):
         text = write(obj)
         assert read_back(text) == obj, text
         assert write(read_back(text)) == text
+
+
+def random_schedule(rng, geometry):
+    n = int(rng.integers(2, len(geometry.sites) + 1))
+    t, events = 0.0, []
+    for _ in range(int(rng.integers(0, 10))):
+        d = float(10.0 ** rng.uniform(-12, -5))
+        if rng.random() < 0.5:
+            events.append(FieldEvent(t, d, ("parallel", "antiparallel")[
+                rng.integers(2)], int(rng.choice((1, -1))),
+                float(rng.uniform(0, 2))))
+        else:
+            i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
+            events.append(ExchangeEvent(t, d, ((i, j, random_angle(rng)),)))
+        t += d
+    return Schedule(RegisterSpec(n), tuple(events), geometry, "g", 0)
+
+
+def test_schedule_times_write_the_same_bytes_after_a_read():
+    # Times are written as ns to 17 digits and read back divided by 1e9;
+    # multiplying by 1e-9 instead changes about a third of the texts.
+    rng = np.random.default_rng(10 ** 9)
+    geometry = preset_geometry()
+    for _ in range(200):
+        s = random_schedule(rng, geometry)
+        text = schedule_to_text(s)
+        back = schedule_from_text(text, geometry)
+        assert schedule_to_text(back) == text
+        for a, b in zip(back.events, s.events):
+            assert a.t_start == pytest.approx(b.t_start, rel=1e-15, abs=0)
+            assert a.duration == pytest.approx(b.duration, rel=1e-15)

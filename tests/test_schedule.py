@@ -217,7 +217,7 @@ def test_schedule_text_round_trip():
     assert "convention=full_gyromagnetic" in text.splitlines()[0]
     assert back.geometry_name == "twin_wire_zigzag"
     assert len(back.events) == len(s.events)
-    # Times are quantized to 1 fs by the text format.
+    # Times are written to 17 significant digits of a nanosecond.
     for a, b in zip(back.events, s.events):
         assert abs(a.t_start - b.t_start) < 1e-15
         assert abs(a.duration - b.duration) < 1e-15
@@ -225,17 +225,51 @@ def test_schedule_text_round_trip():
 
 
 def test_schedule_text_drift_stays_below_criterion():
-    # 1 fs quantization moves each pulse angle by ~2e-7 rad at most; the
-    # replayed unitary stays well inside the 1e-8 in-memory bound only
-    # when both sides are parsed from the same text, which is how golden
-    # digests are defined.
+    # Full-precision times: the written file replays its circuit to
+    # rounding, far inside the 1e-8 compile bound.
     c, _ = tied_cp_circuit()
     s = compile_schedule(c, GEOM2)
     text = schedule_to_text(s)
     a = schedule_from_text(text, GEOM2)
     b = schedule_from_text(text, GEOM2)
     assert unitary_digest(simulate_schedule(a)) == unitary_digest(simulate_schedule(b))
-    assert phase_distance(simulate_schedule(a), evaluate(c)) < 1e-6
+    assert phase_distance(simulate_schedule(a), evaluate(c)) < 1e-12
+    assert unitary_digest(simulate_schedule(a)) == unitary_digest(evaluate(c))
+
+
+def test_written_rotation_replays_its_circuit_and_digest_survives_ulp_noise():
+    # Written with 6 decimals of a ns, this file would replay 1.3e-7 from
+    # its circuit, past the 1e-8 compile bound.
+    c, _ = refocused_rotation_circuit(RegisterSpec(4), "z", 0, 1,
+                                      math.pi / 2.0, device_profiles(GEOM4, 4))
+    text = schedule_to_text(compile_schedule(c, GEOM4))
+    u = simulate_schedule(schedule_from_text(text, GEOM4))
+    assert phase_distance(u, evaluate(c)) < 1e-12
+    digest = unitary_digest(u)
+    assert digest == unitary_digest(evaluate(c))
+    # Many entries tie in modulus; relative noise of 2e-16 (last-bit
+    # differences, as another summation order gives) must not move the
+    # digest's phase anchor.
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        noisy = u * (1.0 + 2e-16 * rng.standard_normal(u.shape))
+        assert unitary_digest(noisy) == digest
+
+
+def test_six_decimal_schedule_text_still_parses():
+    # Files written with 6-decimal times must still read.
+    text = ("SCHEDULE register=2 geometry=twin_wire_zigzag "
+            "convention=full_gyromagnetic active_row=0\n"
+            "F 0.000000 63.821922 parallel -1 0.7\n"
+            "E 63.821922 10.000000 (0,1,1.5707963267948966)\n"
+            "F 73.821922 63.821922 parallel +1 0.7\n"
+            "E 137.643844 10.000000 (0,1,1.5707963267948966)\n")
+    s = schedule_from_text(text, GEOM2)
+    assert [ev.t_start for ev in s.events] == [
+        0.0, 63.821922 / 1e9, 73.821922 / 1e9, 137.643844 / 1e9]
+    assert s.events[1].duration == 10e-9
+    c, _ = tied_cp_circuit()
+    assert phase_distance(simulate_schedule(s), evaluate(c)) < 1e-8
 
 
 def test_schedule_text_errors():
