@@ -20,7 +20,7 @@ from .schedule import (ExchangeEvent, FieldEvent, Schedule, compile_schedule,
                        unitary_digest, validate_schedule)
 from .spins import (RegisterSpec, apply_op, exchange_unitary,
                     global_field_unitary, rotation_2x2, spin_operator,
-                    swap_matrix, xy_exchange_unitary, zeeman_angles)
+                    xy_exchange_unitary, zeeman_angles)
 from .synth import (PulseTemplate, SequenceSolution, SynthesisProblem,
                     SynthesisResult, enumerate_sequences, global_hadamard_search,
                     problem_from_text, problem_to_text, result_to_text,

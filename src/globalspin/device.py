@@ -260,10 +260,13 @@ def position_sensitivity(g: DeviceGeometry, per_pulse_error: float,
 
     Differentiates the neighbor field increment with respect to each wire
     center coordinate by central differences (POSITION_STEP) and divides the
-    allowed increment error by the worst sensitivity.
+    allowed increment error by the worst sensitivity. A geometry of fewer
+    than two sites has no neighbor increment: NonpositiveGradient.
     """
     if per_pulse_error <= 0.0:
         raise ValueError(f"per_pulse_error = {per_pulse_error}")
+    if len(g.sites) < 2:
+        raise NonpositiveGradient(f"{len(g.sites)} site(s), no neighbor pair")
     base = _neighbor_gradient(g, config)
     worst = 0.0
     for wk in range(len(g.wires)):

@@ -109,18 +109,3 @@ def update_phase_normalized(h, m: np.ndarray) -> None:
     h.update(np.round(normalized.real, 9) + 0.0)
     h.update(np.round(normalized.imag, 9) + 0.0)
 
-
-def is_unitary(u: np.ndarray, tol: float = TOL_STRUCTURE) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return max_abs(u.conj().T @ u - np.eye(u.shape[0])) <= tol
-
-
-def check_unitary(u: np.ndarray, tol: float = TOL_STRUCTURE) -> np.ndarray:
-    """Return u unchanged, or raise if it is not unitary to tol."""
-    if not is_unitary(u, tol):
-        raise ValueError("matrix is not unitary to tolerance "
-                         f"{tol:.1e} (deviation "
-                         f"{max_abs(np.asarray(u).conj().T @ u - np.eye(np.asarray(u).shape[0])):.3e})")
-    return np.asarray(u, dtype=complex)

@@ -134,18 +134,6 @@ def rotation_2x2(axis: str, angle) -> np.ndarray:
     return np.array(m)
 
 
-def swap_matrix(reg: RegisterSpec, i: int, j: int) -> np.ndarray:
-    """Permutation unitary exchanging the states of spins i and j."""
-    _check_pair(reg, i, j)
-    n = reg.n_spins
-    idx = np.arange(reg.dim)
-    differ = site_bits(reg, i) ^ site_bits(reg, j)
-    perm = idx ^ (differ << (n - 1 - i)) ^ (differ << (n - 1 - j))
-    m = np.zeros((reg.dim, reg.dim), dtype=complex)
-    m[perm, idx] = 1.0
-    return m
-
-
 @dataclass(frozen=True)
 class Exchange:
     """Isotropic exchange pulse with integrated angle xi on spins (i, j)."""

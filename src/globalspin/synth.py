@@ -22,13 +22,16 @@ prefix, so its overlap with the target, tr(T†·S·P) = Σ_ab (T†S)_ab P_ba, 
 a dot product of two precomputed halves. The bystander filter pairs every
 prefix word with every T†-folded suffix word. The pair filter builds both
 halves per batch of words and rescores only what is still alive on later
-samples. When the exchange is c·SWAP (xi ≡ π mod 2π, read from its matrix)
-each field letter is R_0 ⊗ R_1 and the word is c^k·SWAP^k·(A ⊗ B): the 2x2
-strands A and B take each letter's factors in an order set by the parity
-of the exchanges before it, so a half is one 2x2 product per strand and
-parity pattern (the relay of the source paper's swap steps). Any other
-exchange takes 4x4 halves, built as tries over exchange positions with one
-batched matmul per node.
+samples. Each field letter is R_0 ⊗ R_1 and each exchange a·I + c·SWAP
+(read from its matrix), so a placement of k exchanges is a sum of up to
+2^k terms, one per choice of the exchanges taken as c·SWAP; terms alike in
+SWAP count j and in the SWAP parity before each letter are counted once.
+A term is a^(k-j)·c^j·SWAP^j·(A ⊗ B): the 2x2 strands A and B take each
+letter's factors in an order set by that parity, so a half is one 2x2
+product per strand and parity pattern (the relay of the source paper's
+swap steps). A coefficient within rounding of 0 drops its terms: at
+xi ≡ π (mod 2π) a placement is its one all-SWAP term, at xi ≡ 0 its one
+identity term.
 
 Filters use loose thresholds and exist only to cut the space; membership in
 the result is decided solely by the final verification at the problem
@@ -294,20 +297,17 @@ def _slot_letters(word: Sequence[int], slots: tuple, length: int) -> list:
 
 
 def _sample_matrices(problem: SynthesisProblem, draw: Draw) -> tuple:
-    """Per-letter bystander (2x2) and acted-pair (4x4) matrices of one draw,
-    the pair matrices' spin-0 and spin-1 factors (n_letters, 2, 2, 2), and
-    the draw's targets for both registers."""
-    pair = RegisterSpec(2)
+    """Per-letter bystander matrices (n_letters, 2, 2) of one draw, the
+    spin-0 and spin-1 factors (n_letters, 2, 2, 2) of each letter on the
+    acted pair, and the draw's targets for both registers."""
     n_letters = len(problem.alphabet)
     bm = np.empty((n_letters, 2, 2), dtype=complex)
-    pm = np.empty((n_letters, 4, 4), dtype=complex)
     pf = np.empty((n_letters, 2, 2, 2), dtype=complex)
     for li, tpl in enumerate(problem.alphabet):
         angles = tpl.sign * draw.angles[tpl.symbol]
         bm[li] = rotation_2x2(tpl.axis, angles[2])
-        pm[li] = global_field_unitary(pair, GlobalField(tpl.axis, angles[:2]))
         pf[li] = [rotation_2x2(tpl.axis, a) for a in angles[:2]]
-    return bm, pm, pf, draw.bystander, draw.target(pair)
+    return bm, pf, draw.bystander, draw.target(RegisterSpec(2))
 
 
 def _word_products(mats: np.ndarray, length: int) -> np.ndarray:
@@ -362,84 +362,6 @@ def _frozen(values: list) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=None)
-def _placement_groups(length: int, n_exchange: int) -> tuple:
-    """Exchange placements cut at slot split = ceil(length/2) into a prefix
-    part (slots before it) and a suffix part. Per prefix exchange count, one
-    group (prefixes, suffixes, index): each prefix set pairs with each
-    suffix set of the complementary size, and index[r, c] is the position of
-    prefixes[r] + suffixes[c] in the lexicographic placement order."""
-    split = (length + 1) // 2
-    where = {p: i for i, p in enumerate(
-        itertools.combinations(range(length), n_exchange))}
-    groups = []
-    for a in range(max(0, n_exchange - (length - split)),
-                   min(n_exchange, split) + 1):
-        prefixes = tuple(itertools.combinations(range(split), a))
-        suffixes = tuple(itertools.combinations(range(split, length),
-                                                n_exchange - a))
-        index = _frozen([[where[p + q] for q in suffixes] for p in prefixes])
-        groups.append((prefixes, suffixes, index))
-    return split, tuple(groups)
-
-
-def _half_products(first: np.ndarray, slots: Sequence[int],
-                   letters: np.ndarray, ex: np.ndarray,
-                   n_exchange: int) -> dict:
-    """Products over `slots`, walked in the given order from `first` with
-    each slot multiplied on the left, for every exchange placement among
-    them, keyed by the ascending exchange slots. The walk is a trie: each
-    node is one batched matmul on its parent's product. letters[w, f] is
-    word w's f-th field letter met on the walk."""
-    n_field = letters.shape[1]
-    level = {(): first}
-    for step, slot in enumerate(slots):
-        nxt = {}
-        for exch, prod in level.items():
-            if step - len(exch) < n_field:
-                nxt[exch] = letters[:, step - len(exch)] @ prod
-            if len(exch) < n_exchange:
-                nxt[tuple(sorted(exch + (slot,)))] = ex @ prod
-        level = nxt
-    return level
-
-
-def _pair_traces(letters: np.ndarray, ex: np.ndarray, target: np.ndarray,
-                 length: int, n_exchange: int,
-                 alive: np.ndarray) -> np.ndarray:
-    """tr(T†·U) on the acted pair for each word (row of letters) and
-    placement, 0 where no alive entry of the batch needs it.
-
-    U = S·P with P the product of the slots before the split. The suffix is
-    built transposed, (T†·S)^T, by walking the slots backwards over
-    transposed letters, so the trace is the elementwise dot product of the
-    two halves. Each group of placements is one batched
-    (prefix x d²) @ (d² x suffix) matmul per word, restricted to the halves
-    that alive placements use.
-    """
-    n_words, d = letters.shape[0], ex.shape[0]
-    split, groups = _placement_groups(length, n_exchange)
-    pre = _half_products(np.broadcast_to(np.eye(d, dtype=complex),
-                                         (n_words, d, d)),
-                         range(split), letters, ex, n_exchange)
-    suf = _half_products(np.broadcast_to(target.conj(), (n_words, d, d)),
-                         range(length - 1, split - 1, -1),
-                         letters[:, ::-1].swapaxes(2, 3), ex.T, n_exchange)
-    traces = np.zeros(alive.shape, dtype=complex)
-    for prefixes, suffixes, index in groups:
-        need = alive[:, index].any(axis=0)
-        rows = np.flatnonzero(need.any(axis=1))
-        cols = np.flatnonzero(need.any(axis=0))
-        if rows.size == 0:
-            continue
-        p = np.stack([pre[prefixes[r]] for r in rows], axis=1)
-        s = np.stack([suf[suffixes[c]] for c in cols], axis=1)
-        traces[:, index[np.ix_(rows, cols)]] = np.matmul(
-            p.reshape(n_words, rows.size, d * d),
-            s.reshape(n_words, cols.size, d * d).swapaxes(1, 2))
-    return traces
-
-
 def _strand_trie(patterns: list) -> tuple:
     """The trie that builds one strand's product for every parity pattern
     of a half and for its complement. A path picks, for each field letter,
@@ -461,22 +383,55 @@ def _strand_trie(patterns: list) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _parity_cells(length: int, n_exchange: int) -> tuple:
-    """Exchange placements as parity patterns: bit f of a pattern is the
-    parity of the exchanges before field letter f. Patterns are cut at
-    field letter split = n_field // 2 into sorted distinct prefix and suffix
-    parts, each with its strand trie, and cells[c] = prefix row * n_suffix
-    + suffix row of placement c in lexicographic order. The 330 placements
-    of 4 exchanges in 11 slots have 99 patterns, in 8 x 16 cells."""
-    patterns = [tuple(sum(e < s for e in slots) % 2
-                      for s in range(length) if s not in slots)
-                for slots in itertools.combinations(range(length), n_exchange)]
-    split = (length - n_exchange) // 2
-    prefixes = sorted({p[:split] for p in patterns})
-    suffixes = sorted({p[split:] for p in patterns})
-    cells = _frozen([prefixes.index(p[:split]) * len(suffixes)
-                     + suffixes.index(p[split:]) for p in patterns])
-    return split, (_strand_trie(prefixes), _strand_trie(suffixes)), cells
+def _parity_cells(length: int, n_exchange: int, sizes: tuple) -> tuple:
+    """Exchange placements as sums of parity-pattern terms. Each exchange is
+    read as a·I or c·SWAP; a term takes SWAP at j of a placement's
+    exchanges, j in sizes, and bit f of its pattern is the parity of those
+    SWAPs before field letter f. Terms are tallied gap by gap (the exchanges
+    before one field letter or after the last): i SWAPs among a gap's m
+    exchanges add i to j in C(m, i) ways, and a tally that can no longer
+    reach sizes is dropped. So a placement costs its distinct cells, not its
+    2^k terms. Patterns are cut at field letter split = n_field // 2 into
+    sorted distinct prefix and suffix parts, each with its strand trie, and
+    a term's cell is (size index * n_prefix + prefix row) * n_suffix +
+    suffix row. cells[t, c] is placement c's t-th cell (-1 pads) and
+    counts[t][c] its number of terms there, counts[t] None for all ones.
+    With only j = k the 330 placements of 4 exchanges in 11 slots have 99
+    patterns, in 8 x 16 cells."""
+    n_field = length - n_exchange
+    low, high = min(sizes), max(sizes)
+    placements = []
+    for slots in itertools.combinations(range(length), n_exchange):
+        field = [s for s in range(length) if s not in slots]
+        tally, left = {((), 0): 1}, n_exchange
+        for g, (a, b) in enumerate(zip([-1] + field, field + [length])):
+            m = b - a - 1
+            left -= m
+            grown = Counter()
+            for (pattern, j), n in tally.items():
+                for i in range(max(0, low - j - left), min(m, high - j) + 1):
+                    bit = ((j + i) % 2,) if g < n_field else ()
+                    grown[pattern + bit, j + i] += n * math.comb(m, i)
+            tally = grown
+        # Cells taken once first, so leading rows need no count.
+        placements.append(sorted((n != 1, sizes.index(j), p, n)
+                                 for (p, j), n in tally.items() if j in sizes))
+    split = n_field // 2
+    prefixes = sorted({p[:split] for row in placements for *_, p, _ in row})
+    suffixes = sorted({p[split:] for row in placements for *_, p, _ in row})
+    pre_row = {p: i for i, p in enumerate(prefixes)}
+    suf_row = {p: i for i, p in enumerate(suffixes)}
+    cells = np.full((max(map(len, placements)), len(placements)), -1)
+    counts = np.ones(cells.shape + (1,))
+    for c, row in enumerate(placements):
+        for t, (_, g, p, n) in enumerate(row):
+            cells[t, c] = ((g * len(prefixes) + pre_row[p[:split]])
+                           * len(suffixes) + suf_row[p[split:]])
+            counts[t, c] = n
+    for a in (cells, counts):
+        a.setflags(write=False)
+    return (split, (_strand_trie(prefixes), _strand_trie(suffixes)), cells,
+            tuple(None if np.all(n == 1) else n for n in counts))
 
 
 def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -485,26 +440,34 @@ def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[:-2] + (4, 4))
 
 
-def _strand_traces(factors: np.ndarray, swap_coeff: complex,
-                   target: np.ndarray, length: int,
-                   n_exchange: int) -> np.ndarray:
-    """tr(T†·U) on the acted pair for each word (row of factors, the spin-0
-    and spin-1 factor of each field letter) and placement, when the
-    exchange is c·SWAP.
+def _term_weights(ex: np.ndarray, n_exchange: int) -> dict:
+    """{j: a^(k-j)·c^j} over the SWAP counts j whose weight is nonzero, for
+    the pair exchange ex = a·I + c·SWAP taken k = n_exchange times. A
+    coefficient within rounding of 0 counts as 0: a at xi ≡ π (mod 2π)
+    leaves only j = k, c at xi ≡ 0 only j = 0."""
+    a, c = (complex(v) if abs(v) > 1e-15 else 0j for v in (ex[1, 1], ex[1, 2]))
+    weights = {j: a ** (n_exchange - j) * c ** j for j in range(n_exchange + 1)}
+    return {j: w for j, w in weights.items() if w != 0}
 
-    Pushing every exchange to the left gives U = c^k·SWAP^k·(A ⊗ B), where
-    strand A collects each letter's spin-0 factor at even exchange parity
-    and its spin-1 factor at odd parity, and B the other. With A ⊗ B =
-    (A_s ⊗ B_s)(A_p ⊗ B_p) over the suffix and prefix letters, the trace is
-    the dot product of A_p ⊗ B_p with (c^k·T†·SWAP^k·(A_s ⊗ B_s))^T. So
-    each word scores every prefix pattern against every suffix pattern in
-    one batched matmul, and each placement reads its cell.
+
+def _strand_traces(factors: np.ndarray, weights: dict, target: np.ndarray,
+                   length: int, n_exchange: int) -> np.ndarray:
+    """tr(T†·U) on the acted pair for each word (row of factors, the spin-0
+    and spin-1 factor of each field letter) and placement, for the exchange
+    whose _term_weights are weights.
+
+    U sums a placement's terms. Pushing a term's j SWAPs to the left gives
+    a^(k-j)·c^j·SWAP^j·(A ⊗ B), where strand A collects each letter's spin-0
+    factor at even SWAP parity and its spin-1 factor at odd parity, and B
+    the other. With A ⊗ B = (A_s ⊗ B_s)(A_p ⊗ B_p) over the suffix and
+    prefix letters, the term's trace is the dot product of A_p ⊗ B_p with
+    (a^(k-j)·c^j·T†·SWAP^j·(A_s ⊗ B_s))^T. So each word scores every prefix
+    pattern against every suffix pattern in one batched matmul per j, and
+    each placement sums its cells, each times its count of terms there.
     """
     n_words = factors.shape[0]
-    split, tries, cells = _parity_cells(length, n_exchange)
-    fold = swap_coeff ** n_exchange * target.conj().T
-    if n_exchange % 2:
-        fold = fold[:, [0, 2, 1, 3]]  # T†·SWAP: SWAP swaps columns 1 and 2
+    split, tries, cells, counts = _parity_cells(length, n_exchange,
+                                                tuple(weights))
     halves = []
     for (levels, rows_a, rows_b), half in zip(tries, (factors[:, :split],
                                                       factors[:, split:])):
@@ -514,42 +477,45 @@ def _strand_traces(factors: np.ndarray, swap_coeff: complex,
         for step, (parents, spins) in enumerate(levels):
             prods = half[:, step, spins] @ prods[:, parents]
         halves.append(_kron_pairs(prods[:, rows_a], prods[:, rows_b]))
-    pre, suf = halves[0], fold @ halves[1]
-    grid = np.matmul(pre.reshape(n_words, -1, 16),
-                     suf.swapaxes(2, 3).reshape(n_words, -1, 16).swapaxes(1, 2))
-    return grid.reshape(n_words, -1)[:, cells]
+    pre = halves[0].reshape(n_words, -1, 16)
+    # The grid's cells as rows, so a term's gather copies contiguous rows of
+    # words, and a zero row last for the padding cell -1.
+    size = pre.shape[1] * halves[1].shape[1]
+    rows = np.zeros((len(weights) * size + 1, n_words), dtype=complex)
+    for g, (j, weight) in enumerate(weights.items()):
+        fold = weight * target.conj().T
+        if j % 2:
+            fold = fold[:, [0, 2, 1, 3]]  # T†·SWAP: SWAP swaps columns 1 and 2
+        suf = (fold @ halves[1]).swapaxes(2, 3).reshape(n_words, -1, 16)
+        rows[g * size:(g + 1) * size] = np.matmul(
+            pre, suf.swapaxes(1, 2)).reshape(n_words, -1).T
+    traces = None
+    for cell, n in zip(cells, counts):
+        part = rows[cell]
+        if n is not None:
+            part *= n
+        traces = part if traces is None else np.add(traces, part, out=traces)
+    return traces.T
 
 
-def _swap_coefficient(ex: np.ndarray) -> complex | None:
-    """c when the pair exchange ex = a·I + c·SWAP has a = ex[1, 1] vanish to
-    rounding, as at xi ≡ π (mod 2π); None otherwise."""
-    return complex(ex[1, 2]) if abs(ex[1, 1]) <= 1e-15 else None
-
-
-def _pair_scan(words: np.ndarray, pair_mats: Sequence[np.ndarray],
-               pair_factors: Sequence[np.ndarray],
-               pair_targets: Sequence[np.ndarray], ex4: np.ndarray,
+def _pair_scan(words: np.ndarray, pair_factors: Sequence[np.ndarray],
+               pair_targets: Sequence[np.ndarray], weights: dict,
                length: int, n_exchange: int) -> list:
     """(word row, placement index) pairs, ascending, where the word hits the
-    pair target on every search sample. Words go in batches; each sample
-    rescores only the words and placements still alive. A c·SWAP exchange
-    scores words as two 2x2 strands, any other as 4x4 products."""
+    pair target on every search sample, for the exchange whose _term_weights
+    are weights. Words go in batches; each sample rescores only the words
+    still alive, as two 2x2 strands."""
     n_placements = math.comb(length, n_exchange)
-    swap_coeff = _swap_coefficient(ex4)
     hits = []
     for start in range(0, words.shape[0], _PAIR_CHUNK):
         batch = words[start:start + _PAIR_CHUNK]
         alive = np.ones((batch.shape[0], n_placements), dtype=bool)
-        for mats, factors, tgt in zip(pair_mats, pair_factors, pair_targets):
+        for factors, tgt in zip(pair_factors, pair_targets):
             live = np.flatnonzero(alive.any(axis=1))
             if live.size == 0:
                 break
-            if swap_coeff is None:
-                tr = _pair_traces(mats[batch[live]], ex4, tgt, length,
-                                  n_exchange, alive[live])
-            else:
-                tr = _strand_traces(factors[batch[live]], swap_coeff, tgt,
-                                    length, n_exchange)
+            tr = _strand_traces(factors[batch[live]], weights, tgt, length,
+                                n_exchange)
             # squared phase distance on 4x4: 2 - |tr|/2
             alive[live] &= 2.0 - np.abs(tr) / 2.0 <= STAGE2_DIST_SQ
         rows, cols = np.nonzero(alive)
@@ -612,7 +578,8 @@ def enumerate_sequences(problem: SynthesisProblem,
     results, and duplicate sequences (identical realized matrices slot by
     slot) are removed keeping the first. prune=False skips the bystander
     pre-filter and scores every word, which is only sensible for small
-    planted problems; both paths return identical results.
+    planted problems; both paths return identical results. The budget
+    bounds words x placements, and then survivors x placements x terms.
     """
     marks = [time.perf_counter()]
     if not problem.alphabet:
@@ -620,36 +587,46 @@ def enumerate_sequences(problem: SynthesisProblem,
     family = FAMILIES[problem.family]
     n_letters = len(problem.alphabet)
     n_field = problem.n_field
-    placements = list(itertools.combinations(range(problem.length),
-                                             problem.n_exchange))
+    n_placements = math.comb(problem.length, problem.n_exchange)
     words_total = n_letters ** n_field
-    needed = words_total * len(placements)
+    needed = words_total * n_placements
     if needed > budget:
         raise BudgetExceeded(needed, budget)
 
     rng = np.random.default_rng(seed)
-    bys_mats, pair_mats, pair_factors, bys_targets, pair_targets = zip(
+    bys_mats, pair_factors, bys_targets, pair_targets = zip(
         *(_sample_matrices(problem, family.sample(rng))
           for _ in range(problem.search_samples)))
     ex4 = exchange_unitary(RegisterSpec(2), 0, 1, problem.xi)
+    weights = _term_weights(ex4, problem.n_exchange)
 
     if prune and n_field > 0:
         survivors = _bystander_scan(n_field, bys_mats, bys_targets)
     else:
         survivors = np.arange(words_total, dtype=np.int64)
+    # At most this many strand terms per placement, and at least one full
+    # batch of words: the table is built and gathered whole for any batch.
+    terms = min(sum(math.comb(problem.n_exchange, j) for j in weights),
+                len(weights) << min(problem.n_exchange, n_field))
+    needed = max(survivors.size, _PAIR_CHUNK) * n_placements * terms
+    if needed > budget:
+        raise BudgetExceeded(needed, budget)
     marks.append(time.perf_counter())
 
+    placements = list(itertools.combinations(range(problem.length),
+                                             problem.n_exchange))
     words = _word_digits(survivors, n_field, n_letters)
     candidates = [(words[row], placements[p])
-                  for row, p in _pair_scan(words, pair_mats, pair_factors,
-                                           pair_targets, ex4, problem.length,
+                  for row, p in _pair_scan(words, pair_factors, pair_targets,
+                                           weights, problem.length,
                                            problem.n_exchange)]
     marks.append(time.perf_counter())
 
     unique = {}
+    pair_mats0 = _kron_pairs(pair_factors[0][:, 0], pair_factors[0][:, 1])
     for word, slots in candidates:
         unique.setdefault(_sequence_fingerprint(word, slots, problem.length,
-                                                pair_mats[0], ex4),
+                                                pair_mats0, ex4),
                           (word, slots))
     kept = list(unique.values())
     marks.append(time.perf_counter())
@@ -677,7 +654,7 @@ def enumerate_sequences(problem: SynthesisProblem,
         StageRecord(name, funnel[k], funnel[k + 1], marks[k + 1] - marks[k])
         for k, name in enumerate(("bystander_scan", "pair_scan", "dedup",
                                   "verification")))
-    stats = SearchStats(words_total=words_total, placements=len(placements),
+    stats = SearchStats(words_total=words_total, placements=n_placements,
                         bystander_survivors=int(survivors.size),
                         pair_candidates=len(candidates),
                         deduplicated=len(kept), verified=len(solutions),

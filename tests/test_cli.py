@@ -202,14 +202,21 @@ def test_device_antiparallel_and_csv(capsys, tmp_path):
     assert len(rows) == 5
 
 
-def test_device_custom_geometry_file(capsys, tmp_path):
+# Each row: the sites kept from the preset geometry, and whether the
+# report has a wire placement tolerance (it needs a neighbor pair).
+@pytest.mark.parametrize("n_sites, tolerance", [(3, True), (1, False)])
+def test_device_custom_geometry_file(capsys, tmp_path, n_sites, tolerance):
     path = tmp_path / "geom.txt"
-    path.write_text(geometry_to_text(twin_wire_preset(3)))
-    code, out, _ = run_cli(capsys, "device", "--geometry", str(path),
-                           "--format", "json-lines")
+    path.write_text(geometry_to_text(twin_wire_preset(n_sites)))
+    code, out, err = run_cli(capsys, "device", "--geometry", str(path),
+                             "--format", "json-lines")
     assert code == 0
+    assert err == ""
     header = json_lines(out)[0]
     assert header["inputs"][0]["path"] == str(path)
+    checks = by_name(json_lines(out))
+    assert ("position_tolerance_angstrom" in checks) == tolerance
+    assert checks["twin_wire_layout"]["pass"]
 
 
 def write_rotation_circuit(path, n):

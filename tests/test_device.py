@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,14 @@ def test_position_sensitivity_band():
     assert 0.5e-10 <= tol <= 2.0e-10
     with pytest.raises(ValueError):
         position_sensitivity(g, 0.0)
+
+
+def test_position_sensitivity_needs_two_sites():
+    g = twin_wire_preset(4)
+    for n in (0, 1):
+        with pytest.raises(NonpositiveGradient):
+            position_sensitivity(replace(g, sites=g.sites[:n]),
+                                 error_budget(21, 1e-4))
 
 
 def test_twin_wire_preset_layout():

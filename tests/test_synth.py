@@ -67,6 +67,21 @@ def test_planted_cp_solutions(bundled):
     assert planted
 
 
+def test_dedup_keeps_one_of_each_realized_sequence(bundled):
+    # With every letter listed twice, each solution is found once per
+    # spelling, and all spellings realize the same pair matrices slot by
+    # slot, so dedup keeps one: the solutions are those of the plain
+    # alphabet, their labels naming the (shared) axis.
+    p = bundled("planted_cp")
+    once = enumerate_sequences(p, seed=0)
+    twice = enumerate_sequences(
+        dataclasses.replace(p, alphabet=p.alphabet + p.alphabet), seed=0)
+    assert twice.stats.pair_candidates == 4 * len(once.solutions)
+    assert twice.stats.deduplicated == len(once.solutions)
+    assert [tuple(lab if lab == "EX" else lab[:-1] for lab in s.letters)
+            for s in twice.solutions] == [s.letters for s in once.solutions]
+
+
 def test_prune_equals_exhaustive(bundled):
     for p in (bundled("planted_swap"), bundled("planted_cp")):
         pruned = enumerate_sequences(p, prune=True, seed=0)
@@ -163,12 +178,13 @@ def test_family_draw_tables_agree_across_registers():
         rng = np.random.default_rng(31)
         for k in range(3):
             draw = family.sample(rng)
-            bm, pm, _, _, _ = synth._sample_matrices(p, draw)
+            bm, pf, _, _ = synth._sample_matrices(p, draw)
             for li, field in enumerate(fields):
                 played = np.broadcast_to(np.eye(8, dtype=complex),
                                          (3, 8, 8)).copy()
                 apply_op(played, reg3, field)
-                assert max_abs(played[k] - np.kron(pm[li], bm[li])) <= 1e-14
+                want = np.kron(np.kron(pf[li, 0], pf[li, 1]), bm[li])
+                assert max_abs(played[k] - want) <= 1e-14
             assert max_abs(targets[k]
                            - np.kron(draw.target(reg2), draw.bystander)) <= 1e-14
 
@@ -535,7 +551,8 @@ def _random_problem(rng, planted):
                                        str(rng.choice(symbols)),
                                        int(rng.choice([1, -1])))
                          for _ in range(int(rng.integers(1, 4))))
-        xi = float(rng.choice([math.pi, math.pi / 2.0]))
+        xi = float(rng.choice([math.pi, math.pi / 2.0, 0.0,
+                               rng.uniform(-2.0 * math.pi, 2.0 * math.pi)]))
     problem = SynthesisProblem(
         name="random", family=family, length=length, n_exchange=n_exchange,
         alphabet=alphabet, xi=xi,
@@ -549,15 +566,15 @@ def _random_problem(rng, planted):
 
 
 def test_half_word_traces_equal_slot_products():
-    # Both filters score tr(T†·U) from a prefix and a T†-folded suffix half;
-    # the value must be the slot-by-slot product's for every word and
-    # placement, on any family, length and exchange count.
+    # The bystander filter scores tr(T†·U) from a prefix and a T†-folded
+    # suffix half; the value must be the slot-by-slot product's for every
+    # word, on any family and length.
     rng = np.random.default_rng(20240)
     for k in range(24):
         p, _ = _random_problem(rng, planted=k % 2 == 0)
         family = synth.FAMILIES[p.family]
         s = family.sample(np.random.default_rng(int(rng.integers(1 << 30))))
-        bm, pm, _, bt, pt = synth._sample_matrices(p, s)
+        bm, _, bt, _ = synth._sample_matrices(p, s)
         n_letters = len(p.alphabet)
         idx = np.arange(n_letters ** p.n_field, dtype=np.int64)
         words = synth._word_digits(idx, p.n_field, n_letters)
@@ -571,80 +588,161 @@ def test_half_word_traces_equal_slot_products():
                 prod = bm[letter] @ prod
             assert abs(half[w] - np.trace(bt.conj().T @ prod)) <= 1e-12
 
-        placements = list(itertools.combinations(range(p.length),
-                                                 p.n_exchange))
-        ex4 = synth.exchange_unitary(synth.RegisterSpec(2), 0, 1, p.xi)
-        alive = np.ones((len(words), len(placements)), dtype=bool)
-        traces = synth._pair_traces(pm[words], ex4, pt, p.length,
-                                    p.n_exchange, alive)
-        for w, word in enumerate(words):
-            for c, slots in enumerate(placements):
-                prod = np.eye(4, dtype=complex)
-                for letter in synth._slot_letters(word, slots, p.length):
-                    prod = (ex4 if letter is None else pm[letter]) @ prod
-                want = np.trace(pt.conj().T @ prod)
-                assert abs(traces[w, c] - want) <= 1e-12
-
 
 def test_strand_traces_equal_slot_products():
-    # At xi = pi (mod 2 pi) the exchange is c.SWAP and the pair scan scores
-    # words as two 2x2 strands; its traces, phase included, must be the
-    # slot-by-slot 4x4 products' for every word and placement, down to
+    # The pair scan reads each exchange as a·I + c·SWAP and scores words as
+    # two 2x2 strands per term; its traces, phase included, must be the
+    # slot-by-slot 4x4 products' for every word and placement, where a
+    # (xi ≡ π) or c (xi ≡ 0) is dropped and where both are kept, down to
     # words of one field letter and of none.
     rng = np.random.default_rng(8086)
-    shapes = [(3, 3), (4, 4), (4, 3), (5, 4)]
-    for _ in range(14):
-        length = int(rng.integers(3, 12))
-        shapes.append((length, int(rng.integers(1, min(4, length) + 1))))
-    for length, n_exchange in shapes:
-        family = str(rng.choice(sorted(synth.FAMILIES)))
-        symbols = synth.FAMILIES[family].symbols
-        alphabet = tuple(PulseTemplate(str(rng.choice(["x", "z"])),
-                                       str(rng.choice(symbols)),
-                                       int(rng.choice([1, -1])))
-                         for _ in range(int(rng.integers(1, 4))))
-        xi = float(rng.choice([math.pi, 3.0 * math.pi, -math.pi]))
-        p = SynthesisProblem(name="random", family=family, length=length,
-                             n_exchange=n_exchange, alphabet=alphabet, xi=xi)
-        _, pm, pf, _, pt = synth._sample_matrices(
-            p, synth.FAMILIES[family].sample(rng))
+    for xi in (math.pi, 3.0 * math.pi, -math.pi, math.pi / 2.0,
+               math.pi + 1e-9, 0.0, 2.0 * math.pi,
+               float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))):
+        shapes = [(1, 0), (1, 1), (3, 3), (4, 4), (11, 4)]
+        for _ in range(3):
+            length = int(rng.integers(1, 12))
+            shapes.append((length, int(rng.integers(0, min(4, length) + 1))))
+        for length, n_exchange in shapes:
+            family = str(rng.choice(sorted(synth.FAMILIES)))
+            symbols = synth.FAMILIES[family].symbols
+            alphabet = tuple(PulseTemplate(str(rng.choice(["x", "z"])),
+                                           str(rng.choice(symbols)),
+                                           int(rng.choice([1, -1])))
+                             for _ in range(int(rng.integers(1, 4))))
+            p = SynthesisProblem(name="random", family=family, length=length,
+                                 n_exchange=n_exchange, alphabet=alphabet,
+                                 xi=xi)
+            draw = synth.FAMILIES[family].sample(rng)
+            _, pf, _, pt = synth._sample_matrices(p, draw)
+            pm = [global_field_unitary(RegisterSpec(2), GlobalField(
+                tpl.axis, tpl.sign * draw.angles[tpl.symbol][:2]))
+                  for tpl in alphabet]
+            ex4 = exchange_unitary(RegisterSpec(2), 0, 1, xi)
+            words = rng.integers(len(alphabet), size=(5, p.n_field))
+            traces = synth._strand_traces(
+                pf[words], synth._term_weights(ex4, n_exchange), pt, length,
+                n_exchange)
+            placements = list(itertools.combinations(range(length),
+                                                     n_exchange))
+            assert traces.shape == (len(words), len(placements))
+            for w, word in enumerate(words):
+                for c, slots in enumerate(placements):
+                    prod = np.eye(4, dtype=complex)
+                    for letter in synth._slot_letters(word, slots, length):
+                        prod = (ex4 if letter is None else pm[letter]) @ prod
+                    want = np.trace(pt.conj().T @ prod)
+                    assert abs(traces[w, c] - want) <= 1e-12, (p, word, slots)
+
+
+def test_exchange_pi_scores_one_term_per_placement():
+    # At xi = π the a·I part of the exchange rounds to 0, so each placement
+    # is its one all-SWAP term: the scan never pays for the 2^k expansion.
+    # Other angles keep every SWAP count whose weight is nonzero.
+    def weights(xi, n_exchange):
         ex4 = exchange_unitary(RegisterSpec(2), 0, 1, xi)
-        swap_coeff = synth._swap_coefficient(ex4)
-        assert swap_coeff is not None
-        words = rng.integers(len(alphabet), size=(5, p.n_field))
-        traces = synth._strand_traces(pf[words], swap_coeff, pt, length,
-                                      n_exchange)
-        placements = list(itertools.combinations(range(length), n_exchange))
-        assert traces.shape == (len(words), len(placements))
-        for w, word in enumerate(words):
-            for c, slots in enumerate(placements):
-                prod = np.eye(4, dtype=complex)
-                for letter in synth._slot_letters(word, slots, length):
-                    prod = (ex4 if letter is None else pm[letter]) @ prod
-                want = np.trace(pt.conj().T @ prod)
-                assert abs(traces[w, c] - want) <= 1e-12, (p, word, slots)
-    for xi in (math.pi / 2.0, math.pi + 1e-9):
-        ex4 = exchange_unitary(RegisterSpec(2), 0, 1, xi)
-        assert synth._swap_coefficient(ex4) is None
+        return synth._term_weights(ex4, n_exchange)
+
+    assert list(weights(math.pi, 7)) == [7]
+    _, _, cells, counts = synth._parity_cells(14, 7, (7,))
+    assert cells.shape == (1, math.comb(14, 7)) and counts == (None,)
+    assert list(weights(0.0, 7)) == list(weights(2.0 * math.pi, 7)) == [0]
+    assert list(weights(math.pi / 2.0, 3)) == [0, 1, 2, 3]
+
+
+def _cell_counts(length, n_exchange, sizes, placement):
+    """{cell: count of terms} of one placement in the _parity_cells table."""
+    _, _, cells, counts = synth._parity_cells(length, n_exchange, sizes)
+    return {int(cell[placement]): 1 if n is None else float(n[placement, 0])
+            for cell, n in zip(cells, counts) if cell[placement] >= 0}
+
+
+def test_terms_on_one_cell_are_counted_once():
+    # Terms that land on one cell are one table entry with their count:
+    # k exchanges with no field letter between them are k + 1 cells, one
+    # per SWAP count j, taken C(k, j) times each, while k exchanges in k
+    # gaps are 2^k cells taken once.
+    sizes = tuple(range(25))
+    assert _cell_counts(24, 24, sizes, 0) == {
+        j: math.comb(24, j) for j in sizes}
+    placements = list(itertools.combinations(range(7), 3))
+    spread = _cell_counts(7, 3, (0, 1, 2, 3), placements.index((0, 2, 4)))
+    assert len(spread) == 8 and set(spread.values()) == {1}
+    run = _cell_counts(7, 3, (0, 1, 2, 3), placements.index((1, 2, 3)))
+    assert sorted(run.values()) == [1, 1, 3, 3]
+
+
+def test_generic_exchange_angle_is_charged_its_terms():
+    # At a generic xi the budget charges the pair scan up to 2^k strand
+    # terms per placement, fewer where the exchanges share gaps: a run of
+    # 24 exchanges is 25 cells and searches at once, while 10 exchanges
+    # among 10 letters may take 2^10 terms each and stop before the pair
+    # scan, even with one letter (one word). At xi = π each placement is
+    # one term.
+    run = SynthesisProblem(name="run", family="swap_pair_exchange",
+                           length=24, n_exchange=24, xi=1.0,
+                           alphabet=(PulseTemplate("z", "primary", 1),))
+    batch = synth._PAIR_CHUNK
+    result = enumerate_sequences(run, budget=batch * 25)
+    assert (result.stats.words_total, result.stats.placements) == (1, 1)
+    with pytest.raises(BudgetExceeded):
+        enumerate_sequences(run, budget=batch * 25 - 1)
+    spread = dataclasses.replace(
+        run, length=20, n_exchange=10,
+        alphabet=(PulseTemplate("z", "primary", 1),
+                  PulseTemplate("x", "primary", 1)))
+    for xi, terms, budget in ((math.pi, 1, 3), (1.0, 2 ** 10, 10 ** 9)):
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_sequences(dataclasses.replace(spread, xi=xi),
+                                budget=budget, prune=False)
+        assert info.value.needed == 2 ** 10 * math.comb(20, 10) * terms
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_sequences(dataclasses.replace(spread, alphabet=run.alphabet))
+    assert info.value.needed == batch * math.comb(20, 10) * 2 ** 10
+
+
+def test_budget_refuses_before_listing_placements(bundled, monkeypatch):
+    # Both budget checks read counts, so a refused search never lists its
+    # placements: C(60, 30) of them would not fit in memory.
+    def listing(*args):
+        raise AssertionError("placements listed before the budget check")
+
+    monkeypatch.setattr(synth.itertools, "combinations", listing)
+    wide = SynthesisProblem(name="wide", family="swap_pair_exchange",
+                            length=60, n_exchange=30, xi=math.pi,
+                            alphabet=(PulseTemplate("z", "primary", 1),))
+    spread = dataclasses.replace(wide, length=20, n_exchange=10, xi=1.0)
+    for p in (wide, spread, bundled("z_difference_rotation")):
+        with pytest.raises(BudgetExceeded):
+            enumerate_sequences(p, budget=10 ** 9 if p is spread else 3)
+
+
+def _every_term(ex, n_exchange):
+    """_term_weights with no coefficient rounded to 0."""
+    a, c = complex(ex[1, 1]), complex(ex[1, 2])
+    return {j: a ** (n_exchange - j) * c ** j for j in range(n_exchange + 1)}
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
-def test_strand_and_product_pair_scans_hit_alike(bundled, monkeypatch, seed):
+def test_pair_scan_hits_alike_with_every_term_kept(bundled, seed):
     # The rotation search's stage-2 hits, (row, placement) in order, are
-    # the same whether words are scored as strands or as 4x4 products.
+    # the same whether the exchange's vanishing a·I part is dropped (one
+    # term per placement) or kept (all 16).
     p = bundled("z_difference_rotation")
     rng = np.random.default_rng(seed)
     sample = synth.FAMILIES[p.family].sample
-    bm, pm, pf, bt, pt = zip(*(synth._sample_matrices(p, sample(rng))
-                               for _ in range(p.search_samples)))
+    bm, pf, bt, pt = zip(*(synth._sample_matrices(p, sample(rng))
+                           for _ in range(p.search_samples)))
     survivors = synth._bystander_scan(p.n_field, bm, bt)
     words = synth._word_digits(survivors, p.n_field, len(p.alphabet))
-    args = (words, pm, pf, pt, exchange_unitary(RegisterSpec(2), 0, 1, p.xi),
-            p.length, p.n_exchange)
-    strands = synth._pair_scan(*args)
-    monkeypatch.setattr(synth, "_swap_coefficient", lambda ex: None)
-    assert synth._pair_scan(*args) == strands
-    assert len(strands) == 48
+    ex4 = exchange_unitary(RegisterSpec(2), 0, 1, p.xi)
+    args = (p.length, p.n_exchange)
+    dropped = synth._pair_scan(words, pf, pt,
+                               synth._term_weights(ex4, p.n_exchange), *args)
+    kept = _every_term(ex4, p.n_exchange)
+    assert len(kept) == 5 and all(w != 0 for w in kept.values())
+    assert synth._pair_scan(words, pf, pt, kept, *args) == dropped
+    assert len(dropped) == 48
 
 
 def test_prune_equals_exhaustive_on_random_problems():
