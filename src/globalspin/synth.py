@@ -40,6 +40,9 @@ search (and once per reverify call) from one seed, stacks each letter's
 angles as one (B, n) array and the targets as (B, 2^n, 2^n), and scores
 each word with one batched kernel pass per slot and one batched phase
 distance. It takes the worst over every draw and reports that draw's index.
+
+Only the Hadamard search needs scipy, and it imports scipy.optimize on its
+first optimizer call, so no other caller of this module loads scipy.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .circuits import Exchange, GlobalField, _diag_zz_phase
 from .grammar import fields, keyed, walk
@@ -582,6 +584,8 @@ def enumerate_sequences(problem: SynthesisProblem,
     bounds words x placements, and then survivors x placements x terms.
     """
     marks = [time.perf_counter()]
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     if not problem.alphabet:
         raise EmptyAlphabet(problem.name)
     family = FAMILIES[problem.family]
@@ -766,7 +770,16 @@ class HadamardSearchReport:
     n_structures: int
     tolerance: float
     profiles: tuple  # ((axis, per-site ratios), ...) the blocks assumed
+    n_minimize: int  # optimizer calls made
+    nfev: int  # objective evaluations over all those calls
     elapsed_s: float
+
+
+def minimize(fun: Callable, x0: np.ndarray, **kwargs):
+    """scipy.optimize.minimize, imported on the first call so that no other
+    command pays for loading scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _hadamard_target() -> np.ndarray:
@@ -850,6 +863,9 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
     outcome is deterministic for a seed whether or not anything is found,
     and a negative report means only that this bounded search failed, not
     that no sequence exists. Malformed arguments raise ValueError.
+    n_minimize counts the optimizer calls and nfev their objective
+    evaluations. The first search in a process also counts the one-off
+    import of scipy.optimize in elapsed_s.
     """
     t0 = time.perf_counter()
     ratios = {}
@@ -879,6 +895,7 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
     searched = [(i, s) for i, s in enumerate(structures) if s <= s[::-1]]
 
     best = (math.inf, "", ())
+    n_minimize = nfev = 0
     for (s_index, structure), start in itertools.product(searched,
                                                          range(starts)):
         srng = np.random.default_rng(seed * 1_000_003 + s_index * 1009 + start)
@@ -887,6 +904,8 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
                        jac=True, method="L-BFGS-B",
                        options={"maxiter": maxiter, "ftol": 1e-18,
                                 "gtol": 1e-14})
+        n_minimize += 1
+        nfev += int(res.nfev)
         dist = math.sqrt(res.fun)
         if dist < best[0]:
             best = (dist, structure, tuple(float(v) for v in res.x))
@@ -896,4 +915,5 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
         found=best[0] <= tolerance, best_distance=best[0], structure=best[1],
         parameters=best[2], depth=depth, starts=starts,
         n_structures=len(searched), tolerance=tolerance,
-        profiles=(("z", az), ("x", ax)), elapsed_s=time.perf_counter() - t0)
+        profiles=(("z", az), ("x", ax)), n_minimize=n_minimize, nfev=nfev,
+        elapsed_s=time.perf_counter() - t0)

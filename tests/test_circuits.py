@@ -9,9 +9,8 @@ from globalspin.circuits import (Circuit, Equivalence, Exchange, GateTarget,
                                  XYExchange, circuit_from_text,
                                  circuit_to_text, evaluate, euler_zxz,
                                  parallel_apply, su2_compile, verify_target)
-from globalspin.linalg import hermitian_expm, kron, max_abs, phase_distance
-from globalspin.spins import (EqualIndices, RegisterSpec, rotation_2x2,
-                              spin_operator)
+from globalspin.linalg import kron, max_abs, phase_distance
+from globalspin.spins import EqualIndices, RegisterSpec, rotation_2x2
 
 REG2 = RegisterSpec(2)
 REG3 = RegisterSpec(3)

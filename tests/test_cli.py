@@ -3,10 +3,7 @@ import json
 import math
 import os
 import shlex
-import subprocess
-import sys
 
-import numpy as np
 import pytest
 
 from globalspin import circuits, cli
@@ -297,15 +294,6 @@ def test_schedule_duration_cap_exit_code(capsys, tmp_path):
     assert "op 0" in err and "over cap" in err
 
 
-def test_cli_import_does_not_load_quadrature():
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys, globalspin.cli; "
-            "sys.exit('scipy.integrate' in sys.modules)")
-    run = subprocess.run([sys.executable, "-c", code],
-                         env={**os.environ, "PYTHONPATH": src})
-    assert run.returncode == 0
-
-
 def test_schedule_missing_input(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "schedule", str(tmp_path / "absent.txt"))
     assert code == 2
@@ -383,6 +371,8 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, text,
     ("schedule", "{circuit}", "--exchange-ns", "nan"),
     ("schedule", "{circuit}", "--exchange-ns", "0"),
     ("schedule", "{circuit}", "--exchange-ns", "-5"),
+    ("synthesize", "--problem", "planted_swap", "--budget", "-3"),
+    ("synthesize", "--problem", "planted_swap", "--budget", "0"),
 ])
 def test_bad_number_exits_2_with_one_line(capsys, tmp_path, argv):
     geometries = {}

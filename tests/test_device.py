@@ -1,14 +1,13 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
 from globalspin import device as dev
 from globalspin.device import (ANTIPARALLEL, PARALLEL,
                                DeviceGeometry, NonpositiveGradient,
-                               PointInsideWire, SpinSite, WireSpec,
+                               PointInsideWire, WireSpec,
                                ZeroFieldSite, device_constants, error_budget,
                                field_profile, gate_time_estimate,
                                geometry_from_text, geometry_to_text,

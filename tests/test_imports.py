@@ -1,0 +1,112 @@
+"""What the package loads, and what its modules import.
+
+Only the Hadamard search needs scipy, so no command may load it: the
+package's modules import scipy inside the one function that calls the
+optimizer, never when they load. The AST scans below keep that true, and
+keep every module-level import in the package and the tests in use.
+"""
+
+import ast
+import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import globalspin
+from globalspin import RegisterSpec, circuit_to_text, controlled_phase_circuit
+
+SRC = pathlib.Path(globalspin.__file__).parent
+TESTS = pathlib.Path(__file__).parent
+
+# Runs the four commands in one fresh process, lists the scipy modules they
+# loaded, then runs a small Hadamard search to show the listing can see one.
+PROBE = """
+import json, sys
+import globalspin
+from globalspin import cli, synth
+
+out, circuit = sys.argv[1:]
+codes = [cli.main(argv) for argv in (
+    ["verify", "--suite", "all"],
+    ["synthesize", "--problem", "planted_swap", "--out", out + "/swap.txt"],
+    ["device"],
+    ["schedule", circuit, "--out", out + "/cp.schedule.txt"])]
+loaded = sorted(m for m in sys.modules
+                if m == "scipy" or m.startswith("scipy."))
+synth.global_hadamard_search({"z": (1.0, 0.75), "x": (1.0, 0.5)}, depth=2,
+                             starts=1, maxiter=60)
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "optimize_after_search": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    circuit = tmp_path / "cp.circuit.txt"
+    c, _ = controlled_phase_circuit(RegisterSpec(2), 0, 1, -4.0 * math.pi)
+    circuit.write_text(circuit_to_text(c))
+    run = subprocess.run(
+        [sys.executable, "-c", PROBE, str(tmp_path), str(circuit)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert run.returncode == 0, run.stderr
+    probe = json.loads(run.stdout.splitlines()[-1])
+    assert probe["codes"] == [0, 0, 0, 0]
+    assert probe["loaded"] == []
+    assert probe["optimize_after_search"]
+
+
+def _load_time_imports(tree):
+    """Import statements that run when the module loads: all of them but
+    those inside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    return [node.module or ""] if node.level == 0 else []
+
+
+def _bound_names(node):
+    """(name, line) for each name an import statement binds."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [(a.asname or a.name.split(".")[0], node.lineno)
+            for a in node.names]
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_module_imports_no_scipy_when_loaded(path):
+    scipy_lines = [node.lineno for node in _load_time_imports(_parse(path))
+                   for module in _imported_modules(node)
+                   if module == "scipy" or module.startswith("scipy.")]
+    assert scipy_lines == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    + sorted(TESTS.glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_level_imports_are_used(path):
+    tree = _parse(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = [(name, line) for stmt in tree.body
+              if isinstance(stmt, (ast.Import, ast.ImportFrom))
+              for name, line in _bound_names(stmt) if name not in used]
+    assert unused == []

@@ -516,6 +516,8 @@ def test_hadamard_search_calls_minimize_by_module_name(monkeypatch):
     report = global_hadamard_search(PROFILES, depth=2, tolerance=1e-6,
                                     starts=1, seed=0, maxiter=60)
     assert len(seen) == report.n_structures == 6
+    assert report.n_minimize == len(seen)
+    assert report.nfev >= report.n_minimize
     for (f, grad), jac in seen:
         assert jac is True
         assert math.isfinite(f)
