@@ -13,6 +13,15 @@ groups' unitaries are joined by one broadcast tensor product; below that
 size, and for one group, the ops run on the full register. Builders return
 the circuit together with its intended gate target so the same
 verification path covers hand-built and synthesized sequences.
+
+A circuit may carry a draw count B: its ops then hold per-draw angles
+((B, n) field rows, (B,) exchange angles) next to shared ones, and
+evaluate returns the (B, 2^n, 2^n) stack of the draws' unitaries in one
+kernel pass per op. The pair builders take their angles as floats or as
+(B,) arrays: given floats they return one circuit and one target, given
+arrays a circuit of B draws and a (B, 2^n, 2^n) target, each draw the
+circuit and target its floats would give. verify_target and the bystander
+check take the same leading draw axis.
 """
 
 from __future__ import annotations
@@ -26,10 +35,11 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .grammar import fields, walk
-from .linalg import TOL_STRUCTURE, DimensionMismatch, max_abs, phase_distance
+from .linalg import (TOL_STRUCTURE, DimensionMismatch, max_abs,
+                     max_abs_per_draw, phase_distance)
 from .spins import (EqualIndices, Exchange, GlobalField, RegisterSpec,
                     XYExchange, apply_op, check_op, global_field_unitary,
-                    rotation_2x2, site_bits)
+                    identity, rotation_2x2, site_bits)
 
 
 class NotUnitary2x2(ValueError):
@@ -42,15 +52,23 @@ class OverlappingPairs(ValueError):
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered pulse ops on one register, each checked by spins.check_op."""
+    """Ordered pulse ops on one register, each checked by spins.check_op.
+
+    draws is None for one circuit, or the number B of parameter draws the
+    circuit plays at once: its ops may then hold per-draw angles, and it
+    evaluates to a (B, 2^n, 2^n) stack.
+    """
 
     register: RegisterSpec
     ops: tuple
+    draws: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
+        if self.draws is not None and self.draws < 1:
+            raise ValueError(f"draw count {self.draws} is not positive")
         for op in self.ops:
-            check_op(self.register, op)
+            check_op(self.register, op, self.draws)
 
     @property
     def step_count(self) -> int:
@@ -73,13 +91,14 @@ class Equivalence(enum.Enum):
 
 @dataclass(frozen=True)
 class GateTarget:
-    unitary: np.ndarray
+    unitary: np.ndarray  # (2^n, 2^n), or (B, 2^n, 2^n) for B draws
     acted_spins: frozenset
     equivalence: Equivalence
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    # Floats, or (B,) arrays of one value per draw for a circuit of B draws.
     distance: float
     bystander_deviation: float
     equivalence: Equivalence
@@ -96,7 +115,8 @@ FACTOR_MIN_SPINS = 7
 
 
 def evaluate(c: Circuit) -> np.ndarray:
-    """Ordered product of the ops' unitaries; first op acts first.
+    """Ordered product of the ops' unitaries; first op acts first. For a
+    circuit of B draws, the (B, 2^n, 2^n) stack of the draws' products.
 
     On FACTOR_MIN_SPINS spins and up, each group of exchange-linked spins is
     played on its own register and the groups are joined at the end.
@@ -104,15 +124,18 @@ def evaluate(c: Circuit) -> np.ndarray:
     n = c.register.n_spins
     groups = _exchange_groups(n, c.ops) if n >= FACTOR_MIN_SPINS else ()
     if len(groups) < 2:
-        return _play(c.register, c.ops)
-    u = np.ones((1,) * (2 * n), dtype=complex)
+        return _play(c.register, c.ops, c.draws)
+    lead = () if c.draws is None else (c.draws,)
+    u = np.ones(lead + (1,) * (2 * n), dtype=complex)
     # Smallest groups first, so every partial product but the last is at
     # most a quarter of the result.
     for g in sorted(groups, key=len):
         ops = []
         for op in c.ops:
             if isinstance(op, GlobalField):
-                ops.append(GlobalField(op.axis, [op.angles[s] for s in g]))
+                a = op.angles
+                ops.append(GlobalField(op.axis, a[:, g] if isinstance(
+                    a, np.ndarray) else [a[s] for s in g]))
             elif op.i in g:
                 ops.append(replace(op, i=g.index(op.i), j=g.index(op.j)))
         # The group's rows, then its columns, with a 1 at every other site:
@@ -120,13 +143,15 @@ def evaluate(c: Circuit) -> np.ndarray:
         shape = [1] * (2 * n)
         for s in g:
             shape[s] = shape[n + s] = 2
-        u = u * _play(RegisterSpec(len(g)), ops).reshape(shape)
-    return u.reshape(c.register.dim, c.register.dim)
+        u = u * _play(RegisterSpec(len(g)), ops, c.draws).reshape(
+            lead + tuple(shape))
+    return u.reshape(lead + (c.register.dim, c.register.dim))
 
 
-def _play(reg: RegisterSpec, ops) -> np.ndarray:
-    """The ops folded into one running unitary on the whole register."""
-    u = np.eye(reg.dim, dtype=complex)
+def _play(reg: RegisterSpec, ops, draws: Optional[int] = None) -> np.ndarray:
+    """The ops folded into one running unitary (or one per draw) on the
+    whole register."""
+    u = identity(reg, draws)
     for op in ops:
         apply_op(u, reg, op)
     return u
@@ -149,10 +174,11 @@ def _local_z_aligned_distance(u: np.ndarray, target: np.ndarray,
 
     Grouping diag(u target†) by the (bit_i, bit_j) classes reduces the
     torus optimization to g(q) = |m00 + q m01| + |m10 + q m11| over
-    |q| = 1, solved by a dense scan plus golden-section refinement (the
-    optimal p is closed-form once q is fixed). The distance is then the
-    Frobenius difference against the explicitly aligned target rather than
-    sqrt(2 - 2 f / dim), whose cancellation floors near 1e-8.
+    |q| = 1, solved by a dense scan (one numpy expression over 2049 angles)
+    plus golden-section refinement (the optimal p is closed-form once q is
+    fixed). The distance is then the Frobenius difference against the
+    explicitly aligned target rather than sqrt(2 - 2 f / dim), whose
+    cancellation floors near 1e-8.
     """
     r = np.diag(u @ target.conj().T)
     bi = site_bits(reg, i)
@@ -168,7 +194,10 @@ def _local_z_aligned_distance(u: np.ndarray, target: np.ndarray,
             + abs(m[1, 0] + q.conjugate() * m[1, 1])
 
     angles = np.linspace(0.0, 2 * math.pi, 2049)
-    best = max(angles, key=g)
+    q_conj = np.exp(1j * angles)
+    scan = (np.abs(m[0, 0] + q_conj * m[0, 1])
+            + np.abs(m[1, 0] + q_conj * m[1, 1]))
+    best = float(angles[np.argmax(scan)])
     lo, hi = best - 2 * math.pi / 2048, best + 2 * math.pi / 2048
     golden = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
@@ -206,30 +235,42 @@ def verify_target(c: Circuit, t: GateTarget, tol: float) -> VerificationReport:
     the evaluated unitary must commute with that spin's S^z and S^x, which
     holds exactly when its action there is identity up to phase. Both
     commutators are read off u directly (see _commutator_deviation).
+
+    For a circuit of B draws, t.unitary is the (B, 2^n, 2^n) stack of
+    targets; the report then holds one distance and one deviation per draw,
+    and passes only if every draw does. Values fold with numpy's max, so a
+    NaN anywhere fails the report.
     """
     u = evaluate(c)
     if u.shape != t.unitary.shape:
         raise DimensionMismatch(f"{u.shape} vs {t.unitary.shape}")
+    u3, t3 = (u, t.unitary) if c.draws else (u[None], t.unitary[None])
     if t.equivalence is Equivalence.EXACT:
-        dist = max_abs(u - t.unitary)
+        dist = max_abs_per_draw(u3 - t3)
     elif t.equivalence is Equivalence.GLOBAL_PHASE:
-        dist = phase_distance(u, t.unitary)
+        dist = phase_distance(u3, t3)
     else:
         acted = sorted(t.acted_spins)
         if len(acted) != 2:
             raise ValueError("local-z factoring needs exactly two acted spins")
-        dist = _local_z_aligned_distance(u, t.unitary, c.register, *acted)
-    byst = max((_commutator_deviation(u, c.register, k)
-                for k in range(c.register.n_spins)
-                if k not in t.acted_spins), default=0.0)
-    return VerificationReport(distance=float(dist),
-                              bystander_deviation=float(byst),
+        dist = np.array([_local_z_aligned_distance(ub, tb, c.register, *acted)
+                         for ub, tb in zip(u3, t3)])
+    byst = np.zeros(len(u3))
+    for k in range(c.register.n_spins):
+        if k not in t.acted_spins:
+            byst = np.maximum(byst, _commutator_deviation(u3, c.register, k))
+    passed = bool(np.all(dist <= tol) and np.all(byst <= tol))
+    if not c.draws:
+        dist, byst = float(dist[0]), float(byst[0])
+    return VerificationReport(distance=dist, bystander_deviation=byst,
                               equivalence=t.equivalence, tolerance=tol,
-                              passed=bool(dist <= tol and byst <= tol))
+                              passed=passed)
 
 
-def _commutator_deviation(u: np.ndarray, reg: RegisterSpec, k: int) -> float:
-    """max(max_abs([u, S_k^z]), max_abs([u, S_k^x])), without forming S_k.
+def _commutator_deviation(u: np.ndarray, reg: RegisterSpec,
+                          k: int) -> np.ndarray:
+    """max(max_abs([u_b, S_k^z]), max_abs([u_b, S_k^x])) for every entry u_b
+    of a (B, 2^n, 2^n) stack, as a (B,) array, without forming S_k.
 
     With rows and columns split at spin k's bit, [u, S^z] is +-u on the
     blocks where the row and column bits differ and 0 elsewhere, and
@@ -237,15 +278,16 @@ def _commutator_deviation(u: np.ndarray, reg: RegisterSpec, k: int) -> float:
     with the same roundings as the dense products u S - S u.
     """
     high, low = 1 << k, 1 << (reg.n_spins - 1 - k)
-    v = u.reshape(high, 2, low, high, 2, low)
-    dz = max(max_abs(v[:, 0, :, :, 1]), max_abs(v[:, 1, :, :, 0]))
-    dx = max_abs(v[:, :, :, :, ::-1] * 0.5 - v[:, ::-1] * 0.5)
-    return max(dz, dx)
+    v = u.reshape(len(u), high, 2, low, high, 2, low)
+    dz = np.maximum(max_abs_per_draw(v[:, :, 0, :, :, 1]),
+                    max_abs_per_draw(v[:, :, 1, :, :, 0]))
+    dx = max_abs_per_draw(v[:, :, :, :, :, ::-1] * 0.5 - v[:, :, ::-1] * 0.5)
+    return np.maximum(dz, dx)
 
 
-def _angle_vector(reg: RegisterSpec, i: int, j: int, a_i: float, a_j: float,
+def _angle_vector(reg: RegisterSpec, i: int, j: int, a_i, a_j,
                   others: Optional[Mapping[int, float]] = None,
-                  default: float = 0.0) -> tuple:
+                  default=0.0):
     vec = [default] * reg.n_spins
     vec[i] = a_i
     vec[j] = a_j
@@ -254,25 +296,62 @@ def _angle_vector(reg: RegisterSpec, i: int, j: int, a_i: float, a_j: float,
             if k in (i, j):
                 raise ValueError(f"spin {k} is not a bystander here")
             vec[k] = val
-    return tuple(vec)
+    return _field_angles(vec)
 
 
-def _diag_zz_phase(reg: RegisterSpec, i: int, j: int, coeff: float) -> np.ndarray:
-    """exp(-i coeff S_i^z S_j^z), computed on the diagonal directly."""
+def _field_angles(vec: list):
+    """One angle per spin, each a float or a (B,) array of per-draw angles:
+    a tuple of floats when no entry is an array, else the (B, n) rows."""
+    draws = _draws(*vec)
+    if draws is None:
+        return tuple(vec)
+    rows = np.empty((draws, len(vec)))
+    for k, a in enumerate(vec):
+        rows[:, k] = a
+    return rows
+
+
+def _neg(vec):
+    return -vec if isinstance(vec, np.ndarray) else tuple(-a for a in vec)
+
+
+def _draws(*values) -> Optional[int]:
+    """The draw count of a builder's angles: None when none is an array,
+    else the length of the first array (a (B,) column or (B, n) rows)."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            return len(v)
+    return None
+
+
+def _stacked(target: np.ndarray, draws: Optional[int]) -> np.ndarray:
+    """The (B, 2^n, 2^n) stack a circuit of B draws is compared with: the
+    target itself if it has one entry per draw, else one shared by all."""
+    if draws is None or target.ndim == 3:
+        return target
+    return np.broadcast_to(target, (draws,) + target.shape)
+
+
+def _diag_zz_phase(reg: RegisterSpec, i: int, j: int, coeff) -> np.ndarray:
+    """exp(-i coeff S_i^z S_j^z), computed on the diagonal directly; a (B,)
+    array of coefficients gives the (B, 2^n, 2^n) stack."""
     bi = site_bits(reg, i)
     bj = site_bits(reg, j)
     # S^z eigenvalue is +1/2 for bit 0, -1/2 for bit 1; product is +-1/4.
     prod = np.where(bi == bj, 0.25, -0.25)
-    return np.diag(np.exp(-1j * coeff * prod))
+    diag = np.exp(-1j * np.asarray(coeff)[..., None] * prod)
+    out = np.zeros(diag.shape + prod.shape, dtype=complex)
+    out[..., np.arange(reg.dim), np.arange(reg.dim)] = diag
+    return out
 
 
-def swap_conjugation(reg: RegisterSpec, i: int, j: int, angle_i: float,
-                     angle_j: float,
+def swap_conjugation(reg: RegisterSpec, i: int, j: int, angle_i, angle_j,
                      bystander_angles: Optional[Mapping[int, float]] = None):
     """Exchange conjugation of a z pulse; swaps which spin gets which angle.
 
     Returns the 3-op circuit and its exact target: the same field pulse with
     the pair angles interchanged (bystander angles ride through unchanged).
+    Every angle may be a (B,) array of per-draw angles instead of a float.
     """
     vec = _angle_vector(reg, i, j, angle_i, angle_j, bystander_angles)
     swapped = _angle_vector(reg, i, j, angle_j, angle_i, bystander_angles)
@@ -280,11 +359,11 @@ def swap_conjugation(reg: RegisterSpec, i: int, j: int, angle_i: float,
            GlobalField("z", vec),
            Exchange(i, j, math.pi))
     target = global_field_unitary(reg, GlobalField("z", swapped))
-    return (Circuit(reg, ops),
+    return (Circuit(reg, ops, _draws(vec)),
             GateTarget(target, frozenset(range(reg.n_spins)), Equivalence.EXACT))
 
 
-def dressed_swap(reg: RegisterSpec, i: int, j: int, angle: float,
+def dressed_swap(reg: RegisterSpec, i: int, j: int, angle,
                  bystander_angles: Optional[Mapping[int, float]] = None) -> Circuit:
     """Swap conjugated by x pulses whose pair angles differ by pi.
 
@@ -295,48 +374,51 @@ def dressed_swap(reg: RegisterSpec, i: int, j: int, angle: float,
     """
     vec = _angle_vector(reg, i, j, angle, angle + math.pi, bystander_angles,
                         default=angle)
-    neg = tuple(-a for a in vec)
     ops = (GlobalField("x", vec),
            Exchange(i, j, -math.pi),
-           GlobalField("x", neg))
-    return Circuit(reg, ops)
+           GlobalField("x", _neg(vec)))
+    return Circuit(reg, ops, _draws(vec))
 
 
 def dressed_swap_phase_conjugation(reg: RegisterSpec, i: int, j: int,
-                                   angle: float, z_i: float, z_j: float):
+                                   angle, z_i, z_j):
     """Doubled dressed-swap conjugation of a z phase pulse.
 
     Returns the 7-op circuit and the exact expected matrix
     1j * exp(+i (z_i S_j^z + z_j S_i^z)): the pair phases swap, flip sign,
     and pick up a literal scalar factor i. Compared entrywise, not up to
-    phase, because the factor is part of the claim.
+    phase, because the factor is part of the claim. Per-draw (B,) angles
+    give the (B, 2^n, 2^n) stack of expected matrices.
     """
     dressed = dressed_swap(reg, i, j, angle).ops
-    middle = GlobalField("z", _angle_vector(reg, i, j, z_i, z_j))
-    circuit = Circuit(reg, dressed + (middle,) + dressed)
+    middle = _angle_vector(reg, i, j, z_i, z_j)
+    circuit = Circuit(reg, dressed + (GlobalField("z", middle),) + dressed,
+                      _draws(angle, middle))
     swapped = GlobalField("z", _angle_vector(reg, i, j, -z_j, -z_i))
-    expected = 1j * global_field_unitary(reg, swapped)
+    expected = 1j * _stacked(global_field_unitary(reg, swapped),
+                             circuit.draws)
     return circuit, expected
 
 
 def controlled_phase_circuit(reg: RegisterSpec, i: int, j: int,
-                             angle: float = 0.0,
+                             angle=0.0,
                              bystander_angles: Optional[Mapping[int, float]] = None):
     """Four-step controlled-phase construction.
 
     A z pulse with pair angles (angle, angle+pi), exchange by pi/2, the
     inverse pulse, exchange by pi/2. Equals exp(-i pi S_i^z S_j^z) exactly,
-    including global phase, for every value of angle.
+    including global phase, for every value of angle; per-draw (B,) angles
+    give that target once per draw.
     """
     vec = _angle_vector(reg, i, j, angle, angle + math.pi, bystander_angles,
                         default=angle)
-    neg = tuple(-a for a in vec)
     ops = (GlobalField("z", vec),
            Exchange(i, j, math.pi / 2),
-           GlobalField("z", neg),
+           GlobalField("z", _neg(vec)),
            Exchange(i, j, math.pi / 2))
-    target = _diag_zz_phase(reg, i, j, math.pi)
-    return (Circuit(reg, ops),
+    draws = _draws(vec)
+    target = _stacked(_diag_zz_phase(reg, i, j, math.pi), draws)
+    return (Circuit(reg, ops, draws),
             GateTarget(target, frozenset((i, j)), Equivalence.EXACT))
 
 
@@ -348,52 +430,53 @@ def controlled_phase_local_z_target(reg: RegisterSpec, i: int, j: int) -> GateTa
 
 
 def _single_spin_rotation(reg: RegisterSpec, axis: str, i: int,
-                          angle: float) -> np.ndarray:
+                          angle) -> np.ndarray:
     """exp(-i angle S_i^axis): a global field with one nonzero angle."""
     vec = [0.0] * reg.n_spins
     vec[i] = angle
-    return global_field_unitary(reg, GlobalField(axis, vec))
+    return global_field_unitary(reg, GlobalField(axis, _field_angles(vec)))
 
 
-def xy_x_rotation_circuit(reg: RegisterSpec, i: int, j: int, angle_i: float,
-                          angle_j: float,
+def xy_x_rotation_circuit(reg: RegisterSpec, i: int, j: int, angle_i,
+                          angle_j,
                           bystander_angles: Optional[Mapping[int, float]] = None):
     """Single-spin x rotation from two x pulses and two z pi flips on spin i.
 
     Target is exp(+i 2 angle_i S_i^x) up to global phase; direct evaluation
-    carries a residual overall factor of -1, measured in the tests.
+    carries a residual overall factor of -1, measured in the tests. Angles
+    may be (B,) arrays of per-draw angles.
     """
     vec = _angle_vector(reg, i, j, angle_i, angle_j, bystander_angles)
-    neg = tuple(-a for a in vec)
     flip = _angle_vector(reg, i, j, -math.pi, 0.0)
     ops = (GlobalField("z", flip),
            GlobalField("x", vec),
            GlobalField("z", flip),
-           GlobalField("x", neg))
-    target = _single_spin_rotation(reg, "x", i, -2.0 * angle_i)
-    return (Circuit(reg, ops),
+           GlobalField("x", _neg(vec)))
+    draws = _draws(vec)
+    target = _stacked(_single_spin_rotation(reg, "x", i, -2.0 * angle_i),
+                      draws)
+    return (Circuit(reg, ops, draws),
             GateTarget(target, frozenset((i,)), Equivalence.GLOBAL_PHASE))
 
 
-def xy_controlled_phase_circuit(reg: RegisterSpec, i: int, j: int, phi: float):
+def xy_controlled_phase_circuit(reg: RegisterSpec, i: int, j: int, phi):
     """Controlled phase from planar exchange, echoed by x pi flips on spin i
     and wrapped in opposite y quarter turns on the pair.
 
     The measured action is exp(+i 2 phi S_i^z S_j^z) times an overall -1;
     the target records the +2 phi normalization and the comparison runs up
-    to global phase.
+    to global phase. phi may be a (B,) array of per-draw angles.
     """
     y_vec = _angle_vector(reg, i, j, math.pi / 2, -math.pi / 2)
-    y_neg = tuple(-a for a in y_vec)
     flip = _angle_vector(reg, i, j, -math.pi, 0.0)
     ops = (GlobalField("y", y_vec),
            GlobalField("x", flip),
            XYExchange(i, j, phi),
            GlobalField("x", flip),
            XYExchange(i, j, phi),
-           GlobalField("y", y_neg))
+           GlobalField("y", _neg(y_vec)))
     target = _diag_zz_phase(reg, i, j, -2.0 * phi)
-    return (Circuit(reg, ops),
+    return (Circuit(reg, ops, _draws(phi)),
             GateTarget(target, frozenset((i, j)), Equivalence.GLOBAL_PHASE))
 
 
@@ -451,7 +534,8 @@ def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Cir
 
     Field steps become single pulses carrying the template angles at every
     pair; exchange steps are emitted per pair and commute, so the circuit
-    equals the tensor product of the per-pair gate.
+    equals the tensor product of the per-pair gate. A template of B draws
+    gives a circuit of B draws.
     """
     if template.register.n_spins != 2:
         raise ValueError("template must act on a register of 2")
@@ -468,18 +552,20 @@ def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Cir
     ops = []
     for op in template.ops:
         if isinstance(op, GlobalField):
+            # Per template spin, a float or a (B,) column of per-draw angles.
+            a_0, a_1 = np.transpose(op.angles)
             vec = [0.0] * reg.n_spins
             for p, q in pairs:
-                vec[p] = op.angles[0]
-                vec[q] = op.angles[1]
-            ops.append(GlobalField(op.axis, tuple(vec)))
+                vec[p] = a_0
+                vec[q] = a_1
+            ops.append(GlobalField(op.axis, _field_angles(vec)))
         elif isinstance(op, (Exchange, XYExchange)):
             for p, q in pairs:
                 ops.append(replace(op, i=p if op.i == 0 else q,
                                    j=p if op.j == 0 else q))
         else:
             raise TypeError(f"not a pulse op: {op!r}")
-    return Circuit(reg, tuple(ops))
+    return Circuit(reg, tuple(ops), template.draws)
 
 
 def euler_zxz(u: np.ndarray):

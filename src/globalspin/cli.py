@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import circuits, device, schedule as sched, synth
-from .linalg import TOL_COMPILED, max_abs, phase_distance
+from .linalg import TOL_COMPILED, max_abs_per_draw, phase_distance
 from .spins import RegisterSpec
 
 DRAWS_PER_SUITE = 60
@@ -34,6 +34,9 @@ class CheckResult:
     measured: object  # float, or str for identifiers like digests
     threshold: Optional[float]  # None marks an informational value
     passed: bool
+    # verify: the first draw with the suite's worst value, as its index in
+    # the suite's draw order and its layout {index, n, i, j}.
+    worst_draw: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -81,10 +84,11 @@ def _emit(report: RunReport, fmt: str, stream=None) -> None:
                           "inputs": [{"path": p, "sha256": d}
                                      for p, d in report.inputs]}), file=stream)
         for c in report.checks:
-            print(json.dumps({"kind": "check", "name": c.name,
-                              "measured": c.measured,
-                              "threshold": c.threshold,
-                              "pass": c.passed}), file=stream)
+            rec = {"kind": "check", "name": c.name, "measured": c.measured,
+                   "threshold": c.threshold, "pass": c.passed}
+            if c.worst_draw is not None:
+                rec["worst_draw"] = c.worst_draw
+            print(json.dumps(rec), file=stream)
         for st in report.stages:
             print(json.dumps({"kind": "stage", "name": st.name, "in": st.n_in,
                               "out": st.n_out, "s": st.seconds}), file=stream)
@@ -98,6 +102,9 @@ def _emit(report: RunReport, fmt: str, stream=None) -> None:
     for c in report.checks:
         measured = (f"{c.measured:.6e}" if isinstance(c.measured, float)
                     else str(c.measured))
+        if c.worst_draw is not None:
+            measured += "  draw {index} (n={n} i={i} j={j})".format(
+                **c.worst_draw)
         if c.threshold is None:
             print(f"  {c.name:42s} {measured:>26s}  INFO", file=stream)
         else:
@@ -119,72 +126,88 @@ def _bounded_check(name: str, measured: float, threshold: float) -> CheckResult:
     return CheckResult(name, measured, threshold, measured <= threshold)
 
 
-def _random_pair(rng: np.random.Generator, n: int):
-    i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-    return i, j
-
-
-def _bystanders(rng: np.random.Generator, n: int, i: int, j: int) -> dict:
-    return {k: float(rng.uniform(-3.0, 3.0))
-            for k in range(n) if k not in (i, j)}
-
-
 def _angle(rng: np.random.Generator) -> float:
     return float(rng.uniform(-3, 3))
 
 
-# Pair suites: check name and builder(rng, reg, i, j) -> (circuit, target).
-# A GateTarget is checked with verify_target, a bare matrix entrywise. Each
-# builder draws its angles in argument order.
+# Pair suites: check name, builder, the number of angles each draw takes
+# before its bystander angles, and whether it takes bystander angles. A
+# builder returns (circuit, target); a GateTarget is checked with
+# verify_target, a bare stack of matrices entrywise. Builders are looked up
+# in circuits when a suite runs.
 _PAIR_SUITES = {
-    "swap": ("swap_conjugation_exact",
-             lambda rng, reg, i, j: circuits.swap_conjugation(
-                 reg, i, j, _angle(rng), _angle(rng),
-                 _bystanders(rng, reg.n_spins, i, j))),
+    "swap": ("swap_conjugation_exact", "swap_conjugation", 2, True),
     "dressed": ("dressed_swap_phase_factor",
-                lambda rng, reg, i, j: circuits.dressed_swap_phase_conjugation(
-                    reg, i, j, _angle(rng), _angle(rng), _angle(rng))),
-    "cp": ("controlled_phase_exact",
-           lambda rng, reg, i, j: circuits.controlled_phase_circuit(
-               reg, i, j, _angle(rng), _bystanders(rng, reg.n_spins, i, j))),
-    "xy": ("xy_x_rotation_phase",
-           lambda rng, reg, i, j: circuits.xy_x_rotation_circuit(
-               reg, i, j, _angle(rng), _angle(rng),
-               _bystanders(rng, reg.n_spins, i, j))),
-    "xycp": ("xy_controlled_phase",
-             lambda rng, reg, i, j: circuits.xy_controlled_phase_circuit(
-                 reg, i, j, _angle(rng))),
+                "dressed_swap_phase_conjugation", 3, False),
+    "cp": ("controlled_phase_exact", "controlled_phase_circuit", 1, True),
+    "xy": ("xy_x_rotation_phase", "xy_x_rotation_circuit", 2, True),
+    "xycp": ("xy_controlled_phase", "xy_controlled_phase_circuit", 1, False),
 }
 
 
-def _pair_suite(rng, tol, check, build) -> CheckResult:
-    worst = 0.0
-    for _ in range(DRAWS_PER_SUITE):
+def _worst_check(name: str, values: np.ndarray, layouts: list,
+                 tol: float) -> CheckResult:
+    """A suite's check from its values and (n, i, j) layouts, one per draw
+    in draw order: the largest value (NaN if any is NaN) and the first draw
+    that has it."""
+    k = int(np.argmax(values))
+    worst = float(values[k])
+    n, i, j = layouts[k]
+    return CheckResult(name, worst, tol, worst <= tol,
+                       {"index": k, "n": n, "i": i, "j": j})
+
+
+def _pair_suite(rng, tol, check, builder, n_angles, bystanders) -> CheckResult:
+    """DRAWS_PER_SUITE draws, each a register of 2 to 4 spins, a pair, and
+    then its angles in the builder's argument order. The draws are grouped
+    by (n, i, j) layout: one builder call per layout on (B,) angle columns,
+    and one batched verification."""
+    layouts, groups = [], {}
+    for index in range(DRAWS_PER_SUITE):
         n = int(rng.integers(2, 5))
-        i, j = _random_pair(rng, n)
-        c, target = build(rng, RegisterSpec(n), i, j)
+        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+        row = [_angle(rng) for _ in range(n_angles)]
+        if bystanders:
+            row += [_angle(rng) for k in range(n) if k not in (i, j)]
+        layouts.append((n, i, j))
+        groups.setdefault((n, i, j), []).append((index, row))
+    values = np.empty(DRAWS_PER_SUITE)
+    for (n, i, j), draws in groups.items():
+        index, rows = zip(*draws)
+        cols = list(np.array(rows).T)
+        args = cols[:n_angles]
+        if bystanders:
+            spins = [k for k in range(n) if k not in (i, j)]
+            args.append(dict(zip(spins, cols[n_angles:])))
+        c, target = getattr(circuits, builder)(RegisterSpec(n), i, j, *args)
         if isinstance(target, circuits.GateTarget):
             rep = circuits.verify_target(c, target, tol)
-            worst = max(worst, rep.distance, rep.bystander_deviation)
+            worst = np.maximum(rep.distance, rep.bystander_deviation)
         else:
-            worst = max(worst, max_abs(circuits.evaluate(c) - target))
-    return _bounded_check(check, worst, tol)
+            worst = max_abs_per_draw(circuits.evaluate(c) - target)
+        values[list(index)] = worst
+    return _worst_check(check, values, layouts, tol)
 
 
 def _suite_parallel(rng, tol):
-    worst = 0.0
-    for _ in range(DRAWS_PER_SUITE // 4):
-        reg2 = RegisterSpec(2)
-        template, _ = circuits.controlled_phase_circuit(
-            reg2, 0, 1, float(rng.uniform(-3, 3)))
-        for n, pairs in ((4, ((0, 1), (2, 3))), (6, ((0, 1), (2, 3), (4, 5)))):
-            reg = RegisterSpec(n)
-            c = circuits.parallel_apply(template, pairs, reg)
-            target = np.eye(reg.dim, dtype=complex)
-            for p, q in pairs:
-                target = circuits._diag_zz_phase(reg, p, q, math.pi) @ target
-            worst = max(worst, max_abs(circuits.evaluate(c) - target))
-    return _bounded_check("parallel_pair_replication", worst, tol)
+    """The controlled phase replicated on 2 and 3 pairs, for
+    DRAWS_PER_SUITE // 4 template angles: one builder call and two batched
+    evaluations. Draw 2k is angle k on 4 spins, draw 2k + 1 the same angle
+    on 6; a draw's layout names its register and its first pair."""
+    angles = np.array([_angle(rng) for _ in range(DRAWS_PER_SUITE // 4)])
+    template, _ = circuits.controlled_phase_circuit(RegisterSpec(2), 0, 1,
+                                                    angles)
+    values = np.empty((len(angles), 2))
+    for col, (n, pairs) in enumerate(((4, ((0, 1), (2, 3))),
+                                      (6, ((0, 1), (2, 3), (4, 5))))):
+        reg = RegisterSpec(n)
+        c = circuits.parallel_apply(template, pairs, reg)
+        target = np.eye(reg.dim, dtype=complex)
+        for p, q in pairs:
+            target = circuits._diag_zz_phase(reg, p, q, math.pi) @ target
+        values[:, col] = max_abs_per_draw(circuits.evaluate(c) - target)
+    return _worst_check("parallel_pair_replication", values.ravel(),
+                        [(4, 0, 1), (6, 0, 1)] * len(angles), tol)
 
 
 VERIFY_SUITES = tuple(_PAIR_SUITES) + ("parallel",)

@@ -31,6 +31,12 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+def max_abs_per_draw(m: np.ndarray) -> np.ndarray:
+    """max_abs of each entry of a stack along its leading (draw) axis; a NaN
+    entry gives NaN."""
+    return np.max(np.abs(m).reshape(len(m), -1), axis=1)
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with a's index major."""
     a = np.asarray(a, dtype=complex)

@@ -16,11 +16,14 @@ plays each group of exchange-linked spins on a register of that group's
 size and joins the groups afterwards.
 
 The kernel also takes a leading draw axis: u may be a (B, 2^N, m) batch,
-one entry per parameter draw, and a field may then carry a (B, N) array of
-angles. A z field becomes a (B, 2^N) row phase, an x or y field a (B, 2, 2)
-product per site, and an exchange the same mix with the draws folded into
-the leading view. A 2-D u runs the same code as a batch of one, with the
-same arithmetic entry for entry.
+one entry per parameter draw. A field may then carry a (B, N) array of
+angles, and an exchange or planar exchange a (B,) array of angles. A field
+builds every site's 2x2 factors, for every draw, from one cos/sin pass over
+its angles: a z field becomes a (B, 2^N) row phase, an x or y field a
+(B, 2, 2) product per site. An exchange mixes the same rows with one
+coefficient per draw, the draws folded into the leading axis of the view.
+A 2-D u runs the same code as a batch of one, with the same arithmetic
+entry for entry.
 """
 
 from __future__ import annotations
@@ -112,44 +115,62 @@ def spin_operator(reg: RegisterSpec, k: int, axis: str) -> np.ndarray:
 def rotation_2x2(axis: str, angle) -> np.ndarray:
     """exp(-i angle sigma^axis / 2). z-axis result is exactly diagonal.
 
-    angle may also be an array of angles, one per draw; the result is then
-    one matrix per angle, stacked as (..., 2, 2). An array takes numpy's cos
-    and sin instead of math's; the kernel tests check that a batch entry
-    equals its draw played alone.
+    angle may also be an array of angles of any shape; the result is then
+    one matrix per angle, stacked as (..., 2, 2). Every entry is a cos or a
+    sin of half an angle (or its negative, or zero), computed in one pass.
     """
-    many = isinstance(angle, np.ndarray)
-    c = (np.cos if many else math.cos)(angle / 2)
-    s = (np.sin if many else math.sin)(angle / 2)
-    if axis == "z":
-        zero = c - c
-        m = [[c - 1j * s, zero], [zero, c + 1j * s]]
-    elif axis == "x":
-        m = [[c, -1j * s], [-1j * s, c]]
-    elif axis == "y":
-        m = [[c, -s], [s, c]]
-    else:
+    if axis not in PAULI:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    if many:
-        return np.ascontiguousarray(np.moveaxis(np.array(m), (0, 1), (-2, -1)))
-    return np.array(m)
+    half = np.asarray(angle, dtype=float) / 2
+    c, s = np.cos(half), np.sin(half)
+    m = np.zeros(half.shape + (2, 2), dtype=complex)
+    re, im = m.real, m.imag
+    re[..., 0, 0] = re[..., 1, 1] = c
+    if axis == "z":
+        im[..., 0, 0], im[..., 1, 1] = -s, s
+    elif axis == "x":
+        im[..., 0, 1] = im[..., 1, 0] = -s
+    else:
+        re[..., 0, 1], re[..., 1, 0] = -s, s
+    return m
+
+
+def _frozen(angles: np.ndarray) -> np.ndarray:
+    """A read-only float copy of per-draw angles."""
+    angles = np.array(angles, dtype=float)
+    angles.flags.writeable = False
+    return angles
 
 
 @dataclass(frozen=True)
 class Exchange:
-    """Isotropic exchange pulse with integrated angle xi on spins (i, j)."""
+    """Isotropic exchange pulse with integrated angle xi on spins (i, j).
+
+    xi may instead be a (B,) array, one angle per parameter draw; such an
+    op is played on a batch of B unitaries and is not hashed or compared.
+    """
 
     i: int
     j: int
     xi: float
 
+    def __post_init__(self) -> None:
+        if isinstance(self.xi, np.ndarray):
+            object.__setattr__(self, "xi", _frozen(self.xi))
+
 
 @dataclass(frozen=True)
 class XYExchange:
-    """Planar (XX+YY) exchange pulse with integrated angle phi."""
+    """Planar (XX+YY) exchange pulse with integrated angle phi, which may be
+    a (B,) array of per-draw angles as for Exchange."""
 
     i: int
     j: int
     phi: float
+
+    def __post_init__(self) -> None:
+        if isinstance(self.phi, np.ndarray):
+            object.__setattr__(self, "phi", _frozen(self.phi))
 
 
 @dataclass(frozen=True)
@@ -158,7 +179,8 @@ class GlobalField:
 
     angles may instead be a (B, n) array, one row of per-spin angles per
     parameter draw. Such a field is played by apply_op on a batch of B
-    unitaries; a Circuit does not hold one, and it is not hashed or compared.
+    unitaries, and a Circuit holds one only when it carries B draws; it is
+    not hashed or compared.
     """
 
     axis: str
@@ -166,8 +188,7 @@ class GlobalField:
 
     def __post_init__(self) -> None:
         if isinstance(self.angles, np.ndarray) and self.angles.ndim == 2:
-            angles = np.array(self.angles, dtype=float)
-            angles.flags.writeable = False
+            angles = _frozen(self.angles)
         else:
             angles = tuple(float(a) for a in self.angles)
         object.__setattr__(self, "angles", angles)
@@ -180,55 +201,71 @@ def check_op(reg: RegisterSpec, op: PulseOp, draws: int | None = None) -> None:
     """Raise unless apply_op can apply op on reg.
 
     Two-spin ops need distinct spins inside the register; a field needs one
-    angle per spin and an axis in x/y/z. A field with one row of angles per
-    draw needs exactly `draws` rows of that length. Every angle must be
-    finite. All failures are ValueErrors; a non-op is a TypeError.
+    angle per spin and an axis in x/y/z. An op with per-draw angles needs
+    exactly `draws` of them: a field `draws` rows of that length, an
+    exchange `draws` angles. Every angle must be finite. All failures are
+    ValueErrors; a non-op is a TypeError.
     """
     if isinstance(op, GlobalField):
         if op.axis not in PAULI:
             raise ValueError(f"axis must be one of {AXES}, got {op.axis!r}")
         angles = op.angles
-        if isinstance(angles, np.ndarray):
-            if angles.shape != (draws, reg.n_spins):
-                raise LengthMismatch(
-                    f"angle rows of shape {angles.shape} for {draws} draws "
-                    f"on a register of {reg.n_spins}")
-            angles = angles.ravel().tolist()
-        elif len(angles) != reg.n_spins:
+        shape = (draws, reg.n_spins)
+        if not isinstance(angles, np.ndarray) and len(angles) != reg.n_spins:
             raise LengthMismatch(
                 f"{len(angles)} angles for register of {reg.n_spins}")
     elif isinstance(op, (Exchange, XYExchange)):
         _check_pair(reg, op.i, op.j)
-        angles = (op.xi if isinstance(op, Exchange) else op.phi,)
+        angle = op.xi if isinstance(op, Exchange) else op.phi
+        angles = angle if isinstance(angle, np.ndarray) else (angle,)
+        shape = (draws,)
     else:
         raise TypeError(f"not a pulse op: {op!r}")
-    if not all(math.isfinite(a) for a in angles):
+    if isinstance(angles, np.ndarray):
+        if angles.shape != shape:
+            raise LengthMismatch(
+                f"angles of shape {angles.shape} for {draws} draws "
+                f"on a register of {reg.n_spins}")
+        finite = bool(np.isfinite(angles).all())
+    else:
+        finite = all(math.isfinite(a) for a in angles)
+    if not finite:
         raise ValueError(f"non-finite angle in {op!r}")
 
 
-def _apply_field(u: np.ndarray, axis: str, angles) -> None:
-    """u is (B, 2^n, m). angles holds one entry per spin: a float shared by
-    every draw, or a (B, 1) array of per-draw angles, whose (B, 1, 2, 2)
-    factors broadcast against the (B, 2^k, 2, rest) views below."""
+def identity(reg: RegisterSpec, draws: int | None = None) -> np.ndarray:
+    """The register's identity, or a (draws, 2^n, 2^n) stack of them, as a
+    C-contiguous array that apply_op can update in place."""
+    if draws is None:
+        return np.eye(reg.dim, dtype=complex)
+    u = np.zeros((draws, reg.dim, reg.dim), dtype=complex)
+    u.reshape(draws, -1)[:, ::reg.dim + 1] = 1.0
+    return u
+
+
+def _apply_field(u: np.ndarray, axis: str, rows: np.ndarray) -> None:
+    """u is (B, 2^n, m); rows is (1, n), one angle per spin shared by every
+    draw, or (B, n), one row per draw. Each site's (1 or B, 1, 2, 2) factors
+    broadcast against the (B, 2^k, 2, rest) views below."""
+    factors = rotation_2x2(axis, rows)[:, :, None]
     if axis == "z":
         # Row phase: the outer product of the per-site diagonals, spin 0
         # the slowest index; one per draw once a site's angles are.
+        diag = factors.diagonal(0, -2, -1)
         d = np.ones((1, 1), dtype=complex)
-        for a in angles:
-            d = d[:, :, None] * rotation_2x2("z", a).diagonal(0, -2, -1)
-            d = d.reshape(len(d), -1)
+        for k in range(rows.shape[1]):
+            d = (d[:, :, None] * diag[:, k]).reshape(len(diag), -1)
         u *= d[:, :, None]
         return
     # Site k is axis 2 of the (B, 2^k, 2, rest) view: one 2x2 product per
-    # site (and draw), alternating between u and one scratch array.
+    # site (and draw), alternating between u and one scratch array. A site
+    # at rest in every draw is skipped.
     src, dst = u, None
     b = len(u)
-    for k, a in enumerate(angles):
-        if isinstance(a, float) and a == 0.0:
-            continue
+    for k in np.flatnonzero(rows.any(axis=0)):
         if dst is None:
             dst = np.empty_like(u)
-        np.matmul(rotation_2x2(axis, a), src.reshape(b, 1 << k, 2, -1),
+        np.matmul(factors[:, k], src.reshape(b, 1 << k, 2, -1),
                   out=dst.reshape(b, 1 << k, 2, -1))
         src, dst = dst, src
     if src is not u:
@@ -239,9 +276,14 @@ def _apply_pair(u: np.ndarray, i: int, j: int, diag, off, aligned) -> None:
     """Mix the rows where spins i and j are anti-aligned with [[diag, off],
     [off, diag]] over (01, 10); scale the aligned rows by `aligned`, or
     leave them alone when it is None. u is (B, 2^n, m); the draws fold into
-    the leading axis of the view."""
+    the leading axis of the view. A coefficient is a scalar shared by every
+    draw, or a (B,) array of one per draw."""
     i, j = min(i, j), max(i, j)
     v = u.reshape(len(u) << i, 2, 1 << (j - i - 1), 2, -1)
+    if np.ndim(diag):
+        diag, off, aligned = (None if x is None else
+                              np.repeat(x, 1 << i)[:, None, None]
+                              for x in (diag, off, aligned))
     if aligned is not None:
         v[:, 0, :, 0] *= aligned
         v[:, 1, :, 1] *= aligned
@@ -258,37 +300,43 @@ def apply_op(u: np.ndarray, reg: RegisterSpec, op: PulseOp) -> np.ndarray:
 
     u is a C-contiguous complex128 array of 2^n rows: a unitary, or states
     as columns. It may also be a (B, 2^n, m) batch, one entry per parameter
-    draw: exchange and per-spin fields act on every entry alike, and a field
-    with (B, n) angles plays row b on entry b. op must pass check_op;
+    draw: ops with one set of angles act on every entry alike, and an op
+    with per-draw angles plays draw b on entry b. op must pass check_op;
     apply_op does not check it again (Circuit checks its ops once, when it
-    is built), but does check that a field's rows match the batch.
+    is built), but does check that per-draw angles match the batch.
     """
     if (u.dtype != np.complex128 or not u.flags.c_contiguous
             or u.ndim not in (2, 3) or u.shape[-2] != reg.dim):
         raise ValueError(f"need a C-contiguous complex array with {reg.dim} "
                          f"rows, got {u.dtype} {u.shape}")
-    batch = u if u.ndim == 3 else u[None]
     if isinstance(op, GlobalField):
         angles = op.angles
-        if isinstance(angles, np.ndarray):
-            if u.ndim != 3 or len(angles) != len(u):
-                raise ValueError(f"{len(angles)} rows of angles for a batch "
-                                 f"of shape {u.shape}")
-            angles = angles.T[:, :, None]  # per spin, a (B, 1) column
-        _apply_field(batch, op.axis, angles)
-    elif isinstance(op, Exchange):
-        # e^{i xi/4} (c I - i s SWAP): SWAP fixes the aligned rows, so they
-        # only pick up e^{i xi/4} (c - i s).
-        phase = np.exp(1j * op.xi / 4)
-        c = math.cos(op.xi / 2)
-        s = math.sin(op.xi / 2)
-        _apply_pair(batch, op.i, op.j, phase * c, phase * complex(0.0, -s),
-                    phase * complex(c, -s))
-    elif isinstance(op, XYExchange):
-        _apply_pair(batch, op.i, op.j, math.cos(op.phi / 2),
-                    complex(0.0, -math.sin(op.phi / 2)), None)
+    elif isinstance(op, (Exchange, XYExchange)):
+        angles = op.xi if isinstance(op, Exchange) else op.phi
     else:
         raise TypeError(f"not a pulse op: {op!r}")
+    many = isinstance(angles, np.ndarray)
+    if many and (u.ndim != 3 or len(angles) != len(u)):
+        raise ValueError(f"{len(angles)} draws of angles for a batch "
+                         f"of shape {u.shape}")
+    batch = u if u.ndim == 3 else u[None]
+    if isinstance(op, GlobalField):
+        _apply_field(batch, op.axis,
+                     angles if many else np.array(angles, dtype=float)[None])
+    elif isinstance(op, Exchange):
+        # e^{i xi/4} (c I - i s SWAP): SWAP fixes the aligned rows, so they
+        # only pick up e^{i xi/4} (c - i s). That product is written out in
+        # real parts: numpy may fuse a multiply and an add in a product of
+        # complex arrays, but not in one of scalars, and a draw in a batch
+        # must get the bits it gets alone.
+        phase = np.exp(1j * angles / 4)
+        c, s = np.cos(angles / 2), np.sin(angles / 2)
+        pr, pi = phase.real, phase.imag
+        _apply_pair(batch, op.i, op.j, phase * c, phase * (-1j * s),
+                    (pr * c + pi * s) + 1j * (pi * c - pr * s))
+    else:
+        c, s = np.cos(angles / 2), np.sin(angles / 2)
+        _apply_pair(batch, op.i, op.j, c, -1j * s, None)
     return u
 
 
@@ -314,9 +362,13 @@ def xy_exchange_unitary(reg: RegisterSpec, i: int, j: int, phi: float) -> np.nda
 
 
 def global_field_unitary(reg: RegisterSpec, p: GlobalField) -> np.ndarray:
-    """prod_k exp(-i angles[k] S_k^axis): the field kernel on the identity."""
-    check_op(reg, p)
-    return apply_op(np.eye(reg.dim, dtype=complex), reg, p)
+    """prod_k exp(-i angles[k] S_k^axis): the field kernel on the identity.
+
+    A field with (B, n) angle rows gives the (B, 2^n, 2^n) stack of its
+    draws' unitaries."""
+    draws = len(p.angles) if isinstance(p.angles, np.ndarray) else None
+    check_op(reg, p, draws)
+    return apply_op(identity(reg, draws), reg, p)
 
 
 def zeeman_angles(g: Sequence[float], b_tesla: Sequence[float],

@@ -62,7 +62,7 @@ from .circuits import Exchange, GlobalField, _diag_zz_phase
 from .grammar import fields, keyed, walk
 from .linalg import phase_distance, update_phase_normalized
 from .spins import (AXES, RegisterSpec, apply_op, check_op, exchange_unitary,
-                    global_field_unitary, rotation_2x2, site_bits)
+                    global_field_unitary, identity, rotation_2x2, site_bits)
 
 DEFAULT_BUDGET = 10 ** 9
 # Squared-distance cutoffs for the staged filters; generous against rounding,
@@ -563,7 +563,7 @@ def _draw_distances(problem: SynthesisProblem, table: tuple,
     on spins (0, 1) for every draw of the table: one batched pass per slot."""
     reg, fields, targets = table
     ex = Exchange(0, 1, problem.xi)
-    u = np.broadcast_to(np.eye(reg.dim, dtype=complex), targets.shape).copy()
+    u = identity(reg, len(targets))
     for letter in letters:
         apply_op(u, reg, ex if letter is None else fields[letter])
     return phase_distance(u, targets)

@@ -1,7 +1,20 @@
 """Reference constructions the tests check the package against. They use
-numpy only, so an oracle shares no code with what it checks."""
+numpy only, so an oracle shares no code with what it checks.
+
+Two references are the package's own earlier code paths, kept here once the
+package replaced them: the verify suites run one draw at a time, which call
+the package's builders with floats, and the local-z distance with its
+2049-point scan evaluated one angle at a time."""
+
+import cmath
+import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from globalspin import circuits
+from globalspin.linalg import max_abs
+from globalspin.spins import RegisterSpec
 
 # Largest entry of U†U - I that still counts as unitary.
 UNITARY_TOL = 1e-12
@@ -39,3 +52,136 @@ def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
         raise ValueError(f"matrix is not unitary to tolerance {tol:.1e} "
                          f"(deviation {err:.3e})")
     return np.asarray(u, dtype=complex)
+
+
+# The verify command's suites, one draw at a time.
+DRAWS_PER_SUITE = 60
+# Per pair suite: the builder, the number of angles drawn before the
+# bystander angles, and whether bystander angles are drawn.
+PAIR_SUITES = {
+    "swap": (circuits.swap_conjugation, 2, True),
+    "dressed": (circuits.dressed_swap_phase_conjugation, 3, False),
+    "cp": (circuits.controlled_phase_circuit, 1, True),
+    "xy": (circuits.xy_x_rotation_circuit, 2, True),
+    "xycp": (circuits.xy_controlled_phase_circuit, 1, False),
+}
+PARALLEL_PAIRS = {4: ((0, 1), (2, 3)), 6: ((0, 1), (2, 3), (4, 5))}
+
+
+@dataclass(frozen=True)
+class Draw:
+    """One draw of a suite: its layout, the builder's angle arguments
+    (floats, then the bystander angles by spin) and its value."""
+
+    n: int
+    i: int
+    j: int
+    args: tuple
+    value: float
+
+
+def _angle(rng):
+    return float(rng.uniform(-3, 3))
+
+
+def draw_value(suite, n, i, j, args, tol=1e-10):
+    """A draw's value, built with floats: the larger of the distance and the
+    bystander deviation, or the entrywise error of a bare matrix. A parallel
+    draw's args hold the template angle, its n the register."""
+    if suite == "parallel":
+        template, _ = circuits.controlled_phase_circuit(RegisterSpec(2), 0, 1,
+                                                        *args)
+        reg = RegisterSpec(n)
+        c = circuits.parallel_apply(template, PARALLEL_PAIRS[n], reg)
+        target = np.eye(reg.dim, dtype=complex)
+        for p, q in PARALLEL_PAIRS[n]:
+            target = circuits._diag_zz_phase(reg, p, q, math.pi) @ target
+        return max_abs(circuits.evaluate(c) - target)
+    c, target = PAIR_SUITES[suite][0](RegisterSpec(n), i, j, *args)
+    if isinstance(target, circuits.GateTarget):
+        rep = circuits.verify_target(c, target, tol)
+        return max(rep.distance, rep.bystander_deviation)
+    return max_abs(circuits.evaluate(c) - target)
+
+
+def verify_draws(seed, suites, tol=1e-10):
+    """{suite: [Draw]} for `verify --seed seed`, the suites run in order on
+    one generator, in the command's draw order."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for suite in suites:
+        draws = []
+        if suite == "parallel":
+            for _ in range(DRAWS_PER_SUITE // 4):
+                args = (_angle(rng),)
+                for n in PARALLEL_PAIRS:
+                    draws.append(Draw(n, 0, 1, args,
+                                      draw_value(suite, n, 0, 1, args, tol)))
+        else:
+            _, n_angles, bystanders = PAIR_SUITES[suite]
+            for _ in range(DRAWS_PER_SUITE):
+                n = int(rng.integers(2, 5))
+                i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+                args = tuple(_angle(rng) for _ in range(n_angles))
+                if bystanders:
+                    args += ({k: _angle(rng)
+                              for k in range(n) if k not in (i, j)},)
+                draws.append(Draw(n, i, j, args,
+                                  draw_value(suite, n, i, j, args, tol)))
+        out[suite] = draws
+    return out
+
+
+def suite_worst(draws):
+    """The suite's value as the one-draw-at-a-time loop folded it."""
+    worst = 0.0
+    for d in draws:
+        worst = max(worst, d.value)
+    return worst
+
+
+def local_z_aligned_distance(u, target, n_spins, i, j):
+    """Distance from u to D target over D = diag(p^bit_i q^bit_j): the
+    2049-point scan of g evaluated one angle at a time, golden-section
+    refinement and the closed-form alternation."""
+    r = np.diag(u @ target.conj().T)
+    idx = np.arange(1 << n_spins)
+    bi = (idx >> (n_spins - 1 - i)) & 1
+    bj = (idx >> (n_spins - 1 - j)) & 1
+    m = np.zeros((2, 2), dtype=complex)
+    for a in (0, 1):
+        for b in (0, 1):
+            m[a, b] = r[(bi == a) & (bj == b)].sum()
+
+    def g(ang):
+        q = cmath.exp(-1j * ang)
+        return abs(m[0, 0] + q.conjugate() * m[0, 1]) \
+            + abs(m[1, 0] + q.conjugate() * m[1, 1])
+
+    angles = np.linspace(0.0, 2 * math.pi, 2049)
+    best = max(angles, key=g)
+    lo, hi = best - 2 * math.pi / 2048, best + 2 * math.pi / 2048
+    golden = (math.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c1 = b - golden * (b - a)
+    c2 = a + golden * (b - a)
+    for _ in range(80):
+        if g(c1) < g(c2):
+            a, c1 = c1, c2
+            c2 = a + golden * (b - a)
+        else:
+            b, c2 = c2, c1
+            c1 = b - golden * (b - a)
+    ang = max((a, b, best), key=g)
+    qv = np.array([1.0, cmath.exp(-1j * ang)], dtype=complex)
+    pv = np.array([1.0, 1.0], dtype=complex)
+    for _ in range(100):
+        cs = m @ qv.conj()
+        pv = np.where(np.abs(cs) > 0, cs / np.where(np.abs(cs) > 0,
+                                                    np.abs(cs), 1.0), pv)
+        ds = pv.conj() @ m
+        qv = np.where(np.abs(ds) > 0, ds / np.where(np.abs(ds) > 0,
+                                                    np.abs(ds), 1.0), qv)
+    d = np.where(bi == 0, pv[0], pv[1]) * np.where(bj == 0, qv[0], qv[1])
+    return float(np.linalg.norm(u - d[:, None] * target)
+                 / math.sqrt(1 << n_spins))

@@ -12,6 +12,8 @@ from globalspin.circuits import (Circuit, Equivalence, Exchange, GateTarget,
 from globalspin.linalg import kron, max_abs, phase_distance
 from globalspin.spins import EqualIndices, RegisterSpec, rotation_2x2
 
+import oracle
+
 REG2 = RegisterSpec(2)
 REG3 = RegisterSpec(3)
 REG4 = RegisterSpec(4)
@@ -142,6 +144,29 @@ def test_verify_target_reports_bystander_leakage():
     rep = verify_target(leaky, t, 1e-10)
     assert rep.bystander_deviation > 1e-3
     assert not rep.passed
+
+
+def test_verify_target_reports_a_nan_draw(monkeypatch):
+    # A NaN in one draw's unitary is that draw's distance and bystander
+    # deviation, whatever the order of the values folded, and fails the
+    # report; the other draws keep their values.
+    angles = np.array([0.1, 0.2, 0.3, 0.4])
+    c, t = cir.controlled_phase_circuit(REG3, 0, 1, angles, {2: angles})
+    clean = verify_target(c, t, 1e-10)
+    play = cir.evaluate
+
+    def nan_draw(circuit):
+        u = play(circuit)
+        u[2, 5, 6] = math.nan  # rows 101, columns 110: spin 2 flips
+        return u
+
+    monkeypatch.setattr(cir, "evaluate", nan_draw)
+    rep = verify_target(c, t, 1e-10)
+    assert clean.passed and not rep.passed
+    for got, want in ((rep.distance, clean.distance),
+                      (rep.bystander_deviation, clean.bystander_deviation)):
+        assert math.isnan(got[2])
+        assert np.array_equal(np.delete(got, 2), np.delete(want, 2))
 
 
 def test_verify_target_dimension_mismatch():
@@ -294,6 +319,144 @@ def test_grouped_evaluate_matches_full_register_loop():
     narrow = random_linked_circuit(rng, cir.FACTOR_MIN_SPINS - 1, 12)
     for c in (chain, narrow):
         assert np.array_equal(evaluate(c), cir._play(c.register, c.ops))
+
+
+def one_draw(op, b):
+    """Draw b of an op that may hold per-draw angles, as a plain op."""
+    if isinstance(op, GlobalField):
+        a = op.angles
+        return GlobalField(op.axis, tuple(a[b]) if isinstance(
+            a, np.ndarray) else a)
+    angle = op.xi if isinstance(op, Exchange) else op.phi
+    return type(op)(op.i, op.j, float(angle[b]) if np.ndim(angle) else angle)
+
+
+@pytest.mark.parametrize("build, n_angles, bystanders", [
+    (cir.swap_conjugation, 2, True),
+    (cir.dressed_swap_phase_conjugation, 3, False),
+    (cir.controlled_phase_circuit, 1, True),
+    (cir.xy_x_rotation_circuit, 2, True),
+    (cir.xy_controlled_phase_circuit, 1, False),
+])
+def test_batched_builders_equal_their_draws_built_alone(build, n_angles,
+                                                        bystanders):
+    # Given (B,) angle columns, a builder's circuit and target hold, draw by
+    # draw, the circuit and target its floats give, and the circuit
+    # evaluates to their unitaries bit for bit.
+    rng = np.random.default_rng(5)
+    b = 5
+    for n in (2, 3, 4):
+        reg = RegisterSpec(n)
+        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+        cols = list(rng.uniform(-3, 3, size=(n_angles, b)))
+        spins = [k for k in range(n) if k not in (i, j)]
+        bys = dict(zip(spins, rng.uniform(-3, 3, size=(len(spins), b))))
+        c, t = build(reg, i, j, *cols, *([bys] if bystanders else []))
+        assert c.draws == b
+        u = evaluate(c)
+        for k in range(b):
+            args = [float(col[k]) for col in cols]
+            if bystanders:
+                args.append({s: float(v[k]) for s, v in bys.items()})
+            ck, tk = build(reg, i, j, *args)
+            assert ck.draws is None
+            assert tuple(one_draw(op, k) for op in c.ops) == ck.ops
+            assert np.array_equal(u[k], evaluate(ck))
+            if isinstance(t, GateTarget):
+                assert np.array_equal(t.unitary[k], tk.unitary)
+                rep, rep_k = verify_target(c, t, 1e-10), verify_target(ck, tk,
+                                                                       1e-10)
+                assert rep.distance[k] == rep_k.distance
+                assert rep.bystander_deviation[k] == rep_k.bystander_deviation
+            else:
+                assert np.array_equal(t[k], tk)
+
+
+def test_parallel_apply_keeps_the_template_draws():
+    angles = np.array([0.3, -1.2, 2.5])
+    template, _ = cir.controlled_phase_circuit(REG2, 0, 1, angles)
+    c = parallel_apply(template, ((0, 1), (3, 2)), REG4)
+    assert c.draws == 3
+    u = evaluate(c)
+    for k, a in enumerate(angles):
+        tk, _ = cir.controlled_phase_circuit(REG2, 0, 1, float(a))
+        ck = parallel_apply(tk, ((0, 1), (3, 2)), REG4)
+        assert tuple(one_draw(op, k) for op in c.ops) == ck.ops
+        assert np.array_equal(u[k], evaluate(ck))
+
+
+def test_grouped_evaluate_takes_the_draw_axis():
+    # From FACTOR_MIN_SPINS up a circuit of B draws is played group by
+    # group too; each draw equals the same circuit built with its floats.
+    rng = np.random.default_rng(31)
+    b = 4
+    for n in (cir.FACTOR_MIN_SPINS, 8):
+        ops = [GlobalField("x", rng.uniform(-3, 3, size=(b, n))),
+               Exchange(0, 2, rng.uniform(-3, 3, size=b)),
+               GlobalField("z", tuple(rng.uniform(-3, 3, size=n))),
+               XYExchange(3, n - 1, rng.uniform(-3, 3, size=b)),
+               Exchange(1, 4, 0.7),
+               GlobalField("y", rng.uniform(-3, 3, size=(b, n)))]
+        c = Circuit(RegisterSpec(n), ops, b)
+        assert len(cir._exchange_groups(n, c.ops)) > 1
+        u = evaluate(c)
+        assert u.shape == (b, 2 ** n, 2 ** n)
+        for k in range(b):
+            ck = Circuit(c.register, tuple(one_draw(op, k) for op in ops))
+            assert np.array_equal(u[k], evaluate(ck))
+
+
+def test_circuit_draw_count_checks_its_ops():
+    rows = GlobalField("z", np.zeros((3, 2)))
+    assert Circuit(REG2, (rows, Exchange(0, 1, np.ones(3))), 3).draws == 3
+    for ops, draws in (((rows,), 4), ((Exchange(0, 1, np.ones(3)),), 2),
+                       ((rows,), 0)):
+        with pytest.raises(ValueError):
+            Circuit(REG2, ops, draws)
+
+
+def test_local_z_scan_matches_one_angle_at_a_time_on_criterion_1_draws():
+    # Criterion 1's local-z checks, drawn as it draws them: the scan as one
+    # numpy expression gives the distance the scalar scan gives. The scalar
+    # scan costs about 3 ms a draw, so every 4th of the 1000 draws is
+    # compared.
+    rng = np.random.default_rng(2026)
+    worst = 0.0
+    for draw in range(1000):
+        n = int(rng.integers(2, 5))
+        reg = RegisterSpec(n)
+        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+        bys = {k: float(rng.uniform(-3, 3)) for k in range(n) if k not in (i, j)}
+        a1 = float(rng.uniform(-3, 3, size=3)[0])
+        if draw % 4:
+            continue
+        c, _ = cir.controlled_phase_circuit(reg, i, j, a1, bys)
+        t = cir.controlled_phase_local_z_target(reg, i, j)
+        u = evaluate(c)
+        p, q = sorted((i, j))
+        got = cir._local_z_aligned_distance(u, t.unitary, reg, p, q)
+        want = oracle.local_z_aligned_distance(u, t.unitary, n, p, q)
+        worst = max(worst, abs(got - want))
+    assert worst <= 1e-12
+
+
+def test_local_z_scan_matches_one_angle_at_a_time_on_two_peaks():
+    # g(q) = |m00 + conj(q) m01| + |m10 + conj(q) m11| with real m of mixed
+    # signs peaks at a conjugate pair of angles. Perturbations of 0 to 1e-13
+    # leave two maxima within rounding, or nearly, of each other, so the two
+    # scans may settle on different peaks; one of 1e-3 leaves one peak the
+    # higher, which both scans must find. A diagonal u on two spins
+    # against the identity holds m on its diagonal.
+    rng = np.random.default_rng(44)
+    for trial in range(100):
+        eps = (0.0, 1e-16, 1e-15, 1e-13, 1e-3)[trial % 5]
+        m = rng.uniform(0.5, 1.5, size=4) * np.array([1, 1, 1, -1])
+        m = m + eps * (rng.normal(size=4) + 1j * rng.normal(size=4))
+        rng.shuffle(m)
+        u = np.diag(m).astype(complex)
+        got = cir._local_z_aligned_distance(u, np.eye(4), REG2, 0, 1)
+        want = oracle.local_z_aligned_distance(u, np.eye(4), 2, 0, 1)
+        assert abs(got - want) <= 1e-12, m
 
 
 def test_parallel_apply_rejects_bad_pairs():

@@ -4,8 +4,10 @@ import math
 import os
 import shlex
 
+import numpy as np
 import pytest
 
+import oracle
 from globalspin import circuits, cli
 from globalspin.circuits import (circuit_to_text, controlled_phase_circuit,
                                  refocused_rotation_circuit)
@@ -95,6 +97,95 @@ def test_verify_catches_broken_dressed_factor(capsys, monkeypatch):
     monkeypatch.setattr(circuits, "dressed_swap_phase_conjugation", flipped)
     code, out, _ = run_cli(capsys, "verify", "--suite", "dressed")
     assert code == 1
+
+
+def test_verify_fails_on_a_nan_draw(capsys, monkeypatch):
+    # One entry of the 5th draw's expected matrix, in the order the builder
+    # sees the draws, is NaN: never the suite's first draw, so a fold that
+    # starts from a finite value and drops NaN would pass the suite.
+    original = circuits.dressed_swap_phase_conjugation
+    seen = [0]
+
+    def nan_fifth(*a, **kw):
+        c, expected = original(*a, **kw)
+        expected = np.array(expected)
+        stack = expected.reshape((-1,) + expected.shape[-2:])
+        if 0 <= 4 - seen[0] < len(stack):
+            stack[4 - seen[0], 0, 1] = math.nan
+        seen[0] += len(stack)
+        return c, expected
+
+    monkeypatch.setattr(circuits, "dressed_swap_phase_conjugation", nan_fifth)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "dressed",
+                           "--format", "json-lines")
+    assert seen[0] == cli.DRAWS_PER_SUITE
+    assert code == 1
+    check = by_name(json_lines(out))["dressed_swap_phase_factor"]
+    assert math.isnan(check["measured"]) and not check["pass"]
+    assert check["worst_draw"]["index"] > 0
+
+
+def verify_checks(capsys, seed, suite="all"):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed",
+                           str(seed), "--format", "json-lines")
+    assert code == 0
+    return [r for r in json_lines(out) if r["kind"] == "check"]
+
+
+SUITE_OF_CHECK = {"swap_conjugation_exact": "swap",
+                  "dressed_swap_phase_factor": "dressed",
+                  "controlled_phase_exact": "cp",
+                  "xy_x_rotation_phase": "xy",
+                  "xy_controlled_phase": "xycp",
+                  "parallel_pair_replication": "parallel"}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_matches_one_draw_at_a_time_loops(capsys, seed):
+    # The batched suites give the values the per-draw loops give, to the
+    # last bit, and name the first draw that has the worst one.
+    draws = oracle.verify_draws(seed, cli.VERIFY_SUITES)
+    records = verify_checks(capsys, seed)
+    assert [SUITE_OF_CHECK[r["name"]] for r in records] == list(draws)
+    for r in records:
+        suite_draws = draws[SUITE_OF_CHECK[r["name"]]]
+        assert repr(r["measured"]) == repr(oracle.suite_worst(suite_draws))
+        values = [d.value for d in suite_draws]
+        k = values.index(max(values))
+        d = suite_draws[k]
+        assert r["worst_draw"] == {"index": k, "n": d.n, "i": d.i, "j": d.j}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("suite", cli.VERIFY_SUITES)
+def test_worst_draw_replays_the_measured_value(capsys, seed, suite):
+    # The report alone names the draw to rebuild: its index in the suite's
+    # draw order and its layout. Built with floats, that one draw gives the
+    # measured value.
+    (r,) = verify_checks(capsys, seed, suite)
+    w = r["worst_draw"]
+    d = oracle.verify_draws(seed, (suite,))[suite][w["index"]]
+    assert (d.n, d.i, d.j) == (w["n"], w["i"], w["j"])
+    value = oracle.draw_value(suite, d.n, d.i, d.j, d.args)
+    assert repr(value) == repr(r["measured"])
+
+
+def test_verify_calls_each_builder_once_per_layout(capsys, monkeypatch):
+    draws = oracle.verify_draws(0, cli.VERIFY_SUITES)
+    calls = {suite: [] for suite in oracle.PAIR_SUITES}
+    for suite, (builder, _, _) in oracle.PAIR_SUITES.items():
+        def counted(reg, i, j, *a, _calls=calls[suite], _build=builder,
+                    **kw):
+            _calls.append((reg.n_spins, i, j))
+            return _build(reg, i, j, *a, **kw)
+        monkeypatch.setattr(circuits, builder.__name__, counted)
+    verify_checks(capsys, 0)
+    # The parallel suite, which runs last, builds its one template with the
+    # controlled-phase builder.
+    assert calls["cp"].pop() == (2, 0, 1)
+    for suite, got in calls.items():
+        assert len(got) == len(set(got)) <= 20, suite
+        assert set(got) == {(d.n, d.i, d.j) for d in draws[suite]}, suite
 
 
 def test_synthesize_planted_swap(capsys, tmp_path, monkeypatch):

@@ -160,8 +160,8 @@ def random_batch(rng, b, n, m):
 @pytest.mark.parametrize("b", [1, 7])
 def test_batched_kernel_equals_stack_of_single_draws(n, b):
     # One pass over a (B, 2^n, m) batch must equal B separate 2-D passes,
-    # for per-draw field rows, fields shared by every draw and both
-    # exchanges.
+    # entry for entry: for per-draw field rows and exchange angles, and for
+    # fields and exchanges shared by every draw.
     rng = np.random.default_rng(100 * n + b)
     reg = RegisterSpec(n)
     i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
@@ -169,10 +169,13 @@ def test_batched_kernel_equals_stack_of_single_draws(n, b):
     rows[:, 0] = 0.0  # a site at rest in every draw is skipped
     rows[rng.random((b, n)) < 0.2] = 0.0
     shared = tuple(rng.uniform(-4, 4, size=n))
+    xi, phi = rng.uniform(-7, 7, size=(2, b))
     for op, per_draw in (
             *((GlobalField(axis, rows), lambda k, axis=axis:
                GlobalField(axis, tuple(rows[k]))) for axis in AXES),
             *((GlobalField(axis, shared), None) for axis in AXES),
+            (Exchange(i, j, xi), lambda k: Exchange(i, j, float(xi[k]))),
+            (XYExchange(i, j, phi), lambda k: XYExchange(i, j, float(phi[k]))),
             (Exchange(i, j, float(rng.uniform(-7, 7))), None),
             (XYExchange(i, j, float(rng.uniform(-7, 7))), None)):
         check_op(reg, op, draws=b)
@@ -183,7 +186,7 @@ def test_batched_kernel_equals_stack_of_single_draws(n, b):
                              for k in range(b)])
             got = apply_op(u, reg, op)
             assert got is u
-            assert max_abs(got - want) <= 1e-15, (op, m)
+            assert np.array_equal(got, want), (op, m)
 
 
 @pytest.mark.parametrize("angles", [
@@ -198,6 +201,21 @@ def test_check_op_rejects_malformed_angle_rows(angles):
         check_op(RegisterSpec(3), GlobalField("x", angles), draws=4)
 
 
+@pytest.mark.parametrize("angles", [
+    np.zeros(3),  # three angles for four draws
+    np.zeros((4, 1)),  # a column, not a (B,) array
+    np.array([0.1, 0.2, math.nan, 0.3]),
+    np.array([0.1, -math.inf, 0.2, 0.3]),
+])
+@pytest.mark.parametrize("kind", [Exchange, XYExchange])
+def test_check_op_rejects_malformed_exchange_angles(kind, angles):
+    with pytest.raises(ValueError):
+        check_op(RegisterSpec(3), kind(0, 2, angles), draws=4)
+    # Without a batch, per-draw angles are refused whatever their shape.
+    with pytest.raises(ValueError):
+        check_op(RegisterSpec(3), kind(0, 2, np.zeros(4)))
+
+
 def test_angle_rows_need_a_batch_of_their_size():
     reg = RegisterSpec(2)
     op = GlobalField("z", np.full((3, 2), 0.4))
@@ -209,3 +227,8 @@ def test_angle_rows_need_a_batch_of_their_size():
         apply_op(np.eye(4, dtype=complex), reg, op)
     with pytest.raises(ValueError):
         apply_op(np.zeros((3, 8, 8), dtype=complex), reg, op)
+    ex = Exchange(0, 1, np.full(3, 0.4))
+    with pytest.raises(ValueError):
+        apply_op(np.zeros((4, 4, 4), dtype=complex), reg, ex)
+    with pytest.raises(ValueError):
+        apply_op(np.eye(4, dtype=complex), reg, ex)
