@@ -13,7 +13,7 @@ from .device import (DeviceConstants, DeviceGeometry, FieldProfile, SpinSite,
                      WireSpec, device_constants, error_budget, field_profile,
                      gate_time_estimate, geometry_from_text, geometry_to_text,
                      line_field, position_sensitivity, pulse_duration,
-                     ribbon_field, twin_wire_preset, validate_currents)
+                     twin_wire_preset, validate_currents)
 from .linalg import hermitian_expm, max_abs, phase_distance
 from .schedule import (ExchangeEvent, FieldEvent, Schedule, compile_schedule,
                        schedule_from_text, schedule_to_text, simulate_schedule,

@@ -37,8 +37,8 @@ import numpy as np
 from .grammar import fields, walk
 from .linalg import (TOL_STRUCTURE, DimensionMismatch, max_abs,
                      max_abs_per_draw, phase_distance)
-from .spins import (EqualIndices, Exchange, GlobalField, RegisterSpec,
-                    XYExchange, apply_op, check_op, global_field_unitary,
+from .spins import (Exchange, GlobalField, RegisterSpec, XYExchange,
+                    _check_pair, apply_op, check_op, global_field_unitary,
                     identity, rotation_2x2, site_bits)
 
 
@@ -174,11 +174,11 @@ def _local_z_aligned_distance(u: np.ndarray, target: np.ndarray,
 
     Grouping diag(u target†) by the (bit_i, bit_j) classes reduces the
     torus optimization to g(q) = |m00 + q m01| + |m10 + q m11| over
-    |q| = 1, solved by a dense scan (one numpy expression over 2049 angles)
-    plus golden-section refinement (the optimal p is closed-form once q is
-    fixed). The distance is then the Frobenius difference against the
-    explicitly aligned target rather than sqrt(2 - 2 f / dim), whose
-    cancellation floors near 1e-8.
+    |q| = 1. A dense scan (one numpy expression over 2049 angles) finds the
+    highest peak of g, and alternating the closed-form optimal p for fixed
+    q and optimal q for fixed p climbs it. The distance is then the
+    Frobenius difference against the explicitly aligned target rather than
+    sqrt(2 - 2 f / dim), whose cancellation floors near 1e-8.
     """
     r = np.diag(u @ target.conj().T)
     bi = site_bits(reg, i)
@@ -188,33 +188,14 @@ def _local_z_aligned_distance(u: np.ndarray, target: np.ndarray,
         for b in (0, 1):
             m[a, b] = r[(bi == a) & (bj == b)].sum()
 
-    def g(ang: float) -> float:
-        q = cmath.exp(-1j * ang)
-        return abs(m[0, 0] + q.conjugate() * m[0, 1]) \
-            + abs(m[1, 0] + q.conjugate() * m[1, 1])
-
     angles = np.linspace(0.0, 2 * math.pi, 2049)
     q_conj = np.exp(1j * angles)
     scan = (np.abs(m[0, 0] + q_conj * m[0, 1])
             + np.abs(m[1, 0] + q_conj * m[1, 1]))
-    best = float(angles[np.argmax(scan)])
-    lo, hi = best - 2 * math.pi / 2048, best + 2 * math.pi / 2048
-    golden = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c1 = b - golden * (b - a)
-    c2 = a + golden * (b - a)
-    for _ in range(80):
-        if g(c1) < g(c2):
-            a, c1 = c1, c2
-            c2 = a + golden * (b - a)
-        else:
-            b, c2 = c2, c1
-            c1 = b - golden * (b - a)
-    ang = max((a, b, best), key=g)
-    # The scan locates the basin; its argmax is only sqrt(eps) accurate
-    # because g is flat at the top. Alternating closed-form updates of p
-    # and q (each an exact coordinate maximizer) polish to full precision.
-    qv = np.array([1.0, cmath.exp(-1j * ang)], dtype=complex)
+    # The scan locates the basin to within one grid step. Alternating
+    # closed-form updates of p and q (each an exact coordinate maximizer)
+    # climb from its argmax to full precision.
+    qv = np.array([1.0, np.exp(-1j * angles[np.argmax(scan)])])
     pv = np.array([1.0, 1.0], dtype=complex)
     for _ in range(100):
         cs = m @ qv.conj()
@@ -535,17 +516,14 @@ def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Cir
     Field steps become single pulses carrying the template angles at every
     pair; exchange steps are emitted per pair and commute, so the circuit
     equals the tensor product of the per-pair gate. A template of B draws
-    gives a circuit of B draws.
+    gives a circuit of B draws. Each pair is checked as an exchange's is.
     """
     if template.register.n_spins != 2:
         raise ValueError("template must act on a register of 2")
     seen = set()
     for p, q in pairs:
-        if p == q:
-            raise EqualIndices(f"pair ({p},{q})")
+        _check_pair(reg, p, q)
         for s in (p, q):
-            if not 0 <= s < reg.n_spins:
-                raise IndexError(f"spin {s} outside register of {reg.n_spins}")
             if s in seen:
                 raise OverlappingPairs(f"spin {s} appears in two pairs")
             seen.add(s)
@@ -573,11 +551,12 @@ def euler_zxz(u: np.ndarray):
 
     Rz(t) = exp(-i t sigma_z / 2) and likewise for Rx; beta lies in [0, pi].
     Returns (delta, alpha, beta, gamma); recomposition is checked to 1e-10.
+    Both checks fail on a NaN or inf entry, so one raises NotUnitary2x2.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise NotUnitary2x2(f"shape {u.shape}")
-    if max_abs(u.conj().T @ u - np.eye(2)) > TOL_STRUCTURE:
+    if not max_abs(u.conj().T @ u - np.eye(2)) <= TOL_STRUCTURE:
         raise NotUnitary2x2("not unitary to tolerance")
     beta = 2.0 * math.atan2(abs(u[1, 0]), abs(u[0, 0]))
     if abs(u[1, 0]) < 1e-12:
@@ -598,7 +577,7 @@ def euler_zxz(u: np.ndarray):
     recomposed = (cmath.exp(1j * delta)
                   * rotation_2x2("z", gamma) @ rotation_2x2("x", beta)
                   @ rotation_2x2("z", alpha))
-    if max_abs(recomposed - u) > 1e-10:
+    if not max_abs(recomposed - u) <= 1e-10:
         raise ValueError("euler factoring failed to recompose")
     return delta, alpha, beta, gamma
 

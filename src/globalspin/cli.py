@@ -76,24 +76,32 @@ def _preset_path(name: str) -> str:
                             + ", ".join(os.path.dirname(c) for c in candidates))
 
 
+def _json_value(x):
+    """x in strict JSON: a non-finite float as its text, "nan" or "inf"."""
+    return str(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _emit(report: RunReport, fmt: str, stream=None) -> None:
     stream = stream if stream is not None else sys.stdout
     if fmt == "json-lines":
-        print(json.dumps({"kind": "header", "command": report.command,
-                          "seed": report.seed,
-                          "inputs": [{"path": p, "sha256": d}
-                                     for p, d in report.inputs]}), file=stream)
+        def line(rec):
+            print(json.dumps(rec, allow_nan=False), file=stream)
+
+        line({"kind": "header", "command": report.command,
+              "seed": report.seed,
+              "inputs": [{"path": p, "sha256": d} for p, d in report.inputs]})
         for c in report.checks:
-            rec = {"kind": "check", "name": c.name, "measured": c.measured,
-                   "threshold": c.threshold, "pass": c.passed}
+            rec = {"kind": "check", "name": c.name,
+                   "measured": _json_value(c.measured),
+                   "threshold": _json_value(c.threshold), "pass": c.passed}
             if c.worst_draw is not None:
                 rec["worst_draw"] = c.worst_draw
-            print(json.dumps(rec), file=stream)
+            line(rec)
         for st in report.stages:
-            print(json.dumps({"kind": "stage", "name": st.name, "in": st.n_in,
-                              "out": st.n_out, "s": st.seconds}), file=stream)
-        print(json.dumps({"kind": "summary", "ok": report.ok,
-                          "wall_time_s": report.wall_time_s}), file=stream)
+            line({"kind": "stage", "name": st.name, "in": st.n_in,
+                  "out": st.n_out, "s": st.seconds})
+        line({"kind": "summary", "ok": report.ok,
+              "wall_time_s": report.wall_time_s})
         return
     print(f"globalspin {report.command}", file=stream)
     print(f"seed = {report.seed}", file=stream)

@@ -1,11 +1,10 @@
 """Twin-wire device model: magnetic fields at the spin sites, per-site
 amplitude ratios, pulse durations, current limits, and error budgets.
 
-Geometry lives in the x-z plane; wires run along y, so an infinite-line
-Biot-Savart field is the default model. The field of the finite
-rectangular cross-section is available in closed form (ribbon_field).
-Sites sit on the z = 0 plane midway between the wires; that choice is what
-makes one field component cancel exactly in each current configuration.
+Geometry lives in the x-z plane; wires run along y, and each wire's field
+is the Biot-Savart field of an infinite line through its center. Sites sit
+on the z = 0 plane midway between the wires; that choice is what makes one
+field component cancel exactly in each current configuration.
 """
 
 from __future__ import annotations
@@ -110,60 +109,6 @@ def line_field(w: WireSpec, point: Tuple[float, float]) -> Tuple[float, float]:
     r2 = dx * dx + dz * dz
     coef = MU_0 * w.current / (2.0 * math.pi * r2)
     return (coef * dz, -coef * dx)
-
-
-def _section_sum(d_a: float, half_a: float, d_b: float, half_b: float) -> float:
-    """The four-corner sum F(a0, b0) - F(a0, b1) - F(a1, b0) + F(a1, b1) of
-    F(a, b) = b ln|(a, b)| + a atan(b/a), whose mixed derivative is
-    a/(a^2 + b^2), for a0, a1 = d_a +- half_a and b0, b1 = d_b +- half_b.
-
-    Far away the corner terms nearly cancel, so no such difference is
-    formed. With w = a0 - a1 and s = a0 + a1 (likewise for b) taken from
-    the inputs, the log part b0 lam(b0) - b1 lam(b1), lam(b) =
-    ln(r(a0, b)/r(a1, b)), is (w_b (lam0 + lam1) + s_b (lam0 - lam1))/2 and
-    the atan part a0 th(a0) - a1 th(a1), th(a) = atan(b0/a) - atan(b1/a),
-    is (w_a (th0 + th1) + s_a (th0 - th1))/2; each lam and their difference
-    is one atanh, each th and theirs one atan2. The sum is exactly odd
-    under (a0, a1) -> (-a1, -a0) and exactly even under (b0, b1) ->
-    (-b1, -b0).
-    """
-    a0, a1 = d_a + half_a, d_a - half_a
-    b0, b1 = d_b + half_b, d_b - half_b
-    w_a, w_b = 2.0 * half_a, 2.0 * half_b
-    s_a, s_b = 2.0 * d_a, 2.0 * d_b
-    a0s, a1s, b0s, b1s = a0 * a0, a1 * a1, b0 * b0, b1 * b1
-    lam0 = math.atanh(w_a * s_a / (a0s + a1s + 2.0 * b0s))
-    lam1 = math.atanh(w_a * s_a / (a0s + a1s + 2.0 * b1s))
-    d_lam = math.atanh(-w_a * w_b * s_a * s_b
-                       / ((a0s + b0s) * (a1s + b1s) + (a1s + b0s) * (a0s + b1s)))
-    bb = b0 * b1
-    th0 = math.atan2(a0 * w_b, a0s + bb)
-    th1 = math.atan2(a1 * w_b, a1s + bb)
-    d_th = math.atan2(w_b * w_a * (bb - a0 * a1),
-                      (a0s + bb) * (a1s + bb) + a0 * a1 * w_b * w_b)
-    return 0.5 * ((w_b * (lam0 + lam1) + s_b * d_lam)
-                  + (w_a * (th0 + th1) + s_a * d_th))
-
-
-def ribbon_field(w: WireSpec, point: Tuple[float, float]) -> Tuple[float, float]:
-    """Field of a uniform current density over the rectangular cross-section.
-
-    The line kernel integrated over the section in closed form: each
-    component is a four-corner sum (_section_sum) over the displacements
-    from the section's edges to the point, with the roles of x and z
-    swapped for B^x. The sum keeps full relative precision far from the
-    wire, and two wires mirrored in z = 0 give exactly opposite B^x and
-    equal B^z at points on that plane.
-    """
-    if w.contains(point):
-        raise PointInsideWire(f"point {point} inside wire at {w.center}")
-    half_w = w.cross_section[0] / 2
-    half_h = w.cross_section[1] / 2
-    coef = MU_0 * (w.current / w.area) / (2.0 * math.pi)
-    dx = point[0] - w.center[0]
-    dz = point[1] - w.center[1]
-    return (coef * _section_sum(dz, half_h, dx, half_w),
-            -coef * _section_sum(dx, half_w, dz, half_h))
 
 
 def field_profile(g: DeviceGeometry, config: str) -> FieldProfile:

@@ -37,9 +37,10 @@ Filters use loose thresholds and exist only to cut the space; membership in
 the result is decided solely by the final verification at the problem
 tolerance. Final verification draws its verify_samples draws once per
 search (and once per reverify call) from one seed, stacks each letter's
-angles as one (B, n) array and the targets as (B, 2^n, 2^n), and scores
-each word with one batched kernel pass per slot and one batched phase
-distance. It takes the worst over every draw and reports that draw's index.
+angles as one (B, n) array and the targets as (B, 2^n, 2^n), and plays
+each word as one Circuit of B draws through circuits.evaluate, scored by
+one batched phase distance. It takes the worst over every draw and reports
+that draw's index.
 
 Only the Hadamard search needs scipy, and it imports scipy.optimize on its
 first optimizer call, so no other caller of this module loads scipy.
@@ -58,11 +59,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .circuits import Exchange, GlobalField, _diag_zz_phase
+from .circuits import Circuit, Exchange, GlobalField, _diag_zz_phase, evaluate
 from .grammar import fields, keyed, walk
 from .linalg import phase_distance, update_phase_normalized
-from .spins import (AXES, RegisterSpec, apply_op, check_op, exchange_unitary,
-                    global_field_unitary, identity, rotation_2x2, site_bits)
+from .spins import (AXES, RegisterSpec, exchange_unitary, global_field_unitary,
+                    rotation_2x2, site_bits)
 
 DEFAULT_BUDGET = 10 ** 9
 # Squared-distance cutoffs for the staged filters; generous against rounding,
@@ -552,21 +553,18 @@ def _verify_table(problem: SynthesisProblem, n_samples: int,
     fields = tuple(GlobalField(tpl.axis, np.array(
         [tpl.sign * d.angles[tpl.symbol][:reg.n_spins] for d in draws]))
                    for tpl in problem.alphabet)
-    for op in fields:
-        check_op(reg, op, draws=n_samples)
     return reg, fields, np.array([d.target(reg) for d in draws])
 
 
 def _draw_distances(problem: SynthesisProblem, table: tuple,
                     letters: Sequence) -> np.ndarray:
     """Phase distance of a sequence (letter index per slot, None at exchange)
-    on spins (0, 1) for every draw of the table: one batched pass per slot."""
+    on spins (0, 1) for every draw of the table, played as one circuit of
+    the table's draws."""
     reg, fields, targets = table
     ex = Exchange(0, 1, problem.xi)
-    u = identity(reg, len(targets))
-    for letter in letters:
-        apply_op(u, reg, ex if letter is None else fields[letter])
-    return phase_distance(u, targets)
+    ops = [ex if letter is None else fields[letter] for letter in letters]
+    return phase_distance(evaluate(Circuit(reg, ops, len(targets))), targets)
 
 
 def enumerate_sequences(problem: SynthesisProblem,

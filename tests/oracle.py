@@ -1,10 +1,12 @@
 """Reference constructions the tests check the package against. They use
 numpy only, so an oracle shares no code with what it checks.
 
-Two references are the package's own earlier code paths, kept here once the
-package replaced them: the verify suites run one draw at a time, which call
-the package's builders with floats, and the local-z distance with its
-2049-point scan evaluated one angle at a time."""
+Three references are the package's own earlier code paths, kept here once
+the package replaced them: the verify suites run one draw at a time, which
+call the package's builders with floats; the local-z distance with its
+2049-point scan evaluated one angle at a time and golden-section
+refinement; and final verification's word loop, which plays every word on
+the whole register with the pulse kernel, never group by group."""
 
 import cmath
 import math
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from globalspin import circuits
-from globalspin.linalg import max_abs
-from globalspin.spins import RegisterSpec
+from globalspin.linalg import max_abs, phase_distance
+from globalspin.spins import Exchange, RegisterSpec, apply_op, identity
 
 # Largest entry of U†U - I that still counts as unitary.
 UNITARY_TOL = 1e-12
@@ -185,3 +187,15 @@ def local_z_aligned_distance(u, target, n_spins, i, j):
     d = np.where(bi == 0, pv[0], pv[1]) * np.where(bj == 0, qv[0], qv[1])
     return float(np.linalg.norm(u - d[:, None] * target)
                  / math.sqrt(1 << n_spins))
+
+
+def draw_distances(problem, table, letters):
+    """Phase distance of a sequence (letter index per slot, None at
+    exchange) for every draw of a synthesis verification table: the word
+    played on the whole register, one batched kernel pass per slot."""
+    reg, fields, targets = table
+    ex = Exchange(0, 1, problem.xi)
+    u = identity(reg, len(targets))
+    for letter in letters:
+        apply_op(u, reg, ex if letter is None else fields[letter])
+    return phase_distance(u, targets)

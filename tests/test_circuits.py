@@ -10,7 +10,8 @@ from globalspin.circuits import (Circuit, Equivalence, Exchange, GateTarget,
                                  circuit_to_text, evaluate, euler_zxz,
                                  parallel_apply, su2_compile, verify_target)
 from globalspin.linalg import kron, max_abs, phase_distance
-from globalspin.spins import EqualIndices, RegisterSpec, rotation_2x2
+from globalspin.spins import (EqualIndices, IndexOutOfRange, RegisterSpec,
+                             rotation_2x2)
 
 import oracle
 
@@ -445,14 +446,18 @@ def test_local_z_scan_matches_one_angle_at_a_time_on_two_peaks():
     # signs peaks at a conjugate pair of angles. Perturbations of 0 to 1e-13
     # leave two maxima within rounding, or nearly, of each other, so the two
     # scans may settle on different peaks; one of 1e-3 leaves one peak the
-    # higher, which both scans must find. A diagonal u on two spins
-    # against the identity holds m on its diagonal.
+    # higher, which both scans must find. Generic complex m follow. A
+    # diagonal u on two spins against the identity holds m on its diagonal.
     rng = np.random.default_rng(44)
+    ms = []
     for trial in range(100):
         eps = (0.0, 1e-16, 1e-15, 1e-13, 1e-3)[trial % 5]
         m = rng.uniform(0.5, 1.5, size=4) * np.array([1, 1, 1, -1])
         m = m + eps * (rng.normal(size=4) + 1j * rng.normal(size=4))
         rng.shuffle(m)
+        ms.append(m)
+    ms += [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(100)]
+    for m in ms:
         u = np.diag(m).astype(complex)
         got = cir._local_z_aligned_distance(u, np.eye(4), REG2, 0, 1)
         want = oracle.local_z_aligned_distance(u, np.eye(4), 2, 0, 1)
@@ -465,8 +470,10 @@ def test_parallel_apply_rejects_bad_pairs():
         parallel_apply(template, ((0, 1), (1, 2)), REG3)
     with pytest.raises(EqualIndices):
         parallel_apply(template, ((2, 2),), REG3)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexOutOfRange):
         parallel_apply(template, ((0, 7),), REG3)
+    with pytest.raises(ValueError):
+        parallel_apply(template, ((-1, 0),), REG3)
     with pytest.raises(ValueError):
         parallel_apply(Circuit(REG3, ()), ((0, 1),), REG4)
 
@@ -504,6 +511,21 @@ def test_euler_zxz_rejects_non_unitary():
         euler_zxz(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(NotUnitary2x2):
         euler_zxz(np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+def test_euler_zxz_rejects_non_finite_entries(bad, entry):
+    # A NaN compares false with everything, so a check written as
+    # "error > tol" would let it through. inf * 0 makes numpy warn on the
+    # way to the same NaN.
+    for u in (np.eye(2, dtype=complex), rotation_2x2("x", 0.7)):
+        u[entry] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NotUnitary2x2):
+                euler_zxz(u)
+            with pytest.raises(NotUnitary2x2):
+                su2_compile(u, REG2, 0, 1, PROFILES2)
 
 
 def test_su2_compile_meets_budget_and_distance():

@@ -2,7 +2,6 @@ import math
 from dataclasses import replace
 
 import pytest
-from scipy.integrate import dblquad
 
 from globalspin import device as dev
 from globalspin.device import (ANTIPARALLEL, PARALLEL,
@@ -12,7 +11,7 @@ from globalspin.device import (ANTIPARALLEL, PARALLEL,
                                field_profile, gate_time_estimate,
                                geometry_from_text, geometry_to_text,
                                line_field, position_sensitivity,
-                               pulse_duration, ribbon_field, twin_wire_preset,
+                               pulse_duration, twin_wire_preset,
                                validate_currents)
 from globalspin.spins import zeeman_angles
 
@@ -35,80 +34,6 @@ def test_line_field_rejects_interior_point():
     w = WireSpec((0.0, 0.0), (1e-7, 1e-7), 1e-3, 1e12)
     with pytest.raises(PointInsideWire):
         line_field(w, (1e-8, 0.0))
-
-
-def test_ribbon_field_approaches_line_far_away():
-    w = WireSpec((0.0, 0.0), (2e-7, 2e-7), 7e-4, 2.2e10)
-    point = (2e-5, 1.3e-5)  # 100 widths out
-    lb = line_field(w, point)
-    rb = ribbon_field(w, point)
-    scale = math.hypot(*lb)
-    assert abs(rb[0] - lb[0]) < 1e-4 * scale
-    assert abs(rb[1] - lb[1]) < 1e-4 * scale
-
-
-def test_ribbon_field_differs_from_line_nearby():
-    # Two widths from the center the finite section shows at the fourth
-    # digit; the point sits off both symmetry axes so neither component
-    # integral degenerates.
-    w = WireSpec((0.0, 0.0), (2e-7, 2e-7), 7e-4, 2.2e10)
-    point = (3.5e-7, 1.5e-7)
-    lb = line_field(w, point)
-    rb = ribbon_field(w, point)
-    rel = abs(rb[1] - lb[1]) / abs(lb[1])
-    assert 1e-5 < rel < 0.05
-
-
-def quadrature_field(w, point):
-    # The line kernel integrated over the section numerically: an oracle for
-    # the closed form that shares none of its algebra.
-    coef = MU_0 * (w.current / w.area) / (2.0 * math.pi)
-    half_w, half_h = w.cross_section[0] / 2, w.cross_section[1] / 2
-
-    def kernel(component):
-        def f(zp, xp):
-            dx = point[0] - (w.center[0] + xp)
-            dz = point[1] - (w.center[1] + zp)
-            return coef * (dz if component == 0 else -dx) / (dx * dx + dz * dz)
-        return f
-
-    return tuple(dblquad(kernel(k), -half_w, half_w, -half_h, half_h,
-                         epsabs=1e-16, epsrel=1e-12)[0] for k in (0, 1))
-
-
-# All 8 site-wire pairs of the preset. The comparison below fails on a
-# non-finite field, so it also checks that every pair has one.
-PRESET_PAIRS = [(w, s.position) for w in twin_wire_preset(4).wires
-                for s in twin_wire_preset(4).sites]
-
-
-@pytest.mark.parametrize("wire, point", [
-    *(pytest.param(w, p, id=f"preset{k}") for k, (w, p) in enumerate(PRESET_PAIRS)),
-    pytest.param(WireSpec((0.0, 0.0), (2e-7, 2e-7), 7e-4, 2.2e10),
-                 (-2.5e-7, 1.9e-7), id="off_axis"),
-    # Far away the four corner terms nearly cancel; the closed form must
-    # still hold its relative precision.
-    *(pytest.param(WireSpec((0.0, 0.0), (2e-7, 1.5e-7), 7e-4, 2.2e10),
-                   (0.8 * 2e-7 * widths, -0.6 * 2e-7 * widths),
-                   id=f"far{widths}") for widths in (10, 100, 1000)),
-])
-def test_ribbon_field_matches_quadrature(wire, point):
-    got = ribbon_field(wire, point)
-    want = quadrature_field(wire, point)
-    scale = math.hypot(*want)
-    assert abs(got[0] - want[0]) <= 1e-12 * scale
-    assert abs(got[1] - want[1]) <= 1e-12 * scale
-
-
-def test_ribbon_field_mirror_wires_on_midplane():
-    upper, lower = twin_wire_preset(4).wires
-    assert upper.center == (lower.center[0], -lower.center[1])
-    for site in twin_wire_preset(4).sites:
-        assert site.position[1] == 0.0
-        ux, uz = ribbon_field(upper, site.position)
-        lx, lz = ribbon_field(lower, site.position)
-        assert ux == -lx and ux != 0.0
-        assert uz == lz
 
 
 def test_preset_transverse_components_cancel():

@@ -4,6 +4,8 @@ Only the Hadamard search needs scipy, so no command may load it: the
 package's modules import scipy inside the one function that calls the
 optimizer, never when they load. The AST scans below keep that true, and
 keep every module-level import in the package and the tests in use.
+Circuits are played in one place, circuits.evaluate: no other module of
+the package reaches for the pulse kernel or its identity stack.
 """
 
 import ast
@@ -110,3 +112,26 @@ def test_module_level_imports_are_used(path):
               if isinstance(stmt, (ast.Import, ast.ImportFrom))
               for name, line in _bound_names(stmt) if name not in used]
     assert unused == []
+
+
+# The kernel names only circuits may take from spins; __init__ re-exports
+# apply_op as public API and plays nothing.
+PLAYERS = {"apply_op", "identity"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py"))
+     if p.name not in ("circuits.py", "spins.py", "__init__.py")],
+    ids=lambda p: p.name)
+def test_only_circuits_plays_the_kernel(path):
+    tree = _parse(path)
+    taken = [(a.name, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[-1] == "spins"
+             for a in node.names if a.name in PLAYERS]
+    taken += [(node.attr, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in PLAYERS
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "spins"]
+    assert taken == []

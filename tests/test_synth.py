@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from globalspin import synth
-from globalspin.circuits import Circuit, Exchange, evaluate
+from globalspin.circuits import FACTOR_MIN_SPINS, Circuit, Exchange, evaluate
 from globalspin.device import (ANTIPARALLEL, PARALLEL, device_constants,
                                field_profile, twin_wire_preset)
 from globalspin.linalg import hermitian_expm, max_abs, phase_distance
@@ -18,6 +18,8 @@ from globalspin.synth import (BudgetExceeded, EmptyAlphabet, PulseTemplate,
                               SynthesisProblem, enumerate_sequences,
                               global_hadamard_search, problem_from_text,
                               problem_to_text, result_to_text, reverify)
+
+import oracle
 
 PROFILES = {"z": (1.0, 0.75), "x": (1.0, 0.5)}
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -241,6 +243,25 @@ def test_verification_matches_per_draw_oracle_on_seed0(bundled,
         assert max_abs(got - want) <= 1e-15, sol
         assert sol.max_distance == got.max()
         assert sol.worst_draw == int(np.argmax(got))
+
+
+@pytest.mark.parametrize("spins", [7, 8])
+@pytest.mark.parametrize("name", ["planted_swap", "planted_cp"])
+def test_wide_verification_matches_the_full_register_loop(bundled, monkeypatch,
+                                                          name, spins):
+    # From FACTOR_MIN_SPINS up, evaluate plays the exchanged pair and each
+    # bystander on registers of their own; the full-register loop plays
+    # every word on all 2^n states.
+    assert spins >= FACTOR_MIN_SPINS
+    p = dataclasses.replace(bundled(name), verify_spins=spins)
+    got = enumerate_sequences(p, seed=0).solutions
+    monkeypatch.setattr(synth, "_draw_distances", oracle.draw_distances)
+    want = enumerate_sequences(p, seed=0).solutions
+    assert got
+    assert ([(s.letters, s.exchange_slots) for s in got]
+            == [(s.letters, s.exchange_slots) for s in want])
+    for g, w in zip(got, want):
+        assert abs(g.max_distance - w.max_distance) <= 1e-13
 
 
 def replay_worst_draw(p, sol, seed):
