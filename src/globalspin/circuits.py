@@ -7,10 +7,10 @@ built, so evaluation can fold them into one running unitary with the
 in-place kernel spins.apply_op: each op acts on the row index at
 O(n 4^n), and no op matrix is formed. Every spin outside an exchange pair
 is a bystander of that op, so the spins split into groups that no exchange
-links. From FACTOR_MIN_SPINS spins up, a circuit with more than one such
-group is evaluated group by group, each on its own 2^|g| register, and the
-groups' unitaries are joined by one broadcast tensor product; below that
-size, and for one group, the ops run on the full register. Builders return
+links. From FACTOR_MIN_SPINS spins up, factor plays each such group on its
+own 2^|g| register; below that, and for one group, on the full register.
+join multiplies the parts out by one broadcast product, all rows for
+evaluate or one row block at a time for a digest. Builders return
 the circuit together with its intended gate target so the same
 verification path covers hand-built and synthesized sequences.
 
@@ -116,19 +116,26 @@ FACTOR_MIN_SPINS = 7
 
 def evaluate(c: Circuit) -> np.ndarray:
     """Ordered product of the ops' unitaries; first op acts first. For a
-    circuit of B draws, the (B, 2^n, 2^n) stack of the draws' products.
-
-    On FACTOR_MIN_SPINS spins and up, each group of exchange-linked spins is
-    played on its own register and the groups are joined at the end.
+    circuit of B draws, the (B, 2^n, 2^n) stack of the draws' products:
+    the join of factor(c), or its one part.
     """
+    parts = factor(c)
+    return parts[0][1] if len(parts) == 1 else join(parts)
+
+
+def factor(c: Circuit, groups: Optional[Sequence] = None) -> tuple:
+    """c's unitary as parts ((group, unitary), ...), smallest group first:
+    c played on each ascending group of spins that its exchanges link (or
+    of the coarser partition given), or on the whole register for one
+    group or below FACTOR_MIN_SPINS spins."""
     n = c.register.n_spins
-    groups = _exchange_groups(n, c.ops) if n >= FACTOR_MIN_SPINS else ()
-    if len(groups) < 2:
-        return _play(c.register, c.ops, c.draws)
-    lead = () if c.draws is None else (c.draws,)
-    u = np.ones(lead + (1,) * (2 * n), dtype=complex)
-    # Smallest groups first, so every partial product but the last is at
-    # most a quarter of the result.
+    if n >= FACTOR_MIN_SPINS and groups is None:
+        groups = _exchange_groups(n, c.ops)
+    if n < FACTOR_MIN_SPINS or len(groups) < 2:
+        return ((tuple(range(n)), _play(c.register, c.ops, c.draws)),)
+    parts = []
+    # Smallest first: every partial product of a join but the last is then
+    # at most a quarter of the result.
     for g in sorted(groups, key=len):
         ops = []
         for op in c.ops:
@@ -138,14 +145,31 @@ def evaluate(c: Circuit) -> np.ndarray:
                     a, np.ndarray) else [a[s] for s in g]))
             elif op.i in g:
                 ops.append(replace(op, i=g.index(op.i), j=g.index(op.j)))
+        parts.append((tuple(g), _play(RegisterSpec(len(g)), ops, c.draws)))
+    return tuple(parts)
+
+
+def join(parts: tuple, block: int = 0, blocks: int = 1) -> np.ndarray:
+    """Row block `block` of `blocks` (a power of two) of the tensor product
+    of factor's parts: the rows whose leading row bits spell block. Each
+    entry is 1 times one entry per part in the parts' order, whatever the
+    block, so blocks hold the same bits as the whole."""
+    n = sum(len(g) for g, _ in parts)
+    k = blocks.bit_length() - 1
+    bits = [(block >> (k - 1 - s)) & 1 for s in range(k)]
+    lead = parts[0][1].shape[:-2]
+    u = np.ones(lead + (1,) * (2 * n), dtype=complex)
+    for g, f in parts:
         # The group's rows, then its columns, with a 1 at every other site:
         # g is ascending, so the group's own index order is kept.
         shape = [1] * (2 * n)
         for s in g:
             shape[s] = shape[n + s] = 2
-        u = u * _play(RegisterSpec(len(g)), ops, c.draws).reshape(
-            lead + tuple(shape))
-    return u.reshape(lead + (c.register.dim, c.register.dim))
+        rows = tuple(slice(b, b + 1) if s in g else slice(None)
+                     for s, b in enumerate(bits))
+        f = f.reshape(lead + tuple(shape))
+        u = u * f[(slice(None),) * len(lead) + rows]
+    return u.reshape(lead + (-1, 1 << n))
 
 
 def _play(reg: RegisterSpec, ops, draws: Optional[int] = None) -> np.ndarray:
@@ -155,6 +179,16 @@ def _play(reg: RegisterSpec, ops, draws: Optional[int] = None) -> np.ndarray:
     for op in ops:
         apply_op(u, reg, op)
     return u
+
+
+def factored_distance(u: tuple, v: tuple) -> float:
+    """phase_distance of two factored unitaries on the same groups: with
+    d_g each pair of parts' distance, |tr(u†v)|/dim is the product of their
+    1 - d_g²/2, so d² = -2 expm1(sum log1p(-d_g²/2)) to full precision."""
+    dg = np.array([phase_distance(a, b) for (_, a), (_, b) in zip(u, v)])
+    with np.errstate(divide="ignore"):  # an orthogonal part: log1p(-1)
+        return math.sqrt(-2.0 * math.expm1(
+            np.log1p(-np.minimum(dg * dg / 2.0, 1.0)).sum()))
 
 
 def _exchange_groups(n: int, ops) -> list:
@@ -476,6 +510,15 @@ def refocused_rotation_circuit(reg: RegisterSpec, axis: str, i: int, j: int,
     angles that the two later inverse pulses remove, and the pi-offset
     pulses cancel in adjacent inverse pairs around the exchanges.
     """
+    ops = _refocused_ops(reg, axis, i, j, angle, profiles)
+    target = _single_spin_rotation(reg, axis, i, angle)
+    return (Circuit(reg, ops),
+            GateTarget(target, frozenset((i,)), Equivalence.GLOBAL_PHASE))
+
+
+def _refocused_ops(reg: RegisterSpec, axis: str, i: int, j: int,
+                   angle: float, profiles: Mapping[str, Sequence[float]]):
+    """The eleven ops of refocused_rotation_circuit, with no target."""
     if axis not in _CONJUGATE_AXIS:
         raise ValueError(f"axis must be x or z, got {axis!r}")
     conj_axis = _CONJUGATE_AXIS[axis]
@@ -494,20 +537,17 @@ def refocused_rotation_circuit(reg: RegisterSpec, axis: str, i: int, j: int,
     offset = tuple(lam * v for v in ac)
     neg = lambda v: tuple(-x for x in v)
     ex = Exchange(i, j, math.pi)
-    ops = (GlobalField(axis, merged),
-           ex,
-           GlobalField(axis, neg(primary)),
-           ex,
-           GlobalField(conj_axis, offset),
-           ex,
-           GlobalField(conj_axis, neg(offset)),
-           GlobalField(axis, neg(companion)),
-           GlobalField(conj_axis, offset),
-           ex,
-           GlobalField(conj_axis, neg(offset)))
-    target = _single_spin_rotation(reg, axis, i, angle)
-    return (Circuit(reg, ops),
-            GateTarget(target, frozenset((i,)), Equivalence.GLOBAL_PHASE))
+    return (GlobalField(axis, merged),
+            ex,
+            GlobalField(axis, neg(primary)),
+            ex,
+            GlobalField(conj_axis, offset),
+            ex,
+            GlobalField(conj_axis, neg(offset)),
+            GlobalField(axis, neg(companion)),
+            GlobalField(conj_axis, offset),
+            ex,
+            GlobalField(conj_axis, neg(offset)))
 
 
 def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Circuit:
@@ -588,7 +628,8 @@ def su2_compile(target: np.ndarray, reg: RegisterSpec, i: int, j: int,
     eleven-step rotation blocks (z, x, z Euler order), 21 field pulses max.
 
     Blocks whose Euler angle is a multiple of 2 pi act as a global phase and
-    are dropped. j names the exchange partner used by the blocks.
+    are dropped. j names the exchange partner used by the blocks. Each
+    block is refocused_rotation_circuit's ops; no dense target is built.
     """
     _, alpha, beta, gamma = euler_zxz(target)
     ops = []
@@ -596,9 +637,8 @@ def su2_compile(target: np.ndarray, reg: RegisterSpec, i: int, j: int,
         # Rotations by 2 pi k are global phases on spin-1/2.
         if abs(block_angle - 2.0 * math.pi * round(block_angle / (2.0 * math.pi))) < 1e-12:
             continue
-        block, _ = refocused_rotation_circuit(reg, block_axis, i, j,
-                                              block_angle, profiles)
-        ops.extend(block.ops)
+        ops.extend(_refocused_ops(reg, block_axis, i, j, block_angle,
+                                  profiles))
     return Circuit(reg, tuple(ops))
 
 

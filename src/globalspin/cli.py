@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import circuits, device, schedule as sched, synth
-from .linalg import TOL_COMPILED, max_abs_per_draw, phase_distance
+from .linalg import TOL_COMPILED, max_abs_per_draw
 from .spins import RegisterSpec
 
 DRAWS_PER_SUITE = 60
@@ -349,8 +349,9 @@ def cmd_schedule(args) -> RunReport:
         # --simulate-only run on the written file prints.
         text = sched.schedule_to_text(s)
         s = sched.schedule_from_text(text, geom)
-        u = sched.simulate_schedule(s)
-        d = phase_distance(u, circuits.evaluate(c))
+        # Replay and circuit, factored on one partition, part by part.
+        u = sched.simulate_schedule(s, c)
+        d = circuits.factored_distance(u, circuits.factor(c, [g for g, _ in u]))
         checks.append(_bounded_check("round_trip_distance", d, TOL_COMPILED))
         stage("replay_check", len(s.events), int(d <= TOL_COMPILED))
         if args.out:

@@ -98,20 +98,29 @@ def phase_distance(u: np.ndarray, v: np.ndarray):
     return dist
 
 
-def update_phase_normalized(h, m: np.ndarray) -> None:
+def update_phase_normalized(h, m, blocks: int = 1) -> None:
     """Feed hash h the real and then the imaginary parts of m, with the
     phase of its anchor entry removed and rounded to 9 decimals: a
     phase-invariant fingerprint. The arrays are hashed in place, not copied
     to bytes.
 
+    m is a matrix, or a function building row block k of its `blocks` equal
+    ones: a first pass finds the largest modulus, a second feeds the real
+    parts and stores the imaginary parts, which are hashed last.
+
     The anchor is the first entry in flat order whose modulus is within
     1e-9 of the largest, so entries tied in modulus up to rounding (a
     rotation's bystander blocks) pick the same anchor whatever the last
-    bits of each."""
-    mag = np.abs(m)
-    anchor = m.flat[int(np.argmax(mag >= mag.max() - 1e-9))]
-    normalized = m / (anchor / abs(anchor))
-    # +0.0 collapses -0.0 so the byte image is sign-of-zero stable.
-    h.update(np.round(normalized.real, 9) + 0.0)
-    h.update(np.round(normalized.imag, 9) + 0.0)
-
+    bits of each. Only the first block that reaches it is built again."""
+    block = m if callable(m) else lambda k: m
+    tops = [np.abs(block(k)).max() for k in range(blocks)]
+    top = np.max(tops)
+    b = block(next((k for k, t in enumerate(tops) if t >= top - 1e-9), 0))
+    anchor = b.flat[int(np.argmax(np.abs(b) >= top - 1e-9))]
+    imag = np.empty((blocks,) + b.shape)
+    for k in range(blocks):
+        normalized = block(k) / (anchor / abs(anchor))
+        # +0.0 collapses -0.0 so the byte image is sign-of-zero stable.
+        h.update(np.round(normalized.real, 9) + 0.0)
+        np.add(np.round(normalized.imag, 9), 0.0, out=imag[k])
+    h.update(imag)

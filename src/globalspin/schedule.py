@@ -2,6 +2,9 @@
 timed sequence of current configurations and exchange windows, and replay a
 schedule back into a unitary for round-trip verification.
 
+The replay stays factored (circuits.factor), so a check against its circuit
+runs part by part and unitary_digest joins one row block at a time.
+
 A field pulse is schedulable only when its per-spin angles are proportional
 to the device's site fields under one current configuration; that constraint
 is the hardware's defining restriction and violating it is a hard error, not
@@ -13,10 +16,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
-from .circuits import Circuit, Exchange, GlobalField, XYExchange, evaluate
+from .circuits import (Circuit, Exchange, GlobalField, XYExchange,
+                       _exchange_groups, factor, join)
 from .device import (ACTIVE_AXIS, ANTIPARALLEL, PARALLEL, DeviceGeometry,
                      field_profile, validate_currents)
 from .grammar import fields, finite, keyed, walk
@@ -27,6 +32,7 @@ DEFAULT_EXCHANGE_DURATION = 10e-9  # seconds
 FIELD_DURATION_CAP = 1e-5  # seconds
 # Relative residual allowed when fitting angles to the site-field profile.
 REALIZABLE_RTOL = 1e-9
+DIGEST_BLOCK = 1 << 16  # entries per row block of a digest: 1 MB
 
 CONFIG_FOR_AXIS = {"z": PARALLEL, "x": ANTIPARALLEL}
 # The header key records the Zeeman convention of spins.zeeman_angles, the
@@ -166,8 +172,10 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
                    active_row=rows.pop() if rows else 0)
 
 
-def simulate_schedule(s: Schedule) -> np.ndarray:
-    """Replay the schedule into a unitary, first event applied first.
+def simulate_schedule(s: Schedule, c: Optional[Circuit] = None) -> tuple:
+    """Replay the schedule, first event applied first, into the parts of
+    circuits.factor: on the groups its exchanges link, or, given the
+    circuit c, those the exchanges of both link.
 
     The events become the ops of a Circuit, so a pair outside the register
     or a non-finite duration is a ValueError. Each configuration's field
@@ -189,7 +197,9 @@ def simulate_schedule(s: Schedule) -> np.ndarray:
             ops.extend(Exchange(i, j, xi) for (i, j, xi) in ev.pairs)
         else:
             raise TypeError(f"not an event: {ev!r}")
-    return evaluate(Circuit(s.register, tuple(ops)))
+    replay = Circuit(s.register, tuple(ops))
+    return factor(replay, None if c is None else _exchange_groups(
+        n, replay.ops + c.ops))
 
 
 @dataclass(frozen=True)
@@ -334,10 +344,16 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
     return replace(parts[0], events=tuple(parts[1:]))
 
 
-def unitary_digest(u: np.ndarray) -> str:
-    """Phase-normalized sha256 fingerprint of a unitary, for golden checks."""
-    u = np.asarray(u, dtype=complex)
+def unitary_digest(u) -> str:
+    """Phase-normalized sha256 fingerprint of a unitary, for golden checks:
+    a matrix (one part) or factor's parts, joined one row block at a time.
+    Blocks hold the joined bits, so the digest does not depend on the form."""
+    if isinstance(u, np.ndarray):
+        u = ((tuple(range(len(u).bit_length() - 1)),
+              np.asarray(u, dtype=complex)),)
+    dim = 1 << sum(len(g) for g, _ in u)
+    blocks = min(dim, max(1, dim * dim // DIGEST_BLOCK))
     h = hashlib.sha256()
-    h.update(str(u.shape).encode())
-    update_phase_normalized(h, u)
+    h.update(str((dim, dim)).encode())
+    update_phase_normalized(h, lambda k: join(u, k, blocks), blocks)
     return h.hexdigest()

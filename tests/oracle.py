@@ -1,14 +1,17 @@
 """Reference constructions the tests check the package against. They use
 numpy only, so an oracle shares no code with what it checks.
 
-Three references are the package's own earlier code paths, kept here once
+Four references are the package's own earlier code paths, kept here once
 the package replaced them: the verify suites run one draw at a time, which
 call the package's builders with floats; the local-z distance with its
 2049-point scan evaluated one angle at a time and golden-section
-refinement; and final verification's word loop, which plays every word on
-the whole register with the pulse kernel, never group by group."""
+refinement; final verification's word loop, which plays every word on
+the whole register with the pulse kernel, never group by group; and the
+unitary digest taken over the whole matrix at once, never row block by
+row block."""
 
 import cmath
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -199,3 +202,17 @@ def draw_distances(problem, table, letters):
     for letter in letters:
         apply_op(u, reg, ex if letter is None else fields[letter])
     return phase_distance(u, targets)
+
+
+def dense_digest(u):
+    """The schedule digest of a matrix, hashed whole: the phase of the
+    first entry within 1e-9 of the largest modulus removed, then the real
+    and the imaginary parts rounded to 9 decimals, -0.0 read as 0.0."""
+    u = np.asarray(u, dtype=complex)
+    h = hashlib.sha256(str(u.shape).encode())
+    mag = np.abs(u)
+    anchor = u.flat[int(np.argmax(mag >= mag.max() - 1e-9))]
+    normalized = u / (anchor / abs(anchor))
+    h.update(np.round(normalized.real, 9) + 0.0)
+    h.update(np.round(normalized.imag, 9) + 0.0)
+    return h.hexdigest()

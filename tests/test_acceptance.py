@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from globalspin import circuits as cir
-from globalspin.circuits import (Equivalence, GateTarget, evaluate,
+from globalspin.circuits import (Equivalence, GateTarget, evaluate, join,
                                  refocused_rotation_circuit, su2_compile,
                                  verify_target)
 from globalspin.device import (ANTIPARALLEL, PARALLEL, DeviceGeometry,
@@ -195,7 +195,7 @@ def test_criterion_5_schedule_round_trip_and_goldens():
     cp, _ = cir.controlled_phase_circuit(RegisterSpec(2), 0, 1,
                                          -4.0 * math.pi)
     s = compile_schedule(cp, geom, geometry_name="twin_wire_zigzag")
-    assert phase_distance(simulate_schedule(s), evaluate(cp)) <= 1e-8
+    assert phase_distance(join(simulate_schedule(s)), evaluate(cp)) <= 1e-8
     text = schedule_to_text(s)
     with open(os.path.join(FIXTURES, "cp_tied.schedule.txt")) as fh:
         assert text == fh.read()
@@ -205,7 +205,7 @@ def test_criterion_5_schedule_round_trip_and_goldens():
     rot, _ = refocused_rotation_circuit(RegisterSpec(4), "z", 0, 1,
                                         math.pi / 2.0, preset_profiles(4))
     s = compile_schedule(rot, geom, geometry_name="twin_wire_zigzag")
-    assert phase_distance(simulate_schedule(s), evaluate(rot)) <= 1e-8
+    assert phase_distance(join(simulate_schedule(s)), evaluate(rot)) <= 1e-8
     text = schedule_to_text(s)
     with open(os.path.join(FIXTURES, "rotation11.schedule.txt")) as fh:
         assert text == fh.read()

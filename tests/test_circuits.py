@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -552,6 +553,33 @@ def test_su2_compile_bystanders_clean_on_wider_register():
                    Equivalence.GLOBAL_PHASE)
     rep = verify_target(c, t, 1e-8)
     assert rep.passed, rep
+
+
+def test_su2_compile_builds_no_dense_target():
+    # Its blocks are the rotation builder's ops, op for op, but the
+    # builder's 2^n x 2^n targets (8 MB each at 10 spins) are never built.
+    rng = np.random.default_rng(10)
+    reg10 = RegisterSpec(10)
+    profiles = {"z": (1.0, 0.75) * 5, "x": (1.0, 0.5) * 5}
+    targets = [random_su2(rng) for _ in range(8)] + [
+        rotation_2x2("x", 0.9), rotation_2x2("z", -1.3), np.eye(2)]
+    for u in targets:
+        i = int(rng.integers(0, 9))
+        _, alpha, beta, gamma = euler_zxz(u)
+        blocks = [(a, axis) for a, axis in ((alpha, "z"), (beta, "x"),
+                                            (gamma, "z"))
+                  if abs(a - 2 * math.pi * round(a / (2 * math.pi))) >= 1e-12]
+        ops = sum((cir.refocused_rotation_circuit(reg10, axis, i, i + 1, a,
+                                                  profiles)[0].ops
+                   for a, axis in blocks), ())
+        tracemalloc.start()
+        try:
+            c = su2_compile(u, reg10, i, i + 1, profiles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert c.ops == ops
+        assert peak < 1e6
 
 
 def test_circuit_text_round_trip_is_exact():

@@ -3,14 +3,16 @@ import json
 import math
 import os
 import shlex
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracle
 from globalspin import circuits, cli
+from globalspin import schedule as sched
 from globalspin.circuits import (circuit_to_text, controlled_phase_circuit,
-                                 refocused_rotation_circuit)
+                                 parallel_apply, refocused_rotation_circuit)
 from globalspin.device import (ANTIPARALLEL, PARALLEL, device_constants,
                                field_profile, geometry_to_text,
                                twin_wire_preset)
@@ -313,13 +315,13 @@ def test_device_custom_geometry_file(capsys, tmp_path, n_sites, tolerance):
     assert checks["twin_wire_layout"]["pass"]
 
 
-def write_rotation_circuit(path, n):
-    """The 11-op z rotation on spins 0 and 1 of the n-site preset, with the
+def write_rotation_circuit(path, n, axis="z"):
+    """The 11-op rotation on spins 0 and 1 of the n-site preset, with the
     preset geometry beside it; returns (circuit path, geometry argv)."""
     geom = twin_wire_preset(n)
     profiles = {"z": device_constants(field_profile(geom, PARALLEL)).ratios,
                 "x": device_constants(field_profile(geom, ANTIPARALLEL)).ratios}
-    c, _ = refocused_rotation_circuit(RegisterSpec(n), "z", 0, 1, 1.0,
+    c, _ = refocused_rotation_circuit(RegisterSpec(n), axis, 0, 1, 1.0,
                                       profiles)
     path.write_text(circuit_to_text(c))
     geom_path = path.with_name(f"zigzag{n}.geometry.txt")
@@ -366,6 +368,67 @@ def test_schedule_compile_and_simulate_digests_agree_at_8_spins(capsys,
     # many entries of its unitary tie in modulus.
     circ, geom = write_rotation_circuit(tmp_path / "rot.circuit.txt", 8)
     compile_then_simulate_only(capsys, circ, geom)
+
+
+def write_tied_cp_pairs(path, n):
+    """The tied controlled phase on pairs (0, 1), (2, 3), ... of the n-site
+    preset, with the preset geometry beside it; returns (circuit path,
+    geometry argv)."""
+    tpl, _ = controlled_phase_circuit(RegisterSpec(2), 0, 1, -4.0 * math.pi)
+    c = parallel_apply(tpl, [(k, k + 1) for k in range(0, n, 2)],
+                       RegisterSpec(n))
+    path.write_text(circuit_to_text(c))
+    geom_path = path.with_name(f"zigzag{n}.geometry.txt")
+    geom_path.write_text(geometry_to_text(twin_wire_preset(n)))
+    return path, ["--geometry", str(geom_path)]
+
+
+@pytest.mark.parametrize("kind", ["x_rotation", "tied_cp"])
+def test_schedule_at_12_spins_holds_no_register_matrix(capsys, tmp_path,
+                                                       kind):
+    # A 2^12 x 2^12 complex array is 268 MB. The replay, the replay check
+    # and the digest keep the unitary factored or in row blocks; the
+    # largest array left is the digest's imaginary parts, 134 MB.
+    path = tmp_path / f"{kind}.circuit.txt"
+    circ, geom = (write_rotation_circuit(path, 12, "x") if kind == "x_rotation"
+                  else write_tied_cp_pairs(path, 12))
+    out_file = tmp_path / "out.schedule.txt"
+    for argv in (["schedule", str(circ), "--out", str(out_file)],
+                 ["schedule", str(out_file), "--simulate-only"]):
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, *argv, *geom)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, out
+        assert peak < 200e6
+
+
+def test_schedule_replays_and_digests_once_per_run(capsys, tmp_path,
+                                                   monkeypatch):
+    # perfbench times these two names as the tracer wraps them, on the
+    # module; each run should show one call of each.
+    calls = []
+
+    def counting(name):
+        real = getattr(sched, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("simulate_schedule", "unitary_digest"):
+        monkeypatch.setattr(sched, name, counting(name))
+    circ, geom = write_rotation_circuit(tmp_path / "rot.circuit.txt", 8)
+    out_file = tmp_path / "out.schedule.txt"
+    for argv in (["schedule", str(circ), "--out", str(out_file)],
+                 ["schedule", str(out_file), "--simulate-only"]):
+        calls.clear()
+        code, _, _ = run_cli(capsys, *argv, *geom)
+        assert code == 0
+        assert sorted(calls) == ["simulate_schedule", "unitary_digest"]
 
 
 def test_schedule_unrealizable_exit_code(capsys, tmp_path):

@@ -1,12 +1,15 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from globalspin import circuits as cir
 from globalspin import schedule as sched
 from globalspin.circuits import (Circuit, Exchange, GlobalField, XYExchange,
-                                 controlled_phase_circuit, evaluate,
-                                 parallel_apply, refocused_rotation_circuit)
+                                 controlled_phase_circuit, evaluate, factor,
+                                 factored_distance, join, parallel_apply,
+                                 refocused_rotation_circuit)
 from globalspin.device import (ANTIPARALLEL, PARALLEL, DeviceGeometry,
                                SpinSite, WireSpec, device_constants,
                                field_profile, twin_wire_preset)
@@ -17,6 +20,11 @@ from globalspin.schedule import (DurationCapExceeded, ExchangeEvent,
                                  schedule_to_text, simulate_schedule,
                                  unitary_digest, validate_schedule)
 from globalspin.spins import RegisterSpec, zeeman_angles
+
+import oracle
+from test_circuits import random_linked_circuit
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 GEOM2 = twin_wire_preset(2)
 GEOM4 = twin_wire_preset(4)
@@ -56,7 +64,7 @@ def test_compile_structure_and_realizability():
 def test_compile_then_simulate_matches_circuit():
     c, _ = tied_cp_circuit()
     s = compile_schedule(c, GEOM2)
-    assert phase_distance(simulate_schedule(s), evaluate(c)) < 1e-10
+    assert phase_distance(join(simulate_schedule(s)), evaluate(c)) < 1e-10
 
 
 def test_compile_refocused_rotation():
@@ -64,7 +72,7 @@ def test_compile_refocused_rotation():
     c, _ = refocused_rotation_circuit(reg, "z", 0, 1, 1.234,
                                       device_profiles(GEOM4, 4))
     s = compile_schedule(c, GEOM4)
-    assert phase_distance(simulate_schedule(s), evaluate(c)) < 1e-10
+    assert phase_distance(join(simulate_schedule(s)), evaluate(c)) < 1e-10
     # Both configurations appear: z pulses parallel, x pulses antiparallel.
     configs = {e.config for e in s.events if isinstance(e, FieldEvent)}
     assert configs == {PARALLEL, ANTIPARALLEL}
@@ -87,7 +95,7 @@ def test_compile_groups_disjoint_exchanges():
     ex = [e for e in s.events if isinstance(e, ExchangeEvent)]
     assert len(ex) == 2
     assert all(len(e.pairs) == 2 for e in ex)
-    assert phase_distance(simulate_schedule(s), evaluate(c)) < 1e-10
+    assert phase_distance(join(simulate_schedule(s)), evaluate(c)) < 1e-10
 
 
 def test_compile_splits_overlapping_exchanges():
@@ -233,7 +241,7 @@ def test_schedule_text_drift_stays_below_criterion():
     a = schedule_from_text(text, GEOM2)
     b = schedule_from_text(text, GEOM2)
     assert unitary_digest(simulate_schedule(a)) == unitary_digest(simulate_schedule(b))
-    assert phase_distance(simulate_schedule(a), evaluate(c)) < 1e-12
+    assert phase_distance(join(simulate_schedule(a)), evaluate(c)) < 1e-12
     assert unitary_digest(simulate_schedule(a)) == unitary_digest(evaluate(c))
 
 
@@ -243,7 +251,7 @@ def test_written_rotation_replays_its_circuit_and_digest_survives_ulp_noise():
     c, _ = refocused_rotation_circuit(RegisterSpec(4), "z", 0, 1,
                                       math.pi / 2.0, device_profiles(GEOM4, 4))
     text = schedule_to_text(compile_schedule(c, GEOM4))
-    u = simulate_schedule(schedule_from_text(text, GEOM4))
+    u = join(simulate_schedule(schedule_from_text(text, GEOM4)))
     assert phase_distance(u, evaluate(c)) < 1e-12
     digest = unitary_digest(u)
     assert digest == unitary_digest(evaluate(c))
@@ -269,7 +277,7 @@ def test_six_decimal_schedule_text_still_parses():
         0.0, 63.821922 / 1e9, 73.821922 / 1e9, 137.643844 / 1e9]
     assert s.events[1].duration == 10e-9
     c, _ = tied_cp_circuit()
-    assert phase_distance(simulate_schedule(s), evaluate(c)) < 1e-8
+    assert phase_distance(join(simulate_schedule(s)), evaluate(c)) < 1e-8
 
 
 def test_schedule_text_errors():
@@ -301,3 +309,114 @@ def test_validate_schedule_fails_non_finite_duration():
     assert not checks["non_overlap"].ok
     assert "non-finite" in checks["non_overlap"].detail
     assert not validate_schedule(s).ok
+
+
+def linked_cases(rng):
+    """Random linked circuits on 7 to 11 spins (several groups each), one
+    group spanning 8 spins, and 9 spins with no ops (every spin a group)."""
+    cases = [random_linked_circuit(rng, n, 12) for n in (7, 8, 9, 10, 11)]
+    chain = random_linked_circuit(rng, 8, 12)
+    cases.append(Circuit(chain.register, chain.ops + tuple(
+        Exchange(k, k + 1, 0.3) for k in range(7))))
+    return cases + [Circuit(RegisterSpec(9), ())]
+
+
+def test_streamed_digest_equals_the_whole_matrix_digest(monkeypatch):
+    # unitary_digest joins factor's parts one row block at a time; the
+    # oracle hashes the evaluated matrix whole, as the package did before.
+    rng = np.random.default_rng(31)
+    cases = linked_cases(rng)
+    for c in cases:
+        parts = factor(c)
+        u = evaluate(c)
+        assert (len(parts) == 1) == (len(cir._exchange_groups(
+            c.register.n_spins, c.ops)) == 1)
+        want = oracle.dense_digest(u)
+        assert unitary_digest(parts) == want
+        assert unitary_digest(u) == want
+        # Rows of the blocks are the whole matrix's, bit for bit.
+        blocks = [join(parts, k, 8) for k in range(8)]
+        assert np.concatenate(blocks).tobytes() == join(parts).tobytes()
+    # Down to one row per block, on a multi-group and a one-group circuit.
+    for c in (cases[0], cases[5]):
+        want = unitary_digest(evaluate(c))
+        for size in (1, 1 << 7, 1 << 11):
+            monkeypatch.setattr(sched, "DIGEST_BLOCK", size)
+            assert unitary_digest(factor(c)) == want
+            assert unitary_digest(evaluate(c)) == want
+    monkeypatch.undo()
+    # 12 spins: the whole-matrix oracle would hold over 1 GB.
+    c = random_linked_circuit(rng, 12, 12)
+    want = unitary_digest(factor(c))
+    assert unitary_digest(evaluate(c)) == want
+
+
+@pytest.mark.parametrize("name, n", [("cp_tied", 2), ("rotation11", 4)])
+def test_fixture_digests_in_row_blocks(monkeypatch, name, n):
+    with open(os.path.join(FIXTURES, f"{name}.schedule.txt")) as fh:
+        parts = simulate_schedule(schedule_from_text(fh.read(),
+                                                     twin_wire_preset(4)))
+    with open(os.path.join(FIXTURES, "golden_digests.txt")) as fh:
+        golden = dict(line.split() for line in fh)[name]
+    assert len(parts) == 1 and parts[0][0] == tuple(range(n))
+    assert oracle.dense_digest(join(parts)) == golden
+    for size in (sched.DIGEST_BLOCK, 16, 1):
+        monkeypatch.setattr(sched, "DIGEST_BLOCK", size)
+        assert unitary_digest(parts) == golden
+
+
+def test_factored_distance_matches_the_dense_distance():
+    # The replay check compares factors on the groups both circuits link;
+    # its value must be the dense phase_distance's, from 1e-14 up to an
+    # orthogonal group.
+    rng = np.random.default_rng(32)
+    seen = []
+    for c in linked_cases(rng)[:4]:
+        n = c.register.n_spins
+        groups = cir._exchange_groups(n, c.ops)
+        alone = next(g[0] for g in groups if len(g) == 1)
+        for delta in (1e-13, 1e-10, 1e-6, 1e-3, 0.3, 2.0, "two", "flip",
+                      "link"):
+            angles = np.zeros(n)
+            if delta == "two":  # two groups moved: their terms combine
+                angles[[groups[0][0], groups[-1][0]]] = 0.9, -1.4
+                extra = (GlobalField("y", tuple(angles)),)
+            elif delta == "flip":  # pi about x on a lone spin: trace 0
+                angles[alone] = math.pi
+                extra = (GlobalField("x", tuple(angles)),)
+            elif delta == "link":  # a new exchange joins two groups
+                extra = (Exchange(groups[0][0], groups[-1][0], 0.2),)
+            else:
+                angles[int(rng.integers(n))] = delta
+                extra = (GlobalField("z", tuple(angles)),)
+            other = Circuit(c.register, c.ops + extra)
+            both = cir._exchange_groups(n, c.ops + other.ops)
+            d = factored_distance(factor(c, both), factor(other, both))
+            dense = phase_distance(evaluate(c), evaluate(other))
+            assert abs(d - dense) <= 1e-15 + 1e-12 * dense
+            seen.append(dense)
+    assert min(seen) < 1e-13 and max(seen) > 1.41
+    # Exact orthogonality, and a NaN, reach the check as they are.
+    eye, flip = np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], complex)
+    assert factored_distance((((0,), eye),), (((0,), flip),)) == math.sqrt(2)
+    nan = np.full((2, 2), math.nan, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(factored_distance((((0,), eye),), (((0,), nan),)))
+
+
+def test_replay_is_factored_on_the_groups_both_link():
+    # The replay check needs the replay and its circuit on one partition.
+    # Here the circuit has one exchange its schedule lacks (by 0, so the
+    # unitaries still agree): the replay takes the circuit's pair as a group.
+    reg, geom = RegisterSpec(8), twin_wire_preset(8)
+    c, _ = refocused_rotation_circuit(reg, "z", 0, 1, 0.8,
+                                      device_profiles(geom, 8))
+    s = compile_schedule(c, geom)
+    wider = Circuit(reg, c.ops + (Exchange(4, 5, 0.0),))
+    assert (4, 5) not in [g for g, _ in simulate_schedule(s)]
+    parts = simulate_schedule(s, wider)
+    groups = [g for g, _ in parts]
+    assert (0, 1) in groups and (4, 5) in groups and len(groups) == 6
+    d = factored_distance(parts, factor(wider, groups))
+    assert d < 1e-12
+    assert abs(d - phase_distance(join(parts), evaluate(wider))) <= 1e-15
