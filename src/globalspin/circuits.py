@@ -14,14 +14,15 @@ evaluate or one row block at a time for a digest. Builders return
 the circuit together with its intended gate target so the same
 verification path covers hand-built and synthesized sequences.
 
-A circuit may carry a draw count B: its ops then hold per-draw angles
-((B, n) field rows, (B,) exchange angles) next to shared ones, and
-evaluate returns the (B, 2^n, 2^n) stack of the draws' unitaries in one
-kernel pass per op. The pair builders take their angles as floats or as
-(B,) arrays: given floats they return one circuit and one target, given
-arrays a circuit of B draws and a (B, 2^n, 2^n) target, each draw the
-circuit and target its floats would give. verify_target and the bystander
-check take the same leading draw axis.
+A circuit's ops may hold per-draw angles ((B, n) field rows, (B,)
+exchange angles) next to shared ones. The circuit reads its draw count B
+from them, and evaluate returns the (B, 2^n, 2^n) stack of the draws'
+unitaries in one kernel pass per op. The pair builders take their angles
+as floats or as (B,) arrays and return a circuit and a GateTarget; given
+arrays, each draw is the circuit and target its floats would give, and a
+target that every draw shares stays one matrix. verify_target broadcasts
+such a target over the draws, and the bystander check takes the same
+leading draw axis.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -39,7 +40,7 @@ from .linalg import (TOL_STRUCTURE, DimensionMismatch, max_abs,
                      max_abs_per_draw, phase_distance)
 from .spins import (Exchange, GlobalField, RegisterSpec, XYExchange,
                     _check_pair, apply_op, check_op, global_field_unitary,
-                    identity, rotation_2x2, site_bits)
+                    identity, op_angles, rotation_2x2, site_bits)
 
 
 class NotUnitary2x2(ValueError):
@@ -54,21 +55,22 @@ class OverlappingPairs(ValueError):
 class Circuit:
     """Ordered pulse ops on one register, each checked by spins.check_op.
 
-    draws is None for one circuit, or the number B of parameter draws the
-    circuit plays at once: its ops may then hold per-draw angles, and it
-    evaluates to a (B, 2^n, 2^n) stack.
+    draws is read from the ops: None when none holds per-draw angles, else
+    the length B of the first per-draw array, which every op must share;
+    the circuit then plays B parameter draws and evaluates to a stack.
     """
 
     register: RegisterSpec
     ops: tuple
-    draws: Optional[int] = None
+    draws: Optional[int] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
-        if self.draws is not None and self.draws < 1:
-            raise ValueError(f"draw count {self.draws} is not positive")
+        draws = next((len(a) for a in map(op_angles, self.ops)
+                      if isinstance(a, np.ndarray) and a.ndim), None)
+        object.__setattr__(self, "draws", draws)
         for op in self.ops:
-            check_op(self.register, op, self.draws)
+            check_op(self.register, op, draws)
 
     @property
     def step_count(self) -> int:
@@ -91,7 +93,7 @@ class Equivalence(enum.Enum):
 
 @dataclass(frozen=True)
 class GateTarget:
-    unitary: np.ndarray  # (2^n, 2^n), or (B, 2^n, 2^n) for B draws
+    unitary: np.ndarray  # (2^n, 2^n) shared by all draws, or (B, 2^n, 2^n)
     acted_spins: frozenset
     equivalence: Equivalence
 
@@ -140,9 +142,7 @@ def factor(c: Circuit, groups: Optional[Sequence] = None) -> tuple:
         ops = []
         for op in c.ops:
             if isinstance(op, GlobalField):
-                a = op.angles
-                ops.append(GlobalField(op.axis, a[:, g] if isinstance(
-                    a, np.ndarray) else [a[s] for s in g]))
+                ops.append(GlobalField(op.axis, np.asarray(op.angles)[..., g]))
             elif op.i in g:
                 ops.append(replace(op, i=g.index(op.i), j=g.index(op.j)))
         parts.append((tuple(g), _play(RegisterSpec(len(g)), ops, c.draws)))
@@ -252,14 +252,17 @@ def verify_target(c: Circuit, t: GateTarget, tol: float) -> VerificationReport:
     commutators are read off u directly (see _commutator_deviation).
 
     For a circuit of B draws, t.unitary is the (B, 2^n, 2^n) stack of
-    targets; the report then holds one distance and one deviation per draw,
-    and passes only if every draw does. Values fold with numpy's max, so a
-    NaN anywhere fails the report.
+    targets or one matrix broadcast over the draws (any other shape raises
+    DimensionMismatch); the report then holds one distance and one
+    deviation per draw, and passes only if every draw does. Values fold
+    with numpy's max, so a NaN anywhere fails the report.
     """
     u = evaluate(c)
-    if u.shape != t.unitary.shape:
-        raise DimensionMismatch(f"{u.shape} vs {t.unitary.shape}")
-    u3, t3 = (u, t.unitary) if c.draws else (u[None], t.unitary[None])
+    try:
+        target = np.broadcast_to(t.unitary, u.shape)
+    except ValueError:
+        raise DimensionMismatch(f"{u.shape} vs {t.unitary.shape}") from None
+    u3, t3 = (u, target) if c.draws else (u[None], target[None])
     if t.equivalence is Equivalence.EXACT:
         dist = max_abs_per_draw(u3 - t3)
     elif t.equivalence is Equivalence.GLOBAL_PHASE:
@@ -274,7 +277,7 @@ def verify_target(c: Circuit, t: GateTarget, tol: float) -> VerificationReport:
     for k in range(c.register.n_spins):
         if k not in t.acted_spins:
             byst = np.maximum(byst, _commutator_deviation(u3, c.register, k))
-    passed = bool(np.all(dist <= tol) and np.all(byst <= tol))
+    passed = bool((dist <= tol).all() and (byst <= tol).all())
     if not c.draws:
         dist, byst = float(dist[0]), float(byst[0])
     return VerificationReport(distance=dist, bystander_deviation=byst,
@@ -314,37 +317,14 @@ def _angle_vector(reg: RegisterSpec, i: int, j: int, a_i, a_j,
     return _field_angles(vec)
 
 
-def _field_angles(vec: list):
-    """One angle per spin, each a float or a (B,) array of per-draw angles:
-    a tuple of floats when no entry is an array, else the (B, n) rows."""
-    draws = _draws(*vec)
-    if draws is None:
-        return tuple(vec)
-    rows = np.empty((draws, len(vec)))
+def _field_angles(vec: list) -> np.ndarray:
+    """One angle per spin, each a float or a (B,) array of per-draw angles,
+    as a GlobalField takes them: the (n,) angles when no entry is an array,
+    else the (B, n) rows. Filled by column: np.stack is 2.5x slower here."""
+    rows = np.empty(np.broadcast(*vec).shape + (len(vec),))
     for k, a in enumerate(vec):
-        rows[:, k] = a
+        rows[..., k] = a
     return rows
-
-
-def _neg(vec):
-    return -vec if isinstance(vec, np.ndarray) else tuple(-a for a in vec)
-
-
-def _draws(*values) -> Optional[int]:
-    """The draw count of a builder's angles: None when none is an array,
-    else the length of the first array (a (B,) column or (B, n) rows)."""
-    for v in values:
-        if isinstance(v, np.ndarray):
-            return len(v)
-    return None
-
-
-def _stacked(target: np.ndarray, draws: Optional[int]) -> np.ndarray:
-    """The (B, 2^n, 2^n) stack a circuit of B draws is compared with: the
-    target itself if it has one entry per draw, else one shared by all."""
-    if draws is None or target.ndim == 3:
-        return target
-    return np.broadcast_to(target, (draws,) + target.shape)
 
 
 def _diag_zz_phase(reg: RegisterSpec, i: int, j: int, coeff) -> np.ndarray:
@@ -374,7 +354,7 @@ def swap_conjugation(reg: RegisterSpec, i: int, j: int, angle_i, angle_j,
            GlobalField("z", vec),
            Exchange(i, j, math.pi))
     target = global_field_unitary(reg, GlobalField("z", swapped))
-    return (Circuit(reg, ops, _draws(vec)),
+    return (Circuit(reg, ops),
             GateTarget(target, frozenset(range(reg.n_spins)), Equivalence.EXACT))
 
 
@@ -391,28 +371,27 @@ def dressed_swap(reg: RegisterSpec, i: int, j: int, angle,
                         default=angle)
     ops = (GlobalField("x", vec),
            Exchange(i, j, -math.pi),
-           GlobalField("x", _neg(vec)))
-    return Circuit(reg, ops, _draws(vec))
+           GlobalField("x", -vec))
+    return Circuit(reg, ops)
 
 
 def dressed_swap_phase_conjugation(reg: RegisterSpec, i: int, j: int,
                                    angle, z_i, z_j):
     """Doubled dressed-swap conjugation of a z phase pulse.
 
-    Returns the 7-op circuit and the exact expected matrix
+    Returns the 7-op circuit and its target, the expected matrix
     1j * exp(+i (z_i S_j^z + z_j S_i^z)): the pair phases swap, flip sign,
-    and pick up a literal scalar factor i. Compared entrywise, not up to
-    phase, because the factor is part of the claim. Per-draw (B,) angles
-    give the (B, 2^n, 2^n) stack of expected matrices.
+    and pick up a literal scalar factor i. The target is EXACT over every
+    spin, so verify_target compares it entrywise, not up to phase, because
+    the factor is part of the claim. Per-draw (B,) z angles give the
+    (B, 2^n, 2^n) stack of expected matrices.
     """
     dressed = dressed_swap(reg, i, j, angle).ops
-    middle = _angle_vector(reg, i, j, z_i, z_j)
-    circuit = Circuit(reg, dressed + (GlobalField("z", middle),) + dressed,
-                      _draws(angle, middle))
+    middle = GlobalField("z", _angle_vector(reg, i, j, z_i, z_j))
     swapped = GlobalField("z", _angle_vector(reg, i, j, -z_j, -z_i))
-    expected = 1j * _stacked(global_field_unitary(reg, swapped),
-                             circuit.draws)
-    return circuit, expected
+    return (Circuit(reg, dressed + (middle,) + dressed),
+            GateTarget(1j * global_field_unitary(reg, swapped),
+                       frozenset(range(reg.n_spins)), Equivalence.EXACT))
 
 
 def controlled_phase_circuit(reg: RegisterSpec, i: int, j: int,
@@ -429,12 +408,11 @@ def controlled_phase_circuit(reg: RegisterSpec, i: int, j: int,
                         default=angle)
     ops = (GlobalField("z", vec),
            Exchange(i, j, math.pi / 2),
-           GlobalField("z", _neg(vec)),
+           GlobalField("z", -vec),
            Exchange(i, j, math.pi / 2))
-    draws = _draws(vec)
-    target = _stacked(_diag_zz_phase(reg, i, j, math.pi), draws)
-    return (Circuit(reg, ops, draws),
-            GateTarget(target, frozenset((i, j)), Equivalence.EXACT))
+    return (Circuit(reg, ops),
+            GateTarget(_diag_zz_phase(reg, i, j, math.pi), frozenset((i, j)),
+                       Equivalence.EXACT))
 
 
 def controlled_phase_local_z_target(reg: RegisterSpec, i: int, j: int) -> GateTarget:
@@ -466,11 +444,9 @@ def xy_x_rotation_circuit(reg: RegisterSpec, i: int, j: int, angle_i,
     ops = (GlobalField("z", flip),
            GlobalField("x", vec),
            GlobalField("z", flip),
-           GlobalField("x", _neg(vec)))
-    draws = _draws(vec)
-    target = _stacked(_single_spin_rotation(reg, "x", i, -2.0 * angle_i),
-                      draws)
-    return (Circuit(reg, ops, draws),
+           GlobalField("x", -vec))
+    target = _single_spin_rotation(reg, "x", i, -2.0 * angle_i)
+    return (Circuit(reg, ops),
             GateTarget(target, frozenset((i,)), Equivalence.GLOBAL_PHASE))
 
 
@@ -489,9 +465,9 @@ def xy_controlled_phase_circuit(reg: RegisterSpec, i: int, j: int, phi):
            XYExchange(i, j, phi),
            GlobalField("x", flip),
            XYExchange(i, j, phi),
-           GlobalField("y", _neg(y_vec)))
+           GlobalField("y", -y_vec))
     target = _diag_zz_phase(reg, i, j, -2.0 * phi)
-    return (Circuit(reg, ops, _draws(phi)),
+    return (Circuit(reg, ops),
             GateTarget(target, frozenset((i, j)), Equivalence.GLOBAL_PHASE))
 
 
@@ -555,8 +531,9 @@ def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Cir
 
     Field steps become single pulses carrying the template angles at every
     pair; exchange steps are emitted per pair and commute, so the circuit
-    equals the tensor product of the per-pair gate. A template of B draws
-    gives a circuit of B draws. Each pair is checked as an exchange's is.
+    equals the tensor product of the per-pair gate. The template's per-draw
+    angles ride along, so on one pair or more a template of B draws gives a
+    circuit of B draws. Each pair is checked as an exchange's is.
     """
     if template.register.n_spins != 2:
         raise ValueError("template must act on a register of 2")
@@ -583,7 +560,7 @@ def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Cir
                                    j=p if op.j == 0 else q))
         else:
             raise TypeError(f"not a pulse op: {op!r}")
-    return Circuit(reg, tuple(ops), template.draws)
+    return Circuit(reg, tuple(ops))
 
 
 def euler_zxz(u: np.ndarray):

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import circuits, device, schedule as sched, synth
-from .linalg import TOL_COMPILED, max_abs_per_draw
+from .linalg import TOL_COMPILED
 from .spins import RegisterSpec
 
 DRAWS_PER_SUITE = 60
@@ -37,6 +37,8 @@ class CheckResult:
     # verify: the first draw with the suite's worst value, as its index in
     # the suite's draw order and its layout {index, n, i, j}.
     worst_draw: Optional[dict] = None
+    # schedule: why a constraint check holds or fails, as validation says.
+    detail: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,8 @@ def _emit(report: RunReport, fmt: str, stream=None) -> None:
                    "threshold": _json_value(c.threshold), "pass": c.passed}
             if c.worst_draw is not None:
                 rec["worst_draw"] = c.worst_draw
+            if c.detail is not None:
+                rec["detail"] = c.detail
             line(rec)
         for st in report.stages:
             line({"kind": "stage", "name": st.name, "in": st.n_in,
@@ -113,6 +117,8 @@ def _emit(report: RunReport, fmt: str, stream=None) -> None:
         if c.worst_draw is not None:
             measured += "  draw {index} (n={n} i={i} j={j})".format(
                 **c.worst_draw)
+        if c.detail is not None:
+            measured += f"  {c.detail}"
         if c.threshold is None:
             print(f"  {c.name:42s} {measured:>26s}  INFO", file=stream)
         else:
@@ -139,9 +145,9 @@ def _angle(rng: np.random.Generator) -> float:
 
 
 # Pair suites: check name, builder, the number of angles each draw takes
-# before its bystander angles, and whether it takes bystander angles. A
-# builder returns (circuit, target); a GateTarget is checked with
-# verify_target, a bare stack of matrices entrywise. Builders are looked up
+# before its bystander angles, and whether it takes bystander angles. Every
+# builder returns (circuit, GateTarget), and a draw's value is the larger of
+# verify_target's distance and bystander deviation. Builders are looked up
 # in circuits when a suite runs.
 _PAIR_SUITES = {
     "swap": ("swap_conjugation_exact", "swap_conjugation", 2, True),
@@ -188,20 +194,17 @@ def _pair_suite(rng, tol, check, builder, n_angles, bystanders) -> CheckResult:
             spins = [k for k in range(n) if k not in (i, j)]
             args.append(dict(zip(spins, cols[n_angles:])))
         c, target = getattr(circuits, builder)(RegisterSpec(n), i, j, *args)
-        if isinstance(target, circuits.GateTarget):
-            rep = circuits.verify_target(c, target, tol)
-            worst = np.maximum(rep.distance, rep.bystander_deviation)
-        else:
-            worst = max_abs_per_draw(circuits.evaluate(c) - target)
-        values[list(index)] = worst
+        rep = circuits.verify_target(c, target, tol)
+        values[list(index)] = np.maximum(rep.distance, rep.bystander_deviation)
     return _worst_check(check, values, layouts, tol)
 
 
 def _suite_parallel(rng, tol):
     """The controlled phase replicated on 2 and 3 pairs, for
     DRAWS_PER_SUITE // 4 template angles: one builder call and two batched
-    evaluations. Draw 2k is angle k on 4 spins, draw 2k + 1 the same angle
-    on 6; a draw's layout names its register and its first pair."""
+    verifications, EXACT over every spin. Draw 2k is angle k on 4 spins,
+    draw 2k + 1 the same angle on 6; a draw's layout names its register and
+    its first pair."""
     angles = np.array([_angle(rng) for _ in range(DRAWS_PER_SUITE // 4)])
     template, _ = circuits.controlled_phase_circuit(RegisterSpec(2), 0, 1,
                                                     angles)
@@ -213,7 +216,9 @@ def _suite_parallel(rng, tol):
         target = np.eye(reg.dim, dtype=complex)
         for p, q in pairs:
             target = circuits._diag_zz_phase(reg, p, q, math.pi) @ target
-        values[:, col] = max_abs_per_draw(circuits.evaluate(c) - target)
+        rep = circuits.verify_target(c, circuits.GateTarget(
+            target, frozenset(range(n)), circuits.Equivalence.EXACT), tol)
+        values[:, col] = np.maximum(rep.distance, rep.bystander_deviation)
     return _worst_check("parallel_pair_replication", values.ravel(),
                         [(4, 0, 1), (6, 0, 1)] * len(angles), tol)
 
@@ -365,7 +370,7 @@ def cmd_schedule(args) -> RunReport:
     stage("digest", 1, 1)
     for item in sched.validate_schedule(s).checks:
         checks.append(CheckResult(item.name, 1.0 if item.ok else 0.0, 1.0,
-                                  item.ok))
+                                  item.ok, detail=item.detail))
     return RunReport(command="schedule", seed=args.seed,
                      inputs=(geom_entry, entry), checks=tuple(checks),
                      wall_time_s=0.0, stages=tuple(stages))

@@ -34,7 +34,7 @@ def max_abs(m: np.ndarray) -> float:
 def max_abs_per_draw(m: np.ndarray) -> np.ndarray:
     """max_abs of each entry of a stack along its leading (draw) axis; a NaN
     entry gives NaN."""
-    return np.max(np.abs(m).reshape(len(m), -1), axis=1)
+    return np.abs(m).reshape(len(m), -1).max(axis=1)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

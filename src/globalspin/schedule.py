@@ -149,6 +149,8 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
         if all(abs(a) < 1e-15 for a in angles):
             continue  # identity pulse, nothing to schedule
         denom = sum(r * r for r in w)
+        if not denom > 0:
+            raise UnrealizableAngles(idx, f"no site feels the {config} field")
         scale = sum(a * r for a, r in zip(angles, w)) / denom
         worst = max(abs(a - scale * r) for a, r in zip(angles, w))
         if worst > REALIZABLE_RTOL * max(abs(a) for a in angles):

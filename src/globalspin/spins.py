@@ -179,8 +179,8 @@ class GlobalField:
 
     angles may instead be a (B, n) array, one row of per-spin angles per
     parameter draw. Such a field is played by apply_op on a batch of B
-    unitaries, and a Circuit holds one only when it carries B draws; it is
-    not hashed or compared.
+    unitaries, and a Circuit that holds one plays B draws; it is not
+    hashed or compared.
     """
 
     axis: str
@@ -197,32 +197,38 @@ class GlobalField:
 PulseOp = Union[Exchange, XYExchange, GlobalField]
 
 
+def op_angles(op: PulseOp):
+    """A field's angles or an exchange's angle, as the op holds them."""
+    if isinstance(op, GlobalField):
+        return op.angles
+    if isinstance(op, (Exchange, XYExchange)):
+        return op.xi if isinstance(op, Exchange) else op.phi
+    raise TypeError(f"not a pulse op: {op!r}")
+
+
 def check_op(reg: RegisterSpec, op: PulseOp, draws: int | None = None) -> None:
     """Raise unless apply_op can apply op on reg.
 
     Two-spin ops need distinct spins inside the register; a field needs one
     angle per spin and an axis in x/y/z. An op with per-draw angles needs
-    exactly `draws` of them: a field `draws` rows of that length, an
-    exchange `draws` angles. Every angle must be finite. All failures are
-    ValueErrors; a non-op is a TypeError.
+    exactly `draws` of them, at least one: a field `draws` rows of that
+    length, an exchange `draws` angles. Every angle must be finite. All
+    failures are ValueErrors; a non-op is a TypeError.
     """
+    angles = op_angles(op)
     if isinstance(op, GlobalField):
         if op.axis not in PAULI:
             raise ValueError(f"axis must be one of {AXES}, got {op.axis!r}")
-        angles = op.angles
         shape = (draws, reg.n_spins)
         if not isinstance(angles, np.ndarray) and len(angles) != reg.n_spins:
             raise LengthMismatch(
                 f"{len(angles)} angles for register of {reg.n_spins}")
-    elif isinstance(op, (Exchange, XYExchange)):
-        _check_pair(reg, op.i, op.j)
-        angle = op.xi if isinstance(op, Exchange) else op.phi
-        angles = angle if isinstance(angle, np.ndarray) else (angle,)
-        shape = (draws,)
     else:
-        raise TypeError(f"not a pulse op: {op!r}")
+        _check_pair(reg, op.i, op.j)
+        angles = angles if isinstance(angles, np.ndarray) else (angles,)
+        shape = (draws,)
     if isinstance(angles, np.ndarray):
-        if angles.shape != shape:
+        if angles.shape != shape or not draws:
             raise LengthMismatch(
                 f"angles of shape {angles.shape} for {draws} draws "
                 f"on a register of {reg.n_spins}")
@@ -309,12 +315,7 @@ def apply_op(u: np.ndarray, reg: RegisterSpec, op: PulseOp) -> np.ndarray:
             or u.ndim not in (2, 3) or u.shape[-2] != reg.dim):
         raise ValueError(f"need a C-contiguous complex array with {reg.dim} "
                          f"rows, got {u.dtype} {u.shape}")
-    if isinstance(op, GlobalField):
-        angles = op.angles
-    elif isinstance(op, (Exchange, XYExchange)):
-        angles = op.xi if isinstance(op, Exchange) else op.phi
-    else:
-        raise TypeError(f"not a pulse op: {op!r}")
+    angles = op_angles(op)
     many = isinstance(angles, np.ndarray)
     if many and (u.ndim != 3 or len(angles) != len(u)):
         raise ValueError(f"{len(angles)} draws of angles for a batch "

@@ -52,6 +52,7 @@ import functools
 import hashlib
 import itertools
 import math
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -76,6 +77,8 @@ MAX_BYSTANDER_DRAWS = 10
 # Words per stage-1 block and per stage-2 batch; both bound the working set.
 _CHUNK = 1 << 15
 _PAIR_CHUNK = 128
+# A problem's name is its default result file's stem: no directory, not hidden.
+_PLAIN_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 
 class EmptyAlphabet(ValueError):
@@ -137,6 +140,8 @@ class SynthesisProblem:
                 raise ValueError(f"family {self.family} has no letter "
                                  f"{tpl.symbol} {tpl.axis} {tpl.sign:+d}")
         for ok, message in (
+                (_PLAIN_NAME.fullmatch(self.name), "name must be letters, "
+                 "digits, _, - and ., and must not start with ."),
                 (math.isfinite(self.xi), "xi must be finite"),
                 (0 < self.tolerance < math.inf,
                  "tolerance must be finite and positive"),
@@ -526,19 +531,6 @@ def _pair_scan(words: np.ndarray, pair_factors: Sequence[np.ndarray],
     return hits
 
 
-def _sequence_fingerprint(word: Sequence[int], slots: tuple, length: int,
-                          pair_mats0: np.ndarray, ex4: np.ndarray) -> str:
-    """Slot-by-slot fingerprint of the realized matrices on one fixed sample;
-    sequences built from distinct letters that realize identical unitaries
-    collapse to one entry, genuinely different orderings do not."""
-    h = hashlib.sha256()
-    for letter in _slot_letters(word, slots, length):
-        update_phase_normalized(h, ex4 if letter is None
-                                else pair_mats0[letter])
-        h.update(b"|")
-    return h.hexdigest()
-
-
 def _verify_table(problem: SynthesisProblem, n_samples: int,
                   seed: int) -> tuple:
     """The draw table of final verification: n_samples family draws from
@@ -560,11 +552,13 @@ def _draw_distances(problem: SynthesisProblem, table: tuple,
                     letters: Sequence) -> np.ndarray:
     """Phase distance of a sequence (letter index per slot, None at exchange)
     on spins (0, 1) for every draw of the table, played as one circuit of
-    the table's draws."""
+    the table's draws. A word with no field letter plays one matrix, which
+    every draw shares."""
     reg, fields, targets = table
     ex = Exchange(0, 1, problem.xi)
     ops = [ex if letter is None else fields[letter] for letter in letters]
-    return phase_distance(evaluate(Circuit(reg, ops, len(targets))), targets)
+    u = evaluate(Circuit(reg, ops))
+    return phase_distance(np.broadcast_to(u, targets.shape), targets)
 
 
 def enumerate_sequences(problem: SynthesisProblem,
@@ -624,12 +618,18 @@ def enumerate_sequences(problem: SynthesisProblem,
                                            problem.n_exchange)]
     marks.append(time.perf_counter())
 
+    # Each letter's pair matrix on the first sample, then the exchange's, is
+    # hashed once; sequences alike in these classes slot by slot collapse.
+    classes = []
+    for m in (*_kron_pairs(pair_factors[0][:, 0], pair_factors[0][:, 1]), ex4):
+        h = hashlib.sha256()
+        update_phase_normalized(h, m)
+        classes.append(h.digest())
     unique = {}
-    pair_mats0 = _kron_pairs(pair_factors[0][:, 0], pair_factors[0][:, 1])
     for word, slots in candidates:
-        unique.setdefault(_sequence_fingerprint(word, slots, problem.length,
-                                                pair_mats0, ex4),
-                          (word, slots))
+        key = tuple(classes[-1 if x is None else x]
+                    for x in _slot_letters(word, slots, problem.length))
+        unique.setdefault(key, (word, slots))
     kept = list(unique.values())
     marks.append(time.perf_counter())
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from globalspin import circuits
-from globalspin.linalg import max_abs, phase_distance
+from globalspin.linalg import phase_distance
 from globalspin.spins import Exchange, RegisterSpec, apply_op, identity
 
 # Largest entry of U†U - I that still counts as unitary.
@@ -91,8 +91,9 @@ def _angle(rng):
 
 def draw_value(suite, n, i, j, args, tol=1e-10):
     """A draw's value, built with floats: the larger of the distance and the
-    bystander deviation, or the entrywise error of a bare matrix. A parallel
-    draw's args hold the template angle, its n the register."""
+    bystander deviation. A parallel draw's args hold the template angle,
+    its n the register, and its target is the product of the pair gates,
+    EXACT over every spin."""
     if suite == "parallel":
         template, _ = circuits.controlled_phase_circuit(RegisterSpec(2), 0, 1,
                                                         *args)
@@ -101,12 +102,12 @@ def draw_value(suite, n, i, j, args, tol=1e-10):
         target = np.eye(reg.dim, dtype=complex)
         for p, q in PARALLEL_PAIRS[n]:
             target = circuits._diag_zz_phase(reg, p, q, math.pi) @ target
-        return max_abs(circuits.evaluate(c) - target)
-    c, target = PAIR_SUITES[suite][0](RegisterSpec(n), i, j, *args)
-    if isinstance(target, circuits.GateTarget):
-        rep = circuits.verify_target(c, target, tol)
-        return max(rep.distance, rep.bystander_deviation)
-    return max_abs(circuits.evaluate(c) - target)
+        target = circuits.GateTarget(target, frozenset(range(n)),
+                                     circuits.Equivalence.EXACT)
+    else:
+        c, target = PAIR_SUITES[suite][0](RegisterSpec(n), i, j, *args)
+    rep = circuits.verify_target(c, target, tol)
+    return max(rep.distance, rep.bystander_deviation)
 
 
 def verify_draws(seed, suites, tol=1e-10):

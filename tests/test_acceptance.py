@@ -63,8 +63,8 @@ def test_criterion_1_pulse_identity_suites():
         rep = verify_target(c, t, IDENTITY_TOL)
         assert rep.passed, ("swap_conjugation", n, i, j, rep)
 
-        c, expected = cir.dressed_swap_phase_conjugation(reg, i, j, a1, a2, a3)
-        assert max_abs(evaluate(c) - expected) <= IDENTITY_TOL, \
+        c, t = cir.dressed_swap_phase_conjugation(reg, i, j, a1, a2, a3)
+        assert max_abs(evaluate(c) - t.unitary) <= IDENTITY_TOL, \
             ("dressed_swap_literal_factor", n, i, j)
 
         c, t = cir.controlled_phase_circuit(reg, i, j, a1, bys)

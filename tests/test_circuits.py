@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from globalspin import circuits as cir
+from globalspin import cli
 from globalspin.circuits import (Circuit, Equivalence, Exchange, GateTarget,
                                  GlobalField, NotUnitary2x2, OverlappingPairs,
                                  XYExchange, circuit_from_text,
@@ -71,16 +72,17 @@ def test_dressed_swap_literal_factor_is_plus_i():
         n = int(rng.integers(2, 5))
         reg = RegisterSpec(n)
         i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-        c, expected = cir.dressed_swap_phase_conjugation(
+        c, t = cir.dressed_swap_phase_conjugation(
             reg, i, j, float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)),
             float(rng.uniform(-3, 3)))
-        assert max_abs(evaluate(c) - expected) < 1e-12
+        assert max_abs(evaluate(c) - t.unitary) < 1e-12
 
 
 def test_dressed_swap_factor_flips_with_exchange_sign():
     # Same construction with exchange +pi instead of -pi lands on -i; the
     # entrywise comparison must be able to see the difference.
-    c, expected = cir.dressed_swap_phase_conjugation(REG2, 0, 1, 0.4, 0.9, -1.2)
+    c, t = cir.dressed_swap_phase_conjugation(REG2, 0, 1, 0.4, 0.9, -1.2)
+    expected = t.unitary
     flipped = []
     for op in c.ops:
         if isinstance(op, Exchange):
@@ -169,6 +171,19 @@ def test_verify_target_reports_a_nan_draw(monkeypatch):
                       (rep.bystander_deviation, clean.bystander_deviation)):
         assert math.isnan(got[2])
         assert np.array_equal(np.delete(got, 2), np.delete(want, 2))
+
+
+def test_verify_target_broadcasts_only_a_shared_target():
+    # One matrix is shared by every draw; a stack must have one entry per
+    # draw, and a circuit without draws takes no stack at all.
+    angles = np.array([0.1, 0.2, 0.3])
+    c, t = cir.controlled_phase_circuit(REG3, 0, 1, angles)
+    assert t.unitary.shape == (8, 8) and verify_target(c, t, 1e-10).passed
+    for target, circuit in ((np.stack([t.unitary] * 2), c),
+                            (np.stack([t.unitary] * 3), Circuit(REG3, ()))):
+        with pytest.raises(cir.DimensionMismatch):
+            verify_target(circuit, GateTarget(target, t.acted_spins,
+                                              t.equivalence), 1e-10)
 
 
 def test_verify_target_dimension_mismatch():
@@ -333,18 +348,25 @@ def one_draw(op, b):
     return type(op)(op.i, op.j, float(angle[b]) if np.ndim(angle) else angle)
 
 
-@pytest.mark.parametrize("build, n_angles, bystanders", [
+PAIR_BUILDERS = [
     (cir.swap_conjugation, 2, True),
     (cir.dressed_swap_phase_conjugation, 3, False),
     (cir.controlled_phase_circuit, 1, True),
     (cir.xy_x_rotation_circuit, 2, True),
     (cir.xy_controlled_phase_circuit, 1, False),
-])
+]
+
+
+@pytest.mark.parametrize("build, n_angles, bystanders", PAIR_BUILDERS)
 def test_batched_builders_equal_their_draws_built_alone(build, n_angles,
                                                         bystanders):
     # Given (B,) angle columns, a builder's circuit and target hold, draw by
     # draw, the circuit and target its floats give, and the circuit
-    # evaluates to their unitaries bit for bit.
+    # evaluates to their unitaries bit for bit. A target every draw shares
+    # is one matrix. These are the verify command's builders, and each
+    # returns a Circuit and a GateTarget for floats and for columns alike.
+    assert ({f.__name__ for f, _, _ in PAIR_BUILDERS}
+            == {b for _, b, _, _ in cli._PAIR_SUITES.values()})
     rng = np.random.default_rng(5)
     b = 5
     for n in (2, 3, 4):
@@ -354,6 +376,7 @@ def test_batched_builders_equal_their_draws_built_alone(build, n_angles,
         spins = [k for k in range(n) if k not in (i, j)]
         bys = dict(zip(spins, rng.uniform(-3, 3, size=(len(spins), b))))
         c, t = build(reg, i, j, *cols, *([bys] if bystanders else []))
+        assert isinstance(c, Circuit) and isinstance(t, GateTarget)
         assert c.draws == b
         u = evaluate(c)
         for k in range(b):
@@ -361,17 +384,16 @@ def test_batched_builders_equal_their_draws_built_alone(build, n_angles,
             if bystanders:
                 args.append({s: float(v[k]) for s, v in bys.items()})
             ck, tk = build(reg, i, j, *args)
+            assert isinstance(ck, Circuit) and isinstance(tk, GateTarget)
             assert ck.draws is None
             assert tuple(one_draw(op, k) for op in c.ops) == ck.ops
             assert np.array_equal(u[k], evaluate(ck))
-            if isinstance(t, GateTarget):
-                assert np.array_equal(t.unitary[k], tk.unitary)
-                rep, rep_k = verify_target(c, t, 1e-10), verify_target(ck, tk,
-                                                                       1e-10)
-                assert rep.distance[k] == rep_k.distance
-                assert rep.bystander_deviation[k] == rep_k.bystander_deviation
-            else:
-                assert np.array_equal(t[k], tk)
+            assert np.array_equal(np.broadcast_to(t.unitary, u.shape)[k],
+                                  tk.unitary)
+            rep, rep_k = verify_target(c, t, 1e-10), verify_target(ck, tk,
+                                                                   1e-10)
+            assert rep.distance[k] == rep_k.distance
+            assert rep.bystander_deviation[k] == rep_k.bystander_deviation
 
 
 def test_parallel_apply_keeps_the_template_draws():
@@ -399,7 +421,7 @@ def test_grouped_evaluate_takes_the_draw_axis():
                XYExchange(3, n - 1, rng.uniform(-3, 3, size=b)),
                Exchange(1, 4, 0.7),
                GlobalField("y", rng.uniform(-3, 3, size=(b, n)))]
-        c = Circuit(RegisterSpec(n), ops, b)
+        c = Circuit(RegisterSpec(n), ops)
         assert len(cir._exchange_groups(n, c.ops)) > 1
         u = evaluate(c)
         assert u.shape == (b, 2 ** n, 2 ** n)
@@ -409,12 +431,14 @@ def test_grouped_evaluate_takes_the_draw_axis():
 
 
 def test_circuit_draw_count_checks_its_ops():
+    # The draw count is read from the ops, and every op must agree with it.
     rows = GlobalField("z", np.zeros((3, 2)))
-    assert Circuit(REG2, (rows, Exchange(0, 1, np.ones(3))), 3).draws == 3
-    for ops, draws in (((rows,), 4), ((Exchange(0, 1, np.ones(3)),), 2),
-                       ((rows,), 0)):
+    assert Circuit(REG2, (rows, Exchange(0, 1, np.ones(3)))).draws == 3
+    assert Circuit(REG2, (GlobalField("z", (0.1, 0.2)), rows)).draws == 3
+    for ops in ((rows, Exchange(0, 1, np.ones(2))),
+                (GlobalField("z", np.zeros((0, 2))),)):
         with pytest.raises(ValueError):
-            Circuit(REG2, ops, draws)
+            Circuit(REG2, ops)
 
 
 def test_local_z_scan_matches_one_angle_at_a_time_on_criterion_1_draws():

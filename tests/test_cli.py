@@ -93,8 +93,8 @@ def test_verify_catches_broken_dressed_factor(capsys, monkeypatch):
     original = circuits.dressed_swap_phase_conjugation
 
     def flipped(*a, **kw):
-        c, expected = original(*a, **kw)
-        return c, -expected
+        c, t = original(*a, **kw)
+        return c, dataclasses.replace(t, unitary=-t.unitary)
 
     monkeypatch.setattr(circuits, "dressed_swap_phase_conjugation", flipped)
     code, out, _ = run_cli(capsys, "verify", "--suite", "dressed")
@@ -109,13 +109,13 @@ def test_verify_fails_on_a_nan_draw(capsys, monkeypatch):
     seen = [0]
 
     def nan_fifth(*a, **kw):
-        c, expected = original(*a, **kw)
-        expected = np.array(expected)
+        c, t = original(*a, **kw)
+        expected = np.array(t.unitary)
         stack = expected.reshape((-1,) + expected.shape[-2:])
         if 0 <= 4 - seen[0] < len(stack):
             stack[4 - seen[0], 0, 1] = math.nan
         seen[0] += len(stack)
-        return c, expected
+        return c, dataclasses.replace(t, unitary=expected)
 
     monkeypatch.setattr(circuits, "dressed_swap_phase_conjugation", nan_fifth)
     code, out, _ = run_cli(capsys, "verify", "--suite", "dressed",
@@ -439,6 +439,42 @@ def test_schedule_unrealizable_exit_code(capsys, tmp_path):
     assert "op 0" in err
 
 
+def test_schedule_without_field_at_any_site_exits_4(capsys, tmp_path):
+    # The one site sits midway between the wires, where their parallel
+    # fields cancel, so no pulse duration fits a z angle there.
+    wire = ("[wire]\ncenter_x_nm = 200.0\ncenter_z_nm = {z}\nwidth_nm = 100.0"
+            "\nheight_nm = 100.0\ncurrent_mA = 0.7\n"
+            "jc_A_per_m2 = 22000000000.0\n\n")
+    geom = tmp_path / "midpoint.geometry.txt"
+    geom.write_text(wire.format(z=100.0) + wire.format(z=-100.0)
+                    + "[site]\nx_nm = 200.0\nz_nm = 0.0\ng = 2.0\nrow = 0\n")
+    path = tmp_path / "one.circuit.txt"
+    path.write_text("REG 1\nGF z 0.5\n")
+    code, out, err = run_cli(capsys, "schedule", str(path),
+                             "--geometry", str(geom))
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: op 0: ") and "Traceback" not in err
+
+
+def test_schedule_report_says_why_a_check_failed(capsys, tmp_path):
+    # Two field events overlap: the report carries validation's reason.
+    path = tmp_path / "overlap.schedule.txt"
+    path.write_text(SCHEDULE_HEADER + F_EVENT
+                    + "F 5.000000 10.000000 parallel +1 0.7\n")
+    code, out, _ = run_cli(capsys, "schedule", str(path), "--simulate-only",
+                           "--format", "json-lines")
+    assert code == 1
+    check = by_name(json_lines(out))["non_overlap"]
+    assert not check["pass"]
+    assert check["detail"] == "overlap at t=5e-09"
+    code, out, _ = run_cli(capsys, "schedule", str(path), "--simulate-only")
+    assert code == 1
+    (line,) = [ln for ln in out.splitlines() if "non_overlap" in ln]
+    assert "overlap at t=5e-09" in line and line.endswith("FAIL")
+
+
 def test_schedule_duration_cap_exit_code(capsys, tmp_path):
     # A 2e-5 s z pulse on the 2-site preset: twice the 1e-5 s field cap.
     geom = twin_wire_preset(2)
@@ -622,6 +658,9 @@ GOOD_LETTER = "LETTER primary z +\n"
     (PROBLEM_HEADER + "LETTER primary z + junk\n", 2),
     (PROBLEM_HEADER + "LETTER primary z\n", 2),
     (PROBLEM_HEADER.replace("length=3", "length=abc") + GOOD_LETTER, 1),
+    (PROBLEM_HEADER.replace("name=p", "name=../escaped") + GOOD_LETTER, 1),
+    (PROBLEM_HEADER.replace("name=p", "name=a/b") + GOOD_LETTER, 1),
+    (PROBLEM_HEADER.replace("name=p", "name=.hidden") + GOOD_LETTER, 1),
     (GOOD_LETTER + PROBLEM_HEADER, 1),
     ("# a problem\n\n" + PROBLEM_HEADER + GOOD_LETTER + "LETTER primary z\n",
      5),

@@ -219,8 +219,7 @@ def test_check_op_rejects_malformed_exchange_angles(kind, angles):
 def test_angle_rows_need_a_batch_of_their_size():
     reg = RegisterSpec(2)
     op = GlobalField("z", np.full((3, 2), 0.4))
-    with pytest.raises(ValueError):
-        Circuit(reg, (op,))  # a circuit holds per-spin angles only
+    assert Circuit(reg, (op,)).draws == 3  # read from the op's rows
     with pytest.raises(ValueError):
         apply_op(np.zeros((4, 4, 4), dtype=complex), reg, op)
     with pytest.raises(ValueError):

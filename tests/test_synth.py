@@ -307,6 +307,21 @@ def test_reverify_reports_the_worst_of_all_draws(bundled):
     assert check.worst_draw == int(np.argmax(want))
 
 
+def test_reverify_scores_an_all_exchange_word_on_every_draw(bundled):
+    # A word with no field letter plays one matrix that every draw shares;
+    # it is scored against each draw's target, not refused.
+    p = dataclasses.replace(bundled("planted_swap"), length=2, n_exchange=2)
+    r = enumerate_sequences(p, seed=0)
+    only_ex = synth.SequenceSolution(letters=("EX", "EX"), max_distance=0.0,
+                                     worst_draw=0)
+    (check,) = reverify(dataclasses.replace(r, solutions=(only_ex,)), p,
+                        n_samples=30, seed=12)
+    want = oracle_distances(p, [], (0, 1), 30, 12)
+    assert not check.passed
+    assert check.max_distance == want.max()
+    assert check.worst_draw == int(np.argmax(want))
+
+
 def test_reverify_rejects_unknown_label(bundled):
     p = bundled("planted_swap")
     r = enumerate_sequences(p, seed=0)
