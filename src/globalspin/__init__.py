@@ -4,7 +4,7 @@ sequence synthesis, twin-wire device modeling, and schedule compilation."""
 from .circuits import (Circuit, Equivalence, Exchange, GateTarget, GlobalField,
                        VerificationReport, XYExchange, circuit_from_text,
                        circuit_to_text, controlled_phase_circuit,
-                       controlled_phase_local_z_target, dressed_swap,
+                       controlled_phase_local_z_target,
                        dressed_swap_phase_conjugation, euler_zxz, evaluate,
                        parallel_apply, refocused_rotation_circuit, su2_compile,
                        swap_conjugation, verify_target, xy_controlled_phase_circuit,

@@ -358,26 +358,14 @@ def swap_conjugation(reg: RegisterSpec, i: int, j: int, angle_i, angle_j,
             GateTarget(target, frozenset(range(reg.n_spins)), Equivalence.EXACT))
 
 
-def dressed_swap(reg: RegisterSpec, i: int, j: int, angle,
-                 bystander_angles: Optional[Mapping[int, float]] = None) -> Circuit:
-    """Swap conjugated by x pulses whose pair angles differ by pi.
-
-    Bystander entries of the dressing pulses default to the same angle; they
-    cancel between the pulse and its inverse either way. The exchange angle
-    is -pi: that sign makes the doubled phase conjugation below come out
-    with scalar factor +i rather than -i.
-    """
-    vec = _angle_vector(reg, i, j, angle, angle + math.pi, bystander_angles,
-                        default=angle)
-    ops = (GlobalField("x", vec),
-           Exchange(i, j, -math.pi),
-           GlobalField("x", -vec))
-    return Circuit(reg, ops)
-
-
 def dressed_swap_phase_conjugation(reg: RegisterSpec, i: int, j: int,
                                    angle, z_i, z_j):
     """Doubled dressed-swap conjugation of a z phase pulse.
+
+    The dressed swap is an exchange conjugated by x pulses whose pair
+    angles differ by pi; bystanders take the same angle, which cancels
+    between the pulse and its inverse. Its exchange angle is -pi: that sign
+    makes the doubled conjugation come out with scalar factor +i, not -i.
 
     Returns the 7-op circuit and its target, the expected matrix
     1j * exp(+i (z_i S_j^z + z_j S_i^z)): the pair phases swap, flip sign,
@@ -386,7 +374,9 @@ def dressed_swap_phase_conjugation(reg: RegisterSpec, i: int, j: int,
     the factor is part of the claim. Per-draw (B,) z angles give the
     (B, 2^n, 2^n) stack of expected matrices.
     """
-    dressed = dressed_swap(reg, i, j, angle).ops
+    vec = _angle_vector(reg, i, j, angle, angle + math.pi, default=angle)
+    dressed = (GlobalField("x", vec), Exchange(i, j, -math.pi),
+               GlobalField("x", -vec))
     middle = GlobalField("z", _angle_vector(reg, i, j, z_i, z_j))
     swapped = GlobalField("z", _angle_vector(reg, i, j, -z_j, -z_i))
     return (Circuit(reg, dressed + (middle,) + dressed),

@@ -55,8 +55,10 @@ class RunReport:
         return all(c.passed for c in self.checks)
 
 
-def _read_input(path: str, parse, *args):
-    """parse(text, *args) of the file, and (path, sha256 of the bytes)."""
+def _read_input(name: str, parse, *args):
+    """parse(text, *args) of the file named, and (path, sha256 of the
+    bytes). A name that is no file resolves as a preset (_preset_path)."""
+    path = name if os.path.isfile(name) else _preset_path(name)
     with open(path, "rb") as fh:
         data = fh.read()
     return parse(data.decode(), *args), (path, hashlib.sha256(data).hexdigest())
@@ -74,7 +76,7 @@ def _preset_path(name: str) -> str:
     for c in candidates:
         if os.path.isfile(c):
             return c
-    raise FileNotFoundError(f"no preset {name!r} in "
+    raise FileNotFoundError(f"{name!r} is neither a file nor a preset in "
                             + ", ".join(os.path.dirname(c) for c in candidates))
 
 
@@ -242,11 +244,8 @@ def cmd_verify(args) -> RunReport:
 
 
 def cmd_synthesize(args) -> RunReport:
-    pr_path = args.problem if os.path.isfile(args.problem) \
-        else _preset_path(args.problem)
-    problem, entry = _read_input(pr_path, synth.problem_from_text)
+    problem, entry = _read_input(args.problem, synth.problem_from_text)
     result = synth.enumerate_sequences(problem, budget=args.budget,
-                                       prune=not args.no_prune,
                                        seed=args.seed)
     out = args.out or (problem.name + ".result.txt")
     with open(out, "w") as fh:
@@ -276,9 +275,10 @@ def cmd_synthesize(args) -> RunReport:
 
 
 def _load_geometry(args):
-    path = args.geometry or _preset_path(args.preset)
-    geom, entry = _read_input(path, device.geometry_from_text)
-    return geom, "custom" if args.geometry else args.preset, entry
+    """The geometry, its name for a schedule header (the preset's, or
+    custom for a file) and its input entry."""
+    geom, entry = _read_input(args.geometry, device.geometry_from_text)
+    return geom, "custom" if entry[0] == args.geometry else args.geometry, entry
 
 
 def cmd_device(args) -> RunReport:
@@ -396,14 +396,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True,
                    help="problem file path or preset name")
     p.add_argument("--budget", type=int, default=synth.DEFAULT_BUDGET)
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--require-solution", action="store_true")
     p.add_argument("--out", default=None)
     common(p)
 
+    geometry = {"default": "twin_wire_zigzag",
+                "help": "geometry file path or preset name"}
     p = sub.add_parser("device", help="field table and device constants")
-    p.add_argument("--preset", default="twin_wire_zigzag")
-    p.add_argument("--geometry", default=None, help="geometry file path")
+    p.add_argument("--geometry", **geometry)
     p.add_argument("--config", choices=(device.PARALLEL, device.ANTIPARALLEL),
                    default=device.PARALLEL)
     p.add_argument("--csv", default=None)
@@ -412,8 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="compile a circuit to a schedule")
     p.add_argument("input", help="circuit file, or schedule file with "
                                  "--simulate-only")
-    p.add_argument("--preset", default="twin_wire_zigzag")
-    p.add_argument("--geometry", default=None)
+    p.add_argument("--geometry", **geometry)
     p.add_argument("--exchange-ns", type=float, default=10.0)
     p.add_argument("--simulate-only", action="store_true")
     p.add_argument("--out", default=None)

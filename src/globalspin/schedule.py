@@ -22,8 +22,8 @@ import numpy as np
 
 from .circuits import (Circuit, Exchange, GlobalField, XYExchange,
                        _exchange_groups, factor, join)
-from .device import (ACTIVE_AXIS, ANTIPARALLEL, PARALLEL, DeviceGeometry,
-                     field_profile, validate_currents)
+from .device import (ACTIVE_AXIS, DeviceGeometry, field_profile,
+                     validate_currents)
 from .grammar import fields, finite, keyed, walk
 from .linalg import update_phase_normalized
 from .spins import RegisterSpec, check_op, zeeman_angles
@@ -34,7 +34,7 @@ FIELD_DURATION_CAP = 1e-5  # seconds
 REALIZABLE_RTOL = 1e-9
 DIGEST_BLOCK = 1 << 16  # entries per row block of a digest: 1 MB
 
-CONFIG_FOR_AXIS = {"z": PARALLEL, "x": ANTIPARALLEL}
+CONFIG_FOR_AXIS = {axis: cfg for cfg, axis in ACTIVE_AXIS.items()}
 # The header key records the Zeeman convention of spins.zeeman_angles, the
 # only one there is; files carrying any other value are rejected.
 CONVENTION = "full_gyromagnetic"
@@ -91,6 +91,12 @@ class Schedule:
         return last.t_start + last.duration
 
 
+def _site_fields(g: DeviceGeometry, n: int) -> dict:
+    """{config: its active-axis field (T) at the first n sites}."""
+    return {cfg: field_profile(g, cfg).component(axis)[:n]
+            for cfg, axis in ACTIVE_AXIS.items()}
+
+
 def compile_schedule(c: Circuit, g: DeviceGeometry,
                      exchange_duration: float = DEFAULT_EXCHANGE_DURATION,
                      geometry_name: str = "custom") -> Schedule:
@@ -99,8 +105,9 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
     Field ops map to the configuration serving their axis (z -> parallel,
     x -> antiparallel); the signed proportionality scalar between the angle
     list and the site rates fixes duration and current direction. Exchange
-    ops become windows of exchange_duration; consecutive exchanges on
-    disjoint pairs merge into one simultaneous event.
+    ops become windows of exchange_duration; an exchange that follows an
+    exchange and shares no spin with the last window's pairs joins that
+    window as a simultaneous pair.
     """
     n = c.register.n_spins
     if not 0 < exchange_duration < math.inf:
@@ -109,34 +116,22 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
     start = Schedule(c.register, (), g, geometry_name, 0)  # checks g's sites
     # Per-site angle accumulation rates (rad/s) on each configuration's axis.
     gf = [site.g_factor for site in g.sites[:n]]
-    rates = {}
-    for cfg in (PARALLEL, ANTIPARALLEL):
-        comp = field_profile(g, cfg).component(ACTIVE_AXIS[cfg])[:n]
-        rates[cfg] = zeeman_angles(gf, comp, 1.0)
+    rates = {cfg: zeeman_angles(gf, comp, 1.0)
+             for cfg, comp in _site_fields(g, n).items()}
     current_ma = abs(g.wires[0].current) * 1e3
     events = []
     t = 0.0
-    run: list = []  # accumulating (i, j, xi) for one exchange event
-    run_spins: set = set()
-
-    def flush_run() -> None:
-        nonlocal t, run, run_spins
-        if not run:
-            return
-        events.append(ExchangeEvent(t_start=t, duration=exchange_duration,
-                                    pairs=tuple(run)))
-        t += exchange_duration
-        run = []
-        run_spins = set()
-
     for idx, op in enumerate(c.ops):
         if isinstance(op, Exchange):
-            if {op.i, op.j} & run_spins:
-                flush_run()
-            run.append((op.i, op.j, op.xi))
-            run_spins |= {op.i, op.j}
+            pair = (op.i, op.j, op.xi)
+            if idx and isinstance(c.ops[idx - 1], Exchange) and not (
+                    {op.i, op.j} & {k for p in events[-1].pairs for k in p[:2]}):
+                events[-1] = replace(events[-1],
+                                     pairs=events[-1].pairs + (pair,))
+            else:
+                events.append(ExchangeEvent(t, exchange_duration, (pair,)))
+                t += exchange_duration
             continue
-        flush_run()
         if isinstance(op, XYExchange):
             raise UnrealizableAngles(idx, "planar exchange has no device configuration")
         if not isinstance(op, GlobalField):
@@ -164,7 +159,6 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
                                  sign=1 if scale >= 0 else -1,
                                  current_ma=current_ma))
         t += duration
-    flush_run()
     rows = {g.sites[s].row_id
             for e in events if isinstance(e, ExchangeEvent)
             for (i, j, _) in e.pairs for s in (i, j)}
@@ -180,21 +174,17 @@ def simulate_schedule(s: Schedule, c: Optional[Circuit] = None) -> tuple:
     circuit c, those the exchanges of both link.
 
     The events become the ops of a Circuit, so a pair outside the register
-    or a non-finite duration is a ValueError. Each configuration's field
-    profile is computed once.
+    or a non-finite duration is a ValueError.
     """
     n = s.register.n_spins
     gf = [site.g_factor for site in s.geometry.sites[:n]]
-    comps = {}
+    comps = _site_fields(s.geometry, n)
     ops = []
     for ev in s.events:
         if isinstance(ev, FieldEvent):
-            axis = ACTIVE_AXIS[ev.config]
-            if ev.config not in comps:
-                comps[ev.config] = field_profile(
-                    s.geometry, ev.config).component(axis)[:n]
             signed = [ev.sign * b for b in comps[ev.config]]
-            ops.append(GlobalField(axis, zeeman_angles(gf, signed, ev.duration)))
+            ops.append(GlobalField(ACTIVE_AXIS[ev.config],
+                                   zeeman_angles(gf, signed, ev.duration)))
         elif isinstance(ev, ExchangeEvent):
             ops.extend(Exchange(i, j, xi) for (i, j, xi) in ev.pairs)
         else:
@@ -264,16 +254,13 @@ def validate_schedule(s: Schedule) -> ScheduleReport:
                 detail = f"shared spin in event at t={ev.t_start}"
                 break
     checks.append(ScheduleCheck("pair_disjointness", disjoint_ok, detail))
-    row_ok = True
-    detail = f"active row {s.active_row}"
-    for ev in s.events:
-        if isinstance(ev, ExchangeEvent):
-            for (i, j, _) in ev.pairs:
-                for spin in (i, j):
-                    if geom.sites[spin].row_id != s.active_row:
-                        row_ok = False
-                        detail = f"spin {spin} outside row {s.active_row}"
-    checks.append(ScheduleCheck("row_addressing", row_ok, detail))
+    off_row = next((spin for ev in s.events if isinstance(ev, ExchangeEvent)
+                    for (i, j, _) in ev.pairs for spin in (i, j)
+                    if geom.sites[spin].row_id != s.active_row), None)
+    checks.append(ScheduleCheck(
+        "row_addressing", off_row is None,
+        f"active row {s.active_row}" if off_row is None
+        else f"spin {off_row} outside row {s.active_row}"))
     mixed_ok = all(isinstance(ev, (FieldEvent, ExchangeEvent)) for ev in s.events)
     checks.append(ScheduleCheck("event_kinds", mixed_ok,
                                 "field and exchange windows never overlap"))
@@ -323,6 +310,11 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
             if config not in ACTIVE_AXIS or sign not in (1, -1):
                 raise ValueError(f"config must be {' or '.join(ACTIVE_AXIS)} "
                                  f"and sign +1 or -1, got {config} {words[4]}")
+            # The cap in the file's unit, converted as schedule_to_text
+            # converts a duration, so a pulse at the cap reads back.
+            if d_ns > FIELD_DURATION_CAP * 1e9:
+                raise ValueError(f"field duration {words[2]} ns over cap "
+                                 f"{FIELD_DURATION_CAP * 1e9:g} ns")
             # finite: validate_schedule compares the current annotation with
             # the geometry's drive, and a NaN would pass that comparison.
             ev = FieldEvent(t_ns / 1e9, d_ns / 1e9, config, sign, current_ma)

@@ -145,6 +145,7 @@ class SynthesisProblem:
                 (math.isfinite(self.xi), "xi must be finite"),
                 (0 < self.tolerance < math.inf,
                  "tolerance must be finite and positive"),
+                (self.length >= 0, "length must be nonnegative"),
                 (0 <= self.n_exchange <= self.length,
                  f"exchange must be in 0..{self.length}"),
                 (min(self.search_samples, self.verify_samples) >= 1,
@@ -186,7 +187,6 @@ class SearchStats:
     deduplicated: int
     verified: int
     elapsed_s: float
-    prune: bool
     # bystander_scan, pair_scan, dedup, verification; their times tile
     # elapsed_s, so drawing the search samples counts toward the first.
     stages: tuple = ()
@@ -660,8 +660,7 @@ def enumerate_sequences(problem: SynthesisProblem,
                         bystander_survivors=int(survivors.size),
                         pair_candidates=len(candidates),
                         deduplicated=len(kept), verified=len(solutions),
-                        elapsed_s=marks[-1] - marks[0], prune=prune,
-                        stages=stages)
+                        elapsed_s=marks[-1] - marks[0], stages=stages)
     return SynthesisResult(problem_name=problem.name,
                            solutions=tuple(sol for _, sol in solutions),
                            stats=stats)

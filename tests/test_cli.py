@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -273,6 +274,29 @@ def test_readme_command_lines_parse():
         parser.parse_args(argv)
 
 
+def test_every_option_has_a_caller():
+    # Each option the parser defines is passed somewhere: by a test, or by
+    # a benchmark workload. An option nothing passes is one to delete.
+    here = os.path.dirname(__file__)
+    paths = [os.path.join(here, f) for f in os.listdir(here)
+             if f.endswith(".py")]
+    paths.append(os.path.join(here, os.pardir, "perfbench", "workloads.py"))
+    sources = []
+    for path in paths:
+        with open(path) as fh:
+            sources.append(fh.read())
+    subparsers = [a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for sub in subparsers for p in sub.choices.values()
+               for a in p._actions for opt in a.option_strings} - {"-h",
+                                                                  "--help"}
+    assert "--geometry" in options
+    unused = sorted(opt for opt in options
+                    if not any(f'"{opt}"' in src or f"'{opt}'" in src
+                               for src in sources))
+    assert unused == []
+
+
 def test_device_preset_report(capsys):
     code, out, _ = run_cli(capsys, "device", "--format", "json-lines")
     assert code == 0
@@ -313,6 +337,45 @@ def test_device_custom_geometry_file(capsys, tmp_path, n_sites, tolerance):
     checks = by_name(json_lines(out))
     assert ("position_tolerance_angstrom" in checks) == tolerance
     assert checks["twin_wire_layout"]["pass"]
+
+
+def test_device_geometry_takes_a_preset_name(capsys):
+    reports = [json_lines(run_cli(capsys, *argv, "--format", "json-lines")[1])
+               for argv in (("device",),
+                            ("device", "--geometry", "twin_wire_zigzag"))]
+    assert [by_name(r) for r in reports[1:]] == [by_name(reports[0])]
+    assert reports[1][0]["inputs"] == reports[0][0]["inputs"]
+
+
+def test_schedule_geometry_names_the_preset_or_custom(capsys, tmp_path):
+    circ = write_tied_cp_circuit(tmp_path / "cp.circuit.txt")
+    copy = tmp_path / "copy.geometry.txt"
+    with open(cli._preset_path("twin_wire_zigzag")) as fh:
+        copy.write_text(fh.read())
+    texts = []
+    for k, geom in enumerate(([], ["--geometry", "twin_wire_zigzag"],
+                              ["--geometry", str(copy)])):
+        out_file = tmp_path / f"out{k}.schedule.txt"
+        code, _, _ = run_cli(capsys, "schedule", str(circ), "--out",
+                             str(out_file), *geom)
+        assert code == 0
+        texts.append(out_file.read_text())
+    assert "geometry=twin_wire_zigzag " in texts[0]
+    assert texts[1] == texts[0]
+    assert texts[2] == texts[0].replace("geometry=twin_wire_zigzag ",
+                                        "geometry=custom ")
+
+
+@pytest.mark.parametrize("command", [("device",), ("schedule", "{circuit}")])
+def test_geometry_neither_file_nor_preset_exits_2(capsys, tmp_path, command):
+    circuit = write_tied_cp_circuit(tmp_path / "cp.circuit.txt")
+    code, out, err = run_cli(capsys, *(a.format(circuit=circuit)
+                                       for a in command),
+                             "--geometry", "no_such_layout")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "'no_such_layout' is neither a file nor a preset" in err
 
 
 def write_rotation_circuit(path, n, axis="z"):
@@ -528,6 +591,8 @@ F_EVENT = "F 0.000000 10.000000 parallel +1 0.7\n"
     (SCHEDULE_HEADER + "F 0.000000 10.000000 bogus +1 0.7\n", True, 2),
     (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +3 0.7\n", True, 2),
     (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +1 nan\n", True, 2),
+    (SCHEDULE_HEADER + "F 0 20000 parallel +1 0.7\n", True, 2),
+    (SCHEDULE_HEADER + "F 0 1e300 parallel +1 0.7\n", True, 2),
     (SCHEDULE_HEADER.replace("full_gyromagnetic", "half_gyromagnetic")
      + F_EVENT, True, 1),
     (SCHEDULE_HEADER + SCHEDULE_HEADER.replace("register=2", "register=3")
@@ -658,6 +723,7 @@ GOOD_LETTER = "LETTER primary z +\n"
     (PROBLEM_HEADER + "LETTER primary z + junk\n", 2),
     (PROBLEM_HEADER + "LETTER primary z\n", 2),
     (PROBLEM_HEADER.replace("length=3", "length=abc") + GOOD_LETTER, 1),
+    (PROBLEM_HEADER.replace("length=3", "length=-1") + GOOD_LETTER, 1),
     (PROBLEM_HEADER.replace("name=p", "name=../escaped") + GOOD_LETTER, 1),
     (PROBLEM_HEADER.replace("name=p", "name=a/b") + GOOD_LETTER, 1),
     (PROBLEM_HEADER.replace("name=p", "name=.hidden") + GOOD_LETTER, 1),

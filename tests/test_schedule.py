@@ -187,6 +187,34 @@ def test_validate_schedule_catches_row_violation():
     report = validate_schedule(bad)
     assert not report.ok
     assert {c.name for c in report.checks if not c.ok} == {"row_addressing"}
+    # Like every other check, it names its first failure: spin 0 of the
+    # first of two offending events.
+    geom3 = twin_wire_preset(3)
+    other_row = DeviceGeometry(geom3.wires, tuple(
+        SpinSite(s.position, s.g_factor, row_id=1) for s in geom3.sites))
+    bad = Schedule(RegisterSpec(3), (ExchangeEvent(0.0, 1e-8, ((0, 1, 1.0),)),
+                                     ExchangeEvent(1e-8, 1e-8, ((1, 2, 1.0),))),
+                   other_row, "custom", 0)
+    row = {c.name: c for c in validate_schedule(bad).checks}["row_addressing"]
+    assert not row.ok
+    assert row.detail == "spin 0 outside row 0"
+
+
+def test_field_event_at_the_cap_round_trips_and_replays():
+    s = Schedule(RegisterSpec(2),
+                 (FieldEvent(0.0, sched.FIELD_DURATION_CAP, PARALLEL, 1,
+                             abs(GEOM2.wires[0].current) * 1e3),),
+                 GEOM2, "custom", 0)
+    text = schedule_to_text(s)
+    back = schedule_from_text(text, GEOM2)
+    assert back.events[0].duration <= sched.FIELD_DURATION_CAP
+    assert schedule_to_text(back) == text
+    assert unitary_digest(simulate_schedule(back)) == unitary_digest(
+        simulate_schedule(s))
+    assert validate_schedule(back).ok
+    with pytest.raises(ValueError, match="line 2: .* over cap"):
+        schedule_from_text(text.replace(" 10000 ", " 10000.000000001 "),
+                           GEOM2)
 
 
 def test_validate_schedule_catches_excess_current():

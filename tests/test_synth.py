@@ -381,6 +381,10 @@ def test_problem_text_errors(bundled):
         problem_from_text(text + "WHAT 1\n")
     with pytest.raises(ValueError, match="line 4: duplicate PROBLEM line"):
         problem_from_text(text + text)
+    negative = text.replace("length=3 ", "length=-1 ", 1)
+    assert negative != text
+    with pytest.raises(ValueError, match="line 1: length must be nonnegative"):
+        problem_from_text(negative)
 
 
 def test_result_text_lists_solutions(bundled):
