@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import circuits, device, schedule as sched, synth
+from .grammar import preset_path
 from .linalg import TOL_COMPILED
 from .spins import RegisterSpec
 
@@ -57,27 +58,11 @@ class RunReport:
 
 def _read_input(name: str, parse, *args):
     """parse(text, *args) of the file named, and (path, sha256 of the
-    bytes). A name that is no file resolves as a preset (_preset_path)."""
-    path = name if os.path.isfile(name) else _preset_path(name)
+    bytes). A name that is no file resolves as a preset (preset_path)."""
+    path = name if os.path.isfile(name) else preset_path(name)
     with open(path, "rb") as fh:
         data = fh.read()
     return parse(data.decode(), *args), (path, hashlib.sha256(data).hexdigest())
-
-
-def _preset_path(name: str) -> str:
-    """Resolve a preset file by name: GLOBALSPIN_PRESET_DIR first, then the
-    files bundled with the package."""
-    fname = name + ".txt"
-    env_dir = os.environ.get("GLOBALSPIN_PRESET_DIR")
-    candidates = []
-    if env_dir:
-        candidates.append(os.path.join(env_dir, fname))
-    candidates.append(os.path.join(os.path.dirname(__file__), "presets", fname))
-    for c in candidates:
-        if os.path.isfile(c):
-            return c
-    raise FileNotFoundError(f"{name!r} is neither a file nor a preset in "
-                            + ", ".join(os.path.dirname(c) for c in candidates))
 
 
 def _json_value(x):
@@ -215,9 +200,10 @@ def _suite_parallel(rng, tol):
                                       (6, ((0, 1), (2, 3), (4, 5))))):
         reg = RegisterSpec(n)
         c = circuits.parallel_apply(template, pairs, reg)
-        target = np.eye(reg.dim, dtype=complex)
-        for p, q in pairs:
-            target = circuits._diag_zz_phase(reg, p, q, math.pi) @ target
+        # Diagonals multiplied elementwise: a product of the 2^n x 2^n
+        # matrices would wake threaded BLAS for every later suite.
+        target = np.diag(np.prod([np.diagonal(circuits._diag_zz_phase(
+            reg, p, q, math.pi)) for p, q in pairs], axis=0))
         rep = circuits.verify_target(c, circuits.GateTarget(
             target, frozenset(range(n)), circuits.Equivalence.EXACT), tol)
         values[:, col] = np.maximum(rep.distance, rep.bystander_deviation)

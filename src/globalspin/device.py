@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
-from .grammar import finite, keyed, walk
+from .grammar import finite, keyed, preset_path, walk
 from .spins import zeeman_angles
 
 MU_0 = 4e-7 * math.pi  # T*m/A
@@ -231,31 +231,6 @@ def position_sensitivity(g: DeviceGeometry, per_pulse_error: float,
     return per_pulse_error * base / worst
 
 
-def twin_wire_preset(n_sites: int = 4) -> DeviceGeometry:
-    """Bundled zig-zag reference layout.
-
-    Two 200x200 nm wires at x = 200 nm, z = +-100 nm carrying 0.7 mA with
-    critical current density 2.2e10 A/m^2; sites alternate between x = 0 and
-    x = -100 nm on the z = 0 plane, uniform g-factor 2, one row.
-    """
-    # Lengths built as nm * 1e-9 so the values match a parsed preset file
-    # bit for bit; 200e-9 and 200.0 * 1e-9 differ in the last ulp.
-    nm = 1e-9
-    wires = (
-        WireSpec(center=(200.0 * nm, 100.0 * nm),
-                 cross_section=(200.0 * nm, 200.0 * nm),
-                 current=0.7 * 1e-3, critical_current_density=2.2e10),
-        WireSpec(center=(200.0 * nm, -100.0 * nm),
-                 cross_section=(200.0 * nm, 200.0 * nm),
-                 current=0.7 * 1e-3, critical_current_density=2.2e10),
-    )
-    sites = tuple(
-        SpinSite(position=(0.0 if k % 2 == 0 else -100.0 * nm, 0.0),
-                 g_factor=2.0, row_id=0)
-        for k in range(n_sites))
-    return DeviceGeometry(wires=wires, sites=sites)
-
-
 def _positive(word: str) -> float:
     value = finite(word)
     if value <= 0:
@@ -321,3 +296,13 @@ def geometry_from_text(text: str) -> DeviceGeometry:
     if not wires or not sites:
         raise ValueError("geometry needs at least one wire and one site")
     return DeviceGeometry(wires=tuple(wires), sites=tuple(sites))
+
+
+def twin_wire_preset(n_sites: int) -> DeviceGeometry:
+    """The zig-zag preset file, the layout's only definition, cut to its
+    first n_sites sites; n_sites runs from 1 to the file's site count."""
+    with open(preset_path("twin_wire_zigzag")) as fh:
+        g = geometry_from_text(fh.read())
+    if not 1 <= n_sites <= len(g.sites):
+        raise ValueError(f"n_sites must be in 1..{len(g.sites)}, got {n_sites}")
+    return replace(g, sites=g.sites[:n_sites])

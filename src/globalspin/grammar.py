@@ -1,7 +1,8 @@
 """The line grammar of the four text formats, as README's Conventions give
-it. An error it raises for a line starts "line N: "."""
+it, and their bundled files. An error for a line starts "line N: "."""
 
 import math
+import os
 
 
 def walk(text: str, header, handle) -> None:
@@ -56,3 +57,12 @@ def finite(word: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"must be finite, got {word}")
     return value
+
+
+def preset_path(name: str) -> str:
+    """The bundled preset file of that name. A caller that takes paths tries
+    the name as one first, so a name that is neither is the error."""
+    path = os.path.join(os.path.dirname(__file__), "presets", name + ".txt")
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"{name!r} is neither a file nor a preset")
+    return path

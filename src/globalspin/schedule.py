@@ -29,7 +29,7 @@ from .linalg import update_phase_normalized
 from .spins import RegisterSpec, check_op, zeeman_angles
 
 DEFAULT_EXCHANGE_DURATION = 10e-9  # seconds
-FIELD_DURATION_CAP = 1e-5  # seconds
+DURATION_CAP = 1e-5  # seconds, for every field pulse and exchange window
 # Relative residual allowed when fitting angles to the site-field profile.
 REALIZABLE_RTOL = 1e-9
 DIGEST_BLOCK = 1 << 16  # entries per row block of a digest: 1 MB
@@ -50,7 +50,8 @@ class UnrealizableAngles(ValueError):
 
 class DurationCapExceeded(ValueError):
     def __init__(self, op_index: int, duration: float, cap: float) -> None:
-        super().__init__(f"op {op_index}: duration {duration:.3e} s over cap {cap:.3e} s")
+        super().__init__(f"op {op_index}: duration {duration * 1e9:.12g} ns "
+                         f"over cap {cap * 1e9:g} ns")
         self.op_index = op_index
 
 
@@ -110,9 +111,10 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
     window as a simultaneous pair.
     """
     n = c.register.n_spins
-    if not 0 < exchange_duration < math.inf:
-        raise ValueError(f"exchange duration must be finite and positive, "
-                         f"got {exchange_duration}")
+    if not 0 < exchange_duration <= DURATION_CAP:
+        raise ValueError(f"exchange duration must be positive and at most "
+                         f"the cap {DURATION_CAP * 1e9:g} ns, got "
+                         f"{exchange_duration * 1e9:.12g} ns")
     start = Schedule(c.register, (), g, geometry_name, 0)  # checks g's sites
     # Per-site angle accumulation rates (rad/s) on each configuration's axis.
     gf = [site.g_factor for site in g.sites[:n]]
@@ -153,8 +155,8 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
                 idx, f"angles not proportional to the {config} profile "
                      f"(residual {worst:.3e})")
         duration = abs(scale)
-        if duration > FIELD_DURATION_CAP:
-            raise DurationCapExceeded(idx, duration, FIELD_DURATION_CAP)
+        if duration > DURATION_CAP:
+            raise DurationCapExceeded(idx, duration, DURATION_CAP)
         events.append(FieldEvent(t_start=t, duration=duration, config=config,
                                  sign=1 if scale >= 0 else -1,
                                  current_ma=current_ma))
@@ -310,11 +312,6 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
             if config not in ACTIVE_AXIS or sign not in (1, -1):
                 raise ValueError(f"config must be {' or '.join(ACTIVE_AXIS)} "
                                  f"and sign +1 or -1, got {config} {words[4]}")
-            # The cap in the file's unit, converted as schedule_to_text
-            # converts a duration, so a pulse at the cap reads back.
-            if d_ns > FIELD_DURATION_CAP * 1e9:
-                raise ValueError(f"field duration {words[2]} ns over cap "
-                                 f"{FIELD_DURATION_CAP * 1e9:g} ns")
             # finite: validate_schedule compares the current annotation with
             # the geometry's drive, and a NaN would pass that comparison.
             ev = FieldEvent(t_ns / 1e9, d_ns / 1e9, config, sign, current_ma)
@@ -332,6 +329,11 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
             raise ValueError(f"unknown directive {words[0]!r}")
         if d_ns < 0:
             raise ValueError(f"duration must be nonnegative, got {words[2]}")
+        # The cap in the file's unit, converted as schedule_to_text converts
+        # a duration, so an event at the cap reads back.
+        if d_ns > DURATION_CAP * 1e9:
+            raise ValueError(f"duration {words[2]} ns over cap "
+                             f"{DURATION_CAP * 1e9:g} ns")
         parts.append(ev)
 
     walk(text, "SCHEDULE", line)

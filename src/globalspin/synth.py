@@ -86,9 +86,9 @@ class EmptyAlphabet(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, needed: int, budget: int) -> None:
+    def __init__(self, needed, budget: int) -> None:
         super().__init__(f"search needs {needed} candidate checks, budget {budget}")
-        self.needed = needed
+        self.needed = needed  # an int, or text bounding a count too large
         self.budget = budget
 
 
@@ -583,7 +583,19 @@ def enumerate_sequences(problem: SynthesisProblem,
     family = FAMILIES[problem.family]
     n_letters = len(problem.alphabet)
     n_field = problem.n_field
-    n_placements = math.comb(problem.length, problem.n_exchange)
+    # Priced first from below, in logs: an exact count far over budget can
+    # take long and have more digits than int prints. C(L, k) >= (L/m)^m
+    # for any m <= min(k, L - k), so m and the field count f capped at 2^60
+    # keep a bound in floats. The 2^64 margin covers rounding and keeps
+    # every nearer refusal exact.
+    length, k = problem.length, problem.n_exchange
+    m, f = min(k, n_field, 1 << 60), min(n_field, 1 << 60)
+    log_needed = f * math.log(n_letters) + (
+        m * (math.log(length) - math.log(m)) if m else 0.0)
+    if log_needed > math.log(budget) + 64 * math.log(2):
+        raise BudgetExceeded(f"at least 10^{log_needed / math.log(10):.6g}",
+                             budget)
+    n_placements = math.comb(length, k)
     words_total = n_letters ** n_field
     needed = words_total * n_placements
     if needed > budget:

@@ -1,11 +1,7 @@
-import os
-
 import pytest
 
-import globalspin
+from globalspin.grammar import preset_path
 from globalspin.synth import problem_from_text
-
-PRESET_DIR = os.path.join(os.path.dirname(globalspin.__file__), "presets")
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +9,6 @@ def bundled():
     """Loader of a bundled problem by name: its preset file, read through
     problem_from_text as the command line reads it."""
     def load(name):
-        with open(os.path.join(PRESET_DIR, name + ".txt")) as fh:
+        with open(preset_path(name)) as fh:
             return problem_from_text(fh.read())
     return load

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shlex
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,8 +18,8 @@ from globalspin.circuits import (circuit_to_text, controlled_phase_circuit,
 from globalspin.device import (ANTIPARALLEL, PARALLEL, device_constants,
                                field_profile, geometry_to_text,
                                twin_wire_preset)
+from globalspin.grammar import preset_path
 from globalspin.spins import RegisterSpec, zeeman_angles
-from globalspin.synth import problem_to_text
 
 
 def run_cli(capsys, *argv):
@@ -240,22 +241,32 @@ def test_synthesize_budget_exit_code(capsys, tmp_path, monkeypatch):
     assert "budget" in err.lower()
 
 
+# Each row: planted_cp's length and exchange count, and how many of its
+# two letters stay. Each count of checks is too long to print or compute.
+@pytest.mark.parametrize("length, exchange, letters", [
+    ("100000", 2, 2), ("99999999999999999999", 2, 2),
+    ("1" + "0" * 400, 2, 2), ("100000000000000000000", 5000, 1)])
+def test_synthesize_prices_a_long_search_in_logs(capsys, tmp_path, length,
+                                                 exchange, letters):
+    with open(preset_path("planted_cp")) as fh:
+        lines = fh.read().splitlines(keepends=True)
+    text = lines[0].replace("length=4 exchange=2 ",
+                            f"length={length} exchange={exchange} ")
+    text += "".join(lines[1:1 + letters])
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "synthesize", "--problem", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: search needs at least 10^")
+
+
 def test_synthesize_missing_problem(capsys):
     code, _, err = run_cli(capsys, "synthesize", "--problem", "no_such_thing")
     assert code == 2
     assert "no_such_thing" in err
-
-
-def test_synthesize_preset_dir_override(bundled, capsys, tmp_path,
-                                        monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    renamed = dataclasses.replace(bundled("planted_swap"),
-                                  name="local_probe")
-    (tmp_path / "local_probe.txt").write_text(problem_to_text(renamed))
-    monkeypatch.setenv("GLOBALSPIN_PRESET_DIR", str(tmp_path))
-    code, out, _ = run_cli(capsys, "synthesize", "--problem", "local_probe",
-                           "--require-solution")
-    assert code == 0
 
 
 def test_readme_command_lines_parse():
@@ -319,7 +330,7 @@ def test_device_antiparallel_and_csv(capsys, tmp_path):
     assert abs(checks["ratio_site1"]["measured"] - 0.5) < 0.01
     rows = csv.read_text().splitlines()
     assert rows[0] == "site,Bx_mT,Bz_mT"
-    assert len(rows) == 5
+    assert len(rows) == 13
 
 
 # Each row: the sites kept from the preset geometry, and whether the
@@ -350,7 +361,7 @@ def test_device_geometry_takes_a_preset_name(capsys):
 def test_schedule_geometry_names_the_preset_or_custom(capsys, tmp_path):
     circ = write_tied_cp_circuit(tmp_path / "cp.circuit.txt")
     copy = tmp_path / "copy.geometry.txt"
-    with open(cli._preset_path("twin_wire_zigzag")) as fh:
+    with open(preset_path("twin_wire_zigzag")) as fh:
         copy.write_text(fh.read())
     texts = []
     for k, geom in enumerate(([], ["--geometry", "twin_wire_zigzag"],
@@ -379,25 +390,22 @@ def test_geometry_neither_file_nor_preset_exits_2(capsys, tmp_path, command):
 
 
 def write_rotation_circuit(path, n, axis="z"):
-    """The 11-op rotation on spins 0 and 1 of the n-site preset, with the
-    preset geometry beside it; returns (circuit path, geometry argv)."""
+    """The 11-op rotation on spins 0 and 1 of the first n preset sites;
+    returns the circuit path."""
     geom = twin_wire_preset(n)
     profiles = {"z": device_constants(field_profile(geom, PARALLEL)).ratios,
                 "x": device_constants(field_profile(geom, ANTIPARALLEL)).ratios}
     c, _ = refocused_rotation_circuit(RegisterSpec(n), axis, 0, 1, 1.0,
                                       profiles)
     path.write_text(circuit_to_text(c))
-    geom_path = path.with_name(f"zigzag{n}.geometry.txt")
-    geom_path.write_text(geometry_to_text(geom))
-    return path, ["--geometry", str(geom_path)]
+    return path
 
 
-def compile_then_simulate_only(capsys, circ, geom):
+def compile_then_simulate_only(capsys, circ):
     """Compile circ to a file, replay that file, and check both reports."""
     out_file = circ.with_name("out.schedule.txt")
     code, out, _ = run_cli(capsys, "schedule", str(circ),
-                           "--out", str(out_file), "--format", "json-lines",
-                           *geom)
+                           "--out", str(out_file), "--format", "json-lines")
     assert code == 0
     records = json_lines(out)
     compiled = by_name(records)
@@ -409,7 +417,7 @@ def compile_then_simulate_only(capsys, circ, geom):
     events = compiled["events"]["measured"]
     assert [r["out"] for r in stages] == [events, 1, events, 1]
     code, out, _ = run_cli(capsys, "schedule", str(out_file),
-                           "--simulate-only", "--format", "json-lines", *geom)
+                           "--simulate-only", "--format", "json-lines")
     assert code == 0
     records = json_lines(out)
     replayed = by_name(records)
@@ -422,28 +430,42 @@ def compile_then_simulate_only(capsys, circ, geom):
 
 def test_schedule_compile_and_simulate_digests_agree(capsys, tmp_path):
     circ = write_tied_cp_circuit(tmp_path / "cp.circuit.txt")
-    compile_then_simulate_only(capsys, circ, [])
+    compile_then_simulate_only(capsys, circ)
 
 
 def test_schedule_compile_and_simulate_digests_agree_at_8_spins(capsys,
                                                                 tmp_path):
     # The rotation's bystanders are evaluated as groups of their own, and
     # many entries of its unitary tie in modulus.
-    circ, geom = write_rotation_circuit(tmp_path / "rot.circuit.txt", 8)
-    compile_then_simulate_only(capsys, circ, geom)
+    circ = write_rotation_circuit(tmp_path / "rot.circuit.txt", 8)
+    compile_then_simulate_only(capsys, circ)
+
+
+def test_schedule_of_6_spins_at_the_default_geometry(capsys, tmp_path):
+    # The default geometry holds the preset's 12 sites, and a register uses
+    # the first n: the events are those of a file with just those sites.
+    circ = write_rotation_circuit(tmp_path / "rot.circuit.txt", 6)
+    six = tmp_path / "zigzag6.geometry.txt"
+    six.write_text(geometry_to_text(twin_wire_preset(6)))
+    events = []
+    for k, geom in enumerate(([], ["--geometry", str(six)])):
+        out_file = tmp_path / f"out{k}.schedule.txt"
+        code, _, err = run_cli(capsys, "schedule", str(circ), "--out",
+                               str(out_file), *geom)
+        assert (code, err) == (0, "")
+        events.append(out_file.read_text().splitlines()[1:])
+    assert len(events[0]) == 11
+    assert events[1] == events[0]
 
 
 def write_tied_cp_pairs(path, n):
-    """The tied controlled phase on pairs (0, 1), (2, 3), ... of the n-site
-    preset, with the preset geometry beside it; returns (circuit path,
-    geometry argv)."""
+    """The tied controlled phase on pairs (0, 1), (2, 3), ... of n spins;
+    returns the circuit path."""
     tpl, _ = controlled_phase_circuit(RegisterSpec(2), 0, 1, -4.0 * math.pi)
     c = parallel_apply(tpl, [(k, k + 1) for k in range(0, n, 2)],
                        RegisterSpec(n))
     path.write_text(circuit_to_text(c))
-    geom_path = path.with_name(f"zigzag{n}.geometry.txt")
-    geom_path.write_text(geometry_to_text(twin_wire_preset(n)))
-    return path, ["--geometry", str(geom_path)]
+    return path
 
 
 @pytest.mark.parametrize("kind", ["x_rotation", "tied_cp"])
@@ -453,14 +475,14 @@ def test_schedule_at_12_spins_holds_no_register_matrix(capsys, tmp_path,
     # and the digest keep the unitary factored or in row blocks; the
     # largest array left is the digest's imaginary parts, 134 MB.
     path = tmp_path / f"{kind}.circuit.txt"
-    circ, geom = (write_rotation_circuit(path, 12, "x") if kind == "x_rotation"
-                  else write_tied_cp_pairs(path, 12))
+    circ = (write_rotation_circuit(path, 12, "x") if kind == "x_rotation"
+            else write_tied_cp_pairs(path, 12))
     out_file = tmp_path / "out.schedule.txt"
     for argv in (["schedule", str(circ), "--out", str(out_file)],
                  ["schedule", str(out_file), "--simulate-only"]):
         tracemalloc.start()
         try:
-            code, out, _ = run_cli(capsys, *argv, *geom)
+            code, out, _ = run_cli(capsys, *argv)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -484,12 +506,12 @@ def test_schedule_replays_and_digests_once_per_run(capsys, tmp_path,
 
     for name in ("simulate_schedule", "unitary_digest"):
         monkeypatch.setattr(sched, name, counting(name))
-    circ, geom = write_rotation_circuit(tmp_path / "rot.circuit.txt", 8)
+    circ = write_rotation_circuit(tmp_path / "rot.circuit.txt", 8)
     out_file = tmp_path / "out.schedule.txt"
     for argv in (["schedule", str(circ), "--out", str(out_file)],
                  ["schedule", str(out_file), "--simulate-only"]):
         calls.clear()
-        code, _, _ = run_cli(capsys, *argv, *geom)
+        code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert sorted(calls) == ["simulate_schedule", "unitary_digest"]
 
@@ -586,13 +608,12 @@ F_EVENT = "F 0.000000 10.000000 parallel +1 0.7\n"
     (SCHEDULE_HEADER + "E 0 -5 (0,1,3.14)\n", True, 2),
     (SCHEDULE_HEADER + "E 0 nan (0,1,3.14)\n", True, 2),
     (SCHEDULE_HEADER + "E 0.000000 10.000000 (0,5,3.14)\n", True, 2),
-    (SCHEDULE_HEADER.replace("register=2", "register=8")
-     + "E 0.000000 10.000000 (0,5,3.14)\n", True, 1),
     (SCHEDULE_HEADER + "F 0.000000 10.000000 bogus +1 0.7\n", True, 2),
     (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +3 0.7\n", True, 2),
     (SCHEDULE_HEADER + "F 0.000000 10.000000 parallel +1 nan\n", True, 2),
     (SCHEDULE_HEADER + "F 0 20000 parallel +1 0.7\n", True, 2),
     (SCHEDULE_HEADER + "F 0 1e300 parallel +1 0.7\n", True, 2),
+    (SCHEDULE_HEADER + "E 0 20000 (0,1,3.14)\n", True, 2),
     (SCHEDULE_HEADER.replace("full_gyromagnetic", "half_gyromagnetic")
      + F_EVENT, True, 1),
     (SCHEDULE_HEADER + SCHEDULE_HEADER.replace("register=2", "register=3")
@@ -623,6 +644,28 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, text,
     assert "Traceback" not in err
 
 
+# Each row: an input of 8 spins, and whether it is a schedule
+# (--simulate-only) rather than a circuit.
+@pytest.mark.parametrize("text, simulate_only", [
+    ("REG 8\nEX 0 5 3.14\n", False),
+    (SCHEDULE_HEADER.replace("register=2", "register=8")
+     + "E 0.000000 10.000000 (0,5,3.14)\n", True),
+])
+def test_register_beyond_a_custom_geometry_exits_2(capsys, tmp_path, text,
+                                                   simulate_only):
+    geom = tmp_path / "zigzag4.geometry.txt"
+    geom.write_text(geometry_to_text(twin_wire_preset(4)))
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "schedule", str(path), "--geometry",
+                             str(geom), *(["--simulate-only"] if simulate_only
+                                          else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert err.endswith("geometry has 4 sites, register needs 8\n")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("device", "--geometry", "{nan_g}"),
     pytest.param(("device", "--geometry", "{zero_g}"), id="zero_g"),
@@ -632,6 +675,7 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, text,
     ("schedule", "{circuit}", "--exchange-ns", "nan"),
     ("schedule", "{circuit}", "--exchange-ns", "0"),
     ("schedule", "{circuit}", "--exchange-ns", "-5"),
+    ("schedule", "{circuit}", "--exchange-ns", "1e300"),
     ("synthesize", "--problem", "planted_swap", "--budget", "-3"),
     ("synthesize", "--problem", "planted_swap", "--budget", "0"),
 ])

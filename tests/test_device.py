@@ -153,13 +153,20 @@ def test_position_sensitivity_needs_two_sites():
 
 
 def test_twin_wire_preset_layout():
-    g = twin_wire_preset(4)
+    g = twin_wire_preset(12)
     assert g.is_twin_wire
-    assert len(g.sites) == 4
+    assert len(g.sites) == 12
     xs = [s.position[0] for s in g.sites]
-    assert xs[0] == xs[2] and xs[1] == xs[3] and xs[0] != xs[1]
+    assert xs[0] != xs[1]
+    assert xs == [xs[k % 2] for k in range(12)]
+    assert all(s.position[1] == 0.0 for s in g.sites)
     assert all(s.row_id == 0 for s in g.sites)
     assert g.wires[0].current == g.wires[1].current
+    for n in (1, 4):
+        assert twin_wire_preset(n) == replace(g, sites=g.sites[:n])
+    for n in (0, 13):
+        with pytest.raises(ValueError):
+            twin_wire_preset(n)
 
 
 def test_geometry_text_round_trip_is_exact():

@@ -7,12 +7,11 @@ import os
 import numpy as np
 import pytest
 
-import globalspin
 from globalspin.circuits import (Circuit, Exchange, GlobalField, XYExchange,
                                  circuit_from_text, circuit_to_text)
 from globalspin.device import (DeviceGeometry, SpinSite, WireSpec,
                                geometry_from_text, geometry_to_text)
-from globalspin.grammar import fields, keyed, walk
+from globalspin.grammar import fields, keyed, preset_path, walk
 from globalspin.schedule import (ExchangeEvent, FieldEvent, Schedule,
                                  schedule_from_text, schedule_to_text)
 from globalspin.spins import AXES, RegisterSpec
@@ -20,8 +19,7 @@ from globalspin.synth import (FAMILIES, PulseTemplate, SynthesisProblem,
                               problem_from_text, problem_to_text)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-PRESET_GEOMETRY = os.path.join(os.path.dirname(globalspin.__file__),
-                               "presets", "twin_wire_zigzag.txt")
+PRESET_GEOMETRY = preset_path("twin_wire_zigzag")
 SCHEDULES = [os.path.join(FIXTURES, name + ".schedule.txt")
              for name in ("cp_tied", "rotation11")]
 PROBLEM = ("PROBLEM name=p family=swap_pair_exchange length=3 exchange=2 "

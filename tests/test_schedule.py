@@ -131,7 +131,7 @@ def test_compile_rejects_y_axis_and_planar_exchange():
 
 def test_compile_duration_cap():
     # A 2e-5 s z pulse on the 2-site preset, twice the field-duration cap.
-    assert sched.FIELD_DURATION_CAP == 1e-5
+    assert sched.DURATION_CAP == 1e-5
     angles = zeeman_angles([s.g_factor for s in GEOM2.sites],
                            field_profile(GEOM2, PARALLEL).component("z"), 2e-5)
     c = Circuit(RegisterSpec(2), (GlobalField("z", angles),))
@@ -202,12 +202,12 @@ def test_validate_schedule_catches_row_violation():
 
 def test_field_event_at_the_cap_round_trips_and_replays():
     s = Schedule(RegisterSpec(2),
-                 (FieldEvent(0.0, sched.FIELD_DURATION_CAP, PARALLEL, 1,
+                 (FieldEvent(0.0, sched.DURATION_CAP, PARALLEL, 1,
                              abs(GEOM2.wires[0].current) * 1e3),),
                  GEOM2, "custom", 0)
     text = schedule_to_text(s)
     back = schedule_from_text(text, GEOM2)
-    assert back.events[0].duration <= sched.FIELD_DURATION_CAP
+    assert back.events[0].duration <= sched.DURATION_CAP
     assert schedule_to_text(back) == text
     assert unitary_digest(simulate_schedule(back)) == unitary_digest(
         simulate_schedule(s))

@@ -10,6 +10,7 @@ from globalspin import synth
 from globalspin.circuits import FACTOR_MIN_SPINS, Circuit, Exchange, evaluate
 from globalspin.device import (ANTIPARALLEL, PARALLEL, device_constants,
                                field_profile, twin_wire_preset)
+from globalspin.grammar import preset_path
 from globalspin.linalg import hermitian_expm, max_abs, phase_distance
 from globalspin.spins import (AXES, GlobalField, RegisterSpec, apply_op,
                               exchange_unitary, global_field_unitary,
@@ -353,8 +354,7 @@ def test_bundled_problem_file_round_trips(name):
     # The preset files are the only definition of the bundled problems, and
     # their sha256 is in every synthesize report: writing back what was
     # read must give the same bytes.
-    with open(os.path.join(os.path.dirname(synth.__file__), "presets",
-                           name + ".txt")) as fh:
+    with open(preset_path(name)) as fh:
         text = fh.read()
     assert problem_to_text(problem_from_text(text)) == text
 
