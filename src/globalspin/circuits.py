@@ -47,10 +47,6 @@ class NotUnitary2x2(ValueError):
     """Single-spin compile target is not a 2x2 unitary."""
 
 
-class OverlappingPairs(ValueError):
-    """Simultaneous two-spin ops share a spin."""
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Ordered pulse ops on one register, each checked by spins.check_op.
@@ -151,7 +147,8 @@ def factor(c: Circuit, groups: Optional[Sequence] = None) -> tuple:
 
 def join(parts: tuple, block: int = 0, blocks: int = 1) -> np.ndarray:
     """Row block `block` of `blocks` (a power of two) of the tensor product
-    of factor's parts: the rows whose leading row bits spell block. Each
+    of parts ((group, matrices), ...), factor's or any on ascending groups
+    that tile the spins: the rows whose leading row bits spell block. Each
     entry is 1 times one entry per part in the parts' order, whatever the
     block, so blocks hold the same bits as the whole."""
     n = sum(len(g) for g, _ in parts)
@@ -169,7 +166,7 @@ def join(parts: tuple, block: int = 0, blocks: int = 1) -> np.ndarray:
                      for s, b in enumerate(bits))
         f = f.reshape(lead + tuple(shape))
         u = u * f[(slice(None),) * len(lead) + rows]
-    return u.reshape(lead + (-1, 1 << n))
+    return u.reshape(lead + ((1 << n) // blocks, 1 << n))
 
 
 def _play(reg: RegisterSpec, ops, draws: Optional[int] = None) -> np.ndarray:
@@ -532,7 +529,7 @@ def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Cir
         _check_pair(reg, p, q)
         for s in (p, q):
             if s in seen:
-                raise OverlappingPairs(f"spin {s} appears in two pairs")
+                raise ValueError(f"spin {s} appears in two pairs")
             seen.add(s)
     ops = []
     for op in template.ops:
@@ -544,12 +541,10 @@ def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Cir
                 vec[p] = a_0
                 vec[q] = a_1
             ops.append(GlobalField(op.axis, _field_angles(vec)))
-        elif isinstance(op, (Exchange, XYExchange)):
+        else:
             for p, q in pairs:
                 ops.append(replace(op, i=p if op.i == 0 else q,
                                    j=p if op.j == 0 else q))
-        else:
-            raise TypeError(f"not a pulse op: {op!r}")
     return Circuit(reg, tuple(ops))
 
 
@@ -617,11 +612,9 @@ def circuit_to_text(c: Circuit) -> str:
             lines.append(f"EX {op.i} {op.j} {op.xi:.17g}")
         elif isinstance(op, XYExchange):
             lines.append(f"XY {op.i} {op.j} {op.phi:.17g}")
-        elif isinstance(op, GlobalField):
+        else:
             angles = " ".join(f"{a:.17g}" for a in op.angles)
             lines.append(f"GF {op.axis} {angles}")
-        else:
-            raise TypeError(f"not a pulse op: {op!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -70,12 +70,9 @@ def _json_value(x):
     return str(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def _emit(report: RunReport, fmt: str, stream=None) -> None:
-    stream = stream if stream is not None else sys.stdout
+def _emit(report: RunReport, fmt: str) -> None:
     if fmt == "json-lines":
-        def line(rec):
-            print(json.dumps(rec, allow_nan=False), file=stream)
-
+        line = lambda rec: print(json.dumps(rec, allow_nan=False))
         line({"kind": "header", "command": report.command,
               "seed": report.seed,
               "inputs": [{"path": p, "sha256": d} for p, d in report.inputs]})
@@ -94,10 +91,10 @@ def _emit(report: RunReport, fmt: str, stream=None) -> None:
         line({"kind": "summary", "ok": report.ok,
               "wall_time_s": report.wall_time_s})
         return
-    print(f"globalspin {report.command}", file=stream)
-    print(f"seed = {report.seed}", file=stream)
+    print(f"globalspin {report.command}")
+    print(f"seed = {report.seed}")
     for p, d in report.inputs:
-        print(f"input {p} sha256={d}", file=stream)
+        print(f"input {p} sha256={d}")
     for c in report.checks:
         measured = (f"{c.measured:.6e}" if isinstance(c.measured, float)
                     else str(c.measured))
@@ -107,16 +104,15 @@ def _emit(report: RunReport, fmt: str, stream=None) -> None:
         if c.detail is not None:
             measured += f"  {c.detail}"
         if c.threshold is None:
-            print(f"  {c.name:42s} {measured:>26s}  INFO", file=stream)
+            print(f"  {c.name:42s} {measured:>26s}  INFO")
         else:
             verdict = "PASS" if c.passed else "FAIL"
             print(f"  {c.name:42s} {measured:>26s}  threshold={c.threshold:g}"
-                  f"  {verdict}", file=stream)
+                  f"  {verdict}")
     for st in report.stages:
-        print(f"  stage {st.name:36s} {st.n_in:>12d} -> {st.n_out:<12d}"
-              f"{st.seconds:.3f} s", file=stream)
-    print(f"wall_time_s = {report.wall_time_s:.3f}", file=stream)
-    print(f"overall: {'PASS' if report.ok else 'FAIL'}", file=stream)
+        print(f"  stage {st.name:36s} {st.n_in:>12d} -> {st.n_out:<12d}{st.seconds:.3f} s")
+    print(f"wall_time_s = {report.wall_time_s:.3f}")
+    print(f"overall: {'PASS' if report.ok else 'FAIL'}")
 
 
 def _value(name: str, measured) -> CheckResult:
@@ -193,17 +189,15 @@ def _suite_parallel(rng, tol):
     draw 2k + 1 the same angle on 6; a draw's layout names its register and
     its first pair."""
     angles = np.array([_angle(rng) for _ in range(DRAWS_PER_SUITE // 4)])
-    template, _ = circuits.controlled_phase_circuit(RegisterSpec(2), 0, 1,
-                                                    angles)
+    template, pair_target = circuits.controlled_phase_circuit(
+        RegisterSpec(2), 0, 1, angles)
     values = np.empty((len(angles), 2))
     for col, (n, pairs) in enumerate(((4, ((0, 1), (2, 3))),
                                       (6, ((0, 1), (2, 3), (4, 5))))):
         reg = RegisterSpec(n)
         c = circuits.parallel_apply(template, pairs, reg)
-        # Diagonals multiplied elementwise: a product of the 2^n x 2^n
-        # matrices would wake threaded BLAS for every later suite.
-        target = np.diag(np.prod([np.diagonal(circuits._diag_zz_phase(
-            reg, p, q, math.pi)) for p, q in pairs], axis=0))
+        target = circuits.join(tuple((pair, pair_target.unitary)
+                                     for pair in pairs))
         rep = circuits.verify_target(c, circuits.GateTarget(
             target, frozenset(range(n)), circuits.Equivalence.EXACT), tol)
         values[:, col] = np.maximum(rep.distance, rep.bystander_deviation)
@@ -399,7 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="circuit file, or schedule file with "
                                  "--simulate-only")
     p.add_argument("--geometry", **geometry)
-    p.add_argument("--exchange-ns", type=float, default=10.0)
+    p.add_argument("--exchange-ns", type=float,
+                   default=sched.DEFAULT_EXCHANGE_DURATION * 1e9)
     p.add_argument("--simulate-only", action="store_true")
     p.add_argument("--out", default=None)
     common(p)

@@ -26,10 +26,6 @@ ACTIVE_AXIS = {PARALLEL: "z", ANTIPARALLEL: "x"}
 POSITION_STEP = 1e-11
 
 
-class PointInsideWire(ValueError):
-    """Field requested inside a wire cross-section."""
-
-
 class ZeroFieldSite(ValueError):
     """A site sees no field on the active axis; ratios are undefined."""
 
@@ -103,7 +99,7 @@ class DeviceConstants:
 def line_field(w: WireSpec, point: Tuple[float, float]) -> Tuple[float, float]:
     """Infinite straight-wire field at point: mu0 I/(2 pi |d|^2) (d_z, -d_x)."""
     if w.contains(point):
-        raise PointInsideWire(f"point {point} inside wire at {w.center}")
+        raise ValueError(f"point {point} inside wire at {w.center}")
     dx = point[0] - w.center[0]
     dz = point[1] - w.center[1]
     r2 = dx * dx + dz * dz

@@ -136,8 +136,6 @@ def compile_schedule(c: Circuit, g: DeviceGeometry,
             continue
         if isinstance(op, XYExchange):
             raise UnrealizableAngles(idx, "planar exchange has no device configuration")
-        if not isinstance(op, GlobalField):
-            raise TypeError(f"not a pulse op: {op!r}")
         config = CONFIG_FOR_AXIS.get(op.axis)
         if config is None:
             raise UnrealizableAngles(idx, f"no configuration drives axis {op.axis!r}")

@@ -57,18 +57,6 @@ class IndexOutOfRange(IndexError, ValueError):
     """
 
 
-class EqualIndices(ValueError):
-    """Two-spin operation addressed to a single spin."""
-
-
-class LengthMismatch(ValueError):
-    """Per-spin list does not match the register size."""
-
-
-class NegativeDuration(ValueError):
-    """A time or time integral is negative."""
-
-
 @dataclass(frozen=True)
 class RegisterSpec:
     """N spin-1/2 sites, indices 0..N-1."""
@@ -93,7 +81,7 @@ def _check_pair(reg: RegisterSpec, i: int, j: int) -> None:
     _check_index(reg, i)
     _check_index(reg, j)
     if i == j:
-        raise EqualIndices(f"spin indices coincide: {i}")
+        raise ValueError(f"spin indices coincide: {i}")
 
 
 def site_bits(reg: RegisterSpec, k: int) -> np.ndarray:
@@ -135,11 +123,12 @@ def rotation_2x2(axis: str, angle) -> np.ndarray:
     return m
 
 
-def _frozen(angles: np.ndarray) -> np.ndarray:
-    """A read-only float copy of per-draw angles."""
-    angles = np.array(angles, dtype=float)
-    angles.flags.writeable = False
-    return angles
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy of values: per-draw angles, or an index table that
+    is safe to cache and share between callers."""
+    values = np.array(values, dtype=dtype)
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -221,7 +210,7 @@ def check_op(reg: RegisterSpec, op: PulseOp, draws: int | None = None) -> None:
             raise ValueError(f"axis must be one of {AXES}, got {op.axis!r}")
         shape = (draws, reg.n_spins)
         if not isinstance(angles, np.ndarray) and len(angles) != reg.n_spins:
-            raise LengthMismatch(
+            raise ValueError(
                 f"{len(angles)} angles for register of {reg.n_spins}")
     else:
         _check_pair(reg, op.i, op.j)
@@ -229,7 +218,7 @@ def check_op(reg: RegisterSpec, op: PulseOp, draws: int | None = None) -> None:
         shape = (draws,)
     if isinstance(angles, np.ndarray):
         if angles.shape != shape or not draws:
-            raise LengthMismatch(
+            raise ValueError(
                 f"angles of shape {angles.shape} for {draws} draws "
                 f"on a register of {reg.n_spins}")
         finite = bool(np.isfinite(angles).all())
@@ -381,8 +370,8 @@ def zeeman_angles(g: Sequence[float], b_tesla: Sequence[float],
     gyromagnetic rate is written.
     """
     if len(g) != len(b_tesla):
-        raise LengthMismatch(f"{len(g)} g-factors vs {len(b_tesla)} fields")
+        raise ValueError(f"{len(g)} g-factors vs {len(b_tesla)} fields")
     if profile_integral_s < 0:
-        raise NegativeDuration(f"profile integral {profile_integral_s}")
+        raise ValueError(f"profile integral {profile_integral_s}")
     return tuple(gk * MU_BOHR / HBAR * bk * profile_integral_s
                  for gk, bk in zip(g, b_tesla))

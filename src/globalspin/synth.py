@@ -60,11 +60,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Exchange, GlobalField, _diag_zz_phase, evaluate
+from .circuits import (Circuit, Exchange, GlobalField, controlled_phase_circuit,
+                       evaluate, join)
 from .grammar import fields, keyed, walk
 from .linalg import phase_distance, update_phase_normalized
-from .spins import (AXES, RegisterSpec, exchange_unitary, global_field_unitary,
-                    rotation_2x2, site_bits)
+from .spins import (AXES, RegisterSpec, _frozen, exchange_unitary,
+                    global_field_unitary, rotation_2x2, site_bits)
 
 DEFAULT_BUDGET = 10 ** 9
 # Squared-distance cutoffs for the staged filters; generous against rounding,
@@ -74,15 +75,19 @@ STAGE2_DIST_SQ = 1e-13
 # Bystander draws held per sample; registers up to this many spins beyond the
 # acted pair can be bound from one sample.
 MAX_BYSTANDER_DRAWS = 10
+# Draws per search or verification: a z_difference_rotation search sample
+# takes about 0.24 ms and a verification draw 0.1 ms, so 4096 take ~1 s.
+MAX_SAMPLES = 4096
+# Target entries in a verification table, draws x 4^verify_spins: 268 MB.
+MAX_TABLE_ENTRIES = 1 << 24
+# Slots per word: the budget does not price a word's length, and past 62
+# field letters two letters overflow the int64 word index.
+MAX_LENGTH = 62
 # Words per stage-1 block and per stage-2 batch; both bound the working set.
 _CHUNK = 1 << 15
 _PAIR_CHUNK = 128
 # A problem's name is its default result file's stem: no directory, not hidden.
 _PLAIN_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
-
-
-class EmptyAlphabet(ValueError):
-    pass
 
 
 class BudgetExceeded(RuntimeError):
@@ -148,8 +153,9 @@ class SynthesisProblem:
                 (self.length >= 0, "length must be nonnegative"),
                 (0 <= self.n_exchange <= self.length,
                  f"exchange must be in 0..{self.length}"),
-                (min(self.search_samples, self.verify_samples) >= 1,
-                 "search_samples and verify_samples must be at least 1"),
+                (all(1 <= n <= MAX_SAMPLES for n in (self.search_samples,
+                                                     self.verify_samples)),
+                 f"search_samples and verify_samples must be in 1..{MAX_SAMPLES}"),
                 (2 <= self.verify_spins <= 2 + MAX_BYSTANDER_DRAWS,
                  f"verify_spins must be in 2..{2 + MAX_BYSTANDER_DRAWS}")):
             if not ok:
@@ -275,7 +281,7 @@ def _controlled_phase_sample(rng: np.random.Generator) -> Draw:
     theta = rng.uniform(0.1, 3.0)
     return Draw({"primary": np.concatenate(([theta, theta + math.pi],
                                             _bystanders(rng)))},
-                lambda reg: _diag_zz_phase(reg, 0, 1, math.pi),
+                lambda reg: controlled_phase_circuit(reg, 0, 1)[1].unitary,
                 np.eye(2, dtype=complex))
 
 
@@ -363,13 +369,6 @@ def _bystander_scan(n_field: int, bys_mats: Sequence[np.ndarray],
     return alive
 
 
-def _frozen(values: list) -> np.ndarray:
-    """A read-only index array, safe to cache and share between callers."""
-    a = np.array(values, dtype=np.int64)
-    a.setflags(write=False)
-    return a
-
-
 def _strand_trie(patterns: list) -> tuple:
     """The trie that builds one strand's product for every parity pattern
     of a half and for its complement. A path picks, for each field letter,
@@ -383,11 +382,11 @@ def _strand_trie(patterns: list) -> tuple:
     for step in range(len(patterns[0])):
         row = {h: i for i, h in enumerate(heads)}
         heads = sorted({leaf[:step + 1] for leaf in leaves})
-        levels.append((_frozen([row[h[:-1]] for h in heads]),
-                       _frozen([h[-1] for h in heads])))
+        levels.append((_frozen([row[h[:-1]] for h in heads], np.int64),
+                       _frozen([h[-1] for h in heads], np.int64)))
     row = {h: i for i, h in enumerate(heads)}
-    return (tuple(levels), _frozen([row[p] for p in patterns]),
-            _frozen([row[p] for p in flip]))
+    return (tuple(levels), _frozen([row[p] for p in patterns], np.int64),
+            _frozen([row[p] for p in flip], np.int64))
 
 
 @functools.lru_cache(maxsize=None)
@@ -442,12 +441,6 @@ def _parity_cells(length: int, n_exchange: int, sizes: tuple) -> tuple:
             tuple(None if np.all(n == 1) else n for n in counts))
 
 
-def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a ⊗ b for stacks of 2x2 matrices."""
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
-        a.shape[:-2] + (4, 4))
-
-
 def _term_weights(ex: np.ndarray, n_exchange: int) -> dict:
     """{j: a^(k-j)·c^j} over the SWAP counts j whose weight is nonzero, for
     the pair exchange ex = a·I + c·SWAP taken k = n_exchange times. A
@@ -484,7 +477,8 @@ def _strand_traces(factors: np.ndarray, weights: dict, target: np.ndarray,
         prods = np.broadcast_to(np.eye(2, dtype=complex), (n_words, 1, 2, 2))
         for step, (parents, spins) in enumerate(levels):
             prods = half[:, step, spins] @ prods[:, parents]
-        halves.append(_kron_pairs(prods[:, rows_a], prods[:, rows_b]))
+        halves.append(join((((0,), prods[:, rows_a]),
+                            ((1,), prods[:, rows_b]))))
     pre = halves[0].reshape(n_words, -1, 16)
     # The grid's cells as rows, so a term's gather copies contiguous rows of
     # words, and a zero row last for the padding cell -1.
@@ -531,6 +525,12 @@ def _pair_scan(words: np.ndarray, pair_factors: Sequence[np.ndarray],
     return hits
 
 
+def _check_table(problem: SynthesisProblem, n_samples: int) -> None:
+    if n_samples * 4 ** problem.verify_spins > MAX_TABLE_ENTRIES:
+        raise ValueError(f"{n_samples} draws on {problem.verify_spins} spins "
+                         f"are over the cap {MAX_TABLE_ENTRIES} table entries")
+
+
 def _verify_table(problem: SynthesisProblem, n_samples: int,
                   seed: int) -> tuple:
     """The draw table of final verification: n_samples family draws from
@@ -573,13 +573,14 @@ def enumerate_sequences(problem: SynthesisProblem,
     slot) are removed keeping the first. prune=False skips the bystander
     pre-filter and scores every word, which is only sensible for small
     planted problems; both paths return identical results. The budget
-    bounds words x placements, and then survivors x placements x terms.
+    bounds words x placements, and then survivors x placements x terms;
+    MAX_LENGTH and MAX_TABLE_ENTRIES are checked before any draw.
     """
     marks = [time.perf_counter()]
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if not problem.alphabet:
-        raise EmptyAlphabet(problem.name)
+        raise ValueError(f"problem {problem.name} has no letters")
     family = FAMILIES[problem.family]
     n_letters = len(problem.alphabet)
     n_field = problem.n_field
@@ -595,6 +596,9 @@ def enumerate_sequences(problem: SynthesisProblem,
     if log_needed > math.log(budget) + 64 * math.log(2):
         raise BudgetExceeded(f"at least 10^{log_needed / math.log(10):.6g}",
                              budget)
+    if length > MAX_LENGTH:
+        raise ValueError(f"length {length} is over the cap {MAX_LENGTH}")
+    _check_table(problem, problem.verify_samples)
     n_placements = math.comb(length, k)
     words_total = n_letters ** n_field
     needed = words_total * n_placements
@@ -633,7 +637,8 @@ def enumerate_sequences(problem: SynthesisProblem,
     # Each letter's pair matrix on the first sample, then the exchange's, is
     # hashed once; sequences alike in these classes slot by slot collapse.
     classes = []
-    for m in (*_kron_pairs(pair_factors[0][:, 0], pair_factors[0][:, 1]), ex4):
+    for m in (*join((((0,), pair_factors[0][:, 0]),
+                     ((1,), pair_factors[0][:, 1]))), ex4):
         h = hashlib.sha256()
         update_phase_normalized(h, m)
         classes.append(h.digest())
@@ -704,6 +709,7 @@ def reverify(result: SynthesisResult, problem: SynthesisProblem,
         except KeyError as exc:
             raise ValueError(f"problem {problem.name} has no letter "
                              f"{exc.args[0]!r}") from None
+    _check_table(problem, n_samples)
     table = _verify_table(problem, n_samples, seed)
     checks = []
     for sol, letters in zip(result.solutions, sequences):

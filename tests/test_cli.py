@@ -263,6 +263,35 @@ def test_synthesize_prices_a_long_search_in_logs(capsys, tmp_path, length,
     assert err.startswith("error: search needs at least 10^")
 
 
+# Each row: a preset, an edit of its header, how many of its letters stay,
+# and what the one-line refusal says. The first three ran out of memory or
+# time before their caps: a 25-draw table of 4096 x 4096 targets, and
+# words of 3,000,000 slots that the budget prices as one word.
+@pytest.mark.parametrize("name, old, new, letters, says", [
+    ("planted_swap", "verify_spins=3", "verify_spins=12", 2,
+     "25 draws on 12 spins are over the cap 16777216 table entries"),
+    ("planted_cp", "length=4 exchange=2 ", "length=3000000 exchange=0 ", 1,
+     "length 3000000 is over the cap 62"),
+    ("planted_swap", "length=3 exchange=2 ",
+     "length=3000000 exchange=2999999 ", 1, "length 3000000 is over the cap 62"),
+    ("planted_cp", "name=planted_cp", "name=empty", 0,
+     "problem empty has no letters"),
+])
+def test_synthesize_refuses_what_it_cannot_hold(capsys, tmp_path, name, old,
+                                                new, letters, says):
+    with open(preset_path(name)) as fh:
+        lines = fh.read().splitlines(keepends=True)
+    path = tmp_path / "big.txt"
+    path.write_text(lines[0].replace(old, new) + "".join(lines[1:1 + letters]))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "synthesize", "--problem", str(path),
+                             "--out", str(tmp_path / "out.txt"))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert says in err
+
+
 def test_synthesize_missing_problem(capsys):
     code, _, err = run_cli(capsys, "synthesize", "--problem", "no_such_thing")
     assert code == 2
@@ -749,6 +778,10 @@ GOOD_LETTER = "LETTER primary z +\n"
     (PROBLEM_HEADER.replace("search_samples=8", "search_samples=0")
      + GOOD_LETTER, 1),
     (PROBLEM_HEADER.replace("verify_samples=25", "verify_samples=0")
+     + GOOD_LETTER, 1),
+    (PROBLEM_HEADER.replace("search_samples=8", "search_samples=100000000")
+     + GOOD_LETTER, 1),
+    (PROBLEM_HEADER.replace("verify_samples=25", "verify_samples=30000000")
      + GOOD_LETTER, 1),
     (PROBLEM_HEADER.replace("verify_spins=3", "verify_spins=1") + GOOD_LETTER,
      1),

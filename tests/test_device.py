@@ -6,7 +6,7 @@ import pytest
 from globalspin import device as dev
 from globalspin.device import (ANTIPARALLEL, PARALLEL,
                                DeviceGeometry, NonpositiveGradient,
-                               PointInsideWire, WireSpec,
+                               WireSpec,
                                ZeroFieldSite, device_constants, error_budget,
                                field_profile, gate_time_estimate,
                                geometry_from_text, geometry_to_text,
@@ -32,7 +32,8 @@ def test_line_field_magnitude_and_direction():
 
 def test_line_field_rejects_interior_point():
     w = WireSpec((0.0, 0.0), (1e-7, 1e-7), 1e-3, 1e12)
-    with pytest.raises(PointInsideWire):
+    with pytest.raises(ValueError, match=r"^point \(1e-08, 0\.0\) inside "
+                       r"wire at \(0\.0, 0\.0\)$"):
         line_field(w, (1e-8, 0.0))
 
 

@@ -15,7 +15,7 @@ from globalspin.linalg import hermitian_expm, max_abs, phase_distance
 from globalspin.spins import (AXES, GlobalField, RegisterSpec, apply_op,
                               exchange_unitary, global_field_unitary,
                               spin_operator)
-from globalspin.synth import (BudgetExceeded, EmptyAlphabet, PulseTemplate,
+from globalspin.synth import (BudgetExceeded, PulseTemplate,
                               SynthesisProblem, enumerate_sequences,
                               global_hadamard_search, problem_from_text,
                               problem_to_text, result_to_text, reverify)
@@ -109,9 +109,26 @@ def test_budget_enforced_before_search(bundled):
     assert info.value.needed > info.value.budget == 3
 
 
+def test_sample_and_table_caps(bundled):
+    p = bundled("planted_swap")
+    dataclasses.replace(p, search_samples=synth.MAX_SAMPLES,
+                        verify_samples=synth.MAX_SAMPLES)
+    for key in ("search_samples", "verify_samples"):
+        with pytest.raises(ValueError, match=r"must be in 1\.\.4096$"):
+            dataclasses.replace(p, **{key: synth.MAX_SAMPLES + 1})
+    result = enumerate_sequences(p)
+    # 4^3 target entries per draw on 3 spins: one draw over the cap.
+    with pytest.raises(ValueError, match="over the cap 16777216 table entries$"):
+        reverify(result, p, n_samples=synth.MAX_TABLE_ENTRIES // 4 ** 3 + 1)
+    with pytest.raises(ValueError, match="over the cap 16777216 table entries$"):
+        enumerate_sequences(dataclasses.replace(p, verify_spins=12,
+                                                verify_samples=2))
+
+
 def test_empty_alphabet(bundled):
     p = dataclasses.replace(bundled("planted_swap"), alphabet=())
-    with pytest.raises(EmptyAlphabet):
+    with pytest.raises(ValueError,
+                       match=r"^problem planted_swap has no letters$"):
         enumerate_sequences(p)
 
 
