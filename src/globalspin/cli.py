@@ -1,10 +1,10 @@
 """Command line front end: identity verification, sequence synthesis, device
 analysis, and schedule compilation as reproducible commands.
 
-Every command embeds its seed and the sha256 of each input file in the
-report, so any published number can be re-derived from the command line
-alone. Exit codes: 0 all checks pass, 1 check failure, 2 input error,
-3 search budget exceeded, 4 unschedulable circuit.
+Every report embeds the sha256 of each input file, and a drawing command
+(verify, synthesize) its seed, so any number it prints can be re-derived
+from the command line alone. Exit codes: 0 all checks pass, 1 check
+failure, 2 input error, 3 search budget exceeded, 4 unschedulable circuit.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class CheckResult:
 @dataclass(frozen=True)
 class RunReport:
     command: str
-    seed: int
+    seed: Optional[int]  # None for a command that draws nothing
     inputs: tuple  # (path, sha256) pairs
     checks: tuple
     wall_time_s: float
@@ -92,7 +92,8 @@ def _emit(report: RunReport, fmt: str) -> None:
               "wall_time_s": report.wall_time_s})
         return
     print(f"globalspin {report.command}")
-    print(f"seed = {report.seed}")
+    if report.seed is not None:
+        print(f"seed = {report.seed}")
     for p, d in report.inputs:
         print(f"input {p} sha256={d}")
     for c in report.checks:
@@ -304,7 +305,7 @@ def cmd_device(args) -> RunReport:
             fh.write("site,Bx_mT,Bz_mT\n")
             for k, bx, bz in rows:
                 fh.write(f"{k},{bx:.9g},{bz:.9g}\n")
-    return RunReport(command="device", seed=args.seed,
+    return RunReport(command="device", seed=None,
                      inputs=(entry,), checks=tuple(checks), wall_time_s=0.0)
 
 
@@ -351,7 +352,7 @@ def cmd_schedule(args) -> RunReport:
     for item in sched.validate_schedule(s).checks:
         checks.append(CheckResult(item.name, 1.0 if item.ok else 0.0, 1.0,
                                   item.ok, detail=item.detail))
-    return RunReport(command="schedule", seed=args.seed,
+    return RunReport(command="schedule", seed=None,
                      inputs=(geom_entry, entry), checks=tuple(checks),
                      wall_time_s=0.0, stages=tuple(stages))
 
@@ -362,15 +363,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Global-field spin-chain control toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, seeded=False):
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("human", "json-lines"),
                        default="human")
 
     p = sub.add_parser("verify", help="run the pulse identity suites")
     p.add_argument("--suite", choices=("all",) + VERIFY_SUITES, default="all")
     p.add_argument("--tol", type=float, default=1e-10)
-    common(p)
+    common(p, seeded=True)
 
     p = sub.add_parser("synthesize", help="search for pulse sequences")
     p.add_argument("--problem", required=True,
@@ -378,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=synth.DEFAULT_BUDGET)
     p.add_argument("--require-solution", action="store_true")
     p.add_argument("--out", default=None)
-    common(p)
+    common(p, seeded=True)
 
     geometry = {"default": "twin_wire_zigzag",
                 "help": "geometry file path or preset name"}

@@ -8,13 +8,13 @@ filtered on a single-bystander register, then surviving words are scored on
 the acted pair for every exchange placement, and finally the few candidates
 are re-verified as full circuits on a wider register with fresh draws.
 
-Every stage reads one draw table. A family's sample(rng) returns, per
-symbol, one angle vector over the acted pair and MAX_BYSTANDER_DRAWS
-bystanders, together with the target on any register the pair heads and
-the gate every bystander must see. The bystander filter plays a letter's
-first bystander angle, the pair filter its two pair angles, and final
-verification as many as its register has, so the stages cannot disagree
-about what a letter is.
+Every stage reads one draw table (_draw_table). A family's sample(rng)
+returns, per symbol, one angle vector over the acted pair and
+MAX_BYSTANDER_DRAWS bystanders, the pair's 4x4 gate and each bystander's
+2x2 gate; a register's target is their tensor product. The bystander
+filter plays a letter's first bystander angle, the pair filter its two
+pair angles, and final verification as many as its register has, so the
+stages cannot disagree about what a letter is.
 
 Both filters meet in the middle (after Amy, Maslov, Mosca and Roetteler,
 IEEE TCAD 32, 818 (2013)): a sequence's product is S·P, a suffix times a
@@ -36,11 +36,11 @@ identity term.
 Filters use loose thresholds and exist only to cut the space; membership in
 the result is decided solely by the final verification at the problem
 tolerance. Final verification draws its verify_samples draws once per
-search (and once per reverify call) from one seed, stacks each letter's
-angles as one (B, n) array and the targets as (B, 2^n, 2^n), and plays
-each word as one Circuit of B draws through circuits.evaluate, scored by
-one batched phase distance. It takes the worst over every draw and reports
-that draw's index.
+search (and once per reverify call) from one seed, takes each letter's
+angles as one (B, n) array and the targets as the (B, 2^n, 2^n) join of
+the pair and bystander gates, and plays each word as one Circuit of B
+draws through circuits.evaluate, scored by one batched phase distance. It
+takes the worst over every draw and reports that draw's index.
 
 Only the Hadamard search needs scipy, and it imports scipy.optimize on its
 first optimizer call, so no other caller of this module loads scipy.
@@ -207,16 +207,16 @@ class SynthesisResult:
 
 @dataclass(frozen=True, eq=False)
 class Draw:
-    """One parameter draw of a family, the table every search stage reads.
+    """One parameter draw of a family.
 
     angles[symbol] holds the symbol's angles on the pair (spins 0 and 1)
     and then on MAX_BYSTANDER_DRAWS bystanders; a letter plays sign * angles
-    about its axis. target(reg) is the gate on a register of the pair and
-    its first bystanders, and bystander is the gate each bystander must see.
+    about its axis. pair is the 4x4 gate the pair must see, and
+    bystanders[k] the 2x2 gate bystander k must see.
     """
     angles: dict
-    target: Callable[[RegisterSpec], np.ndarray]
-    bystander: np.ndarray
+    pair: np.ndarray
+    bystanders: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -230,9 +230,13 @@ def _bystanders(rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(0.1, 3.0, size=MAX_BYSTANDER_DRAWS)
 
 
-def _z_target(angles: np.ndarray) -> Callable[[RegisterSpec], np.ndarray]:
-    return lambda reg: global_field_unitary(
-        reg, GlobalField("z", angles[:reg.n_spins]))
+@functools.cache
+def _shared_gates() -> tuple:
+    """Bystanders at rest and the controlled phase on the pair, built once,
+    on first use: at import they would cost every command memory."""
+    return (_frozen(rotation_2x2("z", np.zeros(MAX_BYSTANDER_DRAWS)), complex),
+            _frozen(controlled_phase_circuit(RegisterSpec(2), 0, 1)[1].unitary,
+                    complex))
 
 
 def _rotation_sample(rng: np.random.Generator) -> Draw:
@@ -255,13 +259,12 @@ def _rotation_sample(rng: np.random.Generator) -> Draw:
     f = _bystanders(rng)
     ratio = (t_i - t_j) / (t_i + t_j)
     x_dark = np.concatenate(([d, d + math.pi], c))
-    rotation = np.zeros(2 + MAX_BYSTANDER_DRAWS)
-    rotation[0] = 2.0 * (t_i - t_j)
     return Draw({"primary": primary, "companion": ratio * primary,
                  "merged": (1.0 + ratio) * primary, "pi_step": x_dark,
                  "x_dark": x_dark,
                  "z_dark": np.concatenate(([e, e + math.pi], f))},
-                _z_target(rotation), np.eye(2, dtype=complex))
+                global_field_unitary(RegisterSpec(2), GlobalField(
+                    "z", (2.0 * (t_i - t_j), 0.0))), _shared_gates()[0])
 
 
 def _swap_sample(rng: np.random.Generator) -> Draw:
@@ -272,17 +275,16 @@ def _swap_sample(rng: np.random.Generator) -> Draw:
             break
     b = _bystanders(rng)
     return Draw({"primary": np.concatenate(([v_i, v_j], b))},
-                _z_target(np.concatenate(([v_j, v_i], b))),
-                rotation_2x2("z", b[0]))
+                global_field_unitary(RegisterSpec(2), GlobalField(
+                    "z", (v_j, v_i))), rotation_2x2("z", b))
 
 
 def _controlled_phase_sample(rng: np.random.Generator) -> Draw:
     """Ising-type pair phase from two half exchanges around a flipped pulse."""
     theta = rng.uniform(0.1, 3.0)
+    at_rest, pair = _shared_gates()
     return Draw({"primary": np.concatenate(([theta, theta + math.pi],
-                                            _bystanders(rng)))},
-                lambda reg: controlled_phase_circuit(reg, 0, 1)[1].unitary,
-                np.eye(2, dtype=complex))
+                                            _bystanders(rng)))}, pair, at_rest)
 
 
 FAMILIES = {f.name: f for f in (
@@ -308,20 +310,6 @@ def _slot_letters(word: Sequence[int], slots: tuple, length: int) -> list:
     """The letter index at each slot in time order, None at exchange slots."""
     letters = iter(word)
     return [None if s in slots else int(next(letters)) for s in range(length)]
-
-
-def _sample_matrices(problem: SynthesisProblem, draw: Draw) -> tuple:
-    """Per-letter bystander matrices (n_letters, 2, 2) of one draw, the
-    spin-0 and spin-1 factors (n_letters, 2, 2, 2) of each letter on the
-    acted pair, and the draw's targets for both registers."""
-    n_letters = len(problem.alphabet)
-    bm = np.empty((n_letters, 2, 2), dtype=complex)
-    pf = np.empty((n_letters, 2, 2, 2), dtype=complex)
-    for li, tpl in enumerate(problem.alphabet):
-        angles = tpl.sign * draw.angles[tpl.symbol]
-        bm[li] = rotation_2x2(tpl.axis, angles[2])
-        pf[li] = [rotation_2x2(tpl.axis, a) for a in angles[:2]]
-    return bm, pf, draw.bystander, draw.target(RegisterSpec(2))
 
 
 def _word_products(mats: np.ndarray, length: int) -> np.ndarray:
@@ -526,26 +514,37 @@ def _pair_scan(words: np.ndarray, pair_factors: Sequence[np.ndarray],
 
 
 def _check_table(problem: SynthesisProblem, n_samples: int) -> None:
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if n_samples * 4 ** problem.verify_spins > MAX_TABLE_ENTRIES:
         raise ValueError(f"{n_samples} draws on {problem.verify_spins} spins "
                          f"are over the cap {MAX_TABLE_ENTRIES} table entries")
 
 
+def _draw_table(problem: SynthesisProblem, n: int,
+                rng: np.random.Generator) -> tuple:
+    """n family draws from rng, in sampling order: each letter's signed
+    angles (n_letters, n, 2 + MAX_BYSTANDER_DRAWS), the pair gates
+    (n, 4, 4) and the bystander gates (n, MAX_BYSTANDER_DRAWS, 2, 2)."""
+    draws = [FAMILIES[problem.family].sample(rng) for _ in range(n)]
+    angles = np.array([[tpl.sign * d.angles[tpl.symbol] for d in draws]
+                       for tpl in problem.alphabet])
+    return (angles, np.array([d.pair for d in draws]),
+            np.array([d.bystanders for d in draws]))
+
+
 def _verify_table(problem: SynthesisProblem, n_samples: int,
                   seed: int) -> tuple:
-    """The draw table of final verification: n_samples family draws from
-    one seed, in sampling order, on problem.verify_spins spins. Returns the
-    register, one field per letter holding a row of angles per draw, and
-    the (B, 2^n, 2^n) stack of targets. Every word is scored against the
-    same table."""
-    sample = FAMILIES[problem.family].sample
-    rng = np.random.default_rng(seed)
-    draws = [sample(rng) for _ in range(n_samples)]
+    """Final verification's table of n_samples draws from seed: the
+    register of problem.verify_spins spins, one field of per-draw angle rows
+    per letter, and the (B, 2^n, 2^n) join of pair and bystander gates."""
+    angles, pairs, bystanders = _draw_table(problem, n_samples,
+                                            np.random.default_rng(seed))
     reg = RegisterSpec(problem.verify_spins)
-    fields = tuple(GlobalField(tpl.axis, np.array(
-        [tpl.sign * d.angles[tpl.symbol][:reg.n_spins] for d in draws]))
-                   for tpl in problem.alphabet)
-    return reg, fields, np.array([d.target(reg) for d in draws])
+    fields = tuple(GlobalField(tpl.axis, a[:, :reg.n_spins])
+                   for tpl, a in zip(problem.alphabet, angles))
+    return reg, fields, join((((0, 1), pairs), *(
+        ((k + 2,), bystanders[:, k]) for k in range(reg.n_spins - 2))))
 
 
 def _draw_distances(problem: SynthesisProblem, table: tuple,
@@ -581,7 +580,6 @@ def enumerate_sequences(problem: SynthesisProblem,
         raise ValueError(f"budget must be at least 1, got {budget}")
     if not problem.alphabet:
         raise ValueError(f"problem {problem.name} has no letters")
-    family = FAMILIES[problem.family]
     n_letters = len(problem.alphabet)
     n_field = problem.n_field
     # Priced first from below, in logs: an exact count far over budget can
@@ -605,40 +603,40 @@ def enumerate_sequences(problem: SynthesisProblem,
     if needed > budget:
         raise BudgetExceeded(needed, budget)
 
-    rng = np.random.default_rng(seed)
-    bys_mats, pair_factors, bys_targets, pair_targets = zip(
-        *(_sample_matrices(problem, family.sample(rng))
-          for _ in range(problem.search_samples)))
+    angles, pair_targets, bystanders = _draw_table(
+        problem, problem.search_samples, np.random.default_rng(seed))
+    # Each letter's factors on spins 0, 1 and 2: a contiguous (S, n_letters,
+    # 2, 2) stack per spin; strided views cost the scan 1.3 MB of peak RSS.
+    spin = np.stack([rotation_2x2(tpl.axis, a[:, :3].T)
+                     for tpl, a in zip(problem.alphabet, angles)], axis=2)
+    pair_factors = np.stack(spin[:2], axis=2)
     ex4 = exchange_unitary(RegisterSpec(2), 0, 1, problem.xi)
-    weights = _term_weights(ex4, problem.n_exchange)
+    weights = _term_weights(ex4, k)
 
     if prune and n_field > 0:
-        survivors = _bystander_scan(n_field, bys_mats, bys_targets)
+        survivors = _bystander_scan(n_field, spin[2], bystanders[:, 0])
     else:
         survivors = np.arange(words_total, dtype=np.int64)
     # At most this many strand terms per placement, and at least one full
     # batch of words: the table is built and gathered whole for any batch.
-    terms = min(sum(math.comb(problem.n_exchange, j) for j in weights),
-                len(weights) << min(problem.n_exchange, n_field))
+    terms = min(sum(math.comb(k, j) for j in weights),
+                len(weights) << min(k, n_field))
     needed = max(survivors.size, _PAIR_CHUNK) * n_placements * terms
     if needed > budget:
         raise BudgetExceeded(needed, budget)
     marks.append(time.perf_counter())
 
-    placements = list(itertools.combinations(range(problem.length),
-                                             problem.n_exchange))
+    placements = list(itertools.combinations(range(length), k))
     words = _word_digits(survivors, n_field, n_letters)
     candidates = [(words[row], placements[p])
                   for row, p in _pair_scan(words, pair_factors, pair_targets,
-                                           weights, problem.length,
-                                           problem.n_exchange)]
+                                           weights, length, k)]
     marks.append(time.perf_counter())
 
     # Each letter's pair matrix on the first sample, then the exchange's, is
     # hashed once; sequences alike in these classes slot by slot collapse.
     classes = []
-    for m in (*join((((0,), pair_factors[0][:, 0]),
-                     ((1,), pair_factors[0][:, 1]))), ex4):
+    for m in (*join((((0,), spin[0, 0]), ((1,), spin[1, 0]))), ex4):
         h = hashlib.sha256()
         update_phase_normalized(h, m)
         classes.append(h.digest())

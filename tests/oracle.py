@@ -8,7 +8,9 @@ call the package's builders with floats; the local-z distance with its
 refinement; final verification's word loop, which plays every word on
 the whole register with the pulse kernel, never group by group; and the
 unitary digest taken over the whole matrix at once, never row block by
-row block."""
+row block. A synthesis target is built as the Kronecker product of a
+family draw's pair and bystander gates, against final verification's
+join."""
 
 import cmath
 import hashlib
@@ -191,6 +193,15 @@ def local_z_aligned_distance(u, target, n_spins, i, j):
     d = np.where(bi == 0, pv[0], pv[1]) * np.where(bj == 0, qv[0], qv[1])
     return float(np.linalg.norm(u - d[:, None] * target)
                  / math.sqrt(1 << n_spins))
+
+
+def register_target(draw, n_spins):
+    """A synthesis family draw's target on the pair and its first
+    n_spins - 2 bystanders: the Kronecker product of its gates."""
+    target = draw.pair
+    for gate in draw.bystanders[:n_spins - 2]:
+        target = np.kron(target, gate)
+    return target
 
 
 def draw_distances(problem, table, letters):

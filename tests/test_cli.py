@@ -1,9 +1,12 @@
 import argparse
+import ast
 import dataclasses
 import json
 import math
 import os
+import re
 import shlex
+import signal
 import time
 import tracemalloc
 
@@ -315,26 +318,32 @@ def test_readme_command_lines_parse():
 
 
 def test_every_option_has_a_caller():
-    # Each option the parser defines is passed somewhere: by a test, or by
-    # a benchmark workload. An option nothing passes is one to delete.
+    # Each option a subcommand defines is passed to that subcommand
+    # somewhere: by a test, or by a benchmark workload. A caller is one
+    # function that names both the subcommand and the option. An option no
+    # function passes to its subcommand is one to delete.
     here = os.path.dirname(__file__)
     paths = [os.path.join(here, f) for f in os.listdir(here)
              if f.endswith(".py")]
     paths.append(os.path.join(here, os.pardir, "perfbench", "workloads.py"))
-    sources = []
+    callers = []
     for path in paths:
         with open(path) as fh:
-            sources.append(fh.read())
+            tree = ast.parse(fh.read())
+        callers += [{n.value for n in ast.walk(f) if isinstance(n, ast.Constant)
+                     and isinstance(n.value, str)}
+                    for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
     subparsers = [a for a in cli._build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)]
-    options = {opt for sub in subparsers for p in sub.choices.values()
-               for a in p._actions for opt in a.option_strings} - {"-h",
-                                                                  "--help"}
-    assert "--geometry" in options
-    unused = sorted(opt for opt in options
-                    if not any(f'"{opt}"' in src or f"'{opt}'" in src
-                               for src in sources))
+    arguments = [(name, a) for sub in subparsers
+                 for name, p in sub.choices.items() for a in p._actions
+                 if a.dest != "help"]
+    options = {(name, opt) for name, a in arguments for opt in a.option_strings}
+    assert ("schedule", "--geometry") in options
+    unused = sorted(pair for pair in options
+                    if not any(set(pair) <= names for names in callers))
     assert unused == []
+    assert len(arguments) == 20  # schedule's input among them
 
 
 def test_device_preset_report(capsys):
@@ -820,3 +829,90 @@ def test_malformed_problem_exits_2_with_one_line(capsys, tmp_path, text, line):
     assert err.startswith(f"error: line {line}: ")
     assert "Traceback" not in err
     assert not out_file.exists()
+
+
+# The seeded mutation test: MUTANTS_PER_SOURCE one-change mutants of each
+# bundled input, each run through its command in-process.
+MUTATION_SEED = 2023
+MUTANTS_PER_SOURCE = 50
+MUTANT_WALL_S = 1.0
+MUTANT_TOKENS = ("nan", "inf", "-inf", "0", "-0", "1e308", "1e-320",
+                 str(2 ** 66), "", "junk")
+
+
+def mutate(text, rng):
+    """text with one change: a token (a run between spaces, =, commas and
+    parentheses) replaced by one of MUTANT_TOKENS, or a line deleted,
+    duplicated or swapped with the next."""
+    lines = text.splitlines(keepends=True)
+    k = int(rng.integers(len(lines)))
+    kind = int(rng.integers(5))
+    if kind == 0:
+        del lines[k]
+    elif kind == 1:
+        lines.insert(k, lines[k])
+    elif kind == 2 and k + 1 < len(lines):
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
+    else:
+        spans = [m.span() for line in lines[k:k + 1]
+                 for m in re.finditer(r"[^\s=,()]+", line)]
+        if spans:
+            a, b = spans[int(rng.integers(len(spans)))]
+            token = MUTANT_TOKENS[int(rng.integers(len(MUTANT_TOKENS)))]
+            lines[k] = lines[k][:a] + token + lines[k][b:]
+    return "".join(lines)
+
+
+class _Overrun(Exception):
+    pass
+
+
+def _raise_overrun(signum, frame):
+    raise _Overrun
+
+
+def test_mutated_inputs_run_or_exit_with_one_line(capsys, tmp_path):
+    # Every mutant runs (exit 0, or 1 for a failed check) or is refused
+    # with exit 2, 3 or 4 and one stderr line, within MUTANT_WALL_S. An
+    # exception out of main is a traceback, and fails the test.
+    circuit = write_rotation_circuit(tmp_path / "rotation.circuit.txt", 4)
+    out = str(tmp_path / "out.txt")
+    fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+    sources = [
+        (preset_path("planted_swap"), ["synthesize", "--problem", "{path}",
+                                       "--out", out]),
+        (preset_path("planted_cp"), ["synthesize", "--problem", "{path}",
+                                     "--out", out]),
+        (preset_path("twin_wire_zigzag"), ["device", "--geometry", "{path}"]),
+        (os.path.join(fixtures, "cp_tied.schedule.txt"),
+         ["schedule", "{path}", "--simulate-only"]),
+        (os.path.join(fixtures, "rotation11.schedule.txt"),
+         ["schedule", "{path}", "--simulate-only"]),
+        (str(circuit), ["schedule", "{path}", "--out", out]),
+    ]
+    rng = np.random.default_rng(MUTATION_SEED)
+    mutant = tmp_path / "mutant.txt"
+    previous = signal.signal(signal.SIGALRM, _raise_overrun)
+    try:
+        for source, argv in sources:
+            with open(source) as fh:
+                text = fh.read()
+            for k in range(MUTANTS_PER_SOURCE):
+                mutant.write_text(mutate(text, rng))
+                case = (source, k, mutant.read_text())
+                signal.setitimer(signal.ITIMER_REAL, 2 * MUTANT_WALL_S)
+                t0 = time.perf_counter()
+                try:
+                    code, _, err = run_cli(capsys, *(a.format(path=mutant)
+                                                     for a in argv))
+                except _Overrun:
+                    pytest.fail(f"over {2 * MUTANT_WALL_S} s: {case}")
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                assert time.perf_counter() - t0 <= MUTANT_WALL_S, case
+                assert code in (0, 1, 2, 3, 4), case
+                if code >= 2:
+                    assert err.count("\n") == 1 and err.startswith("error: "), (
+                        case, err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -14,7 +14,7 @@ from globalspin.grammar import preset_path
 from globalspin.linalg import hermitian_expm, max_abs, phase_distance
 from globalspin.spins import (AXES, GlobalField, RegisterSpec, apply_op,
                               exchange_unitary, global_field_unitary,
-                              spin_operator)
+                              rotation_2x2, spin_operator)
 from globalspin.synth import (BudgetExceeded, PulseTemplate,
                               SynthesisProblem, enumerate_sequences,
                               global_hadamard_search, problem_from_text,
@@ -123,6 +123,10 @@ def test_sample_and_table_caps(bundled):
     with pytest.raises(ValueError, match="over the cap 16777216 table entries$"):
         enumerate_sequences(dataclasses.replace(p, verify_spins=12,
                                                 verify_samples=2))
+    for n_samples in (0, -3):
+        with pytest.raises(ValueError, match=rf"^n_samples must be at least "
+                                             rf"1, got {n_samples}$"):
+            reverify(result, p, n_samples=n_samples)
 
 
 def test_empty_alphabet(bundled):
@@ -182,31 +186,60 @@ def test_labels_name_the_axis_when_symbol_and_sign_repeat(bundled):
     assert all(c.passed for c in checks)
 
 
+def search_samples(p, rng, n=1):
+    """The search's matrices for n draws from rng: per draw, each letter's
+    first-bystander factor (n, L, 2, 2) and pair factors (n, L, 2, 2, 2),
+    then the bystander target (n, 2, 2) and the pair target (n, 4, 4)."""
+    angles, pairs, bystanders = synth._draw_table(p, n, rng)
+    f = np.stack([rotation_2x2(tpl.axis, a[:, :3])
+                  for tpl, a in zip(p.alphabet, angles)], axis=1)
+    return f[:, :, 2], f[:, :, :2], bystanders[:, 0], pairs
+
+
+def family_problem(name, spins):
+    """Every letter of a family, on a register of spins."""
+    alphabet = tuple(PulseTemplate(axis, symbol, sign)
+                     for symbol in synth.FAMILIES[name].symbols
+                     for axis in "xz" for sign in (1, -1))
+    return SynthesisProblem(name="tables", family=name, length=1,
+                            n_exchange=0, alphabet=alphabet, xi=math.pi,
+                            verify_spins=spins)
+
+
 def test_family_draw_tables_agree_across_registers():
-    # Every stage reads one draw: the 3-spin field a letter plays in final
-    # verification is its pair letter times its bystander letter, and the
-    # 3-spin target is the pair target times the bystander gate.
-    reg2 = RegisterSpec(2)
+    # Every stage reads one draw table: the 3-spin field a letter plays in
+    # final verification is the search's pair factors times its first
+    # bystander factor, and the 3-spin target is the pair gate times the
+    # first bystander gate.
     for name, family in synth.FAMILIES.items():
-        alphabet = tuple(PulseTemplate(axis, symbol, sign)
-                         for symbol in family.symbols for axis in "xz"
-                         for sign in (1, -1))
-        p = SynthesisProblem(name="tables", family=name, length=1,
-                             n_exchange=0, alphabet=alphabet, xi=math.pi,
-                             verify_spins=3)
+        p = family_problem(name, 3)
         reg3, fields, targets = synth._verify_table(p, 3, seed=31)
+        bm, pf, _, _ = search_samples(p, np.random.default_rng(31), 3)
         rng = np.random.default_rng(31)
         for k in range(3):
             draw = family.sample(rng)
-            bm, pf, _, _ = synth._sample_matrices(p, draw)
             for li, field in enumerate(fields):
                 played = np.broadcast_to(np.eye(8, dtype=complex),
                                          (3, 8, 8)).copy()
                 apply_op(played, reg3, field)
-                want = np.kron(np.kron(pf[li, 0], pf[li, 1]), bm[li])
+                want = np.kron(np.kron(pf[k, li, 0], pf[k, li, 1]), bm[k, li])
                 assert max_abs(played[k] - want) <= 1e-14
-            assert max_abs(targets[k]
-                           - np.kron(draw.target(reg2), draw.bystander)) <= 1e-14
+            assert max_abs(targets[k] - oracle.register_target(draw, 3)) <= 1e-14
+
+
+@pytest.mark.parametrize("spins", range(2, 9))
+def test_joined_targets_equal_the_kron_oracle_bit_for_bit(spins):
+    # Final verification joins the pair gate and the bystander gates; the
+    # oracle takes their Kronecker product. Both multiply the same entries
+    # in the same order, so only the sign of a zero may differ (join starts
+    # from ones).
+    for name, family in synth.FAMILIES.items():
+        p = family_problem(name, spins)
+        _, _, targets = synth._verify_table(p, 4, seed=spins)
+        rng = np.random.default_rng(spins)
+        want = np.array([oracle.register_target(family.sample(rng), spins)
+                         for _ in range(4)])
+        assert (targets + 0.0).tobytes() == (want + 0.0).tobytes(), name
 
 
 def draw_circuit(p, word, slots, draw):
@@ -232,7 +265,7 @@ def oracle_distances(p, word, slots, n_samples, seed):
     for _ in range(n_samples):
         draw = synth.FAMILIES[p.family].sample(rng)
         out.append(phase_distance(evaluate(draw_circuit(p, word, slots, draw)),
-                                  draw.target(reg)))
+                                  oracle.register_target(draw, reg.n_spins)))
     return np.array(out)
 
 
@@ -288,7 +321,8 @@ def replay_worst_draw(p, sol, seed):
     for _ in range(sol.worst_draw + 1):
         draw = synth.FAMILIES[p.family].sample(rng)
     c = draw_circuit(p, solution_word(p, sol), sol.exchange_slots, draw)
-    return phase_distance(evaluate(c), draw.target(RegisterSpec(p.verify_spins)))
+    return phase_distance(evaluate(c),
+                          oracle.register_target(draw, p.verify_spins))
 
 
 def test_worst_draw_replays_alone(bundled, rotation_seed0):
@@ -631,9 +665,8 @@ def test_half_word_traces_equal_slot_products():
     rng = np.random.default_rng(20240)
     for k in range(24):
         p, _ = _random_problem(rng, planted=k % 2 == 0)
-        family = synth.FAMILIES[p.family]
-        s = family.sample(np.random.default_rng(int(rng.integers(1 << 30))))
-        bm, _, bt, _ = synth._sample_matrices(p, s)
+        bm, _, bt, _ = (m[0] for m in search_samples(
+            p, np.random.default_rng(int(rng.integers(1 << 30)))))
         n_letters = len(p.alphabet)
         idx = np.arange(n_letters ** p.n_field, dtype=np.int64)
         words = synth._word_digits(idx, p.n_field, n_letters)
@@ -672,11 +705,11 @@ def test_strand_traces_equal_slot_products():
             p = SynthesisProblem(name="random", family=family, length=length,
                                  n_exchange=n_exchange, alphabet=alphabet,
                                  xi=xi)
-            draw = synth.FAMILIES[family].sample(rng)
-            _, pf, _, pt = synth._sample_matrices(p, draw)
+            angles, (pt,), _ = synth._draw_table(p, 1, rng)
+            pf = np.array([[rotation_2x2(tpl.axis, v) for v in a[0, :2]]
+                           for tpl, a in zip(alphabet, angles)])
             pm = [global_field_unitary(RegisterSpec(2), GlobalField(
-                tpl.axis, tpl.sign * draw.angles[tpl.symbol][:2]))
-                  for tpl in alphabet]
+                tpl.axis, a[0, :2])) for tpl, a in zip(alphabet, angles)]
             ex4 = exchange_unitary(RegisterSpec(2), 0, 1, xi)
             words = rng.integers(len(alphabet), size=(5, p.n_field))
             traces = synth._strand_traces(
@@ -789,9 +822,7 @@ def test_pair_scan_hits_alike_with_every_term_kept(bundled, seed):
     # term per placement) or kept (all 16).
     p = bundled("z_difference_rotation")
     rng = np.random.default_rng(seed)
-    sample = synth.FAMILIES[p.family].sample
-    bm, pf, bt, pt = zip(*(synth._sample_matrices(p, sample(rng))
-                           for _ in range(p.search_samples)))
+    bm, pf, bt, pt = search_samples(p, rng, p.search_samples)
     survivors = synth._bystander_scan(p.n_field, bm, bt)
     words = synth._word_digits(survivors, p.n_field, len(p.alphabet))
     ex4 = exchange_unitary(RegisterSpec(2), 0, 1, p.xi)
