@@ -412,6 +412,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's refusal names no flag
+            raise ValueError(f"--seed must be a non-negative integer, got "
+                             f"{args.seed}")
         report = _COMMANDS[args.command](args)
     except synth.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,8 +20,11 @@ Both filters meet in the middle (after Amy, Maslov, Mosca and Roetteler,
 IEEE TCAD 32, 818 (2013)): a sequence's product is S·P, a suffix times a
 prefix, so its overlap with the target, tr(T†·S·P) = Σ_ab (T†S)_ab P_ba, is
 a dot product of two precomputed halves. The bystander filter pairs every
-prefix word with every T†-folded suffix word. The pair filter builds both
-halves per batch of words and rescores only what is still alive on later
+prefix word with every T†-folded suffix word: on the first sample block by
+block of whole prefix rows, on later ones only the words still alive. The
+pair filter builds each half once per distinct prefix or suffix in a batch
+of words, the first sample's batches sorted by suffix so that a batch
+shares its suffix halves, and rescores only the words still alive on later
 samples. Each field letter is R_0 ⊗ R_1 and each exchange a·I + c·SWAP
 (read from its matrix), so a placement of k exchanges is a sum of up to
 2^k terms, one per choice of the exchanges taken as c·SWAP; terms alike in
@@ -75,8 +78,9 @@ STAGE2_DIST_SQ = 1e-13
 # Bystander draws held per sample; registers up to this many spins beyond the
 # acted pair can be bound from one sample.
 MAX_BYSTANDER_DRAWS = 10
-# Draws per search or verification: a z_difference_rotation search sample
-# takes about 0.24 ms and a verification draw 0.1 ms, so 4096 take ~1 s.
+# Draws per search or verification. On z_difference_rotation (2 cores) a
+# search sample adds about 6 ms to the scans and a verification draw 3 ms
+# over its 48 solutions, so 4096 of either take 12-27 s.
 MAX_SAMPLES = 4096
 # Target entries in a verification table, draws x 4^verify_spins: 268 MB.
 MAX_TABLE_ENTRIES = 1 << 24
@@ -337,23 +341,30 @@ def _half_word_factors(mats: np.ndarray, target: np.ndarray,
 def _bystander_scan(n_field: int, bys_mats: Sequence[np.ndarray],
                     bys_targets: Sequence[np.ndarray]) -> np.ndarray:
     """Ascending indices of the words that hit the bystander target on every
-    search sample. Each sample's half-word factors score the words still
-    alive block by block, so one sample's factors are held at a time."""
-    total = bys_mats[0].shape[0] ** n_field
-    blocks = (np.arange(s, min(s + _CHUNK, total), dtype=np.int64)
-              for s in range(0, total, _CHUNK))
+    search sample, one sample's half-word factors held at a time. The first
+    sample, where every word is alive, scores blocks of whole prefix rows
+    against every suffix (at least one row, else at most _CHUNK words);
+    later samples gather the halves of the words still alive."""
+    alive = None
     for mats, tgt in zip(bys_mats, bys_targets):
         pre, suf = _half_word_factors(mats, tgt, n_field)
+        n_suf = suf.shape[0]
         kept = []
-        for idx in blocks:
-            tr = np.einsum("nk,nk->n", pre[idx // suf.shape[0]],
-                           suf[idx % suf.shape[0]])
-            # squared phase distance on 2x2: 2 - |tr|
-            kept.append(idx[2.0 - np.abs(tr) <= STAGE1_DIST_SQ])
+        if alive is None:
+            step = max(1, _CHUNK // n_suf)
+            for p in range(0, pre.shape[0], step):
+                tr = np.einsum("pk,sk->ps", pre[p:p + step], suf)
+                # squared phase distance on 2x2: 2 - |tr|
+                kept.append(np.flatnonzero(2.0 - np.abs(tr) <= STAGE1_DIST_SQ)
+                            + p * n_suf)
+        else:
+            for s in range(0, alive.size, _CHUNK):
+                idx = alive[s:s + _CHUNK]
+                tr = np.einsum("nk,nk->n", pre[idx // n_suf], suf[idx % n_suf])
+                kept.append(idx[2.0 - np.abs(tr) <= STAGE1_DIST_SQ])
         alive = np.concatenate(kept)
         if alive.size == 0:
             break
-        blocks = [alive[s:s + _CHUNK] for s in range(0, alive.size, _CHUNK)]
     return alive
 
 
@@ -439,46 +450,61 @@ def _term_weights(ex: np.ndarray, n_exchange: int) -> dict:
     return {j: w for j, w in weights.items() if w != 0}
 
 
-def _strand_traces(factors: np.ndarray, weights: dict, target: np.ndarray,
-                   length: int, n_exchange: int) -> np.ndarray:
-    """tr(T†·U) on the acted pair for each word (row of factors, the spin-0
-    and spin-1 factor of each field letter) and placement, for the exchange
-    whose _term_weights are weights.
+def _word_codes(digits: np.ndarray, n_letters: int) -> np.ndarray:
+    """Each row of letter digits as one mixed-radix code, first digit most
+    significant, so ascending code is lexicographic order."""
+    return digits @ n_letters ** np.arange(digits.shape[1] - 1, -1, -1,
+                                           dtype=np.int64)
+
+
+def _strand_traces(factors: np.ndarray, words: np.ndarray, weights: dict,
+                   target: np.ndarray, length: int,
+                   n_exchange: int) -> np.ndarray:
+    """tr(T†·U) on the acted pair for each word (row of letter digits; letter
+    l's spin-0 and spin-1 factors are factors[l]) and placement, for the
+    exchange whose _term_weights are weights.
 
     U sums a placement's terms. Pushing a term's j SWAPs to the left gives
     a^(k-j)·c^j·SWAP^j·(A ⊗ B), where strand A collects each letter's spin-0
     factor at even SWAP parity and its spin-1 factor at odd parity, and B
     the other. With A ⊗ B = (A_s ⊗ B_s)(A_p ⊗ B_p) over the suffix and
     prefix letters, the term's trace is the dot product of A_p ⊗ B_p with
-    (a^(k-j)·c^j·T†·SWAP^j·(A_s ⊗ B_s))^T. So each word scores every prefix
-    pattern against every suffix pattern in one batched matmul per j, and
-    each placement sums its cells, each times its count of terms there.
+    (a^(k-j)·c^j·T†·SWAP^j·(A_s ⊗ B_s))^T. Each half is built once per
+    distinct prefix or suffix among the words and gathered per word, so
+    each word scores every prefix pattern against every suffix pattern in
+    one batched matmul per j, and each placement sums its cells, each times
+    its count of terms there.
     """
-    n_words = factors.shape[0]
+    n_words = words.shape[0]
     split, tries, cells, counts = _parity_cells(length, n_exchange,
                                                 tuple(weights))
     halves = []
-    for (levels, rows_a, rows_b), half in zip(tries, (factors[:, :split],
-                                                      factors[:, split:])):
+    for (levels, rows_a, rows_b), digits in zip(tries, (words[:, :split],
+                                                        words[:, split:])):
+        _, first, inverse = np.unique(_word_codes(digits, factors.shape[0]),
+                                      return_index=True, return_inverse=True)
+        half = factors[digits[first]]
         # The trie's leaf products, one batched 2x2 matmul per level; later
         # letters multiply on the left.
-        prods = np.broadcast_to(np.eye(2, dtype=complex), (n_words, 1, 2, 2))
+        prods = np.broadcast_to(np.eye(2, dtype=complex),
+                                (first.size, 1, 2, 2))
         for step, (parents, spins) in enumerate(levels):
             prods = half[:, step, spins] @ prods[:, parents]
-        halves.append(join((((0,), prods[:, rows_a]),
-                            ((1,), prods[:, rows_b]))))
-    pre = halves[0].reshape(n_words, -1, 16)
+        halves.append((join((((0,), prods[:, rows_a]),
+                             ((1,), prods[:, rows_b]))), inverse))
+    (pre, pre_of), (suf, suf_of) = halves
+    pre = pre.reshape(pre.shape[0], -1, 16)[pre_of]
     # The grid's cells as rows, so a term's gather copies contiguous rows of
     # words, and a zero row last for the padding cell -1.
-    size = pre.shape[1] * halves[1].shape[1]
+    size = pre.shape[1] * suf.shape[1]
     rows = np.zeros((len(weights) * size + 1, n_words), dtype=complex)
     for g, (j, weight) in enumerate(weights.items()):
         fold = weight * target.conj().T
         if j % 2:
             fold = fold[:, [0, 2, 1, 3]]  # T†·SWAP: SWAP swaps columns 1 and 2
-        suf = (fold @ halves[1]).swapaxes(2, 3).reshape(n_words, -1, 16)
+        folded = (fold @ suf).swapaxes(2, 3).reshape(suf.shape[0], -1, 16)
         rows[g * size:(g + 1) * size] = np.matmul(
-            pre, suf.swapaxes(1, 2)).reshape(n_words, -1).T
+            pre, folded[suf_of].swapaxes(1, 2)).reshape(n_words, -1).T
     traces = None
     for cell, n in zip(cells, counts):
         part = rows[cell]
@@ -493,24 +519,31 @@ def _pair_scan(words: np.ndarray, pair_factors: Sequence[np.ndarray],
                length: int, n_exchange: int) -> list:
     """(word row, placement index) pairs, ascending, where the word hits the
     pair target on every search sample, for the exchange whose _term_weights
-    are weights. Words go in batches; each sample rescores only the words
-    still alive, as two 2x2 strands."""
-    n_placements = math.comb(length, n_exchange)
-    hits = []
-    for start in range(0, words.shape[0], _PAIR_CHUNK):
-        batch = words[start:start + _PAIR_CHUNK]
-        alive = np.ones((batch.shape[0], n_placements), dtype=bool)
-        for factors, tgt in zip(pair_factors, pair_targets):
-            live = np.flatnonzero(alive.any(axis=1))
-            if live.size == 0:
-                break
-            tr = _strand_traces(factors[batch[live]], weights, tgt, length,
+    are weights. The first sample scores every word, in batches sorted by
+    suffix so that a batch shares its suffix halves; later samples rescore
+    only the words with a live placement, as two 2x2 strands."""
+    suffixes = words[:, words.shape[1] // 2:]  # as _parity_cells splits
+    live = np.argsort(_word_codes(suffixes, pair_factors[0].shape[0]),
+                      kind="stable")
+    alive = None  # per live word, its placements still hit
+    for factors, tgt in zip(pair_factors, pair_targets):
+        if live.size == 0:
+            return []
+        kept = []
+        for start in range(0, live.size, _PAIR_CHUNK):
+            batch = live[start:start + _PAIR_CHUNK]
+            tr = _strand_traces(factors, words[batch], weights, tgt, length,
                                 n_exchange)
             # squared phase distance on 4x4: 2 - |tr|/2
-            alive[live] &= 2.0 - np.abs(tr) / 2.0 <= STAGE2_DIST_SQ
-        rows, cols = np.nonzero(alive)
-        hits.extend(zip((start + rows).tolist(), cols.tolist()))
-    return hits
+            hit = 2.0 - np.abs(tr) / 2.0 <= STAGE2_DIST_SQ
+            if alive is not None:
+                hit &= alive[start:start + _PAIR_CHUNK]
+            keep = hit.any(axis=1)
+            kept.append((batch[keep], hit[keep]))
+        live, alive = (np.concatenate(a) for a in zip(*kept))
+    order = np.argsort(live)
+    rows, cols = np.nonzero(alive[order])
+    return list(zip(live[order][rows].tolist(), cols.tolist()))
 
 
 def _check_table(problem: SynthesisProblem, n_samples: int) -> None:

@@ -1,16 +1,20 @@
-"""Reference constructions the tests check the package against. They use
-numpy only, so an oracle shares no code with what it checks.
+"""Reference constructions the tests check the package against. The
+independent ones use numpy only, so they share no code with what they
+check.
 
-Four references are the package's own earlier code paths, kept here once
-the package replaced them: the verify suites run one draw at a time, which
-call the package's builders with floats; the local-z distance with its
-2049-point scan evaluated one angle at a time and golden-section
-refinement; final verification's word loop, which plays every word on
-the whole register with the pulse kernel, never group by group; and the
-unitary digest taken over the whole matrix at once, never row block by
-row block. A synthesis target is built as the Kronecker product of a
-family draw's pair and bystander gates, against final verification's
-join."""
+Six references are the package's own earlier code paths, kept here once
+the package replaced them, and call the package where those paths did:
+the verify suites run one draw at a time, which call the package's
+builders with floats; the local-z distance with its 2049-point scan
+evaluated one angle at a time and golden-section refinement; final
+verification's word loop, which plays every word on the whole register
+with the pulse kernel, never group by group; the unitary digest taken
+over the whole matrix at once, never row block by row block; the
+bystander filter's scan, which gathers each word's two halves on the
+first sample as on later ones; and the pair filter's scan, which builds
+both strand halves once per word, batch by batch in row order. A
+synthesis target is built as the Kronecker product of a family draw's
+pair and bystander gates, against final verification's join."""
 
 import cmath
 import hashlib
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from globalspin import circuits
+from globalspin import circuits, synth
 from globalspin.linalg import phase_distance
 from globalspin.spins import Exchange, RegisterSpec, apply_op, identity
 
@@ -228,3 +232,78 @@ def dense_digest(u):
     h.update(np.round(normalized.real, 9) + 0.0)
     h.update(np.round(normalized.imag, 9) + 0.0)
     return h.hexdigest()
+
+
+def bystander_scan(n_field, bys_mats, bys_targets):
+    """synth._bystander_scan with every sample gathered: each block of
+    word indices takes its prefix and suffix rows one word at a time."""
+    total = bys_mats[0].shape[0] ** n_field
+    blocks = (np.arange(s, min(s + synth._CHUNK, total), dtype=np.int64)
+              for s in range(0, total, synth._CHUNK))
+    for mats, tgt in zip(bys_mats, bys_targets):
+        pre, suf = synth._half_word_factors(mats, tgt, n_field)
+        kept = []
+        for idx in blocks:
+            tr = np.einsum("nk,nk->n", pre[idx // suf.shape[0]],
+                           suf[idx % suf.shape[0]])
+            kept.append(idx[2.0 - np.abs(tr) <= synth.STAGE1_DIST_SQ])
+        alive = np.concatenate(kept)
+        if alive.size == 0:
+            break
+        blocks = [alive[s:s + synth._CHUNK]
+                  for s in range(0, alive.size, synth._CHUNK)]
+    return alive
+
+
+def strand_traces(factors, weights, target, length, n_exchange):
+    """synth._strand_traces from each word's own factors (a row of factors
+    per word: each field letter's spin-0 and spin-1 factor), so both
+    strand halves are built once per word."""
+    n_words = factors.shape[0]
+    split, tries, cells, counts = synth._parity_cells(length, n_exchange,
+                                                      tuple(weights))
+    halves = []
+    for (levels, rows_a, rows_b), half in zip(tries, (factors[:, :split],
+                                                      factors[:, split:])):
+        prods = np.broadcast_to(np.eye(2, dtype=complex), (n_words, 1, 2, 2))
+        for step, (parents, spins) in enumerate(levels):
+            prods = half[:, step, spins] @ prods[:, parents]
+        halves.append(circuits.join((((0,), prods[:, rows_a]),
+                                     ((1,), prods[:, rows_b]))))
+    pre = halves[0].reshape(n_words, -1, 16)
+    size = pre.shape[1] * halves[1].shape[1]
+    rows = np.zeros((len(weights) * size + 1, n_words), dtype=complex)
+    for g, (j, weight) in enumerate(weights.items()):
+        fold = weight * target.conj().T
+        if j % 2:
+            fold = fold[:, [0, 2, 1, 3]]
+        suf = (fold @ halves[1]).swapaxes(2, 3).reshape(n_words, -1, 16)
+        rows[g * size:(g + 1) * size] = np.matmul(
+            pre, suf.swapaxes(1, 2)).reshape(n_words, -1).T
+    traces = None
+    for cell, n in zip(cells, counts):
+        part = rows[cell]
+        if n is not None:
+            part *= n
+        traces = part if traces is None else np.add(traces, part, out=traces)
+    return traces.T
+
+
+def pair_scan(words, pair_factors, pair_targets, weights, length, n_exchange):
+    """synth._pair_scan in batches of words in row order, each batch
+    rescoring its live words on every sample from their own factors."""
+    n_placements = math.comb(length, n_exchange)
+    hits = []
+    for start in range(0, words.shape[0], synth._PAIR_CHUNK):
+        batch = words[start:start + synth._PAIR_CHUNK]
+        alive = np.ones((batch.shape[0], n_placements), dtype=bool)
+        for factors, tgt in zip(pair_factors, pair_targets):
+            live = np.flatnonzero(alive.any(axis=1))
+            if live.size == 0:
+                break
+            tr = strand_traces(factors[batch[live]], weights, tgt, length,
+                               n_exchange)
+            alive[live] &= 2.0 - np.abs(tr) / 2.0 <= synth.STAGE2_DIST_SQ
+        rows, cols = np.nonzero(alive)
+        hits.extend(zip((start + rows).tolist(), cols.tolist()))
+    return hits

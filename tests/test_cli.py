@@ -716,6 +716,8 @@ def test_register_beyond_a_custom_geometry_exits_2(capsys, tmp_path, text,
     ("schedule", "{circuit}", "--exchange-ns", "1e300"),
     ("synthesize", "--problem", "planted_swap", "--budget", "-3"),
     ("synthesize", "--problem", "planted_swap", "--budget", "0"),
+    ("verify", "--seed", "-1"),
+    ("synthesize", "--problem", "planted_swap", "--seed", "-1"),
 ])
 def test_bad_number_exits_2_with_one_line(capsys, tmp_path, argv):
     geometries = {}
@@ -732,6 +734,17 @@ def test_bad_number_exits_2_with_one_line(capsys, tmp_path, argv):
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--seed", "-1"),
+    ("synthesize", "--problem", "planted_swap", "--seed", "-1"),
+])
+def test_negative_seed_names_its_flag(capsys, argv):
+    # Refused before any draw, in the flag's own words; numpy's refusal
+    # ("expected non-negative integer") named no flag.
+    assert run_cli(capsys, *argv) == (
+        2, "", "error: --seed must be a non-negative integer, got -1\n")
 
 
 # Each row: an edit of the 2-site preset geometry's text (first match) and

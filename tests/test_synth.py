@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -713,7 +714,7 @@ def test_strand_traces_equal_slot_products():
             ex4 = exchange_unitary(RegisterSpec(2), 0, 1, xi)
             words = rng.integers(len(alphabet), size=(5, p.n_field))
             traces = synth._strand_traces(
-                pf[words], synth._term_weights(ex4, n_exchange), pt, length,
+                pf, words, synth._term_weights(ex4, n_exchange), pt, length,
                 n_exchange)
             placements = list(itertools.combinations(range(length),
                                                      n_exchange))
@@ -833,6 +834,115 @@ def test_pair_scan_hits_alike_with_every_term_kept(bundled, seed):
     assert len(kept) == 5 and all(w != 0 for w in kept.values())
     assert synth._pair_scan(words, pf, pt, kept, *args) == dropped
     assert len(dropped) == 48
+
+
+def scan_inputs(p, seed):
+    """What enumerate_sequences hands its two scans for p at seed: the
+    bystander samples and targets, the pair samples and targets, and the
+    exchange's _term_weights."""
+    bm, pf, bt, pt = search_samples(p, np.random.default_rng(seed),
+                                    p.search_samples)
+    ex4 = exchange_unitary(RegisterSpec(2), 0, 1, p.xi)
+    return bm, bt, pf, pt, synth._term_weights(ex4, p.n_exchange)
+
+
+def assert_scans_equal_the_oracle(p, seed, prune=True):
+    """The shared-half scans equal the per-word ones bit for bit: the same
+    survivors, the same stage-2 hits in the same order."""
+    bm, bt, pf, pt, weights = scan_inputs(p, seed)
+    if prune and p.n_field > 0:
+        survivors = synth._bystander_scan(p.n_field, bm, bt)
+        assert np.array_equal(
+            survivors, oracle.bystander_scan(p.n_field, bm, bt)), (p, seed)
+    else:
+        survivors = np.arange(len(p.alphabet) ** p.n_field, dtype=np.int64)
+    words = synth._word_digits(survivors, p.n_field, len(p.alphabet))
+    args = (pf, pt, weights, p.length, p.n_exchange)
+    hits = synth._pair_scan(words, *args)
+    assert hits == oracle.pair_scan(words, *args), (p, seed)
+    return survivors, hits
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("name", ["z_difference_rotation",
+                                  "z_difference_rotation_literal"])
+def test_scans_equal_the_per_word_oracle_on_the_rotation(bundled, name,
+                                                          seed):
+    survivors, hits = assert_scans_equal_the_oracle(bundled(name), seed)
+    if name.endswith("literal"):
+        assert (survivors.size, hits) == (0, [])
+    else:
+        assert survivors.size > 0 and len(hits) == 48
+
+
+def test_scans_equal_the_per_word_oracle_on_cells_with_counts(bundled):
+    # planted_cp's xi = π/2 keeps every SWAP count, so its placements sum
+    # cells taken more than once; every word is scored, pruned or not.
+    p = bundled("planted_cp")
+    assert any(n is not None for n in synth._parity_cells(
+        p.length, p.n_exchange, tuple(scan_inputs(p, 0)[-1]))[3])
+    for seed in (0, 3, 11):
+        for prune in (True, False):
+            assert assert_scans_equal_the_oracle(p, seed, prune)[1]
+
+
+def test_scans_equal_the_per_word_oracle_on_random_problems():
+    rng = np.random.default_rng(4242)
+    for k in range(20):
+        p, _ = _random_problem(rng, planted=k % 2 == 0)
+        seed = int(rng.integers(1 << 20))
+        for prune in (True, False):
+            assert_scans_equal_the_oracle(p, seed, prune)
+
+
+def test_pair_scan_keeps_a_placement_only_if_every_sample_hits_it():
+    # A word lives on through the samples by any placement, but a hit is a
+    # placement that every sample hits: placement a on the first sample and
+    # b on the second is no hit, while a on both is.
+    p = SynthesisProblem(name="mixed", family="z_difference_rotation",
+                         length=5, n_exchange=2, xi=1.0, search_samples=2,
+                         alphabet=(PulseTemplate("x", "primary", 1),
+                                   PulseTemplate("z", "companion", -1)))
+    _, _, pf, _, weights = scan_inputs(p, 5)
+    words = synth._word_digits(np.arange(8), 3, 2)
+    placements = list(itertools.combinations(range(5), 2))
+    ex4 = exchange_unitary(RegisterSpec(2), 0, 1, p.xi)
+
+    def product(sample, slots):
+        u = np.eye(4, dtype=complex)
+        for letter in synth._slot_letters(words[5], slots, p.length):
+            u = (ex4 if letter is None else np.kron(*pf[sample, letter])) @ u
+        return u
+
+    a, b = 2, 7
+    for second in (a, b):
+        pt = np.array([product(0, placements[a]),
+                       product(1, placements[second])])
+        args = (pf, pt, weights, p.length, p.n_exchange)
+        hits = synth._pair_scan(words, *args)
+        assert hits == oracle.pair_scan(words, *args)
+        assert ((5, a) in hits, (5, b) in hits) == (second == a, False)
+
+
+def test_scans_hold_one_batch_at_a_time(bundled):
+    # Each scan's traced peak on the rotation stays a few MB: halves are
+    # built per block or per batch of words, never as one table over every
+    # suffix of a sample, which would take over 40 MB.
+    p = bundled("z_difference_rotation")
+    bm, bt, pf, pt, weights = scan_inputs(p, 0)
+    words = synth._word_digits(synth._bystander_scan(p.n_field, bm, bt),
+                               p.n_field, len(p.alphabet))
+    synth._parity_cells(p.length, p.n_exchange, tuple(weights))
+    for scan in (lambda: synth._bystander_scan(p.n_field, bm, bt),
+                 lambda: synth._pair_scan(words, pf, pt, weights, p.length,
+                                          p.n_exchange)):
+        tracemalloc.start()
+        try:
+            scan()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20, peak
 
 
 def test_prune_equals_exhaustive_on_random_problems():
