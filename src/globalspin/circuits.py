@@ -10,7 +10,11 @@ is a bystander of that op, so the spins split into groups that no exchange
 links. From FACTOR_MIN_SPINS spins up, factor plays each such group on its
 own 2^|g| register; below that, and for one group, on the full register.
 join multiplies the parts out by one broadcast product, all rows for
-evaluate or one row block at a time for a digest. Builders return
+evaluate or one row block at a time for a digest. evaluate_each gives
+evaluate's unitary of each of several circuits, bit for bit and one at a
+time, but plays a run of leading ops that a circuit shares with the one
+before it once, keeping only the states that a later circuit resumes
+from; synthesis verifies its sequences through it. Builders return
 the circuit together with its intended gate target so the same
 verification path covers hand-built and synthesized sequences.
 
@@ -29,9 +33,10 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -121,28 +126,103 @@ def evaluate(c: Circuit) -> np.ndarray:
     return parts[0][1] if len(parts) == 1 else join(parts)
 
 
+def evaluate_each(circuits: Sequence[Circuit]) -> Iterator[np.ndarray]:
+    """evaluate(c) for each circuit in turn, bit for bit, handed out one at
+    a time. A run of leading ops that a circuit shares with the circuit
+    before it (the same op objects, on the same register, draws and
+    group) is played once; circuits in sorted op order thus play each
+    distinct prefix once. Only the states that a later circuit resumes
+    from are kept."""
+    plans = [[((c.register.n_spins, g, c.draws), ops) for g, ops in _parts(c)]
+             for c in circuits]
+    runs = {}
+    for plan in plans:
+        for key, ops in plan:
+            runs.setdefault(key, []).append(ops)
+    players = {key: _play_runs(*key, r) for key, r in runs.items()}
+    for plan in plans:
+        parts = tuple((key[1], next(players[key])) for key, _ in plan)
+        yield parts[0][1] if len(parts) == 1 else join(parts)
+
+
 def factor(c: Circuit, groups: Optional[Sequence] = None) -> tuple:
     """c's unitary as parts ((group, unitary), ...), smallest group first:
     c played on each ascending group of spins that its exchanges link (or
     of the coarser partition given), or on the whole register for one
     group or below FACTOR_MIN_SPINS spins."""
     n = c.register.n_spins
+    return tuple((g, _play(RegisterSpec(len(g)), ops if len(g) == n
+                           else [_on(g, op) for op in ops], c.draws))
+                 for g, ops in _parts(c, groups))
+
+
+def _parts(c: Circuit, groups: Optional[Sequence] = None) -> list:
+    """factor's parts before they are played: (group, ops), the group's ops
+    as c holds them, less the exchanges of other groups."""
+    n = c.register.n_spins
     if n >= FACTOR_MIN_SPINS and groups is None:
         groups = _exchange_groups(n, c.ops)
     if n < FACTOR_MIN_SPINS or len(groups) < 2:
-        return ((tuple(range(n)), _play(c.register, c.ops, c.draws)),)
-    parts = []
+        return [(tuple(range(n)), c.ops)]
     # Smallest first: every partial product of a join but the last is then
     # at most a quarter of the result.
-    for g in sorted(groups, key=len):
-        ops = []
-        for op in c.ops:
-            if isinstance(op, GlobalField):
-                ops.append(GlobalField(op.axis, np.asarray(op.angles)[..., g]))
-            elif op.i in g:
-                ops.append(replace(op, i=g.index(op.i), j=g.index(op.j)))
-        parts.append((tuple(g), _play(RegisterSpec(len(g)), ops, c.draws)))
-    return tuple(parts)
+    return [(tuple(g), [op for op in c.ops
+                        if isinstance(op, GlobalField) or op.i in g])
+            for g in sorted(groups, key=len)]
+
+
+def _play(reg: RegisterSpec, ops, draws: Optional[int] = None) -> np.ndarray:
+    """The ops folded into one running unitary (or one per draw) on the
+    whole register."""
+    u = identity(reg, draws)
+    for op in ops:
+        apply_op(u, reg, op)
+    return u
+
+
+def _play_runs(n: int, g: tuple, draws: Optional[int],
+               runs: Sequence) -> Iterator[np.ndarray]:
+    """The ops of each run folded into one running unitary (or one per
+    draw) on the spins g of an n-spin register, run after run. A run
+    resumes from the state after the leading ops it shares with the run
+    before it. A run keeps a copy of its state where a later run will
+    resume and no run between plays through; it plays a kept state in
+    place once the next run does not resume from it, so only the states
+    of open branches are held."""
+    reg = RegisterSpec(len(g))
+    shared = [_shared(a, b) for a, b in zip(runs, runs[1:])] + [0]
+    saved = []  # (depth, state) that a later run resumes from, deepest last
+    for k, ops in enumerate(runs):
+        while saved and saved[-1][0] > (shared[k - 1] if k else 0):
+            saved.pop()
+        if not saved:
+            depth, u = 0, identity(reg, draws)
+        elif saved[-1][0] > shared[k]:
+            depth, u = saved.pop()
+        else:
+            depth, u = saved[-1][0], saved[-1][1].copy()
+        keep = set(itertools.takewhile(
+            lambda m: m > depth,
+            itertools.accumulate(itertools.islice(shared, k, None), min)))
+        for d in range(depth, len(ops) + 1):
+            if d in keep:
+                saved.append((d, u.copy()))
+            if d < len(ops):
+                apply_op(u, reg, ops[d] if len(g) == n else _on(g, ops[d]))
+        yield u
+
+
+def _shared(a: Sequence, b: Sequence) -> int:
+    """How many leading ops of a and b are the same objects."""
+    return next((d for d, (x, y) in enumerate(zip(a, b)) if x is not y),
+                min(len(a), len(b)))
+
+
+def _on(g: tuple, op):
+    """op as it acts on the register of the spins g alone."""
+    if isinstance(op, GlobalField):
+        return GlobalField(op.axis, np.asarray(op.angles)[..., list(g)])
+    return replace(op, i=g.index(op.i), j=g.index(op.j))
 
 
 def join(parts: tuple, block: int = 0, blocks: int = 1) -> np.ndarray:
@@ -167,15 +247,6 @@ def join(parts: tuple, block: int = 0, blocks: int = 1) -> np.ndarray:
         f = f.reshape(lead + tuple(shape))
         u = u * f[(slice(None),) * len(lead) + rows]
     return u.reshape(lead + ((1 << n) // blocks, 1 << n))
-
-
-def _play(reg: RegisterSpec, ops, draws: Optional[int] = None) -> np.ndarray:
-    """The ops folded into one running unitary (or one per draw) on the
-    whole register."""
-    u = identity(reg, draws)
-    for op in ops:
-        apply_op(u, reg, op)
-    return u
 
 
 def factored_distance(u: tuple, v: tuple) -> float:

@@ -357,11 +357,18 @@ def cmd_schedule(args) -> RunReport:
                      wall_time_s=0.0, stages=tuple(stages))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Refuse in one line, as every other input error is: no usage
+        block before it."""
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="globalspin",
-        description="Global-field spin-chain control toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = _Parser(prog="globalspin",
+                     description="Global-field spin-chain control toolkit")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
 
     def common(p, seeded=False):
         if seeded:

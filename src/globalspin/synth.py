@@ -19,13 +19,16 @@ stages cannot disagree about what a letter is.
 Both filters meet in the middle (after Amy, Maslov, Mosca and Roetteler,
 IEEE TCAD 32, 818 (2013)): a sequence's product is S·P, a suffix times a
 prefix, so its overlap with the target, tr(T†·S·P) = Σ_ab (T†S)_ab P_ba, is
-a dot product of two precomputed halves. The bystander filter pairs every
-prefix word with every T†-folded suffix word: on the first sample block by
-block of whole prefix rows, on later ones only the words still alive. The
-pair filter builds each half once per distinct prefix or suffix in a batch
-of words, the first sample's batches sorted by suffix so that a batch
-shares its suffix halves, and rescores only the words still alive on later
-samples. Each field letter is R_0 ⊗ R_1 and each exchange a·I + c·SWAP
+a dot product of two precomputed halves. Every 2x2 product of a half is
+formed as four elementwise multiply-adds (_product_2x2), not as a batched
+matmul. The bystander filter pairs every prefix word with every T†-folded
+suffix word: on the first sample block by block of whole prefix rows, on
+later ones only the words still alive. The pair filter builds, per sample,
+one table of prefix halves with one row per distinct prefix of the live
+words, and each suffix half once per distinct suffix in a batch of words;
+the first sample's batches are sorted by suffix so that a batch shares its
+suffix halves, and later samples rescore only the words still alive. Each
+field letter is R_0 ⊗ R_1 and each exchange a·I + c·SWAP
 (read from its matrix), so a placement of k exchanges is a sum of up to
 2^k terms, one per choice of the exchanges taken as c·SWAP; terms alike in
 SWAP count j and in the SWAP parity before each letter are counted once.
@@ -41,9 +44,13 @@ the result is decided solely by the final verification at the problem
 tolerance. Final verification draws its verify_samples draws once per
 search (and once per reverify call) from one seed, takes each letter's
 angles as one (B, n) array and the targets as the (B, 2^n, 2^n) join of
-the pair and bystander gates, and plays each word as one Circuit of B
-draws through circuits.evaluate, scored by one batched phase distance. It
-takes the worst over every draw and reports that draw's index.
+the pair and bystander gates, and makes each sequence one Circuit of B
+draws whose slots are the same op objects. circuits.evaluate_each plays
+them in the result's order, so the leading slots that a sequence shares
+with the one before it are played once (303 of the rotation's 528 ops),
+and hands out one unitary at a time, scored by one batched phase
+distance. It takes the worst over every draw and reports that draw's
+index.
 
 Only the Hadamard search needs scipy, and it imports scipy.optimize on its
 first optimizer call, so no other caller of this module loads scipy.
@@ -59,12 +66,12 @@ import re
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .circuits import (Circuit, Exchange, GlobalField, controlled_phase_circuit,
-                       evaluate, join)
+                       evaluate_each, join)
 from .grammar import fields, keyed, walk
 from .linalg import phase_distance, update_phase_normalized
 from .spins import (AXES, RegisterSpec, _frozen, exchange_unitary,
@@ -79,8 +86,8 @@ STAGE2_DIST_SQ = 1e-13
 # acted pair can be bound from one sample.
 MAX_BYSTANDER_DRAWS = 10
 # Draws per search or verification. On z_difference_rotation (2 cores) a
-# search sample adds about 6 ms to the scans and a verification draw 3 ms
-# over its 48 solutions, so 4096 of either take 12-27 s.
+# search sample adds about 2.8 ms to the scans and a verification draw
+# 1.9 ms over its 48 solutions, so 4096 of either take 8-12 s.
 MAX_SAMPLES = 4096
 # Target entries in a verification table, draws x 4^verify_spins: 268 MB.
 MAX_TABLE_ENTRIES = 1 << 24
@@ -301,8 +308,11 @@ FAMILIES = {f.name: f for f in (
 
 def _word_digits(idx: np.ndarray, n_field: int, n_letters: int) -> np.ndarray:
     """Mixed-radix decode; digit 0 is the first letter in time order and the
-    most significant, so ascending index is lexicographic word order."""
-    digits = np.empty((idx.size, n_field), dtype=np.int64)
+    most significant, so ascending index is lexicographic word order. Digits
+    take the narrowest unsigned type that holds them: one byte, not eight,
+    for an alphabet of up to 256 letters."""
+    digits = np.empty((idx.size, n_field),
+                      dtype=np.min_scalar_type(n_letters - 1))
     rem = idx.copy()
     for pos in range(n_field - 1, -1, -1):
         digits[:, pos] = rem % n_letters
@@ -316,13 +326,25 @@ def _slot_letters(word: Sequence[int], slots: tuple, length: int) -> list:
     return [None if s in slots else int(next(letters)) for s in range(length)]
 
 
+def _product_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over broadcast stacks of 2x2 complex matrices, each entry
+    formed as a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]:
+    on 4096 products these four elementwise multiply-adds take 0.10 ms,
+    a batched matmul 1.65 ms."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            np.add(a[..., i, 0] * b[..., 0, j], a[..., i, 1] * b[..., 1, j],
+                   out=out[..., i, j])
+    return out
+
+
 def _word_products(mats: np.ndarray, length: int) -> np.ndarray:
-    """Products of every word of `length` letters in ascending word index;
-    the first letter acts first."""
-    d = mats.shape[-1]
-    prods = np.eye(d, dtype=complex)[None]
+    """Products of every word of `length` 2x2 letters in ascending word
+    index; the first letter acts first."""
+    prods = np.eye(2, dtype=complex)[None]
     for _ in range(length):
-        prods = np.matmul(mats[None], prods[:, None]).reshape(-1, d, d)
+        prods = _product_2x2(mats[None], prods[:, None]).reshape(-1, 2, 2)
     return prods
 
 
@@ -332,10 +354,9 @@ def _half_word_factors(mats: np.ndarray, target: np.ndarray,
     n_field-letter word, flattened. Word idx = prefix * n_suffix + suffix,
     and tr(T†·S·P) is the dot product of their two rows."""
     k = n_field // 2
-    d = mats.shape[-1]
-    pre = _word_products(mats, k).reshape(-1, d * d)
-    suf = target.conj().T @ _word_products(mats, n_field - k)
-    return pre, suf.transpose(0, 2, 1).reshape(-1, d * d)
+    pre = _word_products(mats, k).reshape(-1, 4)
+    suf = _product_2x2(target.conj().T, _word_products(mats, n_field - k))
+    return pre, suf.transpose(0, 2, 1).reshape(-1, 4)
 
 
 def _bystander_scan(n_field: int, bys_mats: Sequence[np.ndarray],
@@ -457,43 +478,46 @@ def _word_codes(digits: np.ndarray, n_letters: int) -> np.ndarray:
                                            dtype=np.int64)
 
 
-def _strand_traces(factors: np.ndarray, words: np.ndarray, weights: dict,
-                   target: np.ndarray, length: int,
-                   n_exchange: int) -> np.ndarray:
-    """tr(T†·U) on the acted pair for each word (row of letter digits; letter
-    l's spin-0 and spin-1 factors are factors[l]) and placement, for the
-    exchange whose _term_weights are weights.
+def _strand_halves(factors: np.ndarray, digits: np.ndarray,
+                   trie: tuple) -> np.ndarray:
+    """A ⊗ B, (rows, patterns, 4, 4), for each row of letter digits (letter
+    l's spin-0 and spin-1 factors are factors[l]) and each parity pattern
+    of the half whose _strand_trie is trie."""
+    levels, rows_a, rows_b = trie
+    half = factors[digits]
+    # The trie's leaf products, one stack of 2x2 products per level; later
+    # letters multiply on the left.
+    prods = np.broadcast_to(np.eye(2, dtype=complex), (len(digits), 1, 2, 2))
+    for step, (parents, spins) in enumerate(levels):
+        prods = _product_2x2(half[:, step, spins], prods[:, parents])
+    return join((((0,), prods[:, rows_a]), ((1,), prods[:, rows_b])))
+
+
+def _strand_traces(pre: np.ndarray, factors: np.ndarray,
+                   suffixes: np.ndarray, weights: dict, target: np.ndarray,
+                   length: int, n_exchange: int) -> np.ndarray:
+    """tr(T†·U) on the acted pair for each word and placement, for the
+    exchange whose _term_weights are weights. A word is its prefix halves,
+    a (patterns, 16) row of pre that _strand_halves built, and its row of
+    suffix letter digits.
 
     U sums a placement's terms. Pushing a term's j SWAPs to the left gives
     a^(k-j)·c^j·SWAP^j·(A ⊗ B), where strand A collects each letter's spin-0
     factor at even SWAP parity and its spin-1 factor at odd parity, and B
     the other. With A ⊗ B = (A_s ⊗ B_s)(A_p ⊗ B_p) over the suffix and
     prefix letters, the term's trace is the dot product of A_p ⊗ B_p with
-    (a^(k-j)·c^j·T†·SWAP^j·(A_s ⊗ B_s))^T. Each half is built once per
-    distinct prefix or suffix among the words and gathered per word, so
-    each word scores every prefix pattern against every suffix pattern in
-    one batched matmul per j, and each placement sums its cells, each times
+    (a^(k-j)·c^j·T†·SWAP^j·(A_s ⊗ B_s))^T. The suffix half is built once
+    per distinct suffix among the words and gathered per word, so each
+    word scores every prefix pattern against every suffix pattern in one
+    batched matmul per j, and each placement sums its cells, each times
     its count of terms there.
     """
-    n_words = words.shape[0]
-    split, tries, cells, counts = _parity_cells(length, n_exchange,
+    n_words = suffixes.shape[0]
+    _, (_, trie), cells, counts = _parity_cells(length, n_exchange,
                                                 tuple(weights))
-    halves = []
-    for (levels, rows_a, rows_b), digits in zip(tries, (words[:, :split],
-                                                        words[:, split:])):
-        _, first, inverse = np.unique(_word_codes(digits, factors.shape[0]),
-                                      return_index=True, return_inverse=True)
-        half = factors[digits[first]]
-        # The trie's leaf products, one batched 2x2 matmul per level; later
-        # letters multiply on the left.
-        prods = np.broadcast_to(np.eye(2, dtype=complex),
-                                (first.size, 1, 2, 2))
-        for step, (parents, spins) in enumerate(levels):
-            prods = half[:, step, spins] @ prods[:, parents]
-        halves.append((join((((0,), prods[:, rows_a]),
-                             ((1,), prods[:, rows_b]))), inverse))
-    (pre, pre_of), (suf, suf_of) = halves
-    pre = pre.reshape(pre.shape[0], -1, 16)[pre_of]
+    _, first, suf_of = np.unique(_word_codes(suffixes, factors.shape[0]),
+                                 return_index=True, return_inverse=True)
+    suf = _strand_halves(factors, suffixes[first], trie)
     # The grid's cells as rows, so a term's gather copies contiguous rows of
     # words, and a zero row last for the padding cell -1.
     size = pre.shape[1] * suf.shape[1]
@@ -519,23 +543,36 @@ def _pair_scan(words: np.ndarray, pair_factors: Sequence[np.ndarray],
                length: int, n_exchange: int) -> list:
     """(word row, placement index) pairs, ascending, where the word hits the
     pair target on every search sample, for the exchange whose _term_weights
-    are weights. The first sample scores every word, in batches sorted by
-    suffix so that a batch shares its suffix halves; later samples rescore
-    only the words with a live placement, as two 2x2 strands."""
-    suffixes = words[:, words.shape[1] // 2:]  # as _parity_cells splits
-    live = np.argsort(_word_codes(suffixes, pair_factors[0].shape[0]),
-                      kind="stable")
+    are weights. Each sample builds the prefix halves once per distinct
+    prefix of the live words, as one table. The first sample scores every
+    word, in batches sorted by suffix so that a batch shares its suffix
+    halves; later samples rescore only the words with a live placement, as
+    two 2x2 strands."""
+    split, (trie, _), _, _ = _parity_cells(length, n_exchange, tuple(weights))
+    n_letters = pair_factors[0].shape[0]
+    _, first, pre_of = np.unique(_word_codes(words[:, :split], n_letters),
+                                 return_index=True, return_inverse=True)
+    prefixes, suffixes = words[first, :split], words[:, split:]
+    live = np.argsort(_word_codes(suffixes, n_letters), kind="stable")
     alive = None  # per live word, its placements still hit
     for factors, tgt in zip(pair_factors, pair_targets):
         if live.size == 0:
             return []
+        used, row_of = np.unique(pre_of[live], return_inverse=True)
+        table = _strand_halves(factors, prefixes[used], trie).reshape(
+            used.size, -1, 16)
         kept = []
         for start in range(0, live.size, _PAIR_CHUNK):
             batch = live[start:start + _PAIR_CHUNK]
-            tr = _strand_traces(factors, words[batch], weights, tgt, length,
-                                n_exchange)
-            # squared phase distance on 4x4: 2 - |tr|/2
-            hit = 2.0 - np.abs(tr) / 2.0 <= STAGE2_DIST_SQ
+            # squared phase distance on 4x4: 2 - |tr|/2, formed in place, so
+            # that no array of the batch's size outlives this step: the
+            # next batch would otherwise build its traces on top of it.
+            dist = np.abs(_strand_traces(
+                table[row_of[start:start + _PAIR_CHUNK]], factors,
+                suffixes[batch], weights, tgt, length, n_exchange))
+            dist /= 2.0
+            hit = np.subtract(2.0, dist, out=dist) <= STAGE2_DIST_SQ
+            del dist
             if alive is not None:
                 hit &= alive[start:start + _PAIR_CHUNK]
             keep = hit.any(axis=1)
@@ -581,16 +618,19 @@ def _verify_table(problem: SynthesisProblem, n_samples: int,
 
 
 def _draw_distances(problem: SynthesisProblem, table: tuple,
-                    letters: Sequence) -> np.ndarray:
-    """Phase distance of a sequence (letter index per slot, None at exchange)
-    on spins (0, 1) for every draw of the table, played as one circuit of
-    the table's draws. A word with no field letter plays one matrix, which
-    every draw shares."""
+                    sequences: Sequence) -> Iterator[np.ndarray]:
+    """Per sequence in turn (letter index per slot, None at exchange), its
+    phase distance on spins (0, 1) for every draw of the table, played as
+    one circuit of the table's draws. Every circuit takes its slots' ops
+    from one list, so evaluate_each plays the leading slots that a
+    sequence shares with the one before it once. A word with no field
+    letter plays one matrix, which every draw shares."""
     reg, fields, targets = table
-    ex = Exchange(0, 1, problem.xi)
-    ops = [ex if letter is None else fields[letter] for letter in letters]
-    u = evaluate(Circuit(reg, ops))
-    return phase_distance(np.broadcast_to(u, targets.shape), targets)
+    ops = [*fields, Exchange(0, 1, problem.xi)]
+    for u in evaluate_each([Circuit(reg, [ops[-1 if x is None else x]
+                                          for x in letters])
+                            for letters in sequences]):
+        yield phase_distance(np.broadcast_to(u, targets.shape), targets)
 
 
 def enumerate_sequences(problem: SynthesisProblem,
@@ -678,25 +718,24 @@ def enumerate_sequences(problem: SynthesisProblem,
         key = tuple(classes[-1 if x is None else x]
                     for x in _slot_letters(word, slots, problem.length))
         unique.setdefault(key, (word, slots))
-    kept = list(unique.values())
+    # In the result's order, where exchange sorts before any letter: there
+    # sequences that share leading slots come together.
+    kept = sorted((_slot_letters(word, slots, problem.length)
+                   for word, slots in unique.values()),
+                  key=lambda s: [0 if x is None else 1 + x for x in s])
     marks.append(time.perf_counter())
 
     labels = problem.labels
     solutions = []
     table = (_verify_table(problem, problem.verify_samples, seed + 1_000_003)
              if kept else None)
-    for word, slots in kept:
-        letters = _slot_letters(word, slots, problem.length)
-        dists = _draw_distances(problem, table, letters)
+    for letters, dists in zip(kept, _draw_distances(problem, table, kept)):
         worst = int(np.argmax(dists))
         if dists[worst] <= problem.tolerance:
-            # Order key over full sequences: exchange sorts before any letter.
-            key = tuple(0 if x is None else 1 + x for x in letters)
-            solutions.append((key, SequenceSolution(
+            solutions.append(SequenceSolution(
                 letters=tuple("EX" if x is None else labels[x]
                               for x in letters),
-                max_distance=float(dists[worst]), worst_draw=worst)))
-    solutions.sort(key=lambda pair: pair[0])
+                max_distance=float(dists[worst]), worst_draw=worst))
     marks.append(time.perf_counter())
     funnel = (words_total, int(survivors.size), len(candidates), len(kept),
               len(solutions))
@@ -710,7 +749,7 @@ def enumerate_sequences(problem: SynthesisProblem,
                         deduplicated=len(kept), verified=len(solutions),
                         elapsed_s=marks[-1] - marks[0], stages=stages)
     return SynthesisResult(problem_name=problem.name,
-                           solutions=tuple(sol for _, sol in solutions),
+                           solutions=tuple(solutions),
                            stats=stats)
 
 
@@ -743,8 +782,8 @@ def reverify(result: SynthesisResult, problem: SynthesisProblem,
     _check_table(problem, n_samples)
     table = _verify_table(problem, n_samples, seed)
     checks = []
-    for sol, letters in zip(result.solutions, sequences):
-        dists = _draw_distances(problem, table, letters)
+    for sol, dists in zip(result.solutions,
+                          _draw_distances(problem, table, sequences)):
         worst = int(np.argmax(dists))
         checks.append(ReverifyCheck(
             letters=sol.letters, max_distance=float(dists[worst]),

@@ -8,13 +8,15 @@ the verify suites run one draw at a time, which call the package's
 builders with floats; the local-z distance with its 2049-point scan
 evaluated one angle at a time and golden-section refinement; final
 verification's word loop, which plays every word on the whole register
-with the pulse kernel, never group by group; the unitary digest taken
-over the whole matrix at once, never row block by row block; the
-bystander filter's scan, which gathers each word's two halves on the
-first sample as on later ones; and the pair filter's scan, which builds
-both strand halves once per word, batch by batch in row order. A
-synthesis target is built as the Kronecker product of a family draw's
-pair and bystander gates, against final verification's join."""
+with the pulse kernel, never group by group and never sharing a prefix
+between words; the unitary digest taken over the whole matrix at once,
+never row block by row block; the bystander filter's scan, which gathers
+each word's two halves on the first sample as on later ones, from halves
+formed by batched matmul, not by elementwise 2x2 products; and the pair
+filter's scan, which builds both strand halves once per word, batch by
+batch in row order, with matmul products. A synthesis target is built as
+the Kronecker product of a family draw's pair and bystander gates,
+against final verification's join."""
 
 import cmath
 import hashlib
@@ -234,14 +236,36 @@ def dense_digest(u):
     return h.hexdigest()
 
 
+def word_products(mats, length):
+    """Products of every word of `length` letters in ascending word index,
+    the first letter acting first, each a batched matmul."""
+    d = mats.shape[-1]
+    prods = np.eye(d, dtype=complex)[None]
+    for _ in range(length):
+        prods = np.matmul(mats[None], prods[:, None]).reshape(-1, d, d)
+    return prods
+
+
+def half_word_factors(mats, target, n_field):
+    """synth._half_word_factors with matmul products: prefix rows P and
+    transposed T†-folded suffix rows (T†S)^T of every n_field-letter
+    word."""
+    k = n_field // 2
+    d = mats.shape[-1]
+    pre = word_products(mats, k).reshape(-1, d * d)
+    suf = target.conj().T @ word_products(mats, n_field - k)
+    return pre, suf.transpose(0, 2, 1).reshape(-1, d * d)
+
+
 def bystander_scan(n_field, bys_mats, bys_targets):
     """synth._bystander_scan with every sample gathered: each block of
-    word indices takes its prefix and suffix rows one word at a time."""
+    word indices takes its prefix and suffix rows one word at a time,
+    from half_word_factors."""
     total = bys_mats[0].shape[0] ** n_field
     blocks = (np.arange(s, min(s + synth._CHUNK, total), dtype=np.int64)
               for s in range(0, total, synth._CHUNK))
     for mats, tgt in zip(bys_mats, bys_targets):
-        pre, suf = synth._half_word_factors(mats, tgt, n_field)
+        pre, suf = half_word_factors(mats, tgt, n_field)
         kept = []
         for idx in blocks:
             tr = np.einsum("nk,nk->n", pre[idx // suf.shape[0]],

@@ -429,6 +429,65 @@ def test_grouped_evaluate_takes_the_draw_axis():
             assert np.array_equal(u[k], evaluate(ck))
 
 
+def shared_prefix_set(rng, n, draws):
+    """Circuits on n spins, in sorted op order, whose ops come from one
+    pool so that runs of leading ops are the same objects: random words,
+    words extending the first (so it is a prefix of them), a duplicate, a
+    one-op prefix of another word, an all-exchange word and the empty
+    circuit. With draws, the fields and one exchange hold per-draw angles,
+    while the all-exchange word plays shared angles only, so the set mixes
+    circuits of B draws with circuits of one matrix."""
+    def angles(*shape):
+        return rng.uniform(-3, 3, size=(draws,) + shape if draws else shape)
+
+    a, b = (tuple(int(s) for s in rng.choice(n, 2, replace=False))
+            for _ in range(2))
+    pool = [GlobalField(axis, angles(n) if draws else tuple(angles(n)))
+            for axis in "xyz"]
+    pool += [Exchange(*a, angles() if draws else float(angles())),
+             XYExchange(*b, 0.9), Exchange(*b, math.pi)]
+    words = [tuple(int(x) for x in rng.integers(len(pool), size=size))
+             for size in rng.integers(1, 8, size=8)]
+    words += [words[0] + tuple(int(x) for x in rng.integers(len(pool), size=3))
+              for _ in range(3)]
+    words += [words[1], words[2][:1], (4, 5, 4, 5), ()]
+    return [Circuit(RegisterSpec(n), [pool[x] for x in w])
+            for w in sorted(words)]
+
+
+@pytest.mark.parametrize("draws", [None, 3])
+@pytest.mark.parametrize("n", [2, 3, 5, cir.FACTOR_MIN_SPINS, 8])
+def test_shared_prefix_player_equals_evaluate_bit_for_bit(n, draws):
+    # Sorted, circuits share every common prefix; shuffled, only those with
+    # the circuit before. From FACTOR_MIN_SPINS up each group is a run of
+    # its own. Either way each unitary has evaluate's bits.
+    rng = np.random.default_rng(10 * n + bool(draws))
+    cs = shared_prefix_set(rng, n, draws)
+    assert {c.draws for c in cs} == {None, draws}
+    for order in (cs, [cs[k] for k in rng.permutation(len(cs))]):
+        got = cir.evaluate_each(order)
+        for c in order:
+            assert np.array_equal(next(got), evaluate(c)), c
+        assert next(got, None) is None
+
+
+def test_shared_prefix_player_plays_each_prefix_once(monkeypatch):
+    # In sorted op order every distinct prefix is played once, and one
+    # circuit at a time: the first result costs only the first circuit.
+    cs = shared_prefix_set(np.random.default_rng(5), 4, 3)
+    played = []
+    apply_op = cir.apply_op
+    monkeypatch.setattr(cir, "apply_op", lambda u, reg, op: (
+        played.append(op), apply_op(u, reg, op))[1])
+    got = cir.evaluate_each(cs)
+    next(got)
+    assert len(played) == len(cs[0].ops)
+    list(got)
+    prefixes = {(c.draws, tuple(map(id, c.ops[:d])))
+                for c in cs for d in range(1, len(c.ops) + 1)}
+    assert len(played) == len(prefixes) < sum(len(c.ops) for c in cs)
+
+
 def test_circuit_draw_count_checks_its_ops():
     # The draw count is read from the ops, and every op must agree with it.
     rows = GlobalField("z", np.zeros((3, 2)))

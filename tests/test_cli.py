@@ -26,7 +26,10 @@ from globalspin.spins import RegisterSpec, zeeman_angles
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse refuses from inside parse_args
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -718,6 +721,15 @@ def test_register_beyond_a_custom_geometry_exits_2(capsys, tmp_path, text,
     ("synthesize", "--problem", "planted_swap", "--budget", "0"),
     ("verify", "--seed", "-1"),
     ("synthesize", "--problem", "planted_swap", "--seed", "-1"),
+    ("verify", "--seed", "x"),
+    ("synthesize", "--problem", "planted_swap", "--budget", "1.5"),
+    ("schedule", "{circuit}", "--exchange-ns", "abc"),
+    ("bogus",),
+    (),
+    ("verify", "--suite", "bogus"),
+    ("device", "--config", "sideways"),
+    ("verify", "--bogus"),
+    ("synthesize",),
 ])
 def test_bad_number_exits_2_with_one_line(capsys, tmp_path, argv):
     geometries = {}

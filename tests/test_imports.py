@@ -4,8 +4,9 @@ Only the Hadamard search needs scipy, so no command may load it: the
 package's modules import scipy inside the one function that calls the
 optimizer, never when they load. The AST scans below keep that true, and
 keep every module-level import in the package and the tests in use.
-Circuits are played in one place, circuits.evaluate: no other module of
-the package reaches for the pulse kernel or its identity stack.
+Circuits are played in one module, circuits (evaluate and evaluate_each):
+no other module of the package reaches for the pulse kernel or its
+identity stack.
 """
 
 import ast

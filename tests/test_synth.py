@@ -286,11 +286,11 @@ def test_verification_matches_per_draw_oracle_on_seed0(bundled,
     r = rotation_seed0
     assert len(r.solutions) == 48
     table = synth._verify_table(p, p.verify_samples, 1_000_003)
-    for sol in r.solutions:
-        word = solution_word(p, sol)
-        got = synth._draw_distances(p, table, synth._slot_letters(
-            word, sol.exchange_slots, p.length))
-        want = oracle_distances(p, word, sol.exchange_slots,
+    sequences = [synth._slot_letters(solution_word(p, sol), sol.exchange_slots,
+                                     p.length) for sol in r.solutions]
+    for sol, got in zip(r.solutions,
+                        synth._draw_distances(p, table, sequences)):
+        want = oracle_distances(p, solution_word(p, sol), sol.exchange_slots,
                                 p.verify_samples, 1_000_003)
         assert max_abs(got - want) <= 1e-15, sol
         assert sol.max_distance == got.max()
@@ -307,7 +307,8 @@ def test_wide_verification_matches_the_full_register_loop(bundled, monkeypatch,
     assert spins >= FACTOR_MIN_SPINS
     p = dataclasses.replace(bundled(name), verify_spins=spins)
     got = enumerate_sequences(p, seed=0).solutions
-    monkeypatch.setattr(synth, "_draw_distances", oracle.draw_distances)
+    monkeypatch.setattr(synth, "_draw_distances", lambda p, table, sequences: (
+        oracle.draw_distances(p, table, letters) for letters in sequences))
     want = enumerate_sequences(p, seed=0).solutions
     assert got
     assert ([(s.letters, s.exchange_slots) for s in got]
@@ -659,6 +660,17 @@ def _random_problem(rng, planted):
     return problem, plant
 
 
+def test_two_by_two_products_equal_matmul():
+    # The scans' left factors are x and z rotations, which are symmetric,
+    # so a transposed left factor would pass every scan test: the helper
+    # is checked on general complex stacks, broadcast both ways.
+    rng = np.random.default_rng(22)
+    a, b = (rng.normal(size=(2, 5, 2, 2)) + 1j * rng.normal(size=(2, 5, 2, 2))
+            for _ in range(2))
+    for x, y in ((a, b), (a[:, :1], b), (a[0, 0], b), (a, b[1, 2])):
+        assert max_abs(synth._product_2x2(x, y) - x @ y) <= 1e-14
+
+
 def test_half_word_traces_equal_slot_products():
     # The bystander filter scores tr(T†·U) from a prefix and a T†-folded
     # suffix half; the value must be the slot-by-slot product's for every
@@ -713,9 +725,13 @@ def test_strand_traces_equal_slot_products():
                 tpl.axis, a[0, :2])) for tpl, a in zip(alphabet, angles)]
             ex4 = exchange_unitary(RegisterSpec(2), 0, 1, xi)
             words = rng.integers(len(alphabet), size=(5, p.n_field))
+            weights = synth._term_weights(ex4, n_exchange)
+            split, (trie, _), _, _ = synth._parity_cells(length, n_exchange,
+                                                         tuple(weights))
+            pre = synth._strand_halves(pf, words[:, :split], trie)
             traces = synth._strand_traces(
-                pf, words, synth._term_weights(ex4, n_exchange), pt, length,
-                n_exchange)
+                pre.reshape(len(words), -1, 16), pf, words[:, split:],
+                weights, pt, length, n_exchange)
             placements = list(itertools.combinations(range(length),
                                                      n_exchange))
             assert traces.shape == (len(words), len(placements))
@@ -863,11 +879,13 @@ def assert_scans_equal_the_oracle(p, seed, prune=True):
     return survivors, hits
 
 
-@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 11])
 @pytest.mark.parametrize("name", ["z_difference_rotation",
                                   "z_difference_rotation_literal"])
 def test_scans_equal_the_per_word_oracle_on_the_rotation(bundled, name,
                                                           seed):
+    # The oracle forms its 2x2 products by matmul, the scans elementwise:
+    # the bits differ by ulps, the survivors and hits not at all.
     survivors, hits = assert_scans_equal_the_oracle(bundled(name), seed)
     if name.endswith("literal"):
         assert (survivors.size, hits) == (0, [])
@@ -925,17 +943,33 @@ def test_pair_scan_keeps_a_placement_only_if_every_sample_hits_it():
 
 
 def test_scans_hold_one_batch_at_a_time(bundled):
-    # Each scan's traced peak on the rotation stays a few MB: halves are
-    # built per block or per batch of words, never as one table over every
-    # suffix of a sample, which would take over 40 MB.
+    # Each stage's traced peak on the rotation stays a few MB. Suffix halves
+    # are built per block or per batch of words, never as one table over
+    # every suffix of a sample, which would take over 40 MB; the pair
+    # scan's one table is its 510 prefixes' halves, 1 MB. Final
+    # verification holds its open branches and one result at a time: its
+    # 48 unitaries held at once would take 19 MB.
     p = bundled("z_difference_rotation")
     bm, bt, pf, pt, weights = scan_inputs(p, 0)
     words = synth._word_digits(synth._bystander_scan(p.n_field, bm, bt),
                                p.n_field, len(p.alphabet))
     synth._parity_cells(p.length, p.n_exchange, tuple(weights))
+    hits = synth._pair_scan(words, pf, pt, weights, p.length, p.n_exchange)
+    placements = list(itertools.combinations(range(p.length), p.n_exchange))
+    sequences = sorted((synth._slot_letters(words[row], placements[c],
+                                            p.length) for row, c in hits),
+                       key=lambda s: [-1 if x is None else x for x in s])
+    table = synth._verify_table(p, p.verify_samples, 1_000_003)
+    assert len(sequences) == 48
+
+    def verification():
+        for dists in synth._draw_distances(p, table, sequences):
+            assert dists.max() <= p.tolerance
+
     for scan in (lambda: synth._bystander_scan(p.n_field, bm, bt),
                  lambda: synth._pair_scan(words, pf, pt, weights, p.length,
-                                          p.n_exchange)):
+                                          p.n_exchange),
+                 verification):
         tracemalloc.start()
         try:
             scan()
