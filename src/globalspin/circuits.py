@@ -249,14 +249,19 @@ def join(parts: tuple, block: int = 0, blocks: int = 1) -> np.ndarray:
     return u.reshape(lead + ((1 << n) // blocks, 1 << n))
 
 
-def factored_distance(u: tuple, v: tuple) -> float:
-    """phase_distance of two factored unitaries on the same groups: with
-    d_g each pair of parts' distance, |tr(u†v)|/dim is the product of their
+def combined_distance(dg: np.ndarray) -> np.ndarray:
+    """phase_distance of a tensor product from its parts' distances dg,
+    parts on the last axis: |tr(u†v)|/dim is the product of the parts'
     1 - d_g²/2, so d² = -2 expm1(sum log1p(-d_g²/2)) to full precision."""
-    dg = np.array([phase_distance(a, b) for (_, a), (_, b) in zip(u, v)])
     with np.errstate(divide="ignore"):  # an orthogonal part: log1p(-1)
-        return math.sqrt(-2.0 * math.expm1(
-            np.log1p(-np.minimum(dg * dg / 2.0, 1.0)).sum()))
+        return np.sqrt(-2.0 * np.expm1(
+            np.log1p(-np.minimum(dg * dg / 2.0, 1.0)).sum(axis=-1)))
+
+
+def factored_distance(u: tuple, v: tuple) -> float:
+    """combined_distance of two factored unitaries on the same groups."""
+    return float(combined_distance(np.array(
+        [phase_distance(a, b) for (_, a), (_, b) in zip(u, v)])))
 
 
 def _exchange_groups(n: int, ops) -> list:

@@ -6,51 +6,38 @@ fixed number of exchange steps. The search factorizes: the bystander action
 of a word is independent of where the exchanges sit, so words are first
 filtered on a single-bystander register, then surviving words are scored on
 the acted pair for every exchange placement, and finally the few candidates
-are re-verified as full circuits on a wider register with fresh draws.
-
-Every stage reads one draw table (_draw_table). A family's sample(rng)
-returns, per symbol, one angle vector over the acted pair and
-MAX_BYSTANDER_DRAWS bystanders, the pair's 4x4 gate and each bystander's
-2x2 gate; a register's target is their tensor product. The bystander
-filter plays a letter's first bystander angle, the pair filter its two
-pair angles, and final verification as many as its register has, so the
-stages cannot disagree about what a letter is.
+are re-verified on a wider register with fresh draws. Every stage reads one
+draw table (_draw_table): per symbol, one angle vector over the acted pair
+and MAX_BYSTANDER_DRAWS bystanders, the pair's 4x4 gate and each
+bystander's 2x2 gate, so the stages cannot disagree about what a letter is.
 
 Both filters meet in the middle (after Amy, Maslov, Mosca and Roetteler,
 IEEE TCAD 32, 818 (2013)): a sequence's product is S·P, a suffix times a
-prefix, so its overlap with the target, tr(T†·S·P) = Σ_ab (T†S)_ab P_ba, is
-a dot product of two precomputed halves. Every 2x2 product of a half is
-formed as four elementwise multiply-adds (_product_2x2), not as a batched
-matmul. The bystander filter pairs every prefix word with every T†-folded
-suffix word: on the first sample block by block of whole prefix rows, on
-later ones only the words still alive. The pair filter builds, per sample,
-one table of prefix halves with one row per distinct prefix of the live
-words, and each suffix half once per distinct suffix in a batch of words;
-the first sample's batches are sorted by suffix so that a batch shares its
-suffix halves, and later samples rescore only the words still alive. Each
-field letter is R_0 ⊗ R_1 and each exchange a·I + c·SWAP
-(read from its matrix), so a placement of k exchanges is a sum of up to
-2^k terms, one per choice of the exchanges taken as c·SWAP; terms alike in
-SWAP count j and in the SWAP parity before each letter are counted once.
-A term is a^(k-j)·c^j·SWAP^j·(A ⊗ B): the 2x2 strands A and B take each
-letter's factors in an order set by that parity, so a half is one 2x2
-product per strand and parity pattern (the relay of the source paper's
-swap steps). A coefficient within rounding of 0 drops its terms: at
-xi ≡ π (mod 2π) a placement is its one all-SWAP term, at xi ≡ 0 its one
-identity term.
+prefix, so its overlap with a target, tr(F·S·P) = tr(S·(P·F)), is a dot
+product of two precomputed halves; 2x2 products and the bystander filter's
+dot products are elementwise multiply-adds (_product_2x2, _dot4). The
+bystander filter scores every prefix against every T†-folded suffix on the
+first sample, and later only the words still alive. The pair filter reads
+each exchange as a·I + c·SWAP, so a placement of k exchanges sums up to
+2^k terms a^(k-j)·c^j·SWAP^j·(A ⊗ B), whose 2x2 strands A and B take each
+letter's factors in an order set by the SWAP parity before it (the relay
+of the source paper's swap steps); terms alike in j and parity pattern are
+one cell, and a coefficient within rounding of 0 drops its terms (at
+xi ≡ π a placement is one all-SWAP term, at xi ≡ 0 one identity term). Per
+sample it folds F = a^(k-j)·c^j·T†·SWAP^j into one table of prefix halves,
+a row per distinct prefix of the live words, and scores the live words in
+suffix order, building suffix halves once per distinct suffix of a block.
 
 Filters use loose thresholds and exist only to cut the space; membership in
-the result is decided solely by the final verification at the problem
-tolerance. Final verification draws its verify_samples draws once per
-search (and once per reverify call) from one seed, takes each letter's
-angles as one (B, n) array and the targets as the (B, 2^n, 2^n) join of
-the pair and bystander gates, and makes each sequence one Circuit of B
-draws whose slots are the same op objects. circuits.evaluate_each plays
-them in the result's order, so the leading slots that a sequence shares
-with the one before it are played once (303 of the rotation's 528 ops),
-and hands out one unitary at a time, scored by one batched phase
-distance. It takes the worst over every draw and reports that draw's
-index.
+the result is decided solely by final verification at the problem
+tolerance, on verify_samples draws taken once per search (and once per
+reverify call) from one seed. Exchange links only spins 0 and 1, so the
+pair plays on a (B, 4, 4) stack and every bystander of every draw on one
+stack of B·(n - 2) 1-spin draws, each part is scored against its own
+gates, and circuits.combined_distance joins them: no pulse plays on more
+than 2 spins. circuits.evaluate_each plays the sequences in the result's
+order, so a prefix shared with the sequence before is played once. The
+worst distance over every draw is reported with its index.
 
 Only the Hadamard search needs scipy, and it imports scipy.optimize on its
 first optimizer call, so no other caller of this module loads scipy.
@@ -66,12 +53,12 @@ import re
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .circuits import (Circuit, Exchange, GlobalField, controlled_phase_circuit,
-                       evaluate_each, join)
+from .circuits import (Circuit, Exchange, GlobalField, combined_distance,
+                       controlled_phase_circuit, evaluate_each, join)
 from .grammar import fields, keyed, walk
 from .linalg import phase_distance, update_phase_normalized
 from .spins import (AXES, RegisterSpec, _frozen, exchange_unitary,
@@ -86,17 +73,17 @@ STAGE2_DIST_SQ = 1e-13
 # acted pair can be bound from one sample.
 MAX_BYSTANDER_DRAWS = 10
 # Draws per search or verification. On z_difference_rotation (2 cores) a
-# search sample adds about 2.8 ms to the scans and a verification draw
-# 1.9 ms over its 48 solutions, so 4096 of either take 8-12 s.
+# search sample adds about 1.2-1.4 ms to the scans and a verification draw
+# 0.25-0.5 ms over its 48 solutions, so 4096 of either take 1-6 s.
 MAX_SAMPLES = 4096
-# Target entries in a verification table, draws x 4^verify_spins: 268 MB.
-MAX_TABLE_ENTRIES = 1 << 24
 # Slots per word: the budget does not price a word's length, and past 62
 # field letters two letters overflow the int64 word index.
 MAX_LENGTH = 62
 # Words per stage-1 block and per stage-2 batch; both bound the working set.
+# A stage-2 block of four batches shares its suffix halves.
 _CHUNK = 1 << 15
 _PAIR_CHUNK = 128
+_PAIR_BLOCK = 4 * _PAIR_CHUNK
 # A problem's name is its default result file's stem: no directory, not hidden.
 _PLAIN_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
@@ -350,13 +337,25 @@ def _word_products(mats: np.ndarray, length: int) -> np.ndarray:
 
 def _half_word_factors(mats: np.ndarray, target: np.ndarray,
                        n_field: int) -> tuple:
-    """Prefix rows P and transposed T†-folded suffix rows (T†S)^T of every
-    n_field-letter word, flattened. Word idx = prefix * n_suffix + suffix,
-    and tr(T†·S·P) is the dot product of their two rows."""
+    """Prefix columns P and T†-folded suffix columns (T†S)^T of every
+    n_field-letter word, each 2x2 flattened down a column. Word idx =
+    prefix * n_suffix + suffix, and tr(T†·S·P) is the _dot4 of the two."""
     k = n_field // 2
-    pre = _word_products(mats, k).reshape(-1, 4)
+    pre = _word_products(mats, k)
     suf = _product_2x2(target.conj().T, _word_products(mats, n_field - k))
-    return pre, suf.transpose(0, 2, 1).reshape(-1, 4)
+    return pre.transpose(1, 2, 0).reshape(4, -1), suf.transpose(
+        2, 1, 0).reshape(4, -1)
+
+
+def _dot4(a: Iterable, b: Iterable) -> np.ndarray:
+    """Σ_k a_k·b_k over the four entries of flattened 2x2s, broadcast, one
+    a_k and b_k at a time, as elementwise multiply-adds: a matmul would use
+    threaded BLAS, which can stall on a machine of few cores."""
+    pairs = zip(a, b)
+    tr = np.multiply(*next(pairs))
+    for x, y in pairs:
+        tr += x * y
+    return tr
 
 
 def _bystander_scan(n_field: int, bys_mats: Sequence[np.ndarray],
@@ -369,19 +368,20 @@ def _bystander_scan(n_field: int, bys_mats: Sequence[np.ndarray],
     alive = None
     for mats, tgt in zip(bys_mats, bys_targets):
         pre, suf = _half_word_factors(mats, tgt, n_field)
-        n_suf = suf.shape[0]
+        n_suf = suf.shape[1]
         kept = []
         if alive is None:
             step = max(1, _CHUNK // n_suf)
-            for p in range(0, pre.shape[0], step):
-                tr = np.einsum("pk,sk->ps", pre[p:p + step], suf)
+            for p in range(0, pre.shape[1], step):
+                tr = _dot4(pre[:, p:p + step, None], suf)
                 # squared phase distance on 2x2: 2 - |tr|
                 kept.append(np.flatnonzero(2.0 - np.abs(tr) <= STAGE1_DIST_SQ)
                             + p * n_suf)
         else:
             for s in range(0, alive.size, _CHUNK):
                 idx = alive[s:s + _CHUNK]
-                tr = np.einsum("nk,nk->n", pre[idx // n_suf], suf[idx % n_suf])
+                rows, cols = np.divmod(idx, n_suf)
+                tr = _dot4((c[rows] for c in pre), (c[cols] for c in suf))
                 kept.append(idx[2.0 - np.abs(tr) <= STAGE1_DIST_SQ])
         alive = np.concatenate(kept)
         if alive.size == 0:
@@ -420,8 +420,8 @@ def _parity_cells(length: int, n_exchange: int, sizes: tuple) -> tuple:
     reach sizes is dropped. So a placement costs its distinct cells, not its
     2^k terms. Patterns are cut at field letter split = n_field // 2 into
     sorted distinct prefix and suffix parts, each with its strand trie, and
-    a term's cell is (size index * n_prefix + prefix row) * n_suffix +
-    suffix row. cells[t, c] is placement c's t-th cell (-1 pads) and
+    a term's cell is (suffix row * len(sizes) + size index) * n_prefix +
+    prefix row. cells[t, c] is placement c's t-th cell (-1 pads t > 0) and
     counts[t][c] its number of terms there, counts[t] None for all ones.
     With only j = k the 330 placements of 4 exchanges in 11 slots have 99
     patterns, in 8 x 16 cells."""
@@ -452,8 +452,8 @@ def _parity_cells(length: int, n_exchange: int, sizes: tuple) -> tuple:
     counts = np.ones(cells.shape + (1,))
     for c, row in enumerate(placements):
         for t, (_, g, p, n) in enumerate(row):
-            cells[t, c] = ((g * len(prefixes) + pre_row[p[:split]])
-                           * len(suffixes) + suf_row[p[split:]])
+            cells[t, c] = ((suf_row[p[split:]] * len(sizes) + g)
+                           * len(prefixes) + pre_row[p[:split]])
             counts[t, c] = n
     for a in (cells, counts):
         a.setflags(write=False)
@@ -493,49 +493,39 @@ def _strand_halves(factors: np.ndarray, digits: np.ndarray,
     return join((((0,), prods[:, rows_a]), ((1,), prods[:, rows_b])))
 
 
-def _strand_traces(pre: np.ndarray, factors: np.ndarray,
-                   suffixes: np.ndarray, weights: dict, target: np.ndarray,
-                   length: int, n_exchange: int) -> np.ndarray:
-    """tr(T†·U) on the acted pair for each word and placement, for the
-    exchange whose _term_weights are weights. A word is its prefix halves,
-    a (patterns, 16) row of pre that _strand_halves built, and its row of
-    suffix letter digits.
+def _folded_prefixes(factors: np.ndarray, digits: np.ndarray, trie: tuple,
+                     weights: dict, target: np.ndarray) -> np.ndarray:
+    """The _strand_halves P of each row of prefix letter digits, folded
+    with each term's F = weight·T†·SWAP^j as (P·F)^T and flattened into
+    columns, (rows, 16, terms x patterns): tr(F·S·P) = tr(S·(P·F)) is then
+    a flattened suffix half S times a column."""
+    half = _strand_halves(factors, digits, trie).transpose(0, 2, 3, 1)
+    t_dag = target.conj().T
+    folds = np.array([weight * (t_dag[:, [0, 2, 1, 3]] if j % 2 else t_dag)
+                      for j, weight in weights.items()])  # ·SWAP: cols 1, 2
+    # (P·F)^T[a, b] = Σ_c F[c, a]·P[b, c], elementwise, with temporaries a
+    # quarter of the (rows, a, b, terms, patterns) table.
+    table = np.zeros((len(half), 4, 4, len(folds), half.shape[-1]),
+                     dtype=complex)
+    for a, c in itertools.product(range(4), range(4)):
+        table[:, a] += folds[:, c, a, None] * half[:, :, None, c]
+    return table.reshape(len(half), 16, -1)
 
-    U sums a placement's terms. Pushing a term's j SWAPs to the left gives
-    a^(k-j)·c^j·SWAP^j·(A ⊗ B), where strand A collects each letter's spin-0
-    factor at even SWAP parity and its spin-1 factor at odd parity, and B
-    the other. With A ⊗ B = (A_s ⊗ B_s)(A_p ⊗ B_p) over the suffix and
-    prefix letters, the term's trace is the dot product of A_p ⊗ B_p with
-    (a^(k-j)·c^j·T†·SWAP^j·(A_s ⊗ B_s))^T. The suffix half is built once
-    per distinct suffix among the words and gathered per word, so each
-    word scores every prefix pattern against every suffix pattern in one
-    batched matmul per j, and each placement sums its cells, each times
-    its count of terms there.
-    """
-    n_words = suffixes.shape[0]
-    _, (_, trie), cells, counts = _parity_cells(length, n_exchange,
-                                                tuple(weights))
-    _, first, suf_of = np.unique(_word_codes(suffixes, factors.shape[0]),
-                                 return_index=True, return_inverse=True)
-    suf = _strand_halves(factors, suffixes[first], trie)
-    # The grid's cells as rows, so a term's gather copies contiguous rows of
-    # words, and a zero row last for the padding cell -1.
-    size = pre.shape[1] * suf.shape[1]
-    rows = np.zeros((len(weights) * size + 1, n_words), dtype=complex)
-    for g, (j, weight) in enumerate(weights.items()):
-        fold = weight * target.conj().T
-        if j % 2:
-            fold = fold[:, [0, 2, 1, 3]]  # T†·SWAP: SWAP swaps columns 1 and 2
-        folded = (fold @ suf).swapaxes(2, 3).reshape(suf.shape[0], -1, 16)
-        rows[g * size:(g + 1) * size] = np.matmul(
-            pre, folded[suf_of].swapaxes(1, 2)).reshape(n_words, -1).T
-    traces = None
-    for cell, n in zip(cells, counts):
-        part = rows[cell]
-        if n is not None:
-            part *= n
-        traces = part if traces is None else np.add(traces, part, out=traces)
-    return traces.T
+
+def _strand_traces(pre: np.ndarray, suf: np.ndarray, cells: np.ndarray,
+                   counts: tuple) -> tuple:
+    """(traces, cols): tr(T†·U) on the acted pair of each word and placement
+    is traces[:, cols]. A word's flattened suffix halves suf (patterns, 16)
+    times its _folded_prefixes columns pre is its grid of cells, and a
+    placement sums its cells, each times its count of terms there; where
+    each placement is one term, traces is the grid, so each cell is scored
+    once."""
+    grid = np.matmul(suf, pre).reshape(len(pre), -1)
+    if len(cells) == 1 and counts[0] is None:
+        return grid, cells[0]
+    grid = np.hstack([grid, np.zeros((len(grid), 1))])  # cell -1 reads 0
+    return sum(grid[:, cell] * (1 if n is None else n.T)
+               for cell, n in zip(cells, counts)), slice(None)
 
 
 def _pair_scan(words: np.ndarray, pair_factors: Sequence[np.ndarray],
@@ -543,52 +533,48 @@ def _pair_scan(words: np.ndarray, pair_factors: Sequence[np.ndarray],
                length: int, n_exchange: int) -> list:
     """(word row, placement index) pairs, ascending, where the word hits the
     pair target on every search sample, for the exchange whose _term_weights
-    are weights. Each sample builds the prefix halves once per distinct
-    prefix of the live words, as one table. The first sample scores every
-    word, in batches sorted by suffix so that a batch shares its suffix
-    halves; later samples rescore only the words with a live placement, as
-    two 2x2 strands."""
-    split, (trie, _), _, _ = _parity_cells(length, n_exchange, tuple(weights))
+    are weights. Each sample builds one table of folded prefix halves, a
+    row per distinct prefix of the live words (all, then those with a live
+    placement), and scores them in suffix order, each block of _PAIR_BLOCK
+    building its suffix halves once per distinct suffix."""
+    split, (pre_trie, suf_trie), cells, counts = _parity_cells(
+        length, n_exchange, tuple(weights))
     n_letters = pair_factors[0].shape[0]
     _, first, pre_of = np.unique(_word_codes(words[:, :split], n_letters),
                                  return_index=True, return_inverse=True)
     prefixes, suffixes = words[first, :split], words[:, split:]
-    live = np.argsort(_word_codes(suffixes, n_letters), kind="stable")
+    codes = _word_codes(suffixes, n_letters)
+    live = np.argsort(codes, kind="stable")
     alive = None  # per live word, its placements still hit
     for factors, tgt in zip(pair_factors, pair_targets):
         if live.size == 0:
             return []
         used, row_of = np.unique(pre_of[live], return_inverse=True)
-        table = _strand_halves(factors, prefixes[used], trie).reshape(
-            used.size, -1, 16)
+        table = _folded_prefixes(factors, prefixes[used], pre_trie, weights,
+                                 tgt)
         kept = []
-        for start in range(0, live.size, _PAIR_CHUNK):
-            batch = live[start:start + _PAIR_CHUNK]
-            # squared phase distance on 4x4: 2 - |tr|/2, formed in place, so
-            # that no array of the batch's size outlives this step: the
-            # next batch would otherwise build its traces on top of it.
-            dist = np.abs(_strand_traces(
-                table[row_of[start:start + _PAIR_CHUNK]], factors,
-                suffixes[batch], weights, tgt, length, n_exchange))
-            dist /= 2.0
-            hit = np.subtract(2.0, dist, out=dist) <= STAGE2_DIST_SQ
-            del dist
-            if alive is not None:
-                hit &= alive[start:start + _PAIR_CHUNK]
-            keep = hit.any(axis=1)
-            kept.append((batch[keep], hit[keep]))
+        for start in range(0, live.size, _PAIR_BLOCK):
+            block = live[start:start + _PAIR_BLOCK]
+            _, first, suf_of = np.unique(codes[block], return_index=True,
+                                         return_inverse=True)
+            suf = _strand_halves(factors, suffixes[block[first]],
+                                 suf_trie).reshape(first.size, -1, 16)
+            for b in range(0, block.size, _PAIR_CHUNK):
+                at = slice(start + b, start + b + _PAIR_CHUNK)
+                traces, cols = _strand_traces(
+                    table[row_of[at]], suf[suf_of[b:b + _PAIR_CHUNK]],
+                    cells, counts)
+                # squared phase distance on 4x4: 2 - |tr|/2
+                hit = (2.0 - np.abs(traces) / 2.0 <= STAGE2_DIST_SQ)[:, cols]
+                if alive is not None:
+                    hit &= alive[at]
+                keep = hit.any(axis=1)
+                kept.append((live[at][keep], hit[keep]))
+            del suf, traces  # before the next block builds its own
         live, alive = (np.concatenate(a) for a in zip(*kept))
     order = np.argsort(live)
     rows, cols = np.nonzero(alive[order])
     return list(zip(live[order][rows].tolist(), cols.tolist()))
-
-
-def _check_table(problem: SynthesisProblem, n_samples: int) -> None:
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    if n_samples * 4 ** problem.verify_spins > MAX_TABLE_ENTRIES:
-        raise ValueError(f"{n_samples} draws on {problem.verify_spins} spins "
-                         f"are over the cap {MAX_TABLE_ENTRIES} table entries")
 
 
 def _draw_table(problem: SynthesisProblem, n: int,
@@ -605,32 +591,40 @@ def _draw_table(problem: SynthesisProblem, n: int,
 
 def _verify_table(problem: SynthesisProblem, n_samples: int,
                   seed: int) -> tuple:
-    """Final verification's table of n_samples draws from seed: the
-    register of problem.verify_spins spins, one field of per-draw angle rows
-    per letter, and the (B, 2^n, 2^n) join of pair and bystander gates."""
+    """Final verification's n_samples draws from seed as parts (register,
+    one field per letter, gates): the pair's B draws on 2 spins, then each
+    bystander of each draw as one of B·(n - 2) draws on 1 spin."""
     angles, pairs, bystanders = _draw_table(problem, n_samples,
                                             np.random.default_rng(seed))
-    reg = RegisterSpec(problem.verify_spins)
-    fields = tuple(GlobalField(tpl.axis, a[:, :reg.n_spins])
-                   for tpl, a in zip(problem.alphabet, angles))
-    return reg, fields, join((((0, 1), pairs), *(
-        ((k + 2,), bystanders[:, k]) for k in range(reg.n_spins - 2))))
+    n = problem.verify_spins - 2
+    parts = [(RegisterSpec(2), angles[..., :2], pairs)]
+    if n:
+        parts.append((RegisterSpec(1), angles[..., 2:2 + n].reshape(
+            len(angles), -1, 1), bystanders[:, :n].reshape(-1, 2, 2)))
+    return tuple((reg, tuple(GlobalField(tpl.axis, a)
+                             for tpl, a in zip(problem.alphabet, part)), gates)
+                 for reg, part, gates in parts)
 
 
 def _draw_distances(problem: SynthesisProblem, table: tuple,
                     sequences: Sequence) -> Iterator[np.ndarray]:
     """Per sequence in turn (letter index per slot, None at exchange), its
-    phase distance on spins (0, 1) for every draw of the table, played as
-    one circuit of the table's draws. Every circuit takes its slots' ops
-    from one list, so evaluate_each plays the leading slots that a
-    sequence shares with the one before it once. A word with no field
-    letter plays one matrix, which every draw shares."""
-    reg, fields, targets = table
-    ops = [*fields, Exchange(0, 1, problem.xi)]
-    for u in evaluate_each([Circuit(reg, [ops[-1 if x is None else x]
-                                          for x in letters])
-                            for letters in sequences]):
-        yield phase_distance(np.broadcast_to(u, targets.shape), targets)
+    phase distance on problem.verify_spins spins for every draw of the
+    table: each part plays it as one circuit (a bystander without the
+    exchanges) whose slots are the part's op objects, so evaluate_each
+    plays a prefix shared with the sequence before once, and
+    combined_distance joins the parts. A part with no field letter plays
+    one matrix, which every draw shares."""
+    ex = Exchange(0, 1, problem.xi)
+    played = evaluate_each([
+        Circuit(reg, [ex if x is None else fields[x] for x in letters
+                      if x is not None or reg.n_spins == 2])
+        for letters in sequences for reg, fields, _ in table])
+    n_draws = len(table[0][2])
+    for _ in sequences:
+        yield combined_distance(np.hstack([phase_distance(
+            np.broadcast_to(next(played), gates.shape), gates).reshape(
+                n_draws, -1) for _, _, gates in table]))
 
 
 def enumerate_sequences(problem: SynthesisProblem,
@@ -646,7 +640,7 @@ def enumerate_sequences(problem: SynthesisProblem,
     pre-filter and scores every word, which is only sensible for small
     planted problems; both paths return identical results. The budget
     bounds words x placements, and then survivors x placements x terms;
-    MAX_LENGTH and MAX_TABLE_ENTRIES are checked before any draw.
+    MAX_LENGTH is checked before any draw.
     """
     marks = [time.perf_counter()]
     if budget < 1:
@@ -669,7 +663,6 @@ def enumerate_sequences(problem: SynthesisProblem,
                              budget)
     if length > MAX_LENGTH:
         raise ValueError(f"length {length} is over the cap {MAX_LENGTH}")
-    _check_table(problem, problem.verify_samples)
     n_placements = math.comb(length, k)
     words_total = n_letters ** n_field
     needed = words_total * n_placements
@@ -779,7 +772,9 @@ def reverify(result: SynthesisResult, problem: SynthesisProblem,
         except KeyError as exc:
             raise ValueError(f"problem {problem.name} has no letter "
                              f"{exc.args[0]!r}") from None
-    _check_table(problem, n_samples)
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise ValueError(f"n_samples must be in 1..{MAX_SAMPLES}, got "
+                         f"{n_samples}")
     table = _verify_table(problem, n_samples, seed)
     checks = []
     for sol, dists in zip(result.solutions,

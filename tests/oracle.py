@@ -8,15 +8,17 @@ the verify suites run one draw at a time, which call the package's
 builders with floats; the local-z distance with its 2049-point scan
 evaluated one angle at a time and golden-section refinement; final
 verification's word loop, which plays every word on the whole register
-with the pulse kernel, never group by group and never sharing a prefix
-between words; the unitary digest taken over the whole matrix at once,
-never row block by row block; the bystander filter's scan, which gathers
-each word's two halves on the first sample as on later ones, from halves
-formed by batched matmul, not by elementwise 2x2 products; and the pair
-filter's scan, which builds both strand halves once per word, batch by
-batch in row order, with matmul products. A synthesis target is built as
-the Kronecker product of a family draw's pair and bystander gates,
-against final verification's join."""
+with the pulse kernel, never group by group or part by part and never
+sharing a prefix between words; the unitary digest taken over the whole
+matrix at once, never row block by row block; the bystander filter's
+scan, which gathers each word's two halves on the first sample as on
+later ones, from halves formed by batched matmul, not by elementwise 2x2
+products, and scores them by einsum; and the pair filter's scan, which
+builds both strand halves once per word, batch by batch in row order,
+with matmul products and T† folded into the suffix half. A synthesis
+target is built as the Kronecker product of a family draw's pair and
+bystander gates, against final verification's factored parts, which
+factored_draw_distances scores one draw at a time."""
 
 import cmath
 import hashlib
@@ -27,7 +29,8 @@ import numpy as np
 
 from globalspin import circuits, synth
 from globalspin.linalg import phase_distance
-from globalspin.spins import Exchange, RegisterSpec, apply_op, identity
+from globalspin.spins import (Exchange, GlobalField, RegisterSpec, apply_op,
+                              identity)
 
 # Largest entry of U†U - I that still counts as unitary.
 UNITARY_TOL = 1e-12
@@ -212,14 +215,55 @@ def register_target(draw, n_spins):
 
 def draw_distances(problem, table, letters):
     """Phase distance of a sequence (letter index per slot, None at
-    exchange) for every draw of a synthesis verification table: the word
-    played on the whole register, one batched kernel pass per slot."""
-    reg, fields, targets = table
+    exchange) for every draw of a synthesis verification table, whose parts
+    are the pair and the bystanders: the word played on the whole
+    register, one batched kernel pass per slot, against the Kronecker
+    product of each draw's gates."""
+    n_draws = len(table[0][2])
+    fields = [GlobalField(letter[0].axis, np.hstack(
+        [f.angles.reshape(n_draws, -1) for f in letter]))
+        for letter in zip(*(part_fields for _, part_fields, _ in table))]
+    gates = [g.reshape(n_draws, -1, *g.shape[1:]) for _, _, g in table]
+    targets = []
+    for b in range(n_draws):
+        target = np.eye(1)
+        for part in gates:
+            for gate in part[b]:
+                target = np.kron(target, gate)
+        targets.append(target)
+    reg = RegisterSpec(fields[0].angles.shape[1])
     ex = Exchange(0, 1, problem.xi)
-    u = identity(reg, len(targets))
+    u = identity(reg, n_draws)
     for letter in letters:
         apply_op(u, reg, ex if letter is None else fields[letter])
-    return phase_distance(u, targets)
+    return phase_distance(u, np.array(targets))
+
+
+def factored_draw_distances(problem, letters, n_samples, seed):
+    """Final verification's distances of a sequence (letter index per slot,
+    None at exchange) over the n_samples draws of seed, each draw built and
+    scored alone: the word on the pair, its field letters on each
+    bystander, each part against its own gate, combined by
+    circuits.combined_distance."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_samples):
+        draw = synth.FAMILIES[problem.family].sample(rng)
+        angles = [tpl.sign * draw.angles[tpl.symbol]
+                  for tpl in problem.alphabet]
+        parts = [((0, 1), draw.pair)] + [
+            ((k,), gate) for k, gate in enumerate(
+                draw.bystanders[:problem.verify_spins - 2], start=2)]
+        dists = []
+        for sites, gate in parts:
+            ops = [Exchange(0, 1, problem.xi) if x is None else GlobalField(
+                problem.alphabet[x].axis, tuple(angles[x][list(sites)]))
+                for x in letters if x is not None or len(sites) == 2]
+            u = circuits.evaluate(circuits.Circuit(RegisterSpec(len(sites)),
+                                                   ops))
+            dists.append(phase_distance(u, gate))
+        out.append(circuits.combined_distance(np.array(dists)))
+    return np.array(out)
 
 
 def dense_digest(u):
@@ -247,9 +291,9 @@ def word_products(mats, length):
 
 
 def half_word_factors(mats, target, n_field):
-    """synth._half_word_factors with matmul products: prefix rows P and
-    transposed T†-folded suffix rows (T†S)^T of every n_field-letter
-    word."""
+    """synth._half_word_factors with matmul products, its columns as
+    rows: prefix rows P and transposed T†-folded suffix rows (T†S)^T of
+    every n_field-letter word."""
     k = n_field // 2
     d = mats.shape[-1]
     pre = word_products(mats, k).reshape(-1, d * d)
@@ -295,15 +339,17 @@ def strand_traces(factors, weights, target, length, n_exchange):
         halves.append(circuits.join((((0,), prods[:, rows_a]),
                                      ((1,), prods[:, rows_b]))))
     pre = halves[0].reshape(n_words, -1, 16)
-    size = pre.shape[1] * halves[1].shape[1]
-    rows = np.zeros((len(weights) * size + 1, n_words), dtype=complex)
+    # The cells (suffix pattern, j, prefix pattern) as rows, and a zero row
+    # last for the padding cell -1.
+    grid = np.zeros((halves[1].shape[1], len(weights), pre.shape[1], n_words),
+                    dtype=complex)
     for g, (j, weight) in enumerate(weights.items()):
         fold = weight * target.conj().T
         if j % 2:
             fold = fold[:, [0, 2, 1, 3]]
         suf = (fold @ halves[1]).swapaxes(2, 3).reshape(n_words, -1, 16)
-        rows[g * size:(g + 1) * size] = np.matmul(
-            pre, suf.swapaxes(1, 2)).reshape(n_words, -1).T
+        grid[:, g] = np.matmul(pre, suf.swapaxes(1, 2)).transpose(2, 1, 0)
+    rows = np.vstack([grid.reshape(-1, n_words), np.zeros((1, n_words))])
     traces = None
     for cell, n in zip(cells, counts):
         part = rows[cell]

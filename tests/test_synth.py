@@ -2,13 +2,14 @@ import dataclasses
 import itertools
 import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from globalspin import synth
-from globalspin.circuits import FACTOR_MIN_SPINS, Circuit, Exchange, evaluate
+from globalspin import circuits, synth
+from globalspin.circuits import Circuit, Exchange, evaluate, join
 from globalspin.device import (ANTIPARALLEL, PARALLEL, device_constants,
                                field_profile, twin_wire_preset)
 from globalspin.grammar import preset_path
@@ -118,16 +119,32 @@ def test_sample_and_table_caps(bundled):
         with pytest.raises(ValueError, match=r"must be in 1\.\.4096$"):
             dataclasses.replace(p, **{key: synth.MAX_SAMPLES + 1})
     result = enumerate_sequences(p)
-    # 4^3 target entries per draw on 3 spins: one draw over the cap.
-    with pytest.raises(ValueError, match="over the cap 16777216 table entries$"):
-        reverify(result, p, n_samples=synth.MAX_TABLE_ENTRIES // 4 ** 3 + 1)
-    with pytest.raises(ValueError, match="over the cap 16777216 table entries$"):
-        enumerate_sequences(dataclasses.replace(p, verify_spins=12,
-                                                verify_samples=2))
-    for n_samples in (0, -3):
-        with pytest.raises(ValueError, match=rf"^n_samples must be at least "
-                                             rf"1, got {n_samples}$"):
+    # reverify's draws take the problem's range: 262,145 draws on 3 spins
+    # would build about 240 MB of gates.
+    for n_samples in (0, -3, synth.MAX_SAMPLES + 1, 262_145):
+        with pytest.raises(ValueError, match=rf"^n_samples must be in "
+                                             rf"1\.\.4096, got {n_samples}$"):
             reverify(result, p, n_samples=n_samples)
+
+
+def test_twelve_spins_verify_at_the_sample_cap(bundled):
+    # Verification holds the pair's gates and each bystander's, never a
+    # register's target: 12 spins search and reverify at 4096 draws,
+    # where joined targets would take 4096 x 4096^2 entries (1.1 TB).
+    p = dataclasses.replace(bundled("planted_swap"), verify_spins=12,
+                            verify_samples=synth.MAX_SAMPLES)
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        result = enumerate_sequences(p)
+        checks = reverify(result, p, n_samples=synth.MAX_SAMPLES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 10.0
+    assert peak <= 32 << 20, peak
+    assert [s.letters for s in result.solutions] == [("EX", "primary+", "EX")]
+    assert [c.passed for c in checks] == [True]
 
 
 def test_empty_alphabet(bundled):
@@ -207,36 +224,51 @@ def family_problem(name, spins):
                             verify_spins=spins)
 
 
+def play_parts(table, li):
+    """Letter li of a verification table played on each part's register,
+    one stack per part."""
+    out = []
+    for reg, fields, gates in table:
+        played = np.broadcast_to(np.eye(reg.dim, dtype=complex),
+                                 gates.shape).copy()
+        out.append(apply_op(played, reg, fields[li]))
+    return out
+
+
 def test_family_draw_tables_agree_across_registers():
     # Every stage reads one draw table: the 3-spin field a letter plays in
-    # final verification is the search's pair factors times its first
-    # bystander factor, and the 3-spin target is the pair gate times the
-    # first bystander gate.
+    # final verification, on the pair and on its bystander, is the
+    # search's pair factors times its first bystander factor, and the
+    # 3-spin target is the pair gate times the first bystander gate.
     for name, family in synth.FAMILIES.items():
         p = family_problem(name, 3)
-        reg3, fields, targets = synth._verify_table(p, 3, seed=31)
+        table = synth._verify_table(p, 3, seed=31)
+        (_, _, pairs), (_, _, sides) = table
         bm, pf, _, _ = search_samples(p, np.random.default_rng(31), 3)
         rng = np.random.default_rng(31)
         for k in range(3):
             draw = family.sample(rng)
-            for li, field in enumerate(fields):
-                played = np.broadcast_to(np.eye(8, dtype=complex),
-                                         (3, 8, 8)).copy()
-                apply_op(played, reg3, field)
+            for li in range(len(p.alphabet)):
+                pair, side = play_parts(table, li)
                 want = np.kron(np.kron(pf[k, li, 0], pf[k, li, 1]), bm[k, li])
-                assert max_abs(played[k] - want) <= 1e-14
-            assert max_abs(targets[k] - oracle.register_target(draw, 3)) <= 1e-14
+                assert max_abs(np.kron(pair[k], side[k]) - want) <= 1e-14
+            assert max_abs(np.kron(pairs[k], sides[k])
+                           - oracle.register_target(draw, 3)) <= 1e-14
 
 
 @pytest.mark.parametrize("spins", range(2, 9))
 def test_joined_targets_equal_the_kron_oracle_bit_for_bit(spins):
-    # Final verification joins the pair gate and the bystander gates; the
-    # oracle takes their Kronecker product. Both multiply the same entries
-    # in the same order, so only the sign of a zero may differ (join starts
-    # from ones).
+    # Final verification scores the pair gate and the bystander gates as
+    # parts, whose tensor product is the register's target; the oracle
+    # takes their Kronecker product. Both multiply the same entries in the
+    # same order, so only the sign of a zero may differ (join starts from
+    # ones).
     for name, family in synth.FAMILIES.items():
         p = family_problem(name, spins)
-        _, _, targets = synth._verify_table(p, 4, seed=spins)
+        gates = [g.reshape(4, -1, *g.shape[1:])
+                 for _, _, g in synth._verify_table(p, 4, seed=spins)]
+        targets = join((((0, 1), gates[0][:, 0]), *(
+            ((k + 2,), gates[1][:, k]) for k in range(spins - 2))))
         rng = np.random.default_rng(spins)
         want = np.array([oracle.register_target(family.sample(rng), spins)
                          for _ in range(4)])
@@ -297,15 +329,25 @@ def test_verification_matches_per_draw_oracle_on_seed0(bundled,
         assert sol.worst_draw == int(np.argmax(got))
 
 
-@pytest.mark.parametrize("spins", [7, 8])
+@pytest.mark.parametrize("spins", range(2, 9))
 @pytest.mark.parametrize("name", ["planted_swap", "planted_cp"])
 def test_wide_verification_matches_the_full_register_loop(bundled, monkeypatch,
                                                           name, spins):
-    # From FACTOR_MIN_SPINS up, evaluate plays the exchanged pair and each
-    # bystander on registers of their own; the full-register loop plays
-    # every word on all 2^n states.
-    assert spins >= FACTOR_MIN_SPINS
+    # Final verification plays the pair on 2 spins and the bystanders on 1
+    # each, and combines the parts' distances; the full-register loop plays
+    # every word on all 2^n states against the Kronecker product of the
+    # gates. Every word at every placement is compared too: the wrong ones
+    # are wrong on the bystanders as well, where only verification looks.
     p = dataclasses.replace(bundled(name), verify_spins=spins)
+    factored = synth._draw_distances
+    table = synth._verify_table(p, 10, seed=spins)
+    sequences = [synth._slot_letters(word, slots, p.length)
+                 for word in itertools.product(range(len(p.alphabet)),
+                                               repeat=p.n_field)
+                 for slots in itertools.combinations(range(p.length),
+                                                     p.n_exchange)]
+    for letters, got in zip(sequences, factored(p, table, sequences)):
+        assert max_abs(got - oracle.draw_distances(p, table, letters)) <= 1e-13
     got = enumerate_sequences(p, seed=0).solutions
     monkeypatch.setattr(synth, "_draw_distances", lambda p, table, sequences: (
         oracle.draw_distances(p, table, letters) for letters in sequences))
@@ -354,11 +396,14 @@ def test_reverify_reports_the_worst_of_all_draws(bundled):
     # At seed 12 the worst of the 30 draws is not the first one.
     (check,) = reverify(dataclasses.replace(r, solutions=(wrong,)), p,
                         n_samples=30, seed=12)
-    want = oracle_distances(p, [1], wrong.exchange_slots, 30, 12)
+    want = oracle.factored_draw_distances(
+        p, synth._slot_letters([1], wrong.exchange_slots, p.length), 30, 12)
+    dense = oracle_distances(p, [1], wrong.exchange_slots, 30, 12)
     assert not check.passed
     assert check.worst_draw > 0
     assert check.max_distance == want.max()
     assert check.worst_draw == int(np.argmax(want))
+    assert abs(check.max_distance - dense.max()) <= 1e-15
 
 
 def test_reverify_scores_an_all_exchange_word_on_every_draw(bundled):
@@ -370,10 +415,12 @@ def test_reverify_scores_an_all_exchange_word_on_every_draw(bundled):
                                      worst_draw=0)
     (check,) = reverify(dataclasses.replace(r, solutions=(only_ex,)), p,
                         n_samples=30, seed=12)
-    want = oracle_distances(p, [], (0, 1), 30, 12)
+    want = oracle.factored_draw_distances(p, [None, None], 30, 12)
+    dense = oracle_distances(p, [], (0, 1), 30, 12)
     assert not check.passed
     assert check.max_distance == want.max()
     assert check.worst_draw == int(np.argmax(want))
+    assert abs(check.max_distance - dense.max()) <= 1e-15
 
 
 def test_reverify_rejects_unknown_label(bundled):
@@ -685,8 +732,8 @@ def test_half_word_traces_equal_slot_products():
         words = synth._word_digits(idx, p.n_field, n_letters)
 
         pre, suf = synth._half_word_factors(bm, bt, p.n_field)
-        n_suf = suf.shape[0]
-        half = (pre[idx // n_suf] * suf[idx % n_suf]).sum(axis=1)
+        n_suf = suf.shape[1]
+        half = (pre[:, idx // n_suf] * suf[:, idx % n_suf]).sum(axis=0)
         for w, word in enumerate(words):
             prod = np.eye(2, dtype=complex)
             for letter in word:
@@ -726,12 +773,14 @@ def test_strand_traces_equal_slot_products():
             ex4 = exchange_unitary(RegisterSpec(2), 0, 1, xi)
             words = rng.integers(len(alphabet), size=(5, p.n_field))
             weights = synth._term_weights(ex4, n_exchange)
-            split, (trie, _), _, _ = synth._parity_cells(length, n_exchange,
-                                                         tuple(weights))
-            pre = synth._strand_halves(pf, words[:, :split], trie)
-            traces = synth._strand_traces(
-                pre.reshape(len(words), -1, 16), pf, words[:, split:],
-                weights, pt, length, n_exchange)
+            split, tries, cells, counts = synth._parity_cells(
+                length, n_exchange, tuple(weights))
+            pre = synth._folded_prefixes(pf, words[:, :split], tries[0],
+                                         weights, pt)
+            suf = synth._strand_halves(pf, words[:, split:], tries[1])
+            traces, cols = synth._strand_traces(
+                pre, suf.reshape(len(words), -1, 16), cells, counts)
+            traces = traces[:, cols]
             placements = list(itertools.combinations(range(length),
                                                      n_exchange))
             assert traces.shape == (len(words), len(placements))
@@ -904,6 +953,21 @@ def test_scans_equal_the_per_word_oracle_on_cells_with_counts(bundled):
             assert assert_scans_equal_the_oracle(p, seed, prune)[1]
 
 
+def test_scans_equal_the_per_word_oracle_across_blocks_and_weights(bundled):
+    # planted_cp's xi = π/2 keeps every SWAP count. With four letters and
+    # six field slots its 4096 words fill 8 blocks of suffix halves and 32
+    # batches, so each block's halves serve several batches and a suffix
+    # may straddle two blocks; the plant with two cancelling pairs hits.
+    p = dataclasses.replace(
+        bundled("planted_cp"), length=8,
+        alphabet=tuple(PulseTemplate(axis, "primary", sign)
+                       for axis in "zx" for sign in (1, -1)))
+    assert len(scan_inputs(p, 0)[-1]) == 3
+    assert len(p.alphabet) ** p.n_field == 8 * synth._PAIR_BLOCK
+    for seed in (0, 3):
+        assert assert_scans_equal_the_oracle(p, seed, prune=False)[1]
+
+
 def test_scans_equal_the_per_word_oracle_on_random_problems():
     rng = np.random.default_rng(4242)
     for k in range(20):
@@ -947,8 +1011,8 @@ def test_scans_hold_one_batch_at_a_time(bundled):
     # are built per block or per batch of words, never as one table over
     # every suffix of a sample, which would take over 40 MB; the pair
     # scan's one table is its 510 prefixes' halves, 1 MB. Final
-    # verification holds its open branches and one result at a time: its
-    # 48 unitaries held at once would take 19 MB.
+    # verification holds its open branches and one result at a time, on
+    # parts of 2 spins and 1.
     p = bundled("z_difference_rotation")
     bm, bt, pf, pt, weights = scan_inputs(p, 0)
     words = synth._word_digits(synth._bystander_scan(p.n_field, bm, bt),
@@ -977,6 +1041,53 @@ def test_scans_hold_one_batch_at_a_time(bundled):
         finally:
             tracemalloc.stop()
         assert peak <= 8 << 20, peak
+
+
+def test_rotation_stages_build_what_they_need_once(bundled, monkeypatch,
+                                                  rotation_seed0):
+    # Guards that do not rely on timing, on the seed-0 rotation. The pair
+    # scan builds a suffix's halves at most once per block of suffix-sorted
+    # words: on each sample at most distinct suffixes + blocks rows (2818;
+    # once per batch of 128 words built 2882). Final verification plays no
+    # op on a register of more than 2 spins, at 4 spins or at 12.
+    p = bundled("z_difference_rotation")
+    bm, bt, pf, pt, weights = scan_inputs(p, 0)
+    words = synth._word_digits(synth._bystander_scan(p.n_field, bm, bt),
+                               p.n_field, len(p.alphabet))
+    split = synth._parity_cells(p.length, p.n_exchange, tuple(weights))[0]
+    built = []
+    halves = synth._strand_halves
+
+    def counting(factors, digits, trie):
+        if digits.shape[1] == split:
+            built.append(0)  # a sample's prefix table opens it
+        else:
+            built[-1] += len(digits)
+        return halves(factors, digits, trie)
+
+    monkeypatch.setattr(synth, "_strand_halves", counting)
+    hits = synth._pair_scan(words, pf, pt, weights, p.length, p.n_exchange)
+    assert len(hits) == 48 and len(built) == p.search_samples
+    distinct = np.unique(synth._word_codes(words[:, split:], len(p.alphabet)))
+    assert max(built) <= distinct.size + -(-len(words) // synth._PAIR_BLOCK)
+
+    sizes = set()
+    play = circuits.apply_op
+
+    def recording(u, reg, op):
+        sizes.add(reg.n_spins)
+        return play(u, reg, op)
+
+    monkeypatch.setattr(circuits, "apply_op", recording)
+    sequences = [synth._slot_letters(solution_word(p, sol), sol.exchange_slots,
+                                     p.length)
+                 for sol in rotation_seed0.solutions]
+    for spins in (4, 12):
+        wide = dataclasses.replace(p, verify_spins=spins)
+        for dists in synth._draw_distances(
+                wide, synth._verify_table(wide, 100, 1_000_003), sequences):
+            assert dists.max() <= p.tolerance
+    assert sizes == {1, 2}
 
 
 def test_prune_equals_exhaustive_on_random_problems():
