@@ -4,19 +4,19 @@ builders for the named gate constructions.
 A circuit is an ordered list of elementary pulses; the leftmost op acts
 first. A Circuit checks its ops against its register once, when it is
 built, so evaluation can fold them into one running unitary with the
-in-place kernel spins.apply_op: each op acts on the row index at
-O(n 4^n), and no op matrix is formed. Every spin outside an exchange pair
-is a bystander of that op, so the spins split into groups that no exchange
-links. From FACTOR_MIN_SPINS spins up, factor plays each such group on its
-own 2^|g| register; below that, and for one group, on the full register.
-join multiplies the parts out by one broadcast product, all rows for
-evaluate or one row block at a time for a digest. evaluate_each gives
-evaluate's unitary of each of several circuits, bit for bit and one at a
-time, but plays a run of leading ops that a circuit shares with the one
-before it once, keeping only the states that a later circuit resumes
-from; synthesis verifies its sequences through it. Builders return
-the circuit together with its intended gate target so the same
-verification path covers hand-built and synthesized sequences.
+in-place kernel spins.apply_op: each op acts on the row index at O(n 4^n),
+and no op matrix is formed. Every spin outside an exchange pair is a
+bystander of that op, so the spins split into groups no exchange links.
+From FACTOR_MIN_SPINS spins up, factor plays each such group on its own
+2^|g| register, and all 1-spin groups, which only fields reach, in one
+batch; below that, and for one group, on the full register. join multiplies
+the parts out by one broadcast product, all rows for evaluate or one row
+block at a time for a digest. evaluate_each gives evaluate's unitary of
+each of several circuits, bit for bit and one at a time, but plays a run of
+leading ops that a circuit shares with the one before it once, keeping only
+the states a later circuit resumes from; synthesis verifies its sequences
+through it. Builders return the circuit with its intended gate target, so
+one verification path covers hand-built and synthesized sequences.
 
 A circuit's ops may hold per-draw angles ((B, n) field rows, (B,)
 exchange angles) next to shared ones. The circuit reads its draw count B
@@ -149,11 +149,20 @@ def factor(c: Circuit, groups: Optional[Sequence] = None) -> tuple:
     """c's unitary as parts ((group, unitary), ...), smallest group first:
     c played on each ascending group of spins that its exchanges link (or
     of the coarser partition given), or on the whole register for one
-    group or below FACTOR_MIN_SPINS spins."""
+    group or below FACTOR_MIN_SPINS spins; the k 1-spin groups as one batch,
+    a field's angles there its (k, 1) rows, or (k·B, 1) for B draws."""
     n = c.register.n_spins
-    return tuple((g, _play(RegisterSpec(len(g)), ops if len(g) == n
-                           else [_on(g, op) for op in ops], c.draws))
-                 for g, ops in _parts(c, groups))
+    parts = _parts(c, groups)
+    lone = [g[0] for g, _ in parts if len(g) == 1]
+    k, lead = len(lone), (c.draws,) if c.draws else ()
+    batch = iter(lone and _play(RegisterSpec(1), [
+        GlobalField(op.axis, np.broadcast_to(np.asarray(op.angles)[..., lone],
+                                             lead + (k,)).T.reshape(-1, 1))
+        for op in c.ops if isinstance(op, GlobalField)],
+        k * (c.draws or 1)).reshape((k,) + lead + (2, 2)))
+    return tuple((g, next(batch) if len(g) == 1 else _play(
+        RegisterSpec(len(g)), ops if len(g) == n
+        else [_on(g, op) for op in ops], c.draws)) for g, ops in parts)
 
 
 def _parts(c: Circuit, groups: Optional[Sequence] = None) -> list:
@@ -250,12 +259,12 @@ def join(parts: tuple, block: int = 0, blocks: int = 1) -> np.ndarray:
 
 
 def combined_distance(dg: np.ndarray) -> np.ndarray:
-    """phase_distance of a tensor product from its parts' distances dg,
-    parts on the last axis: |tr(u†v)|/dim is the product of the parts'
-    1 - d_g²/2, so d² = -2 expm1(sum log1p(-d_g²/2)) to full precision."""
+    """phase_distance of a tensor product from its parts' distances dg on
+    the last axis: |tr(u†v)|/dim is the product of the parts' 1 - d_g²/2,
+    so d² = -2 expm1(sum log1p(-d_g²/2)); + 0.0 reads sqrt(-0.0) as 0.0."""
     with np.errstate(divide="ignore"):  # an orthogonal part: log1p(-1)
         return np.sqrt(-2.0 * np.expm1(
-            np.log1p(-np.minimum(dg * dg / 2.0, 1.0)).sum(axis=-1)))
+            np.log1p(-np.minimum(dg * dg / 2.0, 1.0)).sum(axis=-1))) + 0.0
 
 
 def factored_distance(u: tuple, v: tuple) -> float:

@@ -410,13 +410,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # one per process: parsing leaves it unchanged
 _COMMANDS = {"verify": cmd_verify, "synthesize": cmd_synthesize,
              "device": cmd_device, "schedule": cmd_schedule}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     t0 = time.perf_counter()
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's refusal names no flag

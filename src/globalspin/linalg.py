@@ -98,29 +98,32 @@ def phase_distance(u: np.ndarray, v: np.ndarray):
     return dist
 
 
-def update_phase_normalized(h, m, blocks: int = 1) -> None:
-    """Feed hash h the real and then the imaginary parts of m, with the
-    phase of its anchor entry removed and rounded to 9 decimals: a
-    phase-invariant fingerprint. The arrays are hashed in place, not copied
-    to bytes.
+def update_phase_normalized(h, block, tops) -> None:
+    """Feed hash h the real and then the imaginary parts of a matrix, with
+    the phase of its anchor entry removed and rounded to 9 decimals: a
+    phase-invariant fingerprint, hashed in place, not copied to bytes.
 
-    m is a matrix, or a function building row block k of its `blocks` equal
-    ones: a first pass finds the largest modulus, a second feeds the real
-    parts and stores the imaginary parts, which are hashed last.
-
-    The anchor is the first entry in flat order whose modulus is within
-    1e-9 of the largest, so entries tied in modulus up to rounding (a
-    rotation's bystander blocks) pick the same anchor whatever the last
-    bits of each. Only the first block that reaches it is built again."""
-    block = m if callable(m) else lambda k: m
-    tops = [np.abs(block(k)).max() for k in range(blocks)]
-    top = np.max(tops)
-    b = block(next((k for k, t in enumerate(tops) if t >= top - 1e-9), 0))
-    anchor = b.flat[int(np.argmax(np.abs(b) >= top - 1e-9))]
-    imag = np.empty((blocks,) + b.shape)
-    for k in range(blocks):
-        normalized = block(k) / (anchor / abs(anchor))
+    block(k) builds row block k of the len(tops) equal ones, a new array
+    each call, and tops[k] is that block's largest modulus to within a few
+    ulps. Each block is built once, the anchor's first; its imaginary parts
+    are stored and hashed last. The anchor is the first entry in flat order
+    within 1e-9 of the largest top, so entries tied in modulus up to
+    rounding (a rotation's bystander blocks) pick the same anchor whatever
+    their last bits. A block whose top reaches that edge but no entry of
+    which does is passed over for the next one that does."""
+    edge = np.max(tops) - 1e-9
+    for anchored in [*np.flatnonzero(np.asarray(tops) >= edge), 0]:
+        b = block(anchored)
+        hit = np.abs(b) >= edge
+        if hit.any():
+            break
+    anchor = b.flat[int(np.argmax(hit))]
+    real, imag = np.empty(b.shape), np.empty((len(tops),) + b.shape)
+    for k in range(len(tops)):
+        v = b if k == anchored else block(k)
+        np.divide(v, anchor / abs(anchor), out=v)
+        np.round(v.real, 9, out=real)
         # +0.0 collapses -0.0 so the byte image is sign-of-zero stable.
-        h.update(np.round(normalized.real, 9) + 0.0)
-        np.add(np.round(normalized.imag, 9), 0.0, out=imag[k])
-    h.update(imag)
+        h.update(np.add(real, 0.0, out=real))
+        np.round(v.imag, 9, out=imag[k])
+    h.update(np.add(imag, 0.0, out=imag))

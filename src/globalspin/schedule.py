@@ -340,14 +340,17 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
 
 def unitary_digest(u) -> str:
     """Phase-normalized sha256 fingerprint of a unitary, for golden checks:
-    a matrix (one part) or factor's parts, joined one row block at a time.
-    Blocks hold the joined bits, so the digest does not depend on the form."""
+    a matrix (one part) or factor's parts, each row block joined once. A
+    row's top modulus is the product of each part's on the row's group
+    indices. Blocks hold the joined bits: the form does not matter."""
     if isinstance(u, np.ndarray):
         u = ((tuple(range(len(u).bit_length() - 1)),
               np.asarray(u, dtype=complex)),)
-    dim = 1 << sum(len(g) for g, _ in u)
-    blocks = min(dim, max(1, dim * dim // DIGEST_BLOCK))
-    h = hashlib.sha256()
-    h.update(str((dim, dim)).encode())
-    update_phase_normalized(h, lambda k: join(u, k, blocks), blocks)
+    n = sum(len(g) for g, _ in u)
+    rows = np.prod(np.broadcast_arrays(*(np.abs(f).max(axis=-1).reshape(
+        [2 if s in g else 1 for s in range(n)]) for g, f in u)), axis=0)
+    blocks = min(1 << n, max(1, (1 << 2 * n) // DIGEST_BLOCK))
+    h = hashlib.sha256(str((1 << n, 1 << n)).encode())
+    update_phase_normalized(h, lambda k: join(u, k, blocks),
+                            rows.reshape(blocks, -1).max(axis=1))
     return h.hexdigest()

@@ -429,6 +429,108 @@ def test_grouped_evaluate_takes_the_draw_axis():
             assert np.array_equal(u[k], evaluate(ck))
 
 
+def lone_spin_cases(rng):
+    """Circuits of 7 to 10 spins with no, one and many 1-spin groups, with
+    and without draws: pairs that cover every spin, pairs that leave one
+    out, random linked circuits, a rotation, an all-exchange circuit, and x
+    and y fields that leave one lone spin at rest while the others turn."""
+    cp, _ = cir.controlled_phase_circuit(REG2, 0, 1, 0.4)
+    xy, _ = cir.xy_controlled_phase_circuit(REG2, 0, 1, 0.9)
+    cp3, _ = cir.controlled_phase_circuit(REG2, 0, 1, rng.uniform(-3, 3, 3))
+    cases = [parallel_apply(cp, ((0, 1), (2, 3), (4, 5), (6, 7)),
+                            RegisterSpec(8)),
+             parallel_apply(xy, ((0, 1), (2, 3), (5, 4)), RegisterSpec(7)),
+             parallel_apply(cp3, ((0, 1), (3, 2), (4, 6)), RegisterSpec(8))]
+    cases += [random_linked_circuit(rng, n, 14, n_links)
+              for n in (7, 9, 10) for n_links in (1, 3)]
+    cases.append(cir.refocused_rotation_circuit(
+        RegisterSpec(10), "x", 3, 4, 1.3,
+        {"z": tuple(rng.uniform(0.5, 1.0, 10)),
+         "x": tuple(rng.uniform(0.5, 1.0, 10))})[0])
+    cases.append(Circuit(RegisterSpec(8), (Exchange(0, 1, 0.7),
+                                           XYExchange(2, 5, -1.2))))
+    b, n = 4, 9
+    rest = rng.uniform(-3, 3, size=(b, n))
+    rest[:, 6] = 0.0  # spin 6 at rest in every draw, spin 7 in one
+    rest[1, 7] = 0.0
+    still = np.array(rest[0])
+    still[[5, 8]] = 0.0
+    cases.append(Circuit(RegisterSpec(n), (
+        GlobalField("x", rest), Exchange(0, 2, rng.uniform(-3, 3, size=b)),
+        GlobalField("z", tuple(rng.uniform(-3, 3, size=n))),
+        GlobalField("y", tuple(still)), XYExchange(1, 3, 0.4),
+        GlobalField("y", rng.uniform(-3, 3, size=(b, n))))))
+    cases.append(Circuit(RegisterSpec(n), (GlobalField("x", tuple(still)),
+                                           Exchange(0, 1, 0.3))))
+    return cases
+
+
+def test_lone_spins_play_in_one_batch_as_each_alone():
+    # factor plays every 1-spin group as one batch; the oracle plays each
+    # group alone. A batch also plays a site at rest that a lone play
+    # skips, so a zero there may differ in sign: the check is on values.
+    rng = np.random.default_rng(41)
+    lone_counts = {None: set(), 3: set(), 4: set()}  # by draw count
+    for c in lone_spin_cases(rng):
+        n = c.register.n_spins
+        want = oracle.factor(c)
+        got = cir.factor(c)
+        assert [g for g, _ in got] == [g for g, _ in want]
+        lone_counts[c.draws].add(sum(len(g) == 1 for g, _ in got))
+        for (_, a), (_, b) in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        # On a coarser partition, as the replay check asks for.
+        groups = cir._exchange_groups(n, c.ops + (Exchange(n - 2, n - 1,
+                                                           0.0),))
+        got = cir.factor(c, groups)
+        for (g, a), (h, b) in zip(got, oracle.factor(c, groups), strict=True):
+            assert g == h and np.array_equal(a, b)
+    assert {0, 1} < lone_counts[None] and max(lone_counts[None]) >= 8
+    assert min(lone_counts[3]) >= 2 and min(lone_counts[4]) >= 5
+
+
+def test_lone_spins_take_one_kernel_pass_per_field(monkeypatch):
+    rng = np.random.default_rng(42)
+    cp3, _ = cir.controlled_phase_circuit(REG2, 0, 1, rng.uniform(-3, 3, 3))
+    cases = [c for c in lone_spin_cases(rng) if c.register.n_spins == 10]
+    cases.append(parallel_apply(cp3, ((0, 1), (3, 2)), RegisterSpec(10)))
+    one_spin = []
+    real = cir.apply_op
+
+    def counting(u, reg, op):
+        one_spin.append(reg.n_spins == 1)
+        return real(u, reg, op)
+
+    monkeypatch.setattr(cir, "apply_op", counting)
+    for c in cases:
+        one_spin.clear()
+        parts = cir.factor(c)
+        assert sum(len(g) == 1 for g, _ in parts) >= 1
+        assert sum(one_spin) == c.field_count
+    assert len(cases) == 4 and cases[-1].draws == 3
+
+
+def test_combined_distance_of_exact_parts_is_positive_zero():
+    # sqrt(-2 expm1(0)) is sqrt(-0.0), which is -0.0; the distance of
+    # equal parts reads +0.0, and every other value keeps its bits.
+    for dg in (np.zeros(1), np.zeros(3), np.zeros((4, 2))):
+        d = cir.combined_distance(dg)
+        assert np.all(d == 0.0) and not np.signbit(d).any()
+    eye = np.eye(2, dtype=complex)
+    d = cir.factored_distance((((0,), eye), ((1, 2), np.eye(4))),
+                              (((0,), eye), ((1, 2), np.eye(4))))
+    assert d == 0.0 and math.copysign(1.0, d) == 1.0
+    rng = np.random.default_rng(43)
+    scale = np.logspace(-15, 0, 200)[:, None]
+    dg = np.abs(rng.standard_normal((200, 3))) * scale
+    dg[:20] = [0.0, math.sqrt(2), 1e-12]
+    with np.errstate(divide="ignore"):
+        old = np.sqrt(-2.0 * np.expm1(
+            np.log1p(-np.minimum(dg * dg / 2.0, 1.0)).sum(axis=-1)))
+    assert (old > 0).all()
+    assert cir.combined_distance(dg).tobytes() == old.tobytes()
+
+
 def shared_prefix_set(rng, n, draws):
     """Circuits on n spins, in sorted op order, whose ops come from one
     pool so that runs of leading ops are the same objects: random words,

@@ -7,6 +7,8 @@ import os
 import re
 import shlex
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -575,6 +577,53 @@ def test_schedule_replays_and_digests_once_per_run(capsys, tmp_path,
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert sorted(calls) == ["simulate_schedule", "unitary_digest"]
+
+
+@pytest.mark.parametrize("text", ["REG 2\n", "REG 1\nGF z 0.5\n"])
+def test_exact_round_trip_reads_positive_zero(capsys, tmp_path, text):
+    # Every part of these replays equals its circuit's exactly, so the
+    # distance is 0, and printed as 0.0, not -0.0.
+    path = tmp_path / "exact.circuit.txt"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "schedule", str(path), "--format",
+                           "json-lines")
+    assert code == 0
+    measured = by_name(json_lines(out))["round_trip_distance"]["measured"]
+    assert measured == 0.0 and math.copysign(1.0, measured) == 1.0
+
+
+def test_one_process_runs_commands_as_separate_processes_do(capsys, tmp_path,
+                                                           monkeypatch):
+    # main parses with one parser per process. A run of verify, a refused
+    # argument and schedule in one process gives each command's records
+    # (timings aside) and exit code as a fresh process does.
+    circuit = write_tied_cp_circuit(tmp_path / "cp.circuit.txt")
+    runs = [("verify", "--suite", "cp", "--format", "json-lines"),
+            ("verify", "--seed", "x"),
+            ("schedule", str(circuit), "--format", "json-lines")]
+
+    def untimed(out):
+        return [{k: v for k, v in rec.items() if k not in ("s", "wall_time_s")}
+                for rec in json_lines(out)]
+
+    def refuse():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    together = []
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        together.append((code, untimed(out), err))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    apart = []
+    for argv in runs:
+        done = subprocess.run(
+            [sys.executable, "-m", "globalspin.cli", *argv],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src})
+        apart.append((done.returncode, untimed(done.stdout), done.stderr))
+    assert [code for code, _, _ in together] == [0, 2, 0]
+    assert together == apart
 
 
 def test_schedule_unrealizable_exit_code(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import math
 import os
 
@@ -13,7 +15,7 @@ from globalspin.circuits import (Circuit, Exchange, GlobalField, XYExchange,
 from globalspin.device import (ANTIPARALLEL, PARALLEL, DeviceGeometry,
                                SpinSite, WireSpec, device_constants,
                                field_profile, twin_wire_preset)
-from globalspin.linalg import phase_distance
+from globalspin.linalg import phase_distance, update_phase_normalized
 from globalspin.schedule import (DurationCapExceeded, ExchangeEvent,
                                  FieldEvent, Schedule, UnrealizableAngles,
                                  compile_schedule, schedule_from_text,
@@ -22,7 +24,7 @@ from globalspin.schedule import (DurationCapExceeded, ExchangeEvent,
 from globalspin.spins import RegisterSpec, zeeman_angles
 
 import oracle
-from test_circuits import random_linked_circuit
+from test_circuits import random_linked_circuit, random_su2
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -377,6 +379,94 @@ def test_streamed_digest_equals_the_whole_matrix_digest(monkeypatch):
     c = random_linked_circuit(rng, 12, 12)
     want = unitary_digest(factor(c))
     assert unitary_digest(evaluate(c)) == want
+
+
+def wide_schedule_parts(n, rng):
+    """The replays of the circuit kinds a wide schedule run compiles on n
+    preset sites, as factor's parts: an 11-op rotation and an SU(2)
+    compile on a random pair, and on an even register the tied controlled
+    phase on parallel pairs."""
+    geom = twin_wire_preset(n)
+    profiles = device_profiles(geom, n)
+    reg = RegisterSpec(n)
+    i = int(rng.integers(0, n - 1))
+    tpl, _ = tied_cp_circuit()
+    circuits = [
+        refocused_rotation_circuit(reg, "x", i, i + 1, 1.7, profiles)[0],
+        cir.su2_compile(random_su2(rng), reg, i + 1, i, profiles)]
+    if n % 2 == 0:  # the tied pair angles fit only a register of pairs
+        circuits.append(parallel_apply(
+            tpl, [(k, k + 1) for k in range(0, n, 2)], reg))
+    return [simulate_schedule(compile_schedule(c, geom)) for c in circuits]
+
+
+def test_one_pass_digest_equals_the_dense_digest(monkeypatch):
+    # Tensor products of phased Hadamards tie in modulus at every entry,
+    # so the anchor is entry 0 whatever the last bits of the tops; the
+    # schedule replays' entries tie in blocks. Every row block size gives
+    # the digest of the joined matrix hashed whole.
+    rng = np.random.default_rng(44)
+    had = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    cases = [tuple(((k,), np.exp(1j * rng.uniform(-3, 3)) * had)
+                   for k in range(n)) for n in (7, 9)]
+    cases += [parts for n in (8, 9, 10)
+              for parts in wide_schedule_parts(n, rng)]
+    assert any(len(parts) > 4 for parts in cases)
+    wants = [oracle.dense_digest(join(parts)) for parts in cases]
+    for size in (1, 1 << 7, 1 << 11, 1 << 16):
+        monkeypatch.setattr(sched, "DIGEST_BLOCK", size)
+        for parts, want in zip(cases, wants):
+            assert unitary_digest(parts) == want
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 12])
+def test_digest_joins_each_row_block_once(monkeypatch, n):
+    # Each block is joined once, the anchor's block first; a block may be
+    # joined once more only if its top reached the anchor's edge while its
+    # entries did not.
+    built = []
+    real = sched.join
+
+    def counting(parts, block=0, blocks=1):
+        built.append(block)
+        return real(parts, block, blocks)
+
+    monkeypatch.setattr(sched, "join", counting)
+    reg, geom = RegisterSpec(n), twin_wire_preset(n)
+    c, _ = refocused_rotation_circuit(reg, "z", n // 2, n // 2 + 1, 0.9,
+                                      device_profiles(geom, n))
+    unitary_digest(factor(c))
+    blocks = max(1, 4 ** n // sched.DIGEST_BLOCK)
+    counts = collections.Counter(built)
+    assert sorted(counts) == list(range(blocks))
+    assert len(built) <= blocks + 1
+
+
+def test_anchor_block_without_an_edge_entry_is_passed_over():
+    # A top is a product of the parts' row maxima, which may pass the edge
+    # (1e-9 below the largest top) by a few ulps where no joined entry
+    # does. Here block 0's top reads 1.0 but its largest entry lies two
+    # ulps under the edge: the anchor is block 1's edge entry, as in the
+    # matrix hashed whole, and block 0 is joined a second time.
+    rng = np.random.default_rng(45)
+    m = 0.5 * np.exp(1j * rng.uniform(-3, 3, (4, 4)))
+    edge = 1.0 - 1e-9
+    m[0, 2] = np.nextafter(np.nextafter(edge, 0), 0) * np.exp(0.3j)
+    m[3, 1] = np.exp(-1.1j)
+    built = []
+
+    def block(k):
+        built.append(k)
+        return m[2 * k:2 * k + 2].copy()
+
+    h = hashlib.sha256(str(m.shape).encode())
+    update_phase_normalized(h, block, [1.0, 1.0])
+    assert h.hexdigest() == oracle.dense_digest(m)
+    assert built == [0, 1, 0]
+    # Anchored at block 0's largest entry instead, the digest differs.
+    h = hashlib.sha256(str(m.shape).encode())
+    update_phase_normalized(h, block, [1.0 - 2e-9, 1.0 - 2e-9])
+    assert h.hexdigest() != oracle.dense_digest(m)
 
 
 @pytest.mark.parametrize("name, n", [("cp_tied", 2), ("rotation11", 4)])
