@@ -39,8 +39,8 @@ than 2 spins. circuits.evaluate_each plays the sequences in the result's
 order, so a prefix shared with the sequence before is played once. The
 worst distance over every draw is reported with its index.
 
-Only the Hadamard search needs scipy, and it imports scipy.optimize on its
-first optimizer call, so no other caller of this module loads scipy.
+The Hadamard search fits the (structure, start) members of one length in
+batched Levenberg-Marquardt solves (minimize), on numpy alone.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import itertools
 import math
 import re
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -84,6 +84,7 @@ MAX_LENGTH = 62
 _CHUNK = 1 << 15
 _PAIR_CHUNK = 128
 _PAIR_BLOCK = 4 * _PAIR_CHUNK
+_LM_CHUNK = 1024  # Hadamard-search members per minimize call: bounds memory
 # A problem's name is its default result file's stem: no directory, not hidden.
 _PLAIN_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
@@ -842,7 +843,7 @@ def result_to_text(r: SynthesisResult) -> str:
 @dataclass(frozen=True)
 class HadamardSearchReport:
     found: bool
-    best_distance: float
+    best_distance: float  # phase_distance of the rebuilt best product
     structure: str  # block types, e.g. "ZXEXZ"
     parameters: tuple
     depth: int
@@ -850,16 +851,45 @@ class HadamardSearchReport:
     n_structures: int
     tolerance: float
     profiles: tuple  # ((axis, per-site ratios), ...) the blocks assumed
-    n_minimize: int  # optimizer calls made
-    nfev: int  # objective evaluations over all those calls
+    n_minimize: int  # (structure, start) members optimized
+    nfev: int  # residual evaluations summed over those members
     elapsed_s: float
 
 
-def minimize(fun: Callable, x0: np.ndarray, **kwargs):
-    """scipy.optimize.minimize, imported on the first call so that no other
-    command pays for loading scipy."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(fun, x0, **kwargs)
+# Per member: final x, f = |r|^2 and trial steps; nfev sums evaluations.
+MinimizeResult = namedtuple("MinimizeResult", "x fun nit nfev")
+
+
+def minimize(fun: Callable, x0: np.ndarray, maxiter: int = 300,
+             fmin: float = 0.0) -> MinimizeResult:
+    """Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11, 431 (1963))
+    from each row of x0, member by member: fun(x, rows) gives members rows'
+    residuals r (L, R) and Jacobian J (L, m, R) at x (L, m). A step solves
+    (J J^T + lam I) d = -J r, lam from 1e-2, x10 on a rejected step and /10
+    (not below 1e-12: J J^T can be singular) on an accepted one. A member
+    stops at f = |r|^2 <= fmin, at an accepted step lowering f by at most
+    1e-4 of it, at lam > 1e6 or after maxiter steps."""
+    x = np.array(x0, dtype=float)
+    r, jac = fun(x, np.arange(len(x)))
+    f, lam, nit = np.vecdot(r, r), np.full(len(x), 1e-2), np.zeros(len(x), int)
+    live = np.flatnonzero(f > fmin)
+    while live.size:
+        jl, fl = jac[live], f[live]
+        a = (np.vecdot(jl[:, :, None], jl[:, None])
+             + lam[live, None, None] * np.eye(x.shape[1]))
+        xt = x[live] - np.linalg.solve(
+            a, np.vecdot(jl, r[live][:, None])[..., None])[..., 0]
+        rt, jt = fun(xt, live)
+        ft = np.vecdot(rt, rt)
+        nit[live] += 1
+        ok = ft < fl
+        lam[live] = np.where(ok, np.maximum(lam[live] / 10, 1e-12), lam[live] * 10)
+        done = np.where(ok, (ft <= fmin) | (fl - ft <= 1e-4 * fl),
+                        lam[live] > 1e6) | (nit[live] >= maxiter)
+        acc = live[ok]
+        x[acc], r[acc], jac[acc], f[acc] = xt[ok], rt[ok], jt[ok], ft[ok]
+        live = live[~done]
+    return MinimizeResult(x, f, nit, len(x) + int(nit.sum()))
 
 
 def _hadamard_target() -> np.ndarray:
@@ -889,38 +919,47 @@ def _hadamard_blocks(az: Sequence[float], ax: Sequence[float]) -> tuple:
     return bases, eigs, (bases * eigs[:, None, :]) @ bases.transpose(0, 2, 1)
 
 
-def _hadamard_objective(structure: str, table: tuple,
-                        target: np.ndarray) -> Callable:
-    """f(v) = phase_distance(U, T)^2 for U = B_n...B_1, B_k = exp(-i v_k G_k),
-    and its exact gradient (GRAPE; Khaneja et al., J. Magn. Reson. 172, 296
-    (2005)). With s = tr(T^dag U), f = 2 - |s|/2 for unitary U, so
-    df/dv_k = -Re(conj(s) ds/dv_k) / (2|s|), where ds/dv_k =
-    -i tr(Q_k G_k P_k) for the prefix P_k = B_k...B_1 and the T^dag-folded
-    suffix Q_k = T^dag B_n...B_{k+1}: one forward and one backward pass."""
-    kinds = ["EXZ".index(c) for c in structure]
-    bases, eigs, gens = (a[kinds] for a in table)
-    bases_t = bases.transpose(0, 2, 1)
-    n = len(kinds)
-    prefix = np.empty((n, 4, 4), dtype=complex)
-    suffix = np.empty((n, 4, 4), dtype=complex)
-    t_dag = target.conj().T
+def _product_4x4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks of 4x4s with the member axis last, (..., 4, 4, L),
+    as elementwise multiply-adds: no BLAS call, the same in any batch."""
+    return functools.reduce(np.ndarray.__iadd__, (
+        a[..., :, k, None, :] * b[..., None, k, :, :] for k in range(4)))
 
-    def objective(v: np.ndarray) -> tuple:
-        phases = np.exp(-1j * v[:, None] * eigs)
-        blocks = (bases * phases[:, None, :]) @ bases_t
-        prefix[0] = blocks[0]
-        for k in range(1, n):
-            np.matmul(blocks[k], prefix[k - 1], out=prefix[k])
-        suffix[n - 1] = t_dag
-        for k in range(n - 1, 0, -1):
-            np.matmul(suffix[k], blocks[k], out=suffix[k - 1])
-        s = np.trace(suffix[0] @ blocks[0])
-        ds = -1j * np.einsum("kij,kji->k", suffix @ gens, prefix)
-        grad = (-0.5 * (s.conjugate() * ds).real / abs(s) if s != 0
-                else np.zeros(n))
-        return phase_distance(prefix[n - 1], target) ** 2, grad
 
-    return objective
+def _hadamard_residuals(structures: Sequence[str], table: tuple,
+                        target: np.ndarray) -> tuple:
+    """(fun, product) over members of one length, member b with the blocks
+    structures[b] and x[b] = (v_1..v_n, theta). fun(x, rows) gives minimize
+    the real and imaginary parts of (e^{-i theta} U - T)/2, U = B_n...B_1 =
+    product(v), B_k = exp(-i v_k G_k), whose |r|^2 at the best theta is
+    phase_distance(U, T)^2, and the Jacobian -(i/2) e^{-i theta} times U for
+    theta and S_k G_k P_k for v_k, P_k = B_k...B_1 and S_k = U P_k^dag (GRAPE;
+    Khaneja et al., J. Magn. Reson. 172, 296 (2005))."""
+    # Each member's table, member axis last; complex, so no product casts.
+    kinds = np.transpose([["EXZ".index(c) for c in s] for s in structures])
+    bases, eigs, gens = (np.ascontiguousarray(np.moveaxis(a[kinds], 1, -1))
+                         for a in (table[0] + 0j, table[1], table[2] + 0j))
+
+    def prefixes(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        vb = bases.take(rows, -1)  # B_k = V diag(exp(-i v_k w)) V^T
+        pre = _product_4x4(vb * np.exp(-1j * v.T[:, None] * eigs.take(
+            rows, -1))[:, None], vb.swapaxes(1, 2))
+        for k in range(1, len(pre)):
+            pre[k] = _product_4x4(pre[k], pre[k - 1])
+        return pre
+
+    def fun(x: np.ndarray, rows: np.ndarray) -> tuple:
+        pre = prefixes(x[:, :-1], rows)
+        cu = np.exp(-1j * x[:, -1]) * pre[-1]
+        herm = _product_4x4(pre.conj().swapaxes(1, 2),
+                            _product_4x4(gens.take(rows, -1), pre))
+        out = np.concatenate([_product_4x4(cu, herm), cu[None]]) * -0.5j
+        out = np.append(out, (cu - target[..., None])[None] / 2, axis=0)
+        out = np.moveaxis(out.reshape(len(out), 16, -1), -1, 0)  # per member
+        out = np.ascontiguousarray(out).view(float)
+        return out[:, -1], out[:, :-1]
+
+    return fun, lambda v: np.moveaxis(prefixes(v, np.arange(len(v)))[-1], -1, 0)
 
 
 def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
@@ -933,9 +972,10 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
     profiles maps "z" and "x" to per-site amplitude ratios; the first two of
     each set the Z and X blocks. Every block structure up to the given depth
     (no two adjacent blocks of the same type, since those merge) is
-    optimized from several seeded starts by L-BFGS-B with the exact gradient
-    of the squared phase distance; the first structure reaching the
-    tolerance wins. Every block is a symmetric matrix and H(x)H is real and
+    optimized from several seeded starts, a length at a time, by minimize
+    on chunks of _LM_CHUNK (structure, start) members, at most maxiter steps
+    each. The first member in that order within the tolerance wins, and no
+    later chunk runs. Every block is a symmetric matrix and H(x)H is real and
     symmetric, so a structure and its reverse (with reversed parameters)
     score the same: only the one that sorts first is searched, and
     n_structures counts those (405 of 765 at depth 8). A structure's start
@@ -943,9 +983,7 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
     outcome is deterministic for a seed whether or not anything is found,
     and a negative report means only that this bounded search failed, not
     that no sequence exists. Malformed arguments raise ValueError.
-    n_minimize counts the optimizer calls and nfev their objective
-    evaluations. The first search in a process also counts the one-off
-    import of scipy.optimize in elapsed_s.
+    n_minimize counts the members optimized and nfev their evaluations.
     """
     t0 = time.perf_counter()
     ratios = {}
@@ -965,31 +1003,33 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
     target = _hadamard_target()
     table = _hadamard_blocks(az, ax)
 
-    structures = []
-    for length in range(1, depth + 1):
-        for combo in itertools.product("EXZ", repeat=length):
-            if any(a == b for a, b in zip(combo, combo[1:])):
-                continue
-            structures.append("".join(combo))
-    structures.sort(key=lambda s: (len(s), s))
+    structures = sorted(("".join(c) for n in range(1, depth + 1)
+                         for c in itertools.product("EXZ", repeat=n)
+                         if all(a != b for a, b in zip(c, c[1:]))),
+                        key=lambda s: (len(s), s))
     searched = [(i, s) for i, s in enumerate(structures) if s <= s[::-1]]
 
-    best = (math.inf, "", ())
-    n_minimize = nfev = 0
-    for (s_index, structure), start in itertools.product(searched,
-                                                         range(starts)):
-        srng = np.random.default_rng(seed * 1_000_003 + s_index * 1009 + start)
-        x0 = srng.uniform(-math.pi, math.pi, size=len(structure))
-        res = minimize(_hadamard_objective(structure, table, target), x0,
-                       jac=True, method="L-BFGS-B",
-                       options={"maxiter": maxiter, "ftol": 1e-18,
-                                "gtol": 1e-14})
-        n_minimize += 1
-        nfev += int(res.nfev)
-        dist = math.sqrt(res.fun)
-        if dist < best[0]:
-            best = (dist, structure, tuple(float(v) for v in res.x))
-        if dist <= tolerance:
+    best, n_minimize, nfev = (math.inf, "", ()), 0, 0
+    groups = ([(i, s, start) for i, s in searched if len(s) == n
+               for start in range(starts)] for n in range(1, depth + 1))
+    for chunk in (g[c:c + _LM_CHUNK] for g in groups
+                  for c in range(0, len(g), _LM_CHUNK)):
+        fun, product = _hadamard_residuals([m[1] for m in chunk], table, target)
+        v0 = np.array([np.random.default_rng(
+            seed * 1_000_003 + i * 1009 + start).uniform(
+                -math.pi, math.pi, size=len(s)) for i, s, start in chunk])
+        x0 = np.column_stack([v0, np.angle(np.vecdot(
+            target.ravel(), product(v0).reshape(-1, 16)))])
+        res = minimize(fun, x0, maxiter=maxiter, fmin=(1e-6 * tolerance) ** 2)
+        n_minimize, nfev = n_minimize + len(chunk), nfev + res.nfev
+        v = res.x[:, :-1]
+        dists = phase_distance(product(v), np.resize(target, (len(v), 4, 4)))
+        for (_, structure, _), dist, params in zip(chunk, dists, v):
+            if dist < best[0]:
+                best = (float(dist), structure, tuple(params.tolist()))
+            if dist <= tolerance:
+                break
+        if best[0] <= tolerance:
             break
     return HadamardSearchReport(
         found=best[0] <= tolerance, best_distance=best[0], structure=best[1],

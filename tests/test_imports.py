@@ -1,9 +1,9 @@
 """What the package loads, and what its modules import.
 
-Only the Hadamard search needs scipy, so no command may load it: the
-package's modules import scipy inside the one function that calls the
-optimizer, never when they load. The AST scans below keep that true, and
-keep every module-level import in the package and the tests in use.
+The package runs on numpy alone: no command and no Hadamard search loads
+scipy, which only the tests and the benchmark use as an oracle. The AST
+scans below keep every import in the package free of scipy, and every
+module-level import in the package and the tests in use.
 Circuits are played in one module, circuits (evaluate and evaluate_each):
 no other module of the package reaches for the pulse kernel or its
 identity stack.
@@ -25,8 +25,8 @@ from globalspin import RegisterSpec, circuit_to_text, controlled_phase_circuit
 SRC = pathlib.Path(globalspin.__file__).parent
 TESTS = pathlib.Path(__file__).parent
 
-# Runs the four commands in one fresh process, lists the scipy modules they
-# loaded, then runs a small Hadamard search to show the listing can see one.
+# Runs the four commands and then a small Hadamard search in one fresh
+# process, listing the scipy modules loaded after each.
 PROBE = """
 import json, sys
 import globalspin
@@ -43,7 +43,8 @@ loaded = sorted(m for m in sys.modules
 synth.global_hadamard_search({"z": (1.0, 0.75), "x": (1.0, 0.5)}, depth=2,
                              starts=1, maxiter=60)
 print(json.dumps({"codes": codes, "loaded": loaded,
-                  "optimize_after_search": "scipy.optimize" in sys.modules}))
+                  "after_search": sorted(m for m in sys.modules
+                                         if m.split(".")[0] == "scipy")}))
 """
 
 
@@ -59,19 +60,7 @@ def test_commands_load_no_scipy(tmp_path):
     probe = json.loads(run.stdout.splitlines()[-1])
     assert probe["codes"] == [0, 0, 0, 0]
     assert probe["loaded"] == []
-    assert probe["optimize_after_search"]
-
-
-def _load_time_imports(tree):
-    """Import statements that run when the module loads: all of them but
-    those inside a function body."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            stack.extend(ast.iter_child_nodes(node))
+    assert probe["after_search"] == []
 
 
 def _imported_modules(node):
@@ -92,12 +81,14 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+@pytest.mark.parametrize("path", sorted(SRC.parent.rglob("*.py")),
                          ids=lambda p: p.name)
-def test_package_module_imports_no_scipy_when_loaded(path):
-    scipy_lines = [node.lineno for node in _load_time_imports(_parse(path))
+def test_package_module_never_imports_scipy(path):
+    # Every import statement, function bodies included.
+    scipy_lines = [node.lineno for node in ast.walk(_parse(path))
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
                    for module in _imported_modules(node)
-                   if module == "scipy" or module.startswith("scipy.")]
+                   if module.split(".")[0] == "scipy"]
     assert scipy_lines == []
 
 

@@ -525,10 +525,15 @@ def _random_structure(rng, length):
     return "".join(kinds)
 
 
-def _hadamard_objective(structure):
+def _hadamard_residuals(structures):
     az, ax = PROFILES["z"], PROFILES["x"]
-    return synth._hadamard_objective(structure, synth._hadamard_blocks(az, ax),
-                                     synth._hadamard_target())
+    return synth._hadamard_residuals(structures, synth._hadamard_blocks(az, ax),
+                                     synth._hadamard_target())[0]
+
+
+def _residuals_at(fun, x):
+    r, jac = fun(x, np.arange(len(x)))
+    return np.vecdot(r, r), jac, r
 
 
 def _hadamard_product(structure, v):
@@ -569,25 +574,37 @@ def test_hadamard_blocks_are_generator_exponentials():
             assert max_abs(block - kernels[kind]) <= 1e-13, (kind, v)
 
 
-def test_hadamard_gradient_matches_central_differences():
+def test_hadamard_jacobian_matches_central_differences():
+    # The same 40 random structures as the GRAPE gradient's test, five of
+    # each length batched together, each at its optimal phase and away
+    # from it.
     rng = np.random.default_rng(7)
     eps = 1e-6
+    draws = []
     for length in list(range(1, 9)) * 5:
         structure = _random_structure(rng, length)
-        objective = _hadamard_objective(structure)
-        v = rng.uniform(-math.pi, math.pi, size=length)
-        f, grad = objective(v)
-        assert abs(f - phase_distance(_hadamard_product(structure, v),
-                                      synth._hadamard_target()) ** 2) <= 1e-14
-        for k in range(length):
-            step = np.zeros(length)
-            step[k] = eps
-            central = (objective(v + step)[0]
-                       - objective(v - step)[0]) / (2 * eps)
-            assert abs(grad[k] - central) <= 1e-7, (structure, k)
+        draws.append((structure, rng.uniform(-math.pi, math.pi, size=length)))
+    target = synth._hadamard_target()
+    for length in range(1, 9):
+        structures, vs = zip(*[d for d in draws if len(d[0]) == length])
+        fun = _hadamard_residuals(structures)
+        dists = [phase_distance(_hadamard_product(s, v), target)
+                 for s, v in zip(structures, vs)]
+        theta = [np.angle(np.trace(target @ _hadamard_product(s, v)))
+                 for s, v in zip(structures, vs)]
+        f, _, _ = _residuals_at(fun, np.column_stack([vs, theta]))
+        assert max_abs(f - np.square(dists)) <= 1e-14, length
+        x = np.column_stack([vs, np.add(theta, 0.7)])
+        _, jac, _ = _residuals_at(fun, x)
+        for k in range(length + 1):
+            step = np.zeros_like(x)
+            step[:, k] = eps
+            central = (_residuals_at(fun, x + step)[2]
+                       - _residuals_at(fun, x - step)[2]) / (2 * eps)
+            assert max_abs(jac[:, k] - central) <= 1e-7, (structures, k)
 
 
-def test_hadamard_objective_is_reversal_symmetric():
+def test_hadamard_residuals_are_reversal_symmetric():
     # Every block is symmetric and H(x)H is real symmetric, so
     # tr(T B_n...B_1) = tr((T B_n...B_1)^T) = tr(B_1...B_n T).
     rng = np.random.default_rng(11)
@@ -595,10 +612,16 @@ def test_hadamard_objective_is_reversal_symmetric():
         length = int(rng.integers(1, 9))
         structure = _random_structure(rng, length)
         v = rng.uniform(-2 * math.pi, 2 * math.pi, size=length)
-        f, grad = _hadamard_objective(structure)(v)
-        f_rev, grad_rev = _hadamard_objective(structure[::-1])(v[::-1])
-        assert abs(f - f_rev) <= 1e-14, structure
-        assert max_abs(grad - grad_rev[::-1]) <= 1e-12, structure
+        theta = rng.uniform(-math.pi, math.pi)
+        x, x_rev = [np.append(w, theta)[None] for w in (v, v[::-1])]
+        f, jac, r = _residuals_at(_hadamard_residuals([structure]), x)
+        f_rev, jac_rev, r_rev = _residuals_at(
+            _hadamard_residuals([structure[::-1]]), x_rev)
+        # The gradients of f, 2 J r, with theta last in both.
+        grad, grad_rev = (2 * np.vecdot(j, q[:, None])[0]
+                          for j, q in ((jac, r), (jac_rev, r_rev)))
+        assert abs(f[0] - f_rev[0]) <= 1e-14, structure
+        assert max_abs(grad - np.append(grad_rev[-2::-1], grad_rev[-1])) <= 1e-12, structure
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -643,26 +666,95 @@ def test_hadamard_search_rejects_malformed_input(change):
 
 def test_hadamard_search_calls_minimize_by_module_name(monkeypatch):
     # The benchmark counts optimizer calls and objective evaluations by
-    # wrapping synth.minimize; a search that reached scipy another way
-    # would report zeros there.
+    # wrapping synth.minimize: one call per length searched, on every
+    # (structure, start) member of that length.
     seen = []
     original = synth.minimize
 
     def counting(fun, x0, *args, **kwargs):
-        seen.append((fun(x0), kwargs.get("jac")))
-        return original(fun, x0, *args, **kwargs)
+        seen.append(original(fun, x0, *args, **kwargs))
+        return seen[-1]
 
     monkeypatch.setattr(synth, "minimize", counting)
     report = global_hadamard_search(PROFILES, depth=2, tolerance=1e-6,
                                     starts=1, seed=0, maxiter=60)
-    assert len(seen) == report.n_structures == 6
-    assert report.n_minimize == len(seen)
+    assert [res.x.shape for res in seen] == [(3, 2), (3, 3)]
+    assert report.n_minimize == report.n_structures == 6
+    assert report.nfev == sum(res.nfev for res in seen)
     assert report.nfev >= report.n_minimize
-    for (f, grad), jac in seen:
-        assert jac is True
-        assert math.isfinite(f)
-        assert grad.shape in ((1,), (2,))
-        assert np.all(np.isfinite(grad))
+    for res in seen:
+        assert np.all(np.isfinite(res.fun))
+        assert np.all((1 <= res.nit) & (res.nit <= 60))
+
+
+def test_hadamard_members_optimize_alike_in_any_batch(monkeypatch):
+    # Seed 1's length-6 batch, up to and including XZXZXZ at its hitting
+    # start: each member ends with the same x, f and step count, to the
+    # bit, in the full batch, in chunks of 7 and alone.
+    calls = []
+    original = synth.minimize
+
+    def recording(fun, x0, **kwargs):
+        calls.append((fun, x0, kwargs, original(fun, x0, **kwargs)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(synth, "minimize", recording)
+    geometry = twin_wire_preset(2)
+    profiles = {axis: device_constants(field_profile(geometry, config)).ratios
+                for axis, config in (("z", PARALLEL), ("x", ANTIPARALLEL))}
+    report = global_hadamard_search(profiles, depth=6, tolerance=1e-6,
+                                    starts=3, seed=1)
+    fun, x0, kwargs, full = calls[-1]
+    assert report.structure == "XZXZXZ" and len(x0) == 144
+    assert report.n_minimize == 57 * 3 + 144  # every member of lengths 1-6
+    hit = int(np.flatnonzero(full.fun <= 1e-12)[0])
+    assert report.parameters == tuple(full.x[hit, :-1].tolist())
+
+    calls.clear()
+    monkeypatch.setattr(synth, "_LM_CHUNK", 7)
+    again = global_hadamard_search(profiles, depth=6, tolerance=1e-6,
+                                   starts=3, seed=1)
+    assert (again.structure, again.best_distance, again.parameters) == (
+        report.structure, report.best_distance, report.parameters)
+    sixes = [c for c in calls if c[1].shape[1] == 7]
+    assert len(sixes) == hit // 7 + 1
+    for k in sorted({*range(0, hit, 10), hit}):
+        fun7, x7, _, res7 = sixes[k // 7]
+        j = k % 7
+        assert np.array_equal(x7[j], x0[k]), k
+        alone = original(lambda x, rows: fun7(x, rows + j), x0[k:k + 1],
+                         **kwargs)
+        for res, i in ((res7, j), (alone, 0)):
+            assert np.array_equal(res.x[i], full.x[k]), k
+            assert (res.fun[i], res.nit[i]) == (full.fun[k], full.nit[k]), k
+
+
+def test_minimize_steps_past_a_singular_normal_matrix():
+    # r = (p0 + p1)^2 has two equal Jacobian columns, so J J^T is singular,
+    # and it converges only linearly, so lam keeps falling: without its
+    # floor, lam drops under the rounding of J J^T and the solve raises.
+    def fun(p, rows):
+        x = p[:, :1] + p[:, 1:]
+        return x * x, np.stack([2 * x, 2 * x], axis=1)
+
+    res = synth.minimize(fun, np.array([[0.5, 0.5]]))
+    assert np.all(np.isfinite(res.x)) and res.fun[0] < 1e-20
+    assert res.nfev == 1 + res.nit[0]
+
+
+def test_hadamard_search_holds_one_chunk_of_members_at_a_time():
+    # 4000 starts put 36,000 members at length 3, whose products held at
+    # once would take hundreds of MB. The peak comes while a chunk is
+    # full, in its first steps, so a few steps per member show it.
+    tracemalloc.start()
+    try:
+        report = global_hadamard_search(PROFILES, depth=3, tolerance=1e-6,
+                                        starts=4000, seed=0, maxiter=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.n_minimize == 15 * 4000
+    assert peak < 50e6, peak
 
 
 def _random_problem(rng, planted):
