@@ -7,16 +7,18 @@ built, so evaluation can fold them into one running unitary with the
 in-place kernel spins.apply_op: each op acts on the row index at O(n 4^n),
 and no op matrix is formed. Every spin outside an exchange pair is a
 bystander of that op, so the spins split into groups no exchange links.
-From FACTOR_MIN_SPINS spins up, factor plays each such group on its own
-2^|g| register, and all 1-spin groups, which only fields reach, in one
-batch; below that, and for one group, on the full register. join multiplies
-the parts out by one broadcast product, all rows for evaluate or one row
-block at a time for a digest. evaluate_each gives evaluate's unitary of
-each of several circuits, bit for bit and one at a time, but plays a run of
-leading ops that a circuit shares with the one before it once, keeping only
-the states a later circuit resumes from; synthesis verifies its sequences
-through it. Builders return the circuit with its intended gate target, so
-one verification path covers hand-built and synthesized sequences.
+One planner, _parts, splits a circuit into parts: from FACTOR_MIN_SPINS
+spins up each such group on its own 2^|g| register, and all 1-spin groups,
+which only fields reach, in one batch; below that, and for one group, the
+full register. One player, _play_runs, plays the parts of factor, evaluate
+and evaluate_each. join multiplies the parts out by one broadcast product,
+all rows for evaluate or one row block at a time for a digest.
+evaluate_each gives evaluate's unitary of each of several circuits, bit
+for bit and one at a time; a circuit played on its whole register resumes
+from the leading ops it shares with the one before it, keeping only the
+states a later circuit resumes from; synthesis verifies its 2- and 1-spin
+parts through it. Builders return the circuit with its intended gate
+target, so one verification path covers hand-built and synthesized ones.
 
 A circuit's ops may hold per-draw angles ((B, n) field rows, (B,)
 exchange angles) next to shared ones. The circuit reads its draw count B
@@ -111,37 +113,26 @@ class VerificationReport:
 
 # Registers this wide and up are evaluated group by group when exchange
 # splits them. On the 11-op x rotation (pair 0-1 plus bystanders; best of
-# 9, AMD EPYC, numpy 2.4) the full-register loop against the grouped
-# product takes 0.20 against 0.23 ms at 6 spins, 0.47 against 0.28 ms at
-# 7, 2.0 against 0.37 ms at 8 and 55 against 2.1 ms at 10.
+# 41, Intel Xeon, numpy 2.4) full-register against grouped evaluate takes
+# 0.30 against 0.46 ms at 5 spins, 0.46 against 0.48 at 6, 1.1 against 0.56
+# at 7, 5.2 against 1.1 at 8 and 95 against 5.2 at 10.
 FACTOR_MIN_SPINS = 7
 
 
 def evaluate(c: Circuit) -> np.ndarray:
     """Ordered product of the ops' unitaries; first op acts first. For a
     circuit of B draws, the (B, 2^n, 2^n) stack of the draws' products:
-    the join of factor(c), or its one part.
-    """
-    parts = factor(c)
-    return parts[0][1] if len(parts) == 1 else join(parts)
+    the join of factor(c), or its one part."""
+    return next(evaluate_each([c]))
 
 
 def evaluate_each(circuits: Sequence[Circuit]) -> Iterator[np.ndarray]:
     """evaluate(c) for each circuit in turn, bit for bit, handed out one at
-    a time. A run of leading ops that a circuit shares with the circuit
-    before it (the same op objects, on the same register, draws and
-    group) is played once; circuits in sorted op order thus play each
-    distinct prefix once. Only the states that a later circuit resumes
-    from are kept."""
-    plans = [[((c.register.n_spins, g, c.draws), ops) for g, ops in _parts(c)]
-             for c in circuits]
-    runs = {}
-    for plan in plans:
-        for key, ops in plan:
-            runs.setdefault(key, []).append(ops)
-    players = {key: _play_runs(*key, r) for key, r in runs.items()}
-    for plan in plans:
-        parts = tuple((key[1], next(players[key])) for key, _ in plan)
+    a time. A circuit played on its whole register resumes from the leading
+    ops (the same objects) it shares with the last one of its width and
+    draws, so circuits in sorted op order play each distinct prefix once.
+    Only the states that a later circuit resumes from are kept."""
+    for parts in _factor_each(circuits):
         yield parts[0][1] if len(parts) == 1 else join(parts)
 
 
@@ -149,57 +140,64 @@ def factor(c: Circuit, groups: Optional[Sequence] = None) -> tuple:
     """c's unitary as parts ((group, unitary), ...), smallest group first:
     c played on each ascending group of spins that its exchanges link (or
     of the coarser partition given), or on the whole register for one
-    group or below FACTOR_MIN_SPINS spins; the k 1-spin groups as one batch,
-    a field's angles there its (k, 1) rows, or (k·B, 1) for B draws."""
-    n = c.register.n_spins
-    parts = _parts(c, groups)
-    lone = [g[0] for g, _ in parts if len(g) == 1]
-    k, lead = len(lone), (c.draws,) if c.draws else ()
-    batch = iter(lone and _play(RegisterSpec(1), [
-        GlobalField(op.axis, np.broadcast_to(np.asarray(op.angles)[..., lone],
-                                             lead + (k,)).T.reshape(-1, 1))
-        for op in c.ops if isinstance(op, GlobalField)],
-        k * (c.draws or 1)).reshape((k,) + lead + (2, 2)))
-    return tuple((g, next(batch) if len(g) == 1 else _play(
-        RegisterSpec(len(g)), ops if len(g) == n
-        else [_on(g, op) for op in ops], c.draws)) for g, ops in parts)
+    group or below FACTOR_MIN_SPINS spins."""
+    return next(_factor_each([c], groups))
+
+
+def _factor_each(circuits: Sequence[Circuit],
+                 groups: Optional[Sequence] = None) -> Iterator[tuple]:
+    """factor(c, groups) for each circuit in turn: one _play_runs per
+    register width and draw count plays the entries of _parts, and a lone
+    spin batch is split into its parts."""
+    plans = [_parts(c, groups) for c in circuits]
+    runs = {}
+    for _, key, ops in itertools.chain(*plans):
+        runs.setdefault(key, []).append(ops)
+    players = {key: _play_runs(RegisterSpec(key[0]), key[1], r)
+               for key, r in runs.items()}
+    for c, plan in zip(circuits, plans):
+        lead, parts = (c.draws,) if c.draws else (), []
+        for gs, key, _ in plan:
+            u = next(players[key])
+            parts += zip(gs, u.reshape((len(gs),) + lead + u.shape[-2:]))
+        yield tuple(parts)
 
 
 def _parts(c: Circuit, groups: Optional[Sequence] = None) -> list:
-    """factor's parts before they are played: (group, ops), the group's ops
-    as c holds them, less the exchanges of other groups."""
+    """c's parts as entries (groups, (spins, draws), ops), ops on a register
+    of that many spins: the whole register below FACTOR_MIN_SPINS spins or
+    for one group; else the k 1-spin groups as one batch of k·B draws (B = 1
+    without draws), a field's angles its (k·B, 1) rows, then each larger
+    group, in ascending size, its own entry, its ops mapped on by _on."""
     n = c.register.n_spins
     if n >= FACTOR_MIN_SPINS and groups is None:
         groups = _exchange_groups(n, c.ops)
     if n < FACTOR_MIN_SPINS or len(groups) < 2:
-        return [(tuple(range(n)), c.ops)]
+        return [((tuple(range(n)),), (n, c.draws), c.ops)]
+    lone = [g[0] for g in groups if len(g) == 1]
+    k, lead = len(lone), (c.draws,) if c.draws else ()
+    batch = [(tuple((s,) for s in lone), (1, k * (c.draws or 1)), [
+        GlobalField(op.axis, np.broadcast_to(np.asarray(op.angles)[..., lone],
+                                             lead + (k,)).T.reshape(-1, 1))
+        for op in c.ops if isinstance(op, GlobalField)])] if lone else []
     # Smallest first: every partial product of a join but the last is then
     # at most a quarter of the result.
-    return [(tuple(g), [op for op in c.ops
-                        if isinstance(op, GlobalField) or op.i in g])
-            for g in sorted(groups, key=len)]
+    return batch + [((g,), (len(g), c.draws), [
+        _on(g, op) for op in c.ops if isinstance(op, GlobalField) or op.i in g])
+        for g in sorted((tuple(g) for g in groups if len(g) > 1), key=len)]
 
 
-def _play(reg: RegisterSpec, ops, draws: Optional[int] = None) -> np.ndarray:
-    """The ops folded into one running unitary (or one per draw) on the
-    whole register."""
-    u = identity(reg, draws)
-    for op in ops:
-        apply_op(u, reg, op)
-    return u
-
-
-def _play_runs(n: int, g: tuple, draws: Optional[int],
+def _play_runs(reg: RegisterSpec, draws: Optional[int],
                runs: Sequence) -> Iterator[np.ndarray]:
     """The ops of each run folded into one running unitary (or one per
-    draw) on the spins g of an n-spin register, run after run. A run
-    resumes from the state after the leading ops it shares with the run
-    before it. A run keeps a copy of its state where a later run will
-    resume and no run between plays through; it plays a kept state in
-    place once the next run does not resume from it, so only the states
-    of open branches are held."""
-    reg = RegisterSpec(len(g))
-    shared = [_shared(a, b) for a, b in zip(runs, runs[1:])] + [0]
+    draw) on reg, run after run. A run resumes from the state after the
+    leading ops it shares with the run before it. A run keeps a copy of its
+    state where a later run will resume and no run between plays through;
+    it plays a kept state in place once the next run does not resume from
+    it, so only the states of open branches are held."""
+    # How many leading ops (the same objects) each run shares with the next.
+    shared = [next((d for d, (x, y) in enumerate(zip(a, b)) if x is not y),
+                   min(len(a), len(b))) for a, b in zip(runs, runs[1:])] + [0]
     saved = []  # (depth, state) that a later run resumes from, deepest last
     for k, ops in enumerate(runs):
         while saved and saved[-1][0] > (shared[k - 1] if k else 0):
@@ -217,14 +215,8 @@ def _play_runs(n: int, g: tuple, draws: Optional[int],
             if d in keep:
                 saved.append((d, u.copy()))
             if d < len(ops):
-                apply_op(u, reg, ops[d] if len(g) == n else _on(g, ops[d]))
+                apply_op(u, reg, ops[d])
         yield u
-
-
-def _shared(a: Sequence, b: Sequence) -> int:
-    """How many leading ops of a and b are the same objects."""
-    return next((d for d, (x, y) in enumerate(zip(a, b)) if x is not y),
-                min(len(a), len(b)))
 
 
 def _on(g: tuple, op):

@@ -962,6 +962,16 @@ def _hadamard_residuals(structures: Sequence[str], table: tuple,
     return fun, lambda v: np.moveaxis(prefixes(v, np.arange(len(v)))[-1], -1, 0)
 
 
+def _hadamard_structures(depth: int) -> list:
+    """Block strings up to depth, no type twice in a row, in (length, string)
+    order: each length's are the last's grown by each letter but its last."""
+    level, out = [""], []
+    for _ in range(depth):
+        level = [s + b for s in level for b in "EXZ" if s[-1:] != b]
+        out += level
+    return out
+
+
 def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
                            depth: int = 8, tolerance: float = 1e-6,
                            starts: int = 3, seed: int = 0,
@@ -1003,10 +1013,7 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
     target = _hadamard_target()
     table = _hadamard_blocks(az, ax)
 
-    structures = sorted(("".join(c) for n in range(1, depth + 1)
-                         for c in itertools.product("EXZ", repeat=n)
-                         if all(a != b for a, b in zip(c, c[1:]))),
-                        key=lambda s: (len(s), s))
+    structures = _hadamard_structures(depth)
     searched = [(i, s) for i, s in enumerate(structures) if s <= s[::-1]]
 
     best, n_minimize, nfev = (math.inf, "", ()), 0, 0

@@ -2,7 +2,7 @@
 independent ones use numpy only, so they share no code with what they
 check.
 
-Seven references are the package's own earlier code paths, kept here once
+Eight references are the package's own earlier code paths, kept here once
 the package replaced them, and call the package where those paths did: the
 verify suites run one draw at a time, which call the package's builders
 with floats; the local-z distance with its 2049-point scan evaluated one
@@ -10,15 +10,18 @@ angle at a time and golden-section refinement; final verification's word
 loop, which plays every word on the whole register with the pulse kernel,
 never group by group or part by part and never sharing a prefix between
 words; the unitary digest taken over the whole matrix at once, never row
-block by row block; circuits.factor playing every group alone, each 1-spin
-group on its own register; the bystander filter's scan, which gathers each
-word's two halves on the first sample as on later ones, from halves formed
-by batched matmul, not by elementwise 2x2 products, and scores them by
-einsum; and the pair filter's scan, which builds both strand halves once
-per word, batch by batch in row order, with matmul products and T† folded
-into the suffix half. A synthesis target is built as the Kronecker product
-of a family draw's pair and bystander gates, against final verification's
-factored parts, which factored_draw_distances scores one draw at a time."""
+block by row block; the full-register loop (play) of identity and apply_op,
+with no planner and no shared prefix; circuits.factor playing every group
+alone through that loop, each 1-spin group on its own register, the groups
+split here, not by the package's planner; the bystander filter's scan,
+which gathers each word's two halves on the first sample as on later ones,
+from halves formed by batched matmul, not by elementwise 2x2 products, and
+scores them by einsum; and the pair filter's scan, which builds both strand
+halves once per word, batch by batch in row order, with matmul products and
+T† folded into the suffix half. A synthesis target is built as the
+Kronecker product of a family draw's pair and bystander gates, against
+final verification's factored parts, which factored_draw_distances scores
+one draw at a time."""
 
 import cmath
 import hashlib
@@ -266,14 +269,28 @@ def factored_draw_distances(problem, letters, n_samples, seed):
     return np.array(out)
 
 
+def play(reg, ops, draws=None):
+    """The ops folded into one running unitary (or one per draw) on the
+    whole register reg, with the pulse kernel."""
+    u = identity(reg, draws)
+    for op in ops:
+        apply_op(u, reg, op)
+    return u
+
+
 def factor(c, groups=None):
     """circuits.factor with each group played alone on its own register,
-    every 1-spin group by itself: the same parts in the same order."""
+    every 1-spin group by itself: the same parts in the same order, the
+    groups split here from circuits._exchange_groups."""
     n = c.register.n_spins
-    return tuple((g, circuits._play(RegisterSpec(len(g)), ops if len(g) == n
-                                    else [circuits._on(g, op) for op in ops],
-                                    c.draws))
-                 for g, ops in circuits._parts(c, groups))
+    if n >= circuits.FACTOR_MIN_SPINS and groups is None:
+        groups = circuits._exchange_groups(n, c.ops)
+    if n < circuits.FACTOR_MIN_SPINS or len(groups) < 2:
+        return ((tuple(range(n)), play(c.register, c.ops, c.draws)),)
+    return tuple((tuple(g), play(RegisterSpec(len(g)), [
+        circuits._on(tuple(g), op) for op in c.ops
+        if isinstance(op, GlobalField) or op.i in g], c.draws))
+        for g in sorted(groups, key=len))
 
 
 def dense_digest(u):

@@ -321,7 +321,7 @@ def test_grouped_evaluate_matches_full_register_loop():
     for c in cases:
         assert len(cir._exchange_groups(c.register.n_spins, c.ops)) > 1
         u = evaluate(c)
-        u -= cir._play(c.register, c.ops)
+        u -= oracle.play(c.register, c.ops)
         assert max_abs(u) <= 1e-13
     # No ops: every spin is its own group, and the product is exact.
     reg9 = RegisterSpec(9)
@@ -334,7 +334,7 @@ def test_grouped_evaluate_matches_full_register_loop():
         Exchange(k, k + 1, 0.3) for k in range(6)))
     narrow = random_linked_circuit(rng, cir.FACTOR_MIN_SPINS - 1, 12)
     for c in (chain, narrow):
-        assert np.array_equal(evaluate(c), cir._play(c.register, c.ops))
+        assert np.array_equal(evaluate(c), oracle.play(c.register, c.ops))
 
 
 def one_draw(op, b):

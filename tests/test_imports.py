@@ -4,9 +4,10 @@ The package runs on numpy alone: no command and no Hadamard search loads
 scipy, which only the tests and the benchmark use as an oracle. The AST
 scans below keep every import in the package free of scipy, and every
 module-level import in the package and the tests in use.
-Circuits are played in one module, circuits (evaluate and evaluate_each):
-no other module of the package reaches for the pulse kernel or its
-identity stack.
+Circuits are played in one module, circuits, and there in one loop,
+_play_runs, which factor, evaluate and evaluate_each all go through: no
+other module of the package reaches for the pulse kernel or its identity
+stack, and no other function of circuits calls them.
 """
 
 import ast
@@ -127,3 +128,22 @@ def test_only_circuits_plays_the_kernel(path):
               and isinstance(node.value, ast.Name)
               and node.value.id == "spins"]
     assert taken == []
+
+
+def test_circuits_plays_the_kernel_in_one_loop():
+    # In circuits, _play_runs alone calls the kernel and its identity
+    # stack, once each; a call anywhere else, or an alias of either name,
+    # is one use too many.
+    tree = _parse(SRC / "circuits.py")
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in PLAYERS
+            or isinstance(node, ast.Attribute) and node.attr in PLAYERS
+            or isinstance(node, ast.alias) and node.name in PLAYERS
+            and node.asname]
+    calls = [(fn.name, node.func.id) for fn in tree.body
+             if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in PLAYERS]
+    assert sorted(calls) == [("_play_runs", "apply_op"),
+                             ("_play_runs", "identity")]
+    assert len(uses) == len(calls)

@@ -640,6 +640,20 @@ def test_hadamard_search_depth8_finds_the_six_block_sequence(seed):
                           synth._hadamard_target()) <= 1e-10
 
 
+def test_hadamard_structures_equal_the_filtered_product():
+    # Grown letter by letter, the structures are every string of the full
+    # product with no repeated adjacent block, in (length, string) order,
+    # so structure indices and start seeds are unchanged.
+    for depth in range(1, 11):
+        want = sorted(("".join(c) for n in range(1, depth + 1)
+                       for c in itertools.product("EXZ", repeat=n)
+                       if all(a != b for a, b in zip(c, c[1:]))),
+                      key=lambda s: (len(s), s))
+        assert synth._hadamard_structures(depth) == want, depth
+    searched = [s for s in synth._hadamard_structures(8) if s <= s[::-1]]
+    assert len(searched) == 405
+
+
 @pytest.mark.parametrize("change", [
     pytest.param({"profiles": {"z": (1.0, 0.75), "x": (1.0, math.nan)}},
                  id="nan_x_ratio"),
