@@ -209,8 +209,8 @@ def _play_runs(reg: RegisterSpec, draws: Optional[int],
         else:
             depth, u = saved[-1][0], saved[-1][1].copy()
         keep = set(itertools.takewhile(
-            lambda m: m > depth,
-            itertools.accumulate(itertools.islice(shared, k, None), min)))
+            lambda m: m > depth, itertools.accumulate(
+                map(shared.__getitem__, range(k, len(shared))), min)))
         for d in range(depth, len(ops) + 1):
             if d in keep:
                 saved.append((d, u.copy()))

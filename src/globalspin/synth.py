@@ -85,6 +85,10 @@ _CHUNK = 1 << 15
 _PAIR_CHUNK = 128
 _PAIR_BLOCK = 4 * _PAIR_CHUNK
 _LM_CHUNK = 1024  # Hadamard-search members per minimize call: bounds memory
+# Price cap of a Hadamard search: members x (10 set-up + maxiter + 1 fits of
+# depth blocks). On a 2-core x86 box, depth 1, 194,000 starts, maxiter 1 (7e6)
+# ran 16 s; depth 15, maxiter 2 (5.4e6) 10 s; depth 3, 4000 starts (6.1e6) 6 s.
+_HADAMARD_BUDGET = 7_000_000
 # A problem's name is its default result file's stem: no directory, not hidden.
 _PLAIN_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
@@ -854,10 +858,15 @@ class HadamardSearchReport:
     n_minimize: int  # (structure, start) members optimized
     nfev: int  # residual evaluations summed over those members
     elapsed_s: float
+    stages: tuple  # per length: members optimized, within tolerance
 
 
 # Per member: final x, f = |r|^2 and trial steps; nfev sums evaluations.
 MinimizeResult = namedtuple("MinimizeResult", "x fun nit nfev")
+# Stall window and gain. Over the depth-8 Hadamard search at seeds 0-31
+# (preset ratios, starts=3) they cut nfev from 293,746 to 148,062 and left
+# every other report field as it was; 5 steps changed seeds 23 and 24.
+_STALL_STEPS, _STALL_GAIN = 10, 0.1
 
 
 def minimize(fun: Callable, x0: np.ndarray, maxiter: int = 300,
@@ -868,10 +877,14 @@ def minimize(fun: Callable, x0: np.ndarray, maxiter: int = 300,
     (J J^T + lam I) d = -J r, lam from 1e-2, x10 on a rejected step and /10
     (not below 1e-12: J J^T can be singular) on an accepted one. A member
     stops at f = |r|^2 <= fmin, at an accepted step lowering f by at most
-    1e-4 of it, at lam > 1e6 or after maxiter steps."""
+    1e-4 of it or leaving f over 1 - _STALL_GAIN of its value _STALL_STEPS
+    accepted steps back (a stall; Moré, Lect. Notes Math. 630, 105 (1978)),
+    at lam > 1e6 or after maxiter steps."""
     x = np.array(x0, dtype=float)
     r, jac = fun(x, np.arange(len(x)))
     f, lam, nit = np.vecdot(r, r), np.full(len(x), 1e-2), np.zeros(len(x), int)
+    # Column k % _STALL_STEPS of a member's row: its f after accepted step k.
+    past, n_ok = np.where(np.arange(_STALL_STEPS), np.inf, f[:, None]), nit.copy()
     live = np.flatnonzero(f > fmin)
     while live.size:
         jl, fl = jac[live], f[live]
@@ -884,10 +897,14 @@ def minimize(fun: Callable, x0: np.ndarray, maxiter: int = 300,
         nit[live] += 1
         ok = ft < fl
         lam[live] = np.where(ok, np.maximum(lam[live] / 10, 1e-12), lam[live] * 10)
-        done = np.where(ok, (ft <= fmin) | (fl - ft <= 1e-4 * fl),
+        n_ok[live] += ok
+        col = n_ok[live] % _STALL_STEPS
+        stall = ft > (1 - _STALL_GAIN) * past[live, col]
+        done = np.where(ok, (ft <= fmin) | (fl - ft <= 1e-4 * fl) | stall,
                         lam[live] > 1e6) | (nit[live] >= maxiter)
         acc = live[ok]
         x[acc], r[acc], jac[acc], f[acc] = xt[ok], rt[ok], jt[ok], ft[ok]
+        past[acc, col[ok]] = ft[ok]
         live = live[~done]
     return MinimizeResult(x, f, nit, len(x) + int(nit.sum()))
 
@@ -992,8 +1009,9 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
     seeds depend on its index in the full (length, string) order. The
     outcome is deterministic for a seed whether or not anything is found,
     and a negative report means only that this bounded search failed, not
-    that no sequence exists. Malformed arguments raise ValueError.
-    n_minimize counts the members optimized and nfev their evaluations.
+    that no sequence exists. Malformed arguments, or a search priced over
+    _HADAMARD_BUDGET, raise ValueError. n_minimize counts the members
+    optimized, nfev their evaluations; stages has a StageRecord per length.
     """
     t0 = time.perf_counter()
     ratios = {}
@@ -1006,7 +1024,11 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
             (min(depth, starts, maxiter) >= 1,
              "depth, starts and maxiter must be at least 1"),
             (0 < tolerance < math.inf,
-             "tolerance must be finite and positive")):
+             "tolerance must be finite and positive"),
+            (starts * 3 * (2 ** min(depth, 64) - 1)
+             * (10 + (maxiter + 1) * depth) <= _HADAMARD_BUDGET,
+             f"starts x 3(2^depth - 1) x (10 + (maxiter + 1) x depth) must be "
+             f"at most {_HADAMARD_BUDGET:,}")):
         if not ok:
             raise ValueError(message)
     az, ax = ratios["z"][:2], ratios["x"][:2]
@@ -1016,31 +1038,39 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
     structures = _hadamard_structures(depth)
     searched = [(i, s) for i, s in enumerate(structures) if s <= s[::-1]]
 
-    best, n_minimize, nfev = (math.inf, "", ()), 0, 0
-    groups = ([(i, s, start) for i, s in searched if len(s) == n
-               for start in range(starts)] for n in range(1, depth + 1))
-    for chunk in (g[c:c + _LM_CHUNK] for g in groups
-                  for c in range(0, len(g), _LM_CHUNK)):
-        fun, product = _hadamard_residuals([m[1] for m in chunk], table, target)
-        v0 = np.array([np.random.default_rng(
-            seed * 1_000_003 + i * 1009 + start).uniform(
-                -math.pi, math.pi, size=len(s)) for i, s, start in chunk])
-        x0 = np.column_stack([v0, np.angle(np.vecdot(
-            target.ravel(), product(v0).reshape(-1, 16)))])
-        res = minimize(fun, x0, maxiter=maxiter, fmin=(1e-6 * tolerance) ** 2)
-        n_minimize, nfev = n_minimize + len(chunk), nfev + res.nfev
-        v = res.x[:, :-1]
-        dists = phase_distance(product(v), np.resize(target, (len(v), 4, 4)))
-        for (_, structure, _), dist, params in zip(chunk, dists, v):
-            if dist < best[0]:
-                best = (float(dist), structure, tuple(params.tolist()))
-            if dist <= tolerance:
+    best, nfev, stages, mark = (math.inf, "", ()), 0, [], t0
+    for n in range(1, depth + 1):
+        group = [(i, s, start) for i, s in searched if len(s) == n
+                 for start in range(starts)]
+        n_out = 0
+        for c in range(0, len(group), _LM_CHUNK):
+            chunk = group[c:c + _LM_CHUNK]
+            fun, product = _hadamard_residuals([m[1] for m in chunk], table, target)
+            v0 = np.array([np.random.default_rng(
+                seed * 1_000_003 + i * 1009 + start).uniform(
+                    -math.pi, math.pi, size=len(s)) for i, s, start in chunk])
+            x0 = np.column_stack([v0, np.angle(np.vecdot(
+                target.ravel(), product(v0).reshape(-1, 16)))])
+            res = minimize(fun, x0, maxiter=maxiter, fmin=(1e-6 * tolerance) ** 2)
+            nfev, v = nfev + res.nfev, res.x[:, :-1]
+            dists = phase_distance(product(v), np.resize(target, (len(v), 4, 4)))
+            n_out += int(np.count_nonzero(dists <= tolerance))
+            for (_, structure, _), dist, params in zip(chunk, dists, v):
+                if dist < best[0]:
+                    best = (float(dist), structure, tuple(params.tolist()))
+                if dist <= tolerance:
+                    break
+            if best[0] <= tolerance:
                 break
+        now = time.perf_counter()  # the chunks run hold c + len(chunk) members
+        stages.append(StageRecord(f"length_{n}", c + len(chunk), n_out, now - mark))
+        mark = now
         if best[0] <= tolerance:
             break
     return HadamardSearchReport(
         found=best[0] <= tolerance, best_distance=best[0], structure=best[1],
         parameters=best[2], depth=depth, starts=starts,
         n_structures=len(searched), tolerance=tolerance,
-        profiles=(("z", az), ("x", ax)), n_minimize=n_minimize, nfev=nfev,
-        elapsed_s=time.perf_counter() - t0)
+        profiles=(("z", az), ("x", ax)),
+        n_minimize=sum(st.n_in for st in stages), nfev=nfev,
+        elapsed_s=time.perf_counter() - t0, stages=tuple(stages))

@@ -590,6 +590,20 @@ def test_shared_prefix_player_plays_each_prefix_once(monkeypatch):
     assert len(played) == len(prefixes) < sum(len(c.ops) for c in cs)
 
 
+def test_player_over_thousands_of_runs_equals_evaluate_bit_for_bit():
+    # 3000 one-op circuits from a pool of 40 ops: neighbours that share
+    # their op are runs that resume and keep states far along the list.
+    rng = np.random.default_rng(4)
+    pool = [GlobalField(str(axis), (float(a),))
+            for axis, a in zip(rng.choice(list("xyz"), 40),
+                               rng.uniform(-3, 3, 40))]
+    cs = [Circuit(RegisterSpec(1), (pool[k],))
+          for k in rng.integers(len(pool), size=3000)]
+    got = list(cir.evaluate_each(cs))
+    assert len(got) == len(cs)
+    assert all(np.array_equal(u, evaluate(c)) for u, c in zip(got, cs))
+
+
 def test_circuit_draw_count_checks_its_ops():
     # The draw count is read from the ops, and every op must agree with it.
     rows = GlobalField("z", np.zeros((3, 2)))

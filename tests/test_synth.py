@@ -640,6 +640,76 @@ def test_hadamard_search_depth8_finds_the_six_block_sequence(seed):
                           synth._hadamard_target()) <= 1e-10
 
 
+def _preset_profiles():
+    geometry = twin_wire_preset(2)
+    return {axis: device_constants(field_profile(geometry, config)).ratios
+            for axis, config in (("z", PARALLEL), ("x", ANTIPARALLEL))}
+
+
+# (structure, repr(best_distance), n_minimize) at depth 8, preset ratios,
+# starts=3, as found before members stopped on a stall. Seeds 23 and 24 are
+# where a stall window of 5 or 3 steps, or a gain of 0.5, changes the result.
+PINNED_HADAMARD = {
+    0: ("XZXZXZ", "1.3274444142366894e-15", 315),
+    1: ("XZXZXZ", "1.1251248015222524e-15", 315),
+    2: ("XZXZXZ", "6.853686623946602e-13", 315),
+    3: ("XZXZXZ", "1.215924660366315e-15", 315),
+    4: ("XZXZXZ", "8.435859231549843e-15", 315),
+    5: ("XZXZXZ", "1.270887923003082e-15", 315),
+    6: ("XZXZXZ", "1.1477668626001196e-13", 315),
+    7: ("XZXZXZ", "1.2471902408759559e-15", 315),
+    23: ("XZXZXZ", "2.0839529515508742e-15", 315),
+    24: ("XZXZXZ", "1.2965627505663674e-15", 315),
+}
+
+
+def test_hadamard_search_reports_hold_at_pinned_seeds():
+    # The stall stop ends only members that could not have won: every pinned
+    # report is the one that members run to the old stops gave.
+    for seed, want in PINNED_HADAMARD.items():
+        r = global_hadamard_search(_preset_profiles(), depth=8, tolerance=1e-6,
+                                   starts=3, seed=seed)
+        assert (r.structure, repr(r.best_distance), r.n_minimize) == want, seed
+
+
+def test_hadamard_stage_records_tile_the_search():
+    # One stage per length searched, up to the one that finds; members in
+    # sum to n_minimize, only the stage that finds has members out, and the
+    # stage times tile the search.
+    for depth, found in ((3, False), (8, True)):
+        r = global_hadamard_search(_preset_profiles(), depth=depth,
+                                   tolerance=1e-6, starts=3, seed=1)
+        assert r.found is found
+        assert [s.name for s in r.stages] == [
+            f"length_{n}" for n in range(1, len(r.stages) + 1)]
+        assert len(r.stages) == (6 if found else depth)
+        assert sum(s.n_in for s in r.stages) == r.n_minimize
+        assert [s.n_out > 0 for s in r.stages] == [False] * (
+            len(r.stages) - found) + [True] * found
+        assert all(s.seconds >= 0.0 for s in r.stages)
+        assert abs(sum(s.seconds for s in r.stages) - r.elapsed_s) <= (
+            0.05 * r.elapsed_s)
+
+
+def test_minimize_stops_a_member_stalled_above_a_floor():
+    # r = (cos x, sin x + c) runs round a circle of radius 1 whose nearest
+    # point to (0, -c) leaves the floor f = (1 - c)^2 > 0. Gauss-Newton moves
+    # x by about -c cos x a step, so from x = 0 f falls about 2.4e-4 of
+    # itself per step: more than the 1e-4 stop, so without the stall stop
+    # the member takes all 30 steps and ends at f = 0.99311017731924...
+    c = 0.011
+
+    def fun(p, rows):
+        x = p[:, 0]
+        return (np.stack([np.cos(x), np.sin(x) + c], axis=1),
+                np.stack([-np.sin(x), np.cos(x)], axis=1)[:, None])
+
+    res = synth.minimize(fun, np.zeros((1, 1)), maxiter=30)
+    assert res.nit[0] <= 10
+    assert abs(res.fun[0] / 0.9931101773192476 - 1) <= 0.01
+    assert res.fun[0] > (1 - c) ** 2
+
+
 def test_hadamard_structures_equal_the_filtered_product():
     # Grown letter by letter, the structures are every string of the full
     # product with no repeated adjacent block, in (length, string) order,
@@ -669,6 +739,9 @@ def test_hadamard_structures_equal_the_filtered_product():
     pytest.param({"tolerance": 0.0}, id="zero_tolerance"),
     pytest.param({"tolerance": -1e-6}, id="negative_tolerance"),
     pytest.param({"tolerance": math.inf}, id="inf_tolerance"),
+    # Refused by price before a structure is built: 3(2^60 - 1) of them.
+    pytest.param({"depth": 60}, id="depth_60"),
+    pytest.param({"starts": 10 ** 5}, id="priced_over_the_cap"),
 ])
 def test_hadamard_search_rejects_malformed_input(change):
     kwargs = dict(profiles=PROFILES, depth=2, tolerance=1e-6, starts=1,
