@@ -28,7 +28,8 @@ as floats or as (B,) arrays and return a circuit and a GateTarget; given
 arrays, each draw is the circuit and target its floats would give, and a
 target that every draw shares stays one matrix. verify_target broadcasts
 such a target over the draws, and the bystander check takes the same
-leading draw axis.
+leading draw axis. stack joins the draws of circuits whose ops agree in
+kind and field axis into one circuit, checked against per-draw acted spins.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class Equivalence(enum.Enum):
 @dataclass(frozen=True)
 class GateTarget:
     unitary: np.ndarray  # (2^n, 2^n) shared by all draws, or (B, 2^n, 2^n)
-    acted_spins: frozenset
+    acted_spins: frozenset  # shared by all draws, or a (B, n) bool mask
     equivalence: Equivalence
 
 
@@ -134,6 +135,34 @@ def evaluate_each(circuits: Sequence[Circuit]) -> Iterator[np.ndarray]:
     Only the states that a later circuit resumes from are kept."""
     for parts in _factor_each(circuits):
         yield parts[0][1] if len(parts) == 1 else join(parts)
+
+
+def stack(circuits: Sequence[Circuit]) -> Circuit:
+    """One circuit playing the draws of each circuit in turn (one draw for a
+    circuit without), for circuits on one register whose ops agree position
+    by position in kind and field axis: a field of all their rows, and per
+    distinct pair one exchange at angle 0 on the other draws, which the
+    kernel plays as ×1 and +0, so they keep their bits."""
+    c0, counts = circuits[0], [c.draws or 1 for c in circuits]
+    if any(c.register != c0.register or len(c.ops) != len(c0.ops)
+           for c in circuits):
+        raise ValueError("stacked circuits differ in register or length")
+    ends, ops = np.cumsum(counts), []
+    for pos in zip(*(c.ops for c in circuits)):
+        if len({(type(op), getattr(op, "axis", None)) for op in pos}) > 1:
+            raise ValueError(f"stacked ops differ in kind or axis: {pos}")
+        if isinstance(pos[0], GlobalField):
+            ops.append(GlobalField(pos[0].axis, np.concatenate([
+                np.broadcast_to(op.angles, (b, c0.register.n_spins))
+                for op, b in zip(pos, counts)])))
+            continue
+        pairs = {}  # unordered pair -> (its first op, every draw's angle)
+        for op, end, b in zip(pos, ends, counts):
+            _, angles = pairs.setdefault(frozenset((op.i, op.j)),
+                                         (op, np.zeros(ends[-1])))
+            angles[end - b:end] = op_angles(op)
+        ops += [type(op)(op.i, op.j, a) for op, a in pairs.values()]
+    return Circuit(c0.register, ops)
 
 
 def factor(c: Circuit, groups: Optional[Sequence] = None) -> tuple:
@@ -327,7 +356,8 @@ def verify_target(c: Circuit, t: GateTarget, tol: float) -> VerificationReport:
 
     For a circuit of B draws, t.unitary is the (B, 2^n, 2^n) stack of
     targets or one matrix broadcast over the draws (any other shape raises
-    DimensionMismatch); the report then holds one distance and one
+    DimensionMismatch), and t.acted_spins may be a (B, n) mask of each
+    draw's acted spins; the report then holds one distance and one
     deviation per draw, and passes only if every draw does. Values fold
     with numpy's max, so a NaN anywhere fails the report.
     """
@@ -337,20 +367,25 @@ def verify_target(c: Circuit, t: GateTarget, tol: float) -> VerificationReport:
     except ValueError:
         raise DimensionMismatch(f"{u.shape} vs {t.unitary.shape}") from None
     u3, t3 = (u, target) if c.draws else (u[None], target[None])
+    n = c.register.n_spins
+    acted = t.acted_spins
+    if not isinstance(acted, np.ndarray):
+        acted = [k in acted for k in range(n)]
+    acted = np.broadcast_to(acted, (len(u3), n))
     if t.equivalence is Equivalence.EXACT:
         dist = max_abs_per_draw(u3 - t3)
     elif t.equivalence is Equivalence.GLOBAL_PHASE:
         dist = phase_distance(u3, t3)
     else:
-        acted = sorted(t.acted_spins)
-        if len(acted) != 2:
+        if (acted.sum(axis=1) != 2).any():
             raise ValueError("local-z factoring needs exactly two acted spins")
-        dist = np.array([_local_z_aligned_distance(ub, tb, c.register, *acted)
-                         for ub, tb in zip(u3, t3)])
+        dist = np.array([_local_z_aligned_distance(
+            ub, tb, c.register, *np.flatnonzero(a).tolist())
+            for ub, tb, a in zip(u3, t3, acted)])
     byst = np.zeros(len(u3))
-    for k in range(c.register.n_spins):
-        if k not in t.acted_spins:
-            byst = np.maximum(byst, _commutator_deviation(u3, c.register, k))
+    for k in np.flatnonzero(~acted.all(axis=0)):
+        byst = np.maximum(byst, np.where(
+            acted[:, k], 0.0, _commutator_deviation(u3, c.register, k)))
     passed = bool((dist <= tol).all() and (byst <= tol).all())
     if not c.draws:
         dist, byst = float(dist[0]), float(byst[0])

@@ -124,10 +124,6 @@ def _bounded_check(name: str, measured: float, threshold: float) -> CheckResult:
     return CheckResult(name, measured, threshold, measured <= threshold)
 
 
-def _angle(rng: np.random.Generator) -> float:
-    return float(rng.uniform(-3, 3))
-
-
 # Pair suites: check name, builder, the number of angles each draw takes
 # before its bystander angles, and whether it takes bystander angles. Every
 # builder returns (circuit, GateTarget), and a draw's value is the larger of
@@ -143,53 +139,49 @@ _PAIR_SUITES = {
 }
 
 
-def _worst_check(name: str, values: np.ndarray, layouts: list,
-                 tol: float) -> CheckResult:
-    """A suite's check from its values and (n, i, j) layouts, one per draw
-    in draw order: the largest value (NaN if any is NaN) and the first draw
-    that has it."""
-    k = int(np.argmax(values))
-    worst = float(values[k])
-    n, i, j = layouts[k]
-    return CheckResult(name, worst, tol, worst <= tol,
-                       {"index": k, "n": n, "i": i, "j": j})
-
-
-def _pair_suite(rng, tol, check, builder, n_angles, bystanders) -> CheckResult:
+def _pair_suite(rng, tol, check, builder, n_angles, bystanders) -> tuple:
     """DRAWS_PER_SUITE draws, each a register of 2 to 4 spins, a pair, and
-    then its angles in the builder's argument order. The draws are grouped
-    by (n, i, j) layout: one builder call per layout on (B,) angle columns,
-    and one batched verification."""
-    layouts, groups = [], {}
+    then its angles in the builder's argument order: the check name and the
+    draws' values and (n, i, j) layouts. One builder call per layout on (B,)
+    angle columns; one stacked circuit verifies a register size's layouts,
+    each draw against its own target and acted spins."""
+    layouts, sizes = [], {}
     for index in range(DRAWS_PER_SUITE):
         n = int(rng.integers(2, 5))
         i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-        row = [_angle(rng) for _ in range(n_angles)]
-        if bystanders:
-            row += [_angle(rng) for k in range(n) if k not in (i, j)]
+        row = rng.uniform(-3, 3, n_angles + (n - 2 if bystanders else 0))
         layouts.append((n, i, j))
-        groups.setdefault((n, i, j), []).append((index, row))
+        sizes.setdefault(n, {}).setdefault((i, j), []).append((index, row))
     values = np.empty(DRAWS_PER_SUITE)
-    for (n, i, j), draws in groups.items():
-        index, rows = zip(*draws)
-        cols = list(np.array(rows).T)
-        args = cols[:n_angles]
-        if bystanders:
-            spins = [k for k in range(n) if k not in (i, j)]
-            args.append(dict(zip(spins, cols[n_angles:])))
-        c, target = getattr(circuits, builder)(RegisterSpec(n), i, j, *args)
-        rep = circuits.verify_target(c, target, tol)
-        values[list(index)] = np.maximum(rep.distance, rep.bystander_deviation)
-    return _worst_check(check, values, layouts, tol)
+    for n, groups in sizes.items():
+        reg, built, order = RegisterSpec(n), [], []
+        for (i, j), draws in groups.items():
+            index, rows = zip(*draws)
+            args = list(np.array(rows).T)
+            if bystanders:
+                spins = [k for k in range(n) if k not in (i, j)]
+                args[n_angles:] = [dict(zip(spins, args[n_angles:]))]
+            built.append(getattr(circuits, builder)(reg, i, j, *args))
+            order += index
+        cs, ts = zip(*built)
+        counts = [c.draws for c in cs]
+        target = circuits.GateTarget(
+            np.concatenate([np.broadcast_to(t.unitary, (b, reg.dim, reg.dim))
+                            for t, b in zip(ts, counts)]),
+            np.repeat([[k in t.acted_spins for k in range(n)] for t in ts],
+                      counts, axis=0), ts[0].equivalence)
+        rep = circuits.verify_target(circuits.stack(cs), target, tol)
+        values[order] = np.maximum(rep.distance, rep.bystander_deviation)
+    return check, values, layouts
 
 
-def _suite_parallel(rng, tol):
+def _suite_parallel(rng, tol) -> tuple:
     """The controlled phase replicated on 2 and 3 pairs, for
     DRAWS_PER_SUITE // 4 template angles: one builder call and two batched
     verifications, EXACT over every spin. Draw 2k is angle k on 4 spins,
     draw 2k + 1 the same angle on 6; a draw's layout names its register and
     its first pair."""
-    angles = np.array([_angle(rng) for _ in range(DRAWS_PER_SUITE // 4)])
+    angles = rng.uniform(-3, 3, size=DRAWS_PER_SUITE // 4)
     template, pair_target = circuits.controlled_phase_circuit(
         RegisterSpec(2), 0, 1, angles)
     values = np.empty((len(angles), 2))
@@ -202,8 +194,8 @@ def _suite_parallel(rng, tol):
         rep = circuits.verify_target(c, circuits.GateTarget(
             target, frozenset(range(n)), circuits.Equivalence.EXACT), tol)
         values[:, col] = np.maximum(rep.distance, rep.bystander_deviation)
-    return _worst_check("parallel_pair_replication", values.ravel(),
-                        [(4, 0, 1), (6, 0, 1)] * len(angles), tol)
+    return ("parallel_pair_replication", values.ravel(),
+            [(4, 0, 1), (6, 0, 1)] * len(angles))
 
 
 VERIFY_SUITES = tuple(_PAIR_SUITES) + ("parallel",)
@@ -214,14 +206,24 @@ def cmd_verify(args) -> RunReport:
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
-    checks = []
+    checks, stages = [], []
+    t = time.perf_counter()
     for name in names:
-        if name == "parallel":
-            checks.append(_suite_parallel(rng, args.tol))
-        else:
-            checks.append(_pair_suite(rng, args.tol, *_PAIR_SUITES[name]))
+        check, values, layouts = (
+            _suite_parallel(rng, args.tol) if name == "parallel"
+            else _pair_suite(rng, args.tol, *_PAIR_SUITES[name]))
+        # The worst value (NaN if any is NaN) and the first draw with it.
+        k = int(np.argmax(values))
+        n, i, j, worst = *layouts[k], float(values[k])
+        checks.append(CheckResult(check, worst, args.tol, worst <= args.tol,
+                                  {"index": k, "n": n, "i": i, "j": j}))
+        now = time.perf_counter()
+        stages.append(synth.StageRecord(
+            check, len(values), int((values <= args.tol).sum()), now - t))
+        t = now
     return RunReport(command="verify", seed=args.seed, inputs=(),
-                     checks=tuple(checks), wall_time_s=0.0)
+                     checks=tuple(checks), wall_time_s=0.0,
+                     stages=tuple(stages))
 
 
 def cmd_synthesize(args) -> RunReport:

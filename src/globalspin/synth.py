@@ -179,8 +179,8 @@ class SequenceSolution:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One search or schedule stage: what went in, what came out, and its
-    wall time."""
+    """One search, schedule or verify stage: what went in, what came out,
+    and its wall time."""
     name: str
     n_in: int
     n_out: int

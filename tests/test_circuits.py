@@ -510,6 +510,82 @@ def test_lone_spins_take_one_kernel_pass_per_field(monkeypatch):
     assert len(cases) == 4 and cases[-1].draws == 3
 
 
+@pytest.mark.parametrize("suite", oracle.PAIR_SUITES)
+def test_stack_plays_each_circuit_bit_for_bit(suite):
+    # Every builder on all 20 layouts of 2 to 4 spins, (i, j) next to (j, i):
+    # each register size's circuits stacked play each circuit's draws. The
+    # xy controlled phase's y field rests a site in some layouts only, and
+    # one circuit per size is built with floats, as one draw of shared ops.
+    build, n_angles, takes_bystanders = oracle.PAIR_SUITES[suite]
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 4):
+        reg, cs = RegisterSpec(n), []
+        for k, (i, j) in enumerate((i, j) for i in range(n)
+                                   for j in range(n) if i != j):
+            size = None if k == 1 else (1, 2, 3)[k % 3]
+            args = [rng.uniform(-3, 3, size) for _ in range(n_angles)]
+            if takes_bystanders:
+                args.append({s: rng.uniform(-3, 3, size)
+                             for s in range(n) if s not in (i, j)})
+            cs.append(build(reg, i, j, *args)[0])
+        u, end = evaluate(cir.stack(cs)), 0
+        for c in cs:
+            want = evaluate(c).reshape(-1, reg.dim, reg.dim)
+            end += len(want)
+            assert np.array_equal(u[end - len(want):end], want), (suite, n)
+        assert len(u) == end
+    assert sum(n * (n - 1) for n in (2, 3, 4)) == 20
+
+
+def test_stack_rejects_circuits_that_differ():
+    cp, _ = cir.controlled_phase_circuit(REG3, 0, 1, 0.3)
+    swap, _ = cir.swap_conjugation(REG3, 0, 2, 0.1, 0.2)
+    xy, _ = cir.xy_x_rotation_circuit(REG3, 1, 2, 0.1, 0.2)
+    flipped = Circuit(REG3, cp.ops[:1] + (XYExchange(0, 1, 0.5),)
+                      + cp.ops[2:])
+    turned = Circuit(REG3, (GlobalField("x", cp.ops[0].angles),)
+                     + cp.ops[1:])
+    wider, _ = cir.controlled_phase_circuit(REG4, 0, 1, 0.3)
+    # Length, exchange kind, field against exchange, field axis, register.
+    for other in (swap, flipped, xy, turned, wider):
+        with pytest.raises(ValueError):
+            cir.stack([cp, other])
+    assert cir.stack([cp, cp]).draws == 2
+
+
+def test_verify_plays_one_field_pass_per_position_and_size(monkeypatch,
+                                                           capsys):
+    # In one verify --suite all, a pair suite plays each field position once
+    # per register size, whatever its number of layouts there.
+    fields, suite, played = {}, [None], {}
+    for check, builder, n_angles, _ in cli._PAIR_SUITES.values():
+        c, _ = getattr(cir, builder)(REG2, 0, 1, *[0.1] * n_angles)
+        fields[check] = c.field_count
+    real_apply, real_suite = cir.apply_op, cli._pair_suite
+
+    def counting(u, reg, op):
+        if suite[0] and isinstance(op, GlobalField):
+            key = (suite[0], reg.n_spins)
+            played[key] = played.get(key, 0) + 1
+        return real_apply(u, reg, op)
+
+    def tagged(rng, tol, check, *spec):
+        suite[0] = check
+        try:
+            return real_suite(rng, tol, check, *spec)
+        finally:
+            suite[0] = None
+
+    monkeypatch.setattr(cir, "apply_op", counting)
+    monkeypatch.setattr(cli, "_pair_suite", tagged)
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert {check for check, _ in played} == set(fields)
+    assert {n for _, n in played} == {2, 3, 4}
+    for (check, n), count in played.items():
+        assert count <= fields[check], (check, n)
+
+
 def test_combined_distance_of_exact_parts_is_positive_zero():
     # sqrt(-2 expm1(0)) is sqrt(-0.0), which is -0.0; the distance of
     # equal parts reads +0.0, and every other value keeps its bits.

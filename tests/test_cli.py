@@ -206,6 +206,39 @@ def test_verify_calls_each_builder_once_per_layout(capsys, monkeypatch):
         assert set(got) == {(d.n, d.i, d.j) for d in draws[suite]}, suite
 
 
+def test_verify_stage_records_tile_its_suites(capsys, monkeypatch):
+    # One stage per suite in VERIFY_SUITES order: its draws in, the draws
+    # within --tol out (the per-draw loops' count), and seconds between
+    # consecutive marks, which tile the run from the first mark to the last.
+    marks, clock = [], time.perf_counter
+
+    def mark():
+        marks.append(clock())
+        return marks[-1]
+
+    tol = 5e-16
+    monkeypatch.setattr(time, "perf_counter", mark)
+    code, out, _ = run_cli(capsys, "verify", "--tol", str(tol), "--format",
+                           "json-lines")
+    monkeypatch.undo()
+    records = json_lines(out)
+    stages = [r for r in records if r["kind"] == "stage"]
+    draws = oracle.verify_draws(0, cli.VERIFY_SUITES)
+    assert [SUITE_OF_CHECK[r["name"]] for r in stages] == list(draws)
+    for r in stages:
+        suite_draws = draws[SUITE_OF_CHECK[r["name"]]]
+        assert r["in"] == len(suite_draws)
+        assert r["out"] == sum(d.value <= tol for d in suite_draws)
+    assert 0 < sum(r["out"] for r in stages) < sum(r["in"] for r in stages)
+    assert code == 1
+    # main marks the start and the end; verify one mark and one per suite.
+    assert len(marks) == len(stages) + 3
+    seconds = [r["s"] for r in stages]
+    assert all(s >= 0 for s in seconds)
+    assert abs(sum(seconds) - (marks[-2] - marks[1])) <= 1e-9
+    assert sum(seconds) <= records[-1]["wall_time_s"]
+
+
 def test_synthesize_planted_swap(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, "synthesize", "--problem", "planted_swap",
