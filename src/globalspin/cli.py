@@ -87,7 +87,7 @@ def _emit(report: RunReport, fmt: str) -> None:
             line(rec)
         for st in report.stages:
             line({"kind": "stage", "name": st.name, "in": st.n_in,
-                  "out": st.n_out, "s": st.seconds})
+                  "out": st.n_out, "s": st.seconds, "cpu_s": st.cpu_s})
         line({"kind": "summary", "ok": report.ok,
               "wall_time_s": report.wall_time_s})
         return
@@ -111,7 +111,8 @@ def _emit(report: RunReport, fmt: str) -> None:
             print(f"  {c.name:42s} {measured:>26s}  threshold={c.threshold:g}"
                   f"  {verdict}")
     for st in report.stages:
-        print(f"  stage {st.name:36s} {st.n_in:>12d} -> {st.n_out:<12d}{st.seconds:.3f} s")
+        print(f"  stage {st.name:36s} {st.n_in:>12d} -> {st.n_out:<12d}"
+              f"{st.seconds:.3f} s  cpu {st.cpu_s:.3f} s")
     print(f"wall_time_s = {report.wall_time_s:.3f}")
     print(f"overall: {'PASS' if report.ok else 'FAIL'}")
 
@@ -207,7 +208,7 @@ def cmd_verify(args) -> RunReport:
     rng = np.random.default_rng(args.seed)
     names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     checks, stages = [], []
-    t = time.perf_counter()
+    t = synth.clock()
     for name in names:
         check, values, layouts = (
             _suite_parallel(rng, args.tol) if name == "parallel"
@@ -217,9 +218,10 @@ def cmd_verify(args) -> RunReport:
         n, i, j, worst = *layouts[k], float(values[k])
         checks.append(CheckResult(check, worst, args.tol, worst <= args.tol,
                                   {"index": k, "n": n, "i": i, "j": j}))
-        now = time.perf_counter()
+        now = synth.clock()
         stages.append(synth.StageRecord(
-            check, len(values), int((values <= args.tol).sum()), now - t))
+            check, len(values), int((values <= args.tol).sum()),
+            *np.subtract(now, t).tolist()))
         t = now
     return RunReport(command="verify", seed=args.seed, inputs=(),
                      checks=tuple(checks), wall_time_s=0.0,
@@ -314,12 +316,13 @@ def cmd_device(args) -> RunReport:
 def cmd_schedule(args) -> RunReport:
     geom, name, geom_entry = _load_geometry(args)
     checks, stages = [], []
-    t = time.perf_counter()
+    t = synth.clock()
 
     def stage(label, n_in, n_out):
         nonlocal t
-        now = time.perf_counter()
-        stages.append(synth.StageRecord(label, n_in, n_out, now - t))
+        now = synth.clock()
+        stages.append(synth.StageRecord(label, n_in, n_out,
+                                        *np.subtract(now, t).tolist()))
         t = now
 
     if args.simulate_only:

@@ -16,17 +16,19 @@ IEEE TCAD 32, 818 (2013)): a sequence's product is S·P, a suffix times a
 prefix, so its overlap with a target, tr(F·S·P) = tr(S·(P·F)), is a dot
 product of two precomputed halves; 2x2 products and the bystander filter's
 dot products are elementwise multiply-adds (_product_2x2, _dot4). The
-bystander filter scores every prefix against every T†-folded suffix on the
-first sample, and later only the words still alive. The pair filter reads
-each exchange as a·I + c·SWAP, so a placement of k exchanges sums up to
-2^k terms a^(k-j)·c^j·SWAP^j·(A ⊗ B), whose 2x2 strands A and B take each
-letter's factors in an order set by the SWAP parity before it (the relay
-of the source paper's swap steps); terms alike in j and parity pattern are
-one cell, and a coefficient within rounding of 0 drops its terms (at
-xi ≡ π a placement is one all-SWAP term, at xi ≡ 0 one identity term). Per
-sample it folds F = a^(k-j)·c^j·T†·SWAP^j into one table of prefix halves,
-a row per distinct prefix of the live words, and scores the live words in
-suffix order, building suffix halves once per distinct suffix of a block.
+bystander filter looks its first sample's words up: a sorted join of the
+halves on a phase-invariant key (_key_pairs) finds the few pairs within
+reach, and only those are scored, as later only the words still alive.
+The pair filter scores cells. It reads each exchange as a·I + c·SWAP, so
+a placement of k exchanges sums up to 2^k terms a^(k-j)·c^j·SWAP^j·(A ⊗
+B), whose 2x2 strands A and B take each letter's factors in an order set
+by the SWAP parity before it (the relay of the source paper's swap
+steps); terms alike in j and parity pattern are one cell, and a
+coefficient within rounding of 0 drops its terms (at xi ≡ π a placement
+is one all-SWAP term, at xi ≡ 0 one identity term). Per sample it folds
+F = a^(k-j)·c^j·T†·SWAP^j into one table of prefix halves, a row per
+distinct prefix of the live words, and scores the live words in suffix
+order, building suffix halves once per distinct suffix of a block.
 
 Filters use loose thresholds and exist only to cut the space; membership in
 the result is decided solely by final verification at the problem
@@ -35,9 +37,9 @@ reverify call) from one seed. Exchange links only spins 0 and 1, so the
 pair plays on a (B, 4, 4) stack and every bystander of every draw on one
 stack of B·(n - 2) 1-spin draws, each part is scored against its own
 gates, and circuits.combined_distance joins them: no pulse plays on more
-than 2 spins. circuits.evaluate_each plays the sequences in the result's
-order, so a prefix shared with the sequence before is played once. The
-worst distance over every draw is reported with its index.
+than 2 spins. circuits.evaluate_each plays each part's distinct words in
+sorted order, so a prefix they share is played once. The worst distance
+over every draw is reported with its index.
 
 The Hadamard search fits the (structure, start) members of one length in
 batched Levenberg-Marquardt solves (minimize), on numpy alone.
@@ -79,9 +81,15 @@ MAX_SAMPLES = 4096
 # Slots per word: the budget does not price a word's length, and past 62
 # field letters two letters overflow the int64 word index.
 MAX_LENGTH = 62
-# Words per stage-1 block and per stage-2 batch; both bound the working set.
+# Words per stage-1 chunk and per stage-2 batch; both bound the working set.
 # A stage-2 block of four batches shares its suffix halves.
 _CHUNK = 1 << 15
+# Stage 1 joins prefix P and folded suffix A = T†S on the key k(M) =
+# M00·conj(M11), which ignores a global phase. For 2x2 unitaries, min over
+# phi of |P - e^{i phi} A†|_F^2 = 2(2 - |tr(PA)|), and |k(P) - k(Q)| <=
+# sqrt2·|P - Q|_F, so a pair with 2 - |tr(PA)| <= STAGE1_DIST_SQ has keys
+# within 2·sqrt(STAGE1_DIST_SQ); the window is twice that.
+_KEY_RADIUS = 4 * math.sqrt(STAGE1_DIST_SQ)
 _PAIR_CHUNK = 128
 _PAIR_BLOCK = 4 * _PAIR_CHUNK
 _LM_CHUNK = 1024  # Hadamard-search members per minimize call: bounds memory
@@ -180,11 +188,17 @@ class SequenceSolution:
 @dataclass(frozen=True)
 class StageRecord:
     """One search, schedule or verify stage: what went in, what came out,
-    and its wall time."""
+    and its wall and process CPU time between two clock() marks."""
     name: str
     n_in: int
     n_out: int
     seconds: float
+    cpu_s: float
+
+
+def clock() -> tuple:
+    """A stage mark: (time.perf_counter(), time.process_time())."""
+    return time.perf_counter(), time.process_time()
 
 
 @dataclass(frozen=True)
@@ -208,29 +222,31 @@ class SynthesisResult:
     stats: SearchStats
 
 
-@dataclass(frozen=True, eq=False)
-class Draw:
-    """One parameter draw of a family.
-
-    angles[symbol] holds the symbol's angles on the pair (spins 0 and 1)
-    and then on MAX_BYSTANDER_DRAWS bystanders; a letter plays sign * angles
-    about its axis. pair is the 4x4 gate the pair must see, and
-    bystanders[k] the 2x2 gate bystander k must see.
-    """
-    angles: dict
-    pair: np.ndarray
-    bystanders: np.ndarray
-
-
 @dataclass(frozen=True)
 class Family:
+    """sample(rng, n) draws n parameter draws of the family: each symbol's
+    angles (n, 2 + MAX_BYSTANDER_DRAWS), on the pair (spins 0 and 1) and
+    then on the bystanders, of which a letter plays sign * angles about its
+    axis; the 4x4 gates (n, 4, 4) the pair must see; and the 2x2 gates (n,
+    MAX_BYSTANDER_DRAWS, 2, 2) each bystander must see. It reads rng as n
+    calls of one draw each would, so it draws the same values."""
     name: str
     symbols: tuple
-    sample: Callable[[np.random.Generator], Draw]
+    sample: Callable[[np.random.Generator, int], tuple]
 
 
-def _bystanders(rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(0.1, 3.0, size=MAX_BYSTANDER_DRAWS)
+def _draws(rng: np.random.Generator, n: int, high: float,
+           n_more: int) -> np.ndarray:
+    """(n, 2 + n_more) values, a draw per row: a pair uniform in (0.1,
+    high), drawn again until its entries differ by over 0.05, then n_more
+    uniform in (0.1, 3.0) from one call."""
+    out = np.empty((n, 2 + n_more))
+    for row in out:
+        row[:2] = rng.uniform(0.1, high, size=2)
+        while abs(row[0] - row[1]) <= 0.05:
+            row[:2] = rng.uniform(0.1, high, size=2)
+        row[2:] = rng.uniform(0.1, 3.0, size=n_more)
+    return out
 
 
 @functools.cache
@@ -242,7 +258,7 @@ def _shared_gates() -> tuple:
                     complex))
 
 
-def _rotation_sample(rng: np.random.Generator) -> Draw:
+def _rotation_sample(rng: np.random.Generator, n: int) -> tuple:
     """Single-spin z rotation on spin 0 of the pair, spin 1 untouched.
 
     The primary symbol carries independent pair angles (t_i, t_j); the
@@ -251,43 +267,35 @@ def _rotation_sample(rng: np.random.Generator) -> Draw:
     sum realized as one pulse. Dark symbols put a pi between the pair
     entries and draw their own bystander angles.
     """
-    while True:
-        t_i, t_j = rng.uniform(0.1, math.pi - 0.1, size=2)
-        if abs(t_i - t_j) > 0.05:
-            break
-    primary = np.concatenate(([t_i, t_j], _bystanders(rng)))
-    c = _bystanders(rng)
-    d = rng.uniform(0.1, 3.0)
-    e = rng.uniform(0.1, 3.0)
-    f = _bystanders(rng)
+    m = MAX_BYSTANDER_DRAWS
+    v = _draws(rng, n, math.pi - 0.1, 3 * m + 2)
+    primary, c, d, e, f = np.split(v, [m + 2, 2 * m + 2, 2 * m + 3, 2 * m + 4],
+                                   axis=1)
+    t_i, t_j = primary[:, :1], primary[:, 1:2]
     ratio = (t_i - t_j) / (t_i + t_j)
-    x_dark = np.concatenate(([d, d + math.pi], c))
-    return Draw({"primary": primary, "companion": ratio * primary,
-                 "merged": (1.0 + ratio) * primary, "pi_step": x_dark,
-                 "x_dark": x_dark,
-                 "z_dark": np.concatenate(([e, e + math.pi], f))},
-                global_field_unitary(RegisterSpec(2), GlobalField(
-                    "z", (2.0 * (t_i - t_j), 0.0))), _shared_gates()[0])
+    x_dark = np.hstack([d, d + math.pi, c])
+    return ({"primary": primary, "companion": ratio * primary,
+             "merged": (1.0 + ratio) * primary, "pi_step": x_dark,
+             "x_dark": x_dark, "z_dark": np.hstack([e, e + math.pi, f])},
+            global_field_unitary(RegisterSpec(2), GlobalField("z", np.hstack(
+                [2.0 * (t_i - t_j), np.zeros((n, 1))]))),
+            np.repeat(_shared_gates()[0][None], n, axis=0))
 
 
-def _swap_sample(rng: np.random.Generator) -> Draw:
+def _swap_sample(rng: np.random.Generator, n: int) -> tuple:
     """Exchange conjugation of one z pulse: the pair angles trade places."""
-    while True:
-        v_i, v_j = rng.uniform(0.1, 3.0, size=2)
-        if abs(v_i - v_j) > 0.05:
-            break
-    b = _bystanders(rng)
-    return Draw({"primary": np.concatenate(([v_i, v_j], b))},
-                global_field_unitary(RegisterSpec(2), GlobalField(
-                    "z", (v_j, v_i))), rotation_2x2("z", b))
+    v = _draws(rng, n, 3.0, MAX_BYSTANDER_DRAWS)
+    return ({"primary": v}, global_field_unitary(RegisterSpec(2), GlobalField(
+        "z", v[:, 1::-1])), rotation_2x2("z", v[:, 2:]))
 
 
-def _controlled_phase_sample(rng: np.random.Generator) -> Draw:
+def _controlled_phase_sample(rng: np.random.Generator, n: int) -> tuple:
     """Ising-type pair phase from two half exchanges around a flipped pulse."""
-    theta = rng.uniform(0.1, 3.0)
+    v = rng.uniform(0.1, 3.0, size=(n, 1 + MAX_BYSTANDER_DRAWS))
     at_rest, pair = _shared_gates()
-    return Draw({"primary": np.concatenate(([theta, theta + math.pi],
-                                            _bystanders(rng)))}, pair, at_rest)
+    return ({"primary": np.hstack([v[:, :1], v[:, :1] + math.pi, v[:, 1:]])},
+            np.repeat(pair[None], n, axis=0),
+            np.repeat(at_rest[None], n, axis=0))
 
 
 FAMILIES = {f.name: f for f in (
@@ -363,32 +371,44 @@ def _dot4(a: Iterable, b: Iterable) -> np.ndarray:
     return tr
 
 
+def _key_pairs(pre: np.ndarray, suf: np.ndarray) -> Iterator[np.ndarray]:
+    """Word indices, at most _CHUNK at a time, of the prefix-suffix pairs of
+    the _half_word_factors columns whose keys lie within _KEY_RADIUS of
+    each other in real and imaginary part: a sorted join, the prefix keys
+    sorted by real part and each suffix key's window found by searchsorted.
+    Every word that passes the stage-1 test is among them."""
+    kp, ks = pre[0] * pre[3].conj(), suf[0].conj() * suf[3]
+    order = np.argsort(kp.real)
+    lo, hi = (np.searchsorted(kp.real[order], ks.real + r, side) for r, side
+              in ((-_KEY_RADIUS, "left"), (_KEY_RADIUS, "right")))
+    ends = np.cumsum(hi - lo)  # where each suffix's window ends, flattened
+    for start in range(0, ends[-1], _CHUNK):
+        at = np.arange(start, min(start + _CHUNK, ends[-1]))
+        cols = np.searchsorted(ends, at, "right")
+        rows = order[at + (hi - ends)[cols]]
+        near = np.abs(kp.imag[rows] - ks.imag[cols]) <= _KEY_RADIUS
+        yield rows[near] * suf.shape[1] + cols[near]
+
+
 def _bystander_scan(n_field: int, bys_mats: Sequence[np.ndarray],
                     bys_targets: Sequence[np.ndarray]) -> np.ndarray:
     """Ascending indices of the words that hit the bystander target on every
     search sample, one sample's half-word factors held at a time. The first
-    sample, where every word is alive, scores blocks of whole prefix rows
-    against every suffix (at least one row, else at most _CHUNK words);
-    later samples gather the halves of the words still alive."""
+    sample scores the pairs that _key_pairs finds, later samples the words
+    still alive, each chunk of _CHUNK words from its gathered halves."""
     alive = None
     for mats, tgt in zip(bys_mats, bys_targets):
         pre, suf = _half_word_factors(mats, tgt, n_field)
-        n_suf = suf.shape[1]
-        kept = []
-        if alive is None:
-            step = max(1, _CHUNK // n_suf)
-            for p in range(0, pre.shape[1], step):
-                tr = _dot4(pre[:, p:p + step, None], suf)
-                # squared phase distance on 2x2: 2 - |tr|
-                kept.append(np.flatnonzero(2.0 - np.abs(tr) <= STAGE1_DIST_SQ)
-                            + p * n_suf)
-        else:
-            for s in range(0, alive.size, _CHUNK):
-                idx = alive[s:s + _CHUNK]
-                rows, cols = np.divmod(idx, n_suf)
-                tr = _dot4((c[rows] for c in pre), (c[cols] for c in suf))
-                kept.append(idx[2.0 - np.abs(tr) <= STAGE1_DIST_SQ])
-        alive = np.concatenate(kept)
+        kept = [np.empty(0, np.int64)]
+        for idx in (_key_pairs(pre, suf) if alive is None else
+                    (alive[s:s + _CHUNK] for s in range(0, alive.size, _CHUNK))):
+            rows, cols = np.divmod(idx, suf.shape[1])
+            tr = _dot4((c[rows] for c in pre), (c[cols] for c in suf))
+            # squared phase distance on 2x2: 2 - |tr|
+            kept.append(idx[2.0 - np.abs(tr) <= STAGE1_DIST_SQ])
+        joined, alive = alive is None, np.concatenate(kept)
+        if joined:
+            alive.sort()  # in place: the join's order is not ascending
         if alive.size == 0:
             break
     return alive
@@ -587,11 +607,9 @@ def _draw_table(problem: SynthesisProblem, n: int,
     """n family draws from rng, in sampling order: each letter's signed
     angles (n_letters, n, 2 + MAX_BYSTANDER_DRAWS), the pair gates
     (n, 4, 4) and the bystander gates (n, MAX_BYSTANDER_DRAWS, 2, 2)."""
-    draws = [FAMILIES[problem.family].sample(rng) for _ in range(n)]
-    angles = np.array([[tpl.sign * d.angles[tpl.symbol] for d in draws]
-                       for tpl in problem.alphabet])
-    return (angles, np.array([d.pair for d in draws]),
-            np.array([d.bystanders for d in draws]))
+    angles, pairs, bystanders = FAMILIES[problem.family].sample(rng, n)
+    return (np.array([tpl.sign * angles[tpl.symbol]
+                      for tpl in problem.alphabet]), pairs, bystanders)
 
 
 def _verify_table(problem: SynthesisProblem, n_samples: int,
@@ -615,21 +633,24 @@ def _draw_distances(problem: SynthesisProblem, table: tuple,
                     sequences: Sequence) -> Iterator[np.ndarray]:
     """Per sequence in turn (letter index per slot, None at exchange), its
     phase distance on problem.verify_spins spins for every draw of the
-    table: each part plays it as one circuit (a bystander without the
-    exchanges) whose slots are the part's op objects, so evaluate_each
-    plays a prefix shared with the sequence before once, and
+    table. Each part plays the distinct words it sees (a bystander's drop
+    the exchanges) once, as circuits whose slots are the part's op objects,
+    in sorted op order, so evaluate_each plays each distinct prefix once;
     combined_distance joins the parts. A part with no field letter plays
     one matrix, which every draw shares."""
-    ex = Exchange(0, 1, problem.xi)
-    played = evaluate_each([
-        Circuit(reg, [ex if x is None else fields[x] for x in letters
-                      if x is not None or reg.n_spins == 2])
-        for letters in sequences for reg, fields, _ in table])
-    n_draws = len(table[0][2])
-    for _ in sequences:
-        yield combined_distance(np.hstack([phase_distance(
-            np.broadcast_to(next(played), gates.shape), gates).reshape(
-                n_draws, -1) for _, _, gates in table]))
+    ex, n_draws, parts = Exchange(0, 1, problem.xi), len(table[0][2]), []
+    for reg, fields, gates in table:
+        words = [tuple(x for x in letters if x is not None or reg.n_spins == 2)
+                 for letters in sequences]
+        distinct = sorted(set(words), key=lambda w: [-1 if x is None else x
+                                                     for x in w])
+        played = evaluate_each([Circuit(reg, [ex if x is None else fields[x]
+                                              for x in w]) for w in distinct])
+        dists = {w: phase_distance(np.broadcast_to(u, gates.shape), gates)
+                 .reshape(n_draws, -1) for w, u in zip(distinct, played)}
+        parts.append([dists[w] for w in words])
+    for part in zip(*parts):
+        yield combined_distance(np.hstack(part))
 
 
 def enumerate_sequences(problem: SynthesisProblem,
@@ -647,7 +668,7 @@ def enumerate_sequences(problem: SynthesisProblem,
     bounds words x placements, and then survivors x placements x terms;
     MAX_LENGTH is checked before any draw.
     """
-    marks = [time.perf_counter()]
+    marks = [clock()]
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if not problem.alphabet:
@@ -695,14 +716,14 @@ def enumerate_sequences(problem: SynthesisProblem,
     needed = max(survivors.size, _PAIR_CHUNK) * n_placements * terms
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    marks.append(time.perf_counter())
+    marks.append(clock())
 
     placements = list(itertools.combinations(range(length), k))
     words = _word_digits(survivors, n_field, n_letters)
     candidates = [(words[row], placements[p])
                   for row, p in _pair_scan(words, pair_factors, pair_targets,
                                            weights, length, k)]
-    marks.append(time.perf_counter())
+    marks.append(clock())
 
     # Each letter's pair matrix on the first sample, then the exchange's, is
     # hashed once; sequences alike in these classes slot by slot collapse.
@@ -721,7 +742,7 @@ def enumerate_sequences(problem: SynthesisProblem,
     kept = sorted((_slot_letters(word, slots, problem.length)
                    for word, slots in unique.values()),
                   key=lambda s: [0 if x is None else 1 + x for x in s])
-    marks.append(time.perf_counter())
+    marks.append(clock())
 
     labels = problem.labels
     solutions = []
@@ -734,18 +755,19 @@ def enumerate_sequences(problem: SynthesisProblem,
                 letters=tuple("EX" if x is None else labels[x]
                               for x in letters),
                 max_distance=float(dists[worst]), worst_draw=worst))
-    marks.append(time.perf_counter())
+    marks.append(clock())
     funnel = (words_total, int(survivors.size), len(candidates), len(kept),
               len(solutions))
     stages = tuple(
-        StageRecord(name, funnel[k], funnel[k + 1], marks[k + 1] - marks[k])
+        StageRecord(name, funnel[k], funnel[k + 1], *np.subtract(
+            marks[k + 1], marks[k]).tolist())
         for k, name in enumerate(("bystander_scan", "pair_scan", "dedup",
                                   "verification")))
     stats = SearchStats(words_total=words_total, placements=n_placements,
                         bystander_survivors=int(survivors.size),
                         pair_candidates=len(candidates),
                         deduplicated=len(kept), verified=len(solutions),
-                        elapsed_s=marks[-1] - marks[0], stages=stages)
+                        elapsed_s=marks[-1][0] - marks[0][0], stages=stages)
     return SynthesisResult(problem_name=problem.name,
                            solutions=tuple(solutions),
                            stats=stats)
@@ -1013,7 +1035,7 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
     _HADAMARD_BUDGET, raise ValueError. n_minimize counts the members
     optimized, nfev their evaluations; stages has a StageRecord per length.
     """
-    t0 = time.perf_counter()
+    t0 = clock()
     ratios = {}
     for axis in ("z", "x"):
         ratios[axis] = tuple(float(v) for v in profiles.get(axis, ()))
@@ -1062,8 +1084,9 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
                     break
             if best[0] <= tolerance:
                 break
-        now = time.perf_counter()  # the chunks run hold c + len(chunk) members
-        stages.append(StageRecord(f"length_{n}", c + len(chunk), n_out, now - mark))
+        now = clock()  # the chunks run hold c + len(chunk) members
+        stages.append(StageRecord(f"length_{n}", c + len(chunk), n_out,
+                                  *np.subtract(now, mark).tolist()))
         mark = now
         if best[0] <= tolerance:
             break
@@ -1073,4 +1096,4 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
         n_structures=len(searched), tolerance=tolerance,
         profiles=(("z", az), ("x", ax)),
         n_minimize=sum(st.n_in for st in stages), nfev=nfev,
-        elapsed_s=time.perf_counter() - t0, stages=tuple(stages))
+        elapsed_s=time.perf_counter() - t0[0], stages=tuple(stages))

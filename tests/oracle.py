@@ -27,6 +27,7 @@ import cmath
 import hashlib
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -207,6 +208,14 @@ def local_z_aligned_distance(u, target, n_spins, i, j):
                  / math.sqrt(1 << n_spins))
 
 
+def family_draw(family, rng):
+    """One draw of a synthesis family, sampled alone (n = 1): its angles
+    by symbol, its pair gate and its bystander gates."""
+    angles, pairs, bystanders = family.sample(rng, 1)
+    return SimpleNamespace(angles={s: a[0] for s, a in angles.items()},
+                           pair=pairs[0], bystanders=bystanders[0])
+
+
 def register_target(draw, n_spins):
     """A synthesis family draw's target on the pair and its first
     n_spins - 2 bystanders: the Kronecker product of its gates."""
@@ -251,7 +260,7 @@ def factored_draw_distances(problem, letters, n_samples, seed):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_samples):
-        draw = synth.FAMILIES[problem.family].sample(rng)
+        draw = family_draw(synth.FAMILIES[problem.family], rng)
         angles = [tpl.sign * draw.angles[tpl.symbol]
                   for tpl in problem.alphabet]
         parts = [((0, 1), draw.pair)] + [

@@ -54,6 +54,8 @@ def test_verify_single_suite_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "swap")
     assert code == 0
     assert "swap_conjugation_exact" in out
+    assert re.search(r"stage swap_conjugation_exact +60 -> 60 +"
+                     r"\d+\.\d{3} s  cpu \d+\.\d{3} s\n", out)
     assert out.strip().endswith("overall: PASS")
 
 
@@ -235,6 +237,7 @@ def test_verify_stage_records_tile_its_suites(capsys, monkeypatch):
     assert len(marks) == len(stages) + 3
     seconds = [r["s"] for r in stages]
     assert all(s >= 0 for s in seconds)
+    assert all(r["cpu_s"] >= 0 for r in stages)
     assert abs(sum(seconds) - (marks[-2] - marks[1])) <= 1e-9
     assert sum(seconds) <= records[-1]["wall_time_s"]
 
@@ -268,6 +271,7 @@ def test_synthesize_emits_stage_records(capsys, tmp_path):
     header = out_file.read_text().splitlines()[0]
     elapsed = float(dict(kv.split("=") for kv in header.split()[1:])["elapsed_s"])
     assert abs(sum(r["s"] for r in stages) - elapsed) <= 0.05 * elapsed
+    assert all(r["cpu_s"] >= 0 for r in stages)
     checks = by_name(records)
     for k in range(48):
         assert checks[f"solution_{k}_worst_draw"]["threshold"] is None
@@ -512,6 +516,7 @@ def compile_then_simulate_only(capsys, circ):
                                            "digest"]
     events = compiled["events"]["measured"]
     assert [r["out"] for r in stages] == [events, 1, events, 1]
+    assert all(r["s"] >= 0 and r["cpu_s"] >= 0 for r in stages)
     code, out, _ = run_cli(capsys, "schedule", str(out_file),
                            "--simulate-only", "--format", "json-lines")
     assert code == 0
@@ -636,7 +641,8 @@ def test_one_process_runs_commands_as_separate_processes_do(capsys, tmp_path,
             ("schedule", str(circuit), "--format", "json-lines")]
 
     def untimed(out):
-        return [{k: v for k, v in rec.items() if k not in ("s", "wall_time_s")}
+        return [{k: v for k, v in rec.items()
+                 if k not in ("s", "cpu_s", "wall_time_s")}
                 for rec in json_lines(out)]
 
     def refuse():

@@ -247,7 +247,7 @@ def test_family_draw_tables_agree_across_registers():
         bm, pf, _, _ = search_samples(p, np.random.default_rng(31), 3)
         rng = np.random.default_rng(31)
         for k in range(3):
-            draw = family.sample(rng)
+            draw = oracle.family_draw(family, rng)
             for li in range(len(p.alphabet)):
                 pair, side = play_parts(table, li)
                 want = np.kron(np.kron(pf[k, li, 0], pf[k, li, 1]), bm[k, li])
@@ -270,8 +270,8 @@ def test_joined_targets_equal_the_kron_oracle_bit_for_bit(spins):
         targets = join((((0, 1), gates[0][:, 0]), *(
             ((k + 2,), gates[1][:, k]) for k in range(spins - 2))))
         rng = np.random.default_rng(spins)
-        want = np.array([oracle.register_target(family.sample(rng), spins)
-                         for _ in range(4)])
+        want = np.array([oracle.register_target(
+            oracle.family_draw(family, rng), spins) for _ in range(4)])
         assert (targets + 0.0).tobytes() == (want + 0.0).tobytes(), name
 
 
@@ -296,7 +296,7 @@ def oracle_distances(p, word, slots, n_samples, seed):
     reg = RegisterSpec(p.verify_spins)
     out = []
     for _ in range(n_samples):
-        draw = synth.FAMILIES[p.family].sample(rng)
+        draw = oracle.family_draw(synth.FAMILIES[p.family], rng)
         out.append(phase_distance(evaluate(draw_circuit(p, word, slots, draw)),
                                   oracle.register_target(draw, reg.n_spins)))
     return np.array(out)
@@ -363,7 +363,7 @@ def replay_worst_draw(p, sol, seed):
     """Draw number sol.worst_draw of the seed, rebuilt and scored alone."""
     rng = np.random.default_rng(seed)
     for _ in range(sol.worst_draw + 1):
-        draw = synth.FAMILIES[p.family].sample(rng)
+        draw = oracle.family_draw(synth.FAMILIES[p.family], rng)
     c = draw_circuit(p, solution_word(p, sol), sol.exchange_slots, draw)
     return phase_distance(evaluate(c),
                           oracle.register_target(draw, p.verify_spins))
@@ -442,7 +442,8 @@ def test_stage_records_tile_the_search(bundled):
             funnel = [st.stages[0].n_in] + [s.n_out for s in st.stages]
             assert funnel == [st.words_total, st.bystander_survivors,
                               st.pair_candidates, st.deduplicated, st.verified]
-            assert all(s.seconds >= 0.0 for s in st.stages)
+            assert all(s.seconds >= 0.0 and s.cpu_s >= 0.0
+                       for s in st.stages)
             assert abs(sum(s.seconds for s in st.stages)
                        - st.elapsed_s) <= 1e-9
 
@@ -686,7 +687,7 @@ def test_hadamard_stage_records_tile_the_search():
         assert sum(s.n_in for s in r.stages) == r.n_minimize
         assert [s.n_out > 0 for s in r.stages] == [False] * (
             len(r.stages) - found) + [True] * found
-        assert all(s.seconds >= 0.0 for s in r.stages)
+        assert all(s.seconds >= 0.0 and s.cpu_s >= 0.0 for s in r.stages)
         assert abs(sum(s.seconds for s in r.stages) - r.elapsed_s) <= (
             0.05 * r.elapsed_s)
 
@@ -1154,6 +1155,121 @@ def test_scans_equal_the_per_word_oracle_on_random_problems():
         seed = int(rng.integers(1 << 20))
         for prune in (True, False):
             assert_scans_equal_the_oracle(p, seed, prune)
+
+
+def planted_bystander_samples(rng, n_letters, n_field, n_samples, word,
+                              gap):
+    """Per sample, letters rotating about random axes by random angles and
+    a target T = e^{i phi}·W·R at a random phase phi, W the product of the
+    word's letters and R a rotation by delta about a random axis, where
+    2 - |tr(T†W)| = 4 sin^2(delta/4) = gap·STAGE1_DIST_SQ."""
+    delta = 4 * math.asin(math.sqrt(gap * synth.STAGE1_DIST_SQ) / 2)
+    mats, targets = [], []
+    for _ in range(n_samples):
+        axes = rng.choice(AXES, size=n_letters + 1)
+        mats.append(np.array([rotation_2x2(str(a), v) for a, v in zip(
+            axes, rng.uniform(-math.pi, math.pi, n_letters))]))
+        w = oracle.word_products(mats[-1], n_field)[word]
+        targets.append(np.exp(1j * rng.uniform(-math.pi, math.pi))
+                       * w @ rotation_2x2(str(axes[-1]), delta))
+    return mats, targets
+
+
+@pytest.mark.parametrize("gap", [0.9, 1.1])
+def test_bystander_scan_equals_scoring_every_pair_at_the_threshold(gap):
+    # The first sample scores only the pairs its key window finds; the
+    # oracle scores every word. A word planted at 0.9 or 1.1 times the
+    # threshold puts its edge in the data: the key window must hold the
+    # one, and the test on each pair must drop the other (with any word of
+    # the same product, as letters about one axis commute). Random
+    # alphabets, one to three samples, one to six field letters.
+    rng = np.random.default_rng(round(gap * 10))
+    for k in range(18):
+        n_letters, n_field = int(rng.integers(2, 7)), 1 + k % 6
+        word = int(rng.integers(n_letters ** n_field))
+        mats, targets = planted_bystander_samples(rng, n_letters, n_field,
+                                                  1 + k % 3, word, gap)
+        got = synth._bystander_scan(n_field, mats, targets)
+        assert np.array_equal(got, oracle.bystander_scan(n_field, mats,
+                                                         targets)), k
+        assert (word in got) == (gap < 1), k
+
+
+def test_bystander_scan_equals_scoring_every_pair_on_degenerate_alphabets():
+    # Where many words share one product, the key window holds many pairs
+    # and spans chunks: 5 letters of one z angle, so every one of the
+    # 78,125 words hits (3 chunks of candidates), and a z lattice of angles
+    # -2θ..2θ, where the words whose steps sum to 2 hit. Each target also
+    # at a random phase, and a random target that no word hits.
+    rng = np.random.default_rng(9)
+    theta, n_field = 0.7, 7
+    repeated = np.repeat(rotation_2x2("z", theta)[None], 5, axis=0)
+    lattice = rotation_2x2("z", theta * np.arange(-2, 3))
+    on_lattice = sum(sum(w) == 2 for w in itertools.product(range(-2, 3),
+                                                            repeat=n_field))
+    cases = [(repeated, rotation_2x2("z", n_field * theta), 5 ** n_field),
+             (lattice, rotation_2x2("z", 2 * theta), on_lattice),
+             (lattice, rotation_2x2("x", 0.3) @ rotation_2x2("z", 1.1), 0)]
+    assert 5 ** n_field > 2 * synth._CHUNK and 0 < on_lattice < 5 ** n_field
+    for mats, target, n_hits in cases:
+        for phase in (1.0, np.exp(1j * rng.uniform(-math.pi, math.pi))):
+            for n_samples in (1, 2):
+                args = (n_field, [mats] * n_samples,
+                        [phase * target] * n_samples)
+                got = synth._bystander_scan(*args)
+                assert np.array_equal(got, oracle.bystander_scan(*args))
+                assert got.size == n_hits
+
+
+def test_draw_tables_equal_one_draw_at_a_time():
+    # A table draws its n draws in one batch per family: the values and the
+    # gates are each draw's own, sampled alone, bit for bit.
+    for name, family in synth.FAMILIES.items():
+        p = family_problem(name, 12)
+        for seed in (0, 7, 1_000_003):
+            angles, pairs, bystanders = synth._draw_table(
+                p, 100, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            draws = [oracle.family_draw(family, rng) for _ in range(100)]
+            assert np.array_equal(angles, [[tpl.sign * d.angles[tpl.symbol]
+                                            for d in draws]
+                                           for tpl in p.alphabet]), name
+            assert np.array_equal(pairs, [d.pair for d in draws]), name
+            assert np.array_equal(bystanders,
+                                  [d.bystanders for d in draws]), name
+
+
+def test_draw_distances_play_each_distinct_word_once(bundled, monkeypatch,
+                                                     rotation_seed0):
+    # The bystanders drop the exchanges, so the seed-0 solutions hold 32
+    # distinct bystander words; they are played once each in sorted order,
+    # one 1-spin field pass per node of their trie. Any order of the
+    # sequences, repeats included, gives each its distances alone.
+    p = bundled("z_difference_rotation")
+    table = synth._verify_table(p, p.verify_samples, 1_000_003)
+    sequences = [synth._slot_letters(solution_word(p, sol), sol.exchange_slots,
+                                     p.length)
+                 for sol in rotation_seed0.solutions]
+    words = {tuple(x for x in s if x is not None) for s in sequences}
+    trie = {w[:k] for w in words for k in range(1, len(w) + 1)}
+    assert (len(sequences), len(words), len(trie)) == (48, 32, 131)
+    passes = []
+    play = circuits.apply_op
+
+    def counting(u, reg, op):
+        passes.append(reg.n_spins)
+        return play(u, reg, op)
+
+    monkeypatch.setattr(circuits, "apply_op", counting)
+    list(synth._draw_distances(p, table, sequences))
+    assert passes.count(1) == len(trie)
+    monkeypatch.undo()
+    rng = np.random.default_rng(3)
+    shuffled = [sequences[i] for i in rng.integers(len(sequences), size=60)]
+    for letters, got in zip(shuffled,
+                            synth._draw_distances(p, table, shuffled)):
+        alone, = synth._draw_distances(p, table, [letters])
+        assert np.array_equal(got, alone)
 
 
 def test_pair_scan_keeps_a_placement_only_if_every_sample_hits_it():
