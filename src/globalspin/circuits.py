@@ -18,7 +18,8 @@ for bit and one at a time; a circuit played on its whole register resumes
 from the leading ops it shares with the one before it, keeping only the
 states a later circuit resumes from; synthesis verifies its 2- and 1-spin
 parts through it. Builders return the circuit with its intended gate
-target, so one verification path covers hand-built and synthesized ones.
+target, so one verification path covers hand-built and synthesized ones;
+a target is built once, on its first read, from inputs frozen at the call.
 
 A circuit's ops may hold per-draw angles ((B, n) field rows, (B,)
 exchange angles) next to shared ones. The circuit reads its draw count B
@@ -39,6 +40,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -97,9 +99,25 @@ class Equivalence(enum.Enum):
 
 @dataclass(frozen=True)
 class GateTarget:
+    """A gate's intended unitary, acted spins and equivalence. unitary may
+    be given as a function of no arguments, as the builders give it over
+    inputs they froze at the call: the first read calls it, once, and keeps
+    its array, so a caller that reads only the circuit never builds the
+    dense 2^n x 2^n matrix."""
+
     unitary: np.ndarray  # (2^n, 2^n) shared by all draws, or (B, 2^n, 2^n)
     acted_spins: frozenset  # shared by all draws, or a (B, n) bool mask
     equivalence: Equivalence
+
+    def __post_init__(self) -> None:
+        if callable(self.unitary):
+            object.__setattr__(self, "_build", self.__dict__.pop("unitary"))
+
+    def __getattr__(self, name):  # reached only while unitary is unbuilt
+        if name != "unitary":
+            raise AttributeError(name)
+        object.__setattr__(self, "unitary", self._build())
+        return self.unitary
 
 
 @dataclass(frozen=True)
@@ -462,7 +480,7 @@ def swap_conjugation(reg: RegisterSpec, i: int, j: int, angle_i, angle_j,
     ops = (Exchange(i, j, -math.pi),
            GlobalField("z", vec),
            Exchange(i, j, math.pi))
-    target = global_field_unitary(reg, GlobalField("z", swapped))
+    target = partial(global_field_unitary, reg, GlobalField("z", swapped))
     return (Circuit(reg, ops),
             GateTarget(target, frozenset(range(reg.n_spins)), Equivalence.EXACT))
 
@@ -489,7 +507,7 @@ def dressed_swap_phase_conjugation(reg: RegisterSpec, i: int, j: int,
     middle = GlobalField("z", _angle_vector(reg, i, j, z_i, z_j))
     swapped = GlobalField("z", _angle_vector(reg, i, j, -z_j, -z_i))
     return (Circuit(reg, dressed + (middle,) + dressed),
-            GateTarget(1j * global_field_unitary(reg, swapped),
+            GateTarget(lambda: 1j * global_field_unitary(reg, swapped),
                        frozenset(range(reg.n_spins)), Equivalence.EXACT))
 
 
@@ -510,8 +528,8 @@ def controlled_phase_circuit(reg: RegisterSpec, i: int, j: int,
            GlobalField("z", -vec),
            Exchange(i, j, math.pi / 2))
     return (Circuit(reg, ops),
-            GateTarget(_diag_zz_phase(reg, i, j, math.pi), frozenset((i, j)),
-                       Equivalence.EXACT))
+            GateTarget(partial(_diag_zz_phase, reg, i, j, math.pi),
+                       frozenset((i, j)), Equivalence.EXACT))
 
 
 def controlled_phase_local_z_target(reg: RegisterSpec, i: int, j: int) -> GateTarget:
@@ -544,7 +562,7 @@ def xy_x_rotation_circuit(reg: RegisterSpec, i: int, j: int, angle_i,
            GlobalField("x", vec),
            GlobalField("z", flip),
            GlobalField("x", -vec))
-    target = _single_spin_rotation(reg, "x", i, -2.0 * angle_i)
+    target = partial(_single_spin_rotation, reg, "x", i, -2.0 * angle_i)
     return (Circuit(reg, ops),
             GateTarget(target, frozenset((i,)), Equivalence.GLOBAL_PHASE))
 
@@ -565,7 +583,7 @@ def xy_controlled_phase_circuit(reg: RegisterSpec, i: int, j: int, phi):
            GlobalField("x", flip),
            XYExchange(i, j, phi),
            GlobalField("y", -y_vec))
-    target = _diag_zz_phase(reg, i, j, -2.0 * phi)
+    target = partial(_diag_zz_phase, reg, i, j, -2.0 * phi)
     return (Circuit(reg, ops),
             GateTarget(target, frozenset((i, j)), Equivalence.GLOBAL_PHASE))
 
@@ -585,15 +603,6 @@ def refocused_rotation_circuit(reg: RegisterSpec, axis: str, i: int, j: int,
     angles that the two later inverse pulses remove, and the pi-offset
     pulses cancel in adjacent inverse pairs around the exchanges.
     """
-    ops = _refocused_ops(reg, axis, i, j, angle, profiles)
-    target = _single_spin_rotation(reg, axis, i, angle)
-    return (Circuit(reg, ops),
-            GateTarget(target, frozenset((i,)), Equivalence.GLOBAL_PHASE))
-
-
-def _refocused_ops(reg: RegisterSpec, axis: str, i: int, j: int,
-                   angle: float, profiles: Mapping[str, Sequence[float]]):
-    """The eleven ops of refocused_rotation_circuit, with no target."""
     if axis not in _CONJUGATE_AXIS:
         raise ValueError(f"axis must be x or z, got {axis!r}")
     conj_axis = _CONJUGATE_AXIS[axis]
@@ -612,17 +621,20 @@ def _refocused_ops(reg: RegisterSpec, axis: str, i: int, j: int,
     offset = tuple(lam * v for v in ac)
     neg = lambda v: tuple(-x for x in v)
     ex = Exchange(i, j, math.pi)
-    return (GlobalField(axis, merged),
-            ex,
-            GlobalField(axis, neg(primary)),
-            ex,
-            GlobalField(conj_axis, offset),
-            ex,
-            GlobalField(conj_axis, neg(offset)),
-            GlobalField(axis, neg(companion)),
-            GlobalField(conj_axis, offset),
-            ex,
-            GlobalField(conj_axis, neg(offset)))
+    ops = (GlobalField(axis, merged),
+           ex,
+           GlobalField(axis, neg(primary)),
+           ex,
+           GlobalField(conj_axis, offset),
+           ex,
+           GlobalField(conj_axis, neg(offset)),
+           GlobalField(axis, neg(companion)),
+           GlobalField(conj_axis, offset),
+           ex,
+           GlobalField(conj_axis, neg(offset)))
+    target = partial(_single_spin_rotation, reg, axis, i, angle)
+    return (Circuit(reg, ops),
+            GateTarget(target, frozenset((i,)), Equivalence.GLOBAL_PHASE))
 
 
 def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Circuit:
@@ -703,7 +715,8 @@ def su2_compile(target: np.ndarray, reg: RegisterSpec, i: int, j: int,
 
     Blocks whose Euler angle is a multiple of 2 pi act as a global phase and
     are dropped. j names the exchange partner used by the blocks. Each
-    block is refocused_rotation_circuit's ops; no dense target is built.
+    block is the ops of refocused_rotation_circuit's circuit; its target,
+    built only when read, is not read.
     """
     _, alpha, beta, gamma = euler_zxz(target)
     ops = []
@@ -711,8 +724,8 @@ def su2_compile(target: np.ndarray, reg: RegisterSpec, i: int, j: int,
         # Rotations by 2 pi k are global phases on spin-1/2.
         if abs(block_angle - 2.0 * math.pi * round(block_angle / (2.0 * math.pi))) < 1e-12:
             continue
-        ops.extend(_refocused_ops(reg, block_axis, i, j, block_angle,
-                                  profiles))
+        ops.extend(refocused_rotation_circuit(
+            reg, block_axis, i, j, block_angle, profiles)[0].ops)
     return Circuit(reg, tuple(ops))
 
 

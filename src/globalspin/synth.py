@@ -387,7 +387,9 @@ def _key_pairs(pre: np.ndarray, suf: np.ndarray) -> Iterator[np.ndarray]:
         cols = np.searchsorted(ends, at, "right")
         rows = order[at + (hi - ends)[cols]]
         near = np.abs(kp.imag[rows] - ks.imag[cols]) <= _KEY_RADIUS
-        yield rows[near] * suf.shape[1] + cols[near]
+        idx = rows[near] * suf.shape[1] + cols[near]
+        del at, cols, rows, near  # not held while the caller scores idx
+        yield idx
 
 
 def _bystander_scan(n_field: int, bys_mats: Sequence[np.ndarray],

@@ -12,7 +12,8 @@ from globalspin.circuits import (Circuit, Equivalence, Exchange, GateTarget,
                                  circuit_to_text, evaluate, euler_zxz,
                                  parallel_apply, su2_compile, verify_target)
 from globalspin.linalg import kron, max_abs, phase_distance
-from globalspin.spins import IndexOutOfRange, RegisterSpec, rotation_2x2
+from globalspin.spins import (IndexOutOfRange, RegisterSpec,
+                             global_field_unitary, rotation_2x2)
 
 import oracle
 
@@ -393,6 +394,144 @@ def test_batched_builders_equal_their_draws_built_alone(build, n_angles,
                                                                    1e-10)
             assert rep.distance[k] == rep_k.distance
             assert rep.bystander_deviation[k] == rep_k.bystander_deviation
+
+
+# What each builder's target code computes from the builder's arguments,
+# written out so that the target a builder defers can be checked against it.
+TARGET_CODE = {
+    "swap_conjugation": lambda reg, i, j, a_i, a_j, bys=None:
+        global_field_unitary(reg, GlobalField(
+            "z", cir._angle_vector(reg, i, j, a_j, a_i, bys))),
+    "dressed_swap_phase_conjugation": lambda reg, i, j, angle, z_i, z_j:
+        1j * global_field_unitary(reg, GlobalField(
+            "z", cir._angle_vector(reg, i, j, -z_j, -z_i))),
+    "controlled_phase_circuit": lambda reg, i, j, angle=0.0, bys=None:
+        cir._diag_zz_phase(reg, i, j, math.pi),
+    "xy_x_rotation_circuit": lambda reg, i, j, a_i, a_j, bys=None:
+        cir._single_spin_rotation(reg, "x", i, -2.0 * a_i),
+    "xy_controlled_phase_circuit": lambda reg, i, j, phi:
+        cir._diag_zz_phase(reg, i, j, -2.0 * phi),
+    "refocused_rotation_circuit": lambda reg, axis, i, j, angle, profiles:
+        cir._single_spin_rotation(reg, axis, i, angle),
+}
+
+
+def builder_calls(rng, n, b=5):
+    """(builder, arguments) for each builder that returns a target, on a
+    register of n: the pair builders on floats and on (b,) angle columns,
+    bystander angles included, and the rotation, which takes floats."""
+    reg = RegisterSpec(n)
+    i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+    spins = [k for k in range(n) if k not in (i, j)]
+    for shape in (None, (b,)):
+        def angle():
+            a = rng.uniform(-3, 3, size=shape)
+            return a if shape else float(a)
+        for build, n_angles, bystanders in PAIR_BUILDERS:
+            args = [reg, i, j] + [angle() for _ in range(n_angles)]
+            yield build, args + ([{k: angle() for k in spins}]
+                                 if bystanders else [])
+    profiles = {a: tuple(rng.uniform(0.5, 1.0, n)) for a in "zx"}
+    yield cir.refocused_rotation_circuit, [reg, str(rng.choice(["x", "z"])),
+                                           i, j, float(rng.uniform(-3, 3)),
+                                           profiles]
+
+
+def test_deferred_targets_equal_their_target_code():
+    # Read after the call, each builder's target holds the bits that its
+    # target code computes from the same arguments.
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4):
+        for build, args in builder_calls(rng, n):
+            _, t = build(*args)
+            want = TARGET_CODE[build.__name__](*args)
+            assert np.array_equal(t.unitary, want), (build.__name__, n)
+
+
+def test_deferred_targets_keep_the_angles_of_the_call():
+    # A caller that changes its angle columns after the call does not
+    # change the target: the builder froze what the target is built from.
+    rng = np.random.default_rng(18)
+    for build, args in builder_calls(rng, 4):
+        columns = [a for arg in args
+                   for a in (arg.values() if isinstance(arg, dict) else [arg])
+                   if isinstance(a, np.ndarray)]
+        want = TARGET_CODE[build.__name__](*args)
+        _, t = build(*args)
+        for a in columns:
+            a += 1.0
+        assert np.array_equal(t.unitary, want), build.__name__
+
+
+def test_rotation_builds_no_dense_target_until_it_is_read():
+    # On 12 spins the target is a 4096 x 4096 complex matrix: built at the
+    # call, the builder traced 537 MB. Deferred, the call traces the ops.
+    profiles = {"z": (1.0, 0.75) * 6, "x": (1.0, 0.5) * 6}
+    tracemalloc.start()
+    try:
+        c, t = cir.refocused_rotation_circuit(RegisterSpec(12), "x", 4, 5,
+                                              1.1, profiles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert c.step_count == 11 and t.acted_spins == frozenset((4,))
+
+
+def test_builders_raise_input_errors_at_the_call():
+    # No input error waits for the target's first read: the call raises it.
+    p4 = {"z": (1.0, 0.75, 1.0, 0.75), "x": (1.0, 0.5, 1.0, 0.5)}
+    bad = [
+        (ValueError, cir.swap_conjugation, (REG3, 0, 1, 0.3, 0.4, {1: 0.2})),
+        (ValueError, cir.swap_conjugation, (REG3, 0, 1, math.nan, 0.4)),
+        (IndexError, cir.swap_conjugation, (REG3, 0, 3, 0.3, 0.4)),
+        (ValueError, cir.dressed_swap_phase_conjugation,
+         (REG3, 0, 1, np.zeros(3), np.zeros(4), 0.1)),
+        (ValueError, cir.dressed_swap_phase_conjugation,
+         (REG3, 1, 1, 0.2, 0.1, 0.1)),
+        (ValueError, cir.controlled_phase_circuit, (REG3, 2, 2, 0.3)),
+        (ValueError, cir.controlled_phase_circuit,
+         (REG3, 0, 1, 0.3, {2: math.inf})),
+        (IndexOutOfRange, cir.controlled_phase_circuit, (REG3, -1, 1, 0.3)),
+        (ValueError, cir.xy_x_rotation_circuit,
+         (REG3, 0, 1, np.array([0.1, math.nan]), 0.2)),
+        (ValueError, cir.xy_x_rotation_circuit,
+         (REG3, 0, 1, 0.1, 0.2, {0: 1.0})),
+        (ValueError, cir.xy_controlled_phase_circuit, (REG3, 0, 1, math.inf)),
+        (ValueError, cir.xy_controlled_phase_circuit, (REG3, 0, 0, 0.5)),
+        (ValueError, cir.refocused_rotation_circuit,
+         (REG4, "y", 0, 1, 1.0, p4)),
+        (ValueError, cir.refocused_rotation_circuit,
+         (REG4, "z", 0, 2, 1.0, p4)),
+        (ValueError, cir.refocused_rotation_circuit,
+         (REG4, "z", 0, 1, 1.0, {"z": (1.0, 0.5), "x": (1.0, 0.5)})),
+        (ValueError, cir.refocused_rotation_circuit,
+         (REG4, "z", 0, 1, math.nan, p4)),
+        (IndexError, cir.refocused_rotation_circuit,
+         (REG4, "x", 0, 4, 1.0, p4)),
+    ]
+    for error, build, args in bad:
+        with pytest.raises(error):
+            build(*args)
+
+
+def test_targets_are_built_once_on_first_read(monkeypatch):
+    # Every builder's target comes from global_field_unitary or
+    # _diag_zz_phase. The call builds none, the first read builds it, and
+    # every later read returns that same array.
+    built = []
+    for name in ("global_field_unitary", "_diag_zz_phase"):
+        monkeypatch.setattr(cir, name, lambda *a, f=getattr(cir, name):
+                            built.append(f) or f(*a))
+    rng = np.random.default_rng(19)
+    for build, args in builder_calls(rng, 3):
+        built.clear()
+        _, t = build(*args)
+        assert built == [], build.__name__
+        u = t.unitary
+        assert len(built) == 1 and t.unitary is u and len(built) == 1
+    u = np.eye(4)
+    assert GateTarget(u, frozenset(), Equivalence.EXACT).unitary is u
 
 
 def test_parallel_apply_keeps_the_template_draws():
