@@ -11,8 +11,8 @@ One planner, _parts, splits a circuit into parts: from FACTOR_MIN_SPINS
 spins up each such group on its own 2^|g| register, and all 1-spin groups,
 which only fields reach, in one batch; below that, and for one group, the
 full register. One player, _play_runs, plays the parts of factor, evaluate
-and evaluate_each. join multiplies the parts out by one broadcast product,
-all rows for evaluate or one row block at a time for a digest.
+and evaluate_each. join multiplies the parts out by one broadcast product;
+a digest multiplies out only the entries that survive its rounding.
 evaluate_each gives evaluate's unitary of each of several circuits, bit
 for bit and one at a time; a circuit played on its whole register resumes
 from the leading ops it shares with the one before it, keeping only the
@@ -273,15 +273,11 @@ def _on(g: tuple, op):
     return replace(op, i=g.index(op.i), j=g.index(op.j))
 
 
-def join(parts: tuple, block: int = 0, blocks: int = 1) -> np.ndarray:
-    """Row block `block` of `blocks` (a power of two) of the tensor product
-    of parts ((group, matrices), ...), factor's or any on ascending groups
-    that tile the spins: the rows whose leading row bits spell block. Each
-    entry is 1 times one entry per part in the parts' order, whatever the
-    block, so blocks hold the same bits as the whole."""
+def join(parts: tuple) -> np.ndarray:
+    """The tensor product of parts ((group, matrices), ...), factor's or
+    any on ascending groups that tile the spins: each entry is 1 times one
+    entry per part in the parts' order."""
     n = sum(len(g) for g, _ in parts)
-    k = blocks.bit_length() - 1
-    bits = [(block >> (k - 1 - s)) & 1 for s in range(k)]
     lead = parts[0][1].shape[:-2]
     u = np.ones(lead + (1,) * (2 * n), dtype=complex)
     for g, f in parts:
@@ -290,11 +286,8 @@ def join(parts: tuple, block: int = 0, blocks: int = 1) -> np.ndarray:
         shape = [1] * (2 * n)
         for s in g:
             shape[s] = shape[n + s] = 2
-        rows = tuple(slice(b, b + 1) if s in g else slice(None)
-                     for s, b in enumerate(bits))
-        f = f.reshape(lead + tuple(shape))
-        u = u * f[(slice(None),) * len(lead) + rows]
-    return u.reshape(lead + ((1 << n) // blocks, 1 << n))
+        u = u * f.reshape(lead + tuple(shape))
+    return u.reshape(lead + (1 << n, 1 << n))
 
 
 def combined_distance(dg: np.ndarray) -> np.ndarray:

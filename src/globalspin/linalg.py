@@ -8,6 +8,7 @@ constants so every module agrees on what "equal" means.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -98,32 +99,68 @@ def phase_distance(u: np.ndarray, v: np.ndarray):
     return dist
 
 
-def update_phase_normalized(h, block, tops) -> None:
-    """Feed hash h the real and then the imaginary parts of a matrix, with
-    the phase of its anchor entry removed and rounded to 9 decimals: a
-    phase-invariant fingerprint, hashed in place, not copied to bytes.
+def _kept_block(kept, k: int, sums: dict) -> tuple:
+    """Row block k's kept products, 1 times one entry per part in the
+    parts' order as circuits.join multiplies, and their flat positions."""
+    picked = [select(k & mask) for select, mask in kept]
+    vals = np.ones(1, dtype=complex)
+    for v, _ in picked:  # both 2-d: numpy's (1,) * (1, 1) loop rounds apart
+        vals = np.multiply(vals[None], v[:, None]).ravel()
+    if (key := tuple(p.tobytes() for _, p in picked)) not in sums:
+        sums[key] = functools.reduce(lambda a, p: (a + p[:, None]).ravel(),
+                                     [p for _, p in picked], np.zeros(1, int))
+    return vals, sums[key]
 
-    block(k) builds row block k of the len(tops) equal ones, a new array
-    each call, and tops[k] is that block's largest modulus to within a few
-    ulps. Each block is built once, the anchor's first; its imaginary parts
-    are stored and hashed last. The anchor is the first entry in flat order
-    within 1e-9 of the largest top, so entries tied in modulus up to
-    rounding (a rotation's bystander blocks) pick the same anchor whatever
-    their last bits. A block whose top reaches that edge but no entry of
-    which does is passed over for the next one that does."""
+
+def update_phase_normalized(h, parts, blocks: int = 1) -> None:
+    """Feed hash h the real and then the imaginary parts of the tensor
+    product of parts ((group, matrix), ...) on ascending groups that tile
+    the spins, its anchor's phase removed and rounded to 9 decimals, from
+    one zeroed buffer of a row block of `blocks`. The anchor is the first
+    entry in flat order within 1e-9 of the largest block top (the product
+    of the parts' row maxima), in a block with such an entry. Only entries
+    that can survive rounding are multiplied out: a part entry whose
+    modulus times the other parts' largest is under 4e-10 makes products
+    under 5e-10, which round to +0.0. For an edge from 8e-10 to 1e5 no such
+    product could anchor; elsewhere every entry is taken."""
+    n, b = sum(len(g) for g, _ in parts), blocks.bit_length() - 1
+    rows = np.prod(np.broadcast_arrays(*(np.abs(f).max(axis=-1).reshape(
+        [2 if s in g else 1 for s in range(n)]) for g, f in parts)), axis=0)
+    tops = rows.reshape(blocks, -1).max(axis=1)
     edge = np.max(tops) - 1e-9
-    for anchored in [*np.flatnonzero(np.asarray(tops) >= edge), 0]:
-        b = block(anchored)
-        hit = np.abs(b) >= edge
-        if hit.any():
+    cut = 4e-10 if 8e-10 <= edge < 1e5 else 0.0
+    peaks, kept, sums = [float(np.abs(f).max()) for _, f in parts], [], {}
+    for i, (g, f) in enumerate(parts):
+        # w[r]: part row r's register row bits; the top b are its block key.
+        w = (np.arange(len(f))[:, None] >> np.arange(len(g))[::-1] & 1) @ (
+            1 << n - 1 - np.array(g))
+        lo = np.searchsorted(w >> n - b, np.arange(blocks + 1))  # key's rows
+        # Each key's rows share their bits below the top b: one placing.
+        place = ((w[:lo[1]] % (1 << n - b) << n)[:, None] + w).ravel()
+        @functools.lru_cache(maxsize=1)  # the blocks come in order
+        def select(key, f=f, lo=lo, place=place,
+                   rest=math.prod(peaks[:i] + peaks[i + 1:])):
+            sub = f[lo[key]:lo[key + 1]].reshape(-1)
+            at = np.flatnonzero(~(np.abs(sub) * rest < cut))  # a NaN is kept
+            return sub[at], place[at]
+        kept.append((select, w[-1] >> n - b))
+    for anchored in [*np.flatnonzero(tops >= edge), 0]:
+        vals, pos = first = _kept_block(kept, anchored, sums)
+        if (hit := np.abs(vals) >= edge).any():
             break
-    anchor = b.flat[int(np.argmax(hit))]
-    real, imag = np.empty(b.shape), np.empty((len(tops),) + b.shape)
-    for k in range(len(tops)):
-        v = b if k == anchored else block(k)
-        np.divide(v, anchor / abs(anchor), out=v)
-        np.round(v.real, 9, out=real)
-        # +0.0 collapses -0.0 so the byte image is sign-of-zero stable.
-        h.update(np.add(real, 0.0, out=real))
-        np.round(v.imag, 9, out=imag[k])
-    h.update(np.add(imag, 0.0, out=imag))
+    anchor = vals[pos == (pos[hit].min() if hit.any() else 0)][0]
+
+    def rounded():  # +0.0 collapses -0.0: the bytes are sign-of-zero stable
+        for k in range(blocks):
+            vals, pos = first if k == anchored else _kept_block(kept, k, sums)
+            vals = vals / (anchor / abs(anchor))
+            imag.append((pos, np.round(vals.imag, 9) + 0.0))
+            yield pos, np.round(vals.real, 9) + 0.0
+        yield from imag  # hashed last
+
+    buf, last, imag = np.zeros((1 << 2 * n) // blocks), np.zeros(0, int), []
+    for pos, v in rounded():
+        if pos is not last:  # zero what the next block does not overwrite
+            buf[last], last = 0.0, pos
+        buf[pos] = v
+        h.update(buf)

@@ -3,7 +3,7 @@ timed sequence of current configurations and exchange windows, and replay a
 schedule back into a unitary for round-trip verification.
 
 The replay stays factored (circuits.factor), so a check against its circuit
-runs part by part and unitary_digest joins one row block at a time.
+runs part by part and unitary_digest multiplies only surviving entries.
 
 A field pulse is schedulable only when its per-spin angles are proportional
 to the device's site fields under one current configuration; that constraint
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .circuits import (Circuit, Exchange, GlobalField, XYExchange,
-                       _exchange_groups, factor, join)
+                       _exchange_groups, factor)
 from .device import (ACTIVE_AXIS, DeviceGeometry, field_profile,
                      validate_currents)
 from .grammar import fields, finite, keyed, walk
@@ -340,17 +340,12 @@ def schedule_from_text(text: str, geometry: DeviceGeometry) -> Schedule:
 
 def unitary_digest(u) -> str:
     """Phase-normalized sha256 fingerprint of a unitary, for golden checks:
-    a matrix (one part) or factor's parts, each row block joined once. A
-    row's top modulus is the product of each part's on the row's group
-    indices. Blocks hold the joined bits: the form does not matter."""
+    a matrix (one part) or factor's parts, whose joined bits are hashed in
+    row blocks of DIGEST_BLOCK entries: the form does not matter."""
     if isinstance(u, np.ndarray):
         u = ((tuple(range(len(u).bit_length() - 1)),
               np.asarray(u, dtype=complex)),)
     n = sum(len(g) for g, _ in u)
-    rows = np.prod(np.broadcast_arrays(*(np.abs(f).max(axis=-1).reshape(
-        [2 if s in g else 1 for s in range(n)]) for g, f in u)), axis=0)
-    blocks = min(1 << n, max(1, (1 << 2 * n) // DIGEST_BLOCK))
     h = hashlib.sha256(str((1 << n, 1 << n)).encode())
-    update_phase_normalized(h, lambda k: join(u, k, blocks),
-                            rows.reshape(blocks, -1).max(axis=1))
+    update_phase_normalized(h, u, min(1 << n, max(1, (1 << 2 * n) // DIGEST_BLOCK)))
     return h.hexdigest()

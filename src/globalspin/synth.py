@@ -732,7 +732,7 @@ def enumerate_sequences(problem: SynthesisProblem,
     classes = []
     for m in (*join((((0,), spin[0, 0]), ((1,), spin[1, 0]))), ex4):
         h = hashlib.sha256()
-        update_phase_normalized(h, lambda k: m.copy(), [np.abs(m).max()])
+        update_phase_normalized(h, (((0, 1), m),))
         classes.append(h.digest())
     unique = {}
     for word, slots in candidates:

@@ -572,9 +572,9 @@ def write_tied_cp_pairs(path, n):
 @pytest.mark.parametrize("kind", ["x_rotation", "tied_cp"])
 def test_schedule_at_12_spins_holds_no_register_matrix(capsys, tmp_path,
                                                        kind):
-    # A 2^12 x 2^12 complex array is 268 MB. The replay, the replay check
-    # and the digest keep the unitary factored or in row blocks; the
-    # largest array left is the digest's imaginary parts, 134 MB.
+    # A 2^12 x 2^12 complex array is 268 MB. The replay and the replay
+    # check keep the unitary factored, and the digest multiplies out only
+    # the entries that survive its rounding, one row block at a time.
     path = tmp_path / f"{kind}.circuit.txt"
     circ = (write_rotation_circuit(path, 12, "x") if kind == "x_rotation"
             else write_tied_cp_pairs(path, 12))

@@ -7,7 +7,9 @@ module-level import in the package and the tests in use.
 Circuits are played in one module, circuits, and there in one loop,
 _play_runs, which factor, evaluate and evaluate_each all go through: no
 other module of the package reaches for the pulse kernel or its identity
-stack, and no other function of circuits calls them.
+stack, and no other function of circuits calls them. A hash is fed in one
+function, linalg.update_phase_normalized, so one routine decides the bytes
+of every digest.
 """
 
 import ast
@@ -147,3 +149,15 @@ def test_circuits_plays_the_kernel_in_one_loop():
     assert sorted(calls) == [("_play_runs", "apply_op"),
                              ("_play_runs", "identity")]
     assert len(uses) == len(calls)
+
+
+def test_hashes_are_fed_in_one_routine():
+    # Every .update call in the package, by the top-level statement that
+    # holds it: a hash fed anywhere else is a second digest routine.
+    updates = [(path.name, getattr(stmt, "name", "<module>"))
+               for path in sorted(SRC.glob("*.py"))
+               for stmt in _parse(path).body for node in ast.walk(stmt)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "update"]
+    assert updates == [("linalg.py", "update_phase_normalized")]

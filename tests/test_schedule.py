@@ -2,11 +2,13 @@ import collections
 import hashlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from globalspin import circuits as cir
+from globalspin import linalg
 from globalspin import schedule as sched
 from globalspin.circuits import (Circuit, Exchange, GlobalField, XYExchange,
                                  controlled_phase_circuit, evaluate, factor,
@@ -352,8 +354,9 @@ def linked_cases(rng):
 
 
 def test_streamed_digest_equals_the_whole_matrix_digest(monkeypatch):
-    # unitary_digest joins factor's parts one row block at a time; the
-    # oracle hashes the evaluated matrix whole, as the package did before.
+    # unitary_digest multiplies out factor's parts one row block at a time,
+    # only where an entry can survive rounding; the oracle hashes the
+    # evaluated matrix whole, as the package did before.
     rng = np.random.default_rng(31)
     cases = linked_cases(rng)
     for c in cases:
@@ -364,9 +367,19 @@ def test_streamed_digest_equals_the_whole_matrix_digest(monkeypatch):
         want = oracle.dense_digest(u)
         assert unitary_digest(parts) == want
         assert unitary_digest(u) == want
-        # Rows of the blocks are the whole matrix's, bit for bit.
-        blocks = [join(parts, k, 8) for k in range(8)]
-        assert np.concatenate(blocks).tobytes() == join(parts).tobytes()
+        # In 8 row blocks, each block's kept products hold the whole
+        # matrix's bits at their places, each place once, and every entry
+        # a block leaves out is under 5e-10, which rounds to +0.0.
+        monkeypatch.setattr(sched, "DIGEST_BLOCK", u.size // 8)
+        built = recorded_blocks(monkeypatch)
+        assert unitary_digest(parts) == want
+        whole = join(parts).reshape(8, -1)
+        assert sorted({k for k, _, _ in built}) == list(range(8))
+        for k, vals, pos in built:
+            assert np.unique(pos).size == pos.size
+            assert vals.tobytes() == whole[k, pos].tobytes()
+            assert np.all(np.abs(np.delete(whole[k], pos)) < 5e-10)
+        monkeypatch.undo()
     # Down to one row per block, on a multi-group and a one-group circuit.
     for c in (cases[0], cases[5]):
         want = unitary_digest(evaluate(c))
@@ -419,54 +432,159 @@ def test_one_pass_digest_equals_the_dense_digest(monkeypatch):
             assert unitary_digest(parts) == want
 
 
+def recorded_blocks(monkeypatch):
+    """(k, products, positions) of each row block k whose kept entries
+    update_phase_normalized builds, in the order it builds them."""
+    built, real = [], linalg._kept_block
+
+    def recording(kept, k, sums):
+        built.append((k, *real(kept, k, sums)))
+        return built[-1][1:]
+
+    monkeypatch.setattr(linalg, "_kept_block", recording)
+    return built
+
+
 @pytest.mark.parametrize("n", [8, 9, 10, 12])
-def test_digest_joins_each_row_block_once(monkeypatch, n):
-    # Each block is joined once, the anchor's block first; a block may be
-    # joined once more only if its top reached the anchor's edge while its
-    # entries did not.
-    built = []
-    real = sched.join
-
-    def counting(parts, block=0, blocks=1):
-        built.append(block)
-        return real(parts, block, blocks)
-
-    monkeypatch.setattr(sched, "join", counting)
+def test_digest_builds_each_row_block_once(monkeypatch, n):
+    # Each block's kept entries are built once, the anchor's block first; a
+    # block may be built once more only if its top reached the anchor's
+    # edge while its entries did not. The rotation is the identity on its
+    # bystanders and a z rotation on its pair, so the digest multiplies out
+    # the 2^n diagonal entries alone, not the 4^n of the matrix.
+    built = recorded_blocks(monkeypatch)
     reg, geom = RegisterSpec(n), twin_wire_preset(n)
     c, _ = refocused_rotation_circuit(reg, "z", n // 2, n // 2 + 1, 0.9,
                                       device_profiles(geom, n))
     unitary_digest(factor(c))
     blocks = max(1, 4 ** n // sched.DIGEST_BLOCK)
-    counts = collections.Counter(built)
+    counts = collections.Counter(k for k, _, _ in built)
     assert sorted(counts) == list(range(blocks))
     assert len(built) <= blocks + 1
+    assert sum({k: vals.size for k, vals, _ in built}.values()) == 2 ** n
 
 
-def test_anchor_block_without_an_edge_entry_is_passed_over():
+def anchored_hash(u, row, col):
+    """The digest of matrix u with the phase of u[row, col] removed."""
+    h = hashlib.sha256(str(u.shape).encode())
+    w = u / (u[row, col] / abs(u[row, col]))
+    h.update(np.round(w.real, 9) + 0.0)
+    h.update(np.round(w.imag, 9) + 0.0)
+    return h.hexdigest()
+
+
+def test_anchor_block_without_an_edge_entry_is_passed_over(monkeypatch):
     # A top is a product of the parts' row maxima, which may pass the edge
-    # (1e-9 below the largest top) by a few ulps where no joined entry
-    # does. Here block 0's top reads 1.0 but its largest entry lies two
-    # ulps under the edge: the anchor is block 1's edge entry, as in the
-    # matrix hashed whole, and block 0 is joined a second time.
+    # (1e-9 below the largest top) by a few ulps where no product does.
+    # Here block 0's top |a00| |c00| reaches the edge but its entry a00 c00
+    # lies more than two ulps under it: the anchor is block 1's edge entry,
+    # as in the matrix hashed whole, and block 0 is built a second time.
+    c = np.array([[np.exp(0.4387839416850339j), 0.3], [0.2, 0.7j]])
     rng = np.random.default_rng(45)
-    m = 0.5 * np.exp(1j * rng.uniform(-3, 3, (4, 4)))
-    edge = 1.0 - 1e-9
-    m[0, 2] = np.nextafter(np.nextafter(edge, 0), 0) * np.exp(0.3j)
-    m[3, 1] = np.exp(-1.1j)
-    built = []
-
-    def block(k):
-        built.append(k)
-        return m[2 * k:2 * k + 2].copy()
-
+    for alpha in rng.uniform(-3, 3, 4000):
+        a = np.array([[(1.0 - 1e-9) * np.exp(1j * alpha), 0.1],
+                      [0.2, np.exp(-1.1j)]])
+        tops = np.abs(a).max(axis=1) * np.abs(c).max()
+        edge = tops.max() - 1e-9
+        mag = np.abs(join((((0,), a), ((1,), c))))
+        if (tops[0] >= edge and mag[2:].max() >= edge
+                and mag[:2].max() < np.nextafter(np.nextafter(edge, 0), 0)):
+            break
+    else:
+        pytest.fail("no planted entry found")
+    parts = (((0,), a), ((1,), c))
+    m = join(parts)
+    built = recorded_blocks(monkeypatch)
     h = hashlib.sha256(str(m.shape).encode())
-    update_phase_normalized(h, block, [1.0, 1.0])
-    assert h.hexdigest() == oracle.dense_digest(m)
-    assert built == [0, 1, 0]
+    update_phase_normalized(h, parts, 2)
+    assert h.hexdigest() == oracle.dense_digest(m) == anchored_hash(m, 2, 2)
+    assert [k for k, _, _ in built] == [0, 1, 0]
     # Anchored at block 0's largest entry instead, the digest differs.
+    assert anchored_hash(m, 0, 0) != oracle.dense_digest(m)
+    # With block 1's row lowered by 2e-9, the tops shift: block 0's entry
+    # now reaches the edge and anchors, and the digest still differs.
+    shifted = (((0,), a * [[1.0], [1.0 - 2e-9]]), ((1,), c))
+    built.clear()
     h = hashlib.sha256(str(m.shape).encode())
-    update_phase_normalized(h, block, [1.0 - 2e-9, 1.0 - 2e-9])
-    assert h.hexdigest() != oracle.dense_digest(m)
+    update_phase_normalized(h, shifted, 2)
+    assert [k for k, _, _ in built] == [0, 1]
+    assert h.hexdigest() == oracle.dense_digest(join(shifted)) == (
+        anchored_hash(join(shifted), 0, 0))
+    assert h.hexdigest() != anchored_hash(join(shifted), 2, 2)
+
+
+def planted_parts(scale_a=1.0, scale_c=1.0):
+    """Parts on groups (1,), (0, 2) and (3,) whose products include planted
+    moduli about the rounding cut: 3.9e-10 to 4.1e-10 under it and 4.9e-10
+    to 5.1e-10 above it, each 1e-14 relatively either side of the half-step
+    1.5e-9, exact zeros and -0.0. a and c are scaled by scale_a and scale_c,
+    the plants kept in place, so the products there do not move."""
+    b = np.array([[1.0, -0.0], [0.0, -1.0]], dtype=complex)
+    a = scale_a * np.array([
+        [1.0, 0.3 + 0.1j, -0.0, 0.0],
+        [0.2j, 0.8, 0.5 - 0.2j, -0.1],
+        [0.0, -0.4, 0.6j, 0.1 + 0.3j],
+        [0.3, -0.0, 0.2 - 0.5j, 0.7]])
+    c = scale_c * np.array([[1.0, 0.0], [0.0, np.exp(0.3j)]])
+    plants = [3.9e-10, -4e-10, 4.1e-10j, 4.9e-10, -5e-10, 5.1e-10j,
+              1.5e-9 * (1 - 1e-14), -1.5e-9 * (1 + 1e-14)]
+    for (i, j), x in zip([(0, 2), (0, 3), (1, 0), (1, 3), (2, 0), (2, 1),
+                          (3, 1), (3, 0)], plants):
+        a[i, j] = x / scale_c
+    c[0, 1], c[1, 0] = 5.1e-10 / scale_a, 1e-7 / scale_a
+    return (((1,), b), ((0, 2), a), ((3,), c))
+
+
+def test_rounding_cut_keeps_every_entry_that_survives(monkeypatch):
+    # An entry is left out only where its modulus falls under 4e-10, which
+    # rounds to +0.0: the digest equals the whole matrix's about the cut,
+    # the half-step, zeros of either sign, parts scaled by 1e3 and 1e-3
+    # (each part's cut moves with the others' scale), a NaN and an inf. The
+    # all-zero matrix, whose anchor phase is NaN, hashes as it always has.
+    cases = [planted_parts(*scales) for scales in
+             [(1.0, 1.0), (1e3, 1.0), (1e-3, 1.0), (1.0, 1e3), (1.0, 1e-3),
+              (1e3, 1e-3)]]
+    nan = planted_parts()
+    nan[1][1][3, 2] = np.nan
+    # An inf times a zero is a NaN in the joined matrix that the tops, taken
+    # from the parts, do not see: the inf meets no zero component here.
+    rng = np.random.default_rng(46)
+    inf = tuple((g, rng.uniform(0.1, 1, f.shape) * np.exp(1j * rng.uniform(
+        0.1, 1.4, f.shape))) for g, f in planted_parts())
+    inf[2][1][1, 1] = np.inf
+    zero = tuple((g, np.zeros_like(f)) for g, f in planted_parts())
+    cases += [nan, inf, zero]
+    with np.errstate(invalid="ignore"):
+        wants = [oracle.dense_digest(join(parts)) for parts in cases]
+        for size in (1, 1 << 7, 1 << 11, 1 << 16):
+            monkeypatch.setattr(sched, "DIGEST_BLOCK", size)
+            for parts, want in zip(cases, wants):
+                assert unitary_digest(parts) == want
+            assert unitary_digest(join(zero)) == wants[-1] == (
+                "b6189a77e1c3136231e6097df86288ae"
+                "92ebc6b1753a4e3c9a9d6c8ca7262263")
+    # The plants lie where the cut runs: some products are left out, and
+    # some kept ones round to a nonzero value under 1e-8.
+    u = join(cases[0])
+    assert np.any((np.abs(u) > 0) & (np.abs(u) < 4e-10))
+    assert np.any((np.abs(u) >= 4e-10) & (np.abs(u) < 1e-8))
+
+
+def test_12_spin_digest_holds_no_dense_array():
+    # The digest of a 12-spin rotation multiplies out its 2 x 4096
+    # surviving entries, one row block buffer of DIGEST_BLOCK at a time; a
+    # 4^12 array of imaginary parts would take 134 MB.
+    reg, geom = RegisterSpec(12), twin_wire_preset(12)
+    c, _ = refocused_rotation_circuit(reg, "x", 6, 7, 1.7,
+                                      device_profiles(geom, 12))
+    parts = factor(c)
+    tracemalloc.start()
+    try:
+        unitary_digest(parts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("name, n", [("cp_tied", 2), ("rotation11", 4)])
