@@ -22,15 +22,17 @@ target, so one verification path covers hand-built and synthesized ones;
 a target is built once, on its first read, from inputs frozen at the call.
 
 A circuit's ops may hold per-draw angles ((B, n) field rows, (B,)
-exchange angles) next to shared ones. The circuit reads its draw count B
-from them, and evaluate returns the (B, 2^n, 2^n) stack of the draws'
-unitaries in one kernel pass per op. The pair builders take their angles
-as floats or as (B,) arrays and return a circuit and a GateTarget; given
-arrays, each draw is the circuit and target its floats would give, and a
-target that every draw shares stays one matrix. verify_target broadcasts
-such a target over the draws, and the bystander check takes the same
-leading draw axis. stack joins the draws of circuits whose ops agree in
-kind and field axis into one circuit, checked against per-draw acted spins.
+exchange angles) and pairs ((B,) spin arrays) next to shared ones. The
+circuit reads its draw count B from them, and evaluate returns the
+(B, 2^n, 2^n) stack of the draws' unitaries in one kernel pass per op. The
+pair builders take their angles as floats or (B,) arrays, and their pair
+as ints or (B,) arrays, so one call covers every layout of a register.
+Bystander angles are a map from spin to angle, or for per-draw pairs a
+(B, n - 2) array in ascending spin order. Given arrays, each draw is the
+circuit and target its floats would give, and a target that every draw
+shares stays one matrix. verify_target broadcasts such a target over the
+draws, and the bystander check takes the same leading draw axis and each
+draw's acted spins.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -50,7 +52,7 @@ from .linalg import (TOL_STRUCTURE, DimensionMismatch, max_abs,
                      max_abs_per_draw, phase_distance)
 from .spins import (Exchange, GlobalField, RegisterSpec, XYExchange,
                     _check_pair, apply_op, check_op, global_field_unitary,
-                    identity, op_angles, rotation_2x2, site_bits)
+                    identity, op_draws, rotation_2x2, site_bits)
 
 
 class NotUnitary2x2(ValueError):
@@ -61,9 +63,10 @@ class NotUnitary2x2(ValueError):
 class Circuit:
     """Ordered pulse ops on one register, each checked by spins.check_op.
 
-    draws is read from the ops: None when none holds per-draw angles, else
-    the length B of the first per-draw array, which every op must share;
-    the circuit then plays B parameter draws and evaluates to a stack.
+    draws is read from the ops: None when none holds per-draw angles or
+    spins, else the length B of the first per-draw array, which every op
+    must share; the circuit then plays B parameter draws and evaluates to
+    a stack.
     """
 
     register: RegisterSpec
@@ -72,8 +75,7 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
-        draws = next((len(a) for a in map(op_angles, self.ops)
-                      if isinstance(a, np.ndarray) and a.ndim), None)
+        draws = next((len(a) for op in self.ops for a in op_draws(op)), None)
         object.__setattr__(self, "draws", draws)
         for op in self.ops:
             check_op(self.register, op, draws)
@@ -106,7 +108,7 @@ class GateTarget:
     dense 2^n x 2^n matrix."""
 
     unitary: np.ndarray  # (2^n, 2^n) shared by all draws, or (B, 2^n, 2^n)
-    acted_spins: frozenset  # shared by all draws, or a (B, n) bool mask
+    acted_spins: frozenset  # shared by all draws, or each draw's: (B, n) bool
     equivalence: Equivalence
 
     def __post_init__(self) -> None:
@@ -153,34 +155,6 @@ def evaluate_each(circuits: Sequence[Circuit]) -> Iterator[np.ndarray]:
     Only the states that a later circuit resumes from are kept."""
     for parts in _factor_each(circuits):
         yield parts[0][1] if len(parts) == 1 else join(parts)
-
-
-def stack(circuits: Sequence[Circuit]) -> Circuit:
-    """One circuit playing the draws of each circuit in turn (one draw for a
-    circuit without), for circuits on one register whose ops agree position
-    by position in kind and field axis: a field of all their rows, and per
-    distinct pair one exchange at angle 0 on the other draws, which the
-    kernel plays as ×1 and +0, so they keep their bits."""
-    c0, counts = circuits[0], [c.draws or 1 for c in circuits]
-    if any(c.register != c0.register or len(c.ops) != len(c0.ops)
-           for c in circuits):
-        raise ValueError("stacked circuits differ in register or length")
-    ends, ops = np.cumsum(counts), []
-    for pos in zip(*(c.ops for c in circuits)):
-        if len({(type(op), getattr(op, "axis", None)) for op in pos}) > 1:
-            raise ValueError(f"stacked ops differ in kind or axis: {pos}")
-        if isinstance(pos[0], GlobalField):
-            ops.append(GlobalField(pos[0].axis, np.concatenate([
-                np.broadcast_to(op.angles, (b, c0.register.n_spins))
-                for op, b in zip(pos, counts)])))
-            continue
-        pairs = {}  # unordered pair -> (its first op, every draw's angle)
-        for op, end, b in zip(pos, ends, counts):
-            _, angles = pairs.setdefault(frozenset((op.i, op.j)),
-                                         (op, np.zeros(ends[-1])))
-            angles[end - b:end] = op_angles(op)
-        ops += [type(op)(op.i, op.j, a) for op, a in pairs.values()]
-    return Circuit(c0.register, ops)
 
 
 def factor(c: Circuit, groups: Optional[Sequence] = None) -> tuple:
@@ -230,7 +204,8 @@ def _parts(c: Circuit, groups: Optional[Sequence] = None) -> list:
     # Smallest first: every partial product of a join but the last is then
     # at most a quarter of the result.
     return batch + [((g,), (len(g), c.draws), [
-        _on(g, op) for op in c.ops if isinstance(op, GlobalField) or op.i in g])
+        _on(g, op) for op in c.ops
+        if isinstance(op, GlobalField) or _spins(op)[0] in g])
         for g in sorted((tuple(g) for g in groups if len(g) > 1), key=len)]
 
 
@@ -267,10 +242,12 @@ def _play_runs(reg: RegisterSpec, draws: Optional[int],
 
 
 def _on(g: tuple, op):
-    """op as it acts on the register of the spins g alone."""
+    """op as it acts on the register of the ascending spins g alone."""
     if isinstance(op, GlobalField):
         return GlobalField(op.axis, np.asarray(op.angles)[..., list(g)])
-    return replace(op, i=g.index(op.i), j=g.index(op.j))
+    many = isinstance(op.i, np.ndarray) or isinstance(op.j, np.ndarray)
+    find = partial(np.searchsorted, g) if many else g.index
+    return replace(op, i=find(op.i), j=find(op.j))
 
 
 def join(parts: tuple) -> np.ndarray:
@@ -305,14 +282,22 @@ def factored_distance(u: tuple, v: tuple) -> float:
         [phase_distance(a, b) for (_, a), (_, b) in zip(u, v)])))
 
 
+def _spins(op) -> list:
+    """An exchange's i and j, or for per-draw pairs every i then every j."""
+    if isinstance(op.i, np.ndarray) or isinstance(op.j, np.ndarray):
+        return np.append(op.i, op.j).tolist()
+    return [op.i, op.j]
+
+
 def _exchange_groups(n: int, ops) -> list:
     """The spins 0..n-1 split into the groups that exchange ops link,
-    directly or through other spins; each group ascending."""
+    directly or through other spins; each group ascending. An exchange
+    with per-draw pairs links every spin that any of its draws uses."""
     label = list(range(n))
     for op in ops:
         if isinstance(op, (Exchange, XYExchange)):
-            a, b = label[op.i], label[op.j]
-            label = [a if x == b else x for x in label]
+            old = [label[s] for s in _spins(op)]
+            label = [old[0] if x in old else x for x in label]
     return [[s for s in range(n) if label[s] == x] for x in sorted(set(label))]
 
 
@@ -423,9 +408,30 @@ def _commutator_deviation(u: np.ndarray, reg: RegisterSpec,
     return np.maximum(dz, dx)
 
 
-def _angle_vector(reg: RegisterSpec, i: int, j: int, a_i, a_j,
-                  others: Optional[Mapping[int, float]] = None,
+def _at(reg: RegisterSpec, k) -> np.ndarray:
+    """Which spin is k: an (n,) mask, or a (B, n) mask for (B,) spins."""
+    return np.arange(reg.n_spins) == np.asarray(k)[..., None]
+
+
+def _acted(reg: RegisterSpec, *spins):
+    """A target's acted spins: a frozenset, or a (B, n) mask for (B,) spins."""
+    if not any(isinstance(k, np.ndarray) for k in spins):
+        return frozenset(spins)
+    return reduce(np.logical_or, (_at(reg, k) for k in spins))
+
+
+def _angle_vector(reg: RegisterSpec, i, j, a_i, a_j, others=None,
                   default=0.0):
+    """a_i at spin i, a_j at j, and at each other spin its bystander angle
+    in others (in either form the module docstring gives) or default."""
+    if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
+        at_i, at_j = _at(reg, i), _at(reg, j)
+        col = lambda a: np.asarray(a, dtype=float)[..., None]
+        rows = np.where(at_i, col(a_i), np.where(at_j, col(a_j), col(default)))
+        if others is not None:
+            rows[~(at_i | at_j)] = np.broadcast_to(
+                others, (len(rows), reg.n_spins - 2)).ravel()
+        return rows
     vec = [default] * reg.n_spins
     vec[i] = a_i
     vec[j] = a_j
@@ -449,19 +455,19 @@ def _field_angles(vec: list) -> np.ndarray:
 
 def _diag_zz_phase(reg: RegisterSpec, i: int, j: int, coeff) -> np.ndarray:
     """exp(-i coeff S_i^z S_j^z), computed on the diagonal directly; a (B,)
-    array of coefficients gives the (B, 2^n, 2^n) stack."""
+    array of coefficients or of spins gives the (B, 2^n, 2^n) stack."""
     bi = site_bits(reg, i)
     bj = site_bits(reg, j)
     # S^z eigenvalue is +1/2 for bit 0, -1/2 for bit 1; product is +-1/4.
     prod = np.where(bi == bj, 0.25, -0.25)
     diag = np.exp(-1j * np.asarray(coeff)[..., None] * prod)
-    out = np.zeros(diag.shape + prod.shape, dtype=complex)
+    out = np.zeros(diag.shape + (reg.dim,), dtype=complex)
     out[..., np.arange(reg.dim), np.arange(reg.dim)] = diag
     return out
 
 
-def swap_conjugation(reg: RegisterSpec, i: int, j: int, angle_i, angle_j,
-                     bystander_angles: Optional[Mapping[int, float]] = None):
+def swap_conjugation(reg: RegisterSpec, i, j, angle_i, angle_j,
+                     bystander_angles=None):
     """Exchange conjugation of a z pulse; swaps which spin gets which angle.
 
     Returns the 3-op circuit and its exact target: the same field pulse with
@@ -478,8 +484,7 @@ def swap_conjugation(reg: RegisterSpec, i: int, j: int, angle_i, angle_j,
             GateTarget(target, frozenset(range(reg.n_spins)), Equivalence.EXACT))
 
 
-def dressed_swap_phase_conjugation(reg: RegisterSpec, i: int, j: int,
-                                   angle, z_i, z_j):
+def dressed_swap_phase_conjugation(reg: RegisterSpec, i, j, angle, z_i, z_j):
     """Doubled dressed-swap conjugation of a z phase pulse.
 
     The dressed swap is an exchange conjugated by x pulses whose pair
@@ -504,9 +509,8 @@ def dressed_swap_phase_conjugation(reg: RegisterSpec, i: int, j: int,
                        frozenset(range(reg.n_spins)), Equivalence.EXACT))
 
 
-def controlled_phase_circuit(reg: RegisterSpec, i: int, j: int,
-                             angle=0.0,
-                             bystander_angles: Optional[Mapping[int, float]] = None):
+def controlled_phase_circuit(reg: RegisterSpec, i, j, angle=0.0,
+                             bystander_angles=None):
     """Four-step controlled-phase construction.
 
     A z pulse with pair angles (angle, angle+pi), exchange by pi/2, the
@@ -516,13 +520,11 @@ def controlled_phase_circuit(reg: RegisterSpec, i: int, j: int,
     """
     vec = _angle_vector(reg, i, j, angle, angle + math.pi, bystander_angles,
                         default=angle)
-    ops = (GlobalField("z", vec),
-           Exchange(i, j, math.pi / 2),
-           GlobalField("z", -vec),
-           Exchange(i, j, math.pi / 2))
+    ex = Exchange(i, j, math.pi / 2)
+    ops = (GlobalField("z", vec), ex, GlobalField("z", -vec), ex)
     return (Circuit(reg, ops),
-            GateTarget(partial(_diag_zz_phase, reg, i, j, math.pi),
-                       frozenset((i, j)), Equivalence.EXACT))
+            GateTarget(partial(_diag_zz_phase, reg, ex.i, ex.j, math.pi),
+                       _acted(reg, i, j), Equivalence.EXACT))
 
 
 def controlled_phase_local_z_target(reg: RegisterSpec, i: int, j: int) -> GateTarget:
@@ -532,35 +534,34 @@ def controlled_phase_local_z_target(reg: RegisterSpec, i: int, j: int) -> GateTa
     return GateTarget(np.diag(diag), frozenset((i, j)), Equivalence.LOCAL_Z)
 
 
-def _single_spin_rotation(reg: RegisterSpec, axis: str, i: int,
-                          angle) -> np.ndarray:
-    """exp(-i angle S_i^axis): a global field with one nonzero angle."""
-    vec = [0.0] * reg.n_spins
-    vec[i] = angle
-    return global_field_unitary(reg, GlobalField(axis, _field_angles(vec)))
+def _single_spin_rotation(reg: RegisterSpec, axis: str, i, angle):
+    """exp(-i angle S_i^axis), built when called from a global field with
+    one nonzero angle, at spin i or at each draw's spin for (B,) spins."""
+    rows = np.where(_at(reg, i), np.asarray(angle)[..., None], 0.0)
+    return partial(global_field_unitary, reg, GlobalField(axis, rows))
 
 
-def xy_x_rotation_circuit(reg: RegisterSpec, i: int, j: int, angle_i,
-                          angle_j,
-                          bystander_angles: Optional[Mapping[int, float]] = None):
+def xy_x_rotation_circuit(reg: RegisterSpec, i, j, angle_i, angle_j,
+                          bystander_angles=None):
     """Single-spin x rotation from two x pulses and two z pi flips on spin i.
 
     Target is exp(+i 2 angle_i S_i^x) up to global phase; direct evaluation
     carries a residual overall factor of -1, measured in the tests. Angles
     may be (B,) arrays of per-draw angles.
     """
+    _check_pair(reg, i, j, max(np.size(i), np.size(j)))  # no exchange checks it
     vec = _angle_vector(reg, i, j, angle_i, angle_j, bystander_angles)
     flip = _angle_vector(reg, i, j, -math.pi, 0.0)
     ops = (GlobalField("z", flip),
            GlobalField("x", vec),
            GlobalField("z", flip),
            GlobalField("x", -vec))
-    target = partial(_single_spin_rotation, reg, "x", i, -2.0 * angle_i)
+    target = _single_spin_rotation(reg, "x", i, -2.0 * angle_i)
     return (Circuit(reg, ops),
-            GateTarget(target, frozenset((i,)), Equivalence.GLOBAL_PHASE))
+            GateTarget(target, _acted(reg, i), Equivalence.GLOBAL_PHASE))
 
 
-def xy_controlled_phase_circuit(reg: RegisterSpec, i: int, j: int, phi):
+def xy_controlled_phase_circuit(reg: RegisterSpec, i, j, phi):
     """Controlled phase from planar exchange, echoed by x pi flips on spin i
     and wrapped in opposite y quarter turns on the pair.
 
@@ -570,15 +571,12 @@ def xy_controlled_phase_circuit(reg: RegisterSpec, i: int, j: int, phi):
     """
     y_vec = _angle_vector(reg, i, j, math.pi / 2, -math.pi / 2)
     flip = _angle_vector(reg, i, j, -math.pi, 0.0)
-    ops = (GlobalField("y", y_vec),
-           GlobalField("x", flip),
-           XYExchange(i, j, phi),
-           GlobalField("x", flip),
-           XYExchange(i, j, phi),
-           GlobalField("y", -y_vec))
-    target = partial(_diag_zz_phase, reg, i, j, -2.0 * phi)
+    xy = XYExchange(i, j, phi)
+    ops = (GlobalField("y", y_vec), GlobalField("x", flip), xy,
+           GlobalField("x", flip), xy, GlobalField("y", -y_vec))
+    target = partial(_diag_zz_phase, reg, xy.i, xy.j, -2.0 * xy.phi)
     return (Circuit(reg, ops),
-            GateTarget(target, frozenset((i, j)), Equivalence.GLOBAL_PHASE))
+            GateTarget(target, _acted(reg, i, j), Equivalence.GLOBAL_PHASE))
 
 
 _CONJUGATE_AXIS = {"z": "x", "x": "z"}
@@ -625,7 +623,7 @@ def refocused_rotation_circuit(reg: RegisterSpec, axis: str, i: int, j: int,
            GlobalField(conj_axis, offset),
            ex,
            GlobalField(conj_axis, neg(offset)))
-    target = partial(_single_spin_rotation, reg, axis, i, angle)
+    target = _single_spin_rotation(reg, axis, i, angle)
     return (Circuit(reg, ops),
             GateTarget(target, frozenset((i,)), Equivalence.GLOBAL_PHASE))
 

@@ -127,9 +127,10 @@ def _bounded_check(name: str, measured: float, threshold: float) -> CheckResult:
 
 # Pair suites: check name, builder, the number of angles each draw takes
 # before its bystander angles, and whether it takes bystander angles. Every
-# builder returns (circuit, GateTarget), and a draw's value is the larger of
-# verify_target's distance and bystander deviation. Builders are looked up
-# in circuits when a suite runs.
+# builder takes its pair and angles per draw and returns (circuit,
+# GateTarget), and a draw's value is the larger of verify_target's distance
+# and bystander deviation. Builders are looked up in circuits when a suite
+# runs.
 _PAIR_SUITES = {
     "swap": ("swap_conjugation_exact", "swap_conjugation", 2, True),
     "dressed": ("dressed_swap_phase_factor",
@@ -142,37 +143,27 @@ _PAIR_SUITES = {
 
 def _pair_suite(rng, tol, check, builder, n_angles, bystanders) -> tuple:
     """DRAWS_PER_SUITE draws, each a register of 2 to 4 spins, a pair, and
-    then its angles in the builder's argument order: the check name and the
-    draws' values and (n, i, j) layouts. One builder call per layout on (B,)
-    angle columns; one stacked circuit verifies a register size's layouts,
-    each draw against its own target and acted spins."""
+    then its angles in the builder's argument order, bystander angles in
+    ascending spin order: the check name and the draws' values and (n, i, j)
+    layouts. One builder call per register size, on (B,) pair and angle
+    arrays and a (B, n - 2) array of bystander angles, verifies that size's
+    draws, each against its own target and acted spins."""
     layouts, sizes = [], {}
     for index in range(DRAWS_PER_SUITE):
         n = int(rng.integers(2, 5))
         i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
         row = rng.uniform(-3, 3, n_angles + (n - 2 if bystanders else 0))
         layouts.append((n, i, j))
-        sizes.setdefault(n, {}).setdefault((i, j), []).append((index, row))
+        sizes.setdefault(n, []).append((index, i, j, row))
     values = np.empty(DRAWS_PER_SUITE)
-    for n, groups in sizes.items():
-        reg, built, order = RegisterSpec(n), [], []
-        for (i, j), draws in groups.items():
-            index, rows = zip(*draws)
-            args = list(np.array(rows).T)
-            if bystanders:
-                spins = [k for k in range(n) if k not in (i, j)]
-                args[n_angles:] = [dict(zip(spins, args[n_angles:]))]
-            built.append(getattr(circuits, builder)(reg, i, j, *args))
-            order += index
-        cs, ts = zip(*built)
-        counts = [c.draws for c in cs]
-        target = circuits.GateTarget(
-            np.concatenate([np.broadcast_to(t.unitary, (b, reg.dim, reg.dim))
-                            for t, b in zip(ts, counts)]),
-            np.repeat([[k in t.acted_spins for k in range(n)] for t in ts],
-                      counts, axis=0), ts[0].equivalence)
-        rep = circuits.verify_target(circuits.stack(cs), target, tol)
-        values[order] = np.maximum(rep.distance, rep.bystander_deviation)
+    for n, draws in sizes.items():
+        index, i, j, rows = map(np.array, zip(*draws))
+        args = list(rows[:, :n_angles].T)
+        if bystanders:
+            args.append(rows[:, n_angles:])
+        rep = circuits.verify_target(*getattr(circuits, builder)(
+            RegisterSpec(n), i, j, *args), tol)
+        values[index] = np.maximum(rep.distance, rep.bystander_deviation)
     return check, values, layouts
 
 

@@ -22,8 +22,9 @@ builds every site's 2x2 factors, for every draw, from one cos/sin pass over
 its angles: a z field becomes a (B, 2^N) row phase, an x or y field a
 (B, 2, 2) product per site. An exchange mixes the same rows with one
 coefficient per draw, the draws folded into the leading axis of the view.
-A 2-D u runs the same code as a batch of one, with the same arithmetic
-entry for entry.
+An exchange with (B,) spin arrays, one pair per draw, plays each distinct
+pair once, on a copy of its draws. A 2-D u runs the same code as a batch
+of one, so every draw keeps the bits of its own op, entry for entry.
 """
 
 from __future__ import annotations
@@ -77,16 +78,24 @@ def _check_index(reg: RegisterSpec, k: int) -> None:
         raise IndexOutOfRange(f"spin {k} outside register of {reg.n_spins}")
 
 
-def _check_pair(reg: RegisterSpec, i: int, j: int) -> None:
-    _check_index(reg, i)
-    _check_index(reg, j)
-    if i == j:
+def _check_pair(reg: RegisterSpec, i, j, draws: int | None = None) -> None:
+    """Two distinct spins of reg, or (draws,) int arrays of one per draw."""
+    for k in (i, j):
+        if isinstance(k, np.ndarray):
+            if k.shape != (draws,) or not draws or k.dtype.kind not in "iu":
+                raise ValueError(f"spins {k!r} for {draws} draws")
+            k = k[np.argmax((k < 0) | (k >= reg.n_spins))]  # first outside
+        _check_index(reg, k)
+    many = isinstance(i, np.ndarray) or isinstance(j, np.ndarray)
+    if (np.asarray(i) == j).any() if many else i == j:
         raise ValueError(f"spin indices coincide: {i}")
 
 
-def site_bits(reg: RegisterSpec, k: int) -> np.ndarray:
-    """Bit of spin k on every basis index: 0 for S^z = +1/2, 1 for -1/2."""
-    return (np.arange(reg.dim) >> (reg.n_spins - 1 - k)) & 1
+def site_bits(reg: RegisterSpec, k) -> np.ndarray:
+    """Bit of spin k on every basis index: 0 for S^z = +1/2, 1 for -1/2.
+    A (B,) array of spins gives one row of bits per draw."""
+    shift = reg.n_spins - 1 - np.asarray(k)[..., None]
+    return (np.arange(reg.dim) >> shift) & 1
 
 
 def spin_operator(reg: RegisterSpec, k: int, axis: str) -> np.ndarray:
@@ -131,35 +140,37 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return values
 
 
+class _PairOp:
+    def __post_init__(self) -> None:
+        """Freeze per-draw arrays: angles as floats, spins as given."""
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                object.__setattr__(self, name, _frozen(
+                    value, None if name in ("i", "j") else float))
+
+
 @dataclass(frozen=True)
-class Exchange:
+class Exchange(_PairOp):
     """Isotropic exchange pulse with integrated angle xi on spins (i, j).
 
-    xi may instead be a (B,) array, one angle per parameter draw; such an
-    op is played on a batch of B unitaries and is not hashed or compared.
+    xi may instead be a (B,) array, one angle per parameter draw, and i and
+    j (B,) integer arrays, one pair per draw; such an op is played on a
+    batch of B unitaries and is not hashed or compared.
     """
 
     i: int
     j: int
     xi: float
 
-    def __post_init__(self) -> None:
-        if isinstance(self.xi, np.ndarray):
-            object.__setattr__(self, "xi", _frozen(self.xi))
-
 
 @dataclass(frozen=True)
-class XYExchange:
-    """Planar (XX+YY) exchange pulse with integrated angle phi, which may be
-    a (B,) array of per-draw angles as for Exchange."""
+class XYExchange(_PairOp):
+    """Planar (XX+YY) exchange pulse with integrated angle phi; phi, i and j
+    may hold one entry per draw as for Exchange."""
 
     i: int
     j: int
     phi: float
-
-    def __post_init__(self) -> None:
-        if isinstance(self.phi, np.ndarray):
-            object.__setattr__(self, "phi", _frozen(self.phi))
 
 
 @dataclass(frozen=True)
@@ -195,14 +206,21 @@ def op_angles(op: PulseOp):
     raise TypeError(f"not a pulse op: {op!r}")
 
 
+def op_draws(op: PulseOp) -> list:
+    """The per-draw arrays op holds: field rows, exchange angles or spins."""
+    return [a for a in vars(op).values()
+            if isinstance(a, np.ndarray) and a.ndim]
+
+
 def check_op(reg: RegisterSpec, op: PulseOp, draws: int | None = None) -> None:
     """Raise unless apply_op can apply op on reg.
 
     Two-spin ops need distinct spins inside the register; a field needs one
     angle per spin and an axis in x/y/z. An op with per-draw angles needs
     exactly `draws` of them, at least one: a field `draws` rows of that
-    length, an exchange `draws` angles. Every angle must be finite. All
-    failures are ValueErrors; a non-op is a TypeError.
+    length, an exchange `draws` angles. Per-draw spins are `draws` integers,
+    each pair distinct and inside the register. Every angle must be finite.
+    All failures are ValueErrors; a non-op is a TypeError.
     """
     angles = op_angles(op)
     if isinstance(op, GlobalField):
@@ -213,7 +231,7 @@ def check_op(reg: RegisterSpec, op: PulseOp, draws: int | None = None) -> None:
             raise ValueError(
                 f"{len(angles)} angles for register of {reg.n_spins}")
     else:
-        _check_pair(reg, op.i, op.j)
+        _check_pair(reg, op.i, op.j, draws)
         angles = angles if isinstance(angles, np.ndarray) else (angles,)
         shape = (draws,)
     if isinstance(angles, np.ndarray):
@@ -290,29 +308,42 @@ def _apply_pair(u: np.ndarray, i: int, j: int, diag, off, aligned) -> None:
     a[...] = t
 
 
+def _apply_pairs(u: np.ndarray, i, j, *coefficients) -> None:
+    """_apply_pair, with (B,) arrays of spins one pair per draw: each
+    distinct unordered pair on a gathered copy of its draws, scattered back."""
+    if not (isinstance(i, np.ndarray) or isinstance(j, np.ndarray)):
+        return _apply_pair(u, i, j, *coefficients)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    for a, b in dict.fromkeys(zip(lo.tolist(), hi.tolist())):
+        rows = np.flatnonzero((lo == a) & (hi == b))
+        part = u[rows]
+        _apply_pair(part, a, b, *(x[rows] if np.ndim(x) else x
+                                  for x in coefficients))
+        u[rows] = part
+
+
 def apply_op(u: np.ndarray, reg: RegisterSpec, op: PulseOp) -> np.ndarray:
     """Left-multiply u by op's unitary, in place, and return u.
 
     u is a C-contiguous complex128 array of 2^n rows: a unitary, or states
     as columns. It may also be a (B, 2^n, m) batch, one entry per parameter
     draw: ops with one set of angles act on every entry alike, and an op
-    with per-draw angles plays draw b on entry b. op must pass check_op;
-    apply_op does not check it again (Circuit checks its ops once, when it
-    is built), but does check that per-draw angles match the batch.
+    with per-draw angles or spins plays draw b on entry b. op must pass
+    check_op; apply_op does not check it again (Circuit checks its ops once,
+    when it is built), but does check that per-draw arrays match the batch.
     """
     if (u.dtype != np.complex128 or not u.flags.c_contiguous
             or u.ndim not in (2, 3) or u.shape[-2] != reg.dim):
         raise ValueError(f"need a C-contiguous complex array with {reg.dim} "
                          f"rows, got {u.dtype} {u.shape}")
     angles = op_angles(op)
-    many = isinstance(angles, np.ndarray)
-    if many and (u.ndim != 3 or len(angles) != len(u)):
-        raise ValueError(f"{len(angles)} draws of angles for a batch "
-                         f"of shape {u.shape}")
+    held = [len(a) for a in op_draws(op)]
+    if held and (u.ndim != 3 or set(held) != {len(u)}):
+        raise ValueError(f"{held[0]} draws for a batch of shape {u.shape}")
     batch = u if u.ndim == 3 else u[None]
     if isinstance(op, GlobalField):
-        _apply_field(batch, op.axis,
-                     angles if many else np.array(angles, dtype=float)[None])
+        _apply_field(batch, op.axis, angles if held else
+                     np.array(angles, dtype=float)[None])
     elif isinstance(op, Exchange):
         # e^{i xi/4} (c I - i s SWAP): SWAP fixes the aligned rows, so they
         # only pick up e^{i xi/4} (c - i s). That product is written out in
@@ -322,11 +353,11 @@ def apply_op(u: np.ndarray, reg: RegisterSpec, op: PulseOp) -> np.ndarray:
         phase = np.exp(1j * angles / 4)
         c, s = np.cos(angles / 2), np.sin(angles / 2)
         pr, pi = phase.real, phase.imag
-        _apply_pair(batch, op.i, op.j, phase * c, phase * (-1j * s),
-                    (pr * c + pi * s) + 1j * (pi * c - pr * s))
+        _apply_pairs(batch, op.i, op.j, phase * c, phase * (-1j * s),
+                     (pr * c + pi * s) + 1j * (pi * c - pr * s))
     else:
         c, s = np.cos(angles / 2), np.sin(angles / 2)
-        _apply_pair(batch, op.i, op.j, c, -1j * s, None)
+        _apply_pairs(batch, op.i, op.j, c, -1j * s, None)
     return u
 
 

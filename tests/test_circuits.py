@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from globalspin import circuits as cir
-from globalspin import cli
+from globalspin import cli, spins
 from globalspin.circuits import (Circuit, Equivalence, Exchange, GateTarget,
                                  GlobalField, NotUnitary2x2,
                                  XYExchange, circuit_from_text,
@@ -408,11 +409,11 @@ TARGET_CODE = {
     "controlled_phase_circuit": lambda reg, i, j, angle=0.0, bys=None:
         cir._diag_zz_phase(reg, i, j, math.pi),
     "xy_x_rotation_circuit": lambda reg, i, j, a_i, a_j, bys=None:
-        cir._single_spin_rotation(reg, "x", i, -2.0 * a_i),
+        cir._single_spin_rotation(reg, "x", i, -2.0 * a_i)(),
     "xy_controlled_phase_circuit": lambda reg, i, j, phi:
         cir._diag_zz_phase(reg, i, j, -2.0 * phi),
     "refocused_rotation_circuit": lambda reg, axis, i, j, angle, profiles:
-        cir._single_spin_rotation(reg, axis, i, angle),
+        cir._single_spin_rotation(reg, axis, i, angle)(),
 }
 
 
@@ -499,6 +500,17 @@ def test_builders_raise_input_errors_at_the_call():
          (REG3, 0, 1, 0.1, 0.2, {0: 1.0})),
         (ValueError, cir.xy_controlled_phase_circuit, (REG3, 0, 1, math.inf)),
         (ValueError, cir.xy_controlled_phase_circuit, (REG3, 0, 0, 0.5)),
+        (IndexOutOfRange, cir.xy_x_rotation_circuit, (REG3, -1, 1, 0.1, 0.2)),
+        # Per-draw pairs: spin 3 of 3, a pair that coincides, floats, and
+        # bystander angles of the wrong shape.
+        (IndexOutOfRange, cir.xy_x_rotation_circuit,
+         (REG3, np.array([0, 3]), np.array([1, 1]), 0.1, 0.2)),
+        (ValueError, cir.controlled_phase_circuit,
+         (REG3, np.array([0, 1]), np.array([1, 1]), 0.3)),
+        (ValueError, cir.xy_controlled_phase_circuit,
+         (REG3, np.array([0.0, 1.0]), np.array([1, 2]), 0.3)),
+        (ValueError, cir.swap_conjugation,
+         (REG3, np.array([0, 1]), np.array([1, 2]), 0.3, 0.4, np.zeros(2))),
         (ValueError, cir.refocused_rotation_circuit,
          (REG4, "y", 0, 1, 1.0, p4)),
         (ValueError, cir.refocused_rotation_circuit,
@@ -649,64 +661,86 @@ def test_lone_spins_take_one_kernel_pass_per_field(monkeypatch):
     assert len(cases) == 4 and cases[-1].draws == 3
 
 
+def per_draw_layouts(rng, n):
+    """(B,) arrays of pairs: on 2 to 4 spins every layout, in shuffled
+    order with (i, j) next to (j, i); on 8 spins four spins' pairs, which
+    leave the other four spins lone."""
+    spins = range(n) if n <= 4 else (1, 2, 4, 6)
+    pairs = list(itertools.combinations(spins, 2))
+    pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+    return np.array([p for a, b in pairs for p in ((a, b), (b, a))]).T
+
+
 @pytest.mark.parametrize("suite", oracle.PAIR_SUITES)
-def test_stack_plays_each_circuit_bit_for_bit(suite):
-    # Every builder on all 20 layouts of 2 to 4 spins, (i, j) next to (j, i):
-    # each register size's circuits stacked play each circuit's draws. The
-    # xy controlled phase's y field rests a site in some layouts only, and
-    # one circuit per size is built with floats, as one draw of shared ops.
+def test_pair_builders_take_a_pair_per_draw(suite):
+    # Every builder on (B,) pair arrays that hold all 20 layouts of 2 to 4
+    # spins: each draw's unitary and target are those of the float-built
+    # circuit of its layout, and its acted spins too. The xy controlled
+    # phase's y field rests a site in some layouts only. On 8 spins the
+    # circuit plays group by group: the exchanges link every spin a draw
+    # pairs, and each draw equals its float-built circuit played on those
+    # groups.
     build, n_angles, takes_bystanders = oracle.PAIR_SUITES[suite]
     rng = np.random.default_rng(43)
-    for n in (2, 3, 4):
-        reg, cs = RegisterSpec(n), []
-        for k, (i, j) in enumerate((i, j) for i in range(n)
-                                   for j in range(n) if i != j):
-            size = None if k == 1 else (1, 2, 3)[k % 3]
-            args = [rng.uniform(-3, 3, size) for _ in range(n_angles)]
+    for n in (2, 3, 4, 8):
+        reg = RegisterSpec(n)
+        i, j = per_draw_layouts(rng, n)
+        args = list(rng.uniform(-3, 3, size=(n_angles, len(i))))
+        if takes_bystanders:
+            args.append(rng.uniform(-3, 3, size=(len(i), n - 2)))
+        c, t = build(reg, i, j, *args)
+        assert c.draws == len(i)
+        groups = [g for g, _ in cir.factor(c)]
+        assert len(groups) == (1 if n < 8 else 5 if c.exchange_count else 8)
+        u = evaluate(c)
+        target = np.broadcast_to(t.unitary, u.shape)
+        acted = np.broadcast_to([k in t.acted_spins for k in range(n)]
+                                if isinstance(t.acted_spins, frozenset)
+                                else t.acted_spins, (len(u), n))
+        for k, (p, q) in enumerate(zip(i.tolist(), j.tolist())):
+            floats = [float(a[k]) for a in args[:n_angles]]
             if takes_bystanders:
-                args.append({s: rng.uniform(-3, 3, size)
-                             for s in range(n) if s not in (i, j)})
-            cs.append(build(reg, i, j, *args)[0])
-        u, end = evaluate(cir.stack(cs)), 0
-        for c in cs:
-            want = evaluate(c).reshape(-1, reg.dim, reg.dim)
-            end += len(want)
-            assert np.array_equal(u[end - len(want):end], want), (suite, n)
-        assert len(u) == end
+                floats.append(dict(zip((s for s in range(n) if s not in (p, q)),
+                                       args[-1][k].tolist())))
+            ck, tk = build(reg, p, q, *floats)
+            assert ck.draws is None
+            assert np.array_equal(u[k], cir.join(cir.factor(ck, groups))), (
+                suite, n, k)
+            assert np.array_equal(target[k], tk.unitary), (suite, n, k)
+            assert acted[k].tolist() == [s in tk.acted_spins
+                                         for s in range(n)], (suite, n, k)
     assert sum(n * (n - 1) for n in (2, 3, 4)) == 20
 
 
-def test_stack_rejects_circuits_that_differ():
-    cp, _ = cir.controlled_phase_circuit(REG3, 0, 1, 0.3)
-    swap, _ = cir.swap_conjugation(REG3, 0, 2, 0.1, 0.2)
-    xy, _ = cir.xy_x_rotation_circuit(REG3, 1, 2, 0.1, 0.2)
-    flipped = Circuit(REG3, cp.ops[:1] + (XYExchange(0, 1, 0.5),)
-                      + cp.ops[2:])
-    turned = Circuit(REG3, (GlobalField("x", cp.ops[0].angles),)
-                     + cp.ops[1:])
-    wider, _ = cir.controlled_phase_circuit(REG4, 0, 1, 0.3)
-    # Length, exchange kind, field against exchange, field axis, register.
-    for other in (swap, flipped, xy, turned, wider):
-        with pytest.raises(ValueError):
-            cir.stack([cp, other])
-    assert cir.stack([cp, cp]).draws == 2
-
-
-def test_verify_plays_one_field_pass_per_position_and_size(monkeypatch,
-                                                           capsys):
+def test_verify_plays_one_pass_per_position_and_size(monkeypatch, capsys):
     # In one verify --suite all, a pair suite plays each field position once
-    # per register size, whatever its number of layouts there.
+    # per register size, whatever its number of layouts there. At each
+    # exchange position it plays each distinct unordered pair once, on only
+    # the draws that hold it: the batches sum to the size's draws, with no
+    # pass at angle 0 on the draws of other pairs.
     fields, suite, played = {}, [None], {}
     for check, builder, n_angles, _ in cli._PAIR_SUITES.values():
         c, _ = getattr(cir, builder)(REG2, 0, 1, *[0.1] * n_angles)
         fields[check] = c.field_count
-    real_apply, real_suite = cir.apply_op, cli._pair_suite
+    position, draws, pairs = {}, {}, {}
+    real_apply, real_pair, real_suite = (cir.apply_op, spins._apply_pair,
+                                         cli._pair_suite)
 
     def counting(u, reg, op):
+        key = (suite[0], reg.n_spins)
+        if suite[0]:
+            position[key] = position.get(key, -1) + 1
+            draws.setdefault(key, len(u))
         if suite[0] and isinstance(op, GlobalField):
-            key = (suite[0], reg.n_spins)
             played[key] = played.get(key, 0) + 1
         return real_apply(u, reg, op)
+
+    def pair(u, i, j, *coefficients):
+        if suite[0]:
+            key = (suite[0], len(u[0]).bit_length() - 1)
+            pairs.setdefault(key + (position[key],), []).append(
+                (min(i, j), max(i, j), len(u)))
+        return real_pair(u, i, j, *coefficients)
 
     def tagged(rng, tol, check, *spec):
         suite[0] = check
@@ -716,6 +750,7 @@ def test_verify_plays_one_field_pass_per_position_and_size(monkeypatch,
             suite[0] = None
 
     monkeypatch.setattr(cir, "apply_op", counting)
+    monkeypatch.setattr(spins, "_apply_pair", pair)
     monkeypatch.setattr(cli, "_pair_suite", tagged)
     assert cli.main(["verify", "--suite", "all"]) == 0
     capsys.readouterr()
@@ -723,6 +758,14 @@ def test_verify_plays_one_field_pass_per_position_and_size(monkeypatch,
     assert {n for _, n in played} == {2, 3, 4}
     for (check, n), count in played.items():
         assert count <= fields[check], (check, n)
+    for check in fields:
+        assert sum(b for (c, _), b in draws.items() if c == check) == 60
+    exchanges = {c for c, n, _ in pairs}
+    assert exchanges == set(fields) - {"xy_x_rotation_phase"}
+    for (check, n, _), got in pairs.items():
+        assert len({p[:2] for p in got}) == len(got), (check, n, got)
+        assert sum(b for *_, b in got) == draws[check, n], (check, n, got)
+    assert max(len(got) for got in pairs.values()) == 6
 
 
 def test_combined_distance_of_exact_parts_is_positive_zero():

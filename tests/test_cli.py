@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -190,22 +191,46 @@ def test_worst_draw_replays_the_measured_value(capsys, seed, suite):
     assert repr(value) == repr(r["measured"])
 
 
-def test_verify_calls_each_builder_once_per_layout(capsys, monkeypatch):
+def test_verify_calls_each_builder_once_per_register_size(capsys,
+                                                          monkeypatch):
+    # One builder call per register size and suite, on (B,) pair arrays
+    # that hold exactly the suite's layouts of that size, draw by draw in
+    # the suite's draw order.
     draws = oracle.verify_draws(0, cli.VERIFY_SUITES)
     calls = {suite: [] for suite in oracle.PAIR_SUITES}
     for suite, (builder, _, _) in oracle.PAIR_SUITES.items():
         def counted(reg, i, j, *a, _calls=calls[suite], _build=builder,
                     **kw):
-            _calls.append((reg.n_spins, i, j))
+            _calls.append((reg.n_spins, np.ravel(i).tolist(),
+                           np.ravel(j).tolist()))
             return _build(reg, i, j, *a, **kw)
         monkeypatch.setattr(circuits, builder.__name__, counted)
     verify_checks(capsys, 0)
     # The parallel suite, which runs last, builds its one template with the
     # controlled-phase builder.
-    assert calls["cp"].pop() == (2, 0, 1)
+    assert calls["cp"].pop() == (2, [0], [1])
     for suite, got in calls.items():
-        assert len(got) == len(set(got)) <= 20, suite
-        assert set(got) == {(d.n, d.i, d.j) for d in draws[suite]}, suite
+        assert sorted(n for n, _, _ in got) == [2, 3, 4], suite
+        for n, i, j in got:
+            assert list(zip(i, j)) == [(d.i, d.j) for d in draws[suite]
+                                       if d.n == n], (suite, n)
+
+
+# sha256 of every check record's name, repr(measured) and worst_draw of
+# verify --seed 0 to 49, taken from the code before the pair builders took
+# a pair per draw: the batched suites keep their bits.
+VERIFY_RECORDS_SHA256 = (
+    "34739402bccefdc367b53595aa38cd79318290e0e85acfd3c3f03136ee8e6c94")
+
+
+def test_verify_records_keep_their_bits(capsys):
+    digest = hashlib.sha256()
+    for seed in range(50):
+        for r in verify_checks(capsys, seed):
+            digest.update(f"{r['name']} {r['measured']!r} "
+                          f"{json.dumps(r['worst_draw'], sort_keys=True)}\n"
+                          .encode())
+    assert digest.hexdigest() == VERIFY_RECORDS_SHA256
 
 
 def test_verify_stage_records_tile_its_suites(capsys, monkeypatch):

@@ -160,11 +160,13 @@ def random_batch(rng, b, n, m):
 @pytest.mark.parametrize("b", [1, 7])
 def test_batched_kernel_equals_stack_of_single_draws(n, b):
     # One pass over a (B, 2^n, m) batch must equal B separate 2-D passes,
-    # entry for entry: for per-draw field rows and exchange angles, and for
-    # fields and exchanges shared by every draw.
+    # entry for entry: for per-draw field rows, exchange angles and exchange
+    # pairs, and for fields and exchanges shared by every draw.
     rng = np.random.default_rng(100 * n + b)
     reg = RegisterSpec(n)
     i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+    pi, pj = np.array([rng.choice(n, size=2, replace=False)
+                       for _ in range(b)]).T
     rows = rng.uniform(-4, 4, size=(b, n))
     rows[:, 0] = 0.0  # a site at rest in every draw is skipped
     rows[rng.random((b, n)) < 0.2] = 0.0
@@ -176,6 +178,10 @@ def test_batched_kernel_equals_stack_of_single_draws(n, b):
             *((GlobalField(axis, shared), None) for axis in AXES),
             (Exchange(i, j, xi), lambda k: Exchange(i, j, float(xi[k]))),
             (XYExchange(i, j, phi), lambda k: XYExchange(i, j, float(phi[k]))),
+            (Exchange(pi, pj, xi), lambda k: Exchange(
+                int(pi[k]), int(pj[k]), float(xi[k]))),
+            (XYExchange(pi, pj, 0.7), lambda k: XYExchange(
+                int(pi[k]), int(pj[k]), 0.7)),
             (Exchange(i, j, float(rng.uniform(-7, 7))), None),
             (XYExchange(i, j, float(rng.uniform(-7, 7))), None)):
         check_op(reg, op, draws=b)
@@ -214,6 +220,42 @@ def test_check_op_rejects_malformed_exchange_angles(kind, angles):
     # Without a batch, per-draw angles are refused whatever their shape.
     with pytest.raises(ValueError):
         check_op(RegisterSpec(3), kind(0, 2, np.zeros(4)))
+
+
+@pytest.mark.parametrize("i, j, error", [
+    ([0, 1, 0], [1, 2, 2], ValueError),  # three pairs for four draws
+    ([[0], [1], [0], [1]], [1, 2, 2, 0], ValueError),  # a column
+    ([0, 1, 3, 1], [1, 2, 2, 0], IndexOutOfRange),  # spin 3 of 3
+    ([0, -1, 0, 1], [1, 2, 2, 0], IndexOutOfRange),
+    ([0.0, 1.0, 0.0, 1.0], [1, 2, 2, 0], ValueError),  # not integers
+    ([True, False, True, False], [2, 2, 2, 2], ValueError),
+    ([0, 1, 2, 1], [1, 2, 2, 0], ValueError),  # draw 2 pairs spin 2 twice
+    ([0, 1, 0, 1], 1, ValueError),  # the shared spin 1 in draws 1 and 3
+])
+@pytest.mark.parametrize("kind", [Exchange, XYExchange])
+def test_check_op_rejects_malformed_pairs_per_draw(kind, i, j, error):
+    op = kind(np.array(i), np.array(j) if np.ndim(j) else j, 0.4)
+    with pytest.raises(error):
+        check_op(RegisterSpec(3), op, draws=4)
+    with pytest.raises(error):
+        Circuit(RegisterSpec(3), (GlobalField("x", np.zeros((4, 3))), op))
+
+
+def test_pairs_per_draw_set_the_draw_count_and_are_frozen():
+    reg = RegisterSpec(3)
+    i, j = np.array([0, 2, 1]), np.array([1, 0, 2])
+    op = Exchange(i, j, 0.4)
+    i[0] = 2  # the op holds a copy that no caller can change
+    assert op.i.tolist() == [0, 2, 1] and not op.i.flags.writeable
+    check_op(reg, op, draws=3)
+    assert Circuit(reg, (op,)).draws == 3
+    with pytest.raises(ValueError):  # without a batch
+        check_op(reg, op)
+    with pytest.raises(ValueError):
+        Circuit(reg, (GlobalField("z", np.zeros((2, 3))), op))
+    for u in (np.zeros((4, 8, 8), dtype=complex), np.eye(8, dtype=complex)):
+        with pytest.raises(ValueError):
+            apply_op(u, reg, op)
 
 
 def test_angle_rows_need_a_batch_of_their_size():
