@@ -21,14 +21,17 @@ angles, and an exchange or planar exchange a (B,) array of angles. A field
 builds every site's 2x2 factors, for every draw, from one cos/sin pass over
 its angles: a z field becomes a (B, 2^N) row phase, an x or y field a
 (B, 2, 2) product per site. An exchange mixes the same rows with one
-coefficient per draw, the draws folded into the leading axis of the view.
-An exchange with (B,) spin arrays, one pair per draw, plays each distinct
-pair once, on a copy of its draws. A 2-D u runs the same code as a batch
+coefficient per draw, broadcast along the draw axis of the view.
+An exchange with (B,) spin arrays, one pair per draw, makes one pass over
+the batch: a table of each pair's rows, cached per register size, gathers
+every draw's rows of its own pair, and the pass mixes them with the same
+arithmetic and scatters them back. A 2-D u runs the same code as a batch
 of one, so every draw keeps the bits of its own op, entry for entry.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -85,6 +88,8 @@ def _check_pair(reg: RegisterSpec, i, j, draws: int | None = None) -> None:
             if k.shape != (draws,) or not draws or k.dtype.kind not in "iu":
                 raise ValueError(f"spins {k!r} for {draws} draws")
             k = k[np.argmax((k < 0) | (k >= reg.n_spins))]  # first outside
+        elif isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"spin {k!r} is not an integer")
         _check_index(reg, k)
     many = isinstance(i, np.ndarray) or isinstance(j, np.ndarray)
     if (np.asarray(i) == j).any() if many else i == j:
@@ -285,41 +290,56 @@ def _apply_field(u: np.ndarray, axis: str, rows: np.ndarray) -> None:
         u[...] = src
 
 
-def _apply_pair(u: np.ndarray, i: int, j: int, diag, off, aligned) -> None:
-    """Mix the rows where spins i and j are anti-aligned with [[diag, off],
-    [off, diag]] over (01, 10); scale the aligned rows by `aligned`, or
-    leave them alone when it is None. u is (B, 2^n, m); the draws fold into
-    the leading axis of the view. A coefficient is a scalar shared by every
-    draw, or a (B,) array of one per draw."""
-    i, j = min(i, j), max(i, j)
-    v = u.reshape(len(u) << i, 2, 1 << (j - i - 1), 2, -1)
-    if np.ndim(diag):
-        diag, off, aligned = (None if x is None else
-                              np.repeat(x, 1 << i)[:, None, None]
-                              for x in (diag, off, aligned))
-    if aligned is not None:
-        v[:, 0, :, 0] *= aligned
-        v[:, 1, :, 1] *= aligned
-    a, b = v[:, 0, :, 1], v[:, 1, :, 0]
+def _scale(v: np.ndarray, c) -> None:
+    """v *= c, but a lone element out of place: numpy multiplies one element
+    in place on a scalar path whose complex products round apart from its
+    vector path (seen on a 2-spin state of one draw)."""
+    if v.size == 1:
+        v[...] = v * c
+    else:
+        v *= c
+
+
+def _mix(ends, a, b, diag, off, aligned) -> None:
+    """In place: scale rows `ends` by `aligned` unless it is None, and mix a
+    and b alike by [[diag, off], [off, diag]]; a (B, 1, 1, 1) is per draw."""
+    for v in ends if aligned is not None else ():
+        _scale(v, aligned)
     t = a * diag
     t += b * off
-    b *= diag
+    _scale(b, diag)
     b += a * off
     a[...] = t
 
 
+def _apply_pair(u: np.ndarray, i: int, j: int, *coefficients) -> None:
+    """_mix on the rows of u, a (B, 2^n, m) batch, where spins i and j hold
+    bits 00 and 11 (ends) and 01 and 10 (a and b), through in-place views."""
+    i, j = min(i, j), max(i, j)
+    v = u.reshape(len(u), 1 << i, 2, 1 << (j - i - 1), 2, -1)
+    _mix((v[:, :, 0, :, 0], v[:, :, 1, :, 1]), v[:, :, 0, :, 1],
+         v[:, :, 1, :, 0], *coefficients)
+
+
+@functools.cache
+def _pair_rows(dim: int) -> np.ndarray:
+    """Entry (:, i, j), i != j, of this (4, n, n, 1, dim / 4) table, dim = 2^n,
+    lists the rows where spins i and j hold 00, 01, 10 and 11, in order."""
+    n = dim.bit_length() - 1
+    bits = site_bits(RegisterSpec(n), np.arange(n))
+    rows = np.argsort(2 * bits[:, None] + bits, kind="stable")
+    return _frozen(np.moveaxis(rows.reshape(n, n, 4, 1, -1), 2, 0), np.intp)
+
+
 def _apply_pairs(u: np.ndarray, i, j, *coefficients) -> None:
-    """_apply_pair, with (B,) arrays of spins one pair per draw: each
-    distinct unordered pair on a gathered copy of its draws, scattered back."""
+    """_apply_pair with (B,) spin arrays, one pair per draw, in one pass:
+    gather each draw's rows of its (i, j), in either order, mix, scatter."""
     if not (isinstance(i, np.ndarray) or isinstance(j, np.ndarray)):
         return _apply_pair(u, i, j, *coefficients)
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    for a, b in dict.fromkeys(zip(lo.tolist(), hi.tolist())):
-        rows = np.flatnonzero((lo == a) & (hi == b))
-        part = u[rows]
-        _apply_pair(part, a, b, *(x[rows] if np.ndim(x) else x
-                                  for x in coefficients))
-        u[rows] = part
+    at = np.arange(len(u))[:, None, None], _pair_rows(len(u[0]))[:, i, j]
+    g = u[at]
+    _mix((g[::3],), g[1], g[2], *coefficients)
+    u[at] = g
 
 
 def apply_op(u: np.ndarray, reg: RegisterSpec, op: PulseOp) -> np.ndarray:
@@ -344,7 +364,10 @@ def apply_op(u: np.ndarray, reg: RegisterSpec, op: PulseOp) -> np.ndarray:
     if isinstance(op, GlobalField):
         _apply_field(batch, op.axis, angles if held else
                      np.array(angles, dtype=float)[None])
-    elif isinstance(op, Exchange):
+        return u
+    # One angle per draw, on the leading axis of the kernel's 4-D views.
+    angles = np.reshape(angles, (-1, 1, 1, 1)) if np.ndim(angles) else angles
+    if isinstance(op, Exchange):
         # e^{i xi/4} (c I - i s SWAP): SWAP fixes the aligned rows, so they
         # only pick up e^{i xi/4} (c - i s). That product is written out in
         # real parts: numpy may fuse a multiply and an add in a product of

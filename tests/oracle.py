@@ -24,14 +24,17 @@ final verification's factored parts, which factored_draw_distances scores
 one draw at a time."""
 
 import cmath
+import contextlib
 import hashlib
+import io
+import json
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from globalspin import circuits, synth
+from globalspin import circuits, cli, synth
 from globalspin.linalg import phase_distance
 from globalspin.spins import (Exchange, GlobalField, RegisterSpec, apply_op,
                               identity)
@@ -159,6 +162,30 @@ def suite_worst(draws):
     for d in draws:
         worst = max(worst, d.value)
     return worst
+
+
+def verify_records_digest(seeds) -> str:
+    """sha256 of every check record's name, repr(measured) and worst_draw
+    of `verify --suite all --seed s` for each s in seeds, in order. Every
+    draw keeps its bits while this holds; over seeds 0-299, from the root
+    of a checkout:
+
+        PYTHONPATH=src:tests python -c "import oracle; print(oracle.verify_records_digest(range(300)))"
+    """
+    digest = hashlib.sha256()
+    for seed in seeds:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "--suite", "all", "--seed", str(seed),
+                             "--format", "json-lines"])
+        assert code == 0, (seed, code)
+        for line in filter(str.strip, out.getvalue().splitlines()):
+            r = json.loads(line)
+            if r["kind"] == "check":
+                worst = json.dumps(r["worst_draw"], sort_keys=True)
+                digest.update(
+                    f"{r['name']} {r['measured']!r} {worst}\n".encode())
+    return digest.hexdigest()
 
 
 def local_z_aligned_distance(u, target, n_spins, i, j):

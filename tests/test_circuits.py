@@ -715,16 +715,16 @@ def test_pair_builders_take_a_pair_per_draw(suite):
 def test_verify_plays_one_pass_per_position_and_size(monkeypatch, capsys):
     # In one verify --suite all, a pair suite plays each field position once
     # per register size, whatever its number of layouts there. At each
-    # exchange position it plays each distinct unordered pair once, on only
-    # the draws that hold it: the batches sum to the size's draws, with no
-    # pass at angle 0 on the draws of other pairs.
+    # exchange position the kernel makes one gathered pass over all of the
+    # size's draws, and each draw mixes the anti-aligned rows of its own
+    # pair: no draw is played at angle 0 or on another draw's pair.
     fields, suite, played = {}, [None], {}
     for check, builder, n_angles, _ in cli._PAIR_SUITES.values():
         c, _ = getattr(cir, builder)(REG2, 0, 1, *[0.1] * n_angles)
         fields[check] = c.field_count
-    position, draws, pairs = {}, {}, {}
-    real_apply, real_pair, real_suite = (cir.apply_op, spins._apply_pair,
-                                         cli._pair_suite)
+    position, draws, passes, held = {}, {}, {}, []
+    real_apply, real_pairs, real_mix, real_suite = (
+        cir.apply_op, spins._apply_pairs, spins._mix, cli._pair_suite)
 
     def counting(u, reg, op):
         key = (suite[0], reg.n_spins)
@@ -735,12 +735,29 @@ def test_verify_plays_one_pass_per_position_and_size(monkeypatch, capsys):
             played[key] = played.get(key, 0) + 1
         return real_apply(u, reg, op)
 
-    def pair(u, i, j, *coefficients):
-        if suite[0]:
-            key = (suite[0], len(u[0]).bit_length() - 1)
-            pairs.setdefault(key + (position[key],), []).append(
-                (min(i, j), max(i, j), len(u)))
-        return real_pair(u, i, j, *coefficients)
+    def gathered(u, i, j, *coefficients):
+        if suite[0] and (isinstance(i, np.ndarray)
+                         or isinstance(j, np.ndarray)):
+            held.append((u.copy(), *np.broadcast_arrays(i, j)))
+        return real_pairs(u, i, j, *coefficients)
+
+    def mix(ends, a, b, *coefficients):
+        if held:
+            u, i, j = held.pop()
+            n = len(u[0]).bit_length() - 1
+            key = (suite[0], n)
+            passes.setdefault(key + (position[key],), []).append(
+                set(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())))
+            assert len(a) == len(b) == len(u) == draws[key]
+            reg, m = RegisterSpec(n), u.shape[-1]
+            for k, (p, q) in enumerate(zip(i.tolist(), j.tolist())):
+                row = {r.tobytes(): x for x, r in enumerate(u[k])}
+                mixed = sorted(row[r.tobytes()] for r in (
+                    *a[k].reshape(-1, m), *b[k].reshape(-1, m)))
+                assert mixed == np.flatnonzero(
+                    spins.site_bits(reg, p) != spins.site_bits(reg, q)
+                ).tolist(), (key, k)
+        return real_mix(ends, a, b, *coefficients)
 
     def tagged(rng, tol, check, *spec):
         suite[0] = check
@@ -750,22 +767,23 @@ def test_verify_plays_one_pass_per_position_and_size(monkeypatch, capsys):
             suite[0] = None
 
     monkeypatch.setattr(cir, "apply_op", counting)
-    monkeypatch.setattr(spins, "_apply_pair", pair)
+    monkeypatch.setattr(spins, "_apply_pairs", gathered)
+    monkeypatch.setattr(spins, "_mix", mix)
     monkeypatch.setattr(cli, "_pair_suite", tagged)
     assert cli.main(["verify", "--suite", "all"]) == 0
     capsys.readouterr()
+    assert not held
     assert {check for check, _ in played} == set(fields)
     assert {n for _, n in played} == {2, 3, 4}
     for (check, n), count in played.items():
         assert count <= fields[check], (check, n)
     for check in fields:
         assert sum(b for (c, _), b in draws.items() if c == check) == 60
-    exchanges = {c for c, n, _ in pairs}
+    exchanges = {c for c, n, _ in passes}
     assert exchanges == set(fields) - {"xy_x_rotation_phase"}
-    for (check, n, _), got in pairs.items():
-        assert len({p[:2] for p in got}) == len(got), (check, n, got)
-        assert sum(b for *_, b in got) == draws[check, n], (check, n, got)
-    assert max(len(got) for got in pairs.values()) == 6
+    for (check, n, _), got in passes.items():
+        assert len(got) == 1, (check, n, got)
+    assert max(len(got[0]) for got in passes.values()) == 6
 
 
 def test_combined_distance_of_exact_parts_is_positive_zero():

@@ -241,6 +241,23 @@ def test_check_op_rejects_malformed_pairs_per_draw(kind, i, j, error):
         Circuit(RegisterSpec(3), (GlobalField("x", np.zeros((4, 3))), op))
 
 
+@pytest.mark.parametrize("i, j", [
+    (0, 1.5), (1.0, 2), (0, np.float64(2.0)),  # not integers
+    (True, 2), (0, np.bool_(True)),  # bools, which the arrays refuse too
+])
+@pytest.mark.parametrize("kind", [Exchange, XYExchange])
+def test_check_op_rejects_scalar_spins_that_are_not_integers(kind, i, j):
+    op = kind(i, j, 0.4)
+    with pytest.raises(ValueError):
+        check_op(RegisterSpec(3), op)
+    with pytest.raises(ValueError):
+        Circuit(RegisterSpec(3), (op,))
+    # numpy integers are spins like ints.
+    reg, op = RegisterSpec(3), kind(np.int64(2), np.uint8(0), 0.4)
+    assert np.array_equal(evaluate(Circuit(reg, (op,))),
+                          evaluate(Circuit(reg, (kind(2, 0, 0.4),))))
+
+
 def test_pairs_per_draw_set_the_draw_count_and_are_frozen():
     reg = RegisterSpec(3)
     i, j = np.array([0, 2, 1]), np.array([1, 0, 2])
@@ -256,6 +273,30 @@ def test_pairs_per_draw_set_the_draw_count_and_are_frozen():
     for u in (np.zeros((4, 8, 8), dtype=complex), np.eye(8, dtype=complex)):
         with pytest.raises(ValueError):
             apply_op(u, reg, op)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("kind", [Exchange, XYExchange])
+def test_pairs_per_draw_give_each_draw_the_bits_of_its_own_pair(kind, n):
+    # The gathered pass over every draw's own pair, with a pair in either
+    # order, plays each draw as its scalar-pair op plays that draw's slice
+    # alone, bit for bit: on unitaries and on states, with one angle per
+    # draw and with one angle shared by all.
+    rng = np.random.default_rng(n)
+    reg, draws = RegisterSpec(n), 40
+    i, j = np.array([rng.choice(n, size=2, replace=False)
+                     for _ in range(draws)]).T
+    assert (i < j).any() and (i > j).any()
+    for angles in (rng.uniform(-7, 7, size=draws), float(rng.uniform(-7, 7))):
+        for m in (reg.dim, 1):
+            u = (rng.standard_normal((draws, reg.dim, m))
+                 + 1j * rng.standard_normal((draws, reg.dim, m)))
+            got = apply_op(u.copy(), reg, kind(i, j, angles))
+            for k in range(draws):
+                angle = angles if np.ndim(angles) == 0 else float(angles[k])
+                alone = apply_op(u[k].copy(), reg,
+                                 kind(int(i[k]), int(j[k]), angle))
+                assert np.array_equal(got[k], alone), (m, k)
 
 
 def test_angle_rows_need_a_batch_of_their_size():
