@@ -141,30 +141,65 @@ _PAIR_SUITES = {
 }
 
 
+def _pair_draws(rng, n_angles, bystanders, draws=DRAWS_PER_SUITE) -> list:
+    """The draws rng.integers, choice and uniform give _pair_suite, as [(n,
+    i, j, row)], read off PCG64 raw words; rng ends as after those calls."""
+    bg = rng.bit_generator
+    saved = bg.state
+    has, half, pos, words = saved["has_uint32"], saved["uinteger"], 0, []
+
+    def take(k):  # the next k words; redraws may use up a block
+        nonlocal pos
+        while pos + k > len(words):
+            words.extend(bg.random_raw(
+                draws * (2 + n_angles + 2 * bystanders)).tolist())
+        pos += k
+        return words[pos - k:pos]
+
+    def below(m):  # numpy's Lemire draw on 32-bit halves, low half first
+        nonlocal has, half
+        while True:
+            if has:
+                x, has = half, 0
+            else:
+                has, (half, x) = 1, divmod(*take(1), 1 << 32)
+            if x * m & 0xFFFFFFFF >= (1 << 32) % m:
+                return x * m >> 32
+
+    out = []
+    for _ in range(draws):
+        n = 2 + below(3)
+        a, b = below(n - 1) if n > 2 else 0, below(n)  # Floyd's pair
+        i, j = (a, n - 1 if b == a else b)[::1 if below(2) else -1]
+        out.append((n, i, j, [-3.0 + 6.0 * ((w >> 11) * 2.0 ** -53)
+                              for w in take(n_angles + (n - 2) * bystanders)]))
+    bg.advance(pos - len(words) + 2 ** 128)  # back over the unused words
+    bg.state = {**bg.state, "has_uint32": has, "uinteger": half}
+    return out
+
+
 def _pair_suite(rng, tol, check, builder, n_angles, bystanders) -> tuple:
     """DRAWS_PER_SUITE draws, each a register of 2 to 4 spins, a pair, and
     then its angles in the builder's argument order, bystander angles in
     ascending spin order: the check name and the draws' values and (n, i, j)
     layouts. One builder call per register size, on (B,) pair and angle
     arrays and a (B, n - 2) array of bystander angles, verifies that size's
-    draws, each against its own target and acted spins."""
-    layouts, sizes = [], {}
-    for index in range(DRAWS_PER_SUITE):
-        n = int(rng.integers(2, 5))
-        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-        row = rng.uniform(-3, 3, n_angles + (n - 2 if bystanders else 0))
-        layouts.append((n, i, j))
-        sizes.setdefault(n, []).append((index, i, j, row))
+    draws, each against its own target and acted spins. A draw is n = 2 +
+    below(3), Floyd's pair, reversed if below(2) is 0, and its angles,
+    read off PCG64's raw words, which numpy keeps stable across releases."""
+    draws = _pair_draws(rng, n_angles, bystanders)
     values = np.empty(DRAWS_PER_SUITE)
-    for n, draws in sizes.items():
-        index, i, j, rows = map(np.array, zip(*draws))
+    for n in {d[0] for d in draws}:
+        index = [k for k, d in enumerate(draws) if d[0] == n]
+        i, j, rows = (np.array([draws[k][c] for k in index])
+                      for c in (1, 2, 3))
         args = list(rows[:, :n_angles].T)
         if bystanders:
             args.append(rows[:, n_angles:])
         rep = circuits.verify_target(*getattr(circuits, builder)(
             RegisterSpec(n), i, j, *args), tol)
         values[index] = np.maximum(rep.distance, rep.bystander_deviation)
-    return check, values, layouts
+    return check, values, [d[:3] for d in draws]
 
 
 def _suite_parallel(rng, tol) -> tuple:

@@ -5,23 +5,24 @@ check.
 Eight references are the package's own earlier code paths, kept here once
 the package replaced them, and call the package where those paths did: the
 verify suites run one draw at a time, which call the package's builders
-with floats; the local-z distance with its 2049-point scan evaluated one
-angle at a time and golden-section refinement; final verification's word
-loop, which plays every word on the whole register with the pulse kernel,
-never group by group or part by part and never sharing a prefix between
-words; the unitary digest taken over the whole matrix at once, never row
-block by row block; the full-register loop (play) of identity and apply_op,
-with no planner and no shared prefix; circuits.factor playing every group
-alone through that loop, each 1-spin group on its own register, the groups
-split here, not by the package's planner; the bystander filter's scan,
-which gathers each word's two halves on the first sample as on later ones,
-from halves formed by batched matmul, not by elementwise 2x2 products, and
-scores them by einsum; and the pair filter's scan, which builds both strand
-halves once per word, batch by batch in row order, with matmul products and
-T† folded into the suffix half. A synthesis target is built as the
-Kronecker product of a family draw's pair and bystander gates, against
-final verification's factored parts, which factored_draw_distances scores
-one draw at a time."""
+with floats and draw with one Generator call at a time (pair_draws,
+against cli._pair_draws' raw words); the local-z distance with its
+2049-point scan evaluated one angle at a time and golden-section
+refinement; final verification's word loop, which plays every word on the
+whole register with the pulse kernel, never group by group or part by part
+and never sharing a prefix between words; the unitary digest taken over
+the whole matrix at once, never row block by row block; the full-register
+loop (play) of identity and apply_op, with no planner and no shared
+prefix; circuits.factor playing every group alone through that loop, each
+1-spin group on its own register, the groups split here, not by the
+package's planner; the bystander filter's scan, which gathers each word's
+two halves on the first sample as on later ones, from halves formed by
+batched matmul, not by elementwise 2x2 products, and scores them by
+einsum; and the pair filter's scan, which builds both strand halves once
+per word, batch by batch in row order, with matmul products and T† folded
+into the suffix half. A synthesis target is built as the Kronecker product
+of a family draw's pair and bystander gates, against final verification's
+factored parts, which factored_draw_distances scores one draw at a time."""
 
 import cmath
 import contextlib
@@ -128,6 +129,19 @@ def draw_value(suite, n, i, j, args, tol=1e-10):
     return max(rep.distance, rep.bystander_deviation)
 
 
+def pair_draws(rng, n_angles, bystanders, draws=DRAWS_PER_SUITE):
+    """[(n, i, j, row)] of a pair suite, one Generator call at a time: n
+    spins, the pair (i, j), then row, a tuple of n_angles angles and, with
+    bystanders, one angle per other spin in ascending order."""
+    out = []
+    for _ in range(draws):
+        n = int(rng.integers(2, 5))
+        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+        k = n_angles + (n - 2 if bystanders else 0)
+        out.append((n, i, j, tuple(_angle(rng) for _ in range(k))))
+    return out
+
+
 def verify_draws(seed, suites, tol=1e-10):
     """{suite: [Draw]} for `verify --seed seed`, the suites run in order on
     one generator, in the command's draw order."""
@@ -143,13 +157,11 @@ def verify_draws(seed, suites, tol=1e-10):
                                       draw_value(suite, n, 0, 1, args, tol)))
         else:
             _, n_angles, bystanders = PAIR_SUITES[suite]
-            for _ in range(DRAWS_PER_SUITE):
-                n = int(rng.integers(2, 5))
-                i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-                args = tuple(_angle(rng) for _ in range(n_angles))
+            for n, i, j, row in pair_draws(rng, n_angles, bystanders):
+                args = row[:n_angles]
                 if bystanders:
-                    args += ({k: _angle(rng)
-                              for k in range(n) if k not in (i, j)},)
+                    spins = [k for k in range(n) if k not in (i, j)]
+                    args += (dict(zip(spins, row[n_angles:])),)
                 draws.append(Draw(n, i, j, args,
                                   draw_value(suite, n, i, j, args, tol)))
         out[suite] = draws

@@ -226,6 +226,139 @@ def test_verify_records_keep_their_bits():
     assert oracle.verify_records_digest(range(50)) == VERIFY_RECORDS_SHA256
 
 
+def assert_same_draws(got, want):
+    # Equal layouts as Python ints (worst_draw goes through json.dumps) and
+    # rows equal to the last bit.
+    assert len(got) == len(want)
+    for (n, i, j, row), (n2, i2, j2, row2) in zip(got, want):
+        assert all(type(v) is int for v in (n, i, j))
+        assert (n, i, j) == (n2, i2, j2)
+        assert np.array_equal(row, row2) and len(row) == len(row2)
+
+
+def test_pair_draws_equal_the_generator_calls():
+    # Every pair suite's shape, run in verify's order on one generator per
+    # seed, so that suites start with and without a kept 32-bit half: the
+    # raw-word draws give the per-draw calls' values and leave the
+    # generator in the same state, kept half included.
+    shapes = [spec[2:] for spec in cli._PAIR_SUITES.values()]
+    kept = 0
+    for seed in range(1000):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n_angles, bystanders in shapes:
+            kept += rng.bit_generator.state["has_uint32"]
+            assert_same_draws(cli._pair_draws(rng, n_angles, bystanders),
+                              oracle.pair_draws(ref, n_angles, bystanders))
+            assert rng.bit_generator.state == ref.bit_generator.state, seed
+        assert np.array_equal(rng.uniform(-3, 3, 15), ref.uniform(-3, 3, 15))
+    assert 0 < kept < 5000
+
+
+# PCG64's 128-bit LCG multiplier: a step is s -> s * PCG_MULT + inc.
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def zero_word_state(inc, skip, has_uint32=0):
+    """A PCG64 state dict whose raw word after the next `skip` words is 0:
+    the state after that step has equal 64-bit halves, so XSL-RR outputs
+    0."""
+    s, mask = 0x0123456789ABCDEF * (1 << 64 | 1), (1 << 128) - 1
+    for _ in range(skip + 1):
+        s = (s - inc) * pow(PCG_MULT, -1, 1 << 128) & mask
+    return {"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
+            "has_uint32": has_uint32, "uinteger": 0x9E3779B9 * has_uint32}
+
+
+def generator_at(state):
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = state
+    return rng
+
+
+class Counting:
+    """Forwards every attribute to target and counts each read and write
+    by name in counts; its bit_generator is counted the same way."""
+
+    def __init__(self, target, counts):
+        object.__setattr__(self, "_target", target)
+        object.__setattr__(self, "_counts", counts)
+
+    def __getattr__(self, name):
+        value = getattr(self._target, name)
+        if name == "bit_generator":
+            return Counting(value, self._counts)
+        self._counts[name] = self._counts.get(name, 0) + 1
+        return value
+
+    def __setattr__(self, name, value):
+        self._counts[name] = self._counts.get(name, 0) + 1
+        setattr(self._target, name, value)
+
+
+def test_pair_draws_redraw_zero_halves_as_numpy_does():
+    inc = np.random.default_rng(5).bit_generator.state["state"]["inc"]
+    assert generator_at(zero_word_state(inc, 0)).bit_generator.random_raw() == 0
+    # integers(2, 5) rejects both zero halves and reads a third word: its
+    # draw leaves the generator two raw words on.
+    rng = generator_at(zero_word_state(inc, 0))
+    rng.integers(2, 5)
+    twin = generator_at(zero_word_state(inc, 0))
+    twin.bit_generator.random_raw(2)
+    assert (rng.bit_generator.state["state"]
+            == twin.bit_generator.state["state"])
+    # A zero word at each of the first words, read as a half or as an
+    # angle, with and without a kept half on entry.
+    for n_angles, bystanders in {spec[2:] for spec in
+                                 cli._PAIR_SUITES.values()}:
+        for skip in range(12):
+            for has in (0, 1):
+                state = zero_word_state(inc, skip, has)
+                rng, ref = generator_at(state), generator_at(state)
+                assert_same_draws(cli._pair_draws(rng, n_angles, bystanders),
+                                  oracle.pair_draws(ref, n_angles, bystanders))
+                assert rng.bit_generator.state == ref.bit_generator.state
+    # One draw with no bystander angles is sized 2 + n_angles words; a
+    # zero first word makes it read 3 + n_angles, so a second block is
+    # taken, and the generator still ends where the calls leave it.
+    for n_angles in (1, 3):
+        counts = {}
+        rng = generator_at(zero_word_state(inc, 0))
+        ref = generator_at(zero_word_state(inc, 0))
+        assert_same_draws(cli._pair_draws(Counting(rng, counts), n_angles,
+                                          False, draws=1),
+                          oracle.pair_draws(ref, n_angles, False, draws=1))
+        assert counts["random_raw"] == 2
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_verify_makes_a_few_generator_calls_per_pair_suite(capsys,
+                                                           monkeypatch):
+    # Each pair suite reads its draws off one block of raw words: a few
+    # Generator and bit-generator calls, not three or more per draw. The
+    # counted run prints the same records.
+    code, plain, _ = run_cli(capsys, "verify", "--format", "json-lines")
+    counts, per_suite = {}, []
+    make, real_suite = np.random.default_rng, cli._pair_suite
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: Counting(make(seed), counts))
+
+    def suite(*args):
+        before = sum(counts.values())
+        try:
+            return real_suite(*args)
+        finally:
+            per_suite.append(sum(counts.values()) - before)
+
+    monkeypatch.setattr(cli, "_pair_suite", suite)
+    code2, counted, _ = run_cli(capsys, "verify", "--format", "json-lines")
+    assert code == code2 == 0
+    checks = lambda out: [r for r in json_lines(out) if r["kind"] == "check"]
+    assert checks(counted) == checks(plain)
+    assert len(per_suite) == len(cli._PAIR_SUITES)
+    assert all(k <= 6 for k in per_suite), per_suite
+    assert "integers" not in counts and "choice" not in counts
+
+
 def test_verify_stage_records_tile_its_suites(capsys, monkeypatch):
     # One stage per suite in VERIFY_SUITES order: its draws in, the draws
     # within --tol out (the per-draw loops' count), and seconds between
