@@ -30,6 +30,7 @@ import hashlib
 import io
 import json
 import math
+import resource
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -186,18 +187,42 @@ def verify_records_digest(seeds) -> str:
     """
     digest = hashlib.sha256()
     for seed in seeds:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["verify", "--suite", "all", "--seed", str(seed),
-                             "--format", "json-lines"])
-        assert code == 0, (seed, code)
-        for line in filter(str.strip, out.getvalue().splitlines()):
+        for line in filter(str.strip, _verify_all(seed).splitlines()):
             r = json.loads(line)
             if r["kind"] == "check":
                 worst = json.dumps(r["worst_draw"], sort_keys=True)
                 digest.update(
                     f"{r['name']} {r['measured']!r} {worst}\n".encode())
     return digest.hexdigest()
+
+
+def _verify_all(seed) -> str:
+    """The output of `verify --suite all --seed seed --format json-lines`,
+    run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--suite", "all", "--seed", str(seed),
+                         "--format", "json-lines"])
+    assert code == 0, (seed, code)
+    return out.getvalue()
+
+
+def verify_minor_faults(seeds) -> float:
+    """Mean minor page faults (ru_minflt) per in-process `verify --suite
+    all` call over seeds, after three warm-up calls at the first seed. The
+    count depends on the allocator and its trim threshold, so no tier-1 test
+    pins it; over seeds 100-129, from the root of a checkout:
+
+        PYTHONPATH=src:tests python -c "import oracle; print(oracle.verify_minor_faults(range(100, 130)))"
+    """
+    seeds = list(seeds)
+    for _ in range(3):
+        _verify_all(seeds[0])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for seed in seeds:
+        _verify_all(seed)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            - before) / len(seeds)
 
 
 def local_z_aligned_distance(u, target, n_spins, i, j):

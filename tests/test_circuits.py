@@ -194,6 +194,80 @@ def test_verify_target_dimension_mismatch():
         verify_target(c, t, 1e-10)
 
 
+def test_exact_verification_holds_no_difference_stack():
+    # The EXACT distance subtracts the target into the evaluated stack:
+    # a (15, 64, 64) difference beside it was 983 KB more, and pushed
+    # verify's heap past the allocator's trim threshold on every call.
+    # verify's parallel check: the controlled phase on three pairs for 15
+    # template angles, against its joined target.
+    angles = np.random.default_rng(39).uniform(-3, 3, 15)
+    template, pair = cir.controlled_phase_circuit(REG2, 0, 1, angles)
+    pairs = ((0, 1), (2, 3), (4, 5))
+    c = parallel_apply(template, pairs, RegisterSpec(6))
+    t = GateTarget(cir.join(tuple((p, pair.unitary) for p in pairs)),
+                   frozenset(range(6)), Equivalence.EXACT)
+    stack_bytes = 15 * 64 * 64 * 16
+    want = cir.max_abs_per_draw(evaluate(c) - t.unitary)
+    tracemalloc.start()
+    try:
+        rep = verify_target(c, t, 1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * stack_bytes, peak / stack_bytes
+    assert rep.passed and np.array_equal(rep.distance, want)
+
+
+def test_verify_target_writes_none_of_its_inputs():
+    # The in-place subtraction writes only evaluate's fresh stack: a shared
+    # target, a per-draw stack and a read-only target keep their bytes, a
+    # second call reports the same, and an empty circuit is the identity.
+    angles = np.array([0.1, -0.7, 2.3])
+    c, t = cir.controlled_phase_circuit(REG3, 0, 2, angles, {1: angles})
+    shared = t.unitary.copy()
+    frozen = t.unitary.copy()
+    frozen.flags.writeable = False
+    for target in (shared, np.stack([shared] * 3), frozen):
+        kept = target.copy()
+        gt = GateTarget(target, t.acted_spins, Equivalence.EXACT)
+        first, second = verify_target(c, gt, 1e-10), verify_target(c, gt,
+                                                                   1e-10)
+        assert np.array_equal(target, kept)
+        assert first.passed and np.array_equal(first.distance,
+                                                second.distance)
+        assert np.array_equal(first.bystander_deviation,
+                              second.bystander_deviation)
+    rep = verify_target(Circuit(REG3, ()), GateTarget(
+        np.eye(8), frozenset(range(3)), Equivalence.EXACT), 1e-15)
+    assert rep.passed and rep.distance == 0.0
+
+
+def test_bystander_check_reads_the_stack_before_the_subtraction():
+    # Each draw's bystander deviation is the commutators of its evaluated
+    # unitary, not of that unitary minus its target. The controlled phase's
+    # target commutes with its bystanders' S^z and S^x, so the draws would
+    # agree either way; a dense target that does not pins the order.
+    rng = np.random.default_rng(40)
+    for n in (3, 4):
+        reg = RegisterSpec(n)
+        i = rng.integers(0, n, 40)
+        j = (i + rng.integers(1, n, 40)) % n
+        angles = rng.uniform(-3, 3, 40)
+        c, t = cir.controlled_phase_circuit(reg, i, j, angles,
+                                            rng.uniform(-3, 3, (40, n - 2)))
+        u = evaluate(c)
+        want = np.zeros(40)
+        for k in range(n):
+            by = (i != k) & (j != k)
+            want[by] = np.maximum(want[by], cir._commutator_deviation(
+                u[by], reg, k))
+        dense = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
+        for target in (t.unitary, dense):
+            rep = verify_target(c, GateTarget(target, t.acted_spins,
+                                              Equivalence.EXACT), 1e-10)
+            assert np.array_equal(rep.bystander_deviation, want), n
+
+
 def test_xy_x_rotation_identity():
     rng = np.random.default_rng(3)
     for _ in range(25):
