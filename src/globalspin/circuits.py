@@ -10,16 +10,16 @@ bystander of that op, so the spins split into groups no exchange links.
 One planner, _parts, splits a circuit into parts: from FACTOR_MIN_SPINS
 spins up each such group on its own 2^|g| register, and all 1-spin groups,
 which only fields reach, in one batch; below that, and for one group, the
-full register. One player, _play_runs, plays the parts of factor, evaluate
-and evaluate_each. join multiplies the parts out by one broadcast product;
-a digest multiplies out only the entries that survive its rounding.
-evaluate_each gives evaluate's unitary of each of several circuits, bit
-for bit and one at a time; a circuit played on its whole register resumes
-from the leading ops it shares with the one before it, keeping only the
-states a later circuit resumes from; synthesis verifies its 2- and 1-spin
-parts through it. Builders return the circuit with its intended gate
-target, so one verification path covers hand-built and synthesized ones;
-a target is built once, on its first read, from inputs frozen at the call.
+full register. One player, _play, a plain loop of the kernel, plays each
+part. join multiplies the parts out by one broadcast product; a digest
+multiplies out only the entries that survive its rounding. evaluate_each
+gives evaluate's unitary of each of several circuits, bit for bit and one
+at a time; each play resumes along the states (one per op) of the last
+play of its width and draws, so circuits in sorted op order play each
+distinct prefix once. Synthesis verifies its 2- and 1-spin parts through
+it. Builders return the circuit with its intended gate target, so one
+verification path covers hand-built and synthesized ones; a target is
+built once, on its first read, from inputs frozen at the call.
 
 A circuit's ops may hold per-draw angles ((B, n) field rows, (B,)
 exchange angles) and pairs ((B,) spin arrays) next to shared ones. The
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
@@ -144,16 +143,18 @@ def evaluate(c: Circuit) -> np.ndarray:
     """Ordered product of the ops' unitaries; first op acts first. For a
     circuit of B draws, the (B, 2^n, 2^n) stack of the draws' products:
     the join of factor(c), or its one part."""
-    return next(evaluate_each([c]))
+    parts = factor(c)
+    return parts[0][1] if len(parts) == 1 else join(parts)
 
 
 def evaluate_each(circuits: Sequence[Circuit]) -> Iterator[np.ndarray]:
     """evaluate(c) for each circuit in turn, bit for bit, handed out one at
-    a time. A circuit played on its whole register resumes from the leading
-    ops (the same objects) it shares with the last one of its width and
-    draws, so circuits in sorted op order play each distinct prefix once.
-    Only the states that a later circuit resumes from are kept."""
-    for parts in _factor_each(circuits):
+    a time. Each part resumes along the path of the last part played on its
+    width and draws, after the leading ops (the same objects) they share, so
+    circuits in sorted op order play each distinct prefix once."""
+    paths = {}
+    for c in circuits:
+        parts = _factor(c, None, paths)
         yield parts[0][1] if len(parts) == 1 else join(parts)
 
 
@@ -162,26 +163,19 @@ def factor(c: Circuit, groups: Optional[Sequence] = None) -> tuple:
     c played on each ascending group of spins that its exchanges link (or
     of the coarser partition given), or on the whole register for one
     group or below FACTOR_MIN_SPINS spins."""
-    return next(_factor_each([c], groups))
+    return _factor(c, groups)
 
 
-def _factor_each(circuits: Sequence[Circuit],
-                 groups: Optional[Sequence] = None) -> Iterator[tuple]:
-    """factor(c, groups) for each circuit in turn: one _play_runs per
-    register width and draw count plays the entries of _parts, and a lone
-    spin batch is split into its parts."""
-    plans = [_parts(c, groups) for c in circuits]
-    runs = {}
-    for _, key, ops in itertools.chain(*plans):
-        runs.setdefault(key, []).append(ops)
-    players = {key: _play_runs(RegisterSpec(key[0]), key[1], r)
-               for key, r in runs.items()}
-    for c, plan in zip(circuits, plans):
-        lead, parts = (c.draws,) if c.draws else (), []
-        for gs, key, _ in plan:
-            u = next(players[key])
-            parts += zip(gs, u.reshape((len(gs),) + lead + u.shape[-2:]))
-        yield tuple(parts)
+def _factor(c: Circuit, groups, paths: Optional[dict] = None) -> tuple:
+    """factor(c, groups): _play plays each entry of _parts, along paths'
+    path of its (spins, draws) if paths are given, and a lone spin batch is
+    split into its parts."""
+    lead, parts = (c.draws,) if c.draws else (), []
+    for gs, key, ops in _parts(c, groups):
+        path = None if paths is None else paths.setdefault(key, [])
+        u = _play(RegisterSpec(key[0]), key[1], ops, path)
+        parts += zip(gs, u.reshape((len(gs),) + lead + u.shape[-2:]))
+    return tuple(parts)
 
 
 def _parts(c: Circuit, groups: Optional[Sequence] = None) -> list:
@@ -209,36 +203,23 @@ def _parts(c: Circuit, groups: Optional[Sequence] = None) -> list:
         for g in sorted((tuple(g) for g in groups if len(g) > 1), key=len)]
 
 
-def _play_runs(reg: RegisterSpec, draws: Optional[int],
-               runs: Sequence) -> Iterator[np.ndarray]:
-    """The ops of each run folded into one running unitary (or one per
-    draw) on reg, run after run. A run resumes from the state after the
-    leading ops it shares with the run before it. A run keeps a copy of its
-    state where a later run will resume and no run between plays through;
-    it plays a kept state in place once the next run does not resume from
-    it, so only the states of open branches are held."""
-    # How many leading ops (the same objects) each run shares with the next.
-    shared = [next((d for d, (x, y) in enumerate(zip(a, b)) if x is not y),
-                   min(len(a), len(b))) for a, b in zip(runs, runs[1:])] + [0]
-    saved = []  # (depth, state) that a later run resumes from, deepest last
-    for k, ops in enumerate(runs):
-        while saved and saved[-1][0] > (shared[k - 1] if k else 0):
-            saved.pop()
-        if not saved:
-            depth, u = 0, identity(reg, draws)
-        elif saved[-1][0] > shared[k]:
-            depth, u = saved.pop()
-        else:
-            depth, u = saved[-1][0], saved[-1][1].copy()
-        keep = set(itertools.takewhile(
-            lambda m: m > depth, itertools.accumulate(
-                map(shared.__getitem__, range(k, len(shared))), min)))
-        for d in range(depth, len(ops) + 1):
-            if d in keep:
-                saved.append((d, u.copy()))
-            if d < len(ops):
-                apply_op(u, reg, ops[d])
-        yield u
+def _play(reg: RegisterSpec, draws: Optional[int], ops: Sequence,
+          path: Optional[list] = None) -> np.ndarray:
+    """The ops folded into one running unitary (or one per draw) on reg, as
+    a fresh array. path, if given, is a list of (op, state after it) from
+    the last play: the play resumes after the leading ops (the same
+    objects) it shares with path, and leaves path holding its own states."""
+    done = 0
+    if path is not None:
+        while done < min(len(ops), len(path)) and ops[done] is path[done][0]:
+            done += 1
+        del path[done:]
+    u = path[done - 1][1].copy() if done else identity(reg, draws)
+    for op in ops[done:]:
+        apply_op(u, reg, op)
+        if path is not None:
+            path.append((op, u.copy()))
+    return u
 
 
 def _on(g: tuple, op):
@@ -635,7 +616,8 @@ def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Cir
     pair; exchange steps are emitted per pair and commute, so the circuit
     equals the tensor product of the per-pair gate. The template's per-draw
     angles ride along, so on one pair or more a template of B draws gives a
-    circuit of B draws. Each pair is checked as an exchange's is.
+    circuit of B draws. Each pair is checked as an exchange's is; a
+    template exchange with per-draw pairs is refused.
     """
     if template.register.n_spins != 2:
         raise ValueError("template must act on a register of 2")
@@ -647,7 +629,7 @@ def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Cir
                 raise ValueError(f"spin {s} appears in two pairs")
             seen.add(s)
     ops = []
-    for op in template.ops:
+    for k, op in enumerate(template.ops):
         if isinstance(op, GlobalField):
             # Per template spin, a float or a (B,) column of per-draw angles.
             a_0, a_1 = np.transpose(op.angles)
@@ -656,6 +638,9 @@ def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Cir
                 vec[p] = a_0
                 vec[q] = a_1
             ops.append(GlobalField(op.axis, _field_angles(vec)))
+        elif isinstance(op.i, np.ndarray) or isinstance(op.j, np.ndarray):
+            raise ValueError(f"template op {k} ({type(op).__name__}) has a "
+                             f"pair per draw")
         else:
             for p, q in pairs:
                 ops.append(replace(op, i=p if op.i == 0 else q,

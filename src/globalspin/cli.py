@@ -233,8 +233,7 @@ def cmd_verify(args) -> RunReport:
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
-    checks, stages = [], []
-    t = synth.clock()
+    checks, stages = [], synth.Stages()
     for name in names:
         check, values, layouts = (
             _suite_parallel(rng, args.tol) if name == "parallel"
@@ -244,14 +243,10 @@ def cmd_verify(args) -> RunReport:
         n, i, j, worst = *layouts[k], float(values[k])
         checks.append(CheckResult(check, worst, args.tol, worst <= args.tol,
                                   {"index": k, "n": n, "i": i, "j": j}))
-        now = synth.clock()
-        stages.append(synth.StageRecord(
-            check, len(values), int((values <= args.tol).sum()),
-            *np.subtract(now, t).tolist()))
-        t = now
+        stages.mark(check, len(values), int((values <= args.tol).sum()))
     return RunReport(command="verify", seed=args.seed, inputs=(),
                      checks=tuple(checks), wall_time_s=0.0,
-                     stages=tuple(stages))
+                     stages=stages.records)
 
 
 def cmd_synthesize(args) -> RunReport:
@@ -341,26 +336,17 @@ def cmd_device(args) -> RunReport:
 
 def cmd_schedule(args) -> RunReport:
     geom, name, geom_entry = _load_geometry(args)
-    checks, stages = [], []
-    t = synth.clock()
-
-    def stage(label, n_in, n_out):
-        nonlocal t
-        now = synth.clock()
-        stages.append(synth.StageRecord(label, n_in, n_out,
-                                        *np.subtract(now, t).tolist()))
-        t = now
-
+    checks, stages = [], synth.Stages()
     if args.simulate_only:
         s, entry = _read_input(args.input, sched.schedule_from_text, geom)
         u = sched.simulate_schedule(s)
-        stage("replay", len(s.events), 1)
+        stages.mark("replay", len(s.events), 1)
     else:
         c, entry = _read_input(args.input, circuits.circuit_from_text)
         s = sched.compile_schedule(c, geom,
                                    exchange_duration=args.exchange_ns * 1e-9,
                                    geometry_name=name)
-        stage("compile", len(c.ops), len(s.events))
+        stages.mark("compile", len(c.ops), len(s.events))
         # Check and digest the schedule as serialized: the check then sees
         # what was written, and the digest is the number a later
         # --simulate-only run on the written file prints.
@@ -370,22 +356,22 @@ def cmd_schedule(args) -> RunReport:
         u = sched.simulate_schedule(s, c)
         d = circuits.factored_distance(u, circuits.factor(c, [g for g, _ in u]))
         checks.append(_bounded_check("round_trip_distance", d, TOL_COMPILED))
-        stage("replay_check", len(s.events), int(d <= TOL_COMPILED))
+        stages.mark("replay_check", len(s.events), int(d <= TOL_COMPILED))
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
             checks.append(_value("schedule_file", args.out))
-        stage("write", len(s.events), len(s.events) if args.out else 0)
+        stages.mark("write", len(s.events), len(s.events) if args.out else 0)
     checks.append(_value("events", len(s.events)))
     checks.append(_value("total_time_us", s.total_time * 1e6))
     checks.append(_value("unitary_digest", sched.unitary_digest(u)))
-    stage("digest", 1, 1)
+    stages.mark("digest", 1, 1)
     for item in sched.validate_schedule(s).checks:
         checks.append(CheckResult(item.name, 1.0 if item.ok else 0.0, 1.0,
                                   item.ok, detail=item.detail))
     return RunReport(command="schedule", seed=None,
                      inputs=(geom_entry, entry), checks=tuple(checks),
-                     wall_time_s=0.0, stages=tuple(stages))
+                     wall_time_s=0.0, stages=stages.records)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -38,8 +38,9 @@ pair plays on a (B, 4, 4) stack and every bystander of every draw on one
 stack of B·(n - 2) 1-spin draws, each part is scored against its own
 gates, and circuits.combined_distance joins them: no pulse plays on more
 than 2 spins. circuits.evaluate_each plays each part's distinct words in
-sorted order, so a prefix they share is played once. The worst distance
-over every draw is reported with its index.
+sorted order, each resuming along the states of the word before, so a
+prefix they share is played once. The worst distance over every draw is
+reported with its index.
 
 The Hadamard search fits the (structure, start) members of one length in
 batched Levenberg-Marquardt solves (minimize), on numpy alone.
@@ -199,6 +200,22 @@ class StageRecord:
 def clock() -> tuple:
     """A stage mark: (time.perf_counter(), time.process_time())."""
     return time.perf_counter(), time.process_time()
+
+
+class Stages:
+    """A run's StageRecords in order. The recorder is made at a clock()
+    mark, each mark closes the stage since the one before, and elapsed_s
+    is the wall time from the first mark to the last."""
+
+    def __init__(self) -> None:
+        self.first = self.last = clock()
+        self.records, self.elapsed_s = (), 0.0
+
+    def mark(self, name: str, n_in: int, n_out: int) -> None:
+        now = clock()
+        self.records += (StageRecord(name, n_in, n_out,
+                                     *np.subtract(now, self.last).tolist()),)
+        self.last, self.elapsed_s = now, now[0] - self.first[0]
 
 
 @dataclass(frozen=True)
@@ -637,9 +654,10 @@ def _draw_distances(problem: SynthesisProblem, table: tuple,
     phase distance on problem.verify_spins spins for every draw of the
     table. Each part plays the distinct words it sees (a bystander's drop
     the exchanges) once, as circuits whose slots are the part's op objects,
-    in sorted op order, so evaluate_each plays each distinct prefix once;
-    combined_distance joins the parts. A part with no field letter plays
-    one matrix, which every draw shares."""
+    in sorted op order. evaluate_each then plays each distinct prefix once,
+    holding one state per op of the last word; combined_distance joins the
+    parts. A part with no field letter plays one matrix, which every draw
+    shares."""
     ex, n_draws, parts = Exchange(0, 1, problem.xi), len(table[0][2]), []
     for reg, fields, gates in table:
         words = [tuple(x for x in letters if x is not None or reg.n_spins == 2)
@@ -670,7 +688,7 @@ def enumerate_sequences(problem: SynthesisProblem,
     bounds words x placements, and then survivors x placements x terms;
     MAX_LENGTH is checked before any draw.
     """
-    marks = [clock()]
+    stages = Stages()
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if not problem.alphabet:
@@ -718,14 +736,14 @@ def enumerate_sequences(problem: SynthesisProblem,
     needed = max(survivors.size, _PAIR_CHUNK) * n_placements * terms
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    marks.append(clock())
+    stages.mark("bystander_scan", words_total, int(survivors.size))
 
     placements = list(itertools.combinations(range(length), k))
     words = _word_digits(survivors, n_field, n_letters)
     candidates = [(words[row], placements[p])
                   for row, p in _pair_scan(words, pair_factors, pair_targets,
                                            weights, length, k)]
-    marks.append(clock())
+    stages.mark("pair_scan", int(survivors.size), len(candidates))
 
     # Each letter's pair matrix on the first sample, then the exchange's, is
     # hashed once; sequences alike in these classes slot by slot collapse.
@@ -744,7 +762,7 @@ def enumerate_sequences(problem: SynthesisProblem,
     kept = sorted((_slot_letters(word, slots, problem.length)
                    for word, slots in unique.values()),
                   key=lambda s: [0 if x is None else 1 + x for x in s])
-    marks.append(clock())
+    stages.mark("dedup", len(candidates), len(kept))
 
     labels = problem.labels
     solutions = []
@@ -757,19 +775,12 @@ def enumerate_sequences(problem: SynthesisProblem,
                 letters=tuple("EX" if x is None else labels[x]
                               for x in letters),
                 max_distance=float(dists[worst]), worst_draw=worst))
-    marks.append(clock())
-    funnel = (words_total, int(survivors.size), len(candidates), len(kept),
-              len(solutions))
-    stages = tuple(
-        StageRecord(name, funnel[k], funnel[k + 1], *np.subtract(
-            marks[k + 1], marks[k]).tolist())
-        for k, name in enumerate(("bystander_scan", "pair_scan", "dedup",
-                                  "verification")))
+    stages.mark("verification", len(kept), len(solutions))
     stats = SearchStats(words_total=words_total, placements=n_placements,
                         bystander_survivors=int(survivors.size),
                         pair_candidates=len(candidates),
                         deduplicated=len(kept), verified=len(solutions),
-                        elapsed_s=marks[-1][0] - marks[0][0], stages=stages)
+                        elapsed_s=stages.elapsed_s, stages=stages.records)
     return SynthesisResult(problem_name=problem.name,
                            solutions=tuple(solutions),
                            stats=stats)
@@ -1037,7 +1048,7 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
     _HADAMARD_BUDGET, raise ValueError. n_minimize counts the members
     optimized, nfev their evaluations; stages has a StageRecord per length.
     """
-    t0 = clock()
+    stages = Stages()
     ratios = {}
     for axis in ("z", "x"):
         ratios[axis] = tuple(float(v) for v in profiles.get(axis, ()))
@@ -1062,7 +1073,7 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
     structures = _hadamard_structures(depth)
     searched = [(i, s) for i, s in enumerate(structures) if s <= s[::-1]]
 
-    best, nfev, stages, mark = (math.inf, "", ()), 0, [], t0
+    best, nfev = (math.inf, "", ()), 0
     for n in range(1, depth + 1):
         group = [(i, s, start) for i, s in searched if len(s) == n
                  for start in range(starts)]
@@ -1086,10 +1097,8 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
                     break
             if best[0] <= tolerance:
                 break
-        now = clock()  # the chunks run hold c + len(chunk) members
-        stages.append(StageRecord(f"length_{n}", c + len(chunk), n_out,
-                                  *np.subtract(now, mark).tolist()))
-        mark = now
+        # The chunks run hold c + len(chunk) members.
+        stages.mark(f"length_{n}", c + len(chunk), n_out)
         if best[0] <= tolerance:
             break
     return HadamardSearchReport(
@@ -1097,5 +1106,5 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
         parameters=best[2], depth=depth, starts=starts,
         n_structures=len(searched), tolerance=tolerance,
         profiles=(("z", az), ("x", ax)),
-        n_minimize=sum(st.n_in for st in stages), nfev=nfev,
-        elapsed_s=time.perf_counter() - t0[0], stages=tuple(stages))
+        n_minimize=sum(st.n_in for st in stages.records), nfev=nfev,
+        elapsed_s=stages.elapsed_s, stages=stages.records)

@@ -940,6 +940,31 @@ def test_shared_prefix_player_plays_each_prefix_once(monkeypatch):
     assert len(played) == len(prefixes) < sum(len(c.ops) for c in cs)
 
 
+@pytest.mark.parametrize("n, draws", [(3, None), (3, 3),
+                                      (cir.FACTOR_MIN_SPINS, 3)])
+def test_player_hands_out_fresh_writable_arrays(n, draws):
+    # verify_target subtracts into evaluate's array, so each array handed
+    # out is the caller's own: filling it with NaN changes no later result.
+    # The same circuit twice in a row resumes at its end, and the circuit
+    # with no ops after a long one starts from the identity.
+    cs = shared_prefix_set(np.random.default_rng(7), n, draws)
+    long = max((c for c in cs if c.draws is None), key=lambda c: len(c.ops))
+    empty = Circuit(long.register, ())
+    order = cs + [cs[-2], cs[-2], long, long, empty, long, empty, empty]
+    want = [evaluate(c) for c in order]
+    seen = []
+    for c, w, u in zip(order, want, cir.evaluate_each(order), strict=True):
+        assert u.flags.writeable and np.array_equal(u, w), c
+        assert not any(np.shares_memory(u, v) for v in seen + want)
+        u[...] = np.nan
+        seen.append(u)
+    for c, w in zip(order, want):
+        u = evaluate(c)
+        assert u.flags.writeable and np.array_equal(u, w), c
+        u[...] = np.nan
+    assert all(np.array_equal(evaluate(c), w) for c, w in zip(order, want))
+
+
 def test_player_over_thousands_of_runs_equals_evaluate_bit_for_bit():
     # 3000 one-op circuits from a pool of 40 ops: neighbours that share
     # their op are runs that resume and keep states far along the list.
@@ -1025,6 +1050,11 @@ def test_parallel_apply_rejects_bad_pairs():
         parallel_apply(template, ((-1, 0),), REG3)
     with pytest.raises(ValueError):
         parallel_apply(Circuit(REG3, ()), ((0, 1),), REG4)
+    per_draw, _ = cir.swap_conjugation(REG2, np.array([0, 1]), np.array([1, 0]),
+                                       np.ones(2), np.zeros(2))
+    with pytest.raises(ValueError,
+                       match=r"^template op 0 \(Exchange\) has a pair per draw$"):
+        parallel_apply(per_draw, ((0, 1),), REG4)
 
 
 def euler_recompose(delta, alpha, beta, gamma):

@@ -5,7 +5,7 @@ scipy, which only the tests and the benchmark use as an oracle. The AST
 scans below keep every import in the package free of scipy, and every
 module-level import in the package and the tests in use.
 Circuits are played in one module, circuits, and there in one loop,
-_play_runs, which factor, evaluate and evaluate_each all go through: no
+_play, which factor, evaluate and evaluate_each all go through: no
 other module of the package reaches for the pulse kernel or its identity
 stack, and no other function of circuits calls them. A hash is fed in one
 function, linalg.update_phase_normalized, so one routine decides the bytes
@@ -133,7 +133,7 @@ def test_only_circuits_plays_the_kernel(path):
 
 
 def test_circuits_plays_the_kernel_in_one_loop():
-    # In circuits, _play_runs alone calls the kernel and its identity
+    # In circuits, _play alone calls the kernel and its identity
     # stack, once each; a call anywhere else, or an alias of either name,
     # is one use too many.
     tree = _parse(SRC / "circuits.py")
@@ -146,8 +146,7 @@ def test_circuits_plays_the_kernel_in_one_loop():
              if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in PLAYERS]
-    assert sorted(calls) == [("_play_runs", "apply_op"),
-                             ("_play_runs", "identity")]
+    assert sorted(calls) == [("_play", "apply_op"), ("_play", "identity")]
     assert len(uses) == len(calls)
 
 

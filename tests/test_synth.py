@@ -359,6 +359,32 @@ def test_wide_verification_matches_the_full_register_loop(bundled, monkeypatch,
         assert abs(g.max_distance - w.max_distance) <= 1e-13
 
 
+def test_verification_plays_each_distinct_prefix_once(bundled, rotation_seed0,
+                                                     monkeypatch):
+    # On 2 spins the pair plays every word; on 1 spin the bystanders play
+    # it without its exchanges. Each part's kernel calls are its distinct
+    # nonempty prefixes, counted here from the 48 solutions alone.
+    p = bundled("z_difference_rotation")
+    sequences = [synth._slot_letters(solution_word(p, sol), sol.exchange_slots,
+                                     p.length)
+                 for sol in rotation_seed0.solutions]
+    words = {2: sequences,
+             1: [[x for x in s if x is not None] for s in sequences]}
+    want = {n: len({tuple(w[:d]) for w in part for d in range(1, len(w) + 1)})
+            for n, part in words.items()}
+    calls = {1: 0, 2: 0}
+    real = circuits.apply_op
+
+    def counting(u, reg, op):
+        calls[reg.n_spins] += 1
+        return real(u, reg, op)
+
+    monkeypatch.setattr(circuits, "apply_op", counting)
+    table = synth._verify_table(p, p.verify_samples, 1_000_003)
+    assert len(list(synth._draw_distances(p, table, sequences))) == 48
+    assert calls == want == {2: 303, 1: 131}
+
+
 def replay_worst_draw(p, sol, seed):
     """Draw number sol.worst_draw of the seed, rebuilt and scored alone."""
     rng = np.random.default_rng(seed)
