@@ -12,14 +12,13 @@ spins up each such group on its own 2^|g| register, and all 1-spin groups,
 which only fields reach, in one batch; below that, and for one group, the
 full register. One player, _play, a plain loop of the kernel, plays each
 part. join multiplies the parts out by one broadcast product; a digest
-multiplies out only the entries that survive its rounding. evaluate_each
-gives evaluate's unitary of each of several circuits, bit for bit and one
-at a time; each play resumes along the states (one per op) of the last
-play of its width and draws, so circuits in sorted op order play each
-distinct prefix once. Synthesis verifies its 2- and 1-spin parts through
-it. Builders return the circuit with its intended gate target, so one
-verification path covers hand-built and synthesized ones; a target is
-built once, on its first read, from inputs frozen at the call.
+multiplies out only the entries that survive its rounding. Given a path
+(the states, one per op, of the last play on one register and draw
+count), _play resumes after the ops it shares with it; synthesis's
+verification keeps one such path per part, and factor none. Builders
+return the circuit with its intended gate target, so one verification
+path covers hand-built and synthesized ones; a target is built once, on
+its first read, from inputs frozen at the call.
 
 A circuit's ops may hold per-draw angles ((B, n) field rows, (B,)
 exchange angles) and pairs ((B,) spin arrays) next to shared ones. The
@@ -42,7 +41,7 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -147,39 +146,20 @@ def evaluate(c: Circuit) -> np.ndarray:
     return parts[0][1] if len(parts) == 1 else join(parts)
 
 
-def evaluate_each(circuits: Sequence[Circuit]) -> Iterator[np.ndarray]:
-    """evaluate(c) for each circuit in turn, bit for bit, handed out one at
-    a time. Each part resumes along the path of the last part played on its
-    width and draws, after the leading ops (the same objects) they share, so
-    circuits in sorted op order play each distinct prefix once."""
-    paths = {}
-    for c in circuits:
-        parts = _factor(c, None, paths)
-        yield parts[0][1] if len(parts) == 1 else join(parts)
-
-
 def factor(c: Circuit, groups: Optional[Sequence] = None) -> tuple:
     """c's unitary as parts ((group, unitary), ...), smallest group first:
     c played on each ascending group of spins that its exchanges link (or
     of the coarser partition given), or on the whole register for one
     group or below FACTOR_MIN_SPINS spins."""
-    return _factor(c, groups)
-
-
-def _factor(c: Circuit, groups, paths: Optional[dict] = None) -> tuple:
-    """factor(c, groups): _play plays each entry of _parts, along paths'
-    path of its (spins, draws) if paths are given, and a lone spin batch is
-    split into its parts."""
     lead, parts = (c.draws,) if c.draws else (), []
-    for gs, key, ops in _parts(c, groups):
-        path = None if paths is None else paths.setdefault(key, [])
-        u = _play(RegisterSpec(key[0]), key[1], ops, path)
+    for gs, n, draws, ops in _parts(c, groups):
+        u = _play(RegisterSpec(n), draws, ops)
         parts += zip(gs, u.reshape((len(gs),) + lead + u.shape[-2:]))
     return tuple(parts)
 
 
 def _parts(c: Circuit, groups: Optional[Sequence] = None) -> list:
-    """c's parts as entries (groups, (spins, draws), ops), ops on a register
+    """c's parts as entries (groups, spins, draws, ops), ops on a register
     of that many spins: the whole register below FACTOR_MIN_SPINS spins or
     for one group; else the k 1-spin groups as one batch of k·B draws (B = 1
     without draws), a field's angles its (k·B, 1) rows, then each larger
@@ -188,16 +168,16 @@ def _parts(c: Circuit, groups: Optional[Sequence] = None) -> list:
     if n >= FACTOR_MIN_SPINS and groups is None:
         groups = _exchange_groups(n, c.ops)
     if n < FACTOR_MIN_SPINS or len(groups) < 2:
-        return [((tuple(range(n)),), (n, c.draws), c.ops)]
+        return [((tuple(range(n)),), n, c.draws, c.ops)]
     lone = [g[0] for g in groups if len(g) == 1]
     k, lead = len(lone), (c.draws,) if c.draws else ()
-    batch = [(tuple((s,) for s in lone), (1, k * (c.draws or 1)), [
+    batch = [(tuple((s,) for s in lone), 1, k * (c.draws or 1), [
         GlobalField(op.axis, np.broadcast_to(np.asarray(op.angles)[..., lone],
                                              lead + (k,)).T.reshape(-1, 1))
         for op in c.ops if isinstance(op, GlobalField)])] if lone else []
     # Smallest first: every partial product of a join but the last is then
     # at most a quarter of the result.
-    return batch + [((g,), (len(g), c.draws), [
+    return batch + [((g,), len(g), c.draws, [
         _on(g, op) for op in c.ops
         if isinstance(op, GlobalField) or _spins(op)[0] in g])
         for g in sorted((tuple(g) for g in groups if len(g) > 1), key=len)]
@@ -206,8 +186,8 @@ def _parts(c: Circuit, groups: Optional[Sequence] = None) -> list:
 def _play(reg: RegisterSpec, draws: Optional[int], ops: Sequence,
           path: Optional[list] = None) -> np.ndarray:
     """The ops folded into one running unitary (or one per draw) on reg, as
-    a fresh array. path, if given, is a list of (op, state after it) from
-    the last play: the play resumes after the leading ops (the same
+    a fresh array. path, if given, lists (op, state after it) of the last
+    play on reg and draws: the play resumes after the leading ops (the same
     objects) it shares with path, and leaves path holding its own states."""
     done = 0
     if path is not None:
@@ -405,7 +385,11 @@ def _angle_vector(reg: RegisterSpec, i, j, a_i, a_j, others=None,
                   default=0.0):
     """a_i at spin i, a_j at j, and at each other spin its bystander angle
     in others (in either form the module docstring gives) or default."""
-    if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
+    many = isinstance(i, np.ndarray) or isinstance(j, np.ndarray)
+    if others is not None and isinstance(others, Mapping) == many:
+        raise ValueError(f"bystander angles as {type(others).__name__}, not "
+                         f"{'an array' if many else 'a map'}")
+    if many:
         at_i, at_j = _at(reg, i), _at(reg, j)
         col = lambda a: np.asarray(a, dtype=float)[..., None]
         rows = np.where(at_i, col(a_i), np.where(at_j, col(a_j), col(default)))
@@ -414,13 +398,12 @@ def _angle_vector(reg: RegisterSpec, i, j, a_i, a_j, others=None,
                 others, (len(rows), reg.n_spins - 2)).ravel()
         return rows
     vec = [default] * reg.n_spins
-    vec[i] = a_i
-    vec[j] = a_j
-    if others:
-        for k, val in others.items():
-            if k in (i, j):
-                raise ValueError(f"spin {k} is not a bystander here")
-            vec[k] = val
+    vec[i], vec[j] = a_i, a_j
+    for k, val in (others or {}).items():
+        if k in (i, j):
+            raise ValueError(f"spin {k} is not a bystander here")
+        _check_pair(reg, i, k)  # k is an integer spin of reg
+        vec[k] = val
     return _field_angles(vec)
 
 
@@ -575,6 +558,7 @@ def refocused_rotation_circuit(reg: RegisterSpec, axis: str, i: int, j: int,
     angles that the two later inverse pulses remove, and the pi-offset
     pulses cancel in adjacent inverse pairs around the exchanges.
     """
+    _check_pair(reg, i, j)
     if axis not in _CONJUGATE_AXIS:
         raise ValueError(f"axis must be x or z, got {axis!r}")
     conj_axis = _CONJUGATE_AXIS[axis]

@@ -37,8 +37,8 @@ reverify call) from one seed. Exchange links only spins 0 and 1, so the
 pair plays on a (B, 4, 4) stack and every bystander of every draw on one
 stack of B·(n - 2) 1-spin draws, each part is scored against its own
 gates, and circuits.combined_distance joins them: no pulse plays on more
-than 2 spins. circuits.evaluate_each plays each part's distinct words in
-sorted order, each resuming along the states of the word before, so a
+than 2 spins. Each part plays its distinct words in sorted order through
+circuits._play, each resuming along the states of the word before, so a
 prefix they share is played once. The worst distance over every draw is
 reported with its index.
 
@@ -60,8 +60,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .circuits import (Circuit, Exchange, GlobalField, combined_distance,
-                       controlled_phase_circuit, evaluate_each, join)
+from .circuits import (Circuit, Exchange, GlobalField, _play,
+                       combined_distance, controlled_phase_circuit, join)
 from .grammar import fields, keyed, walk
 from .linalg import phase_distance, update_phase_normalized
 from .spins import (AXES, RegisterSpec, _frozen, exchange_unitary,
@@ -635,7 +635,8 @@ def _verify_table(problem: SynthesisProblem, n_samples: int,
                   seed: int) -> tuple:
     """Final verification's n_samples draws from seed as parts (register,
     one field per letter, gates): the pair's B draws on 2 spins, then each
-    bystander of each draw as one of B·(n - 2) draws on 1 spin."""
+    bystander of each draw as one of B·(n - 2) draws on 1 spin. Each part's
+    fields are checked once, as the ops of one Circuit."""
     angles, pairs, bystanders = _draw_table(problem, n_samples,
                                             np.random.default_rng(seed))
     n = problem.verify_spins - 2
@@ -643,31 +644,30 @@ def _verify_table(problem: SynthesisProblem, n_samples: int,
     if n:
         parts.append((RegisterSpec(1), angles[..., 2:2 + n].reshape(
             len(angles), -1, 1), bystanders[:, :n].reshape(-1, 2, 2)))
-    return tuple((reg, tuple(GlobalField(tpl.axis, a)
-                             for tpl, a in zip(problem.alphabet, part)), gates)
-                 for reg, part, gates in parts)
+    return tuple((reg, Circuit(reg, [GlobalField(tpl.axis, a) for tpl, a
+                                     in zip(problem.alphabet, part)]).ops,
+                  gates) for reg, part, gates in parts)
 
 
 def _draw_distances(problem: SynthesisProblem, table: tuple,
                     sequences: Sequence) -> Iterator[np.ndarray]:
     """Per sequence in turn (letter index per slot, None at exchange), its
     phase distance on problem.verify_spins spins for every draw of the
-    table. Each part plays the distinct words it sees (a bystander's drop
-    the exchanges) once, as circuits whose slots are the part's op objects,
-    in sorted op order. evaluate_each then plays each distinct prefix once,
-    holding one state per op of the last word; combined_distance joins the
-    parts. A part with no field letter plays one matrix, which every draw
-    shares."""
+    table. Each part plays its distinct words (a bystander's drop the
+    exchanges) in sorted order, its op objects in their slots, along its
+    one path, of its register and len(gates) draws: _play resumes each
+    word after the ops it shares with the word before, so each distinct
+    prefix plays once. combined_distance joins the parts."""
     ex, n_draws, parts = Exchange(0, 1, problem.xi), len(table[0][2]), []
     for reg, fields, gates in table:
         words = [tuple(x for x in letters if x is not None or reg.n_spins == 2)
                  for letters in sequences]
-        distinct = sorted(set(words), key=lambda w: [-1 if x is None else x
-                                                     for x in w])
-        played = evaluate_each([Circuit(reg, [ex if x is None else fields[x]
-                                              for x in w]) for w in distinct])
-        dists = {w: phase_distance(np.broadcast_to(u, gates.shape), gates)
-                 .reshape(n_draws, -1) for w, u in zip(distinct, played)}
+        path, dists = [], {}
+        for w in sorted(set(words), key=lambda w: [-1 if x is None else x
+                                                   for x in w]):
+            u = _play(reg, len(gates), [ex if x is None else fields[x]
+                                        for x in w], path)
+            dists[w] = phase_distance(u, gates).reshape(n_draws, -1)
         parts.append([dists[w] for w in words])
     for part in zip(*parts):
         yield combined_distance(np.hstack(part))

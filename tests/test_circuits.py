@@ -557,7 +557,8 @@ def test_builders_raise_input_errors_at_the_call():
     # No input error waits for the target's first read: the call raises it.
     p4 = {"z": (1.0, 0.75, 1.0, 0.75), "x": (1.0, 0.5, 1.0, 0.5)}
     bad = [
-        (ValueError, cir.swap_conjugation, (REG3, 0, 1, 0.3, 0.4, {1: 0.2})),
+        (ValueError, cir.swap_conjugation, (REG3, 0, 1, 0.3, 0.4, {1: 0.2}),
+         "^spin 1 is not a bystander here$"),
         (ValueError, cir.swap_conjugation, (REG3, 0, 1, math.nan, 0.4)),
         (IndexError, cir.swap_conjugation, (REG3, 0, 3, 0.3, 0.4)),
         (ValueError, cir.dressed_swap_phase_conjugation,
@@ -595,9 +596,29 @@ def test_builders_raise_input_errors_at_the_call():
          (REG4, "z", 0, 1, math.nan, p4)),
         (IndexError, cir.refocused_rotation_circuit,
          (REG4, "x", 0, 4, 1.0, p4)),
+        # The pair is checked before the profiles are read at it.
+        (IndexOutOfRange, cir.refocused_rotation_circuit,
+         (REG3, "z", 0, 5, 1.0, p4)),
+        (ValueError, cir.refocused_rotation_circuit,
+         (REG3, "z", 0, 0, 1.0, p4), "^spin indices coincide: 0$"),
+        # Bystander maps: a key outside the register (-1 is not spin 2) or
+        # not an integer, and a map or array where the pair wants the other.
+        (IndexOutOfRange, cir.swap_conjugation,
+         (REG3, 0, 2, 0.1, 0.2, {-1: 0.7})),
+        (IndexOutOfRange, cir.swap_conjugation,
+         (REG3, 0, 2, 0.1, 0.2, {5: 0.1})),
+        (ValueError, cir.swap_conjugation, (REG3, 0, 1, 0.1, 0.2, {2.0: 0.5}),
+         "^spin 2.0 is not an integer$"),
+        (ValueError, cir.swap_conjugation, (REG3, 0, 2, 0.1, 0.2, [0.7]),
+         "^bystander angles as list, not a map$"),
+        (ValueError, cir.controlled_phase_circuit,
+         (REG3, 0, 1, 0.3, np.array([0.7])), "^bystander angles as ndarray"),
+        (ValueError, cir.xy_x_rotation_circuit,
+         (REG3, np.array([0, 1]), np.array([2, 2]), 0.1, 0.2, {1: 0.3}),
+         "^bystander angles as dict, not an array$"),
     ]
-    for error, build, args in bad:
-        with pytest.raises(error):
+    for error, build, args, *match in bad:
+        with pytest.raises(error, match=match[0] if match else None):
             build(*args)
 
 
@@ -881,6 +902,15 @@ def test_combined_distance_of_exact_parts_is_positive_zero():
     assert cir.combined_distance(dg).tobytes() == old.tobytes()
 
 
+def play_each(circuits):
+    """Each circuit played by _play in turn, along one path per register
+    and draw count, as synthesis's verification plays its parts."""
+    paths = {}
+    for c in circuits:
+        yield cir._play(c.register, c.draws, c.ops,
+                        paths.setdefault((c.register, c.draws), []))
+
+
 def shared_prefix_set(rng, n, draws):
     """Circuits on n spins, in sorted op order, whose ops come from one
     pool so that runs of leading ops are the same objects: random words,
@@ -908,16 +938,17 @@ def shared_prefix_set(rng, n, draws):
 
 
 @pytest.mark.parametrize("draws", [None, 3])
-@pytest.mark.parametrize("n", [2, 3, 5, cir.FACTOR_MIN_SPINS, 8])
+@pytest.mark.parametrize("n", [2, 3, 5])
 def test_shared_prefix_player_equals_evaluate_bit_for_bit(n, draws):
     # Sorted, circuits share every common prefix; shuffled, only those with
-    # the circuit before. From FACTOR_MIN_SPINS up each group is a run of
-    # its own. Either way each unitary has evaluate's bits.
+    # the circuit before. Either way each unitary has evaluate's bits, as
+    # below FACTOR_MIN_SPINS evaluate plays the whole register too.
+    assert n < cir.FACTOR_MIN_SPINS
     rng = np.random.default_rng(10 * n + bool(draws))
     cs = shared_prefix_set(rng, n, draws)
     assert {c.draws for c in cs} == {None, draws}
     for order in (cs, [cs[k] for k in rng.permutation(len(cs))]):
-        got = cir.evaluate_each(order)
+        got = play_each(order)
         for c in order:
             assert np.array_equal(next(got), evaluate(c)), c
         assert next(got, None) is None
@@ -931,7 +962,7 @@ def test_shared_prefix_player_plays_each_prefix_once(monkeypatch):
     apply_op = cir.apply_op
     monkeypatch.setattr(cir, "apply_op", lambda u, reg, op: (
         played.append(op), apply_op(u, reg, op))[1])
-    got = cir.evaluate_each(cs)
+    got = play_each(cs)
     next(got)
     assert len(played) == len(cs[0].ops)
     list(got)
@@ -940,8 +971,7 @@ def test_shared_prefix_player_plays_each_prefix_once(monkeypatch):
     assert len(played) == len(prefixes) < sum(len(c.ops) for c in cs)
 
 
-@pytest.mark.parametrize("n, draws", [(3, None), (3, 3),
-                                      (cir.FACTOR_MIN_SPINS, 3)])
+@pytest.mark.parametrize("n, draws", [(3, None), (3, 3)])
 def test_player_hands_out_fresh_writable_arrays(n, draws):
     # verify_target subtracts into evaluate's array, so each array handed
     # out is the caller's own: filling it with NaN changes no later result.
@@ -953,7 +983,7 @@ def test_player_hands_out_fresh_writable_arrays(n, draws):
     order = cs + [cs[-2], cs[-2], long, long, empty, long, empty, empty]
     want = [evaluate(c) for c in order]
     seen = []
-    for c, w, u in zip(order, want, cir.evaluate_each(order), strict=True):
+    for c, w, u in zip(order, want, play_each(order), strict=True):
         assert u.flags.writeable and np.array_equal(u, w), c
         assert not any(np.shares_memory(u, v) for v in seen + want)
         u[...] = np.nan
@@ -974,7 +1004,7 @@ def test_player_over_thousands_of_runs_equals_evaluate_bit_for_bit():
                                rng.uniform(-3, 3, 40))]
     cs = [Circuit(RegisterSpec(1), (pool[k],))
           for k in rng.integers(len(pool), size=3000)]
-    got = list(cir.evaluate_each(cs))
+    got = list(play_each(cs))
     assert len(got) == len(cs)
     assert all(np.array_equal(u, evaluate(c)) for u, c in zip(got, cs))
 

@@ -5,11 +5,13 @@ scipy, which only the tests and the benchmark use as an oracle. The AST
 scans below keep every import in the package free of scipy, and every
 module-level import in the package and the tests in use.
 Circuits are played in one module, circuits, and there in one loop,
-_play, which factor, evaluate and evaluate_each all go through: no
-other module of the package reaches for the pulse kernel or its identity
-stack, and no other function of circuits calls them. A hash is fed in one
-function, linalg.update_phase_normalized, so one routine decides the bytes
-of every digest.
+_play: no other module of the package reaches for the pulse kernel or its
+identity stack, and no other function of circuits calls them. _play is
+called from two places only, circuits.factor with no path and
+synth._draw_distances with one path per part, so no third holder of a
+path comes back unseen. A hash is fed in one function,
+linalg.update_phase_normalized, so one routine decides the bytes of every
+digest.
 """
 
 import ast
@@ -148,6 +150,31 @@ def test_circuits_plays_the_kernel_in_one_loop():
              and node.func.id in PLAYERS]
     assert sorted(calls) == [("_play", "apply_op"), ("_play", "identity")]
     assert len(uses) == len(calls)
+
+
+def test_player_has_two_callers():
+    # Every use of the name _play in the package, by module and top-level
+    # statement: the import synth takes it by, and one call in each of
+    # factor and _draw_distances. An alias or a reference that is not a
+    # call is one use too many.
+    uses, calls = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in _parse(path).body:
+            where = (path.stem, getattr(stmt, "name", "<module>"))
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Name) and node.id == "_play"
+                        or isinstance(node, ast.Attribute)
+                        and node.attr == "_play"
+                        or isinstance(node, ast.alias)
+                        and node.name == "_play"):
+                    uses.append(where)
+                if isinstance(node, ast.Call) and (
+                        getattr(node.func, "id", None) == "_play"
+                        or getattr(node.func, "attr", None) == "_play"):
+                    calls.append(where)
+    assert sorted(calls) == [("circuits", "factor"),
+                             ("synth", "_draw_distances")]
+    assert sorted(uses) == sorted(calls + [("synth", "<module>")])
 
 
 def test_hashes_are_fed_in_one_routine():

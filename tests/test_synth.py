@@ -459,6 +459,27 @@ def test_reverify_rejects_unknown_label(bundled):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("column", [0, 2])
+def test_reverify_refuses_a_draw_with_a_nan_letter_angle(bundled, monkeypatch,
+                                                        column):
+    # Each part's letter fields are checked where the table is built: a NaN
+    # in one draw's angle, on the pair (column 0) or on the bystander
+    # (column 2), is a ValueError before anything is played.
+    p = bundled("planted_swap")
+    r = enumerate_sequences(p, seed=0)
+    family = synth.FAMILIES[p.family]
+
+    def sample(rng, n):
+        angles, pairs, bystanders = family.sample(rng, n)
+        angles["primary"][3, column] = math.nan
+        return angles, pairs, bystanders
+
+    monkeypatch.setitem(synth.FAMILIES, p.family,
+                        dataclasses.replace(family, sample=sample))
+    with pytest.raises(ValueError, match="^non-finite angle in GlobalField"):
+        reverify(r, p, n_samples=30, seed=11)
+
+
 def test_stage_records_tile_the_search(bundled):
     for p, seed in ((bundled("planted_swap"), 0), (bundled("planted_cp"), 3)):
         for prune in (True, False):
