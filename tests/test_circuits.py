@@ -903,12 +903,18 @@ def test_combined_distance_of_exact_parts_is_positive_zero():
 
 
 def play_each(circuits):
-    """Each circuit played by _play in turn, along one path per register
-    and draw count, as synthesis's verification plays its parts."""
+    """Each circuit played in turn part by part (the parts of _parts) by
+    _play, along one path per part register and draw count, as synthesis's
+    verification plays its parts, and the parts joined as factor joins
+    them."""
     paths = {}
     for c in circuits:
-        yield cir._play(c.register, c.draws, c.ops,
-                        paths.setdefault((c.register, c.draws), []))
+        lead, parts = (c.draws,) if c.draws else (), []
+        for gs, n, draws, ops in cir._parts(c):
+            u = cir._play(RegisterSpec(n), draws, ops,
+                          paths.setdefault((n, draws), []))
+            parts += zip(gs, u.reshape((len(gs),) + lead + u.shape[-2:]))
+        yield parts[0][1] if len(parts) == 1 else cir.join(tuple(parts))
 
 
 def shared_prefix_set(rng, n, draws):
@@ -938,12 +944,11 @@ def shared_prefix_set(rng, n, draws):
 
 
 @pytest.mark.parametrize("draws", [None, 3])
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, cir.FACTOR_MIN_SPINS, 8])
 def test_shared_prefix_player_equals_evaluate_bit_for_bit(n, draws):
     # Sorted, circuits share every common prefix; shuffled, only those with
-    # the circuit before. Either way each unitary has evaluate's bits, as
-    # below FACTOR_MIN_SPINS evaluate plays the whole register too.
-    assert n < cir.FACTOR_MIN_SPINS
+    # the circuit before. From FACTOR_MIN_SPINS up each part plays along the
+    # path of its own register. Either way each unitary has evaluate's bits.
     rng = np.random.default_rng(10 * n + bool(draws))
     cs = shared_prefix_set(rng, n, draws)
     assert {c.draws for c in cs} == {None, draws}
@@ -971,7 +976,8 @@ def test_shared_prefix_player_plays_each_prefix_once(monkeypatch):
     assert len(played) == len(prefixes) < sum(len(c.ops) for c in cs)
 
 
-@pytest.mark.parametrize("n, draws", [(3, None), (3, 3)])
+@pytest.mark.parametrize("n, draws", [(3, None), (3, 3),
+                                      (cir.FACTOR_MIN_SPINS, 3)])
 def test_player_hands_out_fresh_writable_arrays(n, draws):
     # verify_target subtracts into evaluate's array, so each array handed
     # out is the caller's own: filling it with NaN changes no later result.
