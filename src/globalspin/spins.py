@@ -248,7 +248,18 @@ def check_op(reg: RegisterSpec, op: PulseOp, draws: int | None = None) -> None:
     else:
         finite = all(math.isfinite(a) for a in angles)
     if not finite:
-        raise ValueError(f"non-finite angle in {op!r}")
+        # One line whatever the draw count: the op kind, the field's axis
+        # and the first bad entry, not the op's repr with all its arrays.
+        values = np.asarray(angles, dtype=float)
+        spot = np.argwhere(~np.isfinite(values))[0]
+        names = (["draw"] if isinstance(angles, np.ndarray) else []) + (
+            ["spin"] if isinstance(op, GlobalField) else [])
+        where = "".join(f"{', ' if k else ' at '}{n} {i}" for k, (n, i)
+                        in enumerate(zip(names, spot.tolist())))
+        kind = (f"GlobalField {op.axis}" if isinstance(op, GlobalField)
+                else type(op).__name__)
+        raise ValueError(f"non-finite angle in {kind}{where}: "
+                         f"{values[tuple(spot)]}")
 
 
 def identity(reg: RegisterSpec, draws: int | None = None) -> np.ndarray:

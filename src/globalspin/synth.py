@@ -14,21 +14,27 @@ bystander's 2x2 gate, so the stages cannot disagree about what a letter is.
 Both filters meet in the middle (after Amy, Maslov, Mosca and Roetteler,
 IEEE TCAD 32, 818 (2013)): a sequence's product is S·P, a suffix times a
 prefix, so its overlap with a target, tr(F·S·P) = tr(S·(P·F)), is a dot
-product of two precomputed halves; 2x2 products and the bystander filter's
-dot products are elementwise multiply-adds (_product_2x2, _dot4). The
-bystander filter looks its first sample's words up: a sorted join of the
-halves on a phase-invariant key (_key_pairs) finds the few pairs within
-reach, and only those are scored, as later only the words still alive.
+product of two precomputed halves. 2x2 products are formed on planar
+stacks, entries leading and rows trailing, as whole-stack multiply-adds
+(_product_2x2), the bystander filter's dot products as elementwise ones
+(_dot4). The bystander filter looks its first sample's words up: a sorted
+join of the halves on a phase-invariant key (_key_pairs) finds the few
+pairs within reach, and only those are scored, as later only the words
+still alive, from their prefix and suffix columns split once.
 The pair filter scores cells. It reads each exchange as a·I + c·SWAP, so
 a placement of k exchanges sums up to 2^k terms a^(k-j)·c^j·SWAP^j·(A ⊗
 B), whose 2x2 strands A and B take each letter's factors in an order set
 by the SWAP parity before it (the relay of the source paper's swap
 steps); terms alike in j and parity pattern are one cell, and a
 coefficient within rounding of 0 drops its terms (at xi ≡ π a placement
-is one all-SWAP term, at xi ≡ 0 one identity term). Per sample it folds
+is one all-SWAP term, at xi ≡ 0 one identity term). It scores rows of
+(sample, live word) in passes: the first sample alone, then the later
+samples together, as many to a pass as fit in as many rows as the first
+had words and in as many table rows as it built. A pass folds each row's
 F = a^(k-j)·c^j·T†·SWAP^j into one table of prefix halves, a row per
-distinct prefix of the live words, and scores the live words in suffix
-order, building suffix halves once per distinct suffix of a block.
+distinct (sample, prefix), and scores its rows in suffix order within
+each sample, building suffix halves once per distinct (sample, suffix)
+of a block.
 
 Filters use loose thresholds and exist only to cut the space; membership in
 the result is decided solely by final verification at the problem
@@ -82,8 +88,8 @@ MAX_SAMPLES = 4096
 # Slots per word: the budget does not price a word's length, and past 62
 # field letters two letters overflow the int64 word index.
 MAX_LENGTH = 62
-# Words per stage-1 chunk and per stage-2 batch; both bound the working set.
-# A stage-2 block of four batches shares its suffix halves.
+# Words per stage-1 chunk and rows per stage-2 batch; both bound the working
+# set. A first-sample stage-2 block of four batches shares its suffix halves.
 _CHUNK = 1 << 15
 # Stage 1 joins prefix P and folded suffix A = T†S on the key k(M) =
 # M00·conj(M11), which ignores a global phase. For 2x2 unitaries, min over
@@ -344,24 +350,22 @@ def _slot_letters(word: Sequence[int], slots: tuple, length: int) -> list:
 
 
 def _product_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over broadcast stacks of 2x2 complex matrices, each entry
-    formed as a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]:
-    on 4096 products these four elementwise multiply-adds take 0.10 ms,
-    a batched matmul 1.65 ms."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            np.add(a[..., i, 0] * b[..., 0, j], a[..., i, 1] * b[..., 1, j],
-                   out=out[..., i, j])
+    """a @ b over planar stacks of 2x2 complex matrices, entries leading:
+    a[i, j] and b[i, j] are stacks of one rank, broadcast against each
+    other. Each entry is a[i, 0]·b[0, j] + a[i, 1]·b[1, j], two whole-stack
+    multiplies and an add for all four, the add in place."""
+    out = a[:, :1] * b[0]
+    out += a[:, 1:] * b[1]
     return out
 
 
 def _word_products(mats: np.ndarray, length: int) -> np.ndarray:
     """Products of every word of `length` 2x2 letters in ascending word
-    index; the first letter acts first."""
-    prods = np.eye(2, dtype=complex)[None]
+    index, the first letter acting first, as a planar stack (2, 2, words)."""
+    planar = mats.transpose(1, 2, 0)[:, :, None]
+    prods = np.eye(2, dtype=complex)[:, :, None]
     for _ in range(length):
-        prods = _product_2x2(mats[None], prods[:, None]).reshape(-1, 2, 2)
+        prods = _product_2x2(planar, prods[:, :, :, None]).reshape(2, 2, -1)
     return prods
 
 
@@ -371,10 +375,10 @@ def _half_word_factors(mats: np.ndarray, target: np.ndarray,
     n_field-letter word, each 2x2 flattened down a column. Word idx =
     prefix * n_suffix + suffix, and tr(T†·S·P) is the _dot4 of the two."""
     k = n_field // 2
-    pre = _word_products(mats, k)
-    suf = _product_2x2(target.conj().T, _word_products(mats, n_field - k))
-    return pre.transpose(1, 2, 0).reshape(4, -1), suf.transpose(
-        2, 1, 0).reshape(4, -1)
+    suf = _product_2x2(target.conj().T[:, :, None],
+                       _word_products(mats, n_field - k))
+    return (_word_products(mats, k).reshape(4, -1),
+            suf.transpose(1, 0, 2).reshape(4, -1))
 
 
 def _dot4(a: Iterable, b: Iterable) -> np.ndarray:
@@ -413,24 +417,40 @@ def _bystander_scan(n_field: int, bys_mats: Sequence[np.ndarray],
                     bys_targets: Sequence[np.ndarray]) -> np.ndarray:
     """Ascending indices of the words that hit the bystander target on every
     search sample, one sample's half-word factors held at a time. The first
-    sample scores the pairs that _key_pairs finds, later samples the words
-    still alive, each chunk of _CHUNK words from its gathered halves."""
+    sample scores the pairs that _key_pairs finds. Its hits are split once
+    into prefix and suffix columns, each in the narrowest unsigned type that
+    holds it, and later samples score the words still alive from those,
+    _CHUNK words at a time."""
     alive = None
     for mats, tgt in zip(bys_mats, bys_targets):
         pre, suf = _half_word_factors(mats, tgt, n_field)
-        kept = [np.empty(0, np.int64)]
-        for idx in (_key_pairs(pre, suf) if alive is None else
-                    (alive[s:s + _CHUNK] for s in range(0, alive.size, _CHUNK))):
-            rows, cols = np.divmod(idx, suf.shape[1])
-            tr = _dot4((c[rows] for c in pre), (c[cols] for c in suf))
-            # squared phase distance on 2x2: 2 - |tr|
-            kept.append(idx[2.0 - np.abs(tr) <= STAGE1_DIST_SQ])
-        joined, alive = alive is None, np.concatenate(kept)
-        if joined:
+        if alive is None:
+            kept = [np.empty(0, np.int64)]
+            for idx in _key_pairs(pre, suf):
+                rows, cols = np.divmod(idx, suf.shape[1])
+                kept.append(idx[_bystander_hits(pre, suf, rows, cols)])
+            alive = np.concatenate(kept)
             alive.sort()  # in place: the join's order is not ascending
+            columns = [c.astype(np.min_scalar_type(h.shape[1] - 1)) for c, h
+                       in zip(np.divmod(alive, suf.shape[1]), (pre, suf))]
+        else:
+            hit = np.concatenate([_bystander_hits(
+                pre, suf, *(c[s:s + _CHUNK] for c in columns))
+                for s in range(0, alive.size, _CHUNK)])
+            if not hit.all():
+                alive, columns = alive[hit], [c[hit] for c in columns]
         if alive.size == 0:
             break
     return alive
+
+
+def _bystander_hits(pre: np.ndarray, suf: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray) -> np.ndarray:
+    """Whether each word, prefix column rows and suffix column cols of the
+    _half_word_factors, hits: its squared phase distance on 2x2, 2 - |tr|,
+    within STAGE1_DIST_SQ."""
+    tr = _dot4((c.take(rows) for c in pre), (c.take(cols) for c in suf))
+    return 2.0 - np.abs(tr) <= STAGE1_DIST_SQ
 
 
 def _strand_trie(patterns: list) -> tuple:
@@ -526,33 +546,43 @@ def _strand_halves(factors: np.ndarray, digits: np.ndarray,
                    trie: tuple) -> np.ndarray:
     """A ⊗ B, (rows, patterns, 4, 4), for each row of letter digits (letter
     l's spin-0 and spin-1 factors are factors[l]) and each parity pattern
-    of the half whose _strand_trie is trie."""
+    of the half whose _strand_trie is trie. It is a view of planar stacks,
+    (16, patterns, rows) in memory: each trie level is one _product_2x2
+    and A ⊗ B one multiply, on whole stacks."""
     levels, rows_a, rows_b = trie
-    half = factors[digits]
-    # The trie's leaf products, one stack of 2x2 products per level; later
-    # letters multiply on the left.
-    prods = np.broadcast_to(np.eye(2, dtype=complex), (len(digits), 1, 2, 2))
+    n_letters = len(factors)
+    planar = factors.transpose(2, 3, 1, 0).reshape(4, -1)  # ij, spin·letter
+    # The trie's leaf products, (i, j, nodes, rows) per level; later letters
+    # multiply on the left.
+    prods = np.broadcast_to(np.eye(2, dtype=complex)[:, :, None, None],
+                            (2, 2, 1, len(digits)))
     for step, (parents, spins) in enumerate(levels):
-        prods = _product_2x2(half[:, step, spins], prods[:, parents])
-    return join((((0,), prods[:, rows_a]), ((1,), prods[:, rows_b])))
+        prods = _product_2x2(planar.take(
+            spins[:, None] * n_letters + digits[:, step], axis=1).reshape(
+                2, 2, len(parents), -1), prods.take(parents, axis=2))
+    a, b = prods.take(rows_a, axis=2), prods.take(rows_b, axis=2)
+    # (A ⊗ B)[2i + k, 2j + l] = A[i, j]·B[k, l], the order circuits.join keeps.
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        16, *a.shape[2:]).T.reshape(-1, len(rows_a), 4, 4)
 
 
 def _folded_prefixes(factors: np.ndarray, digits: np.ndarray, trie: tuple,
-                     weights: dict, target: np.ndarray) -> np.ndarray:
+                     weights: dict, targets: np.ndarray) -> np.ndarray:
     """The _strand_halves P of each row of prefix letter digits, folded
     with each term's F = weight·T†·SWAP^j as (P·F)^T and flattened into
     columns, (rows, 16, terms x patterns): tr(F·S·P) = tr(S·(P·F)) is then
-    a flattened suffix half S times a column."""
+    a flattened suffix half S times a column. targets holds each row's T,
+    (rows, 4, 4)."""
     half = _strand_halves(factors, digits, trie).transpose(0, 2, 3, 1)
-    t_dag = target.conj().T
-    folds = np.array([weight * (t_dag[:, [0, 2, 1, 3]] if j % 2 else t_dag)
-                      for j, weight in weights.items()])  # ·SWAP: cols 1, 2
+    t_dag = targets.conj().transpose(0, 2, 1)
+    folds = np.stack([weight * (t_dag[..., [0, 2, 1, 3]] if j % 2 else t_dag)
+                      for j, weight in weights.items()], axis=1)  # ·SWAP
     # (P·F)^T[a, b] = Σ_c F[c, a]·P[b, c], elementwise, with temporaries a
     # quarter of the (rows, a, b, terms, patterns) table.
-    table = np.zeros((len(half), 4, 4, len(folds), half.shape[-1]),
+    table = np.zeros((len(half), 4, 4, len(weights), half.shape[-1]),
                      dtype=complex)
     for a, c in itertools.product(range(4), range(4)):
-        table[:, a] += folds[:, c, a, None] * half[:, :, None, c]
+        table[:, a] += folds[:, None, :, c, a, None] * half[:, :, None, c]
     return table.reshape(len(half), 16, -1)
 
 
@@ -572,50 +602,83 @@ def _strand_traces(pre: np.ndarray, suf: np.ndarray, cells: np.ndarray,
                for cell, n in zip(cells, counts)), slice(None)
 
 
-def _pair_scan(words: np.ndarray, pair_factors: Sequence[np.ndarray],
-               pair_targets: Sequence[np.ndarray], weights: dict,
+def _pair_scan(words: np.ndarray, pair_factors: np.ndarray,
+               pair_targets: np.ndarray, weights: dict,
                length: int, n_exchange: int) -> list:
     """(word row, placement index) pairs, ascending, where the word hits the
     pair target on every search sample, for the exchange whose _term_weights
-    are weights. Each sample builds one table of folded prefix halves, a
-    row per distinct prefix of the live words (all, then those with a live
-    placement), and scores them in suffix order, each block of _PAIR_BLOCK
-    building its suffix halves once per distinct suffix."""
+    are weights. It scores rows of (sample, live word) in passes. The first
+    sample's pass has a row per word; each later pass a row per live word
+    on each of as many samples as fit, sample after sample, in len(words)
+    rows and in as many table rows as the first pass built, so the later
+    samples of a search that keeps few words take one pass. A pass builds
+    one table of folded prefix halves, a row per distinct (sample, prefix)
+    of its rows, and scores its rows in blocks,
+    in suffix order within each sample, each block building its suffix
+    halves once per distinct (sample, suffix) in it. The first pass's
+    blocks hold _PAIR_BLOCK rows; a later pass's, whose rows share a
+    suffix only within a sample, _PAIR_CHUNK, which bounds their halves."""
+    if not len(words):
+        return []
     split, (pre_trie, suf_trie), cells, counts = _parity_cells(
         length, n_exchange, tuple(weights))
-    n_letters = pair_factors[0].shape[0]
+    n_samples, n_letters = pair_factors.shape[:2]
     _, first, pre_of = np.unique(_word_codes(words[:, :split], n_letters),
                                  return_index=True, return_inverse=True)
     prefixes, suffixes = words[first, :split], words[:, split:]
     codes = _word_codes(suffixes, n_letters)
     live = np.argsort(codes, kind="stable")
     alive = None  # per live word, its placements still hit
-    for factors, tgt in zip(pair_factors, pair_targets):
-        if live.size == 0:
-            return []
+    s = 0
+    while s < n_samples and live.size:
+        n = live.size
         used, row_of = np.unique(pre_of[live], return_inverse=True)
-        table = _folded_prefixes(factors, prefixes[used], pre_trie, weights,
-                                 tgt)
+        g = 1 if alive is None else min(n_samples - s, len(words) // n,
+                                        len(prefixes) // used.size)
+        # Row r of the pass is word live[r % n] on sample s + r // n, and
+        # table row k·len(used) + u prefix used[u] on sample s + k. Sample
+        # k's letter l is row k·n_letters + l of the pass's factors.
+        factors = pair_factors[s:s + g].reshape(-1, *pair_factors.shape[2:])
+        on = np.arange(g).repeat(used.size)
+        digits = np.tile(prefixes[used], (g, 1)) + (on * n_letters)[:, None]
+        table = _folded_prefixes(factors, digits, pre_trie, weights,
+                                 pair_targets[s + on])
         kept = []
-        for start in range(0, live.size, _PAIR_BLOCK):
-            block = live[start:start + _PAIR_BLOCK]
-            _, first, suf_of = np.unique(codes[block], return_index=True,
-                                         return_inverse=True)
-            suf = _strand_halves(factors, suffixes[block[first]],
-                                 suf_trie).reshape(first.size, -1, 16)
-            for b in range(0, block.size, _PAIR_CHUNK):
-                at = slice(start + b, start + b + _PAIR_CHUNK)
-                traces, cols = _strand_traces(
-                    table[row_of[at]], suf[suf_of[b:b + _PAIR_CHUNK]],
-                    cells, counts)
+        if alive is not None:
+            group = np.empty((g * n, alive.shape[1]), dtype=bool)
+        size = _PAIR_BLOCK if alive is None else _PAIR_CHUNK
+        for start in range(0, g * n, size):
+            k, i = np.divmod(np.arange(start, min(start + size, g * n)), n)
+            code = codes[live[i]]
+            new = np.ones(i.size, dtype=bool)
+            new[1:] = (code[1:] != code[:-1]) | (k[1:] != k[:-1])
+            at = np.flatnonzero(new)
+            # A view: a chunk's gather hands np.matmul each row's halves in
+            # column order, which BLAS reads transposed, to the same bits as
+            # a copy in row order would, without the copy's memory.
+            suf = _strand_halves(
+                factors, suffixes[live[i[at]]] + (k[at] * n_letters)[:, None],
+                suf_trie).reshape(at.size, -1, 16)
+            suf_of, pre_at = np.cumsum(new) - 1, k * used.size + row_of[i]
+            for b in range(0, i.size, _PAIR_CHUNK):
+                c = slice(b, b + _PAIR_CHUNK)
+                traces, cols = _strand_traces(table[pre_at[c]], suf[suf_of[c]],
+                                              cells, counts)
                 # squared phase distance on 4x4: 2 - |tr|/2
                 hit = (2.0 - np.abs(traces) / 2.0 <= STAGE2_DIST_SQ)[:, cols]
-                if alive is not None:
-                    hit &= alive[at]
-                keep = hit.any(axis=1)
-                kept.append((live[at][keep], hit[keep]))
+                if alive is None:
+                    keep = hit.any(axis=1)
+                    kept.append((live[i[c]][keep], hit[keep]))
+                else:
+                    group[start + b:start + b + _PAIR_CHUNK] = hit
             del suf, traces  # before the next block builds its own
-        live, alive = (np.concatenate(a) for a in zip(*kept))
+        if alive is None:
+            live, alive = (np.concatenate(a) for a in zip(*kept))
+        else:
+            alive &= group.reshape(g, n, -1).all(axis=0)
+            keep = alive.any(axis=1)
+            live, alive = live[keep], alive[keep]
+        s += g
     order = np.argsort(live)
     rows, cols = np.nonzero(alive[order])
     return list(zip(live[order][rows].tolist(), cols.tolist()))

@@ -2,7 +2,7 @@
 independent ones use numpy only, so they share no code with what they
 check.
 
-Eight references are the package's own earlier code paths, kept here once
+Nine references are the package's own earlier code paths, kept here once
 the package replaced them, and call the package where those paths did: the
 verify suites run one draw at a time, which call the package's builders
 with floats and draw with one Generator call at a time (pair_draws,
@@ -18,11 +18,13 @@ prefix; circuits.factor playing every group alone through that loop, each
 package's planner; the bystander filter's scan, which gathers each word's
 two halves on the first sample as on later ones, from halves formed by
 batched matmul, not by elementwise 2x2 products, and scores them by
-einsum; and the pair filter's scan, which builds both strand halves once
-per word, batch by batch in row order, with matmul products and T† folded
-into the suffix half. A synthesis target is built as the Kronecker product
-of a family draw's pair and bystander gates, against final verification's
-factored parts, which factored_draw_distances scores one draw at a time."""
+einsum; the pair filter's strand halves, built on stacks of 2x2s with
+their rows leading (product_2x2) and joined by circuits.join
+(strand_halves); and the pair filter's scan, which builds both strand
+halves once per word, batch by batch in row order, with matmul products
+and T† folded into the suffix half. A synthesis target is built as the Kronecker product of a family draw's
+pair and bystander gates, against final verification's factored parts,
+which factored_draw_distances scores one draw at a time."""
 
 import cmath
 import contextlib
@@ -36,7 +38,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from globalspin import circuits, cli, synth
+from globalspin import circuits, cli, grammar, synth
 from globalspin.linalg import phase_distance
 from globalspin.spins import (Exchange, GlobalField, RegisterSpec, apply_op,
                               identity)
@@ -223,6 +225,41 @@ def verify_minor_faults(seeds) -> float:
         _verify_all(seed)
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             - before) / len(seeds)
+
+
+def search_stage_seconds(problem, seeds) -> dict:
+    """{stage: (seconds, faults)}: the median over seeds of each stage's
+    wall seconds and minor page faults (ru_minflt) in one in-process
+    synth.enumerate_sequences(problem, seed=s), and under "search" the
+    whole search's, after one warm-up search at the first seed. The faults
+    are read at the search's own stage marks. problem is a SynthesisProblem
+    or a bundled preset's name. Over seeds 100-129, from the root of a
+    checkout:
+
+        PYTHONPATH=src:tests python -c "import oracle; print(oracle.search_stage_seconds('z_difference_rotation', range(100, 130)))"
+    """
+    if isinstance(problem, str):
+        with open(grammar.preset_path(problem)) as fh:
+            problem = synth.problem_from_text(fh.read())
+    real, faults = synth.clock, []
+
+    def clock():
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        return real()
+
+    seeds, rows = list(seeds), []
+    synth.clock = clock
+    try:
+        for seed in seeds[:1] + seeds:
+            del faults[:]
+            stats = synth.enumerate_sequences(problem, seed=seed).stats
+            rows.append([(st.name, st.seconds, n - m) for st, m, n in zip(
+                stats.stages, faults, faults[1:])]
+                + [("search", stats.elapsed_s, faults[-1] - faults[0])])
+    finally:
+        synth.clock = real
+    return {col[0][0]: tuple(float(np.median([c[k] for c in col]))
+                             for k in (1, 2)) for col in zip(*rows[1:])}
 
 
 def local_z_aligned_distance(u, target, n_spins, i, j):
@@ -421,6 +458,28 @@ def bystander_scan(n_field, bys_mats, bys_targets):
         blocks = [alive[s:s + synth._CHUNK]
                   for s in range(0, alive.size, synth._CHUNK)]
     return alive
+
+
+def product_2x2(a, b):
+    """a @ b over broadcast stacks of 2x2s, rows leading, each entry
+    formed as a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            np.add(a[..., i, 0] * b[..., 0, j], a[..., i, 1] * b[..., 1, j],
+                   out=out[..., i, j])
+    return out
+
+
+def strand_halves(factors, digits, trie):
+    """synth._strand_halves with each trie level's products on stacks of
+    2x2s, rows leading, by product_2x2, and A ⊗ B by circuits.join."""
+    levels, rows_a, rows_b = trie
+    half = factors[digits]
+    prods = np.broadcast_to(np.eye(2, dtype=complex), (len(digits), 1, 2, 2))
+    for step, (parents, spins) in enumerate(levels):
+        prods = product_2x2(half[:, step, spins], prods[:, parents])
+    return circuits.join((((0,), prods[:, rows_a]), ((1,), prods[:, rows_b])))
 
 
 def strand_traces(factors, weights, target, length, n_exchange):

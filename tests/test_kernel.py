@@ -222,6 +222,26 @@ def test_check_op_rejects_malformed_exchange_angles(kind, angles):
         check_op(RegisterSpec(3), kind(0, 2, np.zeros(4)))
 
 
+def test_check_op_names_a_non_finite_angle_on_one_line():
+    # The message names the op kind, a field's axis and the first bad draw
+    # and spin, never the op's arrays: one line for 40 draws as for one.
+    rows, xi = np.ones((40, 3)), np.ones(40)
+    rows[5, 1:] = math.nan
+    xi[[7, 9]] = (math.inf, math.nan)
+    for op, draws, where in (
+            (GlobalField("z", rows), 40, "GlobalField z at draw 5, spin 1: nan"),
+            (GlobalField("x", (0.1, -math.inf, 0.2)), None,
+             "GlobalField x at spin 1: -inf"),
+            (Exchange(0, 2, xi), 40, "Exchange at draw 7: inf"),
+            (XYExchange(np.zeros(40, int), np.ones(40, int), xi), 40,
+             "XYExchange at draw 7: inf"),
+            (Exchange(0, 2, math.nan), None, "Exchange: nan")):
+        with pytest.raises(ValueError) as info:
+            check_op(RegisterSpec(3), op, draws)
+        assert str(info.value).count("\n") == 0
+        assert str(info.value) == "non-finite angle in " + where
+
+
 @pytest.mark.parametrize("i, j, error", [
     ([0, 1, 0], [1, 2, 2], ValueError),  # three pairs for four draws
     ([[0], [1], [0], [1]], [1, 2, 2, 0], ValueError),  # a column

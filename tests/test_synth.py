@@ -937,12 +937,17 @@ def _random_problem(rng, planted):
 def test_two_by_two_products_equal_matmul():
     # The scans' left factors are x and z rotations, which are symmetric,
     # so a transposed left factor would pass every scan test: the helper
-    # is checked on general complex stacks, broadcast both ways.
+    # is checked on general complex stacks, broadcast both ways, planar
+    # (entries leading), and so is the rows-leading oracle the reference
+    # halves are built with.
     rng = np.random.default_rng(22)
     a, b = (rng.normal(size=(2, 5, 2, 2)) + 1j * rng.normal(size=(2, 5, 2, 2))
             for _ in range(2))
-    for x, y in ((a, b), (a[:, :1], b), (a[0, 0], b), (a, b[1, 2])):
-        assert max_abs(synth._product_2x2(x, y) - x @ y) <= 1e-14
+    for x, y in ((a, b), (a[:, :1], b), (a[:1, :1], b), (a, b[1:2, 2:3])):
+        got = synth._product_2x2(*(np.moveaxis(m, (2, 3), (0, 1))
+                                   for m in (x, y)))
+        assert max_abs(np.moveaxis(got, (0, 1), (2, 3)) - x @ y) <= 1e-14
+        assert max_abs(oracle.product_2x2(x, y) - x @ y) <= 1e-14
 
 
 def test_half_word_traces_equal_slot_products():
@@ -1003,7 +1008,8 @@ def test_strand_traces_equal_slot_products():
             split, tries, cells, counts = synth._parity_cells(
                 length, n_exchange, tuple(weights))
             pre = synth._folded_prefixes(pf, words[:, :split], tries[0],
-                                         weights, pt)
+                                         weights, np.broadcast_to(
+                                             pt, (len(words), 4, 4)))
             suf = synth._strand_halves(pf, words[:, split:], tries[1])
             traces, cols = synth._strand_traces(
                 pre, suf.reshape(len(words), -1, 16), cells, counts)
@@ -1018,6 +1024,42 @@ def test_strand_traces_equal_slot_products():
                         prod = (ex4 if letter is None else pm[letter]) @ prod
                     want = np.trace(pt.conj().T @ prod)
                     assert abs(traces[w, c] - want) <= 1e-12, (p, word, slots)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_planar_strand_halves_equal_the_joined_ones(bundled, seed):
+    # _strand_halves forms its trie products and A ⊗ B on planar stacks,
+    # the oracle on stacks of 2x2s joined by circuits.join: each entry is
+    # the same products of the same factors, so the halves are equal, not
+    # only close. On the rotation's distinct prefixes and suffixes, on
+    # planted_cp's tries, whose xi = π/2 keeps every SWAP count, also at
+    # length 8, and on three samples' factors stacked, as a later pass of
+    # the pair scan reads them.
+    cp = bundled("planted_cp")
+    cases = [(bundled("z_difference_rotation"), True), (cp, False),
+             (dataclasses.replace(cp, length=8, alphabet=tuple(
+                 PulseTemplate(axis, "primary", sign)
+                 for axis in "zx" for sign in (1, -1))), False)]
+    for p, prune in cases:
+        bm, bt, pf, pt, weights = scan_inputs(p, seed)
+        n_letters = len(p.alphabet)
+        idx = (synth._bystander_scan(p.n_field, bm, bt) if prune
+               else np.arange(n_letters ** p.n_field))
+        words = synth._word_digits(idx, p.n_field, n_letters)
+        split, tries, _, _ = synth._parity_cells(p.length, p.n_exchange,
+                                                 tuple(weights))
+        assert prune or len(weights) == 3
+        stacked = pf[:3].reshape(-1, *pf.shape[2:])
+        for trie, half in zip(tries, (words[:, :split], words[:, split:])):
+            half = np.unique(half, axis=0)
+            assert len(trie[0]) == half.shape[1]
+            for factors, digits in (
+                    (pf[0], half), (pf[1], half),
+                    (stacked, np.vstack([half + k * n_letters
+                                         for k in range(3)]))):
+                got = synth._strand_halves(factors, digits, trie)
+                assert np.array_equal(
+                    got, oracle.strand_halves(factors, digits, trie)), p
 
 
 def test_exchange_pi_scores_one_term_per_placement():
@@ -1319,12 +1361,15 @@ def test_draw_distances_play_each_distinct_word_once(bundled, monkeypatch,
         assert np.array_equal(got, alone)
 
 
-def test_pair_scan_keeps_a_placement_only_if_every_sample_hits_it():
+def test_pair_scan_keeps_a_placement_only_if_every_sample_hits_it(
+        monkeypatch):
     # A word lives on through the samples by any placement, but a hit is a
     # placement that every sample hits: placement a on the first sample and
-    # b on the second is no hit, while a on both is.
+    # b on a later one is no hit, while a on all is. With three samples the
+    # two later ones are scored in one pass, which must not let either
+    # stand for the other.
     p = SynthesisProblem(name="mixed", family="z_difference_rotation",
-                         length=5, n_exchange=2, xi=1.0, search_samples=2,
+                         length=5, n_exchange=2, xi=1.0, search_samples=3,
                          alphabet=(PulseTemplate("x", "primary", 1),
                                    PulseTemplate("z", "companion", -1)))
     _, _, pf, _, weights = scan_inputs(p, 5)
@@ -1338,21 +1383,35 @@ def test_pair_scan_keeps_a_placement_only_if_every_sample_hits_it():
             u = (ex4 if letter is None else np.kron(*pf[sample, letter])) @ u
         return u
 
+    passes = []
+    folded = synth._folded_prefixes
+
+    def counting(*args):
+        passes.append(len(args[1]))
+        return folded(*args)
+
+    monkeypatch.setattr(synth, "_folded_prefixes", counting)
     a, b = 2, 7
-    for second in (a, b):
-        pt = np.array([product(0, placements[a]),
-                       product(1, placements[second])])
-        args = (pf, pt, weights, p.length, p.n_exchange)
-        hits = synth._pair_scan(words, *args)
-        assert hits == oracle.pair_scan(words, *args)
-        assert ((5, a) in hits, (5, b) in hits) == (second == a, False)
+    for n_samples in (2, 3):
+        for second in (a, b):
+            pt = np.array([product(0, placements[a])]
+                          + [product(k, placements[a if k < n_samples - 1
+                                                   else second])
+                             for k in range(1, n_samples)])
+            args = (pf[:n_samples], pt, weights, p.length, p.n_exchange)
+            del passes[:]
+            hits = synth._pair_scan(words, *args)
+            assert len(passes) == 2
+            assert hits == oracle.pair_scan(words, *args)
+            assert ((5, a) in hits, (5, b) in hits) == (second == a, False)
 
 
 def test_scans_hold_one_batch_at_a_time(bundled):
     # Each stage's traced peak on the rotation stays a few MB. Suffix halves
     # are built per block or per batch of words, never as one table over
     # every suffix of a sample, which would take over 40 MB; the pair
-    # scan's one table is its 510 prefixes' halves, 1 MB. Final
+    # scan's largest table is its first sample's, the 510 prefixes'
+    # halves, 1 MB, and the pass of its 19 later samples has 266 rows. Final
     # verification holds its open branches and one result at a time, on
     # parts of 2 spins and 1. The bystander scan's own bound: its first
     # sample's join peaks at 2.67 MB when _key_pairs drops each chunk's
@@ -1394,18 +1453,77 @@ def test_scans_hold_one_batch_at_a_time(bundled):
         assert peak <= 8 << 20, peak
 
 
+def test_pair_scan_later_passes_build_no_larger_table(bundled, monkeypatch):
+    # A first sample that keeps hundreds of words over hundreds of prefixes:
+    # its letters are each one z rotation, by a multiple of 2π/16, on both
+    # spins, which commutes with the exchange, so a word hits its target
+    # E^k iff its digits sum to 0 mod 16. The later samples are the
+    # rotation's. Their pass groups no more samples than keep its prefix
+    # table within the first pass's rows: 17 samples to a pass would build
+    # a table of 4,930 rows, 10 MB.
+    p = bundled("z_difference_rotation")
+    _, _, pf, pt, weights = scan_inputs(p, 0)
+    ex4 = exchange_unitary(RegisterSpec(2), 0, 1, p.xi)
+    n_letters = len(p.alphabet)
+    pf, pt = pf.copy(), pt.copy()
+    for letter in range(n_letters):
+        angle = np.pi * letter / 16
+        pf[0, letter] = np.diag(np.exp([-1j * angle, 1j * angle]))
+    pt[0] = np.linalg.matrix_power(ex4, p.n_exchange)
+    words = synth._word_digits(np.sort(np.random.default_rng(1).choice(
+        n_letters ** p.n_field, 8000, replace=False)), p.n_field, n_letters)
+    keep = words[words.astype(int).sum(axis=1) % 16 == 0]
+    split = synth._parity_cells(p.length, p.n_exchange, tuple(weights))[0]
+    tables = []
+    folded = synth._folded_prefixes
+
+    def counting(*args):
+        tables.append(len(args[1]))
+        return folded(*args)
+
+    monkeypatch.setattr(synth, "_folded_prefixes", counting)
+    tracemalloc.start()
+    try:
+        synth._pair_scan(words, pf, pt, weights, p.length, p.n_exchange)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The first pass builds all 512 prefixes and keeps the 461 words; the
+    # next, one sample's, builds their 290 prefixes, and none of them hits.
+    assert tables == [len(np.unique(words[:, :split], axis=0)),
+                      len(np.unique(keep[:, :split], axis=0))], tables
+    assert 2 * tables[1] > tables[0], tables
+    assert peak <= 8 << 20, peak
+
+
 def test_rotation_stages_build_what_they_need_once(bundled, monkeypatch,
                                                   rotation_seed0):
     # Guards that do not rely on timing, on the seed-0 rotation. The pair
-    # scan builds a suffix's halves at most once per block of suffix-sorted
-    # words: on each sample at most distinct suffixes + blocks rows (2818;
-    # once per batch of 128 words built 2882). Final verification plays no
-    # op on a register of more than 2 spins, at 4 spins or at 12.
+    # scan builds two prefix tables: the first sample's, then one for the
+    # 19 later samples together, as the first keeps 32 of 16,968 words. A
+    # pass builds a (sample, suffix)'s halves at most once per block of
+    # its rows: at most distinct (sample, suffix) pairs + blocks rows
+    # (2818 on the first sample; 304 + 5 on the later ones, whose 32 words
+    # hold 16 suffixes; once per batch of 128 words the first built 2882).
+    # Final verification plays no op on a register of more than 2 spins,
+    # at 4 spins or at 12.
     p = bundled("z_difference_rotation")
     bm, bt, pf, pt, weights = scan_inputs(p, 0)
     words = synth._word_digits(synth._bystander_scan(p.n_field, bm, bt),
                                p.n_field, len(p.alphabet))
     split = synth._parity_cells(p.length, p.n_exchange, tuple(weights))[0]
+    live = np.unique([row for row, _ in synth._pair_scan(
+        words, pf[:1], pt[:1], weights, p.length, p.n_exchange)])
+    rows = (p.search_samples - 1) * live.size
+    assert (live.size, rows) == (32, 608)
+
+    def suffixes(at):
+        return np.unique(synth._word_codes(words[at, split:],
+                                           len(p.alphabet))).size
+
+    bounds = [suffixes(slice(None)) + -(-len(words) // synth._PAIR_BLOCK),
+              (p.search_samples - 1) * suffixes(live)
+              + -(-rows // synth._PAIR_CHUNK)]
     built = []
     halves = synth._strand_halves
 
@@ -1418,9 +1536,8 @@ def test_rotation_stages_build_what_they_need_once(bundled, monkeypatch,
 
     monkeypatch.setattr(synth, "_strand_halves", counting)
     hits = synth._pair_scan(words, pf, pt, weights, p.length, p.n_exchange)
-    assert len(hits) == 48 and len(built) == p.search_samples
-    distinct = np.unique(synth._word_codes(words[:, split:], len(p.alphabet)))
-    assert max(built) <= distinct.size + -(-len(words) // synth._PAIR_BLOCK)
+    assert len(hits) == 48 and len(built) == 2
+    assert all(n <= bound for n, bound in zip(built, bounds)), (built, bounds)
 
     sizes = set()
     play = circuits.apply_op
