@@ -49,8 +49,9 @@ from .grammar import fields, walk
 from .linalg import (TOL_STRUCTURE, DimensionMismatch, max_abs,
                      max_abs_per_draw, phase_distance)
 from .spins import (Exchange, GlobalField, RegisterSpec, XYExchange,
-                    _check_pair, apply_op, check_op, global_field_unitary,
-                    identity, op_draws, rotation_2x2, site_bits)
+                    _check_pair, _per_draw, apply_op, check_op,
+                    global_field_unitary, identity, op_draws, rotation_2x2,
+                    site_bits)
 
 
 class NotUnitary2x2(ValueError):
@@ -206,8 +207,7 @@ def _on(g: tuple, op):
     """op as it acts on the register of the ascending spins g alone."""
     if isinstance(op, GlobalField):
         return GlobalField(op.axis, np.asarray(op.angles)[..., list(g)])
-    many = isinstance(op.i, np.ndarray) or isinstance(op.j, np.ndarray)
-    find = partial(np.searchsorted, g) if many else g.index
+    find = partial(np.searchsorted, g) if _per_draw(op.i, op.j) else g.index
     return replace(op, i=find(op.i), j=find(op.j))
 
 
@@ -245,7 +245,7 @@ def factored_distance(u: tuple, v: tuple) -> float:
 
 def _spins(op) -> list:
     """An exchange's i and j, or for per-draw pairs every i then every j."""
-    if isinstance(op.i, np.ndarray) or isinstance(op.j, np.ndarray):
+    if _per_draw(op.i, op.j):
         return np.append(op.i, op.j).tolist()
     return [op.i, op.j]
 
@@ -376,7 +376,7 @@ def _at(reg: RegisterSpec, k) -> np.ndarray:
 
 def _acted(reg: RegisterSpec, *spins):
     """A target's acted spins: a frozenset, or a (B, n) mask for (B,) spins."""
-    if not any(isinstance(k, np.ndarray) for k in spins):
+    if not _per_draw(*spins):
         return frozenset(spins)
     return reduce(np.logical_or, (_at(reg, k) for k in spins))
 
@@ -385,7 +385,7 @@ def _angle_vector(reg: RegisterSpec, i, j, a_i, a_j, others=None,
                   default=0.0):
     """a_i at spin i, a_j at j, and at each other spin its bystander angle
     in others (in either form the module docstring gives) or default."""
-    many = isinstance(i, np.ndarray) or isinstance(j, np.ndarray)
+    many = _per_draw(i, j)
     if others is not None and isinstance(others, Mapping) == many:
         raise ValueError(f"bystander angles as {type(others).__name__}, not "
                          f"{'an array' if many else 'a map'}")
@@ -622,7 +622,7 @@ def parallel_apply(template: Circuit, pairs: Sequence, reg: RegisterSpec) -> Cir
                 vec[p] = a_0
                 vec[q] = a_1
             ops.append(GlobalField(op.axis, _field_angles(vec)))
-        elif isinstance(op.i, np.ndarray) or isinstance(op.j, np.ndarray):
+        elif _per_draw(op.i, op.j):
             raise ValueError(f"template op {k} ({type(op).__name__}) has a "
                              f"pair per draw")
         else:

@@ -81,6 +81,11 @@ def _check_index(reg: RegisterSpec, k: int) -> None:
         raise IndexOutOfRange(f"spin {k} outside register of {reg.n_spins}")
 
 
+def _per_draw(*spins) -> bool:
+    """Whether spins name a pair per draw: any of them a (B,) array."""
+    return any(isinstance(k, np.ndarray) for k in spins)
+
+
 def _check_pair(reg: RegisterSpec, i, j, draws: int | None = None) -> None:
     """Two distinct spins of reg, or (draws,) int arrays of one per draw."""
     for k in (i, j):
@@ -91,8 +96,7 @@ def _check_pair(reg: RegisterSpec, i, j, draws: int | None = None) -> None:
         elif isinstance(k, bool) or not isinstance(k, (int, np.integer)):
             raise ValueError(f"spin {k!r} is not an integer")
         _check_index(reg, k)
-    many = isinstance(i, np.ndarray) or isinstance(j, np.ndarray)
-    if (np.asarray(i) == j).any() if many else i == j:
+    if (np.asarray(i) == j).any() if _per_draw(i, j) else i == j:
         raise ValueError(f"spin indices coincide: {i}")
 
 
@@ -345,7 +349,7 @@ def _pair_rows(dim: int) -> np.ndarray:
 def _apply_pairs(u: np.ndarray, i, j, *coefficients) -> None:
     """_apply_pair with (B,) spin arrays, one pair per draw, in one pass:
     gather each draw's rows of its (i, j), in either order, mix, scatter."""
-    if not (isinstance(i, np.ndarray) or isinstance(j, np.ndarray)):
+    if not _per_draw(i, j):
         return _apply_pair(u, i, j, *coefficients)
     at = np.arange(len(u))[:, None, None], _pair_rows(len(u[0]))[:, i, j]
     g = u[at]

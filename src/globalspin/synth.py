@@ -38,15 +38,16 @@ of a block.
 
 Filters use loose thresholds and exist only to cut the space; membership in
 the result is decided solely by final verification at the problem
-tolerance, on verify_samples draws taken once per search (and once per
-reverify call) from one seed. Exchange links only spins 0 and 1, so the
-pair plays on a (B, 4, 4) stack and every bystander of every draw on one
-stack of B·(n - 2) 1-spin draws, each part is scored against its own
-gates, and circuits.combined_distance joins them: no pulse plays on more
-than 2 spins. Each part plays its distinct words in sorted order through
-circuits._play, each resuming along the states of the word before, so a
-prefix they share is played once. The worst distance over every draw is
-reported with its index.
+tolerance, after sequences alike slot by slot in their letters'
+unitary_digest are dropped, in the loop reverify shares (_verdicts), on
+verify_samples draws taken once per search from one seed. Exchange links
+only spins 0 and 1, so the pair plays on a (B, 4, 4) stack and every
+bystander of every draw on one stack of B·(n - 2) 1-spin draws, each part
+is scored against its own gates, and circuits.combined_distance joins them:
+no pulse plays on more than 2 spins. Each part plays its distinct words in
+sorted order through circuits._play, each resuming along the states of the
+word before, so a prefix they share is played once. The worst distance over
+every draw is reported with its index.
 
 The Hadamard search fits the (structure, start) members of one length in
 batched Levenberg-Marquardt solves (minimize), on numpy alone.
@@ -55,7 +56,6 @@ batched Levenberg-Marquardt solves (minimize), on numpy alone.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import re
@@ -69,7 +69,8 @@ import numpy as np
 from .circuits import (Circuit, Exchange, GlobalField, _play,
                        combined_distance, controlled_phase_circuit, join)
 from .grammar import fields, keyed, walk
-from .linalg import phase_distance, update_phase_normalized
+from .linalg import phase_distance
+from .schedule import unitary_digest
 from .spins import (AXES, RegisterSpec, _frozen, exchange_unitary,
                     global_field_unitary, rotation_2x2, site_bits)
 
@@ -85,8 +86,8 @@ MAX_BYSTANDER_DRAWS = 10
 # search sample adds about 1.2-1.4 ms to the scans and a verification draw
 # 0.25-0.5 ms over its 48 solutions, so 4096 of either take 1-6 s.
 MAX_SAMPLES = 4096
-# Slots per word: the budget does not price a word's length, and past 62
-# field letters two letters overflow the int64 word index.
+# Slots per word, checked first: past 62 field letters two letters overflow
+# the int64 word index, and under it every count the budget reads is an int.
 MAX_LENGTH = 62
 # Words per stage-1 chunk and rows per stage-2 batch; both bound the working
 # set. A first-sample stage-2 block of four batches shares its suffix halves.
@@ -109,10 +110,9 @@ _PLAIN_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, needed, budget: int) -> None:
+    def __init__(self, needed: int, budget: int) -> None:
         super().__init__(f"search needs {needed} candidate checks, budget {budget}")
-        self.needed = needed  # an int, or text bounding a count too large
-        self.budget = budget
+        self.needed, self.budget = needed, budget  # exact ints
 
 
 @dataclass(frozen=True)
@@ -226,16 +226,18 @@ class Stages:
 
 @dataclass(frozen=True)
 class SearchStats:
-    words_total: int
+    """A search's placements and its stages, bystander_scan, pair_scan,
+    dedup and verification, whose times tile elapsed_s (drawing the search
+    samples counts toward the first). The funnel is their counts."""
     placements: int
-    bystander_survivors: int
-    pair_candidates: int
-    deduplicated: int
-    verified: int
     elapsed_s: float
-    # bystander_scan, pair_scan, dedup, verification; their times tile
-    # elapsed_s, so drawing the search samples counts toward the first.
-    stages: tuple = ()
+    stages: tuple
+
+    words_total = property(lambda self: self.stages[0].n_in)
+    bystander_survivors = property(lambda self: self.stages[0].n_out)
+    pair_candidates = property(lambda self: self.stages[1].n_out)
+    deduplicated = property(lambda self: self.stages[2].n_out)
+    verified = property(lambda self: self.stages[3].n_out)
 
 
 @dataclass(frozen=True)
@@ -347,6 +349,11 @@ def _slot_letters(word: Sequence[int], slots: tuple, length: int) -> list:
     """The letter index at each slot in time order, None at exchange slots."""
     letters = iter(word)
     return [None if s in slots else int(next(letters)) for s in range(length)]
+
+
+def _slot_order(letters: Sequence) -> list:
+    """The sort key of slot letters: an exchange (None) before any letter."""
+    return [-1 if x is None else x for x in letters]
 
 
 def _product_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -535,13 +542,6 @@ def _term_weights(ex: np.ndarray, n_exchange: int) -> dict:
     return {j: w for j, w in weights.items() if w != 0}
 
 
-def _word_codes(digits: np.ndarray, n_letters: int) -> np.ndarray:
-    """Each row of letter digits as one mixed-radix code, first digit most
-    significant, so ascending code is lexicographic order."""
-    return digits @ n_letters ** np.arange(digits.shape[1] - 1, -1, -1,
-                                           dtype=np.int64)
-
-
 def _strand_halves(factors: np.ndarray, digits: np.ndarray,
                    trie: tuple) -> np.ndarray:
     """A ⊗ B, (rows, patterns, 4, 4), for each row of letter digits (letter
@@ -602,38 +602,40 @@ def _strand_traces(pre: np.ndarray, suf: np.ndarray, cells: np.ndarray,
                for cell, n in zip(cells, counts)), slice(None)
 
 
-def _pair_scan(words: np.ndarray, pair_factors: np.ndarray,
+def _pair_scan(idx: np.ndarray, pair_factors: np.ndarray,
                pair_targets: np.ndarray, weights: dict,
                length: int, n_exchange: int) -> list:
-    """(word row, placement index) pairs, ascending, where the word hits the
-    pair target on every search sample, for the exchange whose _term_weights
-    are weights. It scores rows of (sample, live word) in passes. The first
-    sample's pass has a row per word; each later pass a row per live word
-    on each of as many samples as fit, sample after sample, in len(words)
-    rows and in as many table rows as the first pass built, so the later
-    samples of a search that keeps few words take one pass. A pass builds
-    one table of folded prefix halves, a row per distinct (sample, prefix)
-    of its rows, and scores its rows in blocks,
-    in suffix order within each sample, each block building its suffix
-    halves once per distinct (sample, suffix) in it. The first pass's
-    blocks hold _PAIR_BLOCK rows; a later pass's, whose rows share a
-    suffix only within a sample, _PAIR_CHUNK, which bounds their halves."""
-    if not len(words):
+    """(row, placement index) pairs, ascending, where the word of index
+    idx[row] hits the pair target on every search sample, for the exchange
+    whose _term_weights are weights. Each index is split by divmod at the
+    _parity_cells split, so only the distinct prefixes and the suffixes are
+    decoded to digits. It scores rows of (sample, live word) in passes. The
+    first sample's pass has a row per word; each later pass a row per live word
+    on each of as many samples as fit, sample after sample, in len(idx) rows
+    and in as many table rows as the first pass built, so the later samples of
+    a search that keeps few words take one pass. A pass builds one table of
+    folded prefix halves, a row per distinct (sample, prefix) of its rows, and
+    scores its rows in blocks, in suffix order within each sample, each block
+    building its suffix halves once per distinct (sample, suffix) in it. The
+    first pass's blocks hold _PAIR_BLOCK rows; a later pass's, whose rows share
+    a suffix only within a sample, _PAIR_CHUNK, which bounds their halves."""
+    if not len(idx):
         return []
     split, (pre_trie, suf_trie), cells, counts = _parity_cells(
         length, n_exchange, tuple(weights))
     n_samples, n_letters = pair_factors.shape[:2]
-    _, first, pre_of = np.unique(_word_codes(words[:, :split], n_letters),
-                                 return_index=True, return_inverse=True)
-    prefixes, suffixes = words[first, :split], words[:, split:]
-    codes = _word_codes(suffixes, n_letters)
+    n_suf = length - n_exchange - split
+    pre, codes = np.divmod(idx, n_letters ** n_suf)
+    distinct, pre_of = np.unique(pre, return_inverse=True)
+    prefixes = _word_digits(distinct, split, n_letters)
+    suffixes = _word_digits(codes, n_suf, n_letters)
     live = np.argsort(codes, kind="stable")
     alive = None  # per live word, its placements still hit
     s = 0
     while s < n_samples and live.size:
         n = live.size
         used, row_of = np.unique(pre_of[live], return_inverse=True)
-        g = 1 if alive is None else min(n_samples - s, len(words) // n,
+        g = 1 if alive is None else min(n_samples - s, len(idx) // n,
                                         len(prefixes) // used.size)
         # Row r of the pass is word live[r % n] on sample s + r // n, and
         # table row k·len(used) + u prefix used[u] on sample s + k. Sample
@@ -726,14 +728,25 @@ def _draw_distances(problem: SynthesisProblem, table: tuple,
         words = [tuple(x for x in letters if x is not None or reg.n_spins == 2)
                  for letters in sequences]
         path, dists = [], {}
-        for w in sorted(set(words), key=lambda w: [-1 if x is None else x
-                                                   for x in w]):
+        for w in sorted(set(words), key=_slot_order):
             u = _play(reg, len(gates), [ex if x is None else fields[x]
                                         for x in w], path)
             dists[w] = phase_distance(u, gates).reshape(n_draws, -1)
         parts.append([dists[w] for w in words])
     for part in zip(*parts):
         yield combined_distance(np.hstack(part))
+
+
+def _verdicts(problem: SynthesisProblem, sequences: Sequence, n_samples: int,
+              seed: int) -> Iterator[tuple]:
+    """(worst distance, its draw, within problem.tolerance) per sequence, over
+    one table of n_samples draws from seed, drawn only if there are any."""
+    if sequences:
+        for dists in _draw_distances(
+                problem, _verify_table(problem, n_samples, seed), sequences):
+            worst = int(np.argmax(dists))
+            yield (float(dists[worst]), worst,
+                   bool(dists[worst] <= problem.tolerance))
 
 
 def enumerate_sequences(problem: SynthesisProblem,
@@ -744,36 +757,25 @@ def enumerate_sequences(problem: SynthesisProblem,
 
     The search is deterministic for a given seed: words and exchange
     placements are enumerated lexicographically, batching never reorders
-    results, and duplicate sequences (identical realized matrices slot by
-    slot) are removed keeping the first. prune=False skips the bystander
-    pre-filter and scores every word, which is only sensible for small
-    planted problems; both paths return identical results. The budget
-    bounds words x placements, and then survivors x placements x terms;
-    MAX_LENGTH is checked before any draw.
+    results, and duplicate sequences are removed keeping the first: those
+    alike slot by slot in the schedule.unitary_digest of each letter's
+    pair matrix on the first search sample and of the exchange's.
+    prune=False skips the bystander pre-filter and scores every word, which
+    is only sensible for small planted problems; both paths return
+    identical results. MAX_LENGTH is checked first; the budget then bounds
+    words x placements, and later survivors x placements x terms, each an
+    exact int.
     """
     stages = Stages()
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if not problem.alphabet:
         raise ValueError(f"problem {problem.name} has no letters")
-    n_letters = len(problem.alphabet)
-    n_field = problem.n_field
-    # Priced first from below, in logs: an exact count far over budget can
-    # take long and have more digits than int prints. C(L, k) >= (L/m)^m
-    # for any m <= min(k, L - k), so m and the field count f capped at 2^60
-    # keep a bound in floats. The 2^64 margin covers rounding and keeps
-    # every nearer refusal exact.
-    length, k = problem.length, problem.n_exchange
-    m, f = min(k, n_field, 1 << 60), min(n_field, 1 << 60)
-    log_needed = f * math.log(n_letters) + (
-        m * (math.log(length) - math.log(m)) if m else 0.0)
-    if log_needed > math.log(budget) + 64 * math.log(2):
-        raise BudgetExceeded(f"at least 10^{log_needed / math.log(10):.6g}",
-                             budget)
+    length, k, n_field = problem.length, problem.n_exchange, problem.n_field
     if length > MAX_LENGTH:
         raise ValueError(f"length {length} is over the cap {MAX_LENGTH}")
-    n_placements = math.comb(length, k)
-    words_total = n_letters ** n_field
+    n_letters = len(problem.alphabet)
+    n_placements, words_total = math.comb(length, k), n_letters ** n_field
     needed = words_total * n_placements
     if needed > budget:
         raise BudgetExceeded(needed, budget)
@@ -802,51 +804,33 @@ def enumerate_sequences(problem: SynthesisProblem,
     stages.mark("bystander_scan", words_total, int(survivors.size))
 
     placements = list(itertools.combinations(range(length), k))
-    words = _word_digits(survivors, n_field, n_letters)
-    candidates = [(words[row], placements[p])
-                  for row, p in _pair_scan(words, pair_factors, pair_targets,
-                                           weights, length, k)]
+    hits = _pair_scan(survivors, pair_factors, pair_targets, weights, length, k)
+    words = _word_digits(survivors[[row for row, _ in hits]], n_field, n_letters)
+    candidates = [_slot_letters(word, placements[p], length)
+                  for word, (_, p) in zip(words, hits)]
     stages.mark("pair_scan", int(survivors.size), len(candidates))
 
     # Each letter's pair matrix on the first sample, then the exchange's, is
-    # hashed once; sequences alike in these classes slot by slot collapse.
-    classes = []
-    for m in (*join((((0,), spin[0, 0]), ((1,), spin[1, 0]))), ex4):
-        h = hashlib.sha256()
-        update_phase_normalized(h, (((0, 1), m),))
-        classes.append(h.digest())
+    # fingerprinted once; sequences alike in these slot by slot collapse, and
+    # the rest take the result's order, where shared leading slots meet.
+    classes = [unitary_digest(m) for m in (
+        *join((((0,), spin[0, 0]), ((1,), spin[1, 0]))), ex4)]
     unique = {}
-    for word, slots in candidates:
-        key = tuple(classes[-1 if x is None else x]
-                    for x in _slot_letters(word, slots, problem.length))
-        unique.setdefault(key, (word, slots))
-    # In the result's order, where exchange sorts before any letter: there
-    # sequences that share leading slots come together.
-    kept = sorted((_slot_letters(word, slots, problem.length)
-                   for word, slots in unique.values()),
-                  key=lambda s: [0 if x is None else 1 + x for x in s])
+    for letters in candidates:
+        unique.setdefault(tuple(classes[-1 if x is None else x]
+                                for x in letters), letters)
+    kept = sorted(unique.values(), key=_slot_order)
     stages.mark("dedup", len(candidates), len(kept))
 
-    labels = problem.labels
-    solutions = []
-    table = (_verify_table(problem, problem.verify_samples, seed + 1_000_003)
-             if kept else None)
-    for letters, dists in zip(kept, _draw_distances(problem, table, kept)):
-        worst = int(np.argmax(dists))
-        if dists[worst] <= problem.tolerance:
-            solutions.append(SequenceSolution(
-                letters=tuple("EX" if x is None else labels[x]
-                              for x in letters),
-                max_distance=float(dists[worst]), worst_draw=worst))
+    labels, solutions = problem.labels, []
+    for letters, (dist, worst, passed) in zip(kept, _verdicts(
+            problem, kept, problem.verify_samples, seed + 1_000_003)):
+        if passed:
+            solutions.append(SequenceSolution(tuple(
+                "EX" if x is None else labels[x] for x in letters), dist, worst))
     stages.mark("verification", len(kept), len(solutions))
-    stats = SearchStats(words_total=words_total, placements=n_placements,
-                        bystander_survivors=int(survivors.size),
-                        pair_candidates=len(candidates),
-                        deduplicated=len(kept), verified=len(solutions),
-                        elapsed_s=stages.elapsed_s, stages=stages.records)
-    return SynthesisResult(problem_name=problem.name,
-                           solutions=tuple(solutions),
-                           stats=stats)
+    return SynthesisResult(problem.name, tuple(solutions), SearchStats(
+        n_placements, stages.elapsed_s, stages.records))
 
 
 @dataclass(frozen=True)
@@ -861,8 +845,8 @@ def reverify(result: SynthesisResult, problem: SynthesisProblem,
              n_samples: int = 100, seed: int = 1) -> tuple:
     """Re-test each reported solution on fresh draws, from its letters alone.
 
-    Every solution is scored on one table of n_samples draws from seed.
-    Letters that do not fit the problem's slots or labels are a ValueError."""
+    Every solution is scored as a search's are (_verdicts), on n_samples
+    draws from seed. Letters off the problem's slots or labels: ValueError."""
     label_to_index = dict(zip(problem.labels, itertools.count()), EX=None)
     sequences = []
     for sol in result.solutions:
@@ -878,15 +862,8 @@ def reverify(result: SynthesisResult, problem: SynthesisProblem,
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"n_samples must be in 1..{MAX_SAMPLES}, got "
                          f"{n_samples}")
-    table = _verify_table(problem, n_samples, seed)
-    checks = []
-    for sol, dists in zip(result.solutions,
-                          _draw_distances(problem, table, sequences)):
-        worst = int(np.argmax(dists))
-        checks.append(ReverifyCheck(
-            letters=sol.letters, max_distance=float(dists[worst]),
-            worst_draw=worst, passed=bool(dists[worst] <= problem.tolerance)))
-    return tuple(checks)
+    return tuple(ReverifyCheck(sol.letters, *verdict) for sol, verdict in zip(
+        result.solutions, _verdicts(problem, sequences, n_samples, seed)))
 
 
 def problem_to_text(p: SynthesisProblem) -> str:
@@ -953,10 +930,12 @@ class HadamardSearchReport:
     n_structures: int
     tolerance: float
     profiles: tuple  # ((axis, per-site ratios), ...) the blocks assumed
-    n_minimize: int  # (structure, start) members optimized
-    nfev: int  # residual evaluations summed over those members
+    nfev: int  # residual evaluations summed over the members optimized
     elapsed_s: float
     stages: tuple  # per length: members optimized, within tolerance
+
+    # (structure, start) members optimized
+    n_minimize = property(lambda self: sum(st.n_in for st in self.stages))
 
 
 # Per member: final x, f = |r|^2 and trial steps; nfev sums evaluations.
@@ -1168,6 +1147,5 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
         found=best[0] <= tolerance, best_distance=best[0], structure=best[1],
         parameters=best[2], depth=depth, starts=starts,
         n_structures=len(searched), tolerance=tolerance,
-        profiles=(("z", az), ("x", ax)),
-        n_minimize=sum(st.n_in for st in stages.records), nfev=nfev,
+        profiles=(("z", az), ("x", ax)), nfev=nfev,
         elapsed_s=stages.elapsed_s, stages=stages.records)

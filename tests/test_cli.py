@@ -438,12 +438,13 @@ def test_synthesize_budget_exit_code(capsys, tmp_path, monkeypatch):
 
 
 # Each row: planted_cp's length and exchange count, and how many of its
-# two letters stay. Each count of checks is too long to print or compute.
+# two letters stay. Each is over the length cap, which refuses it before
+# the budget prices it: no budget could hold any of these searches.
 @pytest.mark.parametrize("length, exchange, letters", [
     ("100000", 2, 2), ("99999999999999999999", 2, 2),
     ("1" + "0" * 400, 2, 2), ("100000000000000000000", 5000, 1)])
-def test_synthesize_prices_a_long_search_in_logs(capsys, tmp_path, length,
-                                                 exchange, letters):
+def test_synthesize_refuses_a_long_search_on_the_cap(capsys, tmp_path, length,
+                                                     exchange, letters):
     with open(preset_path("planted_cp")) as fh:
         lines = fh.read().splitlines(keepends=True)
     text = lines[0].replace("length=4 exchange=2 ",
@@ -454,9 +455,9 @@ def test_synthesize_prices_a_long_search_in_logs(capsys, tmp_path, length,
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "synthesize", "--problem", str(path))
     assert time.perf_counter() - t0 < 1.0
-    assert (code, out) == (3, "")
+    assert (code, out) == (2, "")
     assert err.count("\n") == 1
-    assert err.startswith("error: search needs at least 10^")
+    assert err.startswith(f"error: length {length} is over the cap 62")
 
 
 def test_synthesize_verifies_twelve_spins(capsys, tmp_path):

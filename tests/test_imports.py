@@ -11,7 +11,8 @@ called from two places only, circuits.factor with no path and
 synth._draw_distances with one path per part, so no third holder of a
 path comes back unseen. A hash is fed in one function,
 linalg.update_phase_normalized, so one routine decides the bytes of every
-digest.
+digest, and that function is called from one place, schedule.unitary_digest:
+search deduplication fingerprints its letters through unitary_digest too.
 """
 
 import ast
@@ -187,3 +188,28 @@ def test_hashes_are_fed_in_one_routine():
                and isinstance(node.func, ast.Attribute)
                and node.func.attr == "update"]
     assert updates == [("linalg.py", "update_phase_normalized")]
+
+
+def test_fingerprint_has_one_caller():
+    # Every use of the name update_phase_normalized in the package, by
+    # module and top-level statement: its definition, the import schedule
+    # takes it by, and one call in unitary_digest. Search deduplication
+    # fingerprints its letters through unitary_digest, not a hash of its
+    # own.
+    name = "update_phase_normalized"
+    uses, calls = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in _parse(path).body:
+            where = (path.stem, getattr(stmt, "name", "<module>"))
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.Attribute) and node.attr == name
+                        or isinstance(node, ast.alias) and node.name == name):
+                    uses.append(where)
+                if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    calls.append(where)
+    assert calls == [("schedule", "unitary_digest")]
+    assert sorted(uses) == [("schedule", "<module>"),
+                            ("schedule", "unitary_digest")]

@@ -87,6 +87,22 @@ def test_dedup_keeps_one_of_each_realized_sequence(bundled):
             for s in twice.solutions] == [s.letters for s in once.solutions]
 
 
+def test_search_counts_are_its_stage_records(bundled):
+    # The funnel is read off the stage records, each count from the stage
+    # that produced it: with every letter twice dedup drops candidates, and
+    # a tolerance under every distance but 0 leaves verification none, so
+    # each stage's in and out differ and a count read off the wrong end
+    # or stage shows.
+    p = bundled("planted_cp")
+    st = enumerate_sequences(dataclasses.replace(
+        p, alphabet=p.alphabet + p.alphabet, tolerance=1e-300), seed=0).stats
+    assert [(s.name, s.n_in, s.n_out) for s in st.stages] == [
+        ("bystander_scan", 16, 8), ("pair_scan", 8, 16), ("dedup", 16, 4),
+        ("verification", 4, 0)]
+    assert (st.words_total, st.bystander_survivors, st.pair_candidates,
+            st.deduplicated, st.verified) == (16, 8, 16, 4, 0)
+
+
 def test_prune_equals_exhaustive(bundled):
     for p in (bundled("planted_swap"), bundled("planted_cp")):
         pruned = enumerate_sequences(p, prune=True, seed=0)
@@ -1144,6 +1160,16 @@ def test_budget_refuses_before_listing_placements(bundled, monkeypatch):
             enumerate_sequences(p, budget=10 ** 9 if p is spread else 3)
 
 
+def test_length_cap_refuses_before_the_budget(bundled):
+    # A problem over MAX_LENGTH slots is refused on the cap at any budget,
+    # before the budget prices it: C(100, 2) x 2^98 checks would exceed a
+    # budget of 1, but no budget could make the search run.
+    long = dataclasses.replace(bundled("planted_cp"), length=100)
+    for budget in (1, 10 ** 40):
+        with pytest.raises(ValueError, match="^length 100 is over the cap 62$"):
+            enumerate_sequences(long, budget=budget)
+
+
 def _every_term(ex, n_exchange):
     """_term_weights with no coefficient rounded to 0."""
     a, c = complex(ex[1, 1]), complex(ex[1, 2])
@@ -1159,14 +1185,13 @@ def test_pair_scan_hits_alike_with_every_term_kept(bundled, seed):
     rng = np.random.default_rng(seed)
     bm, pf, bt, pt = search_samples(p, rng, p.search_samples)
     survivors = synth._bystander_scan(p.n_field, bm, bt)
-    words = synth._word_digits(survivors, p.n_field, len(p.alphabet))
     ex4 = exchange_unitary(RegisterSpec(2), 0, 1, p.xi)
     args = (p.length, p.n_exchange)
-    dropped = synth._pair_scan(words, pf, pt,
+    dropped = synth._pair_scan(survivors, pf, pt,
                                synth._term_weights(ex4, p.n_exchange), *args)
     kept = _every_term(ex4, p.n_exchange)
     assert len(kept) == 5 and all(w != 0 for w in kept.values())
-    assert synth._pair_scan(words, pf, pt, kept, *args) == dropped
+    assert synth._pair_scan(survivors, pf, pt, kept, *args) == dropped
     assert len(dropped) == 48
 
 
@@ -1192,7 +1217,7 @@ def assert_scans_equal_the_oracle(p, seed, prune=True):
         survivors = np.arange(len(p.alphabet) ** p.n_field, dtype=np.int64)
     words = synth._word_digits(survivors, p.n_field, len(p.alphabet))
     args = (pf, pt, weights, p.length, p.n_exchange)
-    hits = synth._pair_scan(words, *args)
+    hits = synth._pair_scan(survivors, *args)
     assert hits == oracle.pair_scan(words, *args), (p, seed)
     return survivors, hits
 
@@ -1400,7 +1425,7 @@ def test_pair_scan_keeps_a_placement_only_if_every_sample_hits_it(
                              for k in range(1, n_samples)])
             args = (pf[:n_samples], pt, weights, p.length, p.n_exchange)
             del passes[:]
-            hits = synth._pair_scan(words, *args)
+            hits = synth._pair_scan(np.arange(8), *args)
             assert len(passes) == 2
             assert hits == oracle.pair_scan(words, *args)
             assert ((5, a) in hits, (5, b) in hits) == (second == a, False)
@@ -1431,10 +1456,10 @@ def test_scans_hold_one_batch_at_a_time(bundled):
         bm, bt, pf, pt, weights = scan_inputs(p, seed)
         peak = traced_peak(lambda: synth._bystander_scan(p.n_field, bm, bt))
         assert peak <= 2_950_000, (seed, peak)
-    words = synth._word_digits(synth._bystander_scan(p.n_field, bm, bt),
-                               p.n_field, len(p.alphabet))
+    survivors = synth._bystander_scan(p.n_field, bm, bt)
+    words = synth._word_digits(survivors, p.n_field, len(p.alphabet))
     synth._parity_cells(p.length, p.n_exchange, tuple(weights))
-    hits = synth._pair_scan(words, pf, pt, weights, p.length, p.n_exchange)
+    hits = synth._pair_scan(survivors, pf, pt, weights, p.length, p.n_exchange)
     placements = list(itertools.combinations(range(p.length), p.n_exchange))
     sequences = sorted((synth._slot_letters(words[row], placements[c],
                                             p.length) for row, c in hits),
@@ -1446,7 +1471,7 @@ def test_scans_hold_one_batch_at_a_time(bundled):
         for dists in synth._draw_distances(p, table, sequences):
             assert dists.max() <= p.tolerance
 
-    for scan in (lambda: synth._pair_scan(words, pf, pt, weights, p.length,
+    for scan in (lambda: synth._pair_scan(survivors, pf, pt, weights, p.length,
                                           p.n_exchange),
                  verification):
         peak = traced_peak(scan)
@@ -1470,8 +1495,9 @@ def test_pair_scan_later_passes_build_no_larger_table(bundled, monkeypatch):
         angle = np.pi * letter / 16
         pf[0, letter] = np.diag(np.exp([-1j * angle, 1j * angle]))
     pt[0] = np.linalg.matrix_power(ex4, p.n_exchange)
-    words = synth._word_digits(np.sort(np.random.default_rng(1).choice(
-        n_letters ** p.n_field, 8000, replace=False)), p.n_field, n_letters)
+    idx = np.sort(np.random.default_rng(1).choice(
+        n_letters ** p.n_field, 8000, replace=False))
+    words = synth._word_digits(idx, p.n_field, n_letters)
     keep = words[words.astype(int).sum(axis=1) % 16 == 0]
     split = synth._parity_cells(p.length, p.n_exchange, tuple(weights))[0]
     tables = []
@@ -1484,7 +1510,7 @@ def test_pair_scan_later_passes_build_no_larger_table(bundled, monkeypatch):
     monkeypatch.setattr(synth, "_folded_prefixes", counting)
     tracemalloc.start()
     try:
-        synth._pair_scan(words, pf, pt, weights, p.length, p.n_exchange)
+        synth._pair_scan(idx, pf, pt, weights, p.length, p.n_exchange)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1509,17 +1535,16 @@ def test_rotation_stages_build_what_they_need_once(bundled, monkeypatch,
     # at 4 spins or at 12.
     p = bundled("z_difference_rotation")
     bm, bt, pf, pt, weights = scan_inputs(p, 0)
-    words = synth._word_digits(synth._bystander_scan(p.n_field, bm, bt),
-                               p.n_field, len(p.alphabet))
+    survivors = synth._bystander_scan(p.n_field, bm, bt)
+    words = synth._word_digits(survivors, p.n_field, len(p.alphabet))
     split = synth._parity_cells(p.length, p.n_exchange, tuple(weights))[0]
     live = np.unique([row for row, _ in synth._pair_scan(
-        words, pf[:1], pt[:1], weights, p.length, p.n_exchange)])
+        survivors, pf[:1], pt[:1], weights, p.length, p.n_exchange)])
     rows = (p.search_samples - 1) * live.size
     assert (live.size, rows) == (32, 608)
 
     def suffixes(at):
-        return np.unique(synth._word_codes(words[at, split:],
-                                           len(p.alphabet))).size
+        return len(np.unique(words[at, split:], axis=0))
 
     bounds = [suffixes(slice(None)) + -(-len(words) // synth._PAIR_BLOCK),
               (p.search_samples - 1) * suffixes(live)
@@ -1535,7 +1560,8 @@ def test_rotation_stages_build_what_they_need_once(bundled, monkeypatch,
         return halves(factors, digits, trie)
 
     monkeypatch.setattr(synth, "_strand_halves", counting)
-    hits = synth._pair_scan(words, pf, pt, weights, p.length, p.n_exchange)
+    hits = synth._pair_scan(survivors, pf, pt, weights, p.length,
+                            p.n_exchange)
     assert len(hits) == 48 and len(built) == 2
     assert all(n <= bound for n, bound in zip(built, bounds)), (built, bounds)
 
