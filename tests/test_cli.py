@@ -531,6 +531,52 @@ def test_readme_command_lines_parse():
         parser.parse_args(argv)
 
 
+def readme_text():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md")) as fh:
+        return fh.read()
+
+
+def test_readme_documents_the_whole_cli():
+    # The other direction: every subcommand, option, output format, exit
+    # code, preset and file format header is named in README, quoted.
+    readme = readme_text()
+    parser = cli._build_parser()
+    subparsers = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    parsers = [parser] + [p for sub in subparsers for p in sub.choices.values()]
+    names = [name for sub in subparsers for name in sub.choices]
+    names += [opt for p in parsers for a in p._actions
+              for opt in a.option_strings]
+    names += ["human", "json-lines"]
+    names += [os.path.splitext(f)[0] for f in
+              os.listdir(os.path.dirname(preset_path("twin_wire_zigzag")))]
+    names += ["REG", "PROBLEM", "SCHEDULE", "[wire]", "[site]"]
+    assert "--budget" in names
+    assert [n for n in names if f"`{n}`" not in readme] == []
+    # The exit codes as cli's docstring states them, one table row each.
+    doc = " ".join(cli.__doc__.split()).split("Exit codes: ", 1)[1]
+    codes = re.findall(r"(\d) ([a-z ]+)[,.]", doc)
+    assert [int(c) for c, _ in codes] == list(range(5))
+    assert [c for c in codes if f"| {c[0]} | {c[1]} |" not in readme] == []
+
+
+def test_readme_commands_run_as_written(capsys, tmp_path, monkeypatch):
+    # The README's command-line block, in order, from a directory holding
+    # the circuit and the layout it names; each command passes.
+    write_rotation_circuit(tmp_path / "gate.circuit.txt", 4)
+    (tmp_path / "my_layout.txt").write_text(
+        geometry_to_text(twin_wire_preset(12)))
+    monkeypatch.chdir(tmp_path)
+    block = readme_text().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [shlex.split(line, comments=True)
+             for line in block.split("```", 1)[0].splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["globalspin"]]
+    assert len(commands) == 10
+    for argv in commands:
+        assert run_cli(capsys, *argv)[0] == 0, argv
+
+
 def test_every_option_has_a_caller():
     # Each option a subcommand defines is passed to that subcommand
     # somewhere: by a test, or by a benchmark workload. A caller is one
@@ -608,6 +654,30 @@ def test_device_geometry_takes_a_preset_name(capsys):
                             ("device", "--geometry", "twin_wire_zigzag"))]
     assert [by_name(r) for r in reports[1:]] == [by_name(reports[0])]
     assert reports[1][0]["inputs"] == reports[0][0]["inputs"]
+
+
+def two_wire_geometry(current_ma, site_xs):
+    """Geometry text: two wires of current_ma at x = -100 and 100 nm on
+    z = 0, and a site on z = 0 at each x of site_xs, in nm."""
+    wires = "".join(f"[wire]\ncenter_x_nm = {x}\ncenter_z_nm = 0.0\n"
+                    f"width_nm = 100.0\nheight_nm = 400.0\n"
+                    f"current_mA = {current_ma}\n"
+                    f"jc_A_per_m2 = 22000000000.0\n\n" for x in (-100.0, 100.0))
+    return wires + "".join(f"[site]\nx_nm = {x}\nz_nm = 0.0\ng = 2.0\n"
+                           f"row = 0\n\n" for x in site_xs)
+
+
+def test_device_reports_a_zero_field_site_as_undefined(capsys, tmp_path):
+    # Parallel currents cancel midway between the wires, so the site there
+    # has no field to take a ratio against.
+    path = tmp_path / "zero.txt"
+    path.write_text(two_wire_geometry(0.7, (0.0,)))
+    code, out, err = run_cli(capsys, "device", "--geometry", str(path),
+                             "--format", "json-lines")
+    assert (code, err) == (0, "")
+    checks = by_name(json_lines(out))
+    assert checks["site0_Bz_mT"]["measured"] == 0.0
+    assert checks["ratio_sites"]["measured"] == "undefined (zero-field site)"
 
 
 def test_schedule_geometry_names_the_preset_or_custom(capsys, tmp_path):
@@ -904,6 +974,8 @@ F_EVENT = "F 0.000000 10.000000 parallel +1 0.7\n"
     ("REG 2 junk\nEX 0 1 3.14\n", False, 1),
     ("EX 0 1 3.14\nREG 2\n", False, 1),
     ("# ops\n\nREG 2\nEX 0 5 3.14\n", False, 4),
+    ("REG 13\n", False, 1),
+    ("REG 0\n", False, 1),
     (SCHEDULE_HEADER + "F 0.000000 nan parallel -1 0.7\n", True, 2),
     (SCHEDULE_HEADER + "F nan 10 parallel +1 0.7\n", True, 2),
     (SCHEDULE_HEADER + "E 0 -5 (0,1,3.14)\n", True, 2),
@@ -971,6 +1043,7 @@ def test_register_beyond_a_custom_geometry_exits_2(capsys, tmp_path, text,
     ("device", "--geometry", "{nan_g}"),
     pytest.param(("device", "--geometry", "{zero_g}"), id="zero_g"),
     pytest.param(("device", "--geometry", "{negative_g}"), id="negative_g"),
+    pytest.param(("device", "--geometry", "{flat_g}"), id="flat_g"),
     ("verify", "--tol", "nan"),
     ("verify", "--tol", "-1"),
     ("schedule", "{circuit}", "--exchange-ns", "nan"),
@@ -998,6 +1071,9 @@ def test_bad_number_exits_2_with_one_line(capsys, tmp_path, argv):
         geometries[name] = tmp_path / f"{name}.txt"
         geometries[name].write_text(geometry_to_text(twin_wire_preset(2))
                                     .replace("g = 2.0", f"g = {g}", 1))
+    # No current, so no wire position moves the gradient.
+    geometries["flat_g"] = tmp_path / "flat_g.txt"
+    geometries["flat_g"].write_text(two_wire_geometry(0.0, (0.0, 20.0)))
     circuit = write_tied_cp_circuit(tmp_path / "cp.circuit.txt")
     code, out, err = run_cli(capsys, *(a.format(circuit=circuit, **geometries)
                                        for a in argv))

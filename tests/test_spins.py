@@ -67,6 +67,11 @@ def test_rotation_2x2_matches_exponential():
             assert max_abs(rotation_2x2(axis, t) - want) < 1e-14
 
 
+def test_rotation_2x2_rejects_an_unknown_axis():
+    with pytest.raises(ValueError, match=r"^axis must be one of .*, got 'w'$"):
+        rotation_2x2("w", 0.0)
+
+
 def test_rotation_2x2_period_4pi():
     r = rotation_2x2("x", 2 * math.pi)
     assert max_abs(r + np.eye(2)) < 1e-14
