@@ -358,14 +358,16 @@ def _commutator_deviation(u: np.ndarray, reg: RegisterSpec,
 
     With rows and columns split at spin k's bit, [u, S^z] is +-u on the
     blocks where the row and column bits differ and 0 elsewhere, and
-    [u, S^x] = (u F - F u)/2 for the bit flip F. Each entry is computed
-    with the same roundings as the dense products u S - S u.
+    [u, S^x] = (u F - F u)/2 for the bit flip F. Its rows where the bit is
+    1 are its rows where the bit is 0 negated, columns flipped, so it is
+    read off the latter, and halving the difference once gives the bits of
+    the dense products u S - S u (halving is exact short of subnormals).
     """
     high, low = 1 << k, 1 << (reg.n_spins - 1 - k)
     v = u.reshape(len(u), high, 2, low, high, 2, low)
     dz = np.maximum(max_abs_per_draw(v[:, :, 0, :, :, 1]),
                     max_abs_per_draw(v[:, :, 1, :, :, 0]))
-    dx = max_abs_per_draw(v[:, :, :, :, :, ::-1] * 0.5 - v[:, :, ::-1] * 0.5)
+    dx = max_abs_per_draw(v[:, :, 0, :, :, ::-1] - v[:, :, 1]) * 0.5
     return np.maximum(dz, dx)
 
 

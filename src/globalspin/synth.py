@@ -20,17 +20,21 @@ stacks, entries leading and rows trailing, as whole-stack multiply-adds
 (_dot4). The bystander filter looks its first sample's words up: a sorted
 join of the halves on a phase-invariant key (_key_pairs) finds the few
 pairs within reach, and only those are scored, as later only the words
-still alive, from their prefix and suffix columns split once.
+still alive, from their prefix and suffix columns split once, a _CHUNK of
+words at a time. Past its result and the columns, the filter holds one
+chunk's arrays, and its first sample's hits twice only while it joins them.
 The pair filter scores cells. It reads each exchange as a·I + c·SWAP, so
 a placement of k exchanges sums up to 2^k terms a^(k-j)·c^j·SWAP^j·(A ⊗
 B), whose 2x2 strands A and B take each letter's factors in an order set
 by the SWAP parity before it (the relay of the source paper's swap
 steps); terms alike in j and parity pattern are one cell, and a
 coefficient within rounding of 0 drops its terms (at xi ≡ π a placement
-is one all-SWAP term, at xi ≡ 0 one identity term). It scores rows of
-(sample, live word) in passes: the first sample alone, then the later
-samples together, as many to a pass as fit in as many rows as the first
-had words and in as many table rows as it built. A pass folds each row's
+is one all-SWAP term, at xi ≡ 0 one identity term). It takes the words
+_SURVIVOR_BLOCK at a time, so the arrays that grow with them stay within
+a block's, and scores a block's rows of (sample, live word) in passes:
+the first sample alone, then the later samples together, as many to a
+pass as fit in as many rows as the block has words and in as many table
+rows as its first pass built. A pass folds each row's
 F = a^(k-j)·c^j·T†·SWAP^j into one table of prefix halves, a row per
 distinct (sample, prefix), and scores its rows in suffix order within
 each sample, building suffix halves once per distinct (sample, suffix)
@@ -100,6 +104,7 @@ _CHUNK = 1 << 15
 _KEY_RADIUS = 4 * math.sqrt(STAGE1_DIST_SQ)
 _PAIR_CHUNK = 128
 _PAIR_BLOCK = 4 * _PAIR_CHUNK
+_SURVIVOR_BLOCK = 1 << 16  # words per pair-scan block, which bounds its arrays
 _LM_CHUNK = 1024  # Hadamard-search members per minimize call: bounds memory
 # Price cap of a Hadamard search: members x (10 set-up + maxiter + 1 fits of
 # depth blocks). On a 2-core x86 box, depth 1, 194,000 starts, maxiter 1 (7e6)
@@ -424,22 +429,24 @@ def _bystander_scan(n_field: int, bys_mats: Sequence[np.ndarray],
                     bys_targets: Sequence[np.ndarray]) -> np.ndarray:
     """Ascending indices of the words that hit the bystander target on every
     search sample, one sample's half-word factors held at a time. The first
-    sample scores the pairs that _key_pairs finds. Its hits are split once
-    into prefix and suffix columns, each in the narrowest unsigned type that
-    holds it, and later samples score the words still alive from those,
-    _CHUNK words at a time."""
+    sample scores the pairs that _key_pairs finds, a chunk at a time. Its
+    hits are joined once, the chunks freed with the join, and split into
+    prefix and suffix columns _CHUNK words at a time, each column in the
+    narrowest unsigned type that holds it; later samples score the words
+    still alive from those, _CHUNK words at a time."""
     alive = None
     for mats, tgt in zip(bys_mats, bys_targets):
         pre, suf = _half_word_factors(mats, tgt, n_field)
         if alive is None:
-            kept = [np.empty(0, np.int64)]
-            for idx in _key_pairs(pre, suf):
-                rows, cols = np.divmod(idx, suf.shape[1])
-                kept.append(idx[_bystander_hits(pre, suf, rows, cols)])
-            alive = np.concatenate(kept)
+            alive = np.concatenate([np.empty(0, np.int64)] + [
+                idx[_bystander_hits(pre, suf, *np.divmod(idx, suf.shape[1]))]
+                for idx in _key_pairs(pre, suf)])
             alive.sort()  # in place: the join's order is not ascending
-            columns = [c.astype(np.min_scalar_type(h.shape[1] - 1)) for c, h
-                       in zip(np.divmod(alive, suf.shape[1]), (pre, suf))]
+            columns = [np.empty(alive.size, np.min_scalar_type(h.shape[1] - 1))
+                       for h in (pre, suf)]
+            for s in range(0, alive.size, _CHUNK):
+                np.divmod(alive[s:s + _CHUNK], suf.shape[1],
+                          *(c[s:s + _CHUNK] for c in columns), casting="unsafe")
         else:
             hit = np.concatenate([_bystander_hits(
                 pre, suf, *(c[s:s + _CHUNK] for c in columns))
@@ -578,11 +585,11 @@ def _folded_prefixes(factors: np.ndarray, digits: np.ndarray, trie: tuple,
     folds = np.stack([weight * (t_dag[..., [0, 2, 1, 3]] if j % 2 else t_dag)
                       for j, weight in weights.items()], axis=1)  # ·SWAP
     # (P·F)^T[a, b] = Σ_c F[c, a]·P[b, c], elementwise, with temporaries a
-    # quarter of the (rows, a, b, terms, patterns) table.
+    # sixteenth of the (rows, a, b, terms, patterns) table.
     table = np.zeros((len(half), 4, 4, len(weights), half.shape[-1]),
                      dtype=complex)
-    for a, c in itertools.product(range(4), range(4)):
-        table[:, a] += folds[:, None, :, c, a, None] * half[:, :, None, c]
+    for a, b, c in itertools.product(range(4), repeat=3):
+        table[:, a, b] += folds[:, :, c, a, None] * half[:, b, None, c]
     return table.reshape(len(half), 16, -1)
 
 
@@ -607,9 +614,23 @@ def _pair_scan(idx: np.ndarray, pair_factors: np.ndarray,
                length: int, n_exchange: int) -> list:
     """(row, placement index) pairs, ascending, where the word of index
     idx[row] hits the pair target on every search sample, for the exchange
-    whose _term_weights are weights. Each index is split by divmod at the
+    whose _term_weights are weights. The words are scanned _SURVIVOR_BLOCK at
+    a time (_pair_block), so the arrays that grow with them are bounded by
+    the block, not by len(idx): the rotation's 16,968 survivors at its
+    default search are one block, and at (10, 0) the scan of 3.7 M
+    survivors peaks at 34 MB traced, its 30 MB input included."""
+    return [(lo + row, p) for lo in range(0, len(idx), _SURVIVOR_BLOCK)
+            for row, p in _pair_block(idx[lo:lo + _SURVIVOR_BLOCK], pair_factors,
+                                      pair_targets, weights, length, n_exchange)]
+
+
+def _pair_block(idx: np.ndarray, pair_factors: np.ndarray,
+                pair_targets: np.ndarray, weights: dict,
+                length: int, n_exchange: int) -> list:
+    """_pair_scan on one block of words. Each index is split by divmod at the
     _parity_cells split, so only the distinct prefixes and the suffixes are
-    decoded to digits. It scores rows of (sample, live word) in passes. The
+    decoded to digits, and each per-word array takes the narrowest unsigned
+    type that holds it. It scores rows of (sample, live word) in passes. The
     first sample's pass has a row per word; each later pass a row per live word
     on each of as many samples as fit, sample after sample, in len(idx) rows
     and in as many table rows as the first pass built, so the later samples of
@@ -619,17 +640,17 @@ def _pair_scan(idx: np.ndarray, pair_factors: np.ndarray,
     building its suffix halves once per distinct (sample, suffix) in it. The
     first pass's blocks hold _PAIR_BLOCK rows; a later pass's, whose rows share
     a suffix only within a sample, _PAIR_CHUNK, which bounds their halves."""
-    if not len(idx):
-        return []
     split, (pre_trie, suf_trie), cells, counts = _parity_cells(
         length, n_exchange, tuple(weights))
     n_samples, n_letters = pair_factors.shape[:2]
     n_suf = length - n_exchange - split
-    pre, codes = np.divmod(idx, n_letters ** n_suf)
-    distinct, pre_of = np.unique(pre, return_inverse=True)
+    distinct, pre_of = np.unique(idx // n_letters ** n_suf, return_inverse=True)
+    codes = idx % n_letters ** n_suf
+    live = np.argsort(codes, kind="stable")
+    pre_of, codes, live = (a.astype(np.min_scalar_type(n - 1)) for a, n in (
+        (pre_of, distinct.size), (codes, n_letters ** n_suf), (live, len(idx))))
     prefixes = _word_digits(distinct, split, n_letters)
     suffixes = _word_digits(codes, n_suf, n_letters)
-    live = np.argsort(codes, kind="stable")
     alive = None  # per live word, its placements still hit
     s = 0
     while s < n_samples and live.size:
@@ -666,14 +687,16 @@ def _pair_scan(idx: np.ndarray, pair_factors: np.ndarray,
                 c = slice(b, b + _PAIR_CHUNK)
                 traces, cols = _strand_traces(table[pre_at[c]], suf[suf_of[c]],
                                               cells, counts)
-                # squared phase distance on 4x4: 2 - |tr|/2
-                hit = (2.0 - np.abs(traces) / 2.0 <= STAGE2_DIST_SQ)[:, cols]
+                # 2 - |tr|/2 (squared 4x4 phase distance) <= STAGE2_DIST_SQ
+                hit = (np.abs(traces) >= 4 - 2 * STAGE2_DIST_SQ)[:, cols]
+                del traces  # before the next chunk gathers its own
                 if alive is None:
                     keep = hit.any(axis=1)
                     kept.append((live[i[c]][keep], hit[keep]))
                 else:
                     group[start + b:start + b + _PAIR_CHUNK] = hit
-            del suf, traces  # before the next block builds its own
+            del suf  # before the next block builds its own
+        del table  # before the next pass builds its own
         if alive is None:
             live, alive = (np.concatenate(a) for a in zip(*kept))
         else:
@@ -810,10 +833,10 @@ def enumerate_sequences(problem: SynthesisProblem,
                   for word, (_, p) in zip(words, hits)]
     stages.mark("pair_scan", int(survivors.size), len(candidates))
 
-    # Each letter's pair matrix on the first sample, then the exchange's, is
-    # fingerprinted once; sequences alike in these slot by slot collapse, and
-    # the rest take the result's order, where shared leading slots meet.
-    classes = [unitary_digest(m) for m in (
+    # With candidates, each letter's pair matrix on the first sample, then the
+    # exchange's, is fingerprinted once; sequences alike in these slot by slot
+    # collapse, and the rest take the result's order, where shared slots meet.
+    classes = candidates and [unitary_digest(m) for m in (
         *join((((0,), spin[0, 0]), ((1,), spin[1, 0]))), ex4)]
     unique = {}
     for letters in candidates:

@@ -87,6 +87,23 @@ def test_dedup_keeps_one_of_each_realized_sequence(bundled):
             for s in twice.solutions] == [s.letters for s in once.solutions]
 
 
+def test_dedup_fingerprints_letters_only_for_candidates(bundled, monkeypatch):
+    # Dedup fingerprints each letter and the exchange once per search, and
+    # only if the pair scan kept a candidate: the literal twin keeps none,
+    # and its 8 letters' and exchange's 9 digests would be a third of its
+    # search.
+    digests = []
+    digest = synth.unitary_digest
+    monkeypatch.setattr(synth, "unitary_digest",
+                        lambda m: digests.append(m) or digest(m))
+    literal = enumerate_sequences(bundled("z_difference_rotation_literal"),
+                                  seed=0)
+    assert (literal.stats.pair_candidates, len(digests)) == (0, 0)
+    p = bundled("planted_cp")
+    assert enumerate_sequences(p, seed=0).solutions
+    assert len(digests) == len(p.alphabet) + 1
+
+
 def test_search_counts_are_its_stage_records(bundled):
     # The funnel is read off the stage records, each count from the stage
     # that produced it: with every letter twice dedup drops candidates, and
@@ -1436,7 +1453,10 @@ def test_scans_hold_one_batch_at_a_time(bundled):
     # are built per block or per batch of words, never as one table over
     # every suffix of a sample, which would take over 40 MB; the pair
     # scan's largest table is its first sample's, the 510 prefixes'
-    # halves, 1 MB, and the pass of its 19 later samples has 266 rows. Final
+    # halves, 1 MB, and the pass of its 19 later samples has 266 rows. The
+    # pair scan peaked at 3.34 MB on numpy 2.4; its bound is that plus
+    # 0.36 MB, under the 4.05 MB it took with int64 per-word arrays and with
+    # each pass's table and chunk's traces held into the next. Final
     # verification holds its open branches and one result at a time, on
     # parts of 2 spins and 1. The bystander scan's own bound: its first
     # sample's join peaks at 2.67 MB when _key_pairs drops each chunk's
@@ -1471,11 +1491,75 @@ def test_scans_hold_one_batch_at_a_time(bundled):
         for dists in synth._draw_distances(p, table, sequences):
             assert dists.max() <= p.tolerance
 
-    for scan in (lambda: synth._pair_scan(survivors, pf, pt, weights, p.length,
-                                          p.n_exchange),
-                 verification):
+    for scan, bound in ((lambda: synth._pair_scan(
+            survivors, pf, pt, weights, p.length, p.n_exchange), 3_700_000),
+                        (verification, 8 << 20)):
         peak = traced_peak(scan)
-        assert peak <= 8 << 20, peak
+        assert peak <= bound, peak
+
+
+def test_pair_scan_holds_one_block_of_words_at_a_time(bundled, monkeypatch):
+    # The arrays that grow with the words (their prefix and suffix codes and
+    # digits, their sort order, the live rows) are held one _SURVIVOR_BLOCK
+    # of words at a time. Blocks cut anywhere, mid-prefix too, find the
+    # one-block scan's hits on the seed-0 rotation. On 65,536 words of the
+    # rotation's (7, 1) cell, blocks of 4096 words peaked at 0.46 MB, one
+    # block at 3.2 MB, and one block of int64 per-word arrays at 5.5 MB.
+    p = bundled("z_difference_rotation")
+    bm, bt, pf, pt, weights = scan_inputs(p, 0)
+    survivors = synth._bystander_scan(p.n_field, bm, bt)
+    args = (pf, pt, weights, p.length, p.n_exchange)
+    whole = synth._pair_scan(survivors, *args)
+    assert len(whole) == 48 and len(survivors) <= synth._SURVIVOR_BLOCK
+    monkeypatch.setattr(synth, "_SURVIVOR_BLOCK", 1000)
+    assert synth._pair_scan(survivors, *args) == whole
+    cell = dataclasses.replace(p, length=7, n_exchange=1)
+    _, _, pf, pt, weights = scan_inputs(cell, 0)
+    words = np.arange(0, len(p.alphabet) ** cell.n_field, 4)
+    args = (pf, pt, weights, cell.length, cell.n_exchange)
+    synth._parity_cells(cell.length, cell.n_exchange, tuple(weights))
+    monkeypatch.setattr(synth, "_SURVIVOR_BLOCK", 4096)
+    tracemalloc.start()
+    try:
+        hits = synth._pair_scan(words, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == [] and peak <= 2_000_000, peak
+
+
+def test_no_shorter_rotation_over_the_alphabet(bundled):
+    # A minimality certificate over the preset alphabets, xi = π and the
+    # stage thresholds, at search seed 0: of every (length, exchange count)
+    # cell up to length 11 that the default budget admits, only the
+    # rotation's own (11, 4) has solutions, the pinned 48, and every other
+    # cell's pair scan keeps no candidate, the literal twin's included.
+    # The budget refuses six cells of each; tests/sweep_rotation.py runs
+    # them at a budget of 10^12, and they are empty too.
+    with open(os.path.join(FIXTURES, "rotation_seed0.solutions.txt")) as fh:
+        pinned = [ln.strip() for ln in fh
+                  if ln.strip() and not ln.startswith("#")]
+    for name in ("z_difference_rotation", "z_difference_rotation_literal"):
+        refused = []
+        for length in range(1, 12):
+            for k in range(length + 1):
+                cell = dataclasses.replace(bundled(name), length=length,
+                                           n_exchange=k)
+                try:
+                    r = enumerate_sequences(cell, seed=0)
+                except BudgetExceeded:
+                    refused.append((length, k))
+                    continue
+                got = [f"slots={','.join(map(str, sol.exchange_slots))} "
+                       f"letters={','.join(sol.letters)}"
+                       for sol in r.solutions]
+                if (name, length, k) == ("z_difference_rotation", 11, 4):
+                    assert got == pinned
+                else:
+                    assert (r.stats.pair_candidates, got) == (0, []), (
+                        name, length, k)
+        assert refused == [(10, 0), (10, 1), (11, 0), (11, 1), (11, 2),
+                           (11, 3)], (name, refused)
 
 
 def test_pair_scan_later_passes_build_no_larger_table(bundled, monkeypatch):
