@@ -185,20 +185,24 @@ def _parts(c: Circuit, groups: Optional[Sequence] = None) -> list:
 
 
 def _play(reg: RegisterSpec, draws: Optional[int], ops: Sequence,
-          path: Optional[list] = None) -> np.ndarray:
+          path: Optional[list] = None,
+          keep: Optional[int] = None) -> np.ndarray:
     """The ops folded into one running unitary (or one per draw) on reg, as
     a fresh array. path, if given, lists (op, state after it) of the last
     play on reg and draws: the play resumes after the leading ops (the same
-    objects) it shares with path, and leaves path holding its own states."""
+    objects) it shares with path, and leaves path holding its own states,
+    only the first keep of them if keep is given."""
+    keep = len(ops) if keep is None else keep
     done = 0
     if path is not None:
         while done < min(len(ops), len(path)) and ops[done] is path[done][0]:
             done += 1
-        del path[done:]
     u = path[done - 1][1].copy() if done else identity(reg, draws)
+    if path is not None:
+        del path[min(done, keep):]
     for op in ops[done:]:
         apply_op(u, reg, op)
-        if path is not None:
+        if path is not None and len(path) < keep:
             path.append((op, u.copy()))
     return u
 

@@ -16,13 +16,14 @@ IEEE TCAD 32, 818 (2013)): a sequence's product is S·P, a suffix times a
 prefix, so its overlap with a target, tr(F·S·P) = tr(S·(P·F)), is a dot
 product of two precomputed halves. 2x2 products are formed on planar
 stacks, entries leading and rows trailing, as whole-stack multiply-adds
-(_product_2x2), the bystander filter's dot products as elementwise ones
-(_dot4). The bystander filter looks its first sample's words up: a sorted
-join of the halves on a phase-invariant key (_key_pairs) finds the few
-pairs within reach, and only those are scored, as later only the words
-still alive, from their prefix and suffix columns split once, a _CHUNK of
-words at a time. Past its result and the columns, the filter holds one
-chunk's arrays, and its first sample's hits twice only while it joins them.
+(_product_2x2, which the Hadamard search shares for its 4x4s), the
+bystander filter's dot products as elementwise ones (_dot4). The
+bystander filter looks its first sample's words up: a sorted join of the
+halves on a phase-invariant key (_key_pairs) finds the few pairs within
+reach, and only those are scored, as later only the words still alive,
+from their prefix and suffix columns split once, a _CHUNK of words at a
+time. Past its result and the columns, the filter holds one chunk's
+arrays, and its first sample's hits twice only while it joins them.
 The pair filter scores cells. It reads each exchange as a·I + c·SWAP, so
 a placement of k exchanges sums up to 2^k terms a^(k-j)·c^j·SWAP^j·(A ⊗
 B), whose 2x2 strands A and B take each letter's factors in an order set
@@ -62,6 +63,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import re
 import time
 from collections import Counter, namedtuple
@@ -361,13 +363,15 @@ def _slot_order(letters: Sequence) -> list:
     return [-1 if x is None else x for x in letters]
 
 
-def _product_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over planar stacks of 2x2 complex matrices, entries leading:
-    a[i, j] and b[i, j] are stacks of one rank, broadcast against each
-    other. Each entry is a[i, 0]·b[0, j] + a[i, 1]·b[1, j], two whole-stack
-    multiplies and an add for all four, the add in place."""
-    out = a[:, :1] * b[0]
-    out += a[:, 1:] * b[1]
+def _product_2x2(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b over planar stacks of square complex matrices, 2x2 or larger,
+    entries leading: a[i, j] and b[i, j] are stacks of one rank, broadcast
+    against each other. Each entry is the sum over k of a[i, k]·b[k, j],
+    one whole-stack multiply per k into out (if given) and in-place adds:
+    no BLAS call, the same in any batch."""
+    out = np.multiply(a[:, :1], b[0], out=out)
+    for k in range(1, len(b)):
+        out += a[:, k:k + 1] * b[k]
     return out
 
 
@@ -745,15 +749,18 @@ def _draw_distances(problem: SynthesisProblem, table: tuple,
     exchanges) in sorted order, its op objects in their slots, along its
     one path, of its register and len(gates) draws: _play resumes each
     word after the ops it shares with the word before, so each distinct
-    prefix plays once. combined_distance joins the parts."""
+    prefix plays once, and keeps only the states of the ops it shares with
+    the word after, since no later word shares more. combined_distance
+    joins the parts."""
     ex, n_draws, parts = Exchange(0, 1, problem.xi), len(table[0][2]), []
     for reg, fields, gates in table:
         words = [tuple(x for x in letters if x is not None or reg.n_spins == 2)
                  for letters in sequences]
-        path, dists = [], {}
-        for w in sorted(set(words), key=_slot_order):
+        path, dists, ordered = [], {}, sorted(set(words), key=_slot_order)
+        for w, after in zip(ordered, ordered[1:] + [()]):
+            shared = os.path.commonprefix([_slot_order(w), _slot_order(after)])
             u = _play(reg, len(gates), [ex if x is None else fields[x]
-                                        for x in w], path)
+                                        for x in w], path, len(shared))
             dists[w] = phase_distance(u, gates).reshape(n_draws, -1)
         parts.append([dists[w] for w in words])
     for part in zip(*parts):
@@ -979,7 +986,10 @@ def minimize(fun: Callable, x0: np.ndarray, maxiter: int = 300,
     stops at f = |r|^2 <= fmin, at an accepted step lowering f by at most
     1e-4 of it or leaving f over 1 - _STALL_GAIN of its value _STALL_STEPS
     accepted steps back (a stall; Moré, Lect. Notes Math. 630, 105 (1978)),
-    at lam > 1e6 or after maxiter steps."""
+    at lam > 1e6 or after maxiter steps. Between evaluations it holds, per
+    member, x, f and the one array that r and J view; a step's Jacobian
+    rows and normal matrix go before fun runs, and fun's result once its
+    accepted rows are copied in."""
     x = np.array(x0, dtype=float)
     r, jac = fun(x, np.arange(len(x)))
     f, lam, nit = np.vecdot(r, r), np.full(len(x), 1e-2), np.zeros(len(x), int)
@@ -992,6 +1002,7 @@ def minimize(fun: Callable, x0: np.ndarray, maxiter: int = 300,
              + lam[live, None, None] * np.eye(x.shape[1]))
         xt = x[live] - np.linalg.solve(
             a, np.vecdot(jl, r[live][:, None])[..., None])[..., 0]
+        del jl, a  # freed before fun allocates the trial step's arrays
         rt, jt = fun(xt, live)
         ft = np.vecdot(rt, rt)
         nit[live] += 1
@@ -1006,6 +1017,7 @@ def minimize(fun: Callable, x0: np.ndarray, maxiter: int = 300,
         x[acc], r[acc], jac[acc], f[acc] = xt[ok], rt[ok], jt[ok], ft[ok]
         past[acc, col[ok]] = ft[ok]
         live = live[~done]
+        del rt, jt
     return MinimizeResult(x, f, nit, len(x) + int(nit.sum()))
 
 
@@ -1036,13 +1048,6 @@ def _hadamard_blocks(az: Sequence[float], ax: Sequence[float]) -> tuple:
     return bases, eigs, (bases * eigs[:, None, :]) @ bases.transpose(0, 2, 1)
 
 
-def _product_4x4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacks of 4x4s with the member axis last, (..., 4, 4, L),
-    as elementwise multiply-adds: no BLAS call, the same in any batch."""
-    return functools.reduce(np.ndarray.__iadd__, (
-        a[..., :, k, None, :] * b[..., None, k, :, :] for k in range(4)))
-
-
 def _hadamard_residuals(structures: Sequence[str], table: tuple,
                         target: np.ndarray) -> tuple:
     """(fun, product) over members of one length, member b with the blocks
@@ -1051,32 +1056,43 @@ def _hadamard_residuals(structures: Sequence[str], table: tuple,
     product(v), B_k = exp(-i v_k G_k), whose |r|^2 at the best theta is
     phase_distance(U, T)^2, and the Jacobian -(i/2) e^{-i theta} times U for
     theta and S_k G_k P_k for v_k, P_k = B_k...B_1 and S_k = U P_k^dag (GRAPE;
-    Khaneja et al., J. Magn. Reson. 172, 296 (2005))."""
-    # Each member's table, member axis last; complex, so no product casts.
+    Khaneja et al., J. Magn. Reson. 172, 296 (2005)).
+
+    The arrays are planar stacks, entries leading and member axis last, so
+    each product is one _product_2x2. The chunk holds its kinds and the
+    3-kind table only. A call on R members of length n takes their blocks
+    from the table, forms their n prefixes, and writes the Jacobian blocks,
+    cu and the residual into one (4, 4, n + 2, R) buffer, which it returns
+    as one member-major copy: at its peak about 5n + 1 complex 4x4s per
+    member (31 at n = 6), past minimize's n + 2."""
+    # Each call's blocks, taken from the 3-kind table as contiguous planar
+    # stacks, member axis last; complex, so no product casts, but real w.
     kinds = np.transpose([["EXZ".index(c) for c in s] for s in structures])
-    bases, eigs, gens = (np.ascontiguousarray(np.moveaxis(a[kinds], 1, -1))
+    bases, eigs, gens = (np.moveaxis(a, 0, -1)
                          for a in (table[0] + 0j, table[1], table[2] + 0j))
 
     def prefixes(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        vb = bases.take(rows, -1)  # B_k = V diag(exp(-i v_k w)) V^T
-        pre = _product_4x4(vb * np.exp(-1j * v.T[:, None] * eigs.take(
-            rows, -1))[:, None], vb.swapaxes(1, 2))
-        for k in range(1, len(pre)):
-            pre[k] = _product_4x4(pre[k], pre[k - 1])
+        vb = bases.take(kinds[:, rows], -1)  # B_k = V diag(exp(-i v_k w)) V^T
+        pre = _product_2x2(vb * np.exp(-1j * v.T * eigs.take(
+            kinds[:, rows], -1)), vb.swapaxes(0, 1))
+        for k in range(1, len(kinds)):
+            pre[:, :, k] = _product_2x2(pre[:, :, k], pre[:, :, k - 1])
         return pre
 
     def fun(x: np.ndarray, rows: np.ndarray) -> tuple:
-        pre = prefixes(x[:, :-1], rows)
-        cu = np.exp(-1j * x[:, -1]) * pre[-1]
-        herm = _product_4x4(pre.conj().swapaxes(1, 2),
-                            _product_4x4(gens.take(rows, -1), pre))
-        out = np.concatenate([_product_4x4(cu, herm), cu[None]]) * -0.5j
-        out = np.append(out, (cu - target[..., None])[None] / 2, axis=0)
-        out = np.moveaxis(out.reshape(len(out), 16, -1), -1, 0)  # per member
-        out = np.ascontiguousarray(out).view(float)
-        return out[:, -1], out[:, :-1]
+        pre, n = prefixes(x[:, :-1], rows), len(kinds)
+        cu = np.exp(-1j * x[:, -1]) * pre[:, :, -1]
+        gp = _product_2x2(gens.take(kinds[:, rows], -1), pre)
+        herm = _product_2x2(np.conj(pre, out=pre).swapaxes(0, 1), gp)
+        del pre, gp
+        out = np.empty((4, 4, n + 2, len(x)), dtype=complex)  # J blocks, cu, r
+        _product_2x2(cu[:, :, None], herm, out=out[:, :, :n])
+        out[:, :, n], out[:, :, n + 1] = cu, (cu - target[..., None]) / 2
+        out[:, :, :n + 1] *= -0.5j
+        out = np.ascontiguousarray(out.reshape(16, n + 2, -1).T).view(float)
+        return out[:, -1], out[:, :-1]  # per member
 
-    return fun, lambda v: np.moveaxis(prefixes(v, np.arange(len(v)))[-1], -1, 0)
+    return fun, lambda v: prefixes(v, np.arange(len(v)))[:, :, -1].transpose(2, 0, 1)
 
 
 def _hadamard_structures(depth: int) -> list:
@@ -1120,9 +1136,15 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
         if len(ratios[axis]) < 2 or not all(map(math.isfinite, ratios[axis])):
             raise ValueError(f"{axis} profile needs at least two ratios, all "
                              f"finite, got {ratios[axis]}")
+    counts = {"depth": depth, "starts": starts, "maxiter": maxiter, "seed": seed}
+    for name, value in counts.items():
+        least = int(name != "seed")
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < least):
+            raise ValueError(f"{name} must be an integer of at least {least}, "
+                             f"got {value!r}")
+    depth, starts, maxiter, seed = map(int, counts.values())
     for ok, message in (
-            (min(depth, starts, maxiter) >= 1,
-             "depth, starts and maxiter must be at least 1"),
             (0 < tolerance < math.inf,
              "tolerance must be finite and positive"),
             (starts * 3 * (2 ** min(depth, 64) - 1)
@@ -1140,11 +1162,10 @@ def global_hadamard_search(profiles: Mapping[str, Sequence[float]],
 
     best, nfev = (math.inf, "", ()), 0
     for n in range(1, depth + 1):
-        group = [(i, s, start) for i, s in searched if len(s) == n
-                 for start in range(starts)]
-        n_out = 0
-        for c in range(0, len(group), _LM_CHUNK):
-            chunk = group[c:c + _LM_CHUNK]
+        of_n, n_out = [(i, s) for i, s in searched if len(s) == n], 0
+        for c in range(0, len(of_n) * starts, _LM_CHUNK):  # a chunk at a time
+            chunk = [of_n[m // starts] + (m % starts,) for m in
+                     range(c, min(c + _LM_CHUNK, len(of_n) * starts))]
             fun, product = _hadamard_residuals([m[1] for m in chunk], table, target)
             v0 = np.array([np.random.default_rng(
                 seed * 1_000_003 + i * 1009 + start).uniform(

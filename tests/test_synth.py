@@ -418,6 +418,32 @@ def test_verification_plays_each_distinct_prefix_once(bundled, rotation_seed0,
     assert calls == want == {2: 303, 1: 131}
 
 
+def test_verification_keeps_only_the_states_a_later_word_resumes_from(
+        bundled, rotation_seed0, monkeypatch):
+    # Each part plays its words in sorted order, so no later word shares
+    # more leading ops with a word than the next one does: after each play
+    # the path holds just those states, and after the last play none.
+    p = bundled("z_difference_rotation")
+    sequences = [synth._slot_letters(solution_word(p, sol), sol.exchange_slots,
+                                     p.length)
+                 for sol in rotation_seed0.solutions]
+    plays, real = {1: [], 2: []}, synth._play
+
+    def recording(reg, draws, ops, path=None, keep=None):
+        u = real(reg, draws, ops, path, keep)
+        plays[reg.n_spins].append((tuple(map(id, ops)), len(path)))
+        return u
+
+    monkeypatch.setattr(synth, "_play", recording)
+    table = synth._verify_table(p, p.verify_samples, 1_000_003)
+    assert len(list(synth._draw_distances(p, table, sequences))) == 48
+    for part in plays.values():
+        words = [w for w, _ in part] + [()]
+        assert [held for _, held in part] == [
+            len(os.path.commonprefix([a, b])) for a, b in zip(words, words[1:])]
+        assert max(held for _, held in part) < len(words[0])
+
+
 def replay_worst_draw(p, sol, seed):
     """Draw number sol.worst_draw of the seed, rebuilt and scored alone."""
     rng = np.random.default_rng(seed)
@@ -832,6 +858,34 @@ def test_hadamard_search_rejects_malformed_input(change):
         global_hadamard_search(**kwargs)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("depth", 2.5), ("starts", 1.5), ("maxiter", 2.5), ("seed", 1.5),
+    ("depth", np.float64(2.0)), ("seed", -1), ("seed", np.int64(-1)),
+    ("depth", True), ("starts", True), ("maxiter", True), ("seed", True),
+])
+def test_hadamard_search_refuses_non_integer_counts(name, value):
+    # One line that names the argument: a float otherwise reaches range or
+    # the start seeds, a negative seed numpy, and a bool runs as 0 or 1.
+    kwargs = dict(profiles=PROFILES, depth=2, tolerance=1e-6, starts=1,
+                  seed=0, maxiter=60)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"^{name} ") as refused:
+        global_hadamard_search(**kwargs)
+    assert "\n" not in str(refused.value)
+
+
+def test_hadamard_search_takes_numpy_integers():
+    # Read as ints: a uint8 seed would overflow in the start seeds.
+    plain = global_hadamard_search(PROFILES, depth=2, tolerance=1e-6,
+                                   starts=1, seed=3, maxiter=60)
+    numpy_ints = global_hadamard_search(
+        PROFILES, depth=np.int64(2), tolerance=1e-6, starts=np.int32(1),
+        seed=np.uint8(3), maxiter=np.int16(60))
+    assert (numpy_ints.best_distance, numpy_ints.parameters, numpy_ints.nfev,
+            numpy_ints.depth, numpy_ints.starts) == (
+        plain.best_distance, plain.parameters, plain.nfev, 2, 1)
+
+
 def test_hadamard_search_calls_minimize_by_module_name(monkeypatch):
     # The benchmark counts optimizer calls and objective evaluations by
     # wrapping synth.minimize: one call per length searched, on every
@@ -922,7 +976,29 @@ def test_hadamard_search_holds_one_chunk_of_members_at_a_time():
     finally:
         tracemalloc.stop()
     assert report.n_minimize == 15 * 4000
-    assert peak < 50e6, peak
+    # Each chunk's state held once, and the members listed a chunk at a
+    # time, peak at 5.5e6 B (6.3e6 B in a fresh process); ten copies of
+    # each member's 4x4 stacks and every member listed at once took 14.9e6 B.
+    assert peak < 8e6, peak
+
+
+def test_hadamard_search_holds_each_members_state_once():
+    # The benchmark's search: each evaluation holds its chunk's blocks,
+    # prefixes and Jacobian once, 1.58e6 B traced at its peak, where about
+    # ten copies of each member's 4x4 stacks took 3.11e6 B. The first search
+    # in a process also imports modules, about 0.7e6 B, so a small one runs
+    # untraced first.
+    profiles = _preset_profiles()
+    global_hadamard_search(profiles, depth=1, tolerance=1e-6, starts=1)
+    tracemalloc.start()
+    try:
+        report = global_hadamard_search(profiles, depth=8, tolerance=1e-6,
+                                        starts=3, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.structure, report.nfev) == ("XZXZXZ", 4474)
+    assert peak < 2.0e6, peak
 
 
 def _random_problem(rng, planted):
