@@ -37,9 +37,12 @@ the first sample alone, then the later samples together, as many to a
 pass as fit in as many rows as the block has words and in as many table
 rows as its first pass built. A pass folds each row's
 F = a^(k-j)·c^j·T†·SWAP^j into one table of prefix halves, a row per
-distinct (sample, prefix), and scores its rows in suffix order within
-each sample, building suffix halves once per distinct (sample, suffix)
-of a block.
+distinct (sample, prefix), built a slice of prefixes at a time, and
+scores its rows in suffix order within each sample, building suffix
+halves once per distinct (sample, suffix) of a block. Its chunks and
+blocks take their rows from the bytes a row gathers (_pair_rows), and a
+chunk's hits are tested per trace, a cell where each placement is one,
+and mapped to placements only for the rows near one.
 
 Filters use loose thresholds and exist only to cut the space; membership in
 the result is decided solely by final verification at the problem
@@ -95,8 +98,7 @@ MAX_SAMPLES = 4096
 # Slots per word, checked first: past 62 field letters two letters overflow
 # the int64 word index, and under it every count the budget reads is an int.
 MAX_LENGTH = 62
-# Words per stage-1 chunk and rows per stage-2 batch; both bound the working
-# set. A first-sample stage-2 block of four batches shares its suffix halves.
+# Words per stage-1 chunk, which bounds its working set.
 _CHUNK = 1 << 15
 # Stage 1 joins prefix P and folded suffix A = T†S on the key k(M) =
 # M00·conj(M11), which ignores a global phase. For 2x2 unitaries, min over
@@ -104,8 +106,13 @@ _CHUNK = 1 << 15
 # sqrt2·|P - Q|_F, so a pair with 2 - |tr(PA)| <= STAGE1_DIST_SQ has keys
 # within 2·sqrt(STAGE1_DIST_SQ); the window is twice that.
 _KEY_RADIUS = 4 * math.sqrt(STAGE1_DIST_SQ)
+# Bytes a pair-scan chunk gathers (_pair_rows), and a prefix-table slice's
+# halves; a first-pass block of four chunks shares its suffix halves.
+_PAIR_BYTES = 1 << 19
+# The budget's floor of survivors, the 128-row chunk the pair scan was first
+# priced at. It stays 128 whatever _pair_rows gives: a price in counts alone,
+# so refusals and pinned needed values do not move with a cell's chunk rows.
 _PAIR_CHUNK = 128
-_PAIR_BLOCK = 4 * _PAIR_CHUNK
 _SURVIVOR_BLOCK = 1 << 16  # words per pair-scan block, which bounds its arrays
 _LM_CHUNK = 1024  # Hadamard-search members per minimize call: bounds memory
 # Price cap of a Hadamard search: members x (10 set-up + maxiter + 1 fits of
@@ -583,18 +590,25 @@ def _folded_prefixes(factors: np.ndarray, digits: np.ndarray, trie: tuple,
     with each term's F = weight·T†·SWAP^j as (P·F)^T and flattened into
     columns, (rows, 16, terms x patterns): tr(F·S·P) = tr(S·(P·F)) is then
     a flattened suffix half S times a column. targets holds each row's T,
-    (rows, 4, 4)."""
-    half = _strand_halves(factors, digits, trie).transpose(0, 2, 3, 1)
-    t_dag = targets.conj().transpose(0, 2, 1)
-    folds = np.stack([weight * (t_dag[..., [0, 2, 1, 3]] if j % 2 else t_dag)
-                      for j, weight in weights.items()], axis=1)  # ·SWAP
-    # (P·F)^T[a, b] = Σ_c F[c, a]·P[b, c], elementwise, with temporaries a
-    # sixteenth of the (rows, a, b, terms, patterns) table.
-    table = np.zeros((len(half), 4, 4, len(weights), half.shape[-1]),
-                     dtype=complex)
-    for a, b, c in itertools.product(range(4), repeat=3):
-        table[:, a, b] += folds[:, :, c, a, None] * half[:, b, None, c]
-    return table.reshape(len(half), 16, -1)
+    (rows, 4, 4). The halves are built and folded into the table a slice
+    of rows at a time, each slice's halves and strand products about
+    _PAIR_BYTES (128 of the rotation's 510 first-sample prefixes), so the
+    build holds the table and one slice, not a second full-size copy: it
+    peaks at 1.97 MB traced there, against 2.74 MB built whole."""
+    table = np.zeros((len(digits), 4, 4, len(weights), len(trie[1])), complex)
+    step = max(1, _PAIR_BYTES // (512 * len(trie[1])))  # rows of a slice
+    for s in range(0, len(digits), step):
+        rows = slice(s, s + step)
+        half = _strand_halves(factors, digits[rows], trie)
+        t_dag = targets[rows].conj().transpose(0, 2, 1)
+        folds = np.stack([w * (t_dag[..., [0, 2, 1, 3]] if j % 2 else t_dag)
+                          for j, w in weights.items()], axis=1)  # ·SWAP
+        # (P·F)^T[a, b] = Σ_c F[c, a]·P[b, c], elementwise, with temporaries
+        # a sixteenth of the slice's (rows, a, b, terms, patterns) table.
+        for a, b, c in itertools.product(range(4), repeat=3):
+            table[rows, a, b] += folds[:, :, c, a, None] * half[:, None, :, b, c]
+        del half  # before the next slice builds its own
+    return table.reshape(len(digits), 16, -1)
 
 
 def _strand_traces(pre: np.ndarray, suf: np.ndarray, cells: np.ndarray,
@@ -613,6 +627,14 @@ def _strand_traces(pre: np.ndarray, suf: np.ndarray, cells: np.ndarray,
                for cell, n in zip(cells, counts)), slice(None)
 
 
+def _pair_rows(tries: tuple, weights: dict) -> int:
+    """Rows of a pair-scan chunk: as many as gather _PAIR_BYTES, a row's
+    suffix halves (16 entries per suffix pattern of tries), its table
+    columns (16 per term and prefix pattern) and its grid of cells."""
+    n_suf, n_cols = len(tries[1][1]), len(weights) * len(tries[0][1])
+    return max(1, _PAIR_BYTES // (256 * (n_suf + n_cols) + 16 * n_suf * n_cols))
+
+
 def _pair_scan(idx: np.ndarray, pair_factors: np.ndarray,
                pair_targets: np.ndarray, weights: dict,
                length: int, n_exchange: int) -> list:
@@ -622,7 +644,8 @@ def _pair_scan(idx: np.ndarray, pair_factors: np.ndarray,
     a time (_pair_block), so the arrays that grow with them are bounded by
     the block, not by len(idx): the rotation's 16,968 survivors at its
     default search are one block, and at (10, 0) the scan of 3.7 M
-    survivors peaks at 34 MB traced, its 30 MB input included."""
+    survivors peaks at 33.7 MB (32.1 MiB) traced, its 29.7 MB input and
+    what the search already held included."""
     return [(lo + row, p) for lo in range(0, len(idx), _SURVIVOR_BLOCK)
             for row, p in _pair_block(idx[lo:lo + _SURVIVOR_BLOCK], pair_factors,
                                       pair_targets, weights, length, n_exchange)]
@@ -641,13 +664,20 @@ def _pair_block(idx: np.ndarray, pair_factors: np.ndarray,
     a search that keeps few words take one pass. A pass builds one table of
     folded prefix halves, a row per distinct (sample, prefix) of its rows, and
     scores its rows in blocks, in suffix order within each sample, each block
-    building its suffix halves once per distinct (sample, suffix) in it. The
-    first pass's blocks hold _PAIR_BLOCK rows; a later pass's, whose rows share
-    a suffix only within a sample, _PAIR_CHUNK, which bounds their halves."""
-    split, (pre_trie, suf_trie), cells, counts = _parity_cells(
-        length, n_exchange, tuple(weights))
+    building its suffix halves once per distinct (sample, suffix) in it, and
+    each chunk of _pair_rows rows gathering its table rows and halves. The
+    first pass's blocks hold four chunks; a later pass's, whose rows share a
+    suffix only within a sample, one, which bounds their halves. A chunk
+    tests its hits per trace. On the first pass only a chunk with a trace
+    near the target maps its near rows to placements, and a row lives on
+    when one of its placements hits; a chunk with none appends nothing. At
+    the rotation a chunk is 64 rows, its gathers and grid about 0.5 MB, and
+    the scan's traced peak 2.35 MB: the 1 MB first table, a block's halves
+    and a chunk's gathers."""
+    split, tries, cells, counts = _parity_cells(length, n_exchange,
+                                                tuple(weights))
     n_samples, n_letters = pair_factors.shape[:2]
-    n_suf = length - n_exchange - split
+    n_suf, chunk = length - n_exchange - split, _pair_rows(tries, weights)
     distinct, pre_of = np.unique(idx // n_letters ** n_suf, return_inverse=True)
     codes = idx % n_letters ** n_suf
     live = np.argsort(codes, kind="stable")
@@ -668,12 +698,13 @@ def _pair_block(idx: np.ndarray, pair_factors: np.ndarray,
         factors = pair_factors[s:s + g].reshape(-1, *pair_factors.shape[2:])
         on = np.arange(g).repeat(used.size)
         digits = np.tile(prefixes[used], (g, 1)) + (on * n_letters)[:, None]
-        table = _folded_prefixes(factors, digits, pre_trie, weights,
+        table = _folded_prefixes(factors, digits, tries[0], weights,
                                  pair_targets[s + on])
-        kept = []
-        if alive is not None:
+        if alive is None:
+            kept = [(live[:0], np.empty((0, cells.shape[1]), dtype=bool))]
+        else:
             group = np.empty((g * n, alive.shape[1]), dtype=bool)
-        size = _PAIR_BLOCK if alive is None else _PAIR_CHUNK
+        size = 4 * chunk if alive is None else chunk
         for start in range(0, g * n, size):
             k, i = np.divmod(np.arange(start, min(start + size, g * n)), n)
             code = codes[live[i]]
@@ -685,28 +716,29 @@ def _pair_block(idx: np.ndarray, pair_factors: np.ndarray,
             # a copy in row order would, without the copy's memory.
             suf = _strand_halves(
                 factors, suffixes[live[i[at]]] + (k[at] * n_letters)[:, None],
-                suf_trie).reshape(at.size, -1, 16)
+                tries[1]).reshape(at.size, -1, 16)
             suf_of, pre_at = np.cumsum(new) - 1, k * used.size + row_of[i]
-            for b in range(0, i.size, _PAIR_CHUNK):
-                c = slice(b, b + _PAIR_CHUNK)
+            for b in range(0, i.size, chunk):
+                c = slice(b, b + chunk)
                 traces, cols = _strand_traces(table[pre_at[c]], suf[suf_of[c]],
                                               cells, counts)
-                # 2 - |tr|/2 (squared 4x4 phase distance) <= STAGE2_DIST_SQ
-                hit = (np.abs(traces) >= 4 - 2 * STAGE2_DIST_SQ)[:, cols]
+                # 2 - |tr|/2 (squared 4x4 phase distance) <= STAGE2_DIST_SQ,
+                # tested per trace: per cell where each placement is one.
+                near = np.abs(traces) >= 4 - 2 * STAGE2_DIST_SQ
                 del traces  # before the next chunk gathers its own
-                if alive is None:
-                    keep = hit.any(axis=1)
-                    kept.append((live[i[c]][keep], hit[keep]))
-                else:
-                    group[start + b:start + b + _PAIR_CHUNK] = hit
+                if alive is not None:
+                    group[start + b:start + b + chunk] = near[:, cols]
+                elif near.any():  # only rows near a cell map to placements
+                    rows = np.flatnonzero(near.any(axis=1))
+                    kept.append((live[i[c]][rows], near[rows][:, cols]))
             del suf  # before the next block builds its own
         del table  # before the next pass builds its own
         if alive is None:
             live, alive = (np.concatenate(a) for a in zip(*kept))
         else:
             alive &= group.reshape(g, n, -1).all(axis=0)
-            keep = alive.any(axis=1)
-            live, alive = live[keep], alive[keep]
+        keep = alive.any(axis=1)
+        live, alive = live[keep], alive[keep]
         s += g
     order = np.argsort(live)
     rows, cols = np.nonzero(alive[order])
@@ -824,8 +856,8 @@ def enumerate_sequences(problem: SynthesisProblem,
         survivors = _bystander_scan(n_field, spin[2], bystanders[:, 0])
     else:
         survivors = np.arange(words_total, dtype=np.int64)
-    # At most this many strand terms per placement, and at least one full
-    # batch of words: the table is built and gathered whole for any batch.
+    # At most this many strand terms per placement, and at least _PAIR_CHUNK
+    # words: a chunk's table rows are gathered whole, however few words.
     terms = min(sum(math.comb(k, j) for j in weights),
                 len(weights) << min(k, n_field))
     needed = max(survivors.size, _PAIR_CHUNK) * n_placements * terms

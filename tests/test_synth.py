@@ -1342,15 +1342,19 @@ def test_scans_equal_the_per_word_oracle_on_cells_with_counts(bundled):
 
 def test_scans_equal_the_per_word_oracle_across_blocks_and_weights(bundled):
     # planted_cp's xi = π/2 keeps every SWAP count. With four letters and
-    # six field slots its 4096 words fill 8 blocks of suffix halves and 32
-    # batches, so each block's halves serve several batches and a suffix
-    # may straddle two blocks; the plant with two cancelling pairs hits.
+    # six field slots its 4096 words fill 19 blocks of suffix halves and 75
+    # chunks of 55 rows, so each block's halves serve several chunks and a
+    # suffix may straddle two blocks; the plant with two cancelling pairs
+    # hits.
     p = dataclasses.replace(
         bundled("planted_cp"), length=8,
         alphabet=tuple(PulseTemplate(axis, "primary", sign)
                        for axis in "zx" for sign in (1, -1)))
-    assert len(scan_inputs(p, 0)[-1]) == 3
-    assert len(p.alphabet) ** p.n_field == 8 * synth._PAIR_BLOCK
+    weights = scan_inputs(p, 0)[-1]
+    assert len(weights) == 3
+    tries = synth._parity_cells(p.length, p.n_exchange, tuple(weights))[1]
+    assert synth._pair_rows(tries, weights) == 55
+    assert len(p.alphabet) ** p.n_field == 4096
     for seed in (0, 3):
         assert assert_scans_equal_the_oracle(p, seed, prune=False)[1]
 
@@ -1528,10 +1532,13 @@ def test_scans_hold_one_batch_at_a_time(bundled):
     # Each stage's traced peak on the rotation stays a few MB. Suffix halves
     # are built per block or per batch of words, never as one table over
     # every suffix of a sample, which would take over 40 MB; the pair
-    # scan's largest table is its first sample's, the 510 prefixes'
-    # halves, 1 MB, and the pass of its 19 later samples has 266 rows. The
-    # pair scan peaked at 3.34 MB on numpy 2.4; its bound is that plus
-    # 0.36 MB, under the 4.05 MB it took with int64 per-word arrays and with
+    # scan's largest table is its first sample's, the 510 prefixes' halves,
+    # 1 MB, built 128 prefixes at a time, and the pass of its 19 later
+    # samples has 266 rows. The pair scan peaked at 2.35 MB on numpy 2.4,
+    # set by chunk scoring (the table, a block's suffix halves and a 64-row
+    # chunk's gathers); its bound is that plus 0.4 MB, under the 3.34 MB it
+    # took with 128-row chunks and its table built beside a second full copy
+    # of its halves, and the 4.05 MB with int64 per-word arrays and with
     # each pass's table and chunk's traces held into the next. Final
     # verification holds its open branches and one result at a time, on
     # parts of 2 spins and 1. The bystander scan's own bound: its first
@@ -1568,7 +1575,7 @@ def test_scans_hold_one_batch_at_a_time(bundled):
             assert dists.max() <= p.tolerance
 
     for scan, bound in ((lambda: synth._pair_scan(
-            survivors, pf, pt, weights, p.length, p.n_exchange), 3_700_000),
+            survivors, pf, pt, weights, p.length, p.n_exchange), 2_750_000),
                         (verification, 8 << 20)):
         peak = traced_peak(scan)
         assert peak <= bound, peak
@@ -1689,36 +1696,42 @@ def test_rotation_stages_build_what_they_need_once(bundled, monkeypatch,
     # 19 later samples together, as the first keeps 32 of 16,968 words. A
     # pass builds a (sample, suffix)'s halves at most once per block of
     # its rows: at most distinct (sample, suffix) pairs + blocks rows
-    # (2818 on the first sample; 304 + 5 on the later ones, whose 32 words
-    # hold 16 suffixes; once per batch of 128 words the first built 2882).
+    # (2784 + 67 on the first sample, in blocks of four 64-row chunks;
+    # 304 + 10 on the later ones, whose 32 words hold 16 suffixes, in
+    # blocks of one chunk).
     # Final verification plays no op on a register of more than 2 spins,
     # at 4 spins or at 12.
     p = bundled("z_difference_rotation")
     bm, bt, pf, pt, weights = scan_inputs(p, 0)
     survivors = synth._bystander_scan(p.n_field, bm, bt)
     words = synth._word_digits(survivors, p.n_field, len(p.alphabet))
-    split = synth._parity_cells(p.length, p.n_exchange, tuple(weights))[0]
+    split, tries = synth._parity_cells(p.length, p.n_exchange,
+                                       tuple(weights))[:2]
     live = np.unique([row for row, _ in synth._pair_scan(
         survivors, pf[:1], pt[:1], weights, p.length, p.n_exchange)])
     rows = (p.search_samples - 1) * live.size
     assert (live.size, rows) == (32, 608)
+    chunk = synth._pair_rows(tries, weights)
+    assert chunk == 64
 
     def suffixes(at):
         return len(np.unique(words[at, split:], axis=0))
 
-    bounds = [suffixes(slice(None)) + -(-len(words) // synth._PAIR_BLOCK),
-              (p.search_samples - 1) * suffixes(live)
-              + -(-rows // synth._PAIR_CHUNK)]
+    bounds = [suffixes(slice(None)) + -(-len(words) // (4 * chunk)),
+              (p.search_samples - 1) * suffixes(live) + -(-rows // chunk)]
     built = []
-    halves = synth._strand_halves
+    halves, folded = synth._strand_halves, synth._folded_prefixes
+
+    def opening(*args):
+        built.append(0)  # a pass's prefix table opens it
+        return folded(*args)
 
     def counting(factors, digits, trie):
-        if digits.shape[1] == split:
-            built.append(0)  # a sample's prefix table opens it
-        else:
+        if digits.shape[1] != split:
             built[-1] += len(digits)
         return halves(factors, digits, trie)
 
+    monkeypatch.setattr(synth, "_folded_prefixes", opening)
     monkeypatch.setattr(synth, "_strand_halves", counting)
     hits = synth._pair_scan(survivors, pf, pt, weights, p.length,
                             p.n_exchange)
